@@ -16,7 +16,7 @@ from .network import (
     series_equivalent,
     split_graphs,
 )
-from .nnls import NnlsError, NnlsResult, kernel_basis, parameter_estimation
+from .nnls import NnlsError, NnlsResult, parameter_estimation
 from .recovery import (
     RecoveryConfig,
     RecoveryError,
@@ -38,7 +38,6 @@ from .sparsify import (
 from .states import (
     PowerFlowError,
     Scenario,
-    State,
     StateSet,
     add_noise,
     generate_scenario,
@@ -54,7 +53,6 @@ from .vandermonde import (
     network_from_columns,
     parameter_vector,
     restrict,
-    row_block,
 )
 
 __version__ = "0.1.0"

@@ -178,7 +178,6 @@ def cmd_recover(args) -> int:
     net, trace = recover(states, cfg=_recovery_config(args, args.seed))
     io.save_network(net, out / "recovered.json")
     io.save_trace_csv(trace, out / "trace.csv")
-    io.save_trace_json(trace, out / "trace.json")
     table = io.render_trace_table(trace)
     (out / "table.txt").write_text(table + "\n")
     print(table)

@@ -1,4 +1,4 @@
-"""On-disk formats: network JSON, state-set CSV/JSON, trace CSV, reports.
+"""On-disk formats: network JSON, state-set CSV, trace CSV, reports.
 
 Floats are written with ``repr``, which is the shortest form that parses back
 to the identical double, so every round trip is exact.
@@ -93,76 +93,33 @@ def load_states_csv(path) -> StateSet:
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty state file") from None
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     kind = AC if "f_1" in header else DC
     per_node = 4 if kind == AC else 2
     n, rem = divmod(len(header), per_node)
     if rem or n < 1 or header != _state_header(kind, n):
         raise FormatError(f"{path}: unexpected state header {header!r}")
-    try:
-        data = np.array([[float(x) for x in row] for row in rows])
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric state entry: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise FormatError(f"{path}: ragged state rows")
+    if not rows:
+        raise FormatError(f"{path}: no state rows")
+    values = []
+    for line, row in rows:
+        if len(row) != len(header):
+            raise FormatError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+        try:
+            values.append([float(x) for x in row])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{line}: non-numeric state entry: {exc}") from exc
+    data = np.array(values)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise FormatError(
+            f"{path}:{rows[r][0]}: non-finite value {float(data[r, c])!r} in column {header[c]}"
+        )
     if kind == DC:
         e, p = data[:, 0::2], data[:, 1::2]
         return StateSet.dc(e, p)
     return StateSet(AC, data[:, 0::4], data[:, 1::4], data[:, 2::4], data[:, 3::4])
-
-
-def states_to_dict(states: StateSet) -> dict:
-    out = {"kind": states.kind, "n": states.n, "m": states.m, "states": []}
-    for k in range(states.m):
-        entry = {"e": states.e[k].tolist(), "P": states.p[k].tolist()}
-        if states.kind == AC:
-            entry["f"] = states.f[k].tolist()
-            entry["Q"] = states.q[k].tolist()
-        out["states"].append(entry)
-    return out
-
-
-def states_from_dict(data: dict) -> StateSet:
-    try:
-        kind = data["kind"]
-        raw = data["states"]
-        e = np.array([st["e"] for st in raw], dtype=float)
-        p = np.array([st["P"] for st in raw], dtype=float)
-        if kind == AC:
-            f = np.array([st["f"] for st in raw], dtype=float)
-            q = np.array([st["Q"] for st in raw], dtype=float)
-        else:
-            f = np.zeros_like(e)
-            q = np.zeros_like(e)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed state object: {exc}") from exc
-    try:
-        return StateSet(kind, e, f, p, q)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-
-
-def save_states_json(states: StateSet, path) -> None:
-    Path(path).write_text(json.dumps(states_to_dict(states)) + "\n")
-
-
-def load_states_json(path) -> StateSet:
-    with open(path) as fh:
-        return states_from_dict(json.load(fh))
-
-
-def dump_system_csv(system, path) -> None:
-    """Debug dump of an assembled system: labelled columns plus the response.
-
-    One row per equation; the last column is the stacked injection vector.
-    Meant for external verification of the assembly, not for re-loading.
-    """
-    labels = [f"{which}_{j}_{k}" for (j, k), which in system.columns]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels + ["rhs"])
-        for row, rhs in zip(system.matrix, system.rhs):
-            writer.writerow([repr(float(x)) for x in row] + [repr(float(rhs))])
 
 
 TRACE_COLUMNS = ("iteration", "edges", "rms", "kappa", "epsilon", "event")
@@ -193,37 +150,6 @@ def load_trace_csv(path) -> RecoveryTrace:
             trace.append(
                 TraceRow(int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]), row[5])
             )
-    return trace
-
-
-def trace_to_dicts(trace: RecoveryTrace) -> list[dict]:
-    return [asdict(r) for r in trace]
-
-
-def save_trace_json(trace: RecoveryTrace, path) -> None:
-    Path(path).write_text(json.dumps(trace_to_dicts(trace)) + "\n")
-
-
-def load_trace_json(path) -> RecoveryTrace:
-    trace = RecoveryTrace()
-    with open(path) as fh:
-        data = json.load(fh)
-    try:
-        for row in data:
-            if row["event"] not in EVENTS:
-                raise FormatError(f"{path}: unknown event {row['event']!r}")
-            trace.append(
-                TraceRow(
-                    int(row["iteration"]),
-                    int(row["edges"]),
-                    float(row["rms"]),
-                    float(row["kappa"]),
-                    float(row["epsilon"]),
-                    row["event"],
-                )
-            )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed trace object: {exc}") from exc
     return trace
 
 

@@ -172,6 +172,11 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
     return L
 
 
+def spectral_norm(L: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a symmetric matrix."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(L)), initial=0.0))
+
+
 def admittance_matrix(net: Network) -> np.ndarray:
     """Complex admittance matrix, the conductance Laplacian minus i times the
     susceptance Laplacian.  For DC networks the imaginary part is identically

@@ -129,20 +129,6 @@ def solve(A, b, tol: float = 1e-8, max_iter: int | None = None, x0=None) -> Nnls
         passive[int(np.argmax(scores))] = True
 
 
-def kernel_basis(A, rtol: float = 1e-13) -> np.ndarray:
-    """Orthonormal basis of the (numerical) null space of A, as columns.
-
-    Diagnostic for degenerate systems where the optimum is a segment rather
-    than a point.
-    """
-    A = np.asarray(A, dtype=float)
-    _, sv, vt = np.linalg.svd(A)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.eye(A.shape[1])
-    rank = int(np.sum(sv / sv[0] >= rtol))
-    return vt[rank:].T
-
-
 def parameter_estimation(
     edges: tuple[Edge, ...], states: StateSet, tol: float = 1e-8
 ) -> tuple[np.ndarray, float]:

@@ -41,21 +41,17 @@ class RecoveryConfig:
 
     ``eps0`` is the starting closeness parameter and ``psi > 1`` its
     exploration factor.  ``tol`` is the rms acceptance tolerance.  At least
-    one stopping criterion must be enabled.  ``vmin``/``vmax`` are carried
-    for diagnostics (bound reports) only.
+    one stopping criterion must be enabled.
     """
 
     eps0: float = 0.1
     psi: float = 1.5
     tol: float = 1e-5
     seed: int = 0
-    nnls_tol: float = 1e-8
     max_iterations: int | None = None
     max_wall_time: float | None = None
     max_stale_iterations: int | None = 30
     stop_on_tree: bool = False
-    vmin: float = 0.9
-    vmax: float = 1.1
 
     def __post_init__(self):
         if self.eps0 <= 0:
@@ -168,7 +164,7 @@ def recover(
     trace = RecoveryTrace()
     full = assemble(complete_edges(n), states)
     try:
-        fit = nnls_solve(full.matrix, full.rhs, tol=cfg.nnls_tol)
+        fit = nnls_solve(full.matrix, full.rhs)
     except NnlsError as exc:
         raise RecoveryError(f"initial estimation failed: {exc}", trace) from exc
     cur_rms = fit.objective / np.sqrt(full.matrix.shape[0])
@@ -194,7 +190,7 @@ def recover(
         if 0 < len(candidate_edges) < len(cur.edges):
             sub = restrict(full, candidate_edges)
             try:
-                refit = nnls_solve(sub.matrix, sub.rhs, tol=cfg.nnls_tol)
+                refit = nnls_solve(sub.matrix, sub.rhs)
             except NnlsError as exc:
                 raise RecoveryError(
                     f"estimation failed at iteration {iteration}: {exc}", trace

@@ -26,6 +26,7 @@ from .network import (
     Network,
     WeightedGraph,
     laplacian,
+    spectral_norm,
     split_graphs,
 )
 
@@ -60,8 +61,6 @@ class SparsifyOutcome:
 
     graph: WeightedGraph | Network
     t: int
-    epsilon: float
-    seed: object
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -121,7 +120,7 @@ def sparsify_dc(g: WeightedGraph, eps: float, seed=0) -> SparsifyOutcome:
     keep = counts > 0
     new_w = counts[keep] * stats.w[keep] / (t * stats.p[keep])
     edges = tuple(e for e, k in zip(stats.edges, keep) if k)
-    return SparsifyOutcome(WeightedGraph(g.n, edges, new_w), t, eps, seed)
+    return SparsifyOutcome(WeightedGraph(g.n, edges, new_w), t)
 
 
 def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
@@ -134,7 +133,7 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
     if net.kind == DC:
         out = sparsify_dc(WeightedGraph(net.n, net.edges, net.c), eps, seed)
         g = out.graph
-        return SparsifyOutcome(Network.dc(net.n, g.edges, g.w), out.t, eps, seed)
+        return SparsifyOutcome(Network.dc(net.n, g.edges, g.w), out.t)
 
     cg, sg = split_graphs(net)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -153,11 +152,7 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
     edges = tuple(sorted(set(c_side) | set(s_side)))
     c = np.array([c_side.get(e, 0.0) for e in edges])
     s = np.array([s_side.get(e, 0.0) for e in edges])
-    return SparsifyOutcome(Network.ac(net.n, edges, c, s), t, eps, seed)
-
-
-def _spectral_norm(L: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(L)), initial=0.0))
+    return SparsifyOutcome(Network.ac(net.n, edges, c, s), t)
 
 
 def is_epsilon_approximation(
@@ -174,7 +169,7 @@ def is_epsilon_approximation(
         raise ValueError("eps must be non-negative")
     L = laplacian(g)
     L2 = laplacian(g2)
-    slack = tol * _spectral_norm(L)
+    slack = tol * spectral_norm(L)
     upper = (1.0 + eps) * L - L2
     lower = L2 - L / (1.0 + eps)
     return bool(

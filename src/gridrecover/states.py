@@ -23,24 +23,6 @@ class PowerFlowError(RuntimeError):
     """Power-flow solve failed (non-convergence, singular Jacobian, bad range)."""
 
 
-@dataclass(frozen=True)
-class State:
-    """One measurement snapshot; arrays are per-node, length n."""
-
-    kind: str
-    e: np.ndarray
-    f: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.e)
-
-    def voltage(self) -> np.ndarray:
-        return self.e + 1j * self.f
-
-
 @dataclass(frozen=True, eq=False)
 class StateSet:
     """m states of one network kind, stored as (m, n) arrays."""
@@ -59,6 +41,8 @@ class StateSet:
             a = np.array(getattr(self, name), dtype=float)
             if a.ndim != 2:
                 raise ValueError(f"{name} must be a 2-D (m, n) array")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} contains a non-finite value")
             a.setflags(write=False)
             arrays[name] = a
             object.__setattr__(self, name, a)
@@ -80,9 +64,6 @@ class StateSet:
 
     def __len__(self) -> int:
         return self.m
-
-    def __getitem__(self, k: int) -> State:
-        return State(self.kind, self.e[k], self.f[k], self.p[k], self.q[k])
 
     def __eq__(self, other):
         return (

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .network import DC, Edge, Network, _canonical_edges
-from .states import State, StateSet
+from .states import StateSet
 
 Column = tuple[Edge, str]  # (edge, "c" | "s")
 
@@ -43,52 +43,12 @@ class VandermondeSystem:
         self.matrix.flags.writeable = False
         self.rhs.flags.writeable = False
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        seen: list[Edge] = []
-        for e, which in self.columns:
-            if which == "c":
-                seen.append(e)
-        return tuple(seen)
-
-    def column_index(self, edge: Edge, which: str = "c") -> int:
-        return self.columns.index((edge, which))
-
 
 def _sorted_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
     canon = _canonical_edges(n, edges)
     if not canon:
         raise ValueError("edge set must be nonempty")
     return tuple(sorted(canon))
-
-
-def row_block(edges: Iterable[Edge], x: State) -> np.ndarray:
-    """Coefficient block of a single state: n x |E| (DC) or 2n x 2|E| (AC)."""
-    n = x.n
-    cols = _sorted_edges(n, edges)
-    e, f = x.e, x.f
-    if x.kind == DC:
-        B = np.zeros((n, len(cols)))
-        for t, (j, k) in enumerate(cols):
-            a, b = j - 1, k - 1
-            B[a, t] = e[a] * e[a] - e[a] * e[b]
-            B[b, t] = e[b] * e[b] - e[b] * e[a]
-        return B
-    B = np.zeros((2 * n, 2 * len(cols)))
-    for t, (j, k) in enumerate(cols):
-        a, b = j - 1, k - 1
-        alpha_jk = e[a] * e[a] + f[a] * f[a] - e[a] * e[b] - f[a] * f[b]
-        alpha_kj = e[b] * e[b] + f[b] * f[b] - e[b] * e[a] - f[b] * f[a]
-        beta_jk = e[a] * f[b] - e[b] * f[a]
-        B[2 * a, 2 * t] = alpha_jk
-        B[2 * a, 2 * t + 1] = -beta_jk
-        B[2 * a + 1, 2 * t] = beta_jk
-        B[2 * a + 1, 2 * t + 1] = alpha_jk
-        B[2 * b, 2 * t] = alpha_kj
-        B[2 * b, 2 * t + 1] = beta_jk  # beta_kj = -beta_jk
-        B[2 * b + 1, 2 * t] = -beta_jk
-        B[2 * b + 1, 2 * t + 1] = alpha_kj
-    return B
 
 
 def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
@@ -138,23 +98,15 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
 def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSystem:
     """Column restriction to a subset of edges; identical to re-assembling."""
     sub = _sorted_edges(system.n, edges)
-    missing = set(sub) - set(system.edges)
+    position = {col: i for i, col in enumerate(system.columns)}
+    missing = [e for e in sub if (e, "c") not in position]
     if missing:
-        raise ValueError(f"edges {sorted(missing)} not present in the system")
-    if system.kind == DC:
-        idx = [system.column_index(e, "c") for e in sub]
-    else:
-        idx = []
-        for e in sub:
-            idx.append(system.column_index(e, "c"))
-            idx.append(system.column_index(e, "s"))
+        raise ValueError(f"edges {missing} not present in the system")
+    parts = ("c",) if system.kind == DC else ("c", "s")
+    columns = tuple((e, part) for e in sub for part in parts)
+    idx = [position[col] for col in columns]
     return VandermondeSystem(
-        system.kind,
-        system.n,
-        system.m,
-        system.matrix[:, idx],
-        system.rhs,
-        tuple(system.columns[i] for i in idx),
+        system.kind, system.n, system.m, system.matrix[:, idx], system.rhs, columns
     )
 
 

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths it verifies: residuals are
 accumulated termwise from the defining sums, effective resistances come from
-grounded linear solves instead of the eigendecomposition pseudoinverse, and
-the NNLS oracle enumerates every active set.
+grounded linear solves instead of the eigendecomposition pseudoinverse, the
+NNLS oracle enumerates every active set, and null spaces come from a full SVD.
 """
 
 from __future__ import annotations
@@ -105,3 +105,17 @@ def exhaustive_nnls(A, b, feas_tol: float = 1e-9) -> tuple[np.ndarray, float]:
             if obj < best_obj:
                 best_obj, best_w = obj, w
     return best_w, best_obj
+
+
+def kernel_basis(A, rtol: float = 1e-13) -> np.ndarray:
+    """Orthonormal basis of the (numerical) null space of A, as columns.
+
+    Diagnostic for degenerate systems where the optimum is a segment rather
+    than a point.
+    """
+    A = np.asarray(A, dtype=float)
+    _, sv, vt = np.linalg.svd(A)
+    if sv.size == 0 or sv[0] == 0.0:
+        return np.eye(A.shape[1])
+    rank = int(np.sum(sv / sv[0] >= rtol))
+    return vt[rank:].T

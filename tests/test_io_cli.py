@@ -57,15 +57,6 @@ def test_states_csv_header_layout(tmp_path):
     assert (tmp_path / "ac.csv").read_text().splitlines()[0] == "e_1,f_1,P_1,Q_1"
 
 
-def test_states_json_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    net = random_ac_network(rng, 4)
-    states = generate_voltage_driven(net, 6, seed=9)
-    path = tmp_path / "states.json"
-    io.save_states_json(states, path)
-    assert io.load_states_json(path) == states
-
-
 def test_states_csv_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("e_1,P_1\n1.0\n")
@@ -73,6 +64,14 @@ def test_states_csv_malformed(tmp_path):
         io.load_states_csv(path)
     path.write_text("e_1,nope\n1.0,2.0\n")
     with pytest.raises(io.FormatError):
+        io.load_states_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_states_csv_rejects_non_finite_with_line_and_column(tmp_path, bad):
+    path = tmp_path / "states.csv"
+    path.write_text(f"e_1,P_1,e_2,P_2\n1.0,0.5,1.1,-0.5\n1.0,0.5,1.1,{bad}\n")
+    with pytest.raises(io.FormatError, match=rf"states.csv:3: non-finite value {bad} in column P_2"):
         io.load_states_csv(path)
 
 
@@ -87,34 +86,6 @@ def test_trace_round_trip_and_column_order(tmp_path):
     assert header == "iteration,edges,rms,kappa,epsilon,event"
     back = io.load_trace_csv(path)
     assert back.rows == trace.rows
-
-
-def test_trace_json_round_trip(tmp_path):
-    trace = RecoveryTrace()
-    trace.append(TraceRow(1, 15, 1.011e-6, 1.04e4, 0.1, "initial"))
-    trace.append(TraceRow(2, 0, float("inf"), float("inf"), 0.1, "rejected_rms"))
-    path = tmp_path / "trace.json"
-    io.save_trace_json(trace, path)
-    assert io.load_trace_json(path).rows == trace.rows
-
-
-def test_system_debug_dump(tmp_path):
-    from gridrecover.vandermonde import assemble
-
-    rng = np.random.default_rng(5)
-    net = random_ac_network(rng, 3)
-    states = generate_voltage_driven(net, 2, seed=1)
-    system = assemble(net.edges, states)
-    path = tmp_path / "system.csv"
-    io.dump_system_csv(system, path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[-1] == "rhs"
-    assert len(header) == system.matrix.shape[1] + 1
-    assert len(lines) == system.matrix.shape[0] + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert np.array_equal(first[:-1], system.matrix[0])
-    assert first[-1] == system.rhs[0]
 
 
 def test_render_trace_table_filters_unchanged_rows():
@@ -272,3 +243,22 @@ def test_cli_trials_fan_out(tmp_path):
     assert summary["successes"] == 3
     assert len(summary["trials"]) == 3
     assert summary["trials"][0]["seed"] == 10
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_cli_non_finite_state_exits_2(tmp_path, capsys, bad):
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--seed", "3",
+                 "--out-dir", str(out)]) == 0
+    lines = (out / "states.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[3] = bad  # P_2 of the fifth state, on line 6
+    lines[5] = ",".join(fields)
+    (out / "states.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for args in (["recover", "--states", str(out / "states.csv"), "--out-dir", str(out)],
+                 ["estimate", "--network", str(out / "network.json"),
+                  "--states", str(out / "states.csv"), "--out-dir", str(out)]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "states.csv:6:" in err and "column P_2" in err

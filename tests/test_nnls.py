@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gridrecover.network import Network
-from gridrecover.nnls import NnlsError, kernel_basis, parameter_estimation, solve
+from gridrecover.nnls import NnlsError, parameter_estimation, solve
 from gridrecover.vandermonde import assemble, condition_number
+from oracles import kernel_basis
 from test_vandermonde import K3, path3_states
 
 

@@ -202,5 +202,17 @@ def test_solve_power_flow_matches_injections():
     assert np.max(np.abs(r[1:])) <= 1e-12  # non-slack equations solved
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_set_rejects_non_finite_values(bad):
+    e = np.ones((2, 3))
+    p = np.zeros((2, 3))
+    p[1, 2] = bad
+    with pytest.raises(ValueError, match="p contains a non-finite value"):
+        StateSet.dc(e, p)
+    e[0, 0] = bad
+    with pytest.raises(ValueError, match="e contains a non-finite value"):
+        StateSet("ac", e, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
+
+
 def test_add_noise_zero_sigma_is_identity(table1_states):
     assert add_noise(table1_states, 0.0) is table1_states

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from gridrecover.vandermonde import (
     network_from_columns,
     parameter_vector,
     restrict,
-    row_block,
 )
 from helpers import random_ac_network, random_dc_network
 
@@ -23,15 +24,21 @@ def path3_states(m=50, seed=0, c12=2.0, c23=3.0):
     return net, generate_scenario(net, scen, m, seed=seed)
 
 
+def one_state(states, k):
+    """State k of a data set as a one-state set, whose system is its row block."""
+    rows = slice(k, k + 1)
+    return StateSet(states.kind, states.e[rows], states.f[rows], states.p[rows], states.q[rows])
+
+
 def test_row_block_flat_voltage_is_zero():
-    x = StateSet.dc([[1.0, 1.0, 1.0]], [[0.0] * 3])[0]
-    assert np.array_equal(row_block(K3, x), np.zeros((3, 3)))
+    x = StateSet.dc([[1.0, 1.0, 1.0]], [[0.0] * 3])
+    assert np.array_equal(assemble(K3, x).matrix, np.zeros((3, 3)))
 
 
 def test_row_block_dc_matches_quadratic_formula():
     e = np.array([1.05, 0.97, 1.01])
-    x = StateSet.dc([e], [[0.0] * 3])[0]
-    B = row_block(K3, x)
+    x = StateSet.dc([e], [[0.0] * 3])
+    B = assemble(K3, x).matrix
     expected = np.array(
         [
             [e[0] ** 2 - e[0] * e[1], e[0] ** 2 - e[0] * e[2], 0.0],
@@ -46,31 +53,23 @@ def test_row_block_dc_matches_quadratic_formula():
 
 def test_row_block_ac_zero_imag_replicates_dc_pattern():
     e = np.array([1.05, 0.97, 1.01])
-    dc = row_block(K3, StateSet.dc([e], [[0.0] * 3])[0])
+    dc = assemble(K3, StateSet.dc([e], [[0.0] * 3])).matrix
     z = np.zeros((1, 3))
-    ac = row_block(K3, StateSet("ac", [e], z, z, z)[0])
+    ac = assemble(K3, StateSet("ac", [e], z, z, z)).matrix
     assert np.array_equal(ac[0::2, 0::2], dc)  # alpha in the g-row/c-column grid
     assert np.array_equal(ac[1::2, 1::2], dc)  # and again in the h-row/s-column grid
     assert np.array_equal(ac[0::2, 1::2], np.zeros((3, 3)))  # beta terms vanish
     assert np.array_equal(ac[1::2, 0::2], np.zeros((3, 3)))
 
 
-def test_assemble_single_state_equals_row_block():
-    rng = np.random.default_rng(0)
-    for make in (random_dc_network, random_ac_network):
-        net = make(rng, 5)
-        states = generate_voltage_driven(net, 1, seed=1)
-        system = assemble(net.edges, states)
-        assert np.array_equal(system.matrix, row_block(net.edges, states[0]))
-
-
 def test_assemble_stacks_states_in_order():
     rng = np.random.default_rng(1)
-    net = random_ac_network(rng, 4)
-    states = generate_voltage_driven(net, 6, seed=2)
-    system = assemble(net.edges, states)
-    blocks = [row_block(net.edges, states[k]) for k in range(6)]
-    assert np.array_equal(system.matrix, np.vstack(blocks))
+    for make in (random_dc_network, random_ac_network):
+        net = make(rng, 4)
+        states = generate_voltage_driven(net, 6, seed=2)
+        system = assemble(net.edges, states)
+        blocks = [assemble(net.edges, one_state(states, k)).matrix for k in range(6)]
+        assert np.array_equal(system.matrix, np.vstack(blocks))
 
 
 def test_assemble_rejects_empty_edge_set():
@@ -103,16 +102,19 @@ def test_dc_columns_have_two_nonzero_rows_per_state():
 
 def test_column_subset_coherence():
     rng = np.random.default_rng(4)
-    net = random_dc_network(rng, 6)
-    states = generate_voltage_driven(net, 5, seed=5)
-    full = assemble(complete_edges(6), states)
-    sub_edges = net.edges[: len(net.edges) // 2 + 1]
-    direct = assemble(sub_edges, states)
-    restricted = restrict(full, sub_edges)
-    assert np.array_equal(direct.matrix, restricted.matrix)
-    assert direct.columns == restricted.columns
-    with pytest.raises(ValueError):
-        restrict(direct, complete_edges(6))
+    for make in (random_dc_network, random_ac_network):
+        net = make(rng, 6)
+        states = generate_voltage_driven(net, 5, seed=5)
+        full = assemble(complete_edges(6), states)
+        sub_edges = net.edges[: len(net.edges) // 2 + 1]
+        direct = assemble(sub_edges, states)
+        restricted = restrict(full, sub_edges)
+        assert np.array_equal(direct.matrix, restricted.matrix)
+        assert direct.columns == restricted.columns
+        assert np.array_equal(direct.rhs, restricted.rhs)
+        missing = sorted(set(complete_edges(6)) - set(sub_edges))
+        with pytest.raises(ValueError, match=re.escape(f"edges {missing} not present")):
+            restrict(direct, complete_edges(6))
 
 
 def test_kernel_vector_of_silent_middle_node_data():
