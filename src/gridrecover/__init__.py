@@ -6,7 +6,6 @@ from .network import (
     AC,
     DC,
     Network,
-    WeightedGraph,
     admittance_matrix,
     complete_edges,
     connectivity,
@@ -30,7 +29,6 @@ from .sparsify import (
     SparsifyOutcome,
     effective_resistances,
     is_epsilon_approximation,
-    is_epsilon_approximation_network,
     sample_count,
     sparsify_ac,
     sparsify_dc,

@@ -64,7 +64,7 @@ def dc_bound(net: Network, states: StateSet, eps: float) -> BoundReport:
     if net.n != states.n:
         raise ValueError("network and data disagree on n")
     mismatch = 1.0 - phi_vector(states) / states.e.ravel()
-    L = laplacian(split_graphs(net)[0])
+    L = laplacian(net)
     norm_vlv = _max_block_norm(L, states.e)
     term = norm_vlv * float(np.linalg.norm(mismatch)) / math.sqrt(states.m * states.n)
     base = rms(net, states)
@@ -88,7 +88,7 @@ def dc_bound_coarse(
     v = np.abs(states.e)
     if np.any(v < vmin) or np.any(v > vmax):
         raise ValueError(f"voltages leave the declared range [{vmin}, {vmax}]")
-    L = laplacian(split_graphs(net)[0])
+    L = laplacian(net)
     term = vmax**2 * (1.0 - vmin) / vmin * spectral_norm(L)
     base = rms(net, states)
     return BoundReport(base, eps, term, base + eps * term, "coarse")

@@ -34,6 +34,13 @@ def _configure_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -97,7 +104,7 @@ def cmd_sparsify(args) -> int:
     io.save_network(outcome.graph, out / "sparsified.json")
     cg, sg = split_graphs(net)
     stats = {"conductance": effective_resistances(cg)}
-    if net.kind == AC and np.any(sg.w > 0):
+    if net.kind == AC and np.any(sg.c > 0):
         stats["susceptance"] = effective_resistances(sg)
     io.save_edge_statistics_csv(stats, out / "edge_stats.csv")
     print(
@@ -247,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-time", type=float, default=None)
     p.add_argument("--max-stale", type=int, default=30)
     p.add_argument("--stop-on-tree", action="store_true")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_recover)
 

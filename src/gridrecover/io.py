@@ -43,7 +43,7 @@ def network_from_dict(data: dict) -> Network:
         edges = [(int(e["j"]), int(e["k"])) for e in raw]
         c = [float(e["c"]) for e in raw]
         s = [float(e.get("s", 0.0)) for e in raw]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed network object: {exc}") from exc
     try:
         return Network(kind, n, tuple(edges), np.array(c), np.array(s))
@@ -145,11 +145,14 @@ def load_trace_csv(path) -> RecoveryTrace:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}:{reader.line_num}"
             if len(row) != 6 or row[5] not in EVENTS:
-                raise FormatError(f"{path}: malformed trace row {row!r}")
-            trace.append(
-                TraceRow(int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]), row[5])
-            )
+                raise FormatError(f"{where}: malformed trace row {row!r}")
+            try:
+                numbers = (int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
+            except ValueError as exc:
+                raise FormatError(f"{where}: non-numeric trace entry: {exc}") from exc
+            trace.append(TraceRow(*numbers, row[5]))
     return trace
 
 

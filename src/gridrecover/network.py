@@ -3,7 +3,8 @@
 A network is an undirected graph without loops.  Each edge of a DC network
 carries a non-negative conductance; an AC edge carries a non-negative
 conductance and susceptance, combined into the complex admittance ``c - i*s``.
-Matrices are dense; the intended scale is a few dozen nodes.
+A weighted graph is a DC network, weighted by its conductances.  Matrices
+are dense; the intended scale is a few dozen nodes.
 """
 
 from __future__ import annotations
@@ -46,35 +47,6 @@ def _weight_array(values, count: int, label: str) -> np.ndarray:
         raise ValueError(f"{label} must be finite and non-negative")
     w.setflags(write=False)
     return w
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedGraph:
-    """Undirected graph with a single non-negative real weight per edge."""
-
-    n: int
-    edges: tuple[Edge, ...]
-    w: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one node")
-        object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
-        object.__setattr__(self, "w", _weight_array(self.w, len(self.edges), "weights"))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightedGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-            and np.array_equal(self.w, other.w)
-        )
-
-    def positive(self) -> "WeightedGraph":
-        """Drop zero-weight edges."""
-        keep = self.w > 0
-        edges = tuple(e for e, k in zip(self.edges, keep) if k)
-        return WeightedGraph(self.n, edges, self.w[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,28 +120,34 @@ class Network:
         edges = tuple(e for e, k in zip(self.edges, keep) if k)
         return Network(self.kind, self.n, edges, self.c[keep], self.s[keep])
 
-    def support_graph(self) -> WeightedGraph:
-        """Graph of edges with any positive weight, weighted by c + s."""
-        return WeightedGraph(self.n, self.edges, self.c + self.s).positive()
+
+def split_graphs(net: Network) -> tuple[Network, Network]:
+    """Conductance and susceptance graphs: DC networks on the same edges,
+    weighted by c and by s."""
+    return Network.dc(net.n, net.edges, net.c), Network.dc(net.n, net.edges, net.s)
 
 
-def split_graphs(net: Network) -> tuple[WeightedGraph, WeightedGraph]:
-    """Conductance and susceptance graphs, same edge carrier, weights c and s."""
-    cg = WeightedGraph(net.n, net.edges, net.c)
-    sg = WeightedGraph(net.n, net.edges, net.s)
-    return cg, sg
-
-
-def laplacian(g: WeightedGraph) -> np.ndarray:
+def _laplacian(n: int, edges: tuple[Edge, ...], w: np.ndarray) -> np.ndarray:
     """Dense Laplacian: -w on edges, weighted degrees on the diagonal."""
-    L = np.zeros((g.n, g.n))
-    for (j, k), w in zip(g.edges, g.w):
+    L = np.zeros((n, n))
+    for (j, k), wjk in zip(edges, w):
         a, b = j - 1, k - 1
-        L[a, b] -= w
-        L[b, a] -= w
-        L[a, a] += w
-        L[b, b] += w
+        L[a, b] -= wjk
+        L[b, a] -= wjk
+        L[a, a] += wjk
+        L[b, b] += wjk
     return L
+
+
+def laplacian(g: Network) -> np.ndarray:
+    """Laplacian of a graph (a DC network), weighted by its conductances.
+
+    AC networks raise, since one real Laplacian cannot hold their
+    susceptances; take those from :func:`split_graphs`.
+    """
+    if g.kind != DC:
+        raise ValueError("laplacian needs a DC network; split an AC one with split_graphs")
+    return _laplacian(g.n, g.edges, g.c)
 
 
 def spectral_norm(L: np.ndarray) -> float:
@@ -181,8 +159,8 @@ def admittance_matrix(net: Network) -> np.ndarray:
     """Complex admittance matrix, the conductance Laplacian minus i times the
     susceptance Laplacian.  For DC networks the imaginary part is identically
     zero (but the dtype is still complex)."""
-    cg, sg = split_graphs(net)
-    return laplacian(cg) - 1j * laplacian(sg)
+    # called once per Newton solve: skip building the two split networks
+    return _laplacian(net.n, net.edges, net.c) - 1j * _laplacian(net.n, net.edges, net.s)
 
 
 def series_equivalent(w1: complex, w2: complex) -> complex:
@@ -199,8 +177,9 @@ def series_equivalent(w1: complex, w2: complex) -> complex:
     return w1 * w2 / total
 
 
-def connectivity(g: WeightedGraph) -> np.ndarray:
-    """Component label per node.  Zero-weight edges are treated as absent.
+def connectivity(g: Network) -> np.ndarray:
+    """Component label per node.  Edges with zero conductance and zero
+    susceptance are treated as absent.
 
     Labels are 0-based and increase with the smallest node of each component.
     """
@@ -212,9 +191,7 @@ def connectivity(g: WeightedGraph) -> np.ndarray:
             a = parent[a]
         return a
 
-    for (j, k), w in zip(g.edges, g.w):
-        if w <= 0:
-            continue
+    for j, k in g.normalized().edges:
         ra, rb = find(j - 1), find(k - 1)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
@@ -227,18 +204,18 @@ def connectivity(g: WeightedGraph) -> np.ndarray:
     return labels
 
 
-def component_count(g: WeightedGraph) -> int:
+def component_count(g: Network) -> int:
     return int(connectivity(g).max()) + 1
 
 
-def is_connected(g: WeightedGraph) -> bool:
+def is_connected(g: Network) -> bool:
     return component_count(g) == 1
 
 
-def is_spanning_tree(g: WeightedGraph) -> bool:
+def is_spanning_tree(g: Network) -> bool:
     """True iff the positive-weight edges form a spanning tree of all n nodes."""
-    npos = int(np.count_nonzero(g.w > 0))
-    return npos == g.n - 1 and is_connected(g)
+    pos = g.normalized()
+    return len(pos.edges) == g.n - 1 and is_connected(pos)
 
 
 def complete_edges(n: int) -> tuple[Edge, ...]:

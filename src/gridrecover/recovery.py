@@ -137,7 +137,7 @@ def should_stop(
         and trace.stale_iterations() >= cfg.max_stale_iterations
     ):
         return True, "stale"
-    if cfg.stop_on_tree and net is not None and is_spanning_tree(net.support_graph()):
+    if cfg.stop_on_tree and net is not None and is_spanning_tree(net):
         return True, "tree"
     return False, ""
 

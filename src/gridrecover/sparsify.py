@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (
-    AC,
-    DC,
-    Edge,
-    Network,
-    WeightedGraph,
-    laplacian,
-    spectral_norm,
-    split_graphs,
-)
+from .network import DC, Edge, Network, laplacian, spectral_norm, split_graphs
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-12
@@ -59,7 +50,7 @@ class EdgeStatistics:
 class SparsifyOutcome:
     """Result of one sparsification run."""
 
-    graph: WeightedGraph | Network
+    graph: Network
     t: int
 
     @property
@@ -79,13 +70,13 @@ def _pseudo_inverse(L: np.ndarray) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def effective_resistances(g: WeightedGraph) -> EdgeStatistics:
+def effective_resistances(g: Network) -> EdgeStatistics:
     """Effective resistance and sampling statistics of the positive edges.
 
     Resistances come from the Laplacian pseudoinverse, so graphs that are
     disconnected on their positive support are handled per component.
     """
-    pos = g.positive()
+    pos = g.normalized()
     if not pos.edges:
         raise ValueError("graph has no positive-weight edge")
     Lp = _pseudo_inverse(laplacian(pos))
@@ -93,9 +84,9 @@ def effective_resistances(g: WeightedGraph) -> EdgeStatistics:
     a, b = idx[:, 0], idx[:, 1]
     r = Lp[a, a] + Lp[b, b] - 2.0 * Lp[a, b]
     r = np.maximum(r, 0.0)
-    leverage = pos.w * r
+    leverage = pos.c * r
     p = leverage / leverage.sum()
-    return EdgeStatistics(pos.edges, pos.w, r, leverage, p)
+    return EdgeStatistics(pos.edges, pos.c, r, leverage, p)
 
 
 def sample_count(n: int, eps: float) -> int:
@@ -105,7 +96,7 @@ def sample_count(n: int, eps: float) -> int:
     return max(1, math.ceil(8.0 * n * math.log(n) / eps**2))
 
 
-def sparsify_dc(g: WeightedGraph, eps: float, seed=0) -> SparsifyOutcome:
+def sparsify_dc(g: Network, eps: float, seed=0) -> SparsifyOutcome:
     """Sample a reweighted subgraph of the positive-weight edges.
 
     Deterministic for a fixed seed.  Every output weight is
@@ -120,7 +111,7 @@ def sparsify_dc(g: WeightedGraph, eps: float, seed=0) -> SparsifyOutcome:
     keep = counts > 0
     new_w = counts[keep] * stats.w[keep] / (t * stats.p[keep])
     edges = tuple(e for e, k in zip(stats.edges, keep) if k)
-    return SparsifyOutcome(WeightedGraph(g.n, edges, new_w), t)
+    return SparsifyOutcome(Network.dc(g.n, edges, new_w), t)
 
 
 def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
@@ -128,12 +119,10 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
 
     The output edge set is the union of the two kept sets; a weight missing
     from one side is zero-filled.  DC networks delegate straight to
-    :func:`sparsify_dc` on their conductance graph, with the same seed.
+    :func:`sparsify_dc`, with the same seed.
     """
     if net.kind == DC:
-        out = sparsify_dc(WeightedGraph(net.n, net.edges, net.c), eps, seed)
-        g = out.graph
-        return SparsifyOutcome(Network.dc(net.n, g.edges, g.w), out.t)
+        return sparsify_dc(net, eps, seed)
 
     cg, sg = split_graphs(net)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -141,9 +130,9 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
     sides: list[dict[Edge, float]] = []
     t = sample_count(net.n, eps)
     for graph, side_seed in ((cg, c_seed), (sg, s_seed)):
-        if np.any(graph.w > 0):
+        if np.any(graph.c > 0):
             out = sparsify_dc(graph, eps, side_seed)
-            sides.append(dict(zip(out.graph.edges, out.graph.w)))
+            sides.append(dict(zip(out.graph.edges, out.graph.c)))
         else:
             sides.append({})
     c_side, s_side = sides
@@ -156,38 +145,30 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
 
 
 def is_epsilon_approximation(
-    g: WeightedGraph, g2: WeightedGraph, eps: float, tol: float = PSD_TOL
+    net: Network, net2: Network, eps: float, tol: float = PSD_TOL
 ) -> bool:
     """Check the two-sided quadratic-form inequality between Laplacians.
 
     True iff (1+eps)*L - L' and L' - L/(1+eps) are both positive
-    semidefinite, with eigenvalues allowed to dip to -tol*||L||.
+    semidefinite, with eigenvalues allowed to dip to -tol*||L||.  On AC
+    networks the conductance and the susceptance Laplacians must both pass.
     """
-    if g.n != g2.n:
+    if net.kind != net2.kind:
+        raise ValueError("networks must share the kind")
+    if net.n != net2.n:
         raise ValueError("graphs must share the vertex set")
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    L = laplacian(g)
-    L2 = laplacian(g2)
-    slack = tol * spectral_norm(L)
-    upper = (1.0 + eps) * L - L2
-    lower = L2 - L / (1.0 + eps)
-    return bool(
-        np.min(np.linalg.eigvalsh(upper)) >= -slack
-        and np.min(np.linalg.eigvalsh(lower)) >= -slack
-    )
-
-
-def is_epsilon_approximation_network(
-    net: Network, net2: Network, eps: float, tol: float = PSD_TOL
-) -> bool:
-    """AC form of the check: both split graphs must pass; DC reduces to one."""
-    if net.kind != net2.kind:
-        raise ValueError("networks must share the kind")
-    cg, sg = split_graphs(net)
-    cg2, sg2 = split_graphs(net2)
-    if not is_epsilon_approximation(cg, cg2, eps, tol):
-        return False
-    if net.kind == AC:
-        return is_epsilon_approximation(sg, sg2, eps, tol)
+    pairs = [(net, net2)] if net.kind == DC else zip(split_graphs(net), split_graphs(net2))
+    for g, g2 in pairs:
+        L = laplacian(g)
+        L2 = laplacian(g2)
+        slack = tol * spectral_norm(L)
+        upper = (1.0 + eps) * L - L2
+        lower = L2 - L / (1.0 + eps)
+        if not (
+            np.min(np.linalg.eigvalsh(upper)) >= -slack
+            and np.min(np.linalg.eigvalsh(lower)) >= -slack
+        ):
+            return False
     return True

@@ -314,7 +314,7 @@ def generate_scenario(
         raise ValueError(f"scenario is for n={scen.n}, network has n={net.n}")
     if m < 1:
         raise ValueError("need m >= 1")
-    if not is_connected(net.support_graph()):
+    if not is_connected(net):
         raise PowerFlowError("network must be connected to solve power flow")
     vmin, vmax = vrange
     if not (0 < vmin <= vmax):

@@ -56,7 +56,8 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
 
     For any parameter vector w laid out per the column map,
     ``matrix @ w - rhs`` equals the residual vector of the corresponding
-    network on these states.
+    network on these states.  Raises ValueError naming the 1-based state and
+    node when an entry overflows to a non-finite value.
     """
     cols = _sorted_edges(states.n, edges)
     E, F = states.e, states.f
@@ -92,6 +93,16 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
         out[:, 1::2] = states.q
         rhs = out.ravel()
         columns = tuple(col for e in cols for col in ((e, "c"), (e, "s")))
+    # min/max propagate nan and expose +-inf without a full-size temporary
+    if not (np.isfinite(M.min()) and np.isfinite(M.max())):
+        row = int(np.argwhere(~np.isfinite(M))[0, 0])
+        per_state = M.shape[0] // m
+        state, node = divmod(row, per_state)
+        node //= per_state // n
+        raise ValueError(
+            f"state {state + 1}, node {node + 1}: design-matrix entry overflows to a"
+            " non-finite value; rescale the data"
+        )
     return VandermondeSystem(states.kind, n, m, M, rhs, columns)
 
 

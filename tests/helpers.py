@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from gridrecover.network import Network, WeightedGraph
+from gridrecover.network import Network
 
 
-def random_connected_graph(rng, n, extra_edges=4, wrange=(0.5, 10.0)) -> WeightedGraph:
+def random_connected_graph(rng, n, extra_edges=4, wrange=(0.5, 10.0)) -> Network:
     """Random spanning tree plus chords; always connected."""
     edges: set[tuple[int, int]] = set()
     order = rng.permutation(n) + 1
@@ -20,23 +20,22 @@ def random_connected_graph(rng, n, extra_edges=4, wrange=(0.5, 10.0)) -> Weighte
         if a != b:
             edges.add((min(a, b), max(a, b)))
     edge_tuple = tuple(sorted(edges))
-    return WeightedGraph(n, edge_tuple, rng.uniform(*wrange, len(edge_tuple)))
+    return Network.dc(n, edge_tuple, rng.uniform(*wrange, len(edge_tuple)))
 
 
-def random_graph(rng, n, n_edges, wrange=(0.0, 10.0)) -> WeightedGraph:
+def random_graph(rng, n, n_edges, wrange=(0.0, 10.0)) -> Network:
     """Random (possibly disconnected) graph, zero weights allowed."""
     all_edges = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
     pick = rng.choice(len(all_edges), size=min(n_edges, len(all_edges)), replace=False)
     edges = tuple(all_edges[i] for i in sorted(pick))
-    return WeightedGraph(n, edges, rng.uniform(*wrange, len(edges)))
+    return Network.dc(n, edges, rng.uniform(*wrange, len(edges)))
 
 
 def random_dc_network(rng, n, extra_edges=4, wrange=(0.5, 10.0)) -> Network:
-    g = random_connected_graph(rng, n, extra_edges, wrange)
-    return Network.dc(n, g.edges, g.w)
+    return random_connected_graph(rng, n, extra_edges, wrange)
 
 
 def random_ac_network(rng, n, extra_edges=4, wrange=(0.5, 10.0)) -> Network:
     g = random_connected_graph(rng, n, extra_edges, wrange)
     s = rng.uniform(*wrange, len(g.edges))
-    return Network.ac(n, g.edges, g.w, s)
+    return Network.ac(n, g.edges, g.c, s)

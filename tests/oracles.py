@@ -45,7 +45,7 @@ def resistance_by_grounded_solve(g, j: int, k: int) -> float:
     """
     from gridrecover.network import connectivity, laplacian
 
-    pos = g.positive()
+    pos = g.normalized()
     labels = connectivity(pos)
     if labels[j - 1] != labels[k - 1]:
         raise ValueError("endpoints lie in different components")

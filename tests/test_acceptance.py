@@ -15,7 +15,6 @@ from gridrecover.recovery import RecoveryConfig, recover
 from gridrecover.sparsify import (
     effective_resistances,
     is_epsilon_approximation,
-    is_epsilon_approximation_network,
     sparsify_ac,
     sparsify_dc,
 )
@@ -64,7 +63,7 @@ def test_criterion_03_leverage_sum_identity():
     while tested < 50:
         n = int(rng.integers(3, 21))
         g = random_graph(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1)), wrange=(0.1, 50.0))
-        if not np.any(g.w > 0):
+        if not np.any(g.c > 0):
             continue
         tested += 1
         from gridrecover.network import connectivity
@@ -127,7 +126,7 @@ def test_criterion_06_sparsifier_success_rates():
     )
     net = small_ac(seed=2)
     ac_hits = sum(
-        is_epsilon_approximation_network(net, sparsify_ac(net, 1.0, seed).graph, 1.0)
+        is_epsilon_approximation(net, sparsify_ac(net, 1.0, seed).graph, 1.0)
         for seed in range(400)
     )
     check(6, "eps=1 sparsifications verified at >=45% DC / >=20% AC of 400 runs",
@@ -150,7 +149,7 @@ def test_criterion_07_rms_growth_certificates():
         dc_checked += 1
         states = generate_voltage_driven(net, 25, seed=int(rng.integers(1 << 30)))
         fine = dc_bound(net, states, eps)
-        sparse = Network.dc(net.n, out.graph.edges, out.graph.w)
+        sparse = Network.dc(net.n, out.graph.edges, out.graph.c)
         if rms(sparse, states) > fine.bound_total + 1e-9:
             violations += 1
         coarse = dc_bound_coarse(net, states, eps, 0.9, 1.1)
@@ -160,7 +159,7 @@ def test_criterion_07_rms_growth_certificates():
         net = random_ac_network(rng, int(rng.integers(4, 8)))
         eps = float(rng.choice([0.5, 1.0]))
         out = sparsify_ac(net, eps, seed=int(rng.integers(1 << 30)))
-        if not is_epsilon_approximation_network(net, out.graph, eps):
+        if not is_epsilon_approximation(net, out.graph, eps):
             continue
         ac_checked += 1
         states = generate_voltage_driven(net, 25, seed=int(rng.integers(1 << 30)))

@@ -5,7 +5,6 @@ from gridrecover.bounds import ac_bound, ac_delta, dc_bound, dc_bound_coarse, ph
 from gridrecover.network import Network, laplacian, split_graphs
 from gridrecover.sparsify import (
     is_epsilon_approximation,
-    is_epsilon_approximation_network,
     sparsify_ac,
     sparsify_dc,
 )
@@ -79,7 +78,7 @@ def test_dc_bound_holds_on_verified_sparsifications():
         checked += 1
         states = generate_voltage_driven(net, 20, seed=int(rng.integers(1 << 30)))
         report = dc_bound(net, states, eps)
-        sparse_net = Network.dc(net.n, out.graph.edges, out.graph.w)
+        sparse_net = Network.dc(net.n, out.graph.edges, out.graph.c)
         assert rms(sparse_net, states) <= report.bound_total + 1e-9
 
 
@@ -161,7 +160,7 @@ def test_ac_bound_holds_on_verified_sparsifications():
         net = random_ac_network(rng, int(rng.integers(4, 8)))
         eps = float(rng.choice([0.5, 1.0]))
         out = sparsify_ac(net, eps, seed=int(rng.integers(1 << 30)))
-        if not is_epsilon_approximation_network(net, out.graph, eps):
+        if not is_epsilon_approximation(net, out.graph, eps):
             continue
         checked += 1
         states = generate_voltage_driven(net, 15, seed=int(rng.integers(1 << 30)))

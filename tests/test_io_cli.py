@@ -31,9 +31,14 @@ def test_network_json_exact_floats(tmp_path):
 
 def test_network_json_schema_errors(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"kind": "dc", "n": 3}')
-    with pytest.raises(io.FormatError):
-        io.load_network(path)
+    for text in (
+        '{"kind": "dc", "n": 3}',
+        '{"kind": "dc", "n": "three", "edges": []}',
+        '{"kind": "dc", "n": 3, "edges": [{"j": 1, "k": 2, "c": "abc"}]}',
+    ):
+        path.write_text(text)
+        with pytest.raises(io.FormatError):
+            io.load_network(path)
 
 
 def test_states_csv_round_trip(tmp_path):
@@ -86,6 +91,11 @@ def test_trace_round_trip_and_column_order(tmp_path):
     assert header == "iteration,edges,rms,kappa,epsilon,event"
     back = io.load_trace_csv(path)
     assert back.rows == trace.rows
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace("9.415e-07", "abc")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(io.FormatError, match=r"trace.csv:3: non-numeric trace entry"):
+        io.load_trace_csv(path)
 
 
 def test_render_trace_table_filters_unchanged_rows():
@@ -184,6 +194,11 @@ def test_cli_report_renders_and_emits_series(tmp_path, capsys):
     series = (out / "epsilon_series.csv").read_text().splitlines()
     assert series[0] == "iteration,epsilon"
     assert len(series) >= 2
+    lines = (out / "trace.csv").read_text().splitlines()
+    lines[1] = "x" + lines[1]  # non-numeric iteration on line 2
+    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    assert main(["report", "--trace", str(out / "trace.csv")]) == 2
+    assert "trace.csv:2:" in capsys.readouterr().err
 
 
 def test_cli_malformed_json_exits_2(tmp_path, capsys):
@@ -262,3 +277,31 @@ def test_cli_non_finite_state_exits_2(tmp_path, capsys, bad):
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "states.csv:6:" in err and "column P_2" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_overflowing_state_names_state(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--seed", "3",
+                 "--out-dir", str(out)]) == 0
+    lines = (out / "states.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[2] = "1e200"  # e_2 of the fifth state: finite, but its square is not
+    lines[5] = ",".join(fields)
+    (out / "states.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for args in (["recover", "--states", str(out / "states.csv"), "--out-dir", str(out)],
+                 ["estimate", "--network", str(out / "network.json"),
+                  "--states", str(out / "states.csv"), "--out-dir", str(out)]):
+        assert main(args) == 1
+        assert "state 5, node 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--workers"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--states", str(tmp_path / "states.csv"), flag, value,
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

@@ -3,7 +3,6 @@ import pytest
 
 from gridrecover.network import (
     Network,
-    WeightedGraph,
     admittance_matrix,
     complete_edges,
     connectivity,
@@ -18,18 +17,21 @@ from helpers import random_graph
 
 
 def test_laplacian_triangle_unit_weights():
-    g = WeightedGraph(3, ((1, 2), (1, 3), (2, 3)), np.ones(3))
+    g = Network.dc(3, ((1, 2), (1, 3), (2, 3)), np.ones(3))
     expected = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
     assert np.array_equal(laplacian(g), expected)
 
 
 def test_laplacian_single_edge():
-    g = WeightedGraph(2, ((1, 2),), [5.0])
+    g = Network.dc(2, ((1, 2),), [5.0])
     assert np.array_equal(laplacian(g), np.array([[5.0, -5.0], [-5.0, 5.0]]))
+    # one real Laplacian cannot hold susceptances
+    with pytest.raises(ValueError, match="split_graphs"):
+        laplacian(Network.ac(2, ((1, 2),), [5.0], [1.0]))
 
 
 def test_laplacian_path_kernel_is_constant_vector():
-    g = WeightedGraph(3, ((1, 2), (2, 3)), [2.0, 3.0])
+    g = Network.dc(3, ((1, 2), (2, 3)), [2.0, 3.0])
     L = laplacian(g)
     vals, vecs = np.linalg.eigh(L)
     assert np.sum(np.abs(vals) < 1e-12) == 1
@@ -105,25 +107,25 @@ def test_series_equivalent_rejects_zero():
 def test_split_graphs_dc_has_zero_susceptance_side():
     net = Network.dc(3, ((1, 2),), [4.0])
     cg, sg = split_graphs(net)
-    assert np.array_equal(cg.w, [4.0])
-    assert np.array_equal(sg.w, [0.0])
+    assert np.array_equal(cg.c, [4.0])
+    assert np.array_equal(sg.c, [0.0])
 
 
 def test_split_graphs_ac_weights():
     net = Network.ac(2, ((1, 2),), [1.0], [2.0])
     cg, sg = split_graphs(net)
-    assert cg.w[0] == 1.0 and sg.w[0] == 2.0
+    assert cg.c[0] == 1.0 and sg.c[0] == 2.0
 
 
 def test_connectivity_path_is_tree():
-    g = WeightedGraph(3, ((1, 2), (2, 3)), [1.0, 1.0])
+    g = Network.dc(3, ((1, 2), (2, 3)), [1.0, 1.0])
     assert component_count(g) == 1
     assert is_connected(g)
     assert is_spanning_tree(g)
 
 
 def test_connectivity_two_disjoint_edges():
-    g = WeightedGraph(4, ((1, 2), (3, 4)), [1.0, 1.0])
+    g = Network.dc(4, ((1, 2), (3, 4)), [1.0, 1.0])
     labels = connectivity(g)
     assert component_count(g) == 2
     assert labels[0] == labels[1] and labels[2] == labels[3]
@@ -131,14 +133,21 @@ def test_connectivity_two_disjoint_edges():
 
 
 def test_connectivity_triangle_not_a_tree():
-    g = WeightedGraph(3, ((1, 2), (1, 3), (2, 3)), np.ones(3))
+    g = Network.dc(3, ((1, 2), (1, 3), (2, 3)), np.ones(3))
     assert is_connected(g)
     assert not is_spanning_tree(g)
 
 
 def test_connectivity_ignores_zero_weight_edges():
-    g = WeightedGraph(3, ((1, 2), (2, 3)), [1.0, 0.0])
+    g = Network.dc(3, ((1, 2), (2, 3)), [1.0, 0.0])
     assert component_count(g) == 2
+    # an AC edge with zero conductance but positive susceptance is present
+    ac = Network.ac(3, ((1, 2), (2, 3)), [1.0, 0.0], [0.0, 2.0])
+    assert component_count(ac) == 1
+    assert is_spanning_tree(ac)
+    dead = Network.ac(3, ((1, 2), (2, 3)), [1.0, 0.0], [0.0, 0.0])
+    assert component_count(dead) == 2
+    assert not is_spanning_tree(dead)
 
 
 def test_edges_canonicalized_and_validated():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from gridrecover.builtins import small_ac, table1_dc
-from gridrecover.network import Network, WeightedGraph, connectivity, laplacian, split_graphs
+from gridrecover.network import Network, connectivity, laplacian, split_graphs
 from gridrecover.sparsify import (
     effective_resistances,
     is_epsilon_approximation,
-    is_epsilon_approximation_network,
     sample_count,
     sparsify_ac,
     sparsify_dc,
@@ -16,7 +15,7 @@ from gridrecover.sparsify import (
 from helpers import random_connected_graph, random_graph
 from oracles import resistance_by_grounded_solve
 
-TRIANGLE = WeightedGraph(3, ((1, 2), (1, 3), (2, 3)), np.ones(3))
+TRIANGLE = Network.dc(3, ((1, 2), (1, 3), (2, 3)), np.ones(3))
 
 
 def test_triangle_statistics():
@@ -47,7 +46,7 @@ def test_leverage_sum_identity_random_graphs():
     for _ in range(50):
         n = int(rng.integers(3, 21))
         g = random_graph(rng, n, int(rng.integers(1, n * (n - 1) // 2 + 1)), wrange=(0.1, 50.0))
-        if not np.any(g.w > 0):
+        if not np.any(g.c > 0):
             continue
         stats = effective_resistances(g)
         comps = int(connectivity(g).max()) + 1
@@ -64,7 +63,7 @@ def test_leverage_bounds_and_bridge_characterization():
         assert np.all(stats.leverage <= 1 + 1e-12)
         comps = int(connectivity(g).max()) + 1
         for i, (j, k) in enumerate(stats.edges):
-            without = WeightedGraph(
+            without = Network.dc(
                 g.n,
                 tuple(e for e in stats.edges if e != (j, k)),
                 np.array([w for e, w in zip(stats.edges, stats.w) if e != (j, k)]),
@@ -75,7 +74,7 @@ def test_leverage_bounds_and_bridge_characterization():
 
 def test_effective_resistances_requires_positive_edge():
     with pytest.raises(ValueError):
-        effective_resistances(WeightedGraph(3, ((1, 2),), [0.0]))
+        effective_resistances(Network.dc(3, ((1, 2),), [0.0]))
 
 
 def test_sample_count_formula():
@@ -87,10 +86,10 @@ def test_sample_count_formula():
 
 
 def test_single_edge_graph_reproduces_weight_exactly():
-    g = WeightedGraph(2, ((1, 2),), [7.5])
+    g = Network.dc(2, ((1, 2),), [7.5])
     out = sparsify_dc(g, 1.0, seed=0)
     assert out.graph.edges == ((1, 2),)
-    assert out.graph.w[0] == pytest.approx(7.5, abs=1e-12)
+    assert out.graph.c[0] == pytest.approx(7.5, abs=1e-12)
 
 
 def test_sparsify_deterministic_and_subset():
@@ -99,7 +98,7 @@ def test_sparsify_deterministic_and_subset():
     b = sparsify_dc(g, 1.0, seed=3)
     assert a.graph == b.graph
     assert set(a.graph.edges) <= set(g.edges)
-    assert np.all(a.graph.w > 0)
+    assert np.all(a.graph.c > 0)
 
 
 def test_sparsify_unbiased_on_triangle():
@@ -107,7 +106,7 @@ def test_sparsify_unbiased_on_triangle():
     trials = 2000
     for seed in range(trials):
         out = sparsify_dc(TRIANGLE, 1.0, seed=seed)
-        for e, w in zip(out.graph.edges, out.graph.w):
+        for e, w in zip(out.graph.edges, out.graph.c):
             total[TRIANGLE.edges.index(e)] += w
     assert np.allclose(total / trials, 1.0, rtol=0.05)
 
@@ -125,7 +124,7 @@ def test_sparsify_keeps_bridges_drops_weak_shorted_edge():
 
 
 def test_sparsify_zero_weight_edges_never_sampled():
-    g = WeightedGraph(3, ((1, 2), (2, 3), (1, 3)), [1.0, 1.0, 0.0])
+    g = Network.dc(3, ((1, 2), (2, 3), (1, 3)), [1.0, 1.0, 0.0])
     for seed in range(50):
         assert (1, 3) not in sparsify_dc(g, 0.5, seed=seed).graph.edges
 
@@ -136,7 +135,7 @@ def test_sparsify_ac_dc_kind_delegates():
     out_graph = sparsify_dc(split_graphs(net)[0], 1.0, seed=5)
     assert isinstance(out_net.graph, Network)
     assert out_net.graph.edges == out_graph.graph.edges
-    assert np.array_equal(out_net.graph.c, out_graph.graph.w)
+    assert np.array_equal(out_net.graph.c, out_graph.graph.c)
     assert np.all(out_net.graph.s == 0)
 
 
@@ -173,15 +172,20 @@ def test_sparsify_ac_zero_fills_single_sided_edges():
 def test_is_epsilon_approximation_identity_and_boundary():
     g = random_connected_graph(np.random.default_rng(4), 6)
     assert is_epsilon_approximation(g, g, 0.0)
-    scaled = WeightedGraph(g.n, g.edges, 1.5 * g.w)
+    scaled = Network.dc(g.n, g.edges, 1.5 * g.c)
     assert is_epsilon_approximation(g, scaled, 0.5)
     assert not is_epsilon_approximation(g, scaled, 0.4999)
+    as_ac = Network.ac(g.n, g.edges, g.c, g.c)
+    with pytest.raises(ValueError, match="kind"):
+        is_epsilon_approximation(g, as_ac, 1.0)
+    with pytest.raises(ValueError, match="vertex set"):
+        is_epsilon_approximation(g, Network.dc(g.n + 1, g.edges, g.c), 1.0)
 
 
 def test_is_epsilon_approximation_fails_without_bridge():
     g = split_graphs(table1_dc())[0]
     keep = [e != (3, 4) for e in g.edges]
-    cut = WeightedGraph(g.n, tuple(e for e, k in zip(g.edges, keep) if k), g.w[np.array(keep)])
+    cut = Network.dc(g.n, tuple(e for e, k in zip(g.edges, keep) if k), g.c[np.array(keep)])
     for eps in (0.1, 1.0, 10.0, 1000.0):
         assert not is_epsilon_approximation(g, cut, eps)
 
@@ -196,7 +200,7 @@ def test_epsilon_approximation_success_rates():
 
     net = small_ac(seed=2)
     ac_hits = sum(
-        is_epsilon_approximation_network(net, sparsify_ac(net, 1.0, seed).graph, 1.0)
+        is_epsilon_approximation(net, sparsify_ac(net, 1.0, seed).graph, 1.0)
         for seed in range(400)
     )
     assert ac_hits >= 100  # guaranteed rate is 1/4
@@ -207,7 +211,7 @@ def test_expected_weight_identity_per_draw():
     g = TRIANGLE
     out = sparsify_dc(g, 2.0, seed=9)
     stats = effective_resistances(g)
-    for e, w in zip(out.graph.edges, out.graph.w):
+    for e, w in zip(out.graph.edges, out.graph.c):
         i = stats.edges.index(e)
         unit = stats.w[i] / (out.t * stats.p[i])
         assert w / unit == pytest.approx(round(w / unit), abs=1e-9)

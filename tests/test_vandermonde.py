@@ -165,3 +165,14 @@ def test_parameter_vector_round_trip():
         )
         assert set(rebuilt.edges) == set(net.edges)
         assert np.allclose(parameter_vector(rebuilt), w)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+def test_assemble_rejects_overflow_with_state_and_node(kind):
+    e = np.ones((3, 3))
+    e[1, 2] = 1e200  # finite, but e^2 overflows in the rows of node 3
+    z = np.zeros((3, 3))
+    states = StateSet.dc(e, z) if kind == "dc" else StateSet("ac", e, z, z, z)
+    with pytest.raises(ValueError, match=r"state 2, node 3: design-matrix entry overflows"):
+        assemble(K3, states)
