@@ -15,12 +15,14 @@ from .network import (
     series_equivalent,
     split_graphs,
 )
-from .nnls import NnlsError, NnlsResult, parameter_estimation
+from .nnls import NnlsError, NnlsResult
 from .recovery import (
+    Fit,
     RecoveryConfig,
     RecoveryError,
     RecoveryTrace,
     TraceRow,
+    fit,
     recover,
     should_stop,
 )

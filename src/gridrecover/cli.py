@@ -20,11 +20,11 @@ from . import io
 from .bounds import ac_bound, dc_bound, dc_bound_coarse
 from .builtins import BUILTIN_NAMES, builtin_network, builtin_scenario
 from .network import AC, split_graphs
-from .nnls import NnlsError, solve as nnls_solve
-from .recovery import RecoveryConfig, RecoveryError, recover
+from .nnls import NnlsError
+from .recovery import RecoveryConfig, RecoveryError, fit, recover
 from .sparsify import effective_resistances, sparsify_ac
 from .states import PowerFlowError, add_noise, generate_scenario, generate_voltage_driven, rms
-from .vandermonde import assemble, condition_number, network_from_columns
+from .vandermonde import assemble
 
 log = logging.getLogger("gridrecover.cli")
 
@@ -80,20 +80,17 @@ def cmd_generate(args) -> int:
 def cmd_estimate(args) -> int:
     net = io.load_network(args.network)
     states = io.load_states_csv(args.states)
-    system = assemble(net.edges, states)
-    result = nnls_solve(system.matrix, system.rhs, tol=args.tol)
-    fitted = network_from_columns(states.kind, states.n, system.columns, result.w)
-    fit_rms = result.objective / np.sqrt(system.matrix.shape[0])
+    result = fit(assemble(net.edges, states), tol=args.tol)
     payload = {
-        "network": io.network_to_dict(fitted),
-        "rms": float(fit_rms),
-        "kappa": condition_number(system),
-        "kkt_residual": result.kkt_residual,
-        "iterations": result.iterations,
+        "network": io.network_to_dict(result.network),
+        "rms": result.rms,
+        "kappa": result.kappa,
+        "kkt_residual": result.nnls.kkt_residual,
+        "iterations": result.nnls.iterations,
     }
     out = _out_dir(args)
     (out / "estimate.json").write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"rms {fit_rms:.3e}  kappa {payload['kappa']:.3e}  -> {out / 'estimate.json'}")
+    print(f"rms {result.rms:.3e}  kappa {result.kappa:.3e}  -> {out / 'estimate.json'}")
     return 0
 
 

@@ -1,24 +1,19 @@
-"""Non-negative least squares and the parameter-estimation wrapper.
+"""Non-negative least squares by the Lawson-Hanson active-set method.
 
-The solver is a Lawson-Hanson active-set method.  It terminates in finitely
-many steps at this problem scale and satisfies the KKT conditions exactly
-(up to least-squares precision), unlike interior-point solvers that stop at
-a duality-gap tolerance.  Inner unconstrained solves use minimum-norm least
-squares so rank-deficient column sets (degenerate topologies have them) do
-not break the iteration.  Ties in the entering-index choice go to the lowest
-index, which keeps runs deterministic.
+The solver terminates in finitely many steps at this problem scale and
+satisfies the KKT conditions exactly (up to least-squares precision), unlike
+interior-point solvers that stop at a duality-gap tolerance.  Inner
+unconstrained solves use minimum-norm least squares so rank-deficient column
+sets (degenerate topologies have them) do not break the iteration.  Ties in
+the entering-index choice go to the lowest index, which keeps runs
+deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .network import Edge
-from .states import StateSet
-from .vandermonde import assemble
 
 
 @dataclass
@@ -128,15 +123,3 @@ def solve(A, b, tol: float = 1e-8, max_iter: int | None = None, x0=None) -> Nnls
         scores = np.where(candidates, -grad, -np.inf)
         passive[int(np.argmax(scores))] = True
 
-
-def parameter_estimation(
-    edges: tuple[Edge, ...], states: StateSet, tol: float = 1e-8
-) -> tuple[np.ndarray, float]:
-    """Best non-negative parameters for a fixed topology, and their rms.
-
-    Assembles the design matrix for the edge set, solves the NNLS problem,
-    and normalizes the objective into the rms fitting error.
-    """
-    system = assemble(edges, states)
-    result = solve(system.matrix, system.rhs, tol=tol)
-    return result.w, result.objective / math.sqrt(system.matrix.shape[0])

@@ -8,7 +8,7 @@ tolerance tightens it (eps /= psi); an accepted network strictly shrinks the
 edge set.  Iteration 1 is the complete-graph fit itself.
 
 All candidate systems are column restrictions of the complete-graph system,
-assembled once per run.
+assembled once per run, and every one is estimated by :func:`fit`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Network, complete_edges, is_spanning_tree
-from .nnls import NnlsError, solve as nnls_solve
+from .nnls import NnlsError, NnlsResult, solve as nnls_solve
 from .sparsify import sparsify_ac
 from .states import StateSet, rms as states_rms
-from .vandermonde import assemble, condition_number, network_from_columns, restrict
+from .vandermonde import VandermondeSystem, assemble, condition_number, network_from_columns, restrict
 
 log = logging.getLogger("gridrecover.recovery")
 
@@ -67,6 +67,32 @@ class RecoveryConfig:
             or self.stop_on_tree
         ):
             raise ValueError("enable at least one stopping criterion")
+
+
+@dataclass(frozen=True, eq=False)
+class Fit:
+    """A parameter estimate on a fixed edge set: the network the NNLS
+    solution describes (zero-weight edges included), its rms fitting error,
+    the condition number of its system, and the solver's result."""
+
+    network: Network
+    rms: float
+    kappa: float
+    nnls: NnlsResult
+
+
+def fit(system: VandermondeSystem, tol: float = 1e-8) -> Fit:
+    """Best non-negative parameters for the system's edges.
+
+    ``tol`` bounds the KKT residual of the NNLS solve.  Raises ValueError
+    when the residual norm overflows, and :class:`NnlsError` when the solver
+    does not converge.
+    """
+    result = nnls_solve(system.matrix, system.rhs, tol=tol)
+    if not np.isfinite(result.objective):
+        raise ValueError(f"fit residual overflows to {result.objective}; rescale the data")
+    fit_rms = float(result.objective / np.sqrt(system.matrix.shape[0]))
+    return Fit(network_from_columns(system, result.w), fit_rms, condition_number(system), result)
 
 
 @dataclass(frozen=True)
@@ -164,16 +190,14 @@ def recover(
     trace = RecoveryTrace()
     full = assemble(complete_edges(n), states)
     try:
-        fit = nnls_solve(full.matrix, full.rhs)
+        held = fit(full)
     except NnlsError as exc:
         raise RecoveryError(f"initial estimation failed: {exc}", trace) from exc
-    cur_rms = fit.objective / np.sqrt(full.matrix.shape[0])
-    cur_kappa = condition_number(full)
-    cur = network_from_columns(states.kind, n, full.columns, fit.w)
-    trace.append(TraceRow(1, len(cur.edges), float(cur_rms), cur_kappa, cfg.eps0, EVENT_INITIAL))
-    if cur_rms > cfg.tol:
+    cur = held.network
+    trace.append(TraceRow(1, len(cur.edges), held.rms, held.kappa, cfg.eps0, EVENT_INITIAL))
+    if held.rms > cfg.tol:
         log.warning(
-            "complete-graph fit rms %.3e exceeds tol %.3e; continuing", cur_rms, cfg.tol
+            "complete-graph fit rms %.3e exceeds tol %.3e; continuing", held.rms, cfg.tol
         )
 
     eps = cfg.eps0
@@ -188,26 +212,22 @@ def recover(
         outcome = sparsify_ac(cur, eps, np.random.SeedSequence([cfg.seed, iteration]))
         candidate_edges = outcome.graph.normalized().edges
         if 0 < len(candidate_edges) < len(cur.edges):
-            sub = restrict(full, candidate_edges)
             try:
-                refit = nnls_solve(sub.matrix, sub.rhs)
+                refit = fit(restrict(full, candidate_edges))
             except NnlsError as exc:
                 raise RecoveryError(
                     f"estimation failed at iteration {iteration}: {exc}", trace
                 ) from exc
-            new_rms = refit.objective / np.sqrt(sub.matrix.shape[0])
-            kappa = condition_number(sub)
-            if new_rms <= cfg.tol:
-                cur = network_from_columns(states.kind, n, sub.columns, refit.w).normalized()
-                cur_rms, cur_kappa = new_rms, kappa
+            if refit.rms <= cfg.tol:
+                cur, held = refit.network.normalized(), refit
                 trace.append(
-                    TraceRow(iteration, len(cur.edges), float(new_rms), kappa, eps_used, EVENT_ACCEPTED)
+                    TraceRow(iteration, len(cur.edges), held.rms, held.kappa, eps_used, EVENT_ACCEPTED)
                 )
             else:
                 eps = eps / cfg.psi
                 trace.append(
                     TraceRow(
-                        iteration, len(candidate_edges), float(new_rms), kappa, eps_used, EVENT_REJECTED_RMS
+                        iteration, len(candidate_edges), refit.rms, refit.kappa, eps_used, EVENT_REJECTED_RMS
                     )
                 )
         elif len(candidate_edges) == 0:
@@ -220,7 +240,7 @@ def recover(
             eps = eps * cfg.psi
             trace.append(
                 TraceRow(
-                    iteration, len(cur.edges), float(cur_rms), cur_kappa, eps_used, EVENT_NO_REDUCTION
+                    iteration, len(cur.edges), held.rms, held.kappa, eps_used, EVENT_NO_REDUCTION
                 )
             )
 
@@ -228,7 +248,7 @@ def recover(
     log.info(
         "recovered %d edges, rms %.3e (re-checked %.3e)",
         len(final.edges),
-        cur_rms,
+        held.rms,
         states_rms(final, states),
     )
     return final, trace

@@ -8,9 +8,11 @@ systems are nm x |E| with entries e_j*(e_j - e_k); AC systems are
 2nm x 2|E| with 2x2 blocks [[a, -b], [b, a]] built from
 a = e_j^2 + f_j^2 - e_j*e_k - f_j*f_k and b = e_j*f_k - e_k*f_j.
 
-Columns are ordered lexicographically by edge, conductance before
-susceptance, so column maps are deterministic across runs and a subset
-system is exactly a column restriction of a larger one.
+Column layout: the edges are sorted lexicographically; a DC system has one
+column per edge, an AC system two, the conductance c then the susceptance s,
+so column 2t is c and column 2t + 1 is s of edge t.  The layout is
+deterministic across runs, a subset system is exactly a column restriction
+of a larger one, and only this module decodes it.
 """
 
 from __future__ import annotations
@@ -23,21 +25,19 @@ import numpy as np
 from .network import DC, Edge, Network, _canonical_edges
 from .states import StateSet
 
-Column = tuple[Edge, str]  # (edge, "c" | "s")
-
 RANK_RTOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
 class VandermondeSystem:
-    """Assembled system: matrix, response vector, and the column map."""
+    """Assembled system: matrix, response vector, and its sorted edges."""
 
     kind: str
     n: int
     m: int
     matrix: np.ndarray
     rhs: np.ndarray
-    columns: tuple[Column, ...]
+    edges: tuple[Edge, ...]
 
     def __post_init__(self):
         self.matrix.flags.writeable = False
@@ -54,27 +54,26 @@ def _sorted_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
 def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     """Stack the per-state blocks over the whole data set.
 
-    For any parameter vector w laid out per the column map,
+    For any parameter vector w laid out per the column layout,
     ``matrix @ w - rhs`` equals the residual vector of the corresponding
     network on these states.  Raises ValueError naming the 1-based state and
     node when an entry overflows to a non-finite value.
     """
-    cols = _sorted_edges(states.n, edges)
+    edges = _sorted_edges(states.n, edges)
     E, F = states.e, states.f
     m, n = E.shape
     if states.kind == DC:
-        M = np.zeros((n * m, len(cols)))
+        M = np.zeros((n * m, len(edges)))
         base = np.arange(m) * n
-        for t, (j, k) in enumerate(cols):
+        for t, (j, k) in enumerate(edges):
             a, b = j - 1, k - 1
             M[base + a, t] = E[:, a] * E[:, a] - E[:, a] * E[:, b]
             M[base + b, t] = E[:, b] * E[:, b] - E[:, b] * E[:, a]
         rhs = states.p.ravel().copy()
-        columns = tuple((e, "c") for e in cols)
     else:
-        M = np.zeros((2 * n * m, 2 * len(cols)))
+        M = np.zeros((2 * n * m, 2 * len(edges)))
         base = np.arange(m) * 2 * n
-        for t, (j, k) in enumerate(cols):
+        for t, (j, k) in enumerate(edges):
             a, b = j - 1, k - 1
             ea, eb, fa, fb = E[:, a], E[:, b], F[:, a], F[:, b]
             alpha_jk = ea * ea + fa * fa - ea * eb - fa * fb
@@ -92,7 +91,6 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
         out[:, 0::2] = states.p
         out[:, 1::2] = states.q
         rhs = out.ravel()
-        columns = tuple(col for e in cols for col in ((e, "c"), (e, "s")))
     # min/max propagate nan and expose +-inf without a full-size temporary
     if not (np.isfinite(M.min()) and np.isfinite(M.max())):
         row = int(np.argwhere(~np.isfinite(M))[0, 0])
@@ -103,21 +101,21 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
             f"state {state + 1}, node {node + 1}: design-matrix entry overflows to a"
             " non-finite value; rescale the data"
         )
-    return VandermondeSystem(states.kind, n, m, M, rhs, columns)
+    return VandermondeSystem(states.kind, n, m, M, rhs, edges)
 
 
 def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSystem:
     """Column restriction to a subset of edges; identical to re-assembling."""
     sub = _sorted_edges(system.n, edges)
-    position = {col: i for i, col in enumerate(system.columns)}
-    missing = [e for e in sub if (e, "c") not in position]
+    position = {e: t for t, e in enumerate(system.edges)}
+    missing = [e for e in sub if e not in position]
     if missing:
         raise ValueError(f"edges {missing} not present in the system")
-    parts = ("c",) if system.kind == DC else ("c", "s")
-    columns = tuple((e, part) for e in sub for part in parts)
-    idx = [position[col] for col in columns]
+    idx = np.array([position[e] for e in sub])
+    if system.kind != DC:
+        idx = np.column_stack((2 * idx, 2 * idx + 1)).ravel()
     return VandermondeSystem(
-        system.kind, system.n, system.m, system.matrix[:, idx], system.rhs, columns
+        system.kind, system.n, system.m, system.matrix[:, idx], system.rhs, sub
     )
 
 
@@ -139,37 +137,22 @@ def parameter_vector(net: Network, edges: Iterable[Edge] | None = None) -> np.nd
 
     Edges absent from the network contribute zeros.
     """
-    cols = _sorted_edges(net.n, net.edges if edges is None else edges)
+    edges = _sorted_edges(net.n, net.edges if edges is None else edges)
+    idx = [net.edge_index(*e) if net.has_edge(*e) else None for e in edges]
+    c = np.array([0.0 if i is None else net.c[i] for i in idx])
     if net.kind == DC:
-        return np.array(
-            [net.c[net.edge_index(*e)] if net.has_edge(*e) else 0.0 for e in cols]
-        )
-    w = np.zeros(2 * len(cols))
-    for t, e in enumerate(cols):
-        if net.has_edge(*e):
-            i = net.edge_index(*e)
-            w[2 * t] = net.c[i]
-            w[2 * t + 1] = net.s[i]
+        return c
+    w = np.empty(2 * len(edges))
+    w[0::2] = c
+    w[1::2] = [0.0 if i is None else net.s[i] for i in idx]
     return w
 
 
-def network_from_columns(
-    kind: str, n: int, columns: tuple[Column, ...], w: np.ndarray
-) -> Network:
-    """Inverse of :func:`parameter_vector`: build a network from a solution."""
+def network_from_columns(system: VandermondeSystem, w: np.ndarray) -> Network:
+    """Inverse of :func:`parameter_vector`: the network a solution describes."""
     w = np.asarray(w, dtype=float)
-    if len(w) != len(columns):
-        raise ValueError("solution length must match the column map")
-    if kind == DC:
-        edges = tuple(e for e, _ in columns)
-        return Network.dc(n, edges, w)
-    edges = tuple(e for e, which in columns if which == "c")
-    c = np.zeros(len(edges))
-    s = np.zeros(len(edges))
-    pos = {e: t for t, e in enumerate(edges)}
-    for (e, which), val in zip(columns, w):
-        if which == "c":
-            c[pos[e]] = val
-        else:
-            s[pos[e]] = val
-    return Network.ac(n, edges, c, s)
+    if w.shape != (system.matrix.shape[1],):
+        raise ValueError("solution length must match the system's columns")
+    if system.kind == DC:
+        return Network.dc(system.n, system.edges, w)
+    return Network.ac(system.n, system.edges, w[0::2], w[1::2])

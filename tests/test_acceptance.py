@@ -10,8 +10,8 @@ import pytest
 from gridrecover.bounds import ac_bound, dc_bound, dc_bound_coarse
 from gridrecover.builtins import builtin_scenario, heawood_dc, small_ac, table1_dc
 from gridrecover.network import Network, complete_edges, series_equivalent, split_graphs
-from gridrecover.nnls import parameter_estimation, solve as nnls_solve
-from gridrecover.recovery import RecoveryConfig, recover
+from gridrecover.nnls import solve as nnls_solve
+from gridrecover.recovery import RecoveryConfig, fit, recover
 from gridrecover.sparsify import (
     effective_resistances,
     is_epsilon_approximation,
@@ -99,7 +99,8 @@ def test_criterion_05_silent_node_degeneracy():
     scen = Scenario.single_slack(3, zero=(2,), p_range=(-0.1, -0.01))
     states = generate_scenario(net, scen, 50, seed=17)
 
-    w_path, rms_path = parameter_estimation(net.edges, states)
+    path_fit = fit(assemble(net.edges, states))
+    w_path, rms_path = path_fit.nnls.w, path_fit.rms
     part_a = rms_path <= 1e-8 and np.allclose(w_path, [c12, c23], atol=1e-6)
 
     system = assemble(complete_edges(3), states)

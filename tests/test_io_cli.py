@@ -305,3 +305,23 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value):
               "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["recover", "estimate"])
+def test_cli_overflowing_fit_residual_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--seed", "3",
+                 "--out-dir", str(out)]) == 0
+    lines = (out / "states.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[3] = "1e200"  # P_2 of the fifth state: the matrix stays finite, |rhs| does not
+    lines[5] = ",".join(fields)
+    (out / "states.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    args = {"recover": ["recover", "--states", str(out / "states.csv"), "--out-dir", str(out)],
+            "estimate": ["estimate", "--network", str(out / "network.json"),
+                         "--states", str(out / "states.csv"), "--out-dir", str(out)]}[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "fit residual overflows to inf; rescale the data" in err

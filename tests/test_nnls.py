@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gridrecover.network import Network
-from gridrecover.nnls import NnlsError, parameter_estimation, solve
+from gridrecover.nnls import NnlsError, solve
+from gridrecover.recovery import fit
 from gridrecover.vandermonde import assemble, condition_number
 from oracles import kernel_basis
 from test_vandermonde import K3, path3_states
@@ -90,7 +91,8 @@ def test_parameter_estimation_round_trip():
 
     net = random_dc_network(rng, 6, wrange=(0.5, 5.0))
     states = generate_voltage_driven(net, 40, seed=6)
-    w, fit_rms = parameter_estimation(net.edges, states)
+    result = fit(assemble(net.edges, states))
+    w, fit_rms = result.nnls.w, result.rms
     assert fit_rms <= 1e-10
     expected = [net.c[net.edge_index(*e)] for e in sorted(net.edges)]
     assert np.allclose(w, expected, atol=1e-6)
@@ -99,7 +101,8 @@ def test_parameter_estimation_round_trip():
 def test_path_topology_estimation_is_unique():
     c12, c23 = 2.0, 3.0
     net, states = path3_states(m=50, c12=c12, c23=c23)
-    w, fit_rms = parameter_estimation(net.edges, states)
+    result = fit(assemble(net.edges, states))
+    w, fit_rms = result.nnls.w, result.rms
     assert fit_rms <= 1e-10
     assert np.allclose(w, [c12, c23], atol=1e-6)
 

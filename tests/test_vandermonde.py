@@ -110,7 +110,7 @@ def test_column_subset_coherence():
         direct = assemble(sub_edges, states)
         restricted = restrict(full, sub_edges)
         assert np.array_equal(direct.matrix, restricted.matrix)
-        assert direct.columns == restricted.columns
+        assert direct.edges == restricted.edges
         assert np.array_equal(direct.rhs, restricted.rhs)
         missing = sorted(set(complete_edges(6)) - set(sub_edges))
         with pytest.raises(ValueError, match=re.escape(f"edges {missing} not present")):
@@ -161,7 +161,7 @@ def test_parameter_vector_round_trip():
         net = make(rng, 5)
         w = parameter_vector(net)
         rebuilt = network_from_columns(
-            net.kind, net.n, assemble(net.edges, generate_voltage_driven(net, 1, seed=0)).columns, w
+            assemble(net.edges, generate_voltage_driven(net, 1, seed=0)), w
         )
         assert set(rebuilt.edges) == set(net.edges)
         assert np.allclose(parameter_vector(rebuilt), w)
