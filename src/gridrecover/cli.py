@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,12 +130,12 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _recovery_config(args, seed: int) -> RecoveryConfig:
+def _recovery_config(args) -> RecoveryConfig:
     return RecoveryConfig(
         eps0=args.eps,
         psi=args.psi,
         tol=args.tol,
-        seed=seed,
+        seed=args.seed,
         max_iterations=args.max_iterations,
         max_wall_time=args.max_time,
         max_stale_iterations=args.max_stale,
@@ -144,26 +145,24 @@ def _recovery_config(args, seed: int) -> RecoveryConfig:
 
 def _run_trial(payload) -> dict:
     """One seeded recovery; module-level so worker processes can import it."""
-    states_path, args_dict, seed = payload
-    args = argparse.Namespace(**args_dict)
+    states_path, cfg = payload
     states = io.load_states_csv(states_path)
-    net, trace = recover(states, cfg=_recovery_config(args, seed))
+    net, trace = recover(states, cfg=cfg)
     final_rms = rms(net, states)
     return {
-        "seed": seed,
+        "seed": cfg.seed,
         "edges": len(net.edges),
         "rms": float(final_rms),
         "iterations": len(trace),
-        "success": bool(final_rms <= args.tol),
+        "success": bool(final_rms <= cfg.tol),
     }
 
 
 def cmd_recover(args) -> int:
     out = _out_dir(args)
+    cfg = _recovery_config(args)
     if args.trials > 1:
-        keys = ("eps", "psi", "tol", "max_iterations", "max_time", "max_stale", "stop_on_tree")
-        args_dict = {k: getattr(args, k) for k in keys}
-        payloads = [(args.states, args_dict, args.seed + i) for i in range(args.trials)]
+        payloads = [(args.states, replace(cfg, seed=args.seed + i)) for i in range(args.trials)]
         workers = args.workers or min(args.trials, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(_run_trial, payloads))
@@ -179,7 +178,7 @@ def cmd_recover(args) -> int:
         return 0 if successes == len(trials) else 1
 
     states = io.load_states_csv(args.states)
-    net, trace = recover(states, cfg=_recovery_config(args, args.seed))
+    net, trace = recover(states, cfg=cfg)
     io.save_network(net, out / "recovered.json")
     io.save_trace_csv(trace, out / "trace.csv")
     table = io.render_trace_table(trace)
@@ -187,7 +186,7 @@ def cmd_recover(args) -> int:
     print(table)
     final_rms = rms(net, states)
     print(f"final: {len(net.edges)} edges, rms {final_rms:.3e}")
-    return 0 if final_rms <= args.tol else 1
+    return 0 if final_rms <= cfg.tol else 1
 
 
 def cmd_report(args) -> int:
