@@ -105,9 +105,8 @@ def sparsify_dc(g: Network, eps: float, seed=0) -> SparsifyOutcome:
     """
     stats = effective_resistances(g)
     t = sample_count(g.n, eps)
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(stats.edges), size=t, replace=True, p=stats.p)
-    counts = np.bincount(draws, minlength=len(stats.edges))
+    # the draw counts of t draws with replacement, in O(edges) memory and time
+    counts = np.random.default_rng(seed).multinomial(t, stats.p)
     keep = counts > 0
     new_w = counts[keep] * stats.w[keep] / (t * stats.p[keep])
     edges = tuple(e for e, k in zip(stats.edges, keep) if k)

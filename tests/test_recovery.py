@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ def test_recover_warns_when_initial_fit_misses_tol(table1_states, caplog):
     with caplog.at_level(logging.WARNING, logger="gridrecover.recovery"):
         recover(noisy, cfg=cfg)
     assert any("exceeds tol" in rec.message for rec in caplog.records)
+
+
+def test_recover_below_noise_floor_stays_small(table1_states):
+    # every refit misses tol, so eps shrinks each iteration and the draw count
+    # 8 n ln n / eps^2 passes 1e13; sampling must not allocate per draw
+    noisy = add_noise(table1_states, 1e-4, seed=0)
+    tracemalloc.start()
+    try:
+        _, trace = recover(noisy, cfg=RecoveryConfig(tol=1e-9, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.event for r in trace][1:] == [EVENT_REJECTED_RMS] * 30
+    assert trace.rows[-1].epsilon < 1e-6
+    assert peak < 50 * 2**20
 
 
 def test_recover_validates_inputs(table1_states):

@@ -92,6 +92,15 @@ def test_single_edge_graph_reproduces_weight_exactly():
     assert out.graph.c[0] == pytest.approx(7.5, abs=1e-12)
 
 
+def test_sparsify_tiny_eps_keeps_every_edge_near_its_weight():
+    # t is about 2.6e13 draws: their counts must come without a draw array
+    g = Network.dc(3, ((1, 2), (1, 3), (2, 3)), [1.0, 2.0, 3.0])
+    out = sparsify_dc(g, 1e-6, seed=0)
+    assert out.t > 10**13
+    assert out.graph.edges == g.edges
+    assert np.allclose(out.graph.c, g.c, rtol=1e-4, atol=0.0)
+
+
 def test_sparsify_deterministic_and_subset():
     g = split_graphs(table1_dc())[0]
     a = sparsify_dc(g, 1.0, seed=3)
