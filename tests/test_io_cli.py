@@ -260,20 +260,27 @@ def test_cli_trials_fan_out(tmp_path):
     assert summary["trials"][0]["seed"] == 10
 
 
-@pytest.mark.parametrize("bad", ["nan", "-inf"])
-def test_cli_non_finite_state_exits_2(tmp_path, capsys, bad):
+def _path3_with_fifth_state_entry(tmp_path, column, value):
+    """path3_dc data whose fifth state (line 6) has ``value`` in ``column``;
+    returns the recover and estimate command lines on it."""
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--seed", "3",
                  "--out-dir", str(out)]) == 0
     lines = (out / "states.csv").read_text().splitlines()
     fields = lines[5].split(",")
-    fields[3] = bad  # P_2 of the fifth state, on line 6
+    fields[column] = value
     lines[5] = ",".join(fields)
     (out / "states.csv").write_text("\n".join(lines) + "\n")
+    return (["recover", "--states", str(out / "states.csv"), "--out-dir", str(out)],
+            ["estimate", "--network", str(out / "network.json"),
+             "--states", str(out / "states.csv"), "--out-dir", str(out)])
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_cli_non_finite_state_exits_2(tmp_path, capsys, bad):
+    commands = _path3_with_fifth_state_entry(tmp_path, 3, bad)  # P_2
     capsys.readouterr()
-    for args in (["recover", "--states", str(out / "states.csv"), "--out-dir", str(out)],
-                 ["estimate", "--network", str(out / "network.json"),
-                  "--states", str(out / "states.csv"), "--out-dir", str(out)]):
+    for args in commands:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "states.csv:6:" in err and "column P_2" in err
@@ -281,20 +288,22 @@ def test_cli_non_finite_state_exits_2(tmp_path, capsys, bad):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_overflowing_state_names_state(tmp_path, capsys):
-    out = tmp_path / "exp"
-    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--seed", "3",
-                 "--out-dir", str(out)]) == 0
-    lines = (out / "states.csv").read_text().splitlines()
-    fields = lines[5].split(",")
-    fields[2] = "1e200"  # e_2 of the fifth state: finite, but its square is not
-    lines[5] = ",".join(fields)
-    (out / "states.csv").write_text("\n".join(lines) + "\n")
+    # e_2 is finite, but its square is not
+    commands = _path3_with_fifth_state_entry(tmp_path, 2, "1e200")
     capsys.readouterr()
-    for args in (["recover", "--states", str(out / "states.csv"), "--out-dir", str(out)],
-                 ["estimate", "--network", str(out / "network.json"),
-                  "--states", str(out / "states.csv"), "--out-dir", str(out)]):
+    for args in commands:
         assert main(args) == 1
         assert "state 5, node 2" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_overflowing_fit_residual_exits_1(tmp_path, capsys):
+    # P_2 leaves the design matrix finite, but the residual norm overflows
+    commands = _path3_with_fifth_state_entry(tmp_path, 3, "1e200")
+    capsys.readouterr()
+    for args in commands:
+        assert main(args) == 1
+        assert "fit residual overflows to inf; rescale the data" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--workers"])
@@ -306,22 +315,3 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
 
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["recover", "estimate"])
-def test_cli_overflowing_fit_residual_exits_1(tmp_path, capsys, command):
-    out = tmp_path / "exp"
-    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--seed", "3",
-                 "--out-dir", str(out)]) == 0
-    lines = (out / "states.csv").read_text().splitlines()
-    fields = lines[5].split(",")
-    fields[3] = "1e200"  # P_2 of the fifth state: the matrix stays finite, |rhs| does not
-    lines[5] = ",".join(fields)
-    (out / "states.csv").write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    args = {"recover": ["recover", "--states", str(out / "states.csv"), "--out-dir", str(out)],
-            "estimate": ["estimate", "--network", str(out / "network.json"),
-                         "--states", str(out / "states.csv"), "--out-dir", str(out)]}[command]
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert "fit residual overflows to inf; rescale the data" in err
