@@ -28,6 +28,8 @@ HEAWOOD_EDGES = tuple(
 SMALL_AC_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4))
 SMALL_AC_ZERO_NODE = 3  # degree 2, so its two edges admit a series collapse
 
+WEIGHT_RANGE = (0.5, 100.0)  # uniform range of the randomized builtin weights
+
 BUILTIN_NAMES = ("table1_dc", "heawood_dc", "path3_dc", "small_ac")
 
 
@@ -36,24 +38,24 @@ def table1_dc() -> Network:
     return Network.dc(6, TABLE1_EDGES, TABLE1_CONDUCTANCES)
 
 
-def heawood_dc(seed=0, conductance_range: tuple[float, float] = (0.5, 100.0)) -> Network:
+def heawood_dc(seed=0) -> Network:
     """Heawood topology (14 nodes, 21 edges) with uniform random conductances."""
     rng = np.random.default_rng(seed)
-    c = rng.uniform(*conductance_range, size=len(HEAWOOD_EDGES))
+    c = rng.uniform(*WEIGHT_RANGE, size=len(HEAWOOD_EDGES))
     return Network.dc(14, HEAWOOD_EDGES, c)
 
 
-def path3_dc(c12: float = 2.0, c23: float = 3.0) -> Network:
+def path3_dc() -> Network:
     """Three-node path; with no injection at node 2 the complete-graph fit
     has a whole segment of exact solutions."""
-    return Network.dc(3, ((1, 2), (2, 3)), (c12, c23))
+    return Network.dc(3, ((1, 2), (2, 3)), (2.0, 3.0))
 
 
-def small_ac(seed=0, admittance_range: tuple[float, float] = (0.5, 100.0)) -> Network:
+def small_ac(seed=0) -> Network:
     """Six-node AC ring plus one chord, random conductances and susceptances."""
     rng = np.random.default_rng(seed)
-    c = rng.uniform(*admittance_range, size=len(SMALL_AC_EDGES))
-    s = rng.uniform(*admittance_range, size=len(SMALL_AC_EDGES))
+    c = rng.uniform(*WEIGHT_RANGE, size=len(SMALL_AC_EDGES))
+    s = rng.uniform(*WEIGHT_RANGE, size=len(SMALL_AC_EDGES))
     return Network.ac(6, SMALL_AC_EDGES, c, s)
 
 
@@ -74,19 +76,19 @@ def builtin_scenario(name: str, sigma: float = 0.0) -> Scenario:
 
     Node 1 always feeds the network (slack); every other node draws a
     uniform load.  The load ranges are chosen to keep voltages within
-    [0.9, 1.1] at the default parameters; they are documented here rather
-    than taken from any external protocol.
+    states.VOLTAGE_RANGE; they are documented here rather than taken from any
+    external protocol.
     """
     if name == "table1_dc":
         # the 0.47-conductance bridge feeds three nodes; bigger loads than
         # this push its voltage drop past the 0.9 floor
-        return Scenario.single_slack(6, p_range=(-0.015, 0.0), sigma=sigma)
+        return Scenario(6, p_range=(-0.015, 0.0), sigma=sigma)
     if name == "heawood_dc":
-        return Scenario.single_slack(14, p_range=(-0.1, 0.0), sigma=sigma)
+        return Scenario(14, p_range=(-0.1, 0.0), sigma=sigma)
     if name == "path3_dc":
-        return Scenario.single_slack(3, zero=(2,), p_range=(-0.1, -0.01), sigma=sigma)
+        return Scenario(3, zero=(2,), p_range=(-0.1, -0.01), sigma=sigma)
     if name == "small_ac":
-        return Scenario.single_slack(
+        return Scenario(
             6,
             zero=(SMALL_AC_ZERO_NODE,),
             p_range=(-0.1, 0.0),

@@ -24,7 +24,15 @@ from .network import AC, split_graphs
 from .nnls import NnlsError
 from .recovery import RecoveryConfig, RecoveryError, fit, recover
 from .sparsify import effective_resistances, sparsify_ac
-from .states import PowerFlowError, add_noise, generate_scenario, generate_voltage_driven, rms
+from .states import (
+    VOLTAGE_RANGE,
+    PowerFlowError,
+    _check_compatible,
+    add_noise,
+    generate_scenario,
+    generate_voltage_driven,
+    rms,
+)
 from .vandermonde import assemble
 
 log = logging.getLogger("gridrecover.cli")
@@ -57,9 +65,10 @@ def cmd_generate(args) -> int:
         states = generate_scenario(net, scen, args.m, seed=data_seed)
         provenance = {
             "builtin": args.builtin,
-            "roles": list(scen.roles),
-            "p_ranges": [list(r) for r in scen.p_ranges],
-            "q_ranges": [list(r) for r in scen.q_ranges],
+            "slack": scen.slack,
+            "zero": list(scen.zero),
+            "p_range": list(scen.p_range),
+            "q_range": list(scen.q_range),
         }
     elif args.network:
         net = io.load_network(args.network)
@@ -81,6 +90,7 @@ def cmd_generate(args) -> int:
 def cmd_estimate(args) -> int:
     net = io.load_network(args.network)
     states = io.load_states_csv(args.states)
+    _check_compatible(net, states)
     result = fit(assemble(net.edges, states), tol=args.tol)
     payload = {
         "network": io.network_to_dict(result.network),
@@ -235,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--variant", choices=("fine", "coarse", "ac"), default="fine")
-    p.add_argument("--vmin", type=float, default=0.9)
-    p.add_argument("--vmax", type=float, default=1.1)
+    p.add_argument("--vmin", type=float, default=VOLTAGE_RANGE[0])
+    p.add_argument("--vmax", type=float, default=VOLTAGE_RANGE[1])
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_bound)
 

@@ -60,30 +60,25 @@ def load_network(path) -> Network:
         return network_from_dict(json.load(fh))
 
 
+# State CSV layout: one row per state, per node the fields below in order,
+# so columns i::len(fields) hold field i of every node; a field's lower-case
+# name is its StateSet array.
+_STATE_FIELDS = {DC: ("e", "P"), AC: ("e", "f", "P", "Q")}
+
+
 def _state_header(kind: str, n: int) -> list[str]:
-    if kind == DC:
-        return [name for j in range(1, n + 1) for name in (f"e_{j}", f"P_{j}")]
-    return [name for j in range(1, n + 1) for name in (f"e_{j}", f"f_{j}", f"P_{j}", f"Q_{j}")]
+    return [f"{name}_{j}" for j in range(1, n + 1) for name in _STATE_FIELDS[kind]]
 
 
 def save_states_csv(states: StateSet, path) -> None:
-    n = states.n
+    fields = _STATE_FIELDS[states.kind]
+    data = np.empty((states.m, len(fields) * states.n))
+    for i, name in enumerate(fields):
+        data[:, i :: len(fields)] = getattr(states, name.lower())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_state_header(states.kind, n))
-        for k in range(states.m):
-            row = []
-            for j in range(n):
-                if states.kind == DC:
-                    row += [repr(float(states.e[k, j])), repr(float(states.p[k, j]))]
-                else:
-                    row += [
-                        repr(float(states.e[k, j])),
-                        repr(float(states.f[k, j])),
-                        repr(float(states.p[k, j])),
-                        repr(float(states.q[k, j])),
-                    ]
-            writer.writerow(row)
+        writer.writerow(_state_header(states.kind, states.n))
+        writer.writerows(map(repr, row) for row in data.tolist())
 
 
 def load_states_csv(path) -> StateSet:
@@ -95,7 +90,7 @@ def load_states_csv(path) -> StateSet:
             raise FormatError(f"{path}: empty state file") from None
         rows = [(reader.line_num, row) for row in reader if row]
     kind = AC if "f_1" in header else DC
-    per_node = 4 if kind == AC else 2
+    per_node = len(_STATE_FIELDS[kind])
     n, rem = divmod(len(header), per_node)
     if rem or n < 1 or header != _state_header(kind, n):
         raise FormatError(f"{path}: unexpected state header {header!r}")
@@ -116,10 +111,8 @@ def load_states_csv(path) -> StateSet:
         raise FormatError(
             f"{path}:{rows[r][0]}: non-finite value {float(data[r, c])!r} in column {header[c]}"
         )
-    if kind == DC:
-        e, p = data[:, 0::2], data[:, 1::2]
-        return StateSet.dc(e, p)
-    return StateSet(AC, data[:, 0::4], data[:, 1::4], data[:, 2::4], data[:, 3::4])
+    columns = [data[:, i::per_node] for i in range(per_node)]
+    return StateSet.dc(*columns) if kind == DC else StateSet(AC, *columns)
 
 
 TRACE_COLUMNS = ("iteration", "edges", "rms", "kappa", "epsilon", "event")

@@ -168,9 +168,7 @@ def should_stop(
     return False, ""
 
 
-def recover(
-    states: StateSet, n: int | None = None, cfg: RecoveryConfig | None = None
-) -> tuple[Network, RecoveryTrace]:
+def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Network, RecoveryTrace]:
     """Recover a sparse network fitting the data within cfg.tol.
 
     Returns the last accepted network (zero-weight edges pruned) and the full
@@ -179,10 +177,7 @@ def recover(
     sparsification frequently lands below it anyway.
     """
     cfg = RecoveryConfig() if cfg is None else cfg
-    if n is None:
-        n = states.n
-    if n != states.n:
-        raise ValueError(f"data is for n={states.n}, requested n={n}")
+    n = states.n
     if n < 2:
         raise ValueError("need at least two nodes")
 

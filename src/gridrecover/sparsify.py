@@ -90,10 +90,21 @@ def effective_resistances(g: Network) -> EdgeStatistics:
 
 
 def sample_count(n: int, eps: float) -> int:
-    """Number of draws, 8*n*ln(n)/eps^2 rounded up and at least 1."""
+    """Number of draws, 8*n*ln(n)/eps^2 rounded up and at least 1.
+
+    Raises ValueError when eps is not positive or the count reaches 2^63,
+    which no int64 holds.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return max(1, math.ceil(8.0 * n * math.log(n) / eps**2))
+    # eps**2 underflows to 0 for eps below ~1e-162, far past the cap anyway
+    draws = 8.0 * n * math.log(n) / eps**2 if eps**2 > 0 else math.inf
+    if not draws < 2.0**63:
+        raise ValueError(
+            f"eps={eps:.3g} at n={n} needs 8 n ln(n) / eps^2 = {draws:.3g} draws,"
+            " more than 2^63"
+        )
+    return max(1, math.ceil(draws))
 
 
 def sparsify_dc(g: Network, eps: float, seed=0) -> SparsifyOutcome:
@@ -143,13 +154,11 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
     return SparsifyOutcome(Network.ac(net.n, edges, c, s), t)
 
 
-def is_epsilon_approximation(
-    net: Network, net2: Network, eps: float, tol: float = PSD_TOL
-) -> bool:
+def is_epsilon_approximation(net: Network, net2: Network, eps: float) -> bool:
     """Check the two-sided quadratic-form inequality between Laplacians.
 
     True iff (1+eps)*L - L' and L' - L/(1+eps) are both positive
-    semidefinite, with eigenvalues allowed to dip to -tol*||L||.  On AC
+    semidefinite, with eigenvalues allowed to dip to -PSD_TOL*||L||.  On AC
     networks the conductance and the susceptance Laplacians must both pass.
     """
     if net.kind != net2.kind:
@@ -162,7 +171,7 @@ def is_epsilon_approximation(
     for g, g2 in pairs:
         L = laplacian(g)
         L2 = laplacian(g2)
-        slack = tol * spectral_norm(L)
+        slack = PSD_TOL * spectral_norm(L)
         upper = (1.0 + eps) * L - L2
         lower = L2 - L / (1.0 + eps)
         if not (

@@ -87,70 +87,42 @@ class StateSet:
         return cls(DC, e, np.zeros_like(e), p, np.zeros_like(e))
 
 
-ROLE_SLACK = "slack"
-ROLE_POWER = "power"
-ROLE_ZERO = "zero"
+VOLTAGE_RANGE = (0.9, 1.1)  # window of every synthesized voltage magnitude
+ANGLE_RANGE = 0.1  # AC voltage-driven angles are uniform in [-ANGLE_RANGE, ANGLE_RANGE]
+NEWTON_TOL = 1e-12  # infinity norm of the power-flow mismatch at convergence
+NEWTON_MAX_ITER = 50
+MAX_RETRIES = 50  # scenario draws per state before its voltages count as out of range
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Per-node sampling roles for synthetic data.
+    """Sampling layout for synthetic data on n nodes.
 
-    Exactly one node is the slack (voltage pinned at 1, power absorbs the
-    balance); 'power' nodes draw injections uniformly from their range;
-    'zero' nodes inject nothing, exactly.  ``sigma`` is the stddev of the
-    Gaussian noise added to every measured component afterwards.
+    Node ``slack`` (1-based) is the slack: voltage pinned at 1, power absorbs
+    the balance.  The nodes in ``zero`` inject nothing, exactly.  Every other
+    node draws P uniformly from ``p_range`` and, on AC networks, Q from
+    ``q_range``.  ``sigma`` is the stddev of the Gaussian noise added to every
+    measured component afterwards.
     """
 
-    roles: tuple[str, ...]
-    p_ranges: tuple[tuple[float, float], ...]
-    q_ranges: tuple[tuple[float, float], ...]
+    n: int
+    slack: int = 1
+    zero: tuple[int, ...] = ()
+    p_range: tuple[float, float] = (-0.1, 0.0)
+    q_range: tuple[float, float] = (0.0, 0.0)
     sigma: float = 0.0
 
     def __post_init__(self):
-        n = len(self.roles)
-        if sum(r == ROLE_SLACK for r in self.roles) != 1:
-            raise ValueError("scenario needs exactly one slack node")
-        for r in self.roles:
-            if r not in (ROLE_SLACK, ROLE_POWER, ROLE_ZERO):
-                raise ValueError(f"unknown role {r!r}")
-        if len(self.p_ranges) != n or len(self.q_ranges) != n:
-            raise ValueError("per-node ranges must match the number of roles")
-        for lo, hi in (*self.p_ranges, *self.q_ranges):
+        if not 1 <= self.slack <= self.n:
+            raise ValueError(f"slack node {self.slack} is not in 1..{self.n}")
+        for j in self.zero:
+            if not 1 <= j <= self.n or j == self.slack:
+                raise ValueError(f"zero-injection node {j} must be a non-slack node in 1..{self.n}")
+        for lo, hi in (self.p_range, self.q_range):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bad sampling range ({lo}, {hi})")
         if self.sigma < 0:
             raise ValueError("noise stddev must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return len(self.roles)
-
-    @property
-    def slack(self) -> int:
-        """1-based slack node id."""
-        return self.roles.index(ROLE_SLACK) + 1
-
-    @classmethod
-    def single_slack(
-        cls,
-        n: int,
-        slack: int = 1,
-        zero: tuple[int, ...] = (),
-        p_range: tuple[float, float] = (-0.1, 0.0),
-        q_range: tuple[float, float] = (0.0, 0.0),
-        sigma: float = 0.0,
-    ) -> "Scenario":
-        """Common layout: one slack, some zero-injection nodes, loads elsewhere."""
-        roles = []
-        for j in range(1, n + 1):
-            if j == slack:
-                roles.append(ROLE_SLACK)
-            elif j in zero:
-                roles.append(ROLE_ZERO)
-            else:
-                roles.append(ROLE_POWER)
-        return cls(tuple(roles), ((p_range,) * n), ((q_range,) * n), sigma)
 
 
 def _check_compatible(net: Network, states: StateSet) -> None:
@@ -192,31 +164,23 @@ def _exact_powers(net: Network, v: np.ndarray) -> np.ndarray:
     return v * np.conj(v @ L)
 
 
-def generate_voltage_driven(
-    net: Network,
-    m: int,
-    vrange: tuple[float, float] = (0.9, 1.1),
-    seed=0,
-    angle_range: float = 0.1,
-) -> StateSet:
+def generate_voltage_driven(net: Network, m: int, seed=0) -> StateSet:
     """Exact states from i.i.d. uniform voltages; powers derived to match.
 
     Any voltage vector paired with its implied injections satisfies the
     power-flow equations by construction, so the output rms is zero up to
-    rounding.  AC voltages get a uniform angle in [-angle_range, angle_range].
+    rounding.  Magnitudes are uniform in VOLTAGE_RANGE; AC voltages also get
+    a uniform angle in [-ANGLE_RANGE, ANGLE_RANGE].
     """
-    vmin, vmax = vrange
-    if not (0 < vmin <= vmax):
-        raise ValueError(f"invalid voltage range ({vmin}, {vmax})")
     if m < 1:
         raise ValueError("need m >= 1")
     rng = np.random.default_rng(seed)
     if net.kind == DC:
-        e = rng.uniform(vmin, vmax, size=(m, net.n))
+        e = rng.uniform(*VOLTAGE_RANGE, size=(m, net.n))
         v = e.astype(complex)
     else:
-        mag = rng.uniform(vmin, vmax, size=(m, net.n))
-        ang = rng.uniform(-angle_range, angle_range, size=(m, net.n))
+        mag = rng.uniform(*VOLTAGE_RANGE, size=(m, net.n))
+        ang = rng.uniform(-ANGLE_RANGE, ANGLE_RANGE, size=(m, net.n))
         v = mag * np.exp(1j * ang)
     S = _exact_powers(net, v)
     return StateSet(net.kind, v.real, v.imag, S.real, S.imag)
@@ -227,15 +191,13 @@ def solve_power_flow(
     p: np.ndarray,
     q: np.ndarray | None = None,
     slack: int = 1,
-    v0: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> np.ndarray:
     """Newton power flow: voltages matching the injections at non-slack nodes.
 
     The slack node's voltage is pinned at 1; its injection is left free.
     Starts flat (v = 1) and damps each step by halving until the infinity
-    norm of the mismatch decreases.  Returns the complex voltage vector.
+    norm of the mismatch decreases; stops once that norm is at most
+    NEWTON_TOL.  Returns the complex voltage vector.
     """
     n = net.n
     L = admittance_matrix(net)
@@ -243,8 +205,7 @@ def solve_power_flow(
     target = np.asarray(p, dtype=float) + 1j * (
         np.zeros(n) if q is None else np.asarray(q, dtype=float)
     )
-    v = np.ones(n, dtype=complex) if v0 is None else np.asarray(v0, dtype=complex).copy()
-    v[slack - 1] = 1.0
+    v = np.ones(n, dtype=complex)
     dc = net.kind == DC
 
     def mismatch(vv):
@@ -254,9 +215,9 @@ def solve_power_flow(
         return np.concatenate([d.real[ns], d.imag[ns]])
 
     f = mismatch(v)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         fnorm = np.max(np.abs(f))
-        if fnorm <= tol:
+        if fnorm <= NEWTON_TOL:
             return v
         inj = np.conj(L @ v)
         d_de = np.diag(inj) + v[:, None] * np.conj(L)
@@ -290,24 +251,17 @@ def solve_power_flow(
         else:
             raise PowerFlowError("damping failed to reduce the mismatch")
         v, f = v_new, f_new
-    if np.max(np.abs(f)) <= tol:
+    if np.max(np.abs(f)) <= NEWTON_TOL:
         return v
-    raise PowerFlowError(f"no convergence after {max_iter} Newton iterations")
+    raise PowerFlowError(f"no convergence after {NEWTON_MAX_ITER} Newton iterations")
 
 
-def generate_scenario(
-    net: Network,
-    scen: Scenario,
-    m: int,
-    seed=0,
-    vrange: tuple[float, float] = (0.9, 1.1),
-    max_retries: int = 50,
-) -> StateSet:
+def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     """Sample injections per the scenario and solve power flow for each state.
 
     Residuals of the output are at the Newton tolerance (<= 1e-10 rms) before
-    noise.  States whose voltage magnitude leaves ``vrange`` are resampled up
-    to ``max_retries`` times.  Per-state RNG substreams are derived from the
+    noise.  States whose voltage magnitude leaves VOLTAGE_RANGE are resampled
+    up to MAX_RETRIES times.  Per-state RNG substreams are derived from the
     seed, so the output is deterministic and shardable.
     """
     if scen.n != net.n:
@@ -316,11 +270,10 @@ def generate_scenario(
         raise ValueError("need m >= 1")
     if not is_connected(net):
         raise PowerFlowError("network must be connected to solve power flow")
-    vmin, vmax = vrange
-    if not (0 < vmin <= vmax):
-        raise ValueError(f"invalid voltage range ({vmin}, {vmax})")
 
     slack = scen.slack
+    loads = [j for j in range(net.n) if j + 1 != slack and j + 1 not in scen.zero]
+    vmin, vmax = VOLTAGE_RANGE
     dc = net.kind == DC
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(m + 1)
@@ -331,14 +284,13 @@ def generate_scenario(
 
     for k in range(m):
         rng = np.random.default_rng(children[k])
-        for _ in range(max_retries):
+        for _ in range(MAX_RETRIES):
             p = np.zeros(net.n)
             q = np.zeros(net.n)
-            for j, role in enumerate(scen.roles):
-                if role == ROLE_POWER:
-                    p[j] = rng.uniform(*scen.p_ranges[j])
-                    if not dc:
-                        q[j] = rng.uniform(*scen.q_ranges[j])
+            for j in loads:
+                p[j] = rng.uniform(*scen.p_range)
+                if not dc:
+                    q[j] = rng.uniform(*scen.q_range)
             try:
                 v = solve_power_flow(net, p, q, slack=slack)
             except PowerFlowError as exc:
@@ -347,7 +299,7 @@ def generate_scenario(
                 break
         else:
             raise PowerFlowError(
-                f"state {k}: voltages left [{vmin}, {vmax}] in {max_retries} attempts"
+                f"state {k}: voltages left [{vmin}, {vmax}] in {MAX_RETRIES} attempts"
             )
         # the slack injection balances the network exactly; sampled/zero nodes
         # keep their drawn values so zero-injection nodes stay exactly zero

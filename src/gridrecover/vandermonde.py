@@ -34,7 +34,6 @@ class VandermondeSystem:
 
     kind: str
     n: int
-    m: int
     matrix: np.ndarray
     rhs: np.ndarray
     edges: tuple[Edge, ...]
@@ -56,14 +55,15 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
 
     For any parameter vector w laid out per the column layout,
     ``matrix @ w - rhs`` equals the residual vector of the corresponding
-    network on these states.  Raises ValueError naming the 1-based state and
+    network on these states.  The matrix is column-major: the solver gathers
+    column subsets of it.  Raises ValueError naming the 1-based state and
     node when an entry overflows to a non-finite value.
     """
     edges = _sorted_edges(states.n, edges)
     E, F = states.e, states.f
     m, n = E.shape
     if states.kind == DC:
-        M = np.zeros((n * m, len(edges)))
+        M = np.zeros((n * m, len(edges)), order="F")
         base = np.arange(m) * n
         for t, (j, k) in enumerate(edges):
             a, b = j - 1, k - 1
@@ -71,7 +71,7 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
             M[base + b, t] = E[:, b] * E[:, b] - E[:, b] * E[:, a]
         rhs = states.p.ravel().copy()
     else:
-        M = np.zeros((2 * n * m, 2 * len(edges)))
+        M = np.zeros((2 * n * m, 2 * len(edges)), order="F")
         base = np.arange(m) * 2 * n
         for t, (j, k) in enumerate(edges):
             a, b = j - 1, k - 1
@@ -101,11 +101,12 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
             f"state {state + 1}, node {node + 1}: design-matrix entry overflows to a"
             " non-finite value; rescale the data"
         )
-    return VandermondeSystem(states.kind, n, m, M, rhs, edges)
+    return VandermondeSystem(states.kind, n, M, rhs, edges)
 
 
 def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSystem:
-    """Column restriction to a subset of edges; identical to re-assembling."""
+    """Column restriction to a subset of edges; identical to re-assembling,
+    memory order included."""
     sub = _sorted_edges(system.n, edges)
     position = {e: t for t, e in enumerate(system.edges)}
     missing = [e for e in sub if e not in position]
@@ -114,20 +115,20 @@ def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSys
     idx = np.array([position[e] for e in sub])
     if system.kind != DC:
         idx = np.column_stack((2 * idx, 2 * idx + 1)).ravel()
-    return VandermondeSystem(
-        system.kind, system.n, system.m, system.matrix[:, idx], system.rhs, sub
-    )
+    # a column gather is column-major like assemble's output, so BLAS sums a
+    # restriction's products in the same order as a re-assembled system's
+    return VandermondeSystem(system.kind, system.n, system.matrix[:, idx], system.rhs, sub)
 
 
-def condition_number(system, rank_rtol: float = RANK_RTOL) -> float:
-    """sigma_max / sigma_min; +inf when rank-deficient at the given threshold."""
+def condition_number(system) -> float:
+    """sigma_max / sigma_min; +inf when rank-deficient, i.e. sigma_min < RANK_RTOL * sigma_max."""
     A = system.matrix if isinstance(system, VandermondeSystem) else np.asarray(system)
     sv = np.linalg.svd(A, compute_uv=False)
     smax = float(sv[0])
     if smax == 0.0:
         return float("inf")
     smin = float(sv[-1])
-    if smin / smax < rank_rtol:
+    if smin / smax < RANK_RTOL:
         return float("inf")
     return smax / smin
 

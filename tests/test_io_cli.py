@@ -126,7 +126,9 @@ def test_cli_generate_recover_round_trip(tmp_path, capsys):
     states = io.load_states_csv(out / "states.csv")
     assert states.m == 120
     provenance = json.loads((out / "provenance.json").read_text())
-    assert provenance["seed"] == 7
+    assert provenance == {"builtin": "table1_dc", "slack": 1, "zero": [],
+                          "p_range": [-0.015, 0.0], "q_range": [0.0, 0.0],
+                          "m": 120, "seed": 7, "noise": 0.0}
 
     code = main(
         ["recover", "--states", str(out / "states.csv"), "--tol", "1e-5",
@@ -153,6 +155,25 @@ def test_cli_estimate_round_trip(tmp_path):
     got = {(e["j"], e["k"]): e["c"] for e in result["network"]["edges"]}
     assert got[(1, 2)] == pytest.approx(2.0, abs=1e-6)
     assert got[(2, 3)] == pytest.approx(3.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [(Network.ac(3, ((1, 2), (2, 3)), [2.0, 3.0], [1.0, 1.0]),
+      "network kind 'ac' != state kind 'dc'"),
+     (Network.dc(6, ((1, 2), (2, 3)), [2.0, 3.0]), "network has n=6, states have n=3")],
+    ids=["kind", "n"],
+)
+def test_cli_estimate_rejects_mismatched_network(tmp_path, capsys, other, message):
+    # the edges all fit the 3-node states, so only the check stops the fit
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--out-dir", str(out)]) == 0
+    io.save_network(other, tmp_path / "other.json")
+    capsys.readouterr()
+    assert main(["estimate", "--network", str(tmp_path / "other.json"),
+                 "--states", str(out / "states.csv"), "--out-dir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "estimate.json").exists()
 
 
 def test_cli_sparsify_deterministic(tmp_path):
@@ -223,6 +244,19 @@ def test_cli_recover_nonzero_exit_when_over_tol(tmp_path):
     code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-12",
                  "--max-stale", "2", "--seed", "0", "--out-dir", str(out)])
     assert code == 1
+
+
+def test_cli_recover_sample_count_overflow_exits_1(tmp_path, capsys):
+    # every refit misses the tolerance, so eps shrinks by psi per iteration
+    # until 8 n ln(n) / eps^2 passes 2^63
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "7",
+                 "--noise", "1e-4", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-9",
+                 "--max-stale", "60", "--out-dir", str(out)])
+    assert code == 1
+    assert "at n=6 needs" in capsys.readouterr().err
 
 
 def test_cli_generate_deterministic_bytes(tmp_path):

@@ -16,7 +16,7 @@ from gridrecover.recovery import (
     recover,
     should_stop,
 )
-from gridrecover.states import Scenario, add_noise, generate_scenario, rms
+from gridrecover.states import StateSet, add_noise, generate_scenario, rms
 
 
 def test_config_validation():
@@ -107,9 +107,9 @@ def test_recover_below_noise_floor_stays_small(table1_states):
     assert peak < 50 * 2**20
 
 
-def test_recover_validates_inputs(table1_states):
-    with pytest.raises(ValueError):
-        recover(table1_states, n=5)
+def test_recover_validates_inputs():
+    with pytest.raises(ValueError, match="two nodes"):
+        recover(StateSet.dc([[1.0]], [[0.0]]))
 
 
 def test_recover_ac_small_ring():

@@ -85,6 +85,14 @@ def test_sample_count_formula():
         sample_count(5, 0.0)
 
 
+def test_sample_count_past_int64_names_eps_and_n():
+    # 8 * 6 * ln 6 / eps^2 = 86 / eps^2 crosses 2^63 (~9.2e18) near eps = 3.05e-9
+    assert sample_count(6, 3.1e-9) < 2**63
+    for eps in (3.0e-9, 1e-200):  # 1e-200 squared underflows to 0
+        with pytest.raises(ValueError, match=f"eps={eps:.3g} at n=6 .* more than 2\\^63"):
+            sample_count(6, eps)
+
+
 def test_single_edge_graph_reproduces_weight_exactly():
     g = Network.dc(2, ((1, 2),), [7.5])
     out = sparsify_dc(g, 1.0, seed=0)

@@ -121,26 +121,24 @@ def test_voltage_driven_deterministic():
     assert a != generate_voltage_driven(net, 10, seed=43)
 
 
-def test_voltage_driven_rejects_bad_range():
-    with pytest.raises(ValueError):
-        generate_voltage_driven(PATH3, 5, vrange=(0.0, 1.1))
-    with pytest.raises(ValueError):
-        generate_voltage_driven(PATH3, 5, vrange=(1.2, 1.1))
-
-
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        Scenario(("power", "power"), ((0, 1), (0, 1)), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        Scenario(("slack", "slack"), ((0, 1), (0, 1)), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        Scenario(("slack", "power"), ((1, 0), (1, 0)), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        Scenario.single_slack(3, sigma=-1.0)
+    for bad in (
+        dict(n=3, slack=0),
+        dict(n=3, slack=4),
+        dict(n=3, zero=(1,)),  # the slack cannot be silent
+        dict(n=3, zero=(4,)),
+        dict(n=3, p_range=(0.0, -0.1)),
+        dict(n=3, q_range=(0.0, np.inf)),
+        dict(n=3, p_range=(np.nan, 0.0)),
+        dict(n=3, sigma=-1.0),
+    ):
+        with pytest.raises(ValueError):
+            Scenario(**bad)
+    assert Scenario(3, slack=3, zero=(1, 2)).zero == (1, 2)
 
 
 def test_generate_scenario_exact_and_zero_injection(table1_network):
-    scen = Scenario.single_slack(6, zero=(2,), p_range=(-0.01, 0.0))
+    scen = Scenario(6, zero=(2,), p_range=(-0.01, 0.0))
     states = generate_scenario(table1_network, scen, 30, seed=1)
     assert rms(table1_network, states) <= 1e-10
     assert np.array_equal(states.p[:, 1], np.zeros(30))
@@ -153,7 +151,7 @@ def test_generate_scenario_slack_absorbs_generation(table1_states):
 
 
 def test_generate_scenario_deterministic(table1_network):
-    scen = Scenario.single_slack(6, p_range=(-0.01, 0.0))
+    scen = Scenario(6, p_range=(-0.01, 0.0))
     a = generate_scenario(table1_network, scen, 20, seed=8)
     b = generate_scenario(table1_network, scen, 20, seed=8)
     assert a == b
@@ -162,14 +160,14 @@ def test_generate_scenario_deterministic(table1_network):
 def test_generate_scenario_ac_residuals_small():
     rng = np.random.default_rng(6)
     net = random_ac_network(rng, 5, wrange=(5.0, 50.0))
-    scen = Scenario.single_slack(5, p_range=(-0.05, 0.0), q_range=(-0.02, 0.02))
+    scen = Scenario(5, p_range=(-0.05, 0.0), q_range=(-0.02, 0.02))
     states = generate_scenario(net, scen, 25, seed=2)
     assert rms(net, states) <= 1e-10
     assert np.any(states.f != 0)
 
 
 def test_generate_scenario_noise_shifts_rms(table1_network):
-    scen = Scenario.single_slack(6, p_range=(-0.01, 0.0), sigma=1e-6)
+    scen = Scenario(6, p_range=(-0.01, 0.0), sigma=1e-6)
     noisy = generate_scenario(table1_network, scen, 50, seed=3)
     level = rms(table1_network, noisy)
     assert 1e-8 < level < 1e-3
@@ -178,7 +176,7 @@ def test_generate_scenario_noise_shifts_rms(table1_network):
 def test_generate_scenario_infeasible_load_names_state():
     # a 0.1 load cannot cross a 0.05-conductance edge: past the nose point
     weak = Network.dc(2, ((1, 2),), [0.05])
-    scen = Scenario.single_slack(2, p_range=(-0.1, -0.1))
+    scen = Scenario(2, p_range=(-0.1, -0.1))
     with pytest.raises(PowerFlowError, match="state 0"):
         generate_scenario(weak, scen, 3, seed=0)
 
@@ -186,9 +184,9 @@ def test_generate_scenario_infeasible_load_names_state():
 def test_generate_scenario_range_violation_reports_retries():
     # feasible but far below the 0.9 floor on every draw
     droopy = Network.dc(2, ((1, 2),), [0.6])
-    scen = Scenario.single_slack(2, p_range=(-0.09, -0.08))
+    scen = Scenario(2, p_range=(-0.09, -0.08))
     with pytest.raises(PowerFlowError, match="attempts"):
-        generate_scenario(droopy, scen, 2, seed=0, max_retries=5)
+        generate_scenario(droopy, scen, 2, seed=0)
 
 
 def test_solve_power_flow_matches_injections():

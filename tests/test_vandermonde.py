@@ -20,7 +20,7 @@ K3 = ((1, 2), (1, 3), (2, 3))
 def path3_states(m=50, seed=0, c12=2.0, c23=3.0):
     """Exact states of the 3-node path with no injection at the middle node."""
     net = Network.dc(3, ((1, 2), (2, 3)), [c12, c23])
-    scen = Scenario.single_slack(3, zero=(2,), p_range=(-0.1, -0.01))
+    scen = Scenario(3, zero=(2,), p_range=(-0.1, -0.01))
     return net, generate_scenario(net, scen, m, seed=seed)
 
 
