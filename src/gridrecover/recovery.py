@@ -8,7 +8,10 @@ tolerance tightens it (eps /= psi); an accepted network strictly shrinks the
 edge set.  Iteration 1 is the complete-graph fit itself.
 
 All candidate systems are column restrictions of the complete-graph system,
-assembled once per run, and every one is estimated by :func:`fit`.
+assembled once per run into its triangular factor, and every one is
+estimated by :func:`fit`.  A run keeps each refit by its candidate edge set:
+sparsification often draws an edge set the run has already fitted, and the
+kept fit then stands in for a new restriction and solve.
 """
 
 from __future__ import annotations
@@ -72,8 +75,14 @@ class RecoveryConfig:
 @dataclass(frozen=True, eq=False)
 class Fit:
     """A parameter estimate on a fixed edge set: the network the NNLS
-    solution describes (zero-weight edges included), its rms fitting error,
-    the condition number of its system, and the solver's result."""
+    solution describes (zero-weight edges included), its rms fitting error
+    over all the equations of the data, the condition number of its system,
+    and the solver's result.
+
+    The solver runs on the compressed system, so ``nnls.objective`` is
+    ``||matrix @ w - rhs||``, which leaves out the system's ``rho``; ``rms``
+    is ``hypot(nnls.objective, rho) / sqrt(rows)``, the rms of the data's
+    residuals."""
 
     network: Network
     rms: float
@@ -89,9 +98,11 @@ def fit(system: VandermondeSystem, tol: float = 1e-8) -> Fit:
     does not converge.
     """
     result = nnls_solve(system.matrix, system.rhs, tol=tol)
-    if not np.isfinite(result.objective):
-        raise ValueError(f"fit residual overflows to {result.objective}; rescale the data")
-    fit_rms = float(result.objective / np.sqrt(system.matrix.shape[0]))
+    # ||A w - b||^2 = ||matrix w - rhs||^2 + rho^2 over the data's equations
+    residual = np.hypot(result.objective, system.rho)
+    if not np.isfinite(residual):
+        raise ValueError(f"fit residual overflows to {residual}; rescale the data")
+    fit_rms = float(residual / np.sqrt(system.rows))
     return Fit(network_from_columns(system, result.w), fit_rms, condition_number(system), result)
 
 
@@ -197,6 +208,7 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
 
     eps = cfg.eps0
     iteration = 1
+    refits: dict[tuple, Fit] = {}  # by candidate edge set
     while True:
         stop, reason = should_stop(trace, cfg, time.monotonic() - t0, cur)
         if stop:
@@ -207,12 +219,14 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
         outcome = sparsify_ac(cur, eps, np.random.SeedSequence([cfg.seed, iteration]))
         candidate_edges = outcome.graph.normalized().edges
         if 0 < len(candidate_edges) < len(cur.edges):
-            try:
-                refit = fit(restrict(full, candidate_edges))
-            except NnlsError as exc:
-                raise RecoveryError(
-                    f"estimation failed at iteration {iteration}: {exc}", trace
-                ) from exc
+            refit = refits.get(candidate_edges)
+            if refit is None:
+                try:
+                    refit = refits[candidate_edges] = fit(restrict(full, candidate_edges))
+                except NnlsError as exc:
+                    raise RecoveryError(
+                        f"estimation failed at iteration {iteration}: {exc}", trace
+                    ) from exc
             if refit.rms <= cfg.tol:
                 cur, held = refit.network.normalized(), refit
                 trace.append(

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it verifies: residuals are
 accumulated termwise from the defining sums, effective resistances come from
 grounded linear solves instead of the eigendecomposition pseudoinverse, the
-NNLS oracle enumerates every active set, and null spaces come from a full SVD.
+NNLS oracle enumerates every active set, null spaces come from a full SVD, and
+the tall fit solves the stacked equations themselves instead of their
+triangular factor.
 """
 
 from __future__ import annotations
@@ -11,6 +13,15 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+from gridrecover.nnls import solve as nnls_solve
+from gridrecover.recovery import Fit
+from gridrecover.vandermonde import (
+    VandermondeSystem,
+    _rows,
+    condition_number,
+    network_from_columns,
+)
 
 
 def direct_residuals(net, states) -> np.ndarray:
@@ -119,3 +130,22 @@ def kernel_basis(A, rtol: float = 1e-13) -> np.ndarray:
         return np.eye(A.shape[1])
     rank = int(np.sum(sv / sv[0] >= rtol))
     return vt[rank:].T
+
+
+def tall_system(edges, states) -> VandermondeSystem:
+    """The stacked equations of the edges as a system with rho = 0: every
+    row of the data, one per equation, uncompressed."""
+    edges = tuple(sorted(edges))
+    rows = _rows(edges, states)
+    return VandermondeSystem(states.kind, states.n, rows[:, :-1], rows[:, -1], edges, 0.0, len(rows))
+
+
+def tall_fit(edges, states) -> Fit:
+    """NNLS on the tall matrix of the edges, its rms over all equations, and
+    the condition number from the SVD of the tall matrix."""
+    system = tall_system(edges, states)
+    result = nnls_solve(system.matrix, system.rhs)
+    rms = float(result.objective / np.sqrt(system.matrix.shape[0]))
+    return Fit(
+        network_from_columns(system, result.w), rms, condition_number(system.matrix), result
+    )

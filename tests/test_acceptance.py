@@ -19,7 +19,7 @@ from gridrecover.sparsify import (
     sparsify_dc,
 )
 from gridrecover.states import Scenario, generate_scenario, generate_voltage_driven, rms
-from gridrecover.vandermonde import assemble, condition_number
+from gridrecover.vandermonde import assemble
 from helpers import random_ac_network, random_connected_graph, random_dc_network, random_graph
 from oracles import exhaustive_nnls, triangle_bridge_leverages
 
@@ -103,9 +103,8 @@ def test_criterion_05_silent_node_degeneracy():
     w_path, rms_path = path_fit.nnls.w, path_fit.rms
     part_a = rms_path <= 1e-8 and np.allclose(w_path, [c12, c23], atol=1e-6)
 
-    system = assemble(complete_edges(3), states)
-    res = nnls_solve(system.matrix, system.rhs)
-    k3_rms = res.objective / np.sqrt(system.matrix.shape[0])
+    k3_fit = fit(assemble(complete_edges(3), states))
+    res, k3_rms = k3_fit.nnls, k3_fit.rms
     z = np.array([-1 - c12 / c23, 1.0, -1 - c23 / c12])
     delta = res.w[1]
     on_segment = (
@@ -113,7 +112,7 @@ def test_criterion_05_silent_node_degeneracy():
         and np.allclose(res.w, np.array([c12, 0.0, c23]) + delta * z, atol=1e-6)
     )
     part_b = k3_rms <= 1e-8 and on_segment
-    part_c = condition_number(system) == float("inf")
+    part_c = k3_fit.kappa == float("inf")  # sigma_min / sigma_max of R, not A^T A
     check(5, "silent-middle-node fit: unique on path, segment + sentinel on K3",
           part_a and part_b and part_c,
           f"path rms {rms_path:.1e}, K3 rms {k3_rms:.1e}, delta {delta:.4f}")

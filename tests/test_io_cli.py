@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from gridrecover import io
 from gridrecover.cli import main
 from gridrecover.network import Network
-from gridrecover.recovery import RecoveryTrace, TraceRow
+from gridrecover.recovery import RecoveryConfig, RecoveryTrace, TraceRow, recover
 from gridrecover.states import StateSet, generate_voltage_driven
 from helpers import random_ac_network, random_dc_network
 
@@ -294,16 +295,43 @@ def test_cli_trials_fan_out(tmp_path):
     assert summary["trials"][0]["seed"] == 10
 
 
-def _path3_with_fifth_state_entry(tmp_path, column, value):
-    """path3_dc data whose fifth state (line 6) has ``value`` in ``column``;
-    returns the recover and estimate command lines on it."""
+def _trace_rows(payload):
+    """The trace of one seeded recovery; module-level so workers can import it."""
+    states_path, cfg = payload
+    return list(recover(io.load_states_csv(states_path), cfg)[1])
+
+
+def test_cli_trials_identical_for_one_and_two_workers(tmp_path):
     out = tmp_path / "exp"
-    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--seed", "3",
+    assert main(["generate", "--builtin", "small_ac", "--m", "60", "--seed", "4",
+                 "--out-dir", str(out)]) == 0
+    codes, summaries, traces = set(), set(), []
+    payloads = [(out / "states.csv", RecoveryConfig(seed=9 + i, max_stale_iterations=10))
+                for i in range(3)]
+    for workers in (1, 2):
+        run = tmp_path / f"workers{workers}"
+        codes.add(main(["recover", "--states", str(out / "states.csv"), "--trials", "3",
+                        "--workers", str(workers), "--seed", "9", "--max-stale", "10",
+                        "--out-dir", str(run)]))
+        summaries.add((run / "trials.json").read_bytes())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            traces.append(list(pool.map(_trace_rows, payloads)))
+    assert len(codes) == 1 and len(summaries) == 1
+    assert traces[0] == traces[1]
+    assert all(len(rows) > 1 for rows in traces[0])
+
+
+def _path3_with_state_entry(tmp_path, column, value, state=5, m=20):
+    """path3_dc data of m states whose state ``state`` (line state + 1) has
+    ``value`` in ``column``; returns the recover and estimate command lines
+    on it."""
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", str(m), "--seed", "3",
                  "--out-dir", str(out)]) == 0
     lines = (out / "states.csv").read_text().splitlines()
-    fields = lines[5].split(",")
+    fields = lines[state].split(",")
     fields[column] = value
-    lines[5] = ",".join(fields)
+    lines[state] = ",".join(fields)
     (out / "states.csv").write_text("\n".join(lines) + "\n")
     return (["recover", "--states", str(out / "states.csv"), "--out-dir", str(out)],
             ["estimate", "--network", str(out / "network.json"),
@@ -312,7 +340,7 @@ def _path3_with_fifth_state_entry(tmp_path, column, value):
 
 @pytest.mark.parametrize("bad", ["nan", "-inf"])
 def test_cli_non_finite_state_exits_2(tmp_path, capsys, bad):
-    commands = _path3_with_fifth_state_entry(tmp_path, 3, bad)  # P_2
+    commands = _path3_with_state_entry(tmp_path, 3, bad)  # P_2
     capsys.readouterr()
     for args in commands:
         assert main(args) == 2
@@ -323,7 +351,7 @@ def test_cli_non_finite_state_exits_2(tmp_path, capsys, bad):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_overflowing_state_names_state(tmp_path, capsys):
     # e_2 is finite, but its square is not
-    commands = _path3_with_fifth_state_entry(tmp_path, 2, "1e200")
+    commands = _path3_with_state_entry(tmp_path, 2, "1e200")
     capsys.readouterr()
     for args in commands:
         assert main(args) == 1
@@ -331,9 +359,19 @@ def test_cli_overflowing_state_names_state(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_overflow_past_the_first_block_names_state(tmp_path, capsys):
+    # state 30 of 40 reaches the factor with the second block of states
+    commands = _path3_with_state_entry(tmp_path, 2, "1e200", state=30, m=40)
+    capsys.readouterr()
+    for args in commands:
+        assert main(args) == 1
+        assert "state 30, node 2" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_overflowing_fit_residual_exits_1(tmp_path, capsys):
     # P_2 leaves the design matrix finite, but the residual norm overflows
-    commands = _path3_with_fifth_state_entry(tmp_path, 3, "1e200")
+    commands = _path3_with_state_entry(tmp_path, 3, "1e200")
     capsys.readouterr()
     for args in commands:
         assert main(args) == 1

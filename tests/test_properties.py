@@ -1,8 +1,10 @@
-"""Property tests of the column layout on random networks and edge subsets.
+"""Property tests of the column layout and of the compressed fit on random
+networks and edge subsets.
 
-A subset system cut from the complete-graph system must be the system
-assembled for the subset and fit the same, both bit for bit; a parameter
-vector must survive the trip through the layout and back.
+The equations of a subset cut from the complete graph's must be the subset's
+own, bit for bit; a parameter vector must survive the trip through the
+layout and back; and a fit on the triangular factor, restricted or
+re-assembled, must agree with the fit on the tall equations to roundoff.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from gridrecover.recovery import fit
 from gridrecover.states import generate_voltage_driven
 from gridrecover.vandermonde import assemble, network_from_columns, parameter_vector, restrict
 from helpers import random_ac_network, random_dc_network
+from oracles import tall_fit, tall_system
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -24,7 +27,8 @@ def cases(draw):
     n = draw(st.integers(3, 6))
     seed = draw(st.integers(0, 2**32 - 1))
     net = make(np.random.default_rng(seed), n, extra_edges=draw(st.integers(0, 4)))
-    states = generate_voltage_driven(net, draw(st.integers(1, 8)), seed=seed)
+    # up to 60 states, so that assembly folds up to three blocks into its factor
+    states = generate_voltage_driven(net, draw(st.integers(1, 60)), seed=seed)
     subset = draw(st.lists(st.sampled_from(complete_edges(n)), min_size=1, unique=True))
     return net, states, subset
 
@@ -33,8 +37,8 @@ def cases(draw):
 @given(cases())
 def test_restriction_equals_reassembly(case):
     net, states, subset = case
-    restricted = restrict(assemble(complete_edges(net.n), states), subset)
-    direct = assemble(subset, states)
+    restricted = restrict(tall_system(complete_edges(net.n), states), subset)
+    direct = tall_system(subset, states)
     assert restricted.edges == direct.edges == tuple(sorted(subset))
     assert restricted.matrix.tobytes() == direct.matrix.tobytes()
     assert restricted.matrix.strides == direct.matrix.strides  # memory order too
@@ -56,10 +60,16 @@ def test_parameter_vector_round_trips_through_the_layout(case):
 
 @PROPERTY
 @given(cases())
-def test_fit_on_restriction_equals_fit_on_reassembly(case):
+def test_compressed_fits_agree_with_the_tall_fit(case):
     net, states, subset = case
+    tall = tall_fit(subset, states)
     cut = fit(restrict(assemble(complete_edges(net.n), states), subset))
     built = fit(assemble(subset, states))
-    assert cut.network.edges == built.network.edges
-    assert (cut.rms, cut.kappa) == (built.rms, built.kappa)
-    assert cut.nnls.w.tobytes() == built.nnls.w.tobytes()
+    for compressed in (cut, built):
+        assert compressed.network.edges == tall.network.edges
+        assert np.isinf(compressed.kappa) == np.isinf(tall.kappa)
+        assert abs(compressed.rms - tall.rms) <= 1e-13
+        if tall.kappa < 1e6:
+            assert abs(compressed.kappa - tall.kappa) <= 1e-10 * tall.kappa
+            scale = np.max(np.abs(tall.nnls.w))
+            assert np.max(np.abs(compressed.nnls.w - tall.nnls.w)) <= 1e-10 * scale

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gridrecover.recovery
 from gridrecover.network import Network
 from gridrecover.recovery import (
     EVENT_ACCEPTED,
@@ -17,6 +18,7 @@ from gridrecover.recovery import (
     should_stop,
 )
 from gridrecover.states import StateSet, add_noise, generate_scenario, rms
+from gridrecover.vandermonde import restrict
 
 
 def test_config_validation():
@@ -29,6 +31,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RecoveryConfig(max_iterations=None, max_wall_time=None, max_stale_iterations=None)
     RecoveryConfig(max_stale_iterations=None, stop_on_tree=True)  # one criterion is enough
+
+
+def test_recover_fits_each_candidate_edge_set_once(monkeypatch, table1_states):
+    restricted = []
+
+    def counting_restrict(system, edges):
+        restricted.append(tuple(edges))
+        return restrict(system, edges)
+
+    monkeypatch.setattr(gridrecover.recovery, "restrict", counting_restrict)
+    _, trace = recover(table1_states, RecoveryConfig(seed=3))
+    refits = [r for r in trace if r.event in (EVENT_ACCEPTED, EVENT_REJECTED_RMS) and r.edges]
+    # sparsification draws the same candidates again; each is fitted once
+    assert len(restricted) == len(set(restricted)) < len(refits)
 
 
 def test_recover_table1_exact(table1_network, table1_states):

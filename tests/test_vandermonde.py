@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from gridrecover.network import Network, complete_edges
-from gridrecover.states import StateSet, generate_scenario, generate_voltage_driven, residuals, Scenario
+from gridrecover.states import (
+    Scenario,
+    StateSet,
+    add_noise,
+    generate_scenario,
+    generate_voltage_driven,
+    residuals,
+)
 from gridrecover.vandermonde import (
+    _BLOCK_STATES,
+    _rows,
     assemble,
     condition_number,
     network_from_columns,
@@ -13,6 +22,7 @@ from gridrecover.vandermonde import (
     restrict,
 )
 from helpers import random_ac_network, random_dc_network
+from oracles import tall_system
 
 K3 = ((1, 2), (1, 3), (2, 3))
 
@@ -25,20 +35,20 @@ def path3_states(m=50, seed=0, c12=2.0, c23=3.0):
 
 
 def one_state(states, k):
-    """State k of a data set as a one-state set, whose system is its row block."""
+    """State k of a data set as a one-state set, whose rows are its row block."""
     rows = slice(k, k + 1)
     return StateSet(states.kind, states.e[rows], states.f[rows], states.p[rows], states.q[rows])
 
 
 def test_row_block_flat_voltage_is_zero():
     x = StateSet.dc([[1.0, 1.0, 1.0]], [[0.0] * 3])
-    assert np.array_equal(assemble(K3, x).matrix, np.zeros((3, 3)))
+    assert np.array_equal(_rows(K3, x)[:, :-1], np.zeros((3, 3)))
 
 
 def test_row_block_dc_matches_quadratic_formula():
     e = np.array([1.05, 0.97, 1.01])
     x = StateSet.dc([e], [[0.0] * 3])
-    B = assemble(K3, x).matrix
+    B = _rows(K3, x)[:, :-1]
     expected = np.array(
         [
             [e[0] ** 2 - e[0] * e[1], e[0] ** 2 - e[0] * e[2], 0.0],
@@ -53,9 +63,9 @@ def test_row_block_dc_matches_quadratic_formula():
 
 def test_row_block_ac_zero_imag_replicates_dc_pattern():
     e = np.array([1.05, 0.97, 1.01])
-    dc = assemble(K3, StateSet.dc([e], [[0.0] * 3])).matrix
+    dc = _rows(K3, StateSet.dc([e], [[0.0] * 3]))[:, :-1]
     z = np.zeros((1, 3))
-    ac = assemble(K3, StateSet("ac", [e], z, z, z)).matrix
+    ac = _rows(K3, StateSet("ac", [e], z, z, z))[:, :-1]
     assert np.array_equal(ac[0::2, 0::2], dc)  # alpha in the g-row/c-column grid
     assert np.array_equal(ac[1::2, 1::2], dc)  # and again in the h-row/s-column grid
     assert np.array_equal(ac[0::2, 1::2], np.zeros((3, 3)))  # beta terms vanish
@@ -67,8 +77,8 @@ def test_assemble_stacks_states_in_order():
     for make in (random_dc_network, random_ac_network):
         net = make(rng, 4)
         states = generate_voltage_driven(net, 6, seed=2)
-        system = assemble(net.edges, states)
-        blocks = [assemble(net.edges, one_state(states, k)).matrix for k in range(6)]
+        system = tall_system(net.edges, states)
+        blocks = [tall_system(net.edges, one_state(states, k)).matrix for k in range(6)]
         assert np.array_equal(system.matrix, np.vstack(blocks))
 
 
@@ -84,7 +94,7 @@ def test_residual_identity_against_states_module():
         for _ in range(10):
             net = make(rng, int(rng.integers(3, 8)))
             states = generate_voltage_driven(net, 6, seed=int(rng.integers(1 << 30)))
-            system = assemble(net.edges, states)
+            system = tall_system(net.edges, states)
             w = parameter_vector(net)
             lhs = system.matrix @ w - system.rhs
             rhs = residuals(net, states)
@@ -95,7 +105,7 @@ def test_dc_columns_have_two_nonzero_rows_per_state():
     rng = np.random.default_rng(3)
     net = random_dc_network(rng, 6)
     states = generate_voltage_driven(net, 9, seed=4)
-    system = assemble(net.edges, states)
+    system = tall_system(net.edges, states)
     nonzeros = (system.matrix != 0).sum(axis=0)
     assert np.all(nonzeros <= 2 * states.m)
 
@@ -105,9 +115,9 @@ def test_column_subset_coherence():
     for make in (random_dc_network, random_ac_network):
         net = make(rng, 6)
         states = generate_voltage_driven(net, 5, seed=5)
-        full = assemble(complete_edges(6), states)
+        full = tall_system(complete_edges(6), states)
         sub_edges = net.edges[: len(net.edges) // 2 + 1]
-        direct = assemble(sub_edges, states)
+        direct = tall_system(sub_edges, states)
         restricted = restrict(full, sub_edges)
         assert np.array_equal(direct.matrix, restricted.matrix)
         assert direct.edges == restricted.edges
@@ -115,6 +125,25 @@ def test_column_subset_coherence():
         missing = sorted(set(complete_edges(6)) - set(sub_edges))
         with pytest.raises(ValueError, match=re.escape(f"edges {missing} not present")):
             restrict(direct, complete_edges(6))
+
+
+def test_factor_keeps_residual_norms_and_singular_values():
+    rng = np.random.default_rng(9)
+    for make in (random_dc_network, random_ac_network):
+        net = make(rng, 5)
+        # 60 noisy states: three blocks folded in, and a nonzero rho
+        states = add_noise(generate_voltage_driven(net, 60, seed=10), 1e-3, seed=11)
+        system = assemble(complete_edges(5), states)
+        tall = tall_system(complete_edges(5), states)
+        assert system.rows == tall.rows == len(tall.rhs)
+        assert system.matrix.shape == (tall.matrix.shape[1],) * 2
+        assert system.rho > 0
+        for _ in range(5):
+            w = rng.uniform(0, 10, tall.matrix.shape[1])
+            compressed = np.hypot(np.linalg.norm(system.matrix @ w - system.rhs), system.rho)
+            assert compressed == pytest.approx(np.linalg.norm(tall.matrix @ w - tall.rhs), rel=1e-12)
+        sv = np.linalg.svd(system.matrix, compute_uv=False)
+        assert np.allclose(sv, np.linalg.svd(tall.matrix, compute_uv=False), rtol=1e-12, atol=1e-12 * sv[0])
 
 
 def test_kernel_vector_of_silent_middle_node_data():
@@ -148,7 +177,7 @@ def test_ac_beta_columns_vanish_for_real_data():
     e = rng.uniform(0.9, 1.1, (5, 4))
     z = np.zeros_like(e)
     states = StateSet("ac", e, z, rng.normal(size=(5, 4)), z)
-    system = assemble(net.edges, states)
+    system = tall_system(net.edges, states)
     # with f = 0 every beta entry vanishes, leaving the two alpha diagonals
     assert np.count_nonzero(system.matrix[0::2, 1::2]) == 0  # g-rows, s-columns
     assert np.count_nonzero(system.matrix[1::2, 0::2]) == 0  # h-rows, c-columns
@@ -175,4 +204,16 @@ def test_assemble_rejects_overflow_with_state_and_node(kind):
     z = np.zeros((3, 3))
     states = StateSet.dc(e, z) if kind == "dc" else StateSet("ac", e, z, z, z)
     with pytest.raises(ValueError, match=r"state 2, node 3: design-matrix entry overflows"):
+        assemble(K3, states)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+def test_assemble_names_an_overflow_past_the_first_block(kind):
+    e = np.ones((40, 3))
+    e[29, 1] = 1e200  # state 30 is folded in with the second block of states
+    assert 30 > _BLOCK_STATES
+    z = np.zeros((40, 3))
+    states = StateSet.dc(e, z) if kind == "dc" else StateSet("ac", e, z, z, z)
+    with pytest.raises(ValueError, match=r"state 30, node 2: design-matrix entry overflows"):
         assemble(K3, states)
