@@ -130,12 +130,12 @@ def split_graphs(net: Network) -> tuple[Network, Network]:
 def _laplacian(n: int, edges: tuple[Edge, ...], w: np.ndarray) -> np.ndarray:
     """Dense Laplacian: -w on edges, weighted degrees on the diagonal."""
     L = np.zeros((n, n))
-    for (j, k), wjk in zip(edges, w):
-        a, b = j - 1, k - 1
-        L[a, b] -= wjk
-        L[b, a] -= wjk
-        L[a, a] += wjk
-        L[b, b] += wjk
+    ends = np.array(edges, dtype=int).reshape(-1, 2) - 1
+    a, b = ends.T
+    L[a, b] = L[b, a] = 0.0 - w  # 0.0 - w, not -w: a zero weight stays +0.0
+    # the endpoints in edge order (a0, b0, a1, b1, ...): bincount sums each
+    # degree in the order of the edges, as an edge-by-edge loop would
+    L.flat[:: n + 1] = np.bincount(ends.ravel(), np.repeat(w, 2), n)
     return L
 
 

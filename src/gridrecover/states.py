@@ -158,9 +158,9 @@ def rms(net: Network, states: StateSet) -> float:
     return float(np.linalg.norm(r) / np.sqrt(r.size))
 
 
-def _exact_powers(net: Network, v: np.ndarray) -> np.ndarray:
-    """Complex power vector making (v, S) an exact state of the network."""
-    L = admittance_matrix(net)
+def _exact_powers(L: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Complex power vector making (v, S) an exact state of the network with
+    admittance matrix L."""
     return v * np.conj(v @ L)
 
 
@@ -182,7 +182,7 @@ def generate_voltage_driven(net: Network, m: int, seed=0) -> StateSet:
         mag = rng.uniform(*VOLTAGE_RANGE, size=(m, net.n))
         ang = rng.uniform(-ANGLE_RANGE, ANGLE_RANGE, size=(m, net.n))
         v = mag * np.exp(1j * ang)
-    S = _exact_powers(net, v)
+    S = _exact_powers(admittance_matrix(net), v)
     return StateSet(net.kind, v.real, v.imag, S.real, S.imag)
 
 
@@ -275,6 +275,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     loads = [j for j in range(net.n) if j + 1 != slack and j + 1 not in scen.zero]
     vmin, vmax = VOLTAGE_RANGE
     dc = net.kind == DC
+    L = admittance_matrix(net)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(m + 1)
     E = np.empty((m, net.n))
@@ -303,7 +304,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
             )
         # the slack injection balances the network exactly; sampled/zero nodes
         # keep their drawn values so zero-injection nodes stay exactly zero
-        s_model = _exact_powers(net, v)
+        s_model = _exact_powers(L, v)
         p[slack - 1] = s_model.real[slack - 1]
         q[slack - 1] = s_model.imag[slack - 1]
         E[k], P[k] = v.real, p

@@ -8,9 +8,15 @@ e_j*(e_j - e_k); AC systems are 2nm x 2|E| with 2x2 blocks [[a, -b], [b, a]]
 built from a = e_j^2 + f_j^2 - e_j*e_k - f_j*f_k and b = e_j*f_k - e_k*f_j.
 
 That tall matrix A and its injections b are never held whole.  ``assemble``
-builds them a block of states at a time and folds each block into the
-(k+1) x (k+1) upper-triangular factor R of ``[A | b]`` (sequential TSQR;
-Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012).  A
+builds them a block of states at a time and compresses them in two levels.
+An equation of node v touches only the columns of v's edges (at most n - 1
+edges) and the rhs, so v's equations are first folded, block by block, into
+a small triangular factor over those columns alone, all n nodes in one
+batched QR per block (sequential TSQR; Demmel, Grigori, Hoemmen & Langou,
+SIAM J. Sci. Comput. 34(1), 2012).  After the last block, one QR of the n
+node factors, scattered back into the column layout, gives the (k+1) x (k+1)
+upper-triangular factor R of ``[A | b]``; the equations of a node without
+an edge touch only the rhs and end up in its corner.  A
 :class:`VandermondeSystem` keeps ``matrix``, the k columns of R; ``rhs``,
 c = R[:k, k]; ``rho``, |R[k, k]|; and ``rows``, the number of equations.
 Since ``||A w - b||^2 = ||R[:k, :k] w - c||^2 + rho^2``, least squares on
@@ -36,7 +42,7 @@ from .network import DC, Edge, Network, _canonical_edges
 from .states import StateSet
 
 RANK_RTOL = 1e-13
-# states per block of equations folded into the factor; bounds the rows held
+# states per block of equations folded into the node factors; bounds the rows held
 _BLOCK_STATES = 25
 
 
@@ -124,21 +130,49 @@ def _rows(edges: tuple[Edge, ...], states: StateSet, block: slice = slice(None))
 def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     """The system of the edges on the whole data set, compressed as it is built.
 
-    The equations are built ``_BLOCK_STATES`` states at a time, and each block
-    ``[A_blk | b_blk]`` is folded into the upper-triangular factor R of
-    ``[A | b]`` by a QR of ``[R; block]`` (sequential TSQR).  So ``matrix``
-    holds the first k columns of R, ``rhs`` its last column above the
-    diagonal and ``rho`` the modulus of its corner.  Raises ValueError naming
-    the 1-based state and node when an entry overflows to a non-finite value.
+    The fold has two levels.  The equations are built ``_BLOCK_STATES``
+    states at a time.  Every equation of node v touches only the columns of
+    v's edges and the rhs, so v's rows of each block, cut to those columns,
+    are folded into a small triangular factor of v's own: one batched QR per
+    block over all n nodes, with narrower nodes padded by zero columns.
+    After the last block the n node factors are scattered back into the
+    column layout, and one QR of that stack gives the upper-triangular
+    factor R of ``[A | b]``.  So ``matrix`` holds the first k columns of R,
+    ``rhs`` its last column above the diagonal and ``rho`` the modulus of
+    its corner.  Raises ValueError naming the 1-based state and node when an
+    entry overflows to a non-finite value.
     """
     edges = _sorted_edges(states.n, edges)
-    R, rows = None, 0
+    n = states.n
+    r = 1 if states.kind == DC else 2  # equations per node and state; columns per edge
+    k = r * len(edges)
+    # Node v's factor has d + 1 slots: the columns of v's edges, zero padding,
+    # then the rhs column k.  (node, slot) lists the slots that are not padding.
+    ends = np.array(edges) - 1
+    own = [np.flatnonzero((ends == v).any(axis=1)) for v in range(n)]
+    width = np.array([r * len(t) for t in own])
+    d = int(width.max())
+    cols = np.full((n, d + 1), k)
+    for v, t in enumerate(own):
+        cols[v, : width[v]] = (r * t[:, None] + np.arange(r)).ravel()
+    node, slot = np.nonzero((np.arange(d + 1) < width[:, None]) | (np.arange(d + 1) == d))
+    col = cols[node, slot]
+    factors, rows = None, 0
     for first in range(0, states.m, _BLOCK_STATES):
         block = _rows(edges, states, slice(first, first + _BLOCK_STATES))
         rows += len(block)
-        R = np.linalg.qr(block if R is None else np.vstack((R, block)), mode="r")
+        # row r*(n*s + v) + i of the block is equation i of node v in state s
+        per_state = r * n * np.arange(len(block) // (r * n))[:, None] + np.arange(r)
+        own_rows = (r * np.arange(n))[:, None] + per_state.ravel()
+        stack = np.zeros((n, own_rows.shape[1], d + 1))
+        stack[node, :, slot] = block[own_rows[node], col[:, None]]
+        if factors is not None:
+            stack = np.concatenate((factors, stack), axis=1)
+        factors = np.linalg.qr(stack, mode="r")
+    stacked = np.zeros((n, factors.shape[1], k + 1))
+    stacked[node, :, col] = factors[node, :, slot]
+    R = np.linalg.qr(stacked.reshape(-1, k + 1), mode="r")
     # fewer equations than columns leave R trapezoidal, with no corner
-    k = R.shape[1] - 1
     rho = float(abs(R[k, k])) if R.shape[0] > k else 0.0
     # column-major, since restrict and the solver gather column subsets of it
     matrix = np.asfortranarray(R[:k, :k])

@@ -47,6 +47,18 @@ def direct_residuals(net, states) -> np.ndarray:
     return np.array(out)
 
 
+def laplacian_by_edge_loop(g) -> np.ndarray:
+    """Laplacian of a graph accumulated one edge at a time, in edge order."""
+    L = np.zeros((g.n, g.n))
+    for (j, k), w in zip(g.edges, g.c):
+        a, b = j - 1, k - 1
+        L[a, b] -= w
+        L[b, a] -= w
+        L[a, a] += w
+        L[b, b] += w
+    return L
+
+
 def resistance_by_grounded_solve(g, j: int, k: int) -> float:
     """Effective resistance from a direct current-injection solve.
 

@@ -14,6 +14,7 @@ from gridrecover.network import (
     split_graphs,
 )
 from helpers import random_graph
+from oracles import laplacian_by_edge_loop
 
 
 def test_laplacian_triangle_unit_weights():
@@ -49,6 +50,18 @@ def test_laplacian_properties_random_graphs():
         for _ in range(100):
             z = rng.standard_normal(g.n)
             assert z @ L @ z >= -1e-10
+
+
+def test_laplacian_bit_identical_to_edge_loop():
+    rng = np.random.default_rng(12)
+    graphs = [Network.dc(3, (), [])]
+    for _ in range(30):
+        g = random_graph(rng, int(rng.integers(2, 15)), int(rng.integers(1, 40)))
+        c = np.where(rng.random(len(g.edges)) < 0.3, 0.0, g.c)  # zero weights too
+        graphs.append(Network.dc(g.n, g.edges, c))
+    for g in graphs:
+        # same bytes: the same sums in the same order, and +0.0 off the edges
+        assert laplacian(g).tobytes() == laplacian_by_edge_loop(g).tobytes()
 
 
 def test_admittance_dc_is_real():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ def test_column_subset_coherence():
             restrict(direct, complete_edges(6))
 
 
+def assert_factor_of_rows(system, tall, rng):
+    """The compressed system keeps every residual norm of the rows and their
+    singular values: ||A w - b|| = hypot(||R w - c||, rho)."""
+    assert system.rows == tall.rows == len(tall.rhs)
+    for _ in range(5):
+        w = rng.uniform(0, 10, tall.matrix.shape[1])
+        compressed = np.hypot(np.linalg.norm(system.matrix @ w - system.rhs), system.rho)
+        assert compressed == pytest.approx(np.linalg.norm(tall.matrix @ w - tall.rhs), rel=1e-12)
+    sv = np.linalg.svd(system.matrix, compute_uv=False)
+    assert np.allclose(sv, np.linalg.svd(tall.matrix, compute_uv=False), rtol=1e-12, atol=1e-12 * sv[0])
+
+
 def test_factor_keeps_residual_norms_and_singular_values():
     rng = np.random.default_rng(9)
     for make in (random_dc_network, random_ac_network):
@@ -135,15 +148,51 @@ def test_factor_keeps_residual_norms_and_singular_values():
         states = add_noise(generate_voltage_driven(net, 60, seed=10), 1e-3, seed=11)
         system = assemble(complete_edges(5), states)
         tall = tall_system(complete_edges(5), states)
-        assert system.rows == tall.rows == len(tall.rhs)
         assert system.matrix.shape == (tall.matrix.shape[1],) * 2
         assert system.rho > 0
-        for _ in range(5):
-            w = rng.uniform(0, 10, tall.matrix.shape[1])
-            compressed = np.hypot(np.linalg.norm(system.matrix @ w - system.rhs), system.rho)
-            assert compressed == pytest.approx(np.linalg.norm(tall.matrix @ w - tall.rhs), rel=1e-12)
-        sv = np.linalg.svd(system.matrix, compute_uv=False)
-        assert np.allclose(sv, np.linalg.svd(tall.matrix, compute_uv=False), rtol=1e-12, atol=1e-12 * sv[0])
+        assert_factor_of_rows(system, tall, rng)
+
+
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+@pytest.mark.parametrize(
+    "n, m, edges",
+    [
+        # node 3 has no edge, so all of its equations go into rho
+        (5, 30, tuple(e for e in complete_edges(5) if 3 not in e)),
+        # fewer equations per node than columns, and fewer in all than columns
+        (5, 1, complete_edges(5)),
+        (5, 2, complete_edges(5)),
+        # the network's own edges: nodes of unequal degree, padded to the widest
+        (8, 40, None),
+        # 60 states of n = 12: each node's factor keeps fewer rows than it folds
+        (12, 60, complete_edges(12)),
+    ],
+    ids=["isolated-node", "one-state", "two-states", "unequal-degrees", "n12-60-states"],
+)
+def test_node_local_fold_keeps_norms_and_singular_values(kind, n, m, edges):
+    rng = np.random.default_rng(100 * n + m)
+    net = (random_dc_network if kind == "dc" else random_ac_network)(rng, n)
+    states = add_noise(generate_voltage_driven(net, m, seed=m), 1e-3, seed=m + 1)
+    edges = net.edges if edges is None else edges
+    assert_factor_of_rows(assemble(edges, states), tall_system(edges, states), rng)
+
+
+def test_assembly_memory_is_bounded_by_the_block_not_by_m():
+    net = random_dc_network(np.random.default_rng(13), 30)
+    edges = complete_edges(30)
+    assemble(edges, generate_voltage_driven(net, 2, seed=0))  # first-call set-up, untraced
+    peaks = []
+    for m in (100, 400):
+        states = generate_voltage_driven(net, m, seed=m)
+        tracemalloc.start()
+        try:
+            assemble(edges, states)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    # one tall 6000 x 436 [A | b], the equations of 200 states of n = 30
+    assert max(peaks) < 8 * 6000 * 436
 
 
 def test_kernel_vector_of_silent_middle_node_data():
