@@ -256,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=float, default=1.5)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=int, default=None)
+    p.add_argument("--max-iterations", type=_positive_int, default=None)
     p.add_argument("--max-time", type=float, default=None)
-    p.add_argument("--max-stale", type=int, default=30)
+    p.add_argument("--max-stale", type=_positive_int, default=30)
     p.add_argument("--stop-on-tree", action="store_true")
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--workers", type=_positive_int, default=None)

@@ -60,7 +60,7 @@ def solve(A, b, tol: float = 1e-8, max_iter: int | None = None, x0=None) -> Nnls
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError("A must be (m, k) and b must be (m,) with matching m")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     m, k = A.shape
     if max_iter is None:

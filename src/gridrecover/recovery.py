@@ -44,7 +44,8 @@ class RecoveryConfig:
 
     ``eps0`` is the starting closeness parameter and ``psi > 1`` its
     exploration factor.  ``tol`` is the rms acceptance tolerance.  At least
-    one stopping criterion must be enabled.
+    one stopping criterion must be enabled; the iteration counts must be at
+    least 1 and the wall time positive.
     """
 
     eps0: float = 0.1
@@ -57,12 +58,19 @@ class RecoveryConfig:
     stop_on_tree: bool = False
 
     def __post_init__(self):
-        if self.eps0 <= 0:
+        # written as "not x > 0" so that nan is rejected too
+        if not self.eps0 > 0:
             raise ValueError("eps0 must be positive")
-        if self.psi <= 1:
+        if not self.psi > 1:
             raise ValueError("psi must exceed 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if self.max_stale_iterations is not None and self.max_stale_iterations < 1:
+            raise ValueError("max_stale_iterations must be at least 1")
+        if self.max_wall_time is not None and not self.max_wall_time > 0:
+            raise ValueError("max_wall_time must be positive")
         if not (
             self.max_iterations is not None
             or self.max_wall_time is not None

@@ -95,7 +95,7 @@ def sample_count(n: int, eps: float) -> int:
     Raises ValueError when eps is not positive or the count reaches 2^63,
     which no int64 holds.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     # eps**2 underflows to 0 for eps below ~1e-162, far past the cap anyway
     draws = 8.0 * n * math.log(n) / eps**2 if eps**2 > 0 else math.inf

@@ -5,15 +5,15 @@ one row per power-flow equation per state and one column per edge
 parameter; multiplying them by a parameter vector and subtracting the
 injections reproduces every residual.  DC systems are nm x |E| with entries
 e_j*(e_j - e_k); AC systems are 2nm x 2|E| with 2x2 blocks [[a, -b], [b, a]]
-built from a = e_j^2 + f_j^2 - e_j*e_k - f_j*f_k and b = e_j*f_k - e_k*f_j.
+built from a = e_j^2 + f_j^2 - e_j*e_k - f_j*f_k and b = e_j*f_k - e_k*f_j,
+where j is the node of the equation and k the far end of the edge.
 
-That tall matrix A and its injections b are never held whole.  ``assemble``
-builds them a block of states at a time and compresses them in two levels.
-An equation of node v touches only the columns of v's edges (at most n - 1
-edges) and the rhs, so v's equations are first folded, block by block, into
-a small triangular factor over those columns alone, all n nodes in one
-batched QR per block (sequential TSQR; Demmel, Grigori, Hoemmen & Langou,
-SIAM J. Sci. Comput. 34(1), 2012).  After the last block, one QR of the n
+That tall matrix A and its injections b are never held whole.  An equation
+of node v touches only the columns of v's edges (at most n - 1 edges) and
+the rhs, so ``assemble`` builds v's equations a block of states at a time
+straight into those columns alone, and folds them into a small triangular
+factor of v's own, all n nodes in one batched QR per block (sequential
+TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012).  After the last block, one QR of the n
 node factors, scattered back into the column layout, gives the (k+1) x (k+1)
 upper-triangular factor R of ``[A | b]``; the equations of a node without
 an edge touch only the rhs and end up in its corner.  A
@@ -75,97 +75,95 @@ def _sorted_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
     return tuple(sorted(canon))
 
 
-def _rows(edges: tuple[Edge, ...], states: StateSet, block: slice = slice(None)) -> np.ndarray:
-    """Equations of the states in ``block`` for sorted edges, as ``[A | b]``.
+def _incidence(n: int, edges: tuple[Edge, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each node's edges as (n, d) tables, d the largest degree.
 
-    One row per equation: A in the column layout and b the injections, so
-    that ``A @ w - b`` is the residual vector of those states.  The array is
-    column-major.  Raises ValueError naming the 1-based state and node when
-    an entry of A overflows to a non-finite value.
+    ``edge[v, i]`` is the index of v's i-th edge in sorted order and
+    ``far[v, i]`` its other end (0-based); ``pad[v, i]`` marks the slots past
+    v's degree, where both tables hold 0.
     """
-    E, F = states.e[block], states.f[block]
-    m, n = E.shape
-    j, k = (np.array(edges) - 1).T  # 0-based endpoints, one per edge
-    t = np.arange(len(edges))
-    Ej, Ek = E[:, j], E[:, k]  # (m, |E|): each state's voltages at each edge's ends
+    ends = (np.array(edges) - 1).ravel()  # both ends of edge 0, then of edge 1, ...
+    at = np.argsort(ends, kind="stable")  # the ends node by node, each node's edges in order
+    degree = np.bincount(ends, minlength=n)
+    pad = np.arange(degree.max()) >= degree[:, None]
+    edge, far = np.zeros((2,) + pad.shape, dtype=int)
+    edge[~pad], far[~pad] = at // 2, ends[at ^ 1]
+    return edge, far, pad
+
+
+def _node_equations(far: np.ndarray, pad: np.ndarray, states: StateSet, first: int) -> np.ndarray:
+    """The equations of ``_BLOCK_STATES`` states from ``first``, node by node.
+
+    ``far`` and ``pad`` are the tables of :func:`_incidence`.  Row r*s + i of
+    ``out[v]`` is equation i of node v in state s of the block (r = 1 for
+    DC, 2 for AC).  Its slots are the columns of v's edges in order (c then
+    s of each edge for AC), zeros in the padding, and the injection last.
+    Over an edge to u, node v's entries are a = e_v^2 + f_v^2 - e_v*e_u -
+    f_v*f_u and b = e_v*f_u - e_u*f_v, laid out as [a] for DC and
+    [[a, -b], [b, a]] for AC.  Raises ValueError naming the 1-based state
+    and node when an entry overflows to a non-finite value.
+    """
+    block = slice(first, first + _BLOCK_STATES)
+    E = states.e[block].T  # (n, S)
+    ev, eu = E[:, None, :], E[far]  # (n, 1, S) and (n, d, S): v's voltage, the far ends'
     if states.kind == DC:
-        out = np.zeros((n * m, len(edges) + 1), order="F")
-        base = np.arange(m)[:, None] * n
-        out[base + j, t] = Ej * Ej - Ej * Ek
-        out[base + k, t] = Ek * Ek - Ek * Ej
-        out[:, -1] = states.p[block].ravel()
+        a = ev * ev - ev * eu
+        a[pad] = 0.0
+        blocks, injections = [[a]], [states.p]
     else:
-        Fj, Fk = F[:, j], F[:, k]
-        alpha_jk = Ej * Ej + Fj * Fj - Ej * Ek - Fj * Fk
-        alpha_kj = Ek * Ek + Fk * Fk - Ek * Ej - Fk * Fj
-        beta_jk = Ej * Fk - Ek * Fj
-        out = np.zeros((2 * n * m, 2 * len(edges) + 1), order="F")
-        base = np.arange(m)[:, None] * 2 * n
-        c, s = 2 * t, 2 * t + 1
-        out[base + 2 * j, c] = alpha_jk
-        out[base + 2 * j, s] = -beta_jk
-        out[base + 2 * j + 1, c] = beta_jk
-        out[base + 2 * j + 1, s] = alpha_jk
-        out[base + 2 * k, c] = alpha_kj
-        out[base + 2 * k, s] = beta_jk
-        out[base + 2 * k + 1, c] = -beta_jk
-        out[base + 2 * k + 1, s] = alpha_kj
-        out[0::2, -1] = states.p[block].ravel()
-        out[1::2, -1] = states.q[block].ravel()
-    A = out[:, :-1]
+        F = states.f[block].T
+        fv, fu = F[:, None, :], F[far]
+        a = ev * ev + fv * fv - ev * eu - fv * fu
+        b = ev * fu - eu * fv
+        a[pad] = b[pad] = 0.0
+        blocks, injections = [[a, -b], [b, a]], [states.p, states.q]
+    n, d, S = a.shape
+    r = len(blocks)
+    out = np.empty((n, S, r, r * d + 1))
+    for i, row in enumerate(blocks):
+        for c, x in enumerate(row):
+            out[:, :, i, c:-1:r] = x.transpose(0, 2, 1)
+        out[:, :, i, -1] = injections[i][block].T
+    A = out[..., :-1]
     # min/max propagate nan and expose +-inf without a full-size temporary
     if not (np.isfinite(A.min()) and np.isfinite(A.max())):
-        row = int(np.argwhere(~np.isfinite(A))[0, 0])
-        per_state = A.shape[0] // m
-        state, node = divmod(row, per_state)
-        node //= per_state // n
-        first = block.indices(states.m)[0]
+        state, node = np.argwhere(~np.isfinite(A).all(axis=(2, 3)).T)[0]
         raise ValueError(
             f"state {first + state + 1}, node {node + 1}: design-matrix entry overflows"
             " to a non-finite value; rescale the data"
         )
-    return out
+    return out.reshape(n, S * r, r * d + 1)
 
 
 def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     """The system of the edges on the whole data set, compressed as it is built.
 
-    The fold has two levels.  The equations are built ``_BLOCK_STATES``
-    states at a time.  Every equation of node v touches only the columns of
-    v's edges and the rhs, so v's rows of each block, cut to those columns,
-    are folded into a small triangular factor of v's own: one batched QR per
-    block over all n nodes, with narrower nodes padded by zero columns.
-    After the last block the n node factors are scattered back into the
-    column layout, and one QR of that stack gives the upper-triangular
-    factor R of ``[A | b]``.  So ``matrix`` holds the first k columns of R,
-    ``rhs`` its last column above the diagonal and ``rho`` the modulus of
-    its corner.  Raises ValueError naming the 1-based state and node when an
-    entry overflows to a non-finite value.
+    The fold has two levels.  Every equation of node v touches only the
+    columns of v's edges and the rhs, so the equations are built
+    ``_BLOCK_STATES`` states at a time straight into each node's own slots
+    (:func:`_node_equations`), narrower nodes padded by zero slots, and
+    folded into a small triangular factor per node: one batched QR per
+    block over all n nodes.  After the last block the n node factors are
+    scattered into the column layout, and one QR of that stack gives the
+    upper-triangular factor R of ``[A | b]``.  So ``matrix`` holds the first
+    k columns of R, ``rhs`` its last column above the diagonal and ``rho``
+    the modulus of its corner.  Raises ValueError naming the 1-based state
+    and node when an entry overflows to a non-finite value.
     """
     edges = _sorted_edges(states.n, edges)
     n = states.n
     r = 1 if states.kind == DC else 2  # equations per node and state; columns per edge
     k = r * len(edges)
-    # Node v's factor has d + 1 slots: the columns of v's edges, zero padding,
-    # then the rhs column k.  (node, slot) lists the slots that are not padding.
-    ends = np.array(edges) - 1
-    own = [np.flatnonzero((ends == v).any(axis=1)) for v in range(n)]
-    width = np.array([r * len(t) for t in own])
-    d = int(width.max())
-    cols = np.full((n, d + 1), k)
-    for v, t in enumerate(own):
-        cols[v, : width[v]] = (r * t[:, None] + np.arange(r)).ravel()
-    node, slot = np.nonzero((np.arange(d + 1) < width[:, None]) | (np.arange(d + 1) == d))
+    edge, far, pad = _incidence(n, edges)
+    # node v's slot -> column: its edges' columns, then the rhs column k;
+    # (node, slot) lists the slots that are not padding
+    cols = np.full((n, r * pad.shape[1] + 1), k)
+    cols[:, :-1] = (r * edge[:, :, None] + np.arange(r)).reshape(n, -1)
+    node, slot = np.nonzero(np.append(np.repeat(~pad, r, axis=1), np.ones((n, 1), bool), axis=1))
     col = cols[node, slot]
-    factors, rows = None, 0
+    factors = None
     for first in range(0, states.m, _BLOCK_STATES):
-        block = _rows(edges, states, slice(first, first + _BLOCK_STATES))
-        rows += len(block)
-        # row r*(n*s + v) + i of the block is equation i of node v in state s
-        per_state = r * n * np.arange(len(block) // (r * n))[:, None] + np.arange(r)
-        own_rows = (r * np.arange(n))[:, None] + per_state.ravel()
-        stack = np.zeros((n, own_rows.shape[1], d + 1))
-        stack[node, :, slot] = block[own_rows[node], col[:, None]]
+        stack = _node_equations(far, pad, states, first)
         if factors is not None:
             stack = np.concatenate((factors, stack), axis=1)
         factors = np.linalg.qr(stack, mode="r")
@@ -176,7 +174,7 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     rho = float(abs(R[k, k])) if R.shape[0] > k else 0.0
     # column-major, since restrict and the solver gather column subsets of it
     matrix = np.asfortranarray(R[:k, :k])
-    return VandermondeSystem(states.kind, states.n, matrix, R[:k, k].copy(), edges, rho, rows)
+    return VandermondeSystem(states.kind, n, matrix, R[:k, k].copy(), edges, rho, r * n * states.m)
 
 
 def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSystem:

@@ -3,25 +3,23 @@
 Everything here deliberately avoids the code paths it verifies: residuals are
 accumulated termwise from the defining sums, effective resistances come from
 grounded linear solves instead of the eigendecomposition pseudoinverse, the
-NNLS oracle enumerates every active set, null spaces come from a full SVD, and
-the tall fit solves the stacked equations themselves instead of their
+NNLS oracle enumerates every active set, null spaces come from a full SVD, the
+tall system is built from the defining sums, one unit weight per column, and
+the tall fit solves those stacked equations themselves instead of their
 triangular factor.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
 from gridrecover.nnls import solve as nnls_solve
 from gridrecover.recovery import Fit
-from gridrecover.vandermonde import (
-    VandermondeSystem,
-    _rows,
-    condition_number,
-    network_from_columns,
-)
+from gridrecover.states import StateSet
+from gridrecover.vandermonde import VandermondeSystem, condition_number, network_from_columns
 
 
 def direct_residuals(net, states) -> np.ndarray:
@@ -146,10 +144,23 @@ def kernel_basis(A, rtol: float = 1e-13) -> np.ndarray:
 
 def tall_system(edges, states) -> VandermondeSystem:
     """The stacked equations of the edges as a system with rho = 0: every
-    row of the data, one per equation, uncompressed."""
+    row of the data, one per equation, uncompressed.
+
+    Column t holds the residuals, from :func:`direct_residuals`, of a unit
+    weight on parameter t alone with zero injections (conductance then
+    susceptance of each edge for AC), and the rhs holds the injections.  The
+    matrix is column-major, as the one of ``assemble`` is."""
     edges = tuple(sorted(edges))
-    rows = _rows(edges, states)
-    return VandermondeSystem(states.kind, states.n, rows[:, :-1], rows[:, -1], edges, 0.0, len(rows))
+    zero = np.zeros_like(states.p)
+    silent = StateSet(states.kind, states.e, states.f, zero, zero)
+    units = ((1.0, 0.0),) if states.kind == "dc" else ((1.0, 0.0), (0.0, 1.0))
+    columns = [
+        direct_residuals(SimpleNamespace(edges=(e,), c=(c,), s=(s,)), silent)
+        for e in edges
+        for c, s in units
+    ]
+    rhs = (states.p if states.kind == "dc" else np.stack((states.p, states.q), axis=2)).ravel()
+    return VandermondeSystem(states.kind, states.n, np.array(columns).T, rhs, edges, 0.0, len(rhs))
 
 
 def tall_fit(edges, states) -> Fit:

@@ -378,7 +378,7 @@ def test_cli_overflowing_fit_residual_exits_1(tmp_path, capsys):
         assert "fit residual overflows to inf; rescale the data" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--workers"])
+@pytest.mark.parametrize("flag", ["--trials", "--workers", "--max-stale", "--max-iterations"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -387,3 +387,28 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--eps", "nan", "eps0 must be positive"),
+        ("--psi", "nan", "psi must exceed 1"),
+        ("--tol", "nan", "tol must be positive"),
+        ("--max-time", "-1", "max_wall_time must be positive"),
+    ],
+)
+def test_cli_recover_rejects_bad_knobs_before_fitting(tmp_path, capsys, flag, value, message):
+    # the knobs are checked before the states file is read
+    assert main(["recover", "--states", str(tmp_path / "missing.csv"), flag, value,
+                 "--out-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_estimate_rejects_nan_tol(tmp_path, capsys):
+    assert main(["generate", "--builtin", "table1_dc", "--m", "10", "--seed", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--network", str(tmp_path / "network.json"), "--states",
+                 str(tmp_path / "states.csv"), "--tol", "nan", "--out-dir", str(tmp_path)]) == 1
+    assert "tol must be positive" in capsys.readouterr().err

@@ -80,6 +80,8 @@ def test_input_validation():
         solve(np.eye(3), np.ones(2))
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones(2), tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve(np.eye(2), np.ones(2), tol=float("nan"))  # would stop at w = 0
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones(2), x0=np.array([-1.0, 0.0]))
 

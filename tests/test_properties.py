@@ -1,21 +1,24 @@
-"""Property tests of the column layout and of the compressed fit on random
-networks and edge subsets.
+"""Property tests of the column layout, of the compressed fit on random
+networks and edge subsets, and of the NNLS solver on rank-deficient systems.
 
 The equations of a subset cut from the complete graph's must be the subset's
 own, bit for bit; a parameter vector must survive the trip through the
-layout and back; and a fit on the triangular factor, restricted or
-re-assembled, must agree with the fit on the tall equations to roundoff.
+layout and back; a fit on the triangular factor, restricted or re-assembled,
+must agree with the fit on the tall equations to roundoff; and NNLS must
+meet its KKT bound and the global optimum where columns repeat or depend on
+each other.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gridrecover.network import complete_edges
+from gridrecover.nnls import solve as nnls_solve
 from gridrecover.recovery import fit
 from gridrecover.states import generate_voltage_driven
 from gridrecover.vandermonde import assemble, network_from_columns, parameter_vector, restrict
 from helpers import random_ac_network, random_dc_network
-from oracles import tall_fit, tall_system
+from oracles import exhaustive_nnls, tall_fit, tall_system
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -73,3 +76,32 @@ def test_compressed_fits_agree_with_the_tall_fit(case):
             assert abs(compressed.kappa - tall.kappa) <= 1e-10 * tall.kappa
             scale = np.max(np.abs(tall.nnls.w))
             assert np.max(np.abs(compressed.nnls.w - tall.nnls.w)) <= 1e-10 * scale
+
+
+@st.composite
+def rank_deficient_systems(draw):
+    """At most 8 columns, some of them copies or combinations of others, and
+    a rhs that is random or reachable with non-negative weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 12))
+    columns = list(rng.standard_normal((draw(st.integers(1, 5)), m)))
+    for copy in draw(st.lists(st.booleans(), min_size=1, max_size=8 - len(columns))):
+        if copy:
+            columns.append(columns[rng.integers(len(columns))].copy())
+        else:
+            columns.append(rng.standard_normal(len(columns)) @ np.array(columns))
+    A = np.array(columns)[rng.permutation(len(columns))].T
+    b = A @ rng.uniform(0, 2, A.shape[1]) if draw(st.booleans()) else rng.standard_normal(m)
+    return A, b
+
+
+@PROPERTY
+@given(rank_deficient_systems())
+def test_nnls_meets_kkt_and_the_optimum_on_rank_deficient_systems(system):
+    A, b = system
+    assert np.linalg.matrix_rank(A) < A.shape[1]
+    result = nnls_solve(A, b)
+    _, best = exhaustive_nnls(A, b)
+    assert np.all(result.w >= 0)
+    assert result.kkt_residual <= 1e-8
+    assert abs(result.objective - best) <= 1e-12 * (np.linalg.norm(b) + 1.0)

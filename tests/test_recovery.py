@@ -31,6 +31,21 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RecoveryConfig(max_iterations=None, max_wall_time=None, max_stale_iterations=None)
     RecoveryConfig(max_stale_iterations=None, stop_on_tree=True)  # one criterion is enough
+    nan = float("nan")
+    for field, value, message in (
+        ("eps0", nan, "eps0 must be positive"),
+        ("psi", nan, "psi must exceed 1"),
+        ("tol", nan, "tol must be positive"),
+        ("max_iterations", 0, "max_iterations must be at least 1"),
+        ("max_stale_iterations", 0, "max_stale_iterations must be at least 1"),
+        ("max_stale_iterations", -3, "max_stale_iterations must be at least 1"),
+        ("max_wall_time", 0.0, "max_wall_time must be positive"),
+        ("max_wall_time", -1.0, "max_wall_time must be positive"),
+        ("max_wall_time", nan, "max_wall_time must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            RecoveryConfig(**{field: value})
+    RecoveryConfig(max_iterations=1, max_stale_iterations=1, max_wall_time=1e-3)
 
 
 def test_recover_fits_each_candidate_edge_set_once(monkeypatch, table1_states):

@@ -15,7 +15,8 @@ from gridrecover.states import (
 )
 from gridrecover.vandermonde import (
     _BLOCK_STATES,
-    _rows,
+    _incidence,
+    _node_equations,
     assemble,
     condition_number,
     network_from_columns,
@@ -43,13 +44,13 @@ def one_state(states, k):
 
 def test_row_block_flat_voltage_is_zero():
     x = StateSet.dc([[1.0, 1.0, 1.0]], [[0.0] * 3])
-    assert np.array_equal(_rows(K3, x)[:, :-1], np.zeros((3, 3)))
+    assert np.array_equal(tall_system(K3, x).matrix, np.zeros((3, 3)))
 
 
 def test_row_block_dc_matches_quadratic_formula():
     e = np.array([1.05, 0.97, 1.01])
     x = StateSet.dc([e], [[0.0] * 3])
-    B = _rows(K3, x)[:, :-1]
+    B = tall_system(K3, x).matrix
     expected = np.array(
         [
             [e[0] ** 2 - e[0] * e[1], e[0] ** 2 - e[0] * e[2], 0.0],
@@ -64,13 +65,42 @@ def test_row_block_dc_matches_quadratic_formula():
 
 def test_row_block_ac_zero_imag_replicates_dc_pattern():
     e = np.array([1.05, 0.97, 1.01])
-    dc = _rows(K3, StateSet.dc([e], [[0.0] * 3]))[:, :-1]
+    dc = tall_system(K3, StateSet.dc([e], [[0.0] * 3])).matrix
     z = np.zeros((1, 3))
-    ac = _rows(K3, StateSet("ac", [e], z, z, z))[:, :-1]
+    ac = tall_system(K3, StateSet("ac", [e], z, z, z)).matrix
     assert np.array_equal(ac[0::2, 0::2], dc)  # alpha in the g-row/c-column grid
     assert np.array_equal(ac[1::2, 1::2], dc)  # and again in the h-row/s-column grid
     assert np.array_equal(ac[0::2, 1::2], np.zeros((3, 3)))  # beta terms vanish
     assert np.array_equal(ac[1::2, 0::2], np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+@pytest.mark.parametrize(
+    "edges",
+    [
+        tuple(e for e in complete_edges(5) if 3 not in e),  # node 3 has no edge
+        ((1, 2), (1, 3), (1, 4), (2, 3), (4, 5)),  # degrees 3, 2, 2, 2, 1
+    ],
+    ids=["isolated-node", "unequal-degrees"],
+)
+def test_node_equations_are_the_oracle_rows_of_each_node(kind, edges):
+    n, m = 5, 30  # two blocks, the second one short
+    r = 1 if kind == "dc" else 2
+    net = (random_dc_network if kind == "dc" else random_ac_network)(np.random.default_rng(11), n)
+    states = add_noise(generate_voltage_driven(net, m, seed=12), 1e-3, seed=13)
+    tall = tall_system(edges, states)
+    d = max(sum(v in e for e in edges) for v in range(1, n + 1))
+    _, far, pad = _incidence(n, edges)
+    for first in range(0, m, _BLOCK_STATES):
+        block = range(first, min(first + _BLOCK_STATES, m))
+        stack = _node_equations(far, pad, states, first)
+        assert stack.shape == (n, r * len(block), r * d + 1)
+        for v in range(n):
+            rows = [r * (n * s + v) + i for s in block for i in range(r)]
+            cols = [r * t + c for t, e in enumerate(edges) if v + 1 in e for c in range(r)]
+            assert np.array_equal(stack[v, :, : len(cols)], tall.matrix[np.ix_(rows, cols)])
+            assert not np.any(stack[v, :, len(cols) : -1])  # the padding
+            assert np.array_equal(stack[v, :, -1], tall.rhs[rows])
 
 
 def test_assemble_stacks_states_in_order():
