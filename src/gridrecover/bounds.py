@@ -31,6 +31,11 @@ class BoundReport:
     variant: str  # "fine" | "coarse" | "ac"
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+
+
 def _max_block_norm(L: np.ndarray, diag: np.ndarray) -> float:
     """max_k || D_k L D_k ||_2 over per-state diagonals D_k (rows of diag)."""
     return max((spectral_norm(L * np.outer(d, d)) for d in diag), default=0.0)
@@ -59,6 +64,7 @@ def dc_bound(net: Network, states: StateSet, eps: float) -> BoundReport:
     block maximum is the spectral norm of the full voltage-conjugated block
     Laplacian.
     """
+    _check_eps(eps)
     if net.kind != DC or states.kind != DC:
         raise ValueError("dc_bound needs a DC network and DC data")
     if net.n != states.n:
@@ -79,6 +85,7 @@ def dc_bound_coarse(
     bound_term = vmax^2 * (1 - vmin)/vmin * ||L||; requires declared bounds
     0 < vmin <= |v| <= vmax with vmin <= 1 to hold on the data.
     """
+    _check_eps(eps)
     if net.kind != DC or states.kind != DC:
         raise ValueError("dc_bound_coarse needs a DC network and DC data")
     if not (0 < vmin <= 1):
@@ -121,6 +128,7 @@ def ac_delta(net: Network, states: StateSet) -> float:
 
 def ac_bound(net: Network, states: StateSet, eps: float) -> BoundReport:
     """AC certificate: rms(G') <= rms(G) + eps * delta / sqrt(2 m n)."""
+    _check_eps(eps)
     delta = ac_delta(net, states)
     term = delta / math.sqrt(2 * states.m * states.n)
     base = rms(net, states)

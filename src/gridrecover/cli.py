@@ -50,6 +50,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", help="network JSON to sample voltage-driven states from")
     p.add_argument("--m", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_non_negative_float, default=0.0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_generate)
 
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="rms-growth certificate for a sparsification")
     p.add_argument("--network", required=True)
     p.add_argument("--states", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_non_negative_float, required=True)
     p.add_argument("--variant", choices=("fine", "coarse", "ac"), default="fine")
     p.add_argument("--vmin", type=float, default=VOLTAGE_RANGE[0])
     p.add_argument("--vmax", type=float, default=VOLTAGE_RANGE[1])

@@ -8,6 +8,12 @@ power-flow equations, whose vector of evaluations is
     diag(v) * conj(L) * conj(v) - S
 
 with L the admittance matrix; the DC case is the real restriction e*(L e) - P.
+
+Synthetic states come either from random voltages with their implied powers
+(``generate_voltage_driven``) or from random injections solved for their
+voltages by Newton power flow (``generate_scenario``).  ``solve_power_flow``
+runs Newton on a whole (m, n) stack of injections at once, one row per
+state, and each row gets the same bits as a solve of that state alone.
 """
 
 from __future__ import annotations
@@ -20,7 +26,15 @@ from .network import AC, DC, Network, admittance_matrix, is_connected
 
 
 class PowerFlowError(RuntimeError):
-    """Power-flow solve failed (non-convergence, singular Jacobian, bad range)."""
+    """Power-flow solve failed (non-convergence, singular Jacobian, bad range).
+
+    A failed row of a stacked solve is named: ``row`` is its index and
+    ``reason`` the message without it.
+    """
+
+    def __init__(self, reason: str, row: int | None = None):
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.reason, self.row = reason, row
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +135,8 @@ class Scenario:
         for lo, hi in (self.p_range, self.q_range):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bad sampling range ({lo}, {hi})")
-        if self.sigma < 0:
-            raise ValueError("noise stddev must be non-negative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise stddev must be finite and non-negative, got {self.sigma}")
 
 
 def _check_compatible(net: Network, states: StateSet) -> None:
@@ -194,75 +208,120 @@ def solve_power_flow(
 ) -> np.ndarray:
     """Newton power flow: voltages matching the injections at non-slack nodes.
 
-    The slack node's voltage is pinned at 1; its injection is left free.
-    Starts flat (v = 1) and damps each step by halving until the infinity
-    norm of the mismatch decreases; stops once that norm is at most
-    NEWTON_TOL.  Returns the complex voltage vector.
+    ``p`` and ``q`` (zero when omitted) hold the injections of one state per
+    row, shape (m, n); the result is the (m, n) complex voltages.  A 1-D
+    ``p`` is one state and gives one voltage vector.  The slack node's
+    voltage is pinned at 1; its injection is left free.
+
+    Every row starts flat (v = 1) and takes Newton steps on its own: the
+    admittance matrix is built once, the mismatch is one matrix-vector
+    product per row, the Jacobians are solved as one (rows, k, k) stack, each
+    row's step is halved until the infinity norm of its mismatch decreases,
+    and a row stops once that norm is at most NEWTON_TOL.  So each row gets
+    the bits it would get alone.  A singular Jacobian, a failed damping or
+    no convergence in NEWTON_MAX_ITER steps raises PowerFlowError for the
+    failed row of lowest index, after the other rows have finished.
     """
+    single = np.ndim(p) == 1
     n = net.n
+    P = np.atleast_2d(np.asarray(p, dtype=float))
+    Q = np.zeros_like(P) if q is None else np.atleast_2d(np.asarray(q, dtype=float))
+    if P.ndim != 2 or P.shape[1] != n or Q.shape != P.shape:
+        raise ValueError(f"injections must be (m, {n}) arrays of one shape")
     L = admittance_matrix(net)
+    conj_L = np.conj(L)
     ns = np.array([j for j in range(n) if j != slack - 1])
-    target = np.asarray(p, dtype=float) + 1j * (
-        np.zeros(n) if q is None else np.asarray(q, dtype=float)
-    )
-    v = np.ones(n, dtype=complex)
+    k = len(ns)
+    target = P + 1j * Q
     dc = net.kind == DC
 
-    def mismatch(vv):
-        d = vv * np.conj(L @ vv) - target
-        if dc:
-            return d.real[ns]
-        return np.concatenate([d.real[ns], d.imag[ns]])
+    def mismatch(v, rows):
+        # one gemv per row: a gemm over the stack would round differently
+        inj = np.conj((L @ v[..., None])[..., 0])
+        d = v * inj - target[rows]
+        f = d.real[:, ns] if dc else np.concatenate([d.real[:, ns], d.imag[:, ns]], axis=1)
+        return f, inj, np.max(np.abs(f), axis=1, initial=0.0)
 
-    f = mismatch(v)
+    def jacobian(v, inj):
+        diag = np.zeros(v.shape + (n,), dtype=complex)
+        diag[:, range(n), range(n)] = inj
+        v_l = v[:, :, None] * conj_L
+        d_de = (diag + v_l)[:, ns[:, None], ns]
+        if dc:
+            return d_de.real
+        d_df = (1j * diag - 1j * v_l)[:, ns[:, None], ns]
+        return np.block([[d_de.real, d_df.real], [d_de.imag, d_df.imag]])
+
+    V = np.ones(P.shape, dtype=complex)
+    failed: dict[int, str] = {}
+    rows = np.arange(len(P))  # the rows still iterating, and their v, f, inj, |f|
+    v = V.copy()
+    f, inj, fnorm = mismatch(v, rows)
     for _ in range(NEWTON_MAX_ITER):
-        fnorm = np.max(np.abs(f))
-        if fnorm <= NEWTON_TOL:
-            return v
-        inj = np.conj(L @ v)
-        d_de = np.diag(inj) + v[:, None] * np.conj(L)
-        try:
-            if dc:
-                jac = d_de.real[np.ix_(ns, ns)]
-                step = np.linalg.solve(jac, -f)
-                dv = np.zeros(n, dtype=complex)
-                dv[ns] = step
-            else:
-                d_df = 1j * np.diag(inj) - 1j * (v[:, None] * np.conj(L))
-                jac = np.block(
-                    [
-                        [d_de.real[np.ix_(ns, ns)], d_df.real[np.ix_(ns, ns)]],
-                        [d_de.imag[np.ix_(ns, ns)], d_df.imag[np.ix_(ns, ns)]],
-                    ]
-                )
-                step = np.linalg.solve(jac, -f)
-                k = len(ns)
-                dv = np.zeros(n, dtype=complex)
-                dv[ns] = step[:k] + 1j * step[k:]
-        except np.linalg.LinAlgError as exc:
-            raise PowerFlowError("singular power-flow Jacobian") from exc
-        alpha = 1.0
+        done = fnorm <= NEWTON_TOL
+        V[rows[done]] = v[done]
+        rows, v, f, inj, fnorm = (a[~done] for a in (rows, v, f, inj, fnorm))
+        if not rows.size:
+            break
+        step, solved = _solve_stack(jacobian(v, inj), -f)
+        failed.update(dict.fromkeys(rows[~solved].tolist(), "singular power-flow Jacobian"))
+        dv = np.zeros(v.shape, dtype=complex)
+        dv[:, ns] = step if dc else step[:, :k] + 1j * step[:, k:]
+        alpha = np.ones((len(rows), 1))
+        trying = np.flatnonzero(solved)
         for _ in range(30):
-            v_new = v + alpha * dv
-            f_new = mismatch(v_new)
-            if np.max(np.abs(f_new)) < fnorm:
+            v_new = v[trying] + alpha[trying] * dv[trying]
+            f_new, inj_new, norm_new = mismatch(v_new, rows[trying])
+            better = norm_new < fnorm[trying]
+            took = trying[better]
+            v[took], f[took], inj[took], fnorm[took] = (
+                v_new[better], f_new[better], inj_new[better], norm_new[better]
+            )
+            trying = trying[~better]
+            if not trying.size:
                 break
-            alpha *= 0.5
-        else:
-            raise PowerFlowError("damping failed to reduce the mismatch")
-        v, f = v_new, f_new
-    if np.max(np.abs(f)) <= NEWTON_TOL:
-        return v
-    raise PowerFlowError(f"no convergence after {NEWTON_MAX_ITER} Newton iterations")
+            alpha[trying] *= 0.5
+        failed.update(dict.fromkeys(rows[trying].tolist(), "damping failed to reduce the mismatch"))
+        solved[trying] = False
+        rows, v, f, inj, fnorm = (a[solved] for a in (rows, v, f, inj, fnorm))
+    done = fnorm <= NEWTON_TOL
+    V[rows[done]] = v[done]
+    reason = f"no convergence after {NEWTON_MAX_ITER} Newton iterations"
+    failed.update(dict.fromkeys(rows[~done].tolist(), reason))
+    if failed:
+        row = min(failed)
+        raise PowerFlowError(failed[row], row=None if single else row)
+    return V[0] if single else V
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a_i x_i = b_i for a stack of square systems: the solutions, and
+    a mask of the systems that were solved (zero solutions where a_i is
+    singular).  Each system gets the bits of a solve on its own."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros_like(b)
+    solved = np.ones(len(b), dtype=bool)
+    for i in range(len(b)):
+        try:
+            x[i] = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return x, solved
 
 
 def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
-    """Sample injections per the scenario and solve power flow for each state.
+    """Sample injections per the scenario and solve power flow for all states.
 
     Residuals of the output are at the Newton tolerance (<= 1e-10 rms) before
-    noise.  States whose voltage magnitude leaves VOLTAGE_RANGE are resampled
-    up to MAX_RETRIES times.  Per-state RNG substreams are derived from the
-    seed, so the output is deterministic and shardable.
+    noise.  Every state draws from its own RNG substream derived from the
+    seed, so the output is deterministic and shardable.  Each round solves
+    the states whose voltages are still pending in one batched
+    solve_power_flow call; a state whose voltage magnitude left
+    VOLTAGE_RANGE draws again, up to MAX_RETRIES times.  An error names the
+    first state, in order, whose draws failed.
     """
     if scen.n != net.n:
         raise ValueError(f"scenario is for n={scen.n}, network has n={net.n}")
@@ -272,46 +331,59 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
         raise PowerFlowError("network must be connected to solve power flow")
 
     slack = scen.slack
-    loads = [j for j in range(net.n) if j + 1 != slack and j + 1 not in scen.zero]
+    loads = np.array([j for j in range(net.n) if j + 1 != slack and j + 1 not in scen.zero], int)
     vmin, vmax = VOLTAGE_RANGE
     dc = net.kind == DC
-    L = admittance_matrix(net)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(m + 1)
-    E = np.empty((m, net.n))
-    F = np.zeros((m, net.n))
-    P = np.empty((m, net.n))
+    rngs = [np.random.default_rng(child) for child in children[:m]]
+    lo, hi = zip(scen.p_range, scen.q_range)  # AC draws (P, Q) per load, in that order
+    P = np.zeros((m, net.n))
     Q = np.zeros((m, net.n))
+    V = np.empty((m, net.n), dtype=complex)
+    pending = np.arange(m)  # states without voltages in VOLTAGE_RANGE yet
+    error = None  # the failure of the first state, in order, seen so far
 
-    for k in range(m):
-        rng = np.random.default_rng(children[k])
-        for _ in range(MAX_RETRIES):
-            p = np.zeros(net.n)
-            q = np.zeros(net.n)
-            for j in loads:
-                p[j] = rng.uniform(*scen.p_range)
-                if not dc:
-                    q[j] = rng.uniform(*scen.q_range)
-            try:
-                v = solve_power_flow(net, p, q, slack=slack)
-            except PowerFlowError as exc:
-                raise PowerFlowError(f"state {k}: {exc}") from exc
-            if np.all((np.abs(v) >= vmin) & (np.abs(v) <= vmax)):
+    for _ in range(MAX_RETRIES):
+        for k in pending:
+            if dc:
+                P[k, loads] = rngs[k].uniform(*scen.p_range, size=loads.size)
+            else:
+                P[k, loads], Q[k, loads] = rngs[k].uniform(lo, hi, size=(loads.size, 2)).T
+        try:
+            v = solve_power_flow(net, P[pending], Q[pending], slack=slack)
+        except PowerFlowError as exc:
+            # states after the failed one no longer matter; those before it
+            # solved (rows are independent) and still need their answer
+            error = PowerFlowError(f"state {pending[exc.row]}: {exc.reason}")
+            error.__cause__ = exc
+            pending = pending[: exc.row]
+            if not pending.size:
                 break
-        else:
-            raise PowerFlowError(
-                f"state {k}: voltages left [{vmin}, {vmax}] in {MAX_RETRIES} attempts"
-            )
-        # the slack injection balances the network exactly; sampled/zero nodes
-        # keep their drawn values so zero-injection nodes stay exactly zero
-        s_model = _exact_powers(L, v)
-        p[slack - 1] = s_model.real[slack - 1]
-        q[slack - 1] = s_model.imag[slack - 1]
-        E[k], P[k] = v.real, p
-        if not dc:
-            F[k], Q[k] = v.imag, q
+            v = solve_power_flow(net, P[pending], Q[pending], slack=slack)
+        mag = np.abs(v)
+        ok = np.all((mag >= vmin) & (mag <= vmax), axis=1)
+        V[pending[ok]] = v[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            break
+    else:
+        error = PowerFlowError(
+            f"state {pending[0]}: voltages left [{vmin}, {vmax}] in {MAX_RETRIES} attempts"
+        )
+    if error is not None:
+        raise error
 
-    out = StateSet(net.kind, E, F, P, Q)
+    # the slack injection balances the network exactly; sampled/zero nodes
+    # keep their drawn values so zero-injection nodes stay exactly zero.
+    # V[:, None, :] keeps one gemv per state: V @ L would round differently.
+    S = _exact_powers(admittance_matrix(net), V[:, None, :])[:, 0]
+    P[:, slack - 1] = S.real[:, slack - 1]
+    if dc:
+        out = StateSet(DC, V.real, np.zeros_like(P), P, np.zeros_like(P))
+    else:
+        Q[:, slack - 1] = S.imag[:, slack - 1]
+        out = StateSet(AC, V.real, V.imag, P, Q)
     if scen.sigma > 0:
         out = add_noise(out, scen.sigma, children[m])
     return out
@@ -319,8 +391,8 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
 
 def add_noise(states: StateSet, sigma: float, seed=0) -> StateSet:
     """Additive i.i.d. Gaussian noise on every measured component."""
-    if sigma < 0:
-        raise ValueError("noise stddev must be non-negative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"noise stddev must be finite and non-negative, got {sigma}")
     if sigma == 0:
         return states
     rng = np.random.default_rng(seed)

@@ -6,7 +6,8 @@ grounded linear solves instead of the eigendecomposition pseudoinverse, the
 NNLS oracle enumerates every active set, null spaces come from a full SVD, the
 tall system is built from the defining sums, one unit weight per column, and
 the tall fit solves those stacked equations themselves instead of their
-triangular factor.
+triangular factor, and Newton power flow solves one state at a time, each
+with its own admittance matrix, Jacobian and linear solve.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
+import gridrecover.states as gstates
+from gridrecover.network import DC, admittance_matrix, is_connected
 from gridrecover.nnls import solve as nnls_solve
 from gridrecover.recovery import Fit
-from gridrecover.states import StateSet
+from gridrecover.states import PowerFlowError, StateSet, add_noise
 from gridrecover.vandermonde import VandermondeSystem, condition_number, network_from_columns
 
 
@@ -105,18 +108,26 @@ def triangle_bridge_leverages(c: dict) -> dict:
 def exhaustive_nnls(A, b, feas_tol: float = 1e-9) -> tuple[np.ndarray, float]:
     """Global NNLS optimum by brute force over all column subsets.
 
-    For each subset the unconstrained least-squares solution is kept when it
-    is (numerically) non-negative; the best feasible objective wins.  Only
-    usable for small column counts.
+    For each subset of linearly independent columns the unconstrained
+    least-squares solution is kept when it is (numerically) non-negative; the
+    best feasible objective wins.  Some optimum has an independent support,
+    so skipping the dependent subsets loses nothing, and it keeps a subset
+    that is independent only through roundoff from fitting that roundoff
+    with huge weights.  Independence is the numerical rank, at the
+    ``matrix_rank`` tolerance of the whole of A.  Only usable for small
+    column counts.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     k = A.shape[1]
+    rank_tol = max(A.shape) * np.finfo(float).eps * np.linalg.norm(A, 2)
     best_w = np.zeros(k)
     best_obj = float(np.linalg.norm(b))
     for size in range(1, k + 1):
         for subset in combinations(range(k), size):
             idx = list(subset)
+            if np.linalg.matrix_rank(A[:, idx], tol=rank_tol) < size:
+                continue
             z, *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
             if np.any(z < -feas_tol):
                 continue
@@ -172,3 +183,111 @@ def tall_fit(edges, states) -> Fit:
     return Fit(
         network_from_columns(system, result.w), rms, condition_number(system.matrix), result
     )
+
+
+def newton_per_state(net, p, q=None, slack: int = 1) -> np.ndarray:
+    """Newton power flow on one state (1-D injections), with scalar damping:
+    the per-state loop that ``states.solve_power_flow`` runs on a stack."""
+    n = net.n
+    L = admittance_matrix(net)
+    ns = np.array([j for j in range(n) if j != slack - 1])
+    target = np.asarray(p, dtype=float) + 1j * (
+        np.zeros(n) if q is None else np.asarray(q, dtype=float)
+    )
+    v = np.ones(n, dtype=complex)
+    dc = net.kind == DC
+
+    def mismatch(vv):
+        d = vv * np.conj(L @ vv) - target
+        if dc:
+            return d.real[ns]
+        return np.concatenate([d.real[ns], d.imag[ns]])
+
+    f = mismatch(v)
+    for _ in range(gstates.NEWTON_MAX_ITER):
+        fnorm = np.max(np.abs(f))
+        if fnorm <= gstates.NEWTON_TOL:
+            return v
+        inj = np.conj(L @ v)
+        d_de = np.diag(inj) + v[:, None] * np.conj(L)
+        try:
+            if dc:
+                jac = d_de.real[np.ix_(ns, ns)]
+                step = np.linalg.solve(jac, -f)
+                dv = np.zeros(n, dtype=complex)
+                dv[ns] = step
+            else:
+                d_df = 1j * np.diag(inj) - 1j * (v[:, None] * np.conj(L))
+                jac = np.block(
+                    [
+                        [d_de.real[np.ix_(ns, ns)], d_df.real[np.ix_(ns, ns)]],
+                        [d_de.imag[np.ix_(ns, ns)], d_df.imag[np.ix_(ns, ns)]],
+                    ]
+                )
+                step = np.linalg.solve(jac, -f)
+                k = len(ns)
+                dv = np.zeros(n, dtype=complex)
+                dv[ns] = step[:k] + 1j * step[k:]
+        except np.linalg.LinAlgError as exc:
+            raise PowerFlowError("singular power-flow Jacobian") from exc
+        alpha = 1.0
+        for _ in range(30):
+            v_new = v + alpha * dv
+            f_new = mismatch(v_new)
+            if np.max(np.abs(f_new)) < fnorm:
+                break
+            alpha *= 0.5
+        else:
+            raise PowerFlowError("damping failed to reduce the mismatch")
+        v, f = v_new, f_new
+    if np.max(np.abs(f)) <= gstates.NEWTON_TOL:
+        return v
+    raise PowerFlowError(f"no convergence after {gstates.NEWTON_MAX_ITER} Newton iterations")
+
+
+def scenario_per_state(net, scen, m: int, seed=0) -> StateSet:
+    """``states.generate_scenario`` assembled one state at a time: each state
+    draws its loads one by one from its own child RNG and is solved by
+    :func:`newton_per_state` until its voltages stay in range."""
+    if not is_connected(net):
+        raise PowerFlowError("network must be connected to solve power flow")
+    slack = scen.slack
+    loads = [j for j in range(net.n) if j + 1 != slack and j + 1 not in scen.zero]
+    vmin, vmax = gstates.VOLTAGE_RANGE
+    dc = net.kind == DC
+    L = admittance_matrix(net)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = ss.spawn(m + 1)
+    E = np.empty((m, net.n))
+    F = np.zeros((m, net.n))
+    P = np.empty((m, net.n))
+    Q = np.zeros((m, net.n))
+    for k in range(m):
+        rng = np.random.default_rng(children[k])
+        for _ in range(gstates.MAX_RETRIES):
+            p = np.zeros(net.n)
+            q = np.zeros(net.n)
+            for j in loads:
+                p[j] = rng.uniform(*scen.p_range)
+                if not dc:
+                    q[j] = rng.uniform(*scen.q_range)
+            try:
+                v = newton_per_state(net, p, q, slack=slack)
+            except PowerFlowError as exc:
+                raise PowerFlowError(f"state {k}: {exc}") from exc
+            if np.all((np.abs(v) >= vmin) & (np.abs(v) <= vmax)):
+                break
+        else:
+            raise PowerFlowError(
+                f"state {k}: voltages left [{vmin}, {vmax}] in {gstates.MAX_RETRIES} attempts"
+            )
+        s_model = v * np.conj(v @ L)
+        p[slack - 1] = s_model.real[slack - 1]
+        q[slack - 1] = s_model.imag[slack - 1]
+        E[k], P[k] = v.real, p
+        if not dc:
+            F[k], Q[k] = v.imag, q
+    out = StateSet(net.kind, E, F, P, Q)
+    if scen.sigma > 0:
+        out = add_noise(out, scen.sigma, children[m])
+    return out

@@ -172,3 +172,26 @@ def test_ac_delta_kind_mismatch():
     net = Network.dc(2, ((1, 2),), [1.0])
     with pytest.raises(ValueError):
         ac_delta(net, flat_states(2, 2))
+
+
+BAD_EPS = [-1.0, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+def test_dc_bound_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+        dc_bound(Network.dc(2, ((1, 2),), [1.0]), flat_states(2, 2), eps)
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+def test_coarse_bound_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+        dc_bound_coarse(Network.dc(2, ((1, 2),), [1.0]), flat_states(2, 2), eps, 0.9, 1.1)
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+def test_ac_bound_rejects_bad_eps(eps):
+    net = Network.ac(2, ((1, 2),), [1.0], [1.0])
+    states = generate_voltage_driven(net, 3, seed=0)
+    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+        ac_bound(net, states, eps)

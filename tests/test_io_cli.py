@@ -1,3 +1,4 @@
+import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 
@@ -280,6 +281,48 @@ def test_cli_generate_noise_sets_rms_scale(tmp_path):
     level = rms(net, states)
     # voltage noise is amplified by the conductance scale (~1e2 here)
     assert 1e-8 < level < 1e-3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_cli_generate_rejects_bad_noise(tmp_path, capsys, value):
+    out = tmp_path / "exp"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--builtin", "table1_dc", "--m", "5", "--noise", value,
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_cli_bound_rejects_bad_eps(tmp_path, capsys, value):
+    # checked while parsing, before the (missing) files are read
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--network", str(tmp_path / "network.json"),
+              "--states", str(tmp_path / "states.csv"), "--eps", value,
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "bound.json").exists()
+
+
+# sha256 of states.csv from `generate --builtin NAME --m 50 --seed 5 --noise 1e-6`,
+# written by the per-state Newton loop that the batched solve replaced
+STATES_SHA256 = {
+    "table1_dc": "afa5373e2f1f67eb3b5ef2c946a331f37387df3899efac3e0a47f8e5d2b8acce",
+    "heawood_dc": "524fe5ba2641e88ae20a3c1537a30ed338fd42f052f0b77215472e1713d1d724",
+    "path3_dc": "30310b6f5efe0d07209f091e0685dafdb891fdfb7144cc468c8cc325f857b2ba",
+    "small_ac": "9b2dcd64b905fa1daa20ef49bfd0d90071e3a3d7a567acff2f46cc88b3b0e0fd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATES_SHA256))
+def test_cli_generate_states_are_pinned(tmp_path, name):
+    out = tmp_path / name
+    assert main(["generate", "--builtin", name, "--m", "50", "--seed", "5",
+                 "--noise", "1e-6", "--out-dir", str(out)]) == 0
+    digest = hashlib.sha256((out / "states.csv").read_bytes()).hexdigest()
+    assert digest == STATES_SHA256[name]
 
 
 def test_cli_trials_fan_out(tmp_path):

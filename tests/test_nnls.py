@@ -5,7 +5,7 @@ from gridrecover.network import Network
 from gridrecover.nnls import NnlsError, solve
 from gridrecover.recovery import fit
 from gridrecover.vandermonde import assemble
-from oracles import kernel_basis, tall_fit
+from oracles import exhaustive_nnls, kernel_basis, tall_fit
 from test_vandermonde import K3, path3_states
 
 
@@ -17,8 +17,6 @@ def test_clamped_identity():
 
 
 def test_matches_exhaustive_oracle_on_random_instances():
-    from oracles import exhaustive_nnls
-
     rng = np.random.default_rng(0)
     for _ in range(40):
         A = rng.standard_normal((10, 4))
@@ -132,3 +130,29 @@ def test_zero_weight_edge_column_does_not_change_objective():
     narrow = tall_fit(net.edges, states).nnls
     wide = tall_fit(K3, states).nnls
     assert wide.objective <= narrow.objective + 1e-10
+
+
+def test_exhaustive_oracle_does_not_fit_roundoff_on_a_rank_one_system():
+    # 2x7, every column a copy or a weighted sum of the first: rank one, but
+    # some column pairs are independent through roundoff alone, and least
+    # squares on such a pair fits b with weights near 1e14
+    rng = np.random.default_rng(381)
+    columns = [rng.standard_normal(2)]
+    for copy in rng.random(6) < 0.5:
+        if copy:
+            columns.append(columns[rng.integers(len(columns))].copy())
+        else:
+            columns.append(rng.standard_normal(len(columns)) @ np.array(columns))
+    A = np.array(columns).T
+    b = rng.standard_normal(2)
+    assert np.linalg.matrix_rank(A) == 1
+    w, best = exhaustive_nnls(A, b)
+    # the cone of the columns is the ray of the first when none points
+    # against it, else the whole line through it
+    u = A[:, 0] / np.linalg.norm(A[:, 0])
+    along = u @ A
+    t = u @ b if np.any(along < 0) else max(u @ b, 0.0)
+    assert best == pytest.approx(np.linalg.norm(b - t * u), rel=1e-12)
+    assert np.linalg.norm(A @ w - b) == pytest.approx(best, rel=1e-12)
+    assert np.max(w) < 1e3
+    assert abs(solve(A, b).objective - best) <= 1e-12 * (np.linalg.norm(b) + 1.0)

@@ -13,8 +13,10 @@ from gridrecover.states import (
     rms,
     solve_power_flow,
 )
+import gridrecover.states as gstates
+from gridrecover.builtins import builtin_network, builtin_scenario
 from helpers import random_ac_network, random_dc_network
-from oracles import direct_residuals
+from oracles import direct_residuals, newton_per_state, scenario_per_state
 
 PATH3 = Network.dc(3, ((1, 2), (2, 3)), [1.0, 1.0])
 
@@ -131,6 +133,8 @@ def test_scenario_validation():
         dict(n=3, q_range=(0.0, np.inf)),
         dict(n=3, p_range=(np.nan, 0.0)),
         dict(n=3, sigma=-1.0),
+        dict(n=3, sigma=np.nan),
+        dict(n=3, sigma=np.inf),
     ):
         with pytest.raises(ValueError):
             Scenario(**bad)
@@ -214,3 +218,128 @@ def test_state_set_rejects_non_finite_values(bad):
 
 def test_add_noise_zero_sigma_is_identity(table1_states):
     assert add_noise(table1_states, 0.0) is table1_states
+
+
+@pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+def test_add_noise_rejects_bad_sigma(table1_states, sigma):
+    with pytest.raises(ValueError, match="noise stddev"):
+        add_noise(table1_states, sigma)
+
+
+def _outcome(generate, *args, **kwargs):
+    """The states, or the message of the PowerFlowError raised instead."""
+    try:
+        return generate(*args, **kwargs)
+    except PowerFlowError as exc:
+        return str(exc)
+
+
+def _counting_solves(monkeypatch):
+    """Record the number of states in each solve_power_flow call."""
+    calls = []
+    solve = gstates.solve_power_flow
+
+    def counted(*args, **kwargs):
+        calls.append(len(np.atleast_2d(args[1])))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gstates, "solve_power_flow", counted)
+    return calls
+
+
+def _ring(rng, n, ac):
+    """A ring whose conductances make loads up to 0.25 leave the voltage
+    window in about half of the draws."""
+    edges = tuple((j, j + 1) for j in range(1, n)) + ((1, n),)
+    c = rng.uniform(1.5, 6.0, n)
+    if ac:
+        return Network.ac(n, edges, c, rng.uniform(1.5, 6.0, n))
+    return Network.dc(n, edges, c)
+
+
+@pytest.mark.parametrize(
+    "name, sigma, seed",
+    [("heawood_dc", 0.0, 1), ("heawood_dc", 1e-6, 2), ("small_ac", 0.0, 3),
+     ("small_ac", 1e-6, 4), ("path3_dc", 0.0, 5), ("table1_dc", 1e-6, 6)],
+)
+def test_generate_scenario_equals_the_per_state_oracle_on_builtins(name, sigma, seed):
+    # small_ac and path3_dc each have a zero-injection node
+    net = builtin_network(name, seed)
+    scen = builtin_scenario(name, sigma=sigma)
+    got = generate_scenario(net, scen, 60, seed=seed)
+    assert got == scenario_per_state(net, scen, 60, seed=seed)
+
+
+def test_generate_scenario_equals_the_per_state_oracle_when_states_retry(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    rng = np.random.default_rng(11)
+    rounds, outcomes = [], []
+    for i in range(12):
+        n = int(rng.integers(3, 8))
+        net = _ring(rng, n, ac=i % 2 == 1)
+        zero = (int(rng.integers(2, n + 1)),) if i % 3 == 0 else ()
+        scen = Scenario(n, zero=zero, p_range=(-0.25, 0.0), q_range=(-0.1, 0.1))
+        seed = int(rng.integers(1 << 30))
+        calls.clear()
+        got = _outcome(generate_scenario, net, scen, 30, seed=seed)
+        rounds.append(list(calls))
+        outcomes.append(got)
+        assert _outcome(scenario_per_state, net, scen, 30, seed=seed) == got
+    # every round is one call on the states still pending, some states were
+    # drawn again, and an error names the first state in order whose draws
+    # failed, which need not be the row that failed first
+    assert all(r[0] == 30 for r in rounds)
+    assert max(len(r) for r in rounds) > 2
+    assert sum(isinstance(o, StateSet) for o in outcomes) >= 6
+    assert "state 29: voltages left [0.9, 1.1] in 50 attempts" in outcomes
+    assert "state 0: damping failed to reduce the mismatch" in outcomes
+
+
+@pytest.mark.parametrize("make", [random_dc_network, random_ac_network])
+def test_stacked_solve_power_flow_equals_row_by_row_calls(make):
+    rng = np.random.default_rng(8)
+    net = make(rng, 6, wrange=(1.0, 6.0))
+    p = np.column_stack([np.zeros(7), rng.uniform(-0.3, 0.0, (7, 5))])
+    q = np.column_stack([np.zeros(7), rng.uniform(-0.1, 0.1, (7, 5))])
+    stacked = solve_power_flow(net, p, q, slack=1)
+    assert stacked.shape == (7, 6)
+    for row in range(7):
+        alone = solve_power_flow(net, p[row], q[row], slack=1)
+        assert np.array_equal(stacked[row], alone)
+        assert np.array_equal(alone, newton_per_state(net, p[row], q[row], slack=1))
+
+
+def test_stacked_solve_power_flow_names_the_failed_row():
+    # past the nose point of a unit edge; a load of 0.5 steps onto a zero Jacobian
+    line = Network.dc(2, ((1, 2),), [1.0])
+    p = np.array([[0.0, -0.1], [0.0, -0.5], [0.0, -0.3], [0.0, -0.2]])
+    with pytest.raises(PowerFlowError, match="^row 1: singular power-flow Jacobian$") as exc:
+        solve_power_flow(line, p)
+    assert exc.value.row == 1
+    with pytest.raises(PowerFlowError, match="^damping failed") as exc:
+        solve_power_flow(line, p[2])
+    assert exc.value.row is None
+    # the rows that did not fail are the rows solved alone
+    assert np.array_equal(solve_power_flow(line, p[[0, 3]])[1], solve_power_flow(line, p[3]))
+
+
+def test_generate_scenario_singular_jacobian_names_the_state():
+    line = Network.dc(2, ((1, 2),), [1.0])
+    scen = Scenario(2, p_range=(-0.5, -0.5))
+    message = "state 0: singular power-flow Jacobian"
+    assert _outcome(scenario_per_state, line, scen, 3, seed=0) == message
+    with pytest.raises(PowerFlowError, match=f"^{message}$"):
+        generate_scenario(line, scen, 3, seed=0)
+
+
+def test_generate_scenario_no_convergence_names_the_first_failed_state(monkeypatch):
+    # with two Newton steps only the lightest loads reach the tolerance
+    monkeypatch.setattr(gstates, "NEWTON_MAX_ITER", 2)
+    net = builtin_network("table1_dc")
+    scen = Scenario(6, p_range=(-3e-4, 0.0))
+    want = _outcome(scenario_per_state, net, scen, 40, seed=2)
+    assert want.startswith("state ") and not want.startswith("state 0:")
+    assert want.endswith("no convergence after 2 Newton iterations")
+    with pytest.raises(PowerFlowError) as exc:
+        generate_scenario(net, scen, 40, seed=2)
+    assert str(exc.value) == want
