@@ -33,7 +33,6 @@ from .sparsify import (
     is_epsilon_approximation,
     sample_count,
     sparsify_ac,
-    sparsify_dc,
 )
 from .states import (
     PowerFlowError,

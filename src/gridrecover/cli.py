@@ -195,7 +195,14 @@ def cmd_recover(args) -> int:
         return 0 if successes == len(trials) else 1
 
     states = io.load_states_csv(args.states)
-    net, trace = recover(states, cfg=cfg)
+    try:
+        net, trace = recover(states, cfg=cfg)
+    except RecoveryError as exc:
+        # a failed run keeps its iterations and its last held network
+        io.save_trace_csv(exc.trace, out / "trace.csv")
+        if exc.network is not None:
+            io.save_network(exc.network, out / "recovered.json")
+        raise
     io.save_network(net, out / "recovered.json")
     io.save_trace_csv(trace, out / "trace.csv")
     table = io.render_trace_table(trace)

@@ -159,11 +159,13 @@ class RecoveryTrace:
 
 
 class RecoveryError(RuntimeError):
-    """Recovery aborted; carries the partial trace."""
+    """Recovery aborted; carries the partial trace and the held network (None
+    before the initial fit), zero-weight edges pruned."""
 
-    def __init__(self, message: str, trace: RecoveryTrace):
+    def __init__(self, message: str, trace: RecoveryTrace, network: Network | None):
         super().__init__(message)
         self.trace = trace
+        self.network = network
 
 
 def should_stop(
@@ -191,9 +193,10 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     """Recover a sparse network fitting the data within cfg.tol.
 
     Returns the last accepted network (zero-weight edges pruned) and the full
-    trace.  If the initial complete-graph fit already exceeds the tolerance a
-    warning is logged and the loop proceeds: re-estimation after
-    sparsification frequently lands below it anyway.
+    trace; a run that cannot go on raises :class:`RecoveryError`.  If the
+    initial complete-graph fit already exceeds the tolerance a warning is
+    logged and the loop proceeds: re-estimation after sparsification
+    frequently lands below it anyway.
     """
     cfg = RecoveryConfig() if cfg is None else cfg
     n = states.n
@@ -206,7 +209,7 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     try:
         held = fit(full)
     except NnlsError as exc:
-        raise RecoveryError(f"initial estimation failed: {exc}", trace) from exc
+        raise RecoveryError(f"initial estimation failed: {exc}", trace, None) from exc
     cur = held.network
     trace.append(TraceRow(1, len(cur.edges), held.rms, held.kappa, cfg.eps0, EVENT_INITIAL))
     if held.rms > cfg.tol:
@@ -224,8 +227,13 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
             break
         iteration += 1
         eps_used = eps
-        outcome = sparsify_ac(cur, eps, np.random.SeedSequence([cfg.seed, iteration]))
-        candidate_edges = outcome.graph.normalized().edges
+        try:
+            outcome = sparsify_ac(cur, eps, np.random.SeedSequence([cfg.seed, iteration]))
+        except ValueError as exc:  # such as eps shrunk past the 2^63-draw limit
+            raise RecoveryError(
+                f"sparsification failed at iteration {iteration}: {exc}", trace, cur.normalized()
+            ) from exc
+        candidate_edges = outcome.graph.edges
         if 0 < len(candidate_edges) < len(cur.edges):
             refit = refits.get(candidate_edges)
             if refit is None:
@@ -233,7 +241,9 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
                     refit = refits[candidate_edges] = fit(restrict(full, candidate_edges))
                 except NnlsError as exc:
                     raise RecoveryError(
-                        f"estimation failed at iteration {iteration}: {exc}", trace
+                        f"estimation failed at iteration {iteration}: {exc}",
+                        trace,
+                        cur.normalized(),
                     ) from exc
             if refit.rms <= cfg.tol:
                 cur, held = refit.network.normalized(), refit

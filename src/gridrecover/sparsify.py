@@ -3,9 +3,10 @@
 Edges are sampled with replacement, with probability proportional to
 conductance times effective resistance (the leverage).  Each drawn edge is
 added with weight w/(t*p), summing over repeated draws, which makes the
-expected output Laplacian equal the input one.  An output is a multiplicative
-eps-approximation of the input with probability at least 1/2 for eps in
-(0, 1] (1/4 for the per-graph AC split).
+expected output Laplacian equal the input one.  An AC network has two weight
+rows, conductances and susceptances, and each is sampled on its own.  An
+output is a multiplicative eps-approximation of the input with probability at
+least 1/2 for eps in (0, 1] (1/4 on AC, where both rows must pass).
 
 Leverages have a circuit meaning: the fraction of the end-to-end conductance
 between an edge's endpoints carried by the edge itself.  They are 1 exactly
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DC, Edge, Network, laplacian, spectral_norm, split_graphs
+from .bounds import _check_eps
+from .network import DC, Edge, Network, _laplacian, spectral_norm
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-12
@@ -70,23 +72,30 @@ def _pseudo_inverse(L: np.ndarray) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
+def _row_statistics(n: int, edges: tuple[Edge, ...], w: np.ndarray):
+    """Mask of one weight row's positive entries, and their resistances,
+    leverages and probabilities; zero entries add nothing to the Laplacian."""
+    pos = w > 0
+    Lp = _pseudo_inverse(_laplacian(n, edges, w))
+    a, b = (np.array(edges).reshape(-1, 2)[pos] - 1).T
+    r = np.maximum(Lp[a, a] + Lp[b, b] - 2.0 * Lp[a, b], 0.0)
+    leverage = w[pos] * r
+    return pos, r, leverage, leverage / leverage.sum()
+
+
 def effective_resistances(g: Network) -> EdgeStatistics:
     """Effective resistance and sampling statistics of the positive edges.
 
     Resistances come from the Laplacian pseudoinverse, so graphs that are
     disconnected on their positive support are handled per component.
     """
-    pos = g.normalized()
-    if not pos.edges:
+    if g.kind != DC:
+        raise ValueError("effective_resistances needs a DC network")
+    if not np.any(g.c > 0):
         raise ValueError("graph has no positive-weight edge")
-    Lp = _pseudo_inverse(laplacian(pos))
-    idx = np.array([(j - 1, k - 1) for j, k in pos.edges])
-    a, b = idx[:, 0], idx[:, 1]
-    r = Lp[a, a] + Lp[b, b] - 2.0 * Lp[a, b]
-    r = np.maximum(r, 0.0)
-    leverage = pos.c * r
-    p = leverage / leverage.sum()
-    return EdgeStatistics(pos.edges, pos.c, r, leverage, p)
+    pos, r, leverage, p = _row_statistics(g.n, g.edges, g.c)
+    edges = tuple(e for e, k in zip(g.edges, pos) if k)
+    return EdgeStatistics(edges, g.c[pos], r, leverage, p)
 
 
 def sample_count(n: int, eps: float) -> int:
@@ -107,51 +116,38 @@ def sample_count(n: int, eps: float) -> int:
     return max(1, math.ceil(draws))
 
 
-def sparsify_dc(g: Network, eps: float, seed=0) -> SparsifyOutcome:
-    """Sample a reweighted subgraph of the positive-weight edges.
-
-    Deterministic for a fixed seed.  Every output weight is
-    count * w / (t * p) for its draw count, so the expectation over seeds of
-    each output weight equals the input weight.
-    """
-    stats = effective_resistances(g)
-    t = sample_count(g.n, eps)
-    # the draw counts of t draws with replacement, in O(edges) memory and time
-    counts = np.random.default_rng(seed).multinomial(t, stats.p)
-    keep = counts > 0
-    new_w = counts[keep] * stats.w[keep] / (t * stats.p[keep])
-    edges = tuple(e for e, k in zip(stats.edges, keep) if k)
-    return SparsifyOutcome(Network.dc(g.n, edges, new_w), t)
-
-
 def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
-    """Sparsify a network; AC conductance and susceptance graphs run separately.
+    """Sample a reweighted subnetwork of the positive-weight edges.
 
-    The output edge set is the union of the two kept sets; a weight missing
-    from one side is zero-filled.  DC networks delegate straight to
-    :func:`sparsify_dc`, with the same seed.
+    Each weight row with a positive entry (conductances, and on AC networks
+    susceptances) takes t draws of its own: from ``seed`` on DC, from the two
+    children of its SeedSequence on AC, conductances first.  A drawn entry
+    becomes count * w / (t * p), so its expectation over seeds is w; an entry
+    with no draws is 0.  The edges with any positive weight are kept, in
+    input order.
     """
-    if net.kind == DC:
-        return sparsify_dc(net, eps, seed)
-
-    cg, sg = split_graphs(net)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    c_seed, s_seed = ss.spawn(2)
-    sides: list[dict[Edge, float]] = []
     t = sample_count(net.n, eps)
-    for graph, side_seed in ((cg, c_seed), (sg, s_seed)):
-        if np.any(graph.c > 0):
-            out = sparsify_dc(graph, eps, side_seed)
-            sides.append(dict(zip(out.graph.edges, out.graph.c)))
-        else:
-            sides.append({})
-    c_side, s_side = sides
-    if not c_side and not s_side:
+    if net.kind == DC:
+        seeds = (seed, None)  # the susceptance row is all zero and draws nothing
+    else:
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        seeds = ss.spawn(2)
+    out = np.zeros((2, len(net.edges)))
+    for w, row_seed, new_w in zip((net.c, net.s), seeds, out):
+        if not np.any(w > 0):
+            continue
+        pos, _, _, p = _row_statistics(net.n, net.edges, w)
+        # the draw counts of t draws with replacement, in O(edges) memory and
+        # time; p is 0 where a resistance clips to 0, so divide drawn entries only
+        counts = np.random.default_rng(row_seed).multinomial(t, p)
+        drawn = counts > 0
+        at = np.flatnonzero(pos)[drawn]
+        new_w[at] = counts[drawn] * w[at] / (t * p[drawn])
+    keep = np.any(out > 0, axis=0)
+    if not keep.any():
         raise ValueError("network has no positive-weight edge")
-    edges = tuple(sorted(set(c_side) | set(s_side)))
-    c = np.array([c_side.get(e, 0.0) for e in edges])
-    s = np.array([s_side.get(e, 0.0) for e in edges])
-    return SparsifyOutcome(Network.ac(net.n, edges, c, s), t)
+    edges = tuple(e for e, k in zip(net.edges, keep) if k)
+    return SparsifyOutcome(Network(net.kind, net.n, edges, *out[:, keep]), t)
 
 
 def is_epsilon_approximation(net: Network, net2: Network, eps: float) -> bool:
@@ -165,12 +161,11 @@ def is_epsilon_approximation(net: Network, net2: Network, eps: float) -> bool:
         raise ValueError("networks must share the kind")
     if net.n != net2.n:
         raise ValueError("graphs must share the vertex set")
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    pairs = [(net, net2)] if net.kind == DC else zip(split_graphs(net), split_graphs(net2))
-    for g, g2 in pairs:
-        L = laplacian(g)
-        L2 = laplacian(g2)
+    _check_eps(eps)
+    rows = ((net.c, net2.c),) if net.kind == DC else ((net.c, net2.c), (net.s, net2.s))
+    for w, w2 in rows:
+        L = _laplacian(net.n, net.edges, w)
+        L2 = _laplacian(net.n, net2.edges, w2)
         slack = PSD_TOL * spectral_norm(L)
         upper = (1.0 + eps) * L - L2
         lower = L2 - L / (1.0 + eps)

@@ -6,8 +6,10 @@ grounded linear solves instead of the eigendecomposition pseudoinverse, the
 NNLS oracle enumerates every active set, null spaces come from a full SVD, the
 tall system is built from the defining sums, one unit weight per column, and
 the tall fit solves those stacked equations themselves instead of their
-triangular factor, and Newton power flow solves one state at a time, each
-with its own admittance matrix, Jacobian and linear solve.
+triangular factor, Newton power flow solves one state at a time, each
+with its own admittance matrix, Jacobian and linear solve, and AC
+sparsification splits a network into its conductance and susceptance graphs,
+sparsifies each as its own network and merges the kept edges by name.
 """
 
 from __future__ import annotations
@@ -18,9 +20,18 @@ from types import SimpleNamespace
 import numpy as np
 
 import gridrecover.states as gstates
-from gridrecover.network import DC, admittance_matrix, is_connected
+from gridrecover.network import (
+    DC,
+    Edge,
+    Network,
+    admittance_matrix,
+    is_connected,
+    laplacian,
+    split_graphs,
+)
 from gridrecover.nnls import solve as nnls_solve
 from gridrecover.recovery import Fit
+from gridrecover.sparsify import EdgeStatistics, SparsifyOutcome, _pseudo_inverse, sample_count
 from gridrecover.states import PowerFlowError, StateSet, add_noise
 from gridrecover.vandermonde import VandermondeSystem, condition_number, network_from_columns
 
@@ -291,3 +302,61 @@ def scenario_per_state(net, scen, m: int, seed=0) -> StateSet:
     if scen.sigma > 0:
         out = add_noise(out, scen.sigma, children[m])
     return out
+
+
+def _positive_graph_statistics(g) -> EdgeStatistics:
+    """Sampling statistics of a graph's positive edges, on its normalized copy."""
+    pos = g.normalized()
+    if not pos.edges:
+        raise ValueError("graph has no positive-weight edge")
+    Lp = _pseudo_inverse(laplacian(pos))
+    idx = np.array([(j - 1, k - 1) for j, k in pos.edges])
+    a, b = idx[:, 0], idx[:, 1]
+    r = Lp[a, a] + Lp[b, b] - 2.0 * Lp[a, b]
+    r = np.maximum(r, 0.0)
+    leverage = pos.c * r
+    p = leverage / leverage.sum()
+    return EdgeStatistics(pos.edges, pos.c, r, leverage, p)
+
+
+def _sparsify_graph(g, eps: float, seed=0) -> SparsifyOutcome:
+    """Sparsify one graph (a DC network) as a network of its own."""
+    stats = _positive_graph_statistics(g)
+    t = sample_count(g.n, eps)
+    # the draw counts of t draws with replacement, in O(edges) memory and time
+    counts = np.random.default_rng(seed).multinomial(t, stats.p)
+    keep = counts > 0
+    new_w = counts[keep] * stats.w[keep] / (t * stats.p[keep])
+    edges = tuple(e for e, k in zip(stats.edges, keep) if k)
+    return SparsifyOutcome(Network.dc(g.n, edges, new_w), t)
+
+
+def sparsify_two_graphs(net, eps: float, seed=0) -> SparsifyOutcome:
+    """Sparsification through the conductance and susceptance graphs.
+
+    A DC network is sparsified as one graph with ``seed``.  An AC network is
+    split into its two graphs, each sparsified with one child of ``seed``'s
+    SeedSequence, conductances first; the output holds the sorted union of
+    the two kept edge sets, a weight missing from one side zero-filled.
+    """
+    if net.kind == DC:
+        return _sparsify_graph(net, eps, seed)
+
+    cg, sg = split_graphs(net)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    c_seed, s_seed = ss.spawn(2)
+    sides: list[dict[Edge, float]] = []
+    t = sample_count(net.n, eps)
+    for graph, side_seed in ((cg, c_seed), (sg, s_seed)):
+        if np.any(graph.c > 0):
+            out = _sparsify_graph(graph, eps, side_seed)
+            sides.append(dict(zip(out.graph.edges, out.graph.c)))
+        else:
+            sides.append({})
+    c_side, s_side = sides
+    if not c_side and not s_side:
+        raise ValueError("network has no positive-weight edge")
+    edges = tuple(sorted(set(c_side) | set(s_side)))
+    c = np.array([c_side.get(e, 0.0) for e in edges])
+    s = np.array([s_side.get(e, 0.0) for e in edges])
+    return SparsifyOutcome(Network.ac(net.n, edges, c, s), t)

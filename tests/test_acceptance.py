@@ -12,12 +12,7 @@ from gridrecover.builtins import builtin_scenario, heawood_dc, small_ac, table1_
 from gridrecover.network import Network, complete_edges, series_equivalent, split_graphs
 from gridrecover.nnls import solve as nnls_solve
 from gridrecover.recovery import RecoveryConfig, fit, recover
-from gridrecover.sparsify import (
-    effective_resistances,
-    is_epsilon_approximation,
-    sparsify_ac,
-    sparsify_dc,
-)
+from gridrecover.sparsify import effective_resistances, is_epsilon_approximation, sparsify_ac
 from gridrecover.states import Scenario, generate_scenario, generate_voltage_driven, rms
 from gridrecover.vandermonde import assemble
 from helpers import random_ac_network, random_connected_graph, random_dc_network, random_graph
@@ -121,7 +116,7 @@ def test_criterion_05_silent_node_degeneracy():
 def test_criterion_06_sparsifier_success_rates():
     g = split_graphs(table1_dc())[0]
     dc_hits = sum(
-        is_epsilon_approximation(g, sparsify_dc(g, 1.0, seed).graph, 1.0)
+        is_epsilon_approximation(g, sparsify_ac(g, 1.0, seed).graph, 1.0)
         for seed in range(400)
     )
     net = small_ac(seed=2)
@@ -143,7 +138,7 @@ def test_criterion_07_rms_growth_certificates():
         net = random_dc_network(rng, int(rng.integers(5, 10)))
         g = split_graphs(net)[0]
         eps = float(rng.choice([0.3, 0.5, 1.0]))
-        out = sparsify_dc(g, eps, seed=int(rng.integers(1 << 30)))
+        out = sparsify_ac(g, eps, seed=int(rng.integers(1 << 30)))
         if not is_epsilon_approximation(g, out.graph, eps):
             continue
         dc_checked += 1

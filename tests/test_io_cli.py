@@ -259,6 +259,9 @@ def test_cli_recover_sample_count_overflow_exits_1(tmp_path, capsys):
                  "--max-stale", "60", "--out-dir", str(out)])
     assert code == 1
     assert "at n=6 needs" in capsys.readouterr().err
+    # the failed run keeps its iterations and its held network
+    assert len(io.load_trace_csv(out / "trace.csv")) > 40
+    assert io.load_network(out / "recovered.json").n == 6
 
 
 def test_cli_generate_deterministic_bytes(tmp_path):

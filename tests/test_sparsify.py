@@ -10,10 +10,9 @@ from gridrecover.sparsify import (
     is_epsilon_approximation,
     sample_count,
     sparsify_ac,
-    sparsify_dc,
 )
 from helpers import random_connected_graph, random_graph
-from oracles import resistance_by_grounded_solve
+from oracles import resistance_by_grounded_solve, sparsify_two_graphs
 
 TRIANGLE = Network.dc(3, ((1, 2), (1, 3), (2, 3)), np.ones(3))
 
@@ -97,7 +96,7 @@ def test_sample_count_past_int64_names_eps_and_n():
 
 def test_single_edge_graph_reproduces_weight_exactly():
     g = Network.dc(2, ((1, 2),), [7.5])
-    out = sparsify_dc(g, 1.0, seed=0)
+    out = sparsify_ac(g, 1.0, seed=0)
     assert out.graph.edges == ((1, 2),)
     assert out.graph.c[0] == pytest.approx(7.5, abs=1e-12)
 
@@ -105,7 +104,7 @@ def test_single_edge_graph_reproduces_weight_exactly():
 def test_sparsify_tiny_eps_keeps_every_edge_near_its_weight():
     # t is about 2.6e13 draws: their counts must come without a draw array
     g = Network.dc(3, ((1, 2), (1, 3), (2, 3)), [1.0, 2.0, 3.0])
-    out = sparsify_dc(g, 1e-6, seed=0)
+    out = sparsify_ac(g, 1e-6, seed=0)
     assert out.t > 10**13
     assert out.graph.edges == g.edges
     assert np.allclose(out.graph.c, g.c, rtol=1e-4, atol=0.0)
@@ -113,8 +112,8 @@ def test_sparsify_tiny_eps_keeps_every_edge_near_its_weight():
 
 def test_sparsify_deterministic_and_subset():
     g = split_graphs(table1_dc())[0]
-    a = sparsify_dc(g, 1.0, seed=3)
-    b = sparsify_dc(g, 1.0, seed=3)
+    a = sparsify_ac(g, 1.0, seed=3)
+    b = sparsify_ac(g, 1.0, seed=3)
     assert a.graph == b.graph
     assert set(a.graph.edges) <= set(g.edges)
     assert np.all(a.graph.c > 0)
@@ -124,7 +123,7 @@ def test_sparsify_unbiased_on_triangle():
     total = np.zeros(3)
     trials = 2000
     for seed in range(trials):
-        out = sparsify_dc(TRIANGLE, 1.0, seed=seed)
+        out = sparsify_ac(TRIANGLE, 1.0, seed=seed)
         for e, w in zip(out.graph.edges, out.graph.c):
             total[TRIANGLE.edges.index(e)] += w
     assert np.allclose(total / trials, 1.0, rtol=0.05)
@@ -135,7 +134,7 @@ def test_sparsify_keeps_bridges_drops_weak_shorted_edge():
     present_34 = 0
     absent_12 = 0
     for seed in range(1000):
-        edges = sparsify_dc(g, 1.0, seed=seed).graph.edges
+        edges = sparsify_ac(g, 1.0, seed=seed).graph.edges
         present_34 += (3, 4) in edges
         absent_12 += (1, 2) not in edges
     assert present_34 >= 990
@@ -145,14 +144,15 @@ def test_sparsify_keeps_bridges_drops_weak_shorted_edge():
 def test_sparsify_zero_weight_edges_never_sampled():
     g = Network.dc(3, ((1, 2), (2, 3), (1, 3)), [1.0, 1.0, 0.0])
     for seed in range(50):
-        assert (1, 3) not in sparsify_dc(g, 0.5, seed=seed).graph.edges
+        assert (1, 3) not in sparsify_ac(g, 0.5, seed=seed).graph.edges
 
 
 def test_sparsify_ac_dc_kind_delegates():
     net = table1_dc()
     out_net = sparsify_ac(net, 1.0, seed=5)
-    out_graph = sparsify_dc(split_graphs(net)[0], 1.0, seed=5)
+    out_graph = sparsify_two_graphs(split_graphs(net)[0], 1.0, seed=5)
     assert isinstance(out_net.graph, Network)
+    assert out_net.t == out_graph.t
     assert out_net.graph.edges == out_graph.graph.edges
     assert np.array_equal(out_net.graph.c, out_graph.graph.c)
     assert np.all(out_net.graph.s == 0)
@@ -188,6 +188,74 @@ def test_sparsify_ac_zero_fills_single_sided_edges():
     assert found, "no seed produced a one-sided edge at eps=1"
 
 
+def _random_network(rng, shape: str) -> Network:
+    """Random edges of 2..7 nodes in shuffled order, about a third of the
+    weights zero; ``shape`` is dc, ac, c_only or s_only."""
+    n = int(rng.integers(2, 8))
+    pool = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    pick = rng.permutation(len(pool))[: int(rng.integers(1, len(pool) + 1))]
+    edges = tuple(pool[i] for i in pick)
+    c, s = rng.uniform(0.1, 10.0, (2, len(edges))) * (rng.random((2, len(edges))) > 0.3)
+    if shape == "dc":
+        return Network.dc(n, edges, c)
+    c *= shape != "s_only"
+    s *= shape != "c_only"
+    return Network.ac(n, edges, c, s)
+
+
+def _outcome_or_error(sparsify, net, eps, seed):
+    try:
+        return sparsify(net, eps, seed), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("as_sequence", [False, True])
+@pytest.mark.parametrize("shape", ["dc", "ac", "c_only", "s_only"])
+def test_sparsify_ac_matches_two_graph_oracle(shape, as_sequence):
+    rng = np.random.default_rng(["dc", "ac", "c_only", "s_only"].index(shape) + 10 * as_sequence)
+    errors = 0
+    for _ in range(60):
+        net = _random_network(rng, shape)
+        eps = float(rng.uniform(0.05, 2.0))
+        entropy = int(rng.integers(2**32))
+        # an AC run spawns from a SeedSequence seed, so each side gets its own
+        seed = (lambda: np.random.SeedSequence(entropy)) if as_sequence else (lambda: entropy)
+        out, err = _outcome_or_error(sparsify_ac, net, eps, seed())
+        ref, ref_err = _outcome_or_error(sparsify_two_graphs, net, eps, seed())
+        if ref_err is not None:
+            errors += 1
+            # a DC network with no positive weight now reads "network", as AC did
+            assert err == ref_err.replace("graph has", "network has")
+            continue
+        assert err is None and out.t == ref.t
+        g, h = out.graph, ref.graph
+        assert g.kind == net.kind
+        # kept edges stay in input order; the two-graph merge sorted them
+        assert g.edges == tuple(e for e in net.edges if e in set(h.edges))
+        assert dict(zip(g.edges, zip(g.c, g.s))) == dict(zip(h.edges, zip(h.c, h.s)))
+        if g.edges == h.edges:
+            assert np.array_equal(g.c, h.c) and np.array_equal(g.s, h.s)
+        assert np.all(g.c >= 0) and np.all(g.s >= 0) and np.all((g.c > 0) | (g.s > 0))
+    assert 0 < errors < 60
+
+
+@pytest.mark.parametrize(
+    "net, eps",
+    [
+        (Network.dc(3, ((1, 2),), [0.0]), 1.0),
+        (Network.ac(2, ((1, 2),), [0.0], [0.0]), 1.0),
+        (TRIANGLE, 1e-9),
+        (small_ac(seed=1), 3e-9),
+    ],
+)
+def test_sparsify_errors_match_two_graph_oracle(net, eps):
+    _, err = _outcome_or_error(sparsify_ac, net, eps, 0)
+    _, ref_err = _outcome_or_error(sparsify_two_graphs, net, eps, 0)
+    assert ref_err is not None
+    assert err == ref_err.replace("graph has", "network has")
+
+
 def test_is_epsilon_approximation_identity_and_boundary():
     g = random_connected_graph(np.random.default_rng(4), 6)
     assert is_epsilon_approximation(g, g, 0.0)
@@ -201,6 +269,12 @@ def test_is_epsilon_approximation_identity_and_boundary():
         is_epsilon_approximation(g, Network.dc(g.n + 1, g.edges, g.c), 1.0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+def test_is_epsilon_approximation_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match=f"eps must be finite and non-negative, got {eps}"):
+        is_epsilon_approximation(TRIANGLE, TRIANGLE, eps)
+
+
 def test_is_epsilon_approximation_fails_without_bridge():
     g = split_graphs(table1_dc())[0]
     keep = [e != (3, 4) for e in g.edges]
@@ -212,7 +286,7 @@ def test_is_epsilon_approximation_fails_without_bridge():
 def test_epsilon_approximation_success_rates():
     g = split_graphs(table1_dc())[0]
     hits = sum(
-        is_epsilon_approximation(g, sparsify_dc(g, 1.0, seed).graph, 1.0)
+        is_epsilon_approximation(g, sparsify_ac(g, 1.0, seed).graph, 1.0)
         for seed in range(400)
     )
     assert hits >= 180  # guaranteed rate is 1/2; observed is far higher
@@ -228,7 +302,7 @@ def test_epsilon_approximation_success_rates():
 def test_expected_weight_identity_per_draw():
     # every kept weight is count * w / (t p): check the reweighting directly
     g = TRIANGLE
-    out = sparsify_dc(g, 2.0, seed=9)
+    out = sparsify_ac(g, 2.0, seed=9)
     stats = effective_resistances(g)
     for e, w in zip(out.graph.edges, out.graph.c):
         i = stats.edges.index(e)
