@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,10 +87,14 @@ class Fit:
     over all the equations of the data, the condition number of its system,
     and the solver's result.
 
-    The solver runs on the compressed system, so ``nnls.objective`` is
-    ``||matrix @ w - rhs||``, which leaves out the system's ``rho``; ``rms``
-    is ``hypot(nnls.objective, rho) / sqrt(rows)``, the rms of the data's
-    residuals."""
+    A system with more rows than columns, such as a candidate cut from the
+    complete graph's factor, is compressed again first: one QR of
+    ``[matrix | rhs]`` gives a square triangle with the singular values of
+    ``matrix``, so ``kappa`` is that of ``matrix``, a new rhs, and a corner
+    that joins ``rho`` by ``hypot``.  The solver runs on the square system,
+    so ``nnls.objective`` is its residual norm, which leaves out ``rho`` and
+    the corner; ``rms`` is ``hypot(nnls.objective, rho, corner) /
+    sqrt(rows)``, the rms of the data's residuals."""
 
     network: Network
     rms: float
@@ -105,6 +109,11 @@ def fit(system: VandermondeSystem, tol: float = 1e-8) -> Fit:
     when the residual norm overflows, and :class:`NnlsError` when the solver
     does not converge.
     """
+    rows, cols = system.matrix.shape
+    if rows > cols:
+        R = np.linalg.qr(np.column_stack((system.matrix, system.rhs)), mode="r")
+        rho = float(np.hypot(system.rho, R[cols, cols]))
+        system = replace(system, matrix=R[:cols, :cols], rhs=R[:cols, cols], rho=rho)
     result = nnls_solve(system.matrix, system.rhs, tol=tol)
     # ||A w - b||^2 = ||matrix w - rhs||^2 + rho^2 over the data's equations
     residual = np.hypot(result.objective, system.rho)

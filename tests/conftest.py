@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from gridrecover.builtins import builtin_scenario, table1_dc

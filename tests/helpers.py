@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from gridrecover.network import Network
 
 

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the code paths it verifies: residuals are
 accumulated termwise from the defining sums, effective resistances come from
-grounded linear solves instead of the eigendecomposition pseudoinverse, the
-NNLS oracle enumerates every active set, null spaces come from a full SVD, the
-tall system is built from the defining sums, one unit weight per column, and
-the tall fit solves those stacked equations themselves instead of their
-triangular factor, Newton power flow solves one state at a time, each
+grounded linear solves instead of the eigendecomposition pseudoinverse, one
+NNLS oracle enumerates every active set and the other solves each active-set
+step afresh by least squares instead of updating a QR factor, null spaces
+come from a full SVD, the tall system is built from the defining sums, one
+unit weight per column, and the tall fit solves those stacked equations
+themselves instead of their triangular factor, Newton power flow solves one state at a time, each
 with its own admittance matrix, Jacobian and linear solve, and AC
 sparsification splits a network into its conductance and susceptance graphs,
 sparsifies each as its own network and merges the kept edges by name.
@@ -29,7 +30,7 @@ from gridrecover.network import (
     laplacian,
     split_graphs,
 )
-from gridrecover.nnls import solve as nnls_solve
+from gridrecover.nnls import NnlsError, NnlsResult, _kkt_residual
 from gridrecover.recovery import Fit
 from gridrecover.sparsify import EdgeStatistics, SparsifyOutcome, _pseudo_inverse, sample_count
 from gridrecover.states import PowerFlowError, StateSet, add_noise
@@ -150,6 +151,71 @@ def exhaustive_nnls(A, b, feas_tol: float = 1e-9) -> tuple[np.ndarray, float]:
     return best_w, best_obj
 
 
+def nnls_lstsq(A, b, tol: float = 1e-8) -> NnlsResult:
+    """Lawson-Hanson NNLS that solves every least-squares step afresh.
+
+    The same active-set iteration as ``gridrecover.nnls.solve``, with the
+    same entering rule, step-back and iteration cap, but each passive set is
+    solved by minimum-norm ``np.linalg.lstsq`` on its columns instead of
+    through an updated QR factor.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k = A.shape[1]
+    max_iter = max(10 * k, 100)
+
+    x = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    iterations = 0
+
+    def fail(msg: str) -> NnlsError:
+        resid = b - A @ x
+        grad = -(A.T @ resid)
+        return NnlsError(
+            msg,
+            NnlsResult(x.copy(), float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations),
+        )
+
+    while True:
+        # Solve the unconstrained LS on the passive columns, stepping back to
+        # the boundary (and shrinking the passive set) until it is feasible.
+        while np.any(passive):
+            z_sub, *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
+            iterations += 1
+            if iterations > max_iter:
+                raise fail(f"no convergence within {max_iter} least-squares solves")
+            if np.all(z_sub > 0):
+                x = np.zeros(k)
+                x[passive] = z_sub
+                break
+            z = np.zeros(k)
+            z[passive] = z_sub
+            blocking = passive & (z <= 0)
+            denom = x[blocking] - z[blocking]
+            ratios = np.where(denom > 0, x[blocking] / np.where(denom > 0, denom, 1.0), 0.0)
+            alpha = float(np.min(ratios))
+            x = np.maximum(x + alpha * (z - x), 0.0)
+            # coordinates that hit the boundary leave the passive set exactly
+            hit = np.zeros(k, dtype=bool)
+            hit[np.flatnonzero(blocking)[ratios <= alpha]] = True
+            x[hit] = 0.0
+            passive &= ~hit
+        else:
+            x = np.zeros(k)
+
+        resid = b - A @ x
+        grad = -(A.T @ resid)  # gradient of 0.5 ||A w - b||^2
+        candidates = ~passive & (-grad > tol)
+        if not np.any(candidates):
+            return NnlsResult(
+                x, float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations
+            )
+        # enter the column with the most negative gradient; argmax takes the
+        # first (= lowest-index) maximum on ties
+        scores = np.where(candidates, -grad, -np.inf)
+        passive[int(np.argmax(scores))] = True
+
+
 def kernel_basis(A, rtol: float = 1e-13) -> np.ndarray:
     """Orthonormal basis of the (numerical) null space of A, as columns.
 
@@ -189,7 +255,7 @@ def tall_fit(edges, states) -> Fit:
     """NNLS on the tall matrix of the edges, its rms over all equations, and
     the condition number from the SVD of the tall matrix."""
     system = tall_system(edges, states)
-    result = nnls_solve(system.matrix, system.rhs)
+    result = nnls_lstsq(system.matrix, system.rhs)
     rms = float(result.objective / np.sqrt(system.matrix.shape[0]))
     return Fit(
         network_from_columns(system, result.w), rms, condition_number(system.matrix), result

@@ -5,7 +5,6 @@ lines as they complete.  Statistical criteria use fixed seeds throughout.
 """
 
 import numpy as np
-import pytest
 
 from gridrecover.bounds import ac_bound, dc_bound, dc_bound_coarse
 from gridrecover.builtins import builtin_scenario, heawood_dc, small_ac, table1_dc
@@ -15,7 +14,7 @@ from gridrecover.recovery import RecoveryConfig, fit, recover
 from gridrecover.sparsify import effective_resistances, is_epsilon_approximation, sparsify_ac
 from gridrecover.states import Scenario, generate_scenario, generate_voltage_driven, rms
 from gridrecover.vandermonde import assemble
-from helpers import random_ac_network, random_connected_graph, random_dc_network, random_graph
+from helpers import random_ac_network, random_dc_network, random_graph
 from oracles import exhaustive_nnls, triangle_bridge_leverages
 
 

@@ -4,12 +4,14 @@ networks and edge subsets, and of the NNLS solver on rank-deficient systems.
 The equations of a subset cut from the complete graph's must be the subset's
 own, bit for bit; a parameter vector must survive the trip through the
 layout and back; a fit on the triangular factor, restricted or re-assembled,
-must agree with the fit on the tall equations to roundoff; and NNLS must
-meet its KKT bound and the global optimum where columns repeat or depend on
-each other.
+must agree with the fit on the tall equations to roundoff; NNLS must meet
+its KKT bound and the global optimum where columns repeat or depend on each
+other; and its updated QR factor must take the same active-set steps as
+solving every step afresh by least squares.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridrecover.network import complete_edges
@@ -18,7 +20,7 @@ from gridrecover.recovery import fit
 from gridrecover.states import generate_voltage_driven
 from gridrecover.vandermonde import assemble, network_from_columns, parameter_vector, restrict
 from helpers import random_ac_network, random_dc_network
-from oracles import exhaustive_nnls, tall_fit, tall_system
+from oracles import exhaustive_nnls, nnls_lstsq, tall_fit, tall_system
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -105,3 +107,38 @@ def test_nnls_meets_kkt_and_the_optimum_on_rank_deficient_systems(system):
     assert np.all(result.w >= 0)
     assert result.kkt_residual <= 1e-8
     assert abs(result.objective - best) <= 1e-12 * (np.linalg.norm(b) + 1.0)
+
+
+@st.composite
+def nnls_systems(draw):
+    """A random tall or square system, or one of :func:`rank_deficient_systems`."""
+    shape = draw(st.sampled_from(["tall", "square", "rank-deficient"]))
+    if shape == "rank-deficient":
+        return draw(rank_deficient_systems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 10))
+    m = k if shape == "square" else draw(st.integers(k + 1, 3 * k + 4))
+    A = rng.standard_normal((m, k))
+    # weights of both signs leave some columns at zero in the optimum
+    b = A @ rng.uniform(-1, 2, k) if draw(st.booleans()) else rng.standard_normal(m)
+    return A, b
+
+
+@PROPERTY
+@given(nnls_systems())
+def test_nnls_takes_the_steps_of_the_least_squares_oracle(system):
+    A, b = system
+    result, oracle = nnls_solve(A, b), nnls_lstsq(A, b)
+    assert np.array_equal(result.w > 0, oracle.w > 0)
+    assert result.iterations == oracle.iterations
+    assert np.max(np.abs(result.w - oracle.w)) <= 1e-9 * np.max(np.abs(oracle.w))
+    assert abs(result.objective - oracle.objective) <= 1e-12 * (np.linalg.norm(b) + 1.0)
+
+
+@PROPERTY
+@given(nnls_systems())
+def test_nnls_objective_matches_scipy(system):
+    optimize = pytest.importorskip("scipy.optimize")
+    A, b = system
+    _, objective = optimize.nnls(A, b)
+    assert abs(nnls_solve(A, b).objective - objective) <= 1e-12 * (np.linalg.norm(b) + 1.0)

@@ -1,7 +1,6 @@
 import logging
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import gridrecover.recovery

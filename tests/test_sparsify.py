@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridrecover.builtins import small_ac, table1_dc
-from gridrecover.network import Network, connectivity, laplacian, split_graphs
+from gridrecover.network import Network, connectivity, split_graphs
 from gridrecover.sparsify import (
     effective_resistances,
     is_epsilon_approximation,
