@@ -10,6 +10,8 @@ collapse.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .network import Network
@@ -29,8 +31,6 @@ SMALL_AC_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4))
 SMALL_AC_ZERO_NODE = 3  # degree 2, so its two edges admit a series collapse
 
 WEIGHT_RANGE = (0.5, 100.0)  # uniform range of the randomized builtin weights
-
-BUILTIN_NAMES = ("table1_dc", "heawood_dc", "path3_dc", "small_ac")
 
 
 def table1_dc() -> Network:
@@ -59,40 +59,34 @@ def small_ac(seed=0) -> Network:
     return Network.ac(6, SMALL_AC_EDGES, c, s)
 
 
+# name -> (network from a seed, data-sampling scenario).  Node 1 always
+# feeds the network (slack); every other node draws a uniform load.  The load
+# ranges are chosen to keep voltages within states.VOLTAGE_RANGE; they are
+# documented here rather than taken from any external protocol.
+BUILTINS = {
+    # the 0.47-conductance bridge feeds three nodes; bigger loads than this
+    # push its voltage drop past the 0.9 floor
+    "table1_dc": (lambda seed: table1_dc(), Scenario(6, p_range=(-0.015, 0.0))),
+    "heawood_dc": (heawood_dc, Scenario(14, p_range=(-0.1, 0.0))),
+    "path3_dc": (lambda seed: path3_dc(), Scenario(3, zero=(2,), p_range=(-0.1, -0.01))),
+    "small_ac": (
+        small_ac,
+        Scenario(6, zero=(SMALL_AC_ZERO_NODE,), p_range=(-0.1, 0.0), q_range=(-0.05, 0.05)),
+    ),
+}
+
+
+def _builtin(name: str):
+    try:
+        return BUILTINS[name]
+    except KeyError:
+        raise ValueError(f"unknown builtin {name!r}; choose from {tuple(BUILTINS)}") from None
+
+
 def builtin_network(name: str, seed=0) -> Network:
-    if name == "table1_dc":
-        return table1_dc()
-    if name == "heawood_dc":
-        return heawood_dc(seed)
-    if name == "path3_dc":
-        return path3_dc()
-    if name == "small_ac":
-        return small_ac(seed)
-    raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    return _builtin(name)[0](seed)
 
 
 def builtin_scenario(name: str, sigma: float = 0.0) -> Scenario:
-    """Data-sampling scenario matching each builtin network.
-
-    Node 1 always feeds the network (slack); every other node draws a
-    uniform load.  The load ranges are chosen to keep voltages within
-    states.VOLTAGE_RANGE; they are documented here rather than taken from any
-    external protocol.
-    """
-    if name == "table1_dc":
-        # the 0.47-conductance bridge feeds three nodes; bigger loads than
-        # this push its voltage drop past the 0.9 floor
-        return Scenario(6, p_range=(-0.015, 0.0), sigma=sigma)
-    if name == "heawood_dc":
-        return Scenario(14, p_range=(-0.1, 0.0), sigma=sigma)
-    if name == "path3_dc":
-        return Scenario(3, zero=(2,), p_range=(-0.1, -0.01), sigma=sigma)
-    if name == "small_ac":
-        return Scenario(
-            6,
-            zero=(SMALL_AC_ZERO_NODE,),
-            p_range=(-0.1, 0.0),
-            q_range=(-0.05, 0.05),
-            sigma=sigma,
-        )
-    raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    """Data-sampling scenario of the named builtin, with noise stddev ``sigma``."""
+    return replace(_builtin(name)[1], sigma=sigma)

@@ -12,15 +12,15 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io
 from .bounds import ac_bound, dc_bound, dc_bound_coarse
-from .builtins import BUILTIN_NAMES, builtin_network, builtin_scenario
-from .network import AC, split_graphs
+from .builtins import BUILTINS, builtin_network, builtin_scenario
+from .network import split_graphs
 from .nnls import NnlsError
 from .recovery import RecoveryConfig, RecoveryError, fit, recover
 from .sparsify import effective_resistances, sparsify_ac
@@ -98,7 +98,7 @@ def cmd_estimate(args) -> int:
     net = io.load_network(args.network)
     states = io.load_states_csv(args.states)
     _check_compatible(net, states)
-    result = fit(assemble(net.edges, states), tol=args.tol)
+    result = fit(assemble(net.edges, states))
     payload = {
         "network": io.network_to_dict(result.network),
         "rms": result.rms,
@@ -117,13 +117,15 @@ def cmd_sparsify(args) -> int:
     outcome = sparsify_ac(net, args.eps, args.seed)
     out = _out_dir(args)
     io.save_network(outcome.graph, out / "sparsified.json")
-    cg, sg = split_graphs(net)
-    stats = {"conductance": effective_resistances(cg)}
-    if net.kind == AC and np.any(sg.c > 0):
-        stats["susceptance"] = effective_resistances(sg)
+    # the rows sparsify_ac samples: those with a positive entry
+    stats = {
+        label: effective_resistances(g)
+        for label, g in zip(("conductance", "susceptance"), split_graphs(net))
+        if np.any(g.c > 0)
+    }
     io.save_edge_statistics_csv(stats, out / "edge_stats.csv")
     print(
-        f"kept {len(outcome.edges)} of {len(net.edges)} edges (t={outcome.t})"
+        f"kept {len(outcome.graph.edges)} of {len(net.edges)} edges (t={outcome.t})"
         f" -> {out / 'sparsified.json'}"
     )
     return 0
@@ -139,25 +141,12 @@ def cmd_bound(args) -> int:
     else:
         report = ac_bound(net, states, args.eps)
     out = _out_dir(args)
-    (out / "bound.json").write_text(json.dumps(io.bound_report_to_dict(report), indent=2) + "\n")
+    (out / "bound.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
     print(
         f"rms {report.rms_base:.3e} + eps*{report.bound_term:.3e}"
         f" = {report.bound_total:.3e} ({report.variant})"
     )
     return 0
-
-
-def _recovery_config(args) -> RecoveryConfig:
-    return RecoveryConfig(
-        eps0=args.eps,
-        psi=args.psi,
-        tol=args.tol,
-        seed=args.seed,
-        max_iterations=args.max_iterations,
-        max_wall_time=args.max_time,
-        max_stale_iterations=args.max_stale,
-        stop_on_tree=args.stop_on_tree,
-    )
 
 
 def _run_trial(payload) -> dict:
@@ -177,9 +166,9 @@ def _run_trial(payload) -> dict:
 
 def cmd_recover(args) -> int:
     out = _out_dir(args)
-    cfg = _recovery_config(args)
+    cfg = RecoveryConfig(**{f.name: getattr(args, f.name) for f in fields(RecoveryConfig)})
     if args.trials > 1:
-        payloads = [(args.states, replace(cfg, seed=args.seed + i)) for i in range(args.trials)]
+        payloads = [(args.states, replace(cfg, seed=cfg.seed + i)) for i in range(args.trials)]
         workers = args.workers or min(args.trials, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(_run_trial, payloads))
@@ -191,7 +180,7 @@ def cmd_recover(args) -> int:
             "edge_counts": sorted(t["edges"] for t in trials),
         }
         (out / "trials.json").write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"{successes}/{len(trials)} trials reached rms <= {args.tol:g}")
+        print(f"{successes}/{len(trials)} trials reached rms <= {cfg.tol:g}")
         return 0 if successes == len(trials) else 1
 
     states = io.load_states_csv(args.states)
@@ -232,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesize a network and measurement states")
-    p.add_argument("--builtin", choices=BUILTIN_NAMES)
+    p.add_argument("--builtin", choices=BUILTINS)
     p.add_argument("--network", help="network JSON to sample voltage-driven states from")
     p.add_argument("--m", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -243,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="fit parameters on a fixed topology")
     p.add_argument("--network", required=True)
     p.add_argument("--states", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_estimate)
 
@@ -264,16 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_bound)
 
+    # one option per RecoveryConfig field, stored under the field's name
+    cfg = RecoveryConfig()
     p = sub.add_parser("recover", help="recover a sparse topology and parameters")
     p.add_argument("--states", required=True)
-    p.add_argument("--eps", type=float, default=0.1, help="initial closeness parameter")
-    p.add_argument("--psi", type=float, default=1.5)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=_positive_int, default=None)
-    p.add_argument("--max-time", type=float, default=None)
-    p.add_argument("--max-stale", type=_positive_int, default=30)
-    p.add_argument("--stop-on-tree", action="store_true")
+    p.add_argument("--eps", dest="eps0", type=float, default=cfg.eps0,
+                   help="initial closeness parameter")
+    p.add_argument("--psi", type=float, default=cfg.psi)
+    p.add_argument("--tol", type=float, default=cfg.tol)
+    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--max-iterations", type=_positive_int, default=cfg.max_iterations)
+    p.add_argument("--max-time", dest="max_wall_time", type=float, default=cfg.max_wall_time)
+    p.add_argument("--max-stale", dest="max_stale_iterations", type=_positive_int,
+                   default=cfg.max_stale_iterations)
+    p.add_argument("--stop-on-tree", action="store_true", default=cfg.stop_on_tree)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--workers", type=_positive_int, default=None)
     p.add_argument("--out-dir", default=".")

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundReport
 from .network import AC, DC, Network
 from .recovery import EVENTS, RecoveryTrace, TraceRow
 from .sparsify import EdgeStatistics
@@ -115,17 +115,17 @@ def load_states_csv(path) -> StateSet:
     return StateSet.dc(*columns) if kind == DC else StateSet(AC, *columns)
 
 
-TRACE_COLUMNS = ("iteration", "edges", "rms", "kappa", "epsilon", "event")
+# Trace CSV layout: one column per TraceRow field, in field order; each cell
+# parses back with the field's type
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+_TRACE_TYPES = tuple(typing.get_type_hints(TraceRow)[name] for name in TRACE_COLUMNS)
 
 
 def save_trace_csv(trace: RecoveryTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for r in trace:
-            writer.writerow(
-                [r.iteration, r.edges, repr(r.rms), repr(r.kappa), repr(r.epsilon), r.event]
-            )
+        writer.writerows([getattr(r, name) for name in TRACE_COLUMNS] for r in trace)
 
 
 def load_trace_csv(path) -> RecoveryTrace:
@@ -139,13 +139,15 @@ def load_trace_csv(path) -> RecoveryTrace:
             if not row:
                 continue
             where = f"{path}:{reader.line_num}"
-            if len(row) != 6 or row[5] not in EVENTS:
+            if len(row) != len(TRACE_COLUMNS):
                 raise FormatError(f"{where}: malformed trace row {row!r}")
             try:
-                numbers = (int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
+                parsed = TraceRow(*(parse(cell) for parse, cell in zip(_TRACE_TYPES, row)))
             except ValueError as exc:
                 raise FormatError(f"{where}: non-numeric trace entry: {exc}") from exc
-            trace.append(TraceRow(*numbers, row[5]))
+            if parsed.event not in EVENTS:
+                raise FormatError(f"{where}: malformed trace row {row!r}")
+            trace.append(parsed)
     return trace
 
 
@@ -176,7 +178,3 @@ def save_edge_statistics_csv(stats_by_graph: dict[str, EdgeStatistics], path) ->
         for label, stats in stats_by_graph.items():
             for (j, k), r, lev, p in zip(stats.edges, stats.r_eff, stats.leverage, stats.p):
                 writer.writerow([label, j, k, repr(float(r)), repr(float(lev)), repr(float(p))])
-
-
-def bound_report_to_dict(report: BoundReport) -> dict:
-    return asdict(report)

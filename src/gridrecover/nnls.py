@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the KKT residual accepted at termination
+KKT_TOL = 1e-8
 # a diagonal entry of R at or below this fraction of the largest passive
 # column norm marks the passive set rank-deficient
 FALLBACK_RTOL = 1e-10
@@ -42,8 +44,9 @@ class NnlsResult:
     """Solution w >= 0 with optimality diagnostics.
 
     ``objective`` is ||A w - b||; ``kkt_residual`` is the largest violation
-    of the optimality conditions (gradient >= -tol on the zero set, |gradient|
-    <= tol on the positive set); ``iterations`` counts least-squares solves.
+    of the optimality conditions (gradient >= 0 on the zero set, gradient = 0
+    on the positive set), at most ``KKT_TOL`` at termination; ``iterations``
+    counts least-squares solves.
     """
 
     w: np.ndarray
@@ -152,10 +155,10 @@ class _PassiveQR:
         return z
 
 
-def solve(A, b, tol: float = 1e-8) -> NnlsResult:
+def solve(A, b) -> NnlsResult:
     """Minimize ||A w - b|| subject to w >= 0.
 
-    ``tol`` bounds the KKT residual accepted at termination.  Raises
+    ``KKT_TOL`` bounds the KKT residual accepted at termination.  Raises
     :class:`NnlsError` with the best iterate attached if more than
     max(ITERATIONS_PER_COLUMN * k, MIN_ITERATIONS) least-squares solves are
     needed on k columns.
@@ -164,8 +167,6 @@ def solve(A, b, tol: float = 1e-8) -> NnlsResult:
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError("A must be (m, k) and b must be (m,) with matching m")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     k = A.shape[1]
     max_iter = max(ITERATIONS_PER_COLUMN * k, MIN_ITERATIONS)
 
@@ -209,7 +210,7 @@ def solve(A, b, tol: float = 1e-8) -> NnlsResult:
 
         resid = b - A @ x
         grad = -(A.T @ resid)  # gradient of 0.5 ||A w - b||^2
-        candidates = ~passive & (-grad > tol)
+        candidates = ~passive & (-grad > KKT_TOL)
         if not candidates.any():
             return NnlsResult(
                 x, float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations

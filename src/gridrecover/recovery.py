@@ -17,6 +17,7 @@ kept fit then stands in for a new restriction and solve.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -43,9 +44,9 @@ class RecoveryConfig:
     """Knobs of the recovery loop.
 
     ``eps0`` is the starting closeness parameter and ``psi > 1`` its
-    exploration factor.  ``tol`` is the rms acceptance tolerance.  At least
-    one stopping criterion must be enabled; the iteration counts must be at
-    least 1 and the wall time positive.
+    exploration factor, both finite.  ``tol`` is the rms acceptance
+    tolerance.  At least one stopping criterion must be enabled; the
+    iteration counts must be at least 1 and the wall time positive.
     """
 
     eps0: float = 0.1
@@ -58,11 +59,11 @@ class RecoveryConfig:
     stop_on_tree: bool = False
 
     def __post_init__(self):
-        # written as "not x > 0" so that nan is rejected too
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
-        if not self.psi > 1:
-            raise ValueError("psi must exceed 1")
+        # written as "not lo < x < hi" so that nan is rejected too
+        if not 0 < self.eps0 < math.inf:
+            raise ValueError("eps0 must be positive and finite")
+        if not 1 < self.psi < math.inf:
+            raise ValueError("psi must exceed 1 and be finite")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -102,19 +103,18 @@ class Fit:
     nnls: NnlsResult
 
 
-def fit(system: VandermondeSystem, tol: float = 1e-8) -> Fit:
+def fit(system: VandermondeSystem) -> Fit:
     """Best non-negative parameters for the system's edges.
 
-    ``tol`` bounds the KKT residual of the NNLS solve.  Raises ValueError
-    when the residual norm overflows, and :class:`NnlsError` when the solver
-    does not converge.
+    Raises ValueError when the residual norm overflows, and
+    :class:`NnlsError` when the solver does not converge.
     """
     rows, cols = system.matrix.shape
     if rows > cols:
         R = np.linalg.qr(np.column_stack((system.matrix, system.rhs)), mode="r")
         rho = float(np.hypot(system.rho, R[cols, cols]))
         system = replace(system, matrix=R[:cols, :cols], rhs=R[:cols, cols], rho=rho)
-    result = nnls_solve(system.matrix, system.rhs, tol=tol)
+    result = nnls_solve(system.matrix, system.rhs)
     # ||A w - b||^2 = ||matrix w - rhs||^2 + rho^2 over the data's equations
     residual = np.hypot(result.objective, system.rho)
     if not np.isfinite(residual):
@@ -243,7 +243,7 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
                 f"sparsification failed at iteration {iteration}: {exc}", trace, cur.normalized()
             ) from exc
         candidate_edges = outcome.graph.edges
-        if 0 < len(candidate_edges) < len(cur.edges):
+        if len(candidate_edges) < len(cur.edges):
             refit = refits.get(candidate_edges)
             if refit is None:
                 try:
@@ -266,12 +266,6 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
                         iteration, len(candidate_edges), refit.rms, refit.kappa, eps_used, EVENT_REJECTED_RMS
                     )
                 )
-        elif len(candidate_edges) == 0:
-            # nothing survived; treat like an over-aggressive (rejected) draw
-            eps = eps / cfg.psi
-            trace.append(
-                TraceRow(iteration, 0, float("inf"), float("inf"), eps_used, EVENT_REJECTED_RMS)
-            )
         else:
             eps = eps * cfg.psi
             trace.append(

@@ -55,10 +55,6 @@ class SparsifyOutcome:
     graph: Network
     t: int
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.graph.edges
-
 
 def _pseudo_inverse(L: np.ndarray) -> np.ndarray:
     """Laplacian pseudoinverse by eigendecomposition with a kernel cut-off."""
@@ -101,11 +97,11 @@ def effective_resistances(g: Network) -> EdgeStatistics:
 def sample_count(n: int, eps: float) -> int:
     """Number of draws, 8*n*ln(n)/eps^2 rounded up and at least 1.
 
-    Raises ValueError when eps is not positive or the count reaches 2^63,
-    which no int64 holds.
+    Raises ValueError when eps is not positive and finite, or when the count
+    reaches 2^63, which no int64 holds.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     # eps**2 underflows to 0 for eps below ~1e-162, far past the cap anyway
     draws = 8.0 * n * math.log(n) / eps**2 if eps**2 > 0 else math.inf
     if not draws < 2.0**63:

@@ -209,9 +209,8 @@ def solve_power_flow(
     """Newton power flow: voltages matching the injections at non-slack nodes.
 
     ``p`` and ``q`` (zero when omitted) hold the injections of one state per
-    row, shape (m, n); the result is the (m, n) complex voltages.  A 1-D
-    ``p`` is one state and gives one voltage vector.  The slack node's
-    voltage is pinned at 1; its injection is left free.
+    row, shape (m, n); the result is the (m, n) complex voltages.  The slack
+    node's voltage is pinned at 1; its injection is left free.
 
     Every row starts flat (v = 1) and takes Newton steps on its own: the
     admittance matrix is built once, the mismatch is one matrix-vector
@@ -222,10 +221,9 @@ def solve_power_flow(
     no convergence in NEWTON_MAX_ITER steps raises PowerFlowError for the
     failed row of lowest index, after the other rows have finished.
     """
-    single = np.ndim(p) == 1
     n = net.n
-    P = np.atleast_2d(np.asarray(p, dtype=float))
-    Q = np.zeros_like(P) if q is None else np.atleast_2d(np.asarray(q, dtype=float))
+    P = np.asarray(p, dtype=float)
+    Q = np.zeros_like(P) if q is None else np.asarray(q, dtype=float)
     if P.ndim != 2 or P.shape[1] != n or Q.shape != P.shape:
         raise ValueError(f"injections must be (m, {n}) arrays of one shape")
     L = admittance_matrix(net)
@@ -290,8 +288,8 @@ def solve_power_flow(
     failed.update(dict.fromkeys(rows[~done].tolist(), reason))
     if failed:
         row = min(failed)
-        raise PowerFlowError(failed[row], row=None if single else row)
-    return V[0] if single else V
+        raise PowerFlowError(failed[row], row=row)
+    return V
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

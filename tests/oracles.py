@@ -30,7 +30,7 @@ from gridrecover.network import (
     laplacian,
     split_graphs,
 )
-from gridrecover.nnls import NnlsError, NnlsResult, _kkt_residual
+from gridrecover.nnls import KKT_TOL, NnlsError, NnlsResult, _kkt_residual
 from gridrecover.recovery import Fit
 from gridrecover.sparsify import EdgeStatistics, SparsifyOutcome, _pseudo_inverse, sample_count
 from gridrecover.states import PowerFlowError, StateSet, add_noise
@@ -151,7 +151,7 @@ def exhaustive_nnls(A, b, feas_tol: float = 1e-9) -> tuple[np.ndarray, float]:
     return best_w, best_obj
 
 
-def nnls_lstsq(A, b, tol: float = 1e-8) -> NnlsResult:
+def nnls_lstsq(A, b) -> NnlsResult:
     """Lawson-Hanson NNLS that solves every least-squares step afresh.
 
     The same active-set iteration as ``gridrecover.nnls.solve``, with the
@@ -205,7 +205,7 @@ def nnls_lstsq(A, b, tol: float = 1e-8) -> NnlsResult:
 
         resid = b - A @ x
         grad = -(A.T @ resid)  # gradient of 0.5 ||A w - b||^2
-        candidates = ~passive & (-grad > tol)
+        candidates = ~passive & (-grad > KKT_TOL)
         if not np.any(candidates):
             return NnlsResult(
                 x, float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations

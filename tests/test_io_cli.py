@@ -1,12 +1,13 @@
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gridrecover import io
-from gridrecover.cli import main
+from gridrecover.cli import build_parser, main
 from gridrecover.network import Network
 from gridrecover.recovery import RecoveryConfig, RecoveryTrace, TraceRow, recover
 from gridrecover.states import StateSet, generate_voltage_driven
@@ -188,6 +189,25 @@ def test_cli_sparsify_deterministic(tmp_path):
                      "--eps", "1", "--seed", "3", "--out-dir", str(out)]) == 0
     assert (out_a / "sparsified.json").read_bytes() == (out_b / "sparsified.json").read_bytes()
     assert (out_a / "edge_stats.csv").read_bytes() == (out_b / "edge_stats.csv").read_bytes()
+
+
+def test_cli_sparsify_susceptance_only_ac_network(tmp_path):
+    # sparsify_ac samples the susceptance row only, and the statistics follow it
+    net = Network.ac(3, ((1, 2), (1, 3), (2, 3)), np.zeros(3), [1.0, 2.0, 3.0])
+    io.save_network(net, tmp_path / "net.json")
+    assert main(["sparsify", "--network", str(tmp_path / "net.json"), "--eps", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "edge_stats.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.startswith("susceptance,") for row in rows)
+
+
+def test_cli_sparsify_rejects_infinite_eps(tmp_path, capsys):
+    io.save_network(Network.dc(3, ((1, 2), (2, 3)), [2.0, 3.0]), tmp_path / "net.json")
+    assert main(["sparsify", "--network", str(tmp_path / "net.json"), "--eps", "inf",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "eps must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "sparsified.json").exists()
 
 
 def test_cli_bound_variants_ordered(tmp_path):
@@ -439,7 +459,9 @@ def test_cli_rejects_counts_below_one(tmp_path, capsys, flag, value):
     "flag, value, message",
     [
         ("--eps", "nan", "eps0 must be positive"),
+        ("--eps", "inf", "eps0 must be positive"),
         ("--psi", "nan", "psi must exceed 1"),
+        ("--psi", "inf", "psi must exceed 1"),
         ("--tol", "nan", "tol must be positive"),
         ("--max-time", "-1", "max_wall_time must be positive"),
     ],
@@ -451,10 +473,8 @@ def test_cli_recover_rejects_bad_knobs_before_fitting(tmp_path, capsys, flag, va
     assert message in capsys.readouterr().err
 
 
-def test_cli_estimate_rejects_nan_tol(tmp_path, capsys):
-    assert main(["generate", "--builtin", "table1_dc", "--m", "10", "--seed", "1",
-                 "--out-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert main(["estimate", "--network", str(tmp_path / "network.json"), "--states",
-                 str(tmp_path / "states.csv"), "--tol", "nan", "--out-dir", str(tmp_path)]) == 1
-    assert "tol must be positive" in capsys.readouterr().err
+def test_cli_recover_defaults_are_the_config_defaults():
+    # getattr fails for a RecoveryConfig field that has no recover option
+    args = build_parser().parse_args(["recover", "--states", "x"])
+    cfg = RecoveryConfig(**{f.name: getattr(args, f.name) for f in fields(RecoveryConfig)})
+    assert cfg == RecoveryConfig()

@@ -110,10 +110,6 @@ def test_nearly_dependent_column_falls_back_to_least_squares(monkeypatch):
 def test_input_validation():
     with pytest.raises(ValueError):
         solve(np.eye(3), np.ones(2))
-    with pytest.raises(ValueError):
-        solve(np.eye(2), np.ones(2), tol=0.0)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        solve(np.eye(2), np.ones(2), tol=float("nan"))  # would stop at w = 0
 
 
 def test_parameter_estimation_round_trip():

@@ -33,7 +33,9 @@ def test_config_validation():
     nan = float("nan")
     for field, value, message in (
         ("eps0", nan, "eps0 must be positive"),
+        ("eps0", float("inf"), "eps0 must be positive"),
         ("psi", nan, "psi must exceed 1"),
+        ("psi", float("inf"), "psi must exceed 1"),
         ("tol", nan, "tol must be positive"),
         ("max_iterations", 0, "max_iterations must be at least 1"),
         ("max_stale_iterations", 0, "max_stale_iterations must be at least 1"),

@@ -82,8 +82,9 @@ def test_sample_count_formula():
     assert sample_count(1, 5.0) == 1
     with pytest.raises(ValueError):
         sample_count(5, 0.0)
-    with pytest.raises(ValueError, match="eps must be positive"):
-        sample_count(5, float("nan"))
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            sample_count(5, eps)
 
 
 def test_sample_count_past_int64_names_eps_and_n():

@@ -197,8 +197,10 @@ def test_solve_power_flow_matches_injections():
     rng = np.random.default_rng(7)
     net = random_dc_network(rng, 6, wrange=(5.0, 20.0))
     p = np.concatenate([[0.0], rng.uniform(-0.05, 0.0, 5)])
-    v = solve_power_flow(net, p, slack=1)
+    v = solve_power_flow(net, p[None, :], slack=1)[0]
     assert v[0] == 1.0
+    with pytest.raises(ValueError, match=r"injections must be \(m, 6\) arrays"):
+        solve_power_flow(net, p, slack=1)  # one state is a stack of one row
     states = StateSet.dc(v.real[None, :], p[None, :])
     r = residuals(net, states)
     assert np.max(np.abs(r[1:])) <= 1e-12  # non-slack equations solved
@@ -240,7 +242,7 @@ def _counting_solves(monkeypatch):
     solve = gstates.solve_power_flow
 
     def counted(*args, **kwargs):
-        calls.append(len(np.atleast_2d(args[1])))
+        calls.append(len(args[1]))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(gstates, "solve_power_flow", counted)
@@ -304,7 +306,7 @@ def test_stacked_solve_power_flow_equals_row_by_row_calls(make):
     stacked = solve_power_flow(net, p, q, slack=1)
     assert stacked.shape == (7, 6)
     for row in range(7):
-        alone = solve_power_flow(net, p[row], q[row], slack=1)
+        alone = solve_power_flow(net, p[row:row + 1], q[row:row + 1], slack=1)[0]
         assert np.array_equal(stacked[row], alone)
         assert np.array_equal(alone, newton_per_state(net, p[row], q[row], slack=1))
 
@@ -316,11 +318,11 @@ def test_stacked_solve_power_flow_names_the_failed_row():
     with pytest.raises(PowerFlowError, match="^row 1: singular power-flow Jacobian$") as exc:
         solve_power_flow(line, p)
     assert exc.value.row == 1
-    with pytest.raises(PowerFlowError, match="^damping failed") as exc:
-        solve_power_flow(line, p[2])
-    assert exc.value.row is None
+    with pytest.raises(PowerFlowError, match="^row 0: damping failed") as exc:
+        solve_power_flow(line, p[2:3])
+    assert exc.value.row == 0
     # the rows that did not fail are the rows solved alone
-    assert np.array_equal(solve_power_flow(line, p[[0, 3]])[1], solve_power_flow(line, p[3]))
+    assert np.array_equal(solve_power_flow(line, p[[0, 3]])[1], solve_power_flow(line, p[3:4])[0])
 
 
 def test_generate_scenario_singular_jacobian_names_the_state():
