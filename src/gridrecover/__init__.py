@@ -31,6 +31,7 @@ from .sparsify import (
     SparsifyOutcome,
     effective_resistances,
     is_epsilon_approximation,
+    row_statistics,
     sample_count,
     sparsify_ac,
 )

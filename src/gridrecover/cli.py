@@ -20,10 +20,9 @@ import numpy as np
 from . import io
 from .bounds import ac_bound, dc_bound, dc_bound_coarse
 from .builtins import BUILTINS, builtin_network, builtin_scenario
-from .network import split_graphs
 from .nnls import NnlsError
 from .recovery import RecoveryConfig, RecoveryError, fit, recover
-from .sparsify import effective_resistances, sparsify_ac
+from .sparsify import row_statistics, sparsify_ac
 from .states import (
     VOLTAGE_RANGE,
     PowerFlowError,
@@ -117,13 +116,7 @@ def cmd_sparsify(args) -> int:
     outcome = sparsify_ac(net, args.eps, args.seed)
     out = _out_dir(args)
     io.save_network(outcome.graph, out / "sparsified.json")
-    # the rows sparsify_ac samples: those with a positive entry
-    stats = {
-        label: effective_resistances(g)
-        for label, g in zip(("conductance", "susceptance"), split_graphs(net))
-        if np.any(g.c > 0)
-    }
-    io.save_edge_statistics_csv(stats, out / "edge_stats.csv")
+    io.save_edge_statistics_csv(row_statistics(net), out / "edge_stats.csv")
     print(
         f"kept {len(outcome.graph.edges)} of {len(net.edges)} edges (t={outcome.t})"
         f" -> {out / 'sparsified.json'}"
@@ -223,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthesize a network and measurement states")
     p.add_argument("--builtin", choices=BUILTINS)
     p.add_argument("--network", help="network JSON to sample voltage-driven states from")
-    p.add_argument("--m", type=int, default=200)
+    p.add_argument("--m", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=_non_negative_float, default=0.0)
     p.add_argument("--out-dir", default=".")

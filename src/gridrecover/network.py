@@ -55,7 +55,9 @@ class Network:
 
     ``kind`` is ``"dc"`` or ``"ac"``.  DC networks must have all
     susceptances equal to zero.  Zero-weight edges are allowed (they do not
-    change the state space) but are dropped by :meth:`normalized`.
+    change the state space) but are dropped by :meth:`normalized`.  A network
+    never changes, so values derived from it may be kept on the object, as
+    :mod:`.sparsify` keeps its sampling statistics.
     """
 
     kind: str

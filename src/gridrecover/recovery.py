@@ -242,7 +242,7 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
             raise RecoveryError(
                 f"sparsification failed at iteration {iteration}: {exc}", trace, cur.normalized()
             ) from exc
-        candidate_edges = outcome.graph.edges
+        candidate_edges = outcome.edges
         if len(candidate_edges) < len(cur.edges):
             refit = refits.get(candidate_edges)
             if refit is None:

@@ -11,12 +11,20 @@ least 1/2 for eps in (0, 1] (1/4 on AC, where both rows must pass).
 Leverages have a circuit meaning: the fraction of the end-to-end conductance
 between an edge's endpoints carried by the edge itself.  They are 1 exactly
 on bridges and sum to n minus the number of connected components.
+
+The statistics of a network depend on nothing but the network, which is
+immutable, so they are computed once per ``Network`` object and kept on it:
+the recovery loop samples one held network again and again until it accepts
+another.  A sample is its kept edges and their weights; the sampled
+``Network`` is built only when ``SparsifyOutcome.graph`` is first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -25,6 +33,7 @@ from .network import DC, Edge, Network, _laplacian, spectral_norm
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-12
+WEIGHT_ROWS = ("conductance", "susceptance")  # the names of the weight rows c and s
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +59,21 @@ class EdgeStatistics:
 
 @dataclass(frozen=True, eq=False)
 class SparsifyOutcome:
-    """Result of one sparsification run."""
+    """Result of one sparsification run: the kept edges of a ``kind`` network
+    on nodes 1..n, in input order, their conductances and susceptances, and
+    the number of draws t per weight row."""
 
-    graph: Network
+    kind: str
+    n: int
+    edges: tuple[Edge, ...]
+    c: np.ndarray
+    s: np.ndarray
     t: int
+
+    @cached_property
+    def graph(self) -> Network:
+        """The sampled network, built on first use."""
+        return Network(self.kind, self.n, self.edges, self.c, self.s)
 
 
 def _pseudo_inverse(L: np.ndarray) -> np.ndarray:
@@ -69,14 +89,44 @@ def _pseudo_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _row_statistics(n: int, edges: tuple[Edge, ...], w: np.ndarray):
-    """Mask of one weight row's positive entries, and their resistances,
-    leverages and probabilities; zero entries add nothing to the Laplacian."""
-    pos = w > 0
+    """Positions of one weight row's positive entries, and their statistics;
+    zero entries add nothing to the Laplacian."""
+    at = np.flatnonzero(w > 0)
     Lp = _pseudo_inverse(_laplacian(n, edges, w))
-    a, b = (np.array(edges).reshape(-1, 2)[pos] - 1).T
+    a, b = (np.array(edges).reshape(-1, 2)[at] - 1).T
     r = np.maximum(Lp[a, a] + Lp[b, b] - 2.0 * Lp[a, b], 0.0)
-    leverage = w[pos] * r
-    return pos, r, leverage, leverage / leverage.sum()
+    leverage = w[at] * r
+    stats = EdgeStatistics(tuple(edges[i] for i in at), w[at], r, leverage, leverage / leverage.sum())
+    for array in (at, stats.w, stats.r_eff, stats.leverage, stats.p):
+        array.setflags(write=False)  # shared by every later call on the network
+    return at, stats
+
+
+def _compute_statistics(net: Network) -> dict[str, tuple[np.ndarray, EdgeStatistics]]:
+    """:func:`_row_statistics` of each weight row with a positive entry, by
+    row name, conductances first."""
+    return {
+        label: _row_statistics(net.n, net.edges, w)
+        for label, w in zip(WEIGHT_ROWS, (net.c, net.s))
+        if np.any(w > 0)
+    }
+
+
+def _statistics(net: Network) -> dict[str, tuple[np.ndarray, EdgeStatistics]]:
+    """:func:`_compute_statistics` of ``net``, computed on the first call and
+    kept on the network for every later one."""
+    stats = net.__dict__.get("_sampling")
+    if stats is None:
+        stats = _compute_statistics(net)
+        object.__setattr__(net, "_sampling", stats)
+    return stats
+
+
+def row_statistics(net: Network) -> dict[str, EdgeStatistics]:
+    """Statistics of each weight row with a positive entry, the rows that
+    :func:`sparsify_ac` samples, by row name: "conductance", then
+    "susceptance"."""
+    return {label: stats for label, (_, stats) in _statistics(net).items()}
 
 
 def effective_resistances(g: Network) -> EdgeStatistics:
@@ -89,9 +139,7 @@ def effective_resistances(g: Network) -> EdgeStatistics:
         raise ValueError("effective_resistances needs a DC network")
     if not np.any(g.c > 0):
         raise ValueError("graph has no positive-weight edge")
-    pos, r, leverage, p = _row_statistics(g.n, g.edges, g.c)
-    edges = tuple(e for e, k in zip(g.edges, pos) if k)
-    return EdgeStatistics(edges, g.c[pos], r, leverage, p)
+    return row_statistics(g)["conductance"]
 
 
 def sample_count(n: int, eps: float) -> int:
@@ -129,21 +177,21 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         seeds = ss.spawn(2)
     out = np.zeros((2, len(net.edges)))
-    for w, row_seed, new_w in zip((net.c, net.s), seeds, out):
-        if not np.any(w > 0):
+    stats = _statistics(net)
+    for label, row_seed, new_w in zip(WEIGHT_ROWS, seeds, out):
+        if label not in stats:
             continue
-        pos, _, _, p = _row_statistics(net.n, net.edges, w)
+        at, row = stats[label]
         # the draw counts of t draws with replacement, in O(edges) memory and
         # time; p is 0 where a resistance clips to 0, so divide drawn entries only
-        counts = np.random.default_rng(row_seed).multinomial(t, p)
+        counts = np.random.default_rng(row_seed).multinomial(t, row.p)
         drawn = counts > 0
-        at = np.flatnonzero(pos)[drawn]
-        new_w[at] = counts[drawn] * w[at] / (t * p[drawn])
+        new_w[at[drawn]] = counts[drawn] * row.w[drawn] / (t * row.p[drawn])
     keep = np.any(out > 0, axis=0)
     if not keep.any():
         raise ValueError("network has no positive-weight edge")
-    edges = tuple(e for e, k in zip(net.edges, keep) if k)
-    return SparsifyOutcome(Network(net.kind, net.n, edges, *out[:, keep]), t)
+    c, s = out[:, keep]
+    return SparsifyOutcome(net.kind, net.n, tuple(compress(net.edges, keep)), c, s, t)
 
 
 def is_epsilon_approximation(net: Network, net2: Network, eps: float) -> bool:

@@ -32,7 +32,7 @@ from gridrecover.network import (
 )
 from gridrecover.nnls import KKT_TOL, NnlsError, NnlsResult, _kkt_residual
 from gridrecover.recovery import Fit
-from gridrecover.sparsify import EdgeStatistics, SparsifyOutcome, _pseudo_inverse, sample_count
+from gridrecover.sparsify import EdgeStatistics, _pseudo_inverse, sample_count
 from gridrecover.states import PowerFlowError, StateSet, add_noise
 from gridrecover.vandermonde import VandermondeSystem, condition_number, network_from_columns
 
@@ -385,8 +385,9 @@ def _positive_graph_statistics(g) -> EdgeStatistics:
     return EdgeStatistics(pos.edges, pos.c, r, leverage, p)
 
 
-def _sparsify_graph(g, eps: float, seed=0) -> SparsifyOutcome:
-    """Sparsify one graph (a DC network) as a network of its own."""
+def _sparsify_graph(g, eps: float, seed=0) -> SimpleNamespace:
+    """Sparsify one graph (a DC network) as a network of its own: the
+    sampled ``graph`` and the draw count ``t``."""
     stats = _positive_graph_statistics(g)
     t = sample_count(g.n, eps)
     # the draw counts of t draws with replacement, in O(edges) memory and time
@@ -394,10 +395,10 @@ def _sparsify_graph(g, eps: float, seed=0) -> SparsifyOutcome:
     keep = counts > 0
     new_w = counts[keep] * stats.w[keep] / (t * stats.p[keep])
     edges = tuple(e for e, k in zip(stats.edges, keep) if k)
-    return SparsifyOutcome(Network.dc(g.n, edges, new_w), t)
+    return SimpleNamespace(graph=Network.dc(g.n, edges, new_w), t=t)
 
 
-def sparsify_two_graphs(net, eps: float, seed=0) -> SparsifyOutcome:
+def sparsify_two_graphs(net, eps: float, seed=0) -> SimpleNamespace:
     """Sparsification through the conductance and susceptance graphs.
 
     A DC network is sparsified as one graph with ``seed``.  An AC network is
@@ -425,4 +426,4 @@ def sparsify_two_graphs(net, eps: float, seed=0) -> SparsifyOutcome:
     edges = tuple(sorted(set(c_side) | set(s_side)))
     c = np.array([c_side.get(e, 0.0) for e in edges])
     s = np.array([s_side.get(e, 0.0) for e in edges])
-    return SparsifyOutcome(Network.ac(net.n, edges, c, s), t)
+    return SimpleNamespace(graph=Network.ac(net.n, edges, c, s), t=t)

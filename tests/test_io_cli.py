@@ -6,10 +6,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import gridrecover.sparsify as sparsify
 from gridrecover import io
 from gridrecover.cli import build_parser, main
-from gridrecover.network import Network
+from gridrecover.network import Network, split_graphs
 from gridrecover.recovery import RecoveryConfig, RecoveryTrace, TraceRow, recover
+from gridrecover.sparsify import effective_resistances
 from gridrecover.states import StateSet, generate_voltage_driven
 from helpers import random_ac_network, random_dc_network
 
@@ -202,6 +204,28 @@ def test_cli_sparsify_susceptance_only_ac_network(tmp_path):
     assert all(row.startswith("susceptance,") for row in rows)
 
 
+@pytest.mark.parametrize("name, rows", [("table1_dc", 1), ("small_ac", 2)])
+def test_cli_sparsify_inverts_each_weight_row_once(tmp_path, monkeypatch, name, rows):
+    assert main(["generate", "--builtin", name, "--m", "1", "--out-dir", str(tmp_path)]) == 0
+    inverses = []
+
+    def counting_pseudo_inverse(L):
+        inverses.append(L.shape)
+        return pseudo_inverse(L)
+
+    pseudo_inverse = sparsify._pseudo_inverse
+    monkeypatch.setattr(sparsify, "_pseudo_inverse", counting_pseudo_inverse)
+    assert main(["sparsify", "--network", str(tmp_path / "network.json"), "--eps", "0.7",
+                 "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    assert len(inverses) == rows
+    # the statistics sparsify_ac sampled by are those of each row on its own
+    net = io.load_network(tmp_path / "network.json")
+    graphs = dict(zip(("conductance", "susceptance"), split_graphs(net)))
+    stats = {label: effective_resistances(g) for label, g in graphs.items() if np.any(g.c > 0)}
+    io.save_edge_statistics_csv(stats, tmp_path / "expected.csv")
+    assert (tmp_path / "edge_stats.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def test_cli_sparsify_rejects_infinite_eps(tmp_path, capsys):
     io.save_network(Network.dc(3, ((1, 2), (2, 3)), [2.0, 3.0]), tmp_path / "net.json")
     assert main(["sparsify", "--network", str(tmp_path / "net.json"), "--eps", "inf",
@@ -314,6 +338,16 @@ def test_cli_generate_rejects_bad_noise(tmp_path, capsys, value):
               "--out-dir", str(out)])
     assert exc.value.code == 2
     assert "must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_generate_rejects_m_below_one(tmp_path, capsys, value):
+    out = tmp_path / "exp"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--builtin", "table1_dc", "--m", value, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,9 +1,12 @@
 import logging
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import gridrecover.recovery
+import gridrecover.sparsify as sparsify
+from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
 from gridrecover.network import Network
 from gridrecover.recovery import (
     EVENT_ACCEPTED,
@@ -187,3 +190,69 @@ def test_stale_counter():
     )
     assert trace.stale_iterations() == 2
     assert len(trace.filtered()) == 2
+
+
+def _builtin_run(name, sigma, seed):
+    """60 states of a builtin and a config whose tol is 1.5 times the noise
+    floor (1e-5 on exact data), so that noisy runs accept several times."""
+    net = builtin_network(name, seed)
+    states = generate_scenario(net, builtin_scenario(name, sigma=sigma), 60, seed=seed)
+    tol = 1.5 * rms(net, states) if sigma else 1e-5
+    return states, RecoveryConfig(seed=seed, tol=tol, max_stale_iterations=10)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("sigma", [0.0, 1e-6])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_kept_statistics_change_no_result(monkeypatch, name, sigma, seed):
+    states, cfg = _builtin_run(name, sigma, seed)
+    net, trace = recover(states, cfg)
+    # every sparsify_ac call computes its statistics afresh
+    monkeypatch.setattr(sparsify, "_statistics", sparsify._compute_statistics)
+    fresh_net, fresh_trace = recover(states, cfg)
+    assert trace.rows == fresh_trace.rows
+    assert net.edges == fresh_net.edges
+    assert np.array_equal(net.c, fresh_net.c) and np.array_equal(net.s, fresh_net.s)
+
+
+@pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
+def test_recover_samples_each_held_network_once(monkeypatch, name):
+    states, cfg = _builtin_run(name, 1e-6, 1)
+    pseudo_inverse = sparsify._pseudo_inverse
+    sparsify_ac = gridrecover.recovery.sparsify_ac
+    post_init = Network.__post_init__
+    held, inverses, refits, built_inside, inside = {}, [], [], [], [False]
+
+    def counting_pseudo_inverse(L):
+        inverses.append(L.shape)
+        return pseudo_inverse(L)
+
+    def watched_sparsify(net, eps, seed):
+        held[id(net)] = net
+        inside[0] = True
+        try:
+            return sparsify_ac(net, eps, seed)
+        finally:
+            inside[0] = False
+
+    def watched_post_init(self):
+        built_inside.append(inside[0])
+        post_init(self)
+
+    def counting_restrict(system, edges):
+        refits.append(edges)
+        return restrict(system, edges)
+
+    monkeypatch.setattr(sparsify, "_pseudo_inverse", counting_pseudo_inverse)
+    monkeypatch.setattr(gridrecover.recovery, "sparsify_ac", watched_sparsify)
+    monkeypatch.setattr(gridrecover.recovery, "restrict", counting_restrict)
+    monkeypatch.setattr(Network, "__post_init__", watched_post_init)
+    _, trace = recover(states, cfg)
+    # one network is held from each initial or accepted row to the next
+    assert len(held) == len(trace.filtered()) > 2
+    rows = sum(int(np.any(net.c > 0)) + int(np.any(net.s > 0)) for net in held.values())
+    assert rows == len(held) * (2 if name == "small_ac" else 1)
+    assert len(inverses) == rows
+    assert built_inside and not any(built_inside)
+    # one network per fit, per accepted network and for the result: none for a draw
+    assert len(refits) + 1 <= len(built_inside) <= len(refits) + len(held) + 1
