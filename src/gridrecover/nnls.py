@@ -20,6 +20,17 @@ among the passive columns, the passive set is numerically rank-deficient
 (degenerate topologies have such sets).  Its solves are then minimum-norm
 least squares on those columns (``np.linalg.lstsq``), until a column leaves
 and a fresh factor has full rank again.
+
+A system whose unconstrained least-squares solution is strictly positive
+needs no active-set step: on full column rank that solution is the unique
+minimizer over all w, so over w >= 0 as well, and it meets the KKT
+conditions with an empty zero set and a zero gradient (Lawson & Hanson,
+ch. 23).  :func:`solve` would reach it from w = 0 by one step per column.
+:func:`back_substitute` takes a square upper triangle, as a re-compressed
+system is, applies the same rank test as the factor above, solves it by one
+back-substitution and returns that solution only when every weight is
+positive and the KKT residual is at most ``KKT_TOL``; otherwise the caller
+runs :func:`solve`.
 """
 
 from __future__ import annotations
@@ -153,6 +164,32 @@ class _PassiveQR:
             p = len(self.cols)
             z[self.cols] = self.rinv[:p, :p] @ self.qtb[:p]
         return z
+
+
+def back_substitute(R, b) -> NnlsResult | None:
+    """The NNLS optimum of a square upper triangle R, when it is R^-1 b.
+
+    Returns None when a diagonal entry of R is at or below ``FALLBACK_RTOL``
+    times its largest column norm, when a weight of R^-1 b is not positive,
+    or when the KKT residual exceeds ``KKT_TOL``; a result counts one
+    least-squares solve.
+    """
+    R = np.asarray(R, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k = len(b)
+    if R.shape != (k, k) or b.ndim != 1 or k == 0:
+        raise ValueError("R must be (k, k) and b must be (k,) with k >= 1")
+    if np.min(np.abs(np.diag(R))) <= FALLBACK_RTOL * np.max(np.linalg.norm(R, axis=0)):
+        return None
+    # LU of a triangular matrix takes no row swap: this is a back-substitution
+    w = np.linalg.solve(R, b)
+    if not (w > 0).all():
+        return None
+    resid = b - R @ w
+    kkt = _kkt_residual(-(R.T @ resid), np.ones(k, dtype=bool))
+    if kkt > KKT_TOL:
+        return None
+    return NnlsResult(w, float(np.linalg.norm(resid)), kkt, 1)
 
 
 def solve(A, b) -> NnlsResult:

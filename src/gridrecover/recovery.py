@@ -9,9 +9,11 @@ edge set.  Iteration 1 is the complete-graph fit itself.
 
 All candidate systems are column restrictions of the complete-graph system,
 assembled once per run into its triangular factor, and every one is
-estimated by :func:`fit`.  A run keeps each refit by its candidate edge set:
-sparsification often draws an edge set the run has already fitted, and the
-kept fit then stands in for a new restriction and solve.
+estimated by :func:`fit`.  A run keeps the rms and condition number of each
+rejected candidate by its edge set: sparsification often draws an edge set
+the run has already rejected, and the kept pair then stands in for a new
+restriction and solve.  An accepted edge set is never drawn again, since
+every later candidate has fewer edges than the network it is drawn from.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .network import Network, complete_edges, is_spanning_tree
-from .nnls import NnlsError, NnlsResult, solve as nnls_solve
+from .nnls import NnlsError, NnlsResult, back_substitute, solve as nnls_solve
 from .sparsify import sparsify_ac
 from .states import StateSet, rms as states_rms
 from .vandermonde import VandermondeSystem, assemble, condition_number, network_from_columns, restrict
@@ -83,44 +86,60 @@ class RecoveryConfig:
 
 @dataclass(frozen=True, eq=False)
 class Fit:
-    """A parameter estimate on a fixed edge set: the network the NNLS
-    solution describes (zero-weight edges included), its rms fitting error
-    over all the equations of the data, the condition number of its system,
-    and the solver's result.
+    """A parameter estimate on a fixed edge set: the system it solved, its
+    rms fitting error over all the equations of the data, the condition
+    number of that system, and the solver's result.  ``network`` is the
+    network the NNLS solution describes (zero-weight edges included), built
+    on first read.
 
     A system with more rows than columns, such as a candidate cut from the
     complete graph's factor, is compressed again first: one QR of
     ``[matrix | rhs]`` gives a square triangle with the singular values of
     ``matrix``, so ``kappa`` is that of ``matrix``, a new rhs, and a corner
-    that joins ``rho`` by ``hypot``.  The solver runs on the square system,
-    so ``nnls.objective`` is its residual norm, which leaves out ``rho`` and
-    the corner; ``rms`` is ``hypot(nnls.objective, rho, corner) /
-    sqrt(rows)``, the rms of the data's residuals."""
+    that joins ``rho`` by ``hypot``.  ``system`` is that square system.  Its
+    back-substitution is the least-squares solution; when it has full rank
+    and every weight is positive, that solution is the NNLS optimum, taken
+    as the fit in one least-squares solve (:func:`nnls.back_substitute`).
+    Otherwise the active-set solver runs on the square system.  Either way
+    ``nnls.objective`` is the square system's residual norm, which leaves
+    out ``rho`` and the corner; ``rms`` is ``hypot(nnls.objective, rho,
+    corner) / sqrt(rows)``, the rms of the data's residuals."""
 
-    network: Network
+    system: VandermondeSystem
     rms: float
     kappa: float
     nnls: NnlsResult
+
+    @cached_property
+    def network(self) -> Network:
+        return network_from_columns(self.system, self.nnls.w)
 
 
 def fit(system: VandermondeSystem) -> Fit:
     """Best non-negative parameters for the system's edges.
 
-    Raises ValueError when the residual norm overflows, and
-    :class:`NnlsError` when the solver does not converge.
+    A system with more rows than columns is re-compressed to a square
+    triangle and fitted by back-substitution when its least-squares weights
+    are all positive, by the active-set solver otherwise; a square system,
+    such as the complete graph's or an assembled one, always goes to the
+    active-set solver.  Raises ValueError when the residual norm overflows,
+    and :class:`NnlsError` when the solver does not converge.
     """
     rows, cols = system.matrix.shape
+    result = None
     if rows > cols:
         R = np.linalg.qr(np.column_stack((system.matrix, system.rhs)), mode="r")
         rho = float(np.hypot(system.rho, R[cols, cols]))
         system = replace(system, matrix=R[:cols, :cols], rhs=R[:cols, cols], rho=rho)
-    result = nnls_solve(system.matrix, system.rhs)
+        result = back_substitute(system.matrix, system.rhs)
+    if result is None:
+        result = nnls_solve(system.matrix, system.rhs)
     # ||A w - b||^2 = ||matrix w - rhs||^2 + rho^2 over the data's equations
     residual = np.hypot(result.objective, system.rho)
     if not np.isfinite(residual):
         raise ValueError(f"fit residual overflows to {residual}; rescale the data")
     fit_rms = float(residual / np.sqrt(system.rows))
-    return Fit(network_from_columns(system, result.w), fit_rms, condition_number(system), result)
+    return Fit(system, fit_rms, condition_number(system), result)
 
 
 @dataclass(frozen=True)
@@ -228,7 +247,7 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
 
     eps = cfg.eps0
     iteration = 1
-    refits: dict[tuple, Fit] = {}  # by candidate edge set
+    rejected: dict[tuple, tuple[float, float]] = {}  # (rms, kappa) by candidate edge set
     while True:
         stop, reason = should_stop(trace, cfg, time.monotonic() - t0, cur)
         if stop:
@@ -244,28 +263,28 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
             ) from exc
         candidate_edges = outcome.edges
         if len(candidate_edges) < len(cur.edges):
-            refit = refits.get(candidate_edges)
-            if refit is None:
+            if candidate_edges not in rejected:
                 try:
-                    refit = refits[candidate_edges] = fit(restrict(full, candidate_edges))
+                    refit = fit(restrict(full, candidate_edges))
                 except NnlsError as exc:
                     raise RecoveryError(
                         f"estimation failed at iteration {iteration}: {exc}",
                         trace,
                         cur.normalized(),
                     ) from exc
-            if refit.rms <= cfg.tol:
-                cur, held = refit.network.normalized(), refit
-                trace.append(
-                    TraceRow(iteration, len(cur.edges), held.rms, held.kappa, eps_used, EVENT_ACCEPTED)
-                )
-            else:
-                eps = eps / cfg.psi
-                trace.append(
-                    TraceRow(
-                        iteration, len(candidate_edges), refit.rms, refit.kappa, eps_used, EVENT_REJECTED_RMS
+                if refit.rms <= cfg.tol:
+                    cur, held = refit.network.normalized(), refit
+                    trace.append(
+                        TraceRow(iteration, len(cur.edges), held.rms, held.kappa, eps_used, EVENT_ACCEPTED)
                     )
+                    continue
+                rejected[candidate_edges] = (refit.rms, refit.kappa)
+            eps = eps / cfg.psi
+            trace.append(
+                TraceRow(
+                    iteration, len(candidate_edges), *rejected[candidate_edges], eps_used, EVENT_REJECTED_RMS
                 )
+            )
         else:
             eps = eps * cfg.psi
             trace.append(

@@ -34,7 +34,7 @@ from gridrecover.nnls import KKT_TOL, NnlsError, NnlsResult, _kkt_residual
 from gridrecover.recovery import Fit
 from gridrecover.sparsify import EdgeStatistics, _pseudo_inverse, sample_count
 from gridrecover.states import PowerFlowError, StateSet, add_noise
-from gridrecover.vandermonde import VandermondeSystem, condition_number, network_from_columns
+from gridrecover.vandermonde import VandermondeSystem, condition_number
 
 
 def direct_residuals(net, states) -> np.ndarray:
@@ -257,9 +257,7 @@ def tall_fit(edges, states) -> Fit:
     system = tall_system(edges, states)
     result = nnls_lstsq(system.matrix, system.rhs)
     rms = float(result.objective / np.sqrt(system.matrix.shape[0]))
-    return Fit(
-        network_from_columns(system, result.w), rms, condition_number(system.matrix), result
-    )
+    return Fit(system, rms, condition_number(system.matrix), result)
 
 
 def newton_per_state(net, p, q=None, slack: int = 1) -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gridrecover.nnls
-from gridrecover.nnls import NnlsError, solve
+from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, back_substitute, solve
 from gridrecover.recovery import fit
 from gridrecover.vandermonde import assemble
 from oracles import exhaustive_nnls, kernel_basis, nnls_lstsq, tall_fit
@@ -110,6 +111,57 @@ def test_nearly_dependent_column_falls_back_to_least_squares(monkeypatch):
 def test_input_validation():
     with pytest.raises(ValueError):
         solve(np.eye(3), np.ones(2))
+    for R, b in ((np.eye(3), np.ones(2)), (np.ones((3, 2)), np.ones(3)), (np.eye(0), np.ones(0))):
+        with pytest.raises(ValueError):
+            back_substitute(R, b)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def triangles(draw):
+    """The square upper triangle of a random tall system, and a generator
+    for its solution."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 10))
+    R = np.linalg.qr(rng.standard_normal((draw(st.integers(k + 1, 3 * k + 4)), k)), mode="r")
+    return R, rng
+
+
+@PROPERTY
+@given(triangles())
+def test_back_substitution_is_the_optimum_of_a_positive_solution(case):
+    R, rng = case
+    b = R @ rng.uniform(0.5, 2.0, R.shape[1])
+    result = back_substitute(R, b)
+    assert result is not None and result.iterations == 1
+    assert np.all(result.w > 0) and result.kkt_residual <= KKT_TOL
+    reference, *_ = np.linalg.lstsq(R, b, rcond=None)
+    assert np.max(np.abs(result.w - reference)) <= 1e-12 * np.max(np.abs(reference))
+    # both objectives are roundoff; the active-set solver's is no smaller
+    assert result.objective <= solve(R, b).objective + 1e-15 * np.linalg.norm(b)
+
+
+@PROPERTY
+@given(triangles())
+def test_back_substitution_declines_a_mixed_sign_solution(case):
+    R, rng = case
+    w = rng.uniform(0.5, 2.0, R.shape[1])
+    w[rng.integers(R.shape[1])] = -rng.uniform(0.5, 2.0)
+    assert back_substitute(R, R @ w) is None
+
+
+@PROPERTY
+@given(triangles(), st.sampled_from([1.0, 0.5, 0.0]))
+def test_back_substitution_declines_a_rank_deficient_triangle(case, fraction):
+    R, rng = case
+    j = rng.integers(R.shape[1])
+    R[j, j] = 0.0
+    scale = float(np.max(np.linalg.norm(R, axis=0)))
+    R[j, j] = fraction * FALLBACK_RTOL * scale
+    # a positive solution, so the rank test alone declines it
+    assert back_substitute(R, R @ rng.uniform(0.5, 2.0, R.shape[1])) is None
 
 
 def test_parameter_estimation_round_trip():

@@ -254,5 +254,59 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     assert rows == len(held) * (2 if name == "small_ac" else 1)
     assert len(inverses) == rows
     assert built_inside and not any(built_inside)
-    # one network per fit, per accepted network and for the result: none for a draw
-    assert len(refits) + 1 <= len(built_inside) <= len(refits) + len(held) + 1
+    # networks are built for the initial fit (the first held network), for
+    # each accepted refit and its pruned copy (the later held networks) and
+    # for the result: none for a draw or a rejected refit
+    accepted = sum(row.event == EVENT_ACCEPTED for row in trace)
+    assert len(refits) > accepted
+    assert len(built_inside) == 1 + accepted + (len(held) - 1) + 1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("sigma", [0.0, 1e-6])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_back_substitution_changes_no_decision(monkeypatch, name, sigma, seed):
+    states, cfg = _builtin_run(name, sigma, seed)
+    _, trace = recover(states, cfg)
+    # every candidate goes to the active-set solver
+    monkeypatch.setattr(gridrecover.recovery, "back_substitute", lambda R, b: None)
+    _, cold_trace = recover(states, cfg)
+    for row, cold in zip(trace.rows, cold_trace.rows):
+        if (row.iteration, row.event, row.edges) != (cold.iteration, cold.event, cold.edges):
+            # such as where the cold fit stopped short of the optimum
+            assert row.rms <= cold.rms
+            break
+        assert row.rms == pytest.approx(cold.rms, rel=1e-6, abs=1e-12)
+    else:
+        assert len(trace) == len(cold_trace)
+
+
+def test_back_substitution_keeps_the_column_the_cold_fit_drops(monkeypatch):
+    # heawood_noisy instance 13012: at iteration 2 the active-set solver's
+    # absolute KKT test stops one column short on the accepted candidate, so
+    # its fit keeps 28 edges; every least-squares weight of the candidate is
+    # positive, and the back-substitution keeps all 29
+    net_seed, data_seed = np.random.SeedSequence(13012).spawn(2)
+    truth = builtin_network("heawood_dc", net_seed)
+    scenario = builtin_scenario("heawood_dc", sigma=1e-6)
+    states = generate_scenario(truth, scenario, 300, seed=data_seed)
+    cfg = RecoveryConfig(tol=1.5 * rms(truth, states), seed=13012, max_iterations=2)
+    fits = []
+    fit = gridrecover.recovery.fit
+
+    def recording_fit(system):
+        fits.append((system, fit(system)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(gridrecover.recovery, "fit", recording_fit)
+    _, trace = recover(states, cfg)
+    assert [(r.iteration, r.event, r.edges) for r in trace] == [
+        (1, EVENT_INITIAL, 91),
+        (2, EVENT_ACCEPTED, 29),
+    ]
+    system, accepted = fits[1]
+    assert len(system.edges) == 29
+    assert np.all(accepted.nnls.w > 0) and accepted.nnls.iterations == 1
+    monkeypatch.setattr(gridrecover.recovery, "back_substitute", lambda R, b: None)
+    cold = fit(system)
+    assert accepted.rms <= cold.rms
