@@ -13,6 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -142,29 +143,28 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _run_trial(payload) -> dict:
-    """One seeded recovery; module-level so worker processes can import it."""
-    states_path, cfg = payload
-    states = io.load_states_csv(states_path)
-    net, trace = recover(states, cfg=cfg)
-    final_rms = rms(net, states)
+def _summary(states, cfg: RecoveryConfig, net, trace) -> dict:
+    """One seeded run's outcome, its network re-checked against the data."""
+    final_rms = float(rms(net, states))
     return {
         "seed": cfg.seed,
         "edges": len(net.edges),
-        "rms": float(final_rms),
+        "rms": final_rms,
         "iterations": len(trace),
-        "success": bool(final_rms <= cfg.tol),
+        "success": final_rms <= cfg.tol,
     }
 
 
 def cmd_recover(args) -> int:
     out = _out_dir(args)
     cfg = RecoveryConfig(**{f.name: getattr(args, f.name) for f in fields(RecoveryConfig)})
+    states = io.load_states_csv(args.states)
     if args.trials > 1:
-        payloads = [(args.states, replace(cfg, seed=cfg.seed + i)) for i in range(args.trials)]
+        cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(args.trials)]
         workers = args.workers or min(args.trials, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(_run_trial, payloads))
+            runs = list(pool.map(recover, repeat(states), cfgs))
+        trials = [_summary(states, c, *run) for c, run in zip(cfgs, runs)]
         successes = sum(t["success"] for t in trials)
         summary = {
             "trials": trials,
@@ -176,7 +176,6 @@ def cmd_recover(args) -> int:
         print(f"{successes}/{len(trials)} trials reached rms <= {cfg.tol:g}")
         return 0 if successes == len(trials) else 1
 
-    states = io.load_states_csv(args.states)
     try:
         net, trace = recover(states, cfg=cfg)
     except RecoveryError as exc:
@@ -190,9 +189,9 @@ def cmd_recover(args) -> int:
     table = io.render_trace_table(trace)
     (out / "table.txt").write_text(table + "\n")
     print(table)
-    final_rms = rms(net, states)
-    print(f"final: {len(net.edges)} edges, rms {final_rms:.3e}")
-    return 0 if final_rms <= cfg.tol else 1
+    result = _summary(states, cfg, net, trace)
+    print(f"final: {result['edges']} edges, rms {result['rms']:.3e}")
+    return 0 if result["success"] else 1
 
 
 def cmd_report(args) -> int:

@@ -195,6 +195,10 @@ class RecoveryError(RuntimeError):
         self.trace = trace
         self.network = network
 
+    def __reduce__(self):
+        # rebuilt from all three arguments, so the error crosses a process boundary
+        return type(self), (*self.args, self.trace, self.network)
+
 
 def should_stop(
     trace: RecoveryTrace,
@@ -294,10 +298,11 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
             )
 
     final = cur.normalized()
-    log.info(
-        "recovered %d edges, rms %.3e (re-checked %.3e)",
-        len(final.edges),
-        held.rms,
-        states_rms(final, states),
-    )
+    if log.isEnabledFor(logging.INFO):  # the re-check costs a pass over the data
+        log.info(
+            "recovered %d edges, rms %.3e (re-checked %.3e)",
+            len(final.edges),
+            held.rms,
+            states_rms(final, states),
+        )
     return final, trace

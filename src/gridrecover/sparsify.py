@@ -102,22 +102,17 @@ def _row_statistics(n: int, edges: tuple[Edge, ...], w: np.ndarray):
     return at, stats
 
 
-def _compute_statistics(net: Network) -> dict[str, tuple[np.ndarray, EdgeStatistics]]:
-    """:func:`_row_statistics` of each weight row with a positive entry, by
-    row name, conductances first."""
-    return {
-        label: _row_statistics(net.n, net.edges, w)
-        for label, w in zip(WEIGHT_ROWS, (net.c, net.s))
-        if np.any(w > 0)
-    }
-
-
 def _statistics(net: Network) -> dict[str, tuple[np.ndarray, EdgeStatistics]]:
-    """:func:`_compute_statistics` of ``net``, computed on the first call and
-    kept on the network for every later one."""
+    """:func:`_row_statistics` of each weight row with a positive entry, by
+    row name, conductances first; computed on the first call and kept on the
+    network for every later one."""
     stats = net.__dict__.get("_sampling")
     if stats is None:
-        stats = _compute_statistics(net)
+        stats = {
+            label: _row_statistics(net.n, net.edges, w)
+            for label, w in zip(WEIGHT_ROWS, (net.c, net.s))
+            if np.any(w > 0)
+        }
         object.__setattr__(net, "_sampling", stats)
     return stats
 

@@ -198,12 +198,11 @@ def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSys
 def condition_number(system) -> float:
     """sigma_max / sigma_min; +inf when rank-deficient, i.e. sigma_min < RANK_RTOL * sigma_max."""
     A = system.matrix if isinstance(system, VandermondeSystem) else np.asarray(system)
-    sv = np.linalg.svd(A, compute_uv=False)
-    smax = float(sv[0])
-    if smax == 0.0:
+    if A.shape[0] < A.shape[1]:  # fewer rows than columns: a null space
         return float("inf")
-    smin = float(sv[-1])
-    if smin / smax < RANK_RTOL:
+    sv = np.linalg.svd(A, compute_uv=False)
+    smax, smin = float(sv[0]), float(sv[-1])
+    if smax == 0.0 or smin / smax < RANK_RTOL:
         return float("inf")
     return smax / smin
 

@@ -1,16 +1,18 @@
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import gridrecover.cli
 import gridrecover.sparsify as sparsify
 from gridrecover import io
 from gridrecover.cli import build_parser, main
 from gridrecover.network import Network, split_graphs
-from gridrecover.recovery import RecoveryConfig, RecoveryTrace, TraceRow, recover
+from gridrecover.recovery import RecoveryConfig, RecoveryError, RecoveryTrace, TraceRow, recover
 from gridrecover.sparsify import effective_resistances
 from gridrecover.states import StateSet, generate_voltage_driven
 from helpers import random_ac_network, random_dc_network
@@ -419,6 +421,68 @@ def test_cli_trials_identical_for_one_and_two_workers(tmp_path):
     assert len(codes) == 1 and len(summaries) == 1
     assert traces[0] == traces[1]
     assert all(len(rows) > 1 for rows in traces[0])
+
+
+def test_cli_failing_trial_fails_the_command(tmp_path, capfd):
+    # the data of test_cli_recover_sample_count_overflow_exits_1: the trial
+    # raises RecoveryError in its worker, and the command reports it as a
+    # single run would, with no traceback from the pool
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "7",
+                 "--noise", "1e-4", "--out-dir", str(out)]) == 0
+    capfd.readouterr()
+    code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-9",
+                 "--max-stale", "60", "--trials", "2", "--workers", "2",
+                 "--out-dir", str(out)])
+    err = capfd.readouterr().err
+    assert code == 1
+    assert "error: sparsification failed at iteration" in err and "at n=6 needs" in err
+    assert "Traceback" not in err and "BrokenProcessPool" not in err
+
+
+def test_cli_trials_reject_malformed_states_before_any_worker(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(gridrecover.cli, "ProcessPoolExecutor", no_pool)
+    path = tmp_path / "states.csv"
+    path.write_text("e_1,P_1,e_2,P_2\n1.0,0.5,1.1,-0.5\n1.0,oops,1.1,-0.5\n")
+    code = main(["recover", "--states", str(path), "--trials", "3", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "states.csv:3: non-numeric state entry" in capsys.readouterr().err
+
+
+def test_cli_trials_read_the_states_once(tmp_path, monkeypatch):
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "4",
+                 "--out-dir", str(out)]) == 0
+    load_states_csv, loads = io.load_states_csv, []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_states_csv(path)
+
+    monkeypatch.setattr(io, "load_states_csv", counting_load)
+    # threads instead of processes, so that a load inside a worker is counted too
+    monkeypatch.setattr(gridrecover.cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+    code = main(["recover", "--states", str(out / "states.csv"), "--trials", "3",
+                 "--workers", "2", "--max-stale", "5", "--out-dir", str(out)])
+    assert code in (0, 1)
+    assert len(json.loads((out / "trials.json").read_text())["trials"]) == 3
+    assert loads == [str(out / "states.csv")]
+
+
+def test_recovery_error_survives_pickling():
+    trace = RecoveryTrace()
+    trace.append(TraceRow(1, 15, 1.011e-6, 1.04e4, 0.1, "initial"))
+    trace.append(TraceRow(2, 9, 2.5e-5, float("inf"), 0.1, "rejected_rms"))
+    net = Network.dc(3, ((1, 2), (2, 3)), [2.0, 3.0])
+    exc = pickle.loads(pickle.dumps(RecoveryError("estimation failed at iteration 2", trace, net)))
+    assert isinstance(exc, RecoveryError)
+    assert str(exc) == "estimation failed at iteration 2"
+    assert exc.trace.rows == trace.rows
+    assert exc.network.edges == net.edges and np.array_equal(exc.network.c, net.c)
+    assert pickle.loads(pickle.dumps(RecoveryError("initial estimation failed", trace, None))).network is None
 
 
 def _path3_with_state_entry(tmp_path, column, value, state=5, m=20):

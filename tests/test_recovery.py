@@ -127,6 +127,24 @@ def test_recover_warns_when_initial_fit_misses_tol(table1_states, caplog):
     assert any("exceeds tol" in rec.message for rec in caplog.records)
 
 
+def test_recover_rechecks_rms_only_for_the_info_log(monkeypatch, table1_states, caplog):
+    states_rms, checks = gridrecover.recovery.states_rms, []
+
+    def counting_rms(net, states):
+        checks.append(net.edges)
+        return states_rms(net, states)
+
+    monkeypatch.setattr(gridrecover.recovery, "states_rms", counting_rms)
+    cfg = RecoveryConfig(seed=0, max_iterations=3)
+    with caplog.at_level(logging.WARNING, logger="gridrecover.recovery"):
+        recover(table1_states, cfg=cfg)
+    assert checks == []
+    with caplog.at_level(logging.INFO, logger="gridrecover.recovery"):
+        net, _ = recover(table1_states, cfg=cfg)
+    assert checks == [net.edges]
+    assert any("re-checked" in rec.message for rec in caplog.records)
+
+
 def test_recover_below_noise_floor_stays_small(table1_states):
     # every refit misses tol, so eps shrinks each iteration and the draw count
     # 8 n ln n / eps^2 passes 1e13; sampling must not allocate per draw
@@ -207,8 +225,14 @@ def _builtin_run(name, sigma, seed):
 def test_kept_statistics_change_no_result(monkeypatch, name, sigma, seed):
     states, cfg = _builtin_run(name, sigma, seed)
     net, trace = recover(states, cfg)
-    # every sparsify_ac call computes its statistics afresh
-    monkeypatch.setattr(sparsify, "_statistics", sparsify._compute_statistics)
+    sparsify_ac = gridrecover.recovery.sparsify_ac
+
+    def fresh_sparsify(held, eps, seed):
+        # drop the kept statistics, so every draw computes them afresh
+        held.__dict__.pop("_sampling", None)
+        return sparsify_ac(held, eps, seed)
+
+    monkeypatch.setattr(gridrecover.recovery, "sparsify_ac", fresh_sparsify)
     fresh_net, fresh_trace = recover(states, cfg)
     assert trace.rows == fresh_trace.rows
     assert net.edges == fresh_net.edges

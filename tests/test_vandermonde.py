@@ -242,6 +242,8 @@ def test_condition_number_sentinel_on_rank_deficiency():
     _, states = path3_states(m=30)
     assert condition_number(assemble(K3, states)) == float("inf")
     assert condition_number(np.zeros((4, 2))) == float("inf")
+    # more columns than rows: a null space, whatever the singular values
+    assert condition_number(np.random.default_rng(0).standard_normal((2, 4))) == float("inf")
 
 
 def test_condition_number_drops_on_true_topology(table1_network, table1_states):
