@@ -77,15 +77,12 @@ def cmd_generate(args) -> int:
             "p_range": list(scen.p_range),
             "q_range": list(scen.q_range),
         }
-    elif args.network:
+    else:
         net = io.load_network(args.network)
         states = generate_voltage_driven(net, args.m, seed=args.seed)
         if args.noise:
             states = add_noise(states, args.noise, seed=args.seed + 1)
         provenance = {"network": str(args.network), "sampling": "voltage_driven"}
-    else:
-        print("generate: need --builtin or --network", file=sys.stderr)
-        return 2
     provenance.update({"m": args.m, "seed": args.seed, "noise": args.noise})
     io.save_network(net, out / "network.json")
     io.save_states_csv(states, out / "states.csv")
@@ -186,9 +183,7 @@ def cmd_recover(args) -> int:
         raise
     io.save_network(net, out / "recovered.json")
     io.save_trace_csv(trace, out / "trace.csv")
-    table = io.render_trace_table(trace)
-    (out / "table.txt").write_text(table + "\n")
-    print(table)
+    print(io.render_trace_table(trace))
     result = _summary(states, cfg, net, trace)
     print(f"final: {result['edges']} edges, rms {result['rms']:.3e}")
     return 0 if result["success"] else 1
@@ -197,11 +192,6 @@ def cmd_recover(args) -> int:
 def cmd_report(args) -> int:
     trace = io.load_trace_csv(args.trace)
     print(io.render_trace_table(trace, include_all=args.all))
-    if args.out_dir:
-        out = _out_dir(args)
-        series = "\n".join(f"{r.iteration},{r.epsilon!r}" for r in trace)
-        (out / "epsilon_series.csv").write_text("iteration,epsilon\n" + series + "\n")
-        print(f"wrote {out / 'epsilon_series.csv'}")
     return 0
 
 
@@ -213,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesize a network and measurement states")
-    p.add_argument("--builtin", choices=BUILTINS)
-    p.add_argument("--network", help="network JSON to sample voltage-driven states from")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", choices=BUILTINS)
+    source.add_argument("--network", help="network JSON to sample voltage-driven states from")
     p.add_argument("--m", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=_non_negative_float, default=0.0)
@@ -266,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render a recovery trace as a table")
     p.add_argument("--trace", required=True)
     p.add_argument("--all", action="store_true", help="include unchanged iterations")
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_report)
 
     return parser

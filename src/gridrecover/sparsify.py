@@ -80,8 +80,6 @@ def _pseudo_inverse(L: np.ndarray) -> np.ndarray:
     """Laplacian pseudoinverse by eigendecomposition with a kernel cut-off."""
     vals, vecs = np.linalg.eigh(L)
     scale = float(np.max(np.abs(vals), initial=0.0))
-    if scale == 0.0:
-        return np.zeros_like(L)
     inv = np.zeros_like(vals)
     keep = np.abs(vals) > KERNEL_RTOL * scale
     inv[keep] = 1.0 / vals[keep]

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import gridrecover.cli
+import gridrecover.recovery
 import gridrecover.sparsify as sparsify
 from gridrecover import io
 from gridrecover.cli import build_parser, main
 from gridrecover.network import Network, split_graphs
+from gridrecover.nnls import NnlsError
 from gridrecover.recovery import RecoveryConfig, RecoveryError, RecoveryTrace, TraceRow, recover
 from gridrecover.sparsify import effective_resistances
 from gridrecover.states import StateSet, generate_voltage_driven
@@ -146,7 +148,10 @@ def test_cli_generate_recover_round_trip(tmp_path, capsys):
     assert set(recovered.edges) == set(net.edges)
     trace = io.load_trace_csv(out / "trace.csv")
     assert trace.rows[0].edges == 15
-    assert (out / "table.txt").exists()
+    # one file per artefact; the table is printed, not written
+    assert sorted(p.name for p in out.iterdir()) == [
+        "network.json", "provenance.json", "recovered.json", "states.csv", "trace.csv"]
+    assert io.render_trace_table(trace) in capsys.readouterr().out
 
 
 def test_cli_estimate_round_trip(tmp_path):
@@ -250,24 +255,54 @@ def test_cli_bound_variants_ordered(tmp_path):
     assert fine["variant"] == "fine" and coarse["variant"] == "coarse"
 
 
-def test_cli_report_renders_and_emits_series(tmp_path, capsys):
+def test_cli_bound_ac_variant(tmp_path, capsys):
+    ac, dc = tmp_path / "ac", tmp_path / "dc"
+    for name, out in (("small_ac", ac), ("table1_dc", dc)):
+        assert main(["generate", "--builtin", name, "--m", "40", "--seed", "2",
+                     "--out-dir", str(out)]) == 0
+    args = ["bound", "--eps", "0.5", "--variant", "ac"]
+    assert main(args + ["--network", str(ac / "network.json"),
+                        "--states", str(ac / "states.csv"), "--out-dir", str(ac)]) == 0
+    report = json.loads((ac / "bound.json").read_text())
+    assert report["variant"] == "ac"
+    assert report["bound_total"] >= report["rms_base"]
+    capsys.readouterr()
+    assert main(args + ["--network", str(dc / "network.json"),
+                        "--states", str(dc / "states.csv"), "--out-dir", str(dc)]) == 1
+    assert "ac_delta needs an AC network and AC data" in capsys.readouterr().err
+    assert not (dc / "bound.json").exists()
+
+
+def test_cli_report_renders_and_rejects_malformed_trace(tmp_path, capsys):
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "table1_dc", "--m", "60", "--seed", "5",
                  "--out-dir", str(out)]) == 0
     assert main(["recover", "--states", str(out / "states.csv"),
                  "--out-dir", str(out), "--seed", "2"]) == 0
     capsys.readouterr()
-    assert main(["report", "--trace", str(out / "trace.csv"), "--out-dir", str(out)]) == 0
+    assert main(["report", "--trace", str(out / "trace.csv")]) == 0
     shown = capsys.readouterr().out
-    assert "iteration" in shown
-    series = (out / "epsilon_series.csv").read_text().splitlines()
-    assert series[0] == "iteration,epsilon"
-    assert len(series) >= 2
+    trace = io.load_trace_csv(out / "trace.csv")
+    assert shown == io.render_trace_table(trace) + "\n"
+    assert main(["report", "--trace", str(out / "trace.csv"), "--all"]) == 0
+    assert capsys.readouterr().out == io.render_trace_table(trace, include_all=True) + "\n"
     lines = (out / "trace.csv").read_text().splitlines()
     lines[1] = "x" + lines[1]  # non-numeric iteration on line 2
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
     assert main(["report", "--trace", str(out / "trace.csv")]) == 2
     assert "trace.csv:2:" in capsys.readouterr().err
+
+
+def test_cli_report_has_no_out_dir(tmp_path, capsys):
+    trace = RecoveryTrace()
+    trace.append(TraceRow(1, 15, 1e-6, 1e4, 0.1, "initial"))
+    io.save_trace_csv(trace, tmp_path / "trace.csv")
+    out = tmp_path / "report"
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--trace", str(tmp_path / "trace.csv"), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_malformed_json_exits_2(tmp_path, capsys):
@@ -292,6 +327,21 @@ def test_cli_recover_nonzero_exit_when_over_tol(tmp_path):
     code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-12",
                  "--max-stale", "2", "--seed", "0", "--out-dir", str(out)])
     assert code == 1
+
+
+def test_cli_recover_failed_initial_fit_exits_1(tmp_path, capsys, monkeypatch):
+    def failing_solve(A, b):
+        raise NnlsError("stub: no convergence", None)
+
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--out-dir", str(out)]) == 0
+    monkeypatch.setattr(gridrecover.recovery, "nnls_solve", failing_solve)
+    capsys.readouterr()
+    assert main(["recover", "--states", str(out / "states.csv"), "--out-dir", str(out)]) == 1
+    assert "error: initial estimation failed: stub: no convergence" in capsys.readouterr().err
+    # the trace has no row before the initial fit, and there is no network to keep
+    assert (out / "trace.csv").read_text() == "iteration,edges,rms,kappa,epsilon,event\n"
+    assert not (out / "recovered.json").exists()
 
 
 def test_cli_recover_sample_count_overflow_exits_1(tmp_path, capsys):
@@ -330,6 +380,37 @@ def test_cli_generate_noise_sets_rms_scale(tmp_path):
     level = rms(net, states)
     # voltage noise is amplified by the conductance scale (~1e2 here)
     assert 1e-8 < level < 1e-3
+
+
+@pytest.mark.parametrize("noise", ["0", "1e-6"])
+def test_cli_generate_from_network(tmp_path, noise):
+    from gridrecover.states import rms
+
+    source = tmp_path / "source"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "1", "--out-dir", str(source)]) == 0
+    out = tmp_path / "exp"
+    assert main(["generate", "--network", str(source / "network.json"), "--m", "50",
+                 "--seed", "1", "--noise", noise, "--out-dir", str(out)]) == 0
+    net = io.load_network(out / "network.json")
+    assert net == io.load_network(source / "network.json")
+    provenance = json.loads((out / "provenance.json").read_text())
+    assert provenance == {"network": str(source / "network.json"), "sampling": "voltage_driven",
+                          "m": 50, "seed": 1, "noise": float(noise)}
+    states = io.load_states_csv(out / "states.csv")
+    assert states.m == 50
+    assert (rms(net, states) <= 1e-12) == (noise == "0")
+
+
+@pytest.mark.parametrize("sources", [[], ["--builtin", "table1_dc", "--network", "net.json"]],
+                         ids=["neither", "both"])
+def test_cli_generate_needs_exactly_one_source(tmp_path, capsys, sources):
+    # the source is checked while parsing, before the (missing) network is read
+    out = tmp_path / "exp"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", *sources, "--m", "5", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "--builtin" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

@@ -8,12 +8,14 @@ import gridrecover.recovery
 import gridrecover.sparsify as sparsify
 from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
 from gridrecover.network import Network
+from gridrecover.nnls import NnlsError
 from gridrecover.recovery import (
     EVENT_ACCEPTED,
     EVENT_INITIAL,
     EVENT_NO_REDUCTION,
     EVENT_REJECTED_RMS,
     RecoveryConfig,
+    RecoveryError,
     RecoveryTrace,
     TraceRow,
     recover,
@@ -163,6 +165,41 @@ def test_recover_below_noise_floor_stays_small(table1_states):
 def test_recover_validates_inputs():
     with pytest.raises(ValueError, match="two nodes"):
         recover(StateSet.dc([[1.0]], [[0.0]]))
+
+
+def test_recover_failed_initial_fit_raises_with_empty_trace(monkeypatch, table1_states):
+    def failing_solve(A, b):
+        raise NnlsError("stub: no convergence", None)
+
+    monkeypatch.setattr(gridrecover.recovery, "nnls_solve", failing_solve)
+    with pytest.raises(RecoveryError, match="^initial estimation failed: stub: no convergence$") as exc:
+        recover(table1_states)
+    assert len(exc.value.trace) == 0
+    assert exc.value.network is None
+
+
+def test_recover_failed_refit_keeps_the_rows_and_the_held_network(monkeypatch, table1_states):
+    held, initial = recover(table1_states, RecoveryConfig(seed=1, max_iterations=1))
+    solve, calls = gridrecover.recovery.nnls_solve, []
+
+    def solve_once(A, b):
+        calls.append(A.shape)
+        if len(calls) > 1:
+            raise NnlsError("stub: no convergence", None)
+        return solve(A, b)
+
+    # every candidate goes to the active-set solver, which fails after the initial fit
+    monkeypatch.setattr(gridrecover.recovery, "back_substitute", lambda R, b: None)
+    monkeypatch.setattr(gridrecover.recovery, "nnls_solve", solve_once)
+    with pytest.raises(RecoveryError) as exc:
+        recover(table1_states, RecoveryConfig(seed=1))
+    rows = exc.value.trace.rows
+    assert len(calls) == 2
+    assert str(exc.value) == f"estimation failed at iteration {len(rows) + 1}: stub: no convergence"
+    assert rows[0] == initial.rows[0]
+    assert all(r.event == EVENT_NO_REDUCTION for r in rows[1:])
+    assert exc.value.network.edges == held.edges
+    assert np.array_equal(exc.value.network.c, held.c)
 
 
 def test_recover_ac_small_ring():
