@@ -293,18 +293,6 @@ def test_cli_report_renders_and_rejects_malformed_trace(tmp_path, capsys):
     assert "trace.csv:2:" in capsys.readouterr().err
 
 
-def test_cli_report_has_no_out_dir(tmp_path, capsys):
-    trace = RecoveryTrace()
-    trace.append(TraceRow(1, 15, 1e-6, 1e4, 0.1, "initial"))
-    io.save_trace_csv(trace, tmp_path / "trace.csv")
-    out = tmp_path / "report"
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--trace", str(tmp_path / "trace.csv"), "--out-dir", str(out)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_cli_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "dc", "n": 3, "edges": [ BROKEN')
@@ -401,15 +389,22 @@ def test_cli_generate_from_network(tmp_path, noise):
     assert (rms(net, states) <= 1e-12) == (noise == "0")
 
 
-@pytest.mark.parametrize("sources", [[], ["--builtin", "table1_dc", "--network", "net.json"]],
-                         ids=["neither", "both"])
-def test_cli_generate_needs_exactly_one_source(tmp_path, capsys, sources):
-    # the source is checked while parsing, before the (missing) network is read
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["generate", "--m", "5"], "--builtin"),
+        (["generate", "--builtin", "table1_dc", "--network", "net.json", "--m", "5"], "--builtin"),
+        (["report", "--trace", "trace.csv"], "unrecognized arguments: --out-dir"),
+    ],
+    ids=["generate-neither-source", "generate-both-sources", "report-out-dir"],
+)
+def test_cli_rejects_while_parsing(tmp_path, capsys, args, message):
+    # argparse exits before any (missing) input is read or output written
     out = tmp_path / "exp"
     with pytest.raises(SystemExit) as exc:
-        main(["generate", *sources, "--m", "5", "--out-dir", str(out)])
+        main([*args, "--out-dir", str(out)])
     assert exc.value.code == 2
-    assert "--builtin" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

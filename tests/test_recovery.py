@@ -167,17 +167,6 @@ def test_recover_validates_inputs():
         recover(StateSet.dc([[1.0]], [[0.0]]))
 
 
-def test_recover_failed_initial_fit_raises_with_empty_trace(monkeypatch, table1_states):
-    def failing_solve(A, b):
-        raise NnlsError("stub: no convergence", None)
-
-    monkeypatch.setattr(gridrecover.recovery, "nnls_solve", failing_solve)
-    with pytest.raises(RecoveryError, match="^initial estimation failed: stub: no convergence$") as exc:
-        recover(table1_states)
-    assert len(exc.value.trace) == 0
-    assert exc.value.network is None
-
-
 def test_recover_failed_refit_keeps_the_rows_and_the_held_network(monkeypatch, table1_states):
     held, initial = recover(table1_states, RecoveryConfig(seed=1, max_iterations=1))
     solve, calls = gridrecover.recovery.nnls_solve, []
