@@ -1,25 +1,47 @@
-"""Non-negative least squares by the Lawson-Hanson active-set method.
+"""Non-negative least squares: Lawson-Hanson until its first drop, then
+block principal pivoting.
 
-The solver terminates in finitely many steps at this problem scale and
-satisfies the KKT conditions exactly (up to least-squares precision), unlike
-interior-point solvers that stop at a duality-gap tolerance.  Ties in the
-entering-index choice go to the lowest index, which keeps runs
-deterministic.
+The solver runs in two phases and satisfies the KKT conditions up to
+least-squares precision, unlike interior-point solvers that stop at a
+duality-gap tolerance.  No step forms the normal equations, which would
+square the condition number.
 
-Every active-set step adds one column to the passive set or removes some, so
-the solver keeps a QR factor of the passive columns from step to step
-(Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23-24), and a
+**Lawson-Hanson phase** (Lawson & Hanson, *Solving Least Squares Problems*,
+1974, ch. 23).  From w = 0, the column with the most negative gradient
+enters the passive set, lowest index on ties, and the passive columns are
+solved by least squares, as long as some gradient on the zero set is below
+``-KKT_TOL`` (an absolute test).  A column enters at every step, so the
+solver keeps a QR factor of the passive columns from step to step and a
 least-squares solve is one product with the inverse of its triangular R.
 An entering column is appended by Gram-Schmidt with one reorthogonalization
-(CGS2); after columns leave, which is rarer, the remaining ones are factored
-afresh by one Householder QR.  No step forms the normal equations, which
-would square the condition number.
+(CGS2).  While every passive weight stays positive this phase is all there
+is; a system whose optimum is reached that way, such as a tall one whose
+least-squares solution is positive, never leaves it.
+
+**Block phase** (Júdice & Pires, *Comput. Oper. Res.* 21(5), 1994; Kim &
+Park, *SIAM J. Sci. Comput.* 33(6), 2011).  The first least-squares solve
+that gives a passive weight at or below zero would make Lawson-Hanson step
+back and drop columns one at a time; instead its passive set F is handed,
+with that solution, to block principal pivoting, and the factor above is
+released first.  Each block iteration takes the infeasible indices, a
+negative weight on F or a gradient below ``-KKT_TOL`` on the zero set, and
+moves every one of them to the other set while their count keeps falling.
+After ``FULL_EXCHANGES_WITHOUT_PROGRESS`` full exchanges in a row that do not
+lower it, only the lowest infeasible index moves, which guarantees
+termination on full column rank.  F is then solved afresh by one Householder
+QR of ``[A_F | b]`` and a back-substitution.  The phase stops on signs: no
+weight on F below zero and no gradient on the zero set below ``-KKT_TOL``.
 
 When a diagonal entry of R falls to ``FALLBACK_RTOL`` times the largest norm
-among the passive columns, the passive set is numerically rank-deficient
-(degenerate topologies have such sets).  Its solves are then minimum-norm
-least squares on those columns (``np.linalg.lstsq``), until a column leaves
-and a fresh factor has full rank again.
+among the passive columns, or there are more passive columns than rows, the
+passive set is numerically rank-deficient (degenerate topologies have such
+sets), and its solve is minimum-norm least squares on those columns
+(``np.linalg.lstsq``).  In the Lawson-Hanson phase a deficient factor stays
+so, since columns only enter there.
+
+Both phases count least-squares solves in ``iterations`` against one cap.
+A result whose KKT residual exceeds ``KKT_TOL`` is not returned: it is
+raised with :class:`NnlsError`, as is the best feasible iterate at the cap.
 
 A system whose unconstrained least-squares solution is strictly positive
 needs no active-set step: on full column rank that solution is the unique
@@ -48,6 +70,9 @@ FALLBACK_RTOL = 1e-10
 # least-squares solves allowed on k columns: max(ITERATIONS_PER_COLUMN * k, MIN_ITERATIONS)
 ITERATIONS_PER_COLUMN = 10
 MIN_ITERATIONS = 100
+# full exchanges the block phase makes in a row without lowering the
+# infeasible count before it moves one index at a time
+FULL_EXCHANGES_WITHOUT_PROGRESS = 3
 
 
 @dataclass
@@ -67,7 +92,8 @@ class NnlsResult:
 
 
 class NnlsError(RuntimeError):
-    """Iteration cap exceeded; carries the best iterate found so far."""
+    """No solution within ``KKT_TOL`` or within the iteration cap; carries
+    the result returned in its place (the best feasible iterate at the cap)."""
 
     def __init__(self, message: str, result: NnlsResult):
         super().__init__(message)
@@ -81,6 +107,12 @@ def _kkt_residual(grad: np.ndarray, passive: np.ndarray) -> float:
     if np.any(passive):
         viol = max(viol, float(np.max(np.abs(grad[passive]), initial=0.0)))
     return viol
+
+
+def _full_rank(R: np.ndarray) -> bool:
+    """Whether every diagonal entry of the upper triangle R exceeds
+    ``FALLBACK_RTOL`` times its largest column norm."""
+    return bool(np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * np.max(np.linalg.norm(R, axis=0)))
 
 
 class _PassiveQR:
@@ -136,25 +168,6 @@ class _PassiveQR:
         self.q[:, p] = v / d
         self.qtb[p] = self.q[:, p] @ self.b
 
-    def remove(self, leaving: np.ndarray) -> None:
-        """Drop the columns marked in ``leaving`` and factor the rest afresh."""
-        self.cols = [j for j in self.cols if not leaving[j]]
-        p = len(self.cols)
-        self._scale, self._smallest = 0.0, np.inf
-        self.deficient = p > len(self.qtb)
-        if self.deficient or p == 0:
-            return
-        Q, R = np.linalg.qr(self.A[:, self.cols])
-        self._scale = float(np.max(np.linalg.norm(R, axis=0)))
-        self._smallest = float(np.min(np.abs(np.diag(R))))
-        self.deficient = self._smallest <= FALLBACK_RTOL * self._scale
-        if self.deficient:
-            return
-        self.q[:, :p] = Q
-        # LU of a triangular matrix takes no row swap: each column is a back-substitution
-        self.rinv[:p, :p] = np.linalg.inv(R)
-        self.qtb[:p] = Q.T @ self.b
-
     def least_squares(self, passive: np.ndarray) -> np.ndarray:
         """Least-squares weights on the passive columns, zero elsewhere."""
         z = np.zeros(self.A.shape[1])
@@ -164,6 +177,25 @@ class _PassiveQR:
             p = len(self.cols)
             z[self.cols] = self.rinv[:p, :p] @ self.qtb[:p]
         return z
+
+
+def _passive_least_squares(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Least-squares weights on the passive columns, zero elsewhere, from one
+    Householder QR of ``[A_F | b]`` and a back-substitution; minimum-norm
+    ``lstsq`` when the passive set is rank-deficient or wider than tall."""
+    z = np.zeros(A.shape[1])
+    cols = A[:, passive]
+    p = cols.shape[1]
+    if p == 0:
+        return z
+    if p <= A.shape[0]:
+        R = np.linalg.qr(np.column_stack((cols, b)), mode="r")
+        if _full_rank(R[:p, :p]):
+            # LU of a triangular matrix takes no row swap: this is a back-substitution
+            z[passive] = np.linalg.solve(R[:p, :p], R[:p, p])
+            return z
+    z[passive], *_ = np.linalg.lstsq(cols, b, rcond=None)
+    return z
 
 
 def back_substitute(R, b) -> NnlsResult | None:
@@ -179,7 +211,7 @@ def back_substitute(R, b) -> NnlsResult | None:
     k = len(b)
     if R.shape != (k, k) or b.ndim != 1 or k == 0:
         raise ValueError("R must be (k, k) and b must be (k,) with k >= 1")
-    if np.min(np.abs(np.diag(R))) <= FALLBACK_RTOL * np.max(np.linalg.norm(R, axis=0)):
+    if not _full_rank(R):
         return None
     # LU of a triangular matrix takes no row swap: this is a back-substitution
     w = np.linalg.solve(R, b)
@@ -195,10 +227,10 @@ def back_substitute(R, b) -> NnlsResult | None:
 def solve(A, b) -> NnlsResult:
     """Minimize ||A w - b|| subject to w >= 0.
 
-    ``KKT_TOL`` bounds the KKT residual accepted at termination.  Raises
-    :class:`NnlsError` with the best iterate attached if more than
+    Raises :class:`NnlsError` when the KKT residual at termination exceeds
+    ``KKT_TOL``, with that result attached, and when more than
     max(ITERATIONS_PER_COLUMN * k, MIN_ITERATIONS) least-squares solves are
-    needed on k columns.
+    needed on k columns, with the best feasible iterate attached.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -211,50 +243,71 @@ def solve(A, b) -> NnlsResult:
     passive = np.zeros(k, dtype=bool)
     factor = _PassiveQR(A, b)
     iterations = 0
-
-    def fail(msg: str) -> NnlsError:
-        resid = b - A @ x
-        grad = -(A.T @ resid)
-        return NnlsError(
-            msg,
-            NnlsResult(x.copy(), float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations),
-        )
-
     while True:
-        # Solve the unconstrained LS on the passive columns, stepping back to
-        # the boundary (and shrinking the passive set) until it is feasible.
-        while factor.cols:
-            z = factor.least_squares(passive)
-            iterations += 1
-            if iterations > max_iter:
-                raise fail(f"no convergence within {max_iter} least-squares solves")
-            if (z[passive] > 0).all():
-                x = z
-                break
-            blocking = passive & (z <= 0)
-            denom = x[blocking] - z[blocking]
-            ratios = np.where(denom > 0, x[blocking] / np.where(denom > 0, denom, 1.0), 0.0)
-            alpha = float(np.min(ratios))
-            x = np.maximum(x + alpha * (z - x), 0.0)
-            # coordinates that hit the boundary leave the passive set exactly
-            hit = np.zeros(k, dtype=bool)
-            hit[np.flatnonzero(blocking)[ratios <= alpha]] = True
-            x[hit] = 0.0
-            passive &= ~hit
-            factor.remove(hit)
-        else:
-            x = np.zeros(k)
-
         resid = b - A @ x
         grad = -(A.T @ resid)  # gradient of 0.5 ||A w - b||^2
         candidates = ~passive & (-grad > KKT_TOL)
         if not candidates.any():
-            return NnlsResult(
-                x, float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations
-            )
+            return _checked(x, resid, grad, passive, iterations)
+        feasible = (x, resid, grad, passive.copy())
         # enter the column with the most negative gradient; argmax takes the
         # first (= lowest-index) maximum on ties
-        scores = np.where(candidates, -grad, -np.inf)
-        entering = int(np.argmax(scores))
+        entering = int(np.argmax(np.where(candidates, -grad, -np.inf)))
         passive[entering] = True
         factor.append(entering)
+        z = factor.least_squares(passive)
+        iterations += 1
+        if iterations > max_iter:
+            raise _capped(max_iter, feasible, iterations)
+        if not (z[passive] > 0).all():
+            del factor  # the block phase solves afresh: free q and R^-1 first
+            return _block_phase(A, b, passive, z, feasible, iterations, max_iter)
+        x = z
+
+
+def _block_phase(A, b, passive, z, feasible, iterations, max_iter) -> NnlsResult:
+    """Block principal pivoting from ``passive`` and its least-squares
+    solution ``z``; ``feasible`` is the last feasible iterate, as the
+    (w, residual, gradient, passive set) of :func:`_result`."""
+    best = float(np.linalg.norm(feasible[1]))
+    fewest, spare = len(z) + 1, FULL_EXCHANGES_WITHOUT_PROGRESS
+    while True:
+        resid = b - A @ z
+        grad = -(A.T @ resid)
+        negative = passive & (z < 0)
+        infeasible = negative | (~passive & (grad < -KKT_TOL))
+        count = int(np.count_nonzero(infeasible))
+        if count == 0:
+            return _checked(z, resid, grad, passive, iterations)
+        objective = float(np.linalg.norm(resid))
+        if not negative.any() and objective < best:
+            feasible, best = (z, resid, grad, passive.copy()), objective
+        if count < fewest:
+            fewest, spare = count, FULL_EXCHANGES_WITHOUT_PROGRESS
+        elif spare > 0:
+            spare -= 1
+        else:  # move the lowest infeasible index alone
+            infeasible = np.arange(len(z)) == np.argmax(infeasible)
+        passive ^= infeasible
+        z = _passive_least_squares(A, b, passive)
+        iterations += 1
+        if iterations > max_iter:
+            raise _capped(max_iter, feasible, iterations)
+
+
+def _result(w, resid, grad, passive, iterations) -> NnlsResult:
+    return NnlsResult(w, float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations)
+
+
+def _checked(w, resid, grad, passive, iterations) -> NnlsResult:
+    """The result at termination, raised when its KKT residual exceeds ``KKT_TOL``."""
+    result = _result(w, resid, grad, passive, iterations)
+    if result.kkt_residual > KKT_TOL:
+        raise NnlsError(f"KKT residual {result.kkt_residual:.3g} exceeds {KKT_TOL:g}", result)
+    return result
+
+
+def _capped(max_iter, feasible, iterations) -> NnlsError:
+    return NnlsError(
+        f"no convergence within {max_iter} least-squares solves", _result(*feasible, iterations)
+    )

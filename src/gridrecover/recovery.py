@@ -123,7 +123,8 @@ def fit(system: VandermondeSystem) -> Fit:
     are all positive, by the active-set solver otherwise; a square system,
     such as the complete graph's or an assembled one, always goes to the
     active-set solver.  Raises ValueError when the residual norm overflows,
-    and :class:`NnlsError` when the solver does not converge.
+    and :class:`NnlsError` when the solver does not converge or ends above
+    ``nnls.KKT_TOL``.
     """
     rows, cols = system.matrix.shape
     result = None
@@ -133,13 +134,22 @@ def fit(system: VandermondeSystem) -> Fit:
         system = replace(system, matrix=R[:cols, :cols], rhs=R[:cols, cols], rho=rho)
         result = back_substitute(system.matrix, system.rhs)
     if result is None:
-        result = nnls_solve(system.matrix, system.rhs)
-    # ||A w - b||^2 = ||matrix w - rhs||^2 + rho^2 over the data's equations
-    residual = np.hypot(result.objective, system.rho)
+        try:
+            result = nnls_solve(system.matrix, system.rhs)
+        except NnlsError as exc:
+            _residual(exc.result, system)  # an overflow is the clearer report
+            raise
+    fit_rms = float(_residual(result, system) / np.sqrt(system.rows))
+    return Fit(system, fit_rms, condition_number(system), result)
+
+
+def _residual(result: NnlsResult, system: VandermondeSystem) -> float:
+    """The residual norm over the data's equations, ||A w - b||^2 being
+    ||matrix w - rhs||^2 + rho^2; raises ValueError when it overflows."""
+    residual = float(np.hypot(result.objective, system.rho))
     if not np.isfinite(residual):
         raise ValueError(f"fit residual overflows to {residual}; rescale the data")
-    fit_rms = float(residual / np.sqrt(system.rows))
-    return Fit(system, fit_rms, condition_number(system), result)
+    return residual
 
 
 @dataclass(frozen=True)

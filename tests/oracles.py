@@ -4,7 +4,7 @@ Everything here deliberately avoids the code paths it verifies: residuals are
 accumulated termwise from the defining sums, effective resistances come from
 grounded linear solves instead of the eigendecomposition pseudoinverse, one
 NNLS oracle enumerates every active set and the other solves each active-set
-step afresh by least squares instead of updating a QR factor, null spaces
+step afresh by least squares instead of factoring the passive columns, null spaces
 come from a full SVD, the tall system is built from the defining sums, one
 unit weight per column, and the tall fit solves those stacked equations
 themselves instead of their triangular factor, Newton power flow solves one state at a time, each
@@ -152,68 +152,78 @@ def exhaustive_nnls(A, b, feas_tol: float = 1e-9) -> tuple[np.ndarray, float]:
 
 
 def nnls_lstsq(A, b) -> NnlsResult:
-    """Lawson-Hanson NNLS that solves every least-squares step afresh.
+    """NNLS by the steps of ``gridrecover.nnls.solve``, every least-squares
+    solve made afresh.
 
-    The same active-set iteration as ``gridrecover.nnls.solve``, with the
-    same entering rule, step-back and iteration cap, but each passive set is
-    solved by minimum-norm ``np.linalg.lstsq`` on its columns instead of
-    through an updated QR factor.
+    The same Lawson-Hanson phase (entering rule and iteration cap), handing
+    its passive set to the same block principal pivoting at the first
+    least-squares solve with a weight at or below zero, but each passive set
+    is solved by minimum-norm ``np.linalg.lstsq`` on its columns instead of
+    through an updated QR factor or a Householder QR, and the result is
+    returned whatever its KKT residual.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     k = A.shape[1]
     max_iter = max(10 * k, 100)
 
+    def least_squares(passive):
+        z = np.zeros(k)
+        if np.any(passive):
+            z[passive], *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
+        return z
+
+    def result(w, passive, iterations):
+        grad = -(A.T @ (b - A @ w))
+        return NnlsResult(w, float(np.linalg.norm(A @ w - b)), _kkt_residual(grad, passive), iterations)
+
+    def capped(best, iterations):
+        return NnlsError(f"no convergence within {max_iter} least-squares solves", result(*best, iterations))
+
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
     iterations = 0
-
-    def fail(msg: str) -> NnlsError:
-        resid = b - A @ x
-        grad = -(A.T @ resid)
-        return NnlsError(
-            msg,
-            NnlsResult(x.copy(), float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations),
-        )
-
+    # Lawson-Hanson while every passive weight stays positive
     while True:
-        # Solve the unconstrained LS on the passive columns, stepping back to
-        # the boundary (and shrinking the passive set) until it is feasible.
-        while np.any(passive):
-            z_sub, *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
-            iterations += 1
-            if iterations > max_iter:
-                raise fail(f"no convergence within {max_iter} least-squares solves")
-            if np.all(z_sub > 0):
-                x = np.zeros(k)
-                x[passive] = z_sub
-                break
-            z = np.zeros(k)
-            z[passive] = z_sub
-            blocking = passive & (z <= 0)
-            denom = x[blocking] - z[blocking]
-            ratios = np.where(denom > 0, x[blocking] / np.where(denom > 0, denom, 1.0), 0.0)
-            alpha = float(np.min(ratios))
-            x = np.maximum(x + alpha * (z - x), 0.0)
-            # coordinates that hit the boundary leave the passive set exactly
-            hit = np.zeros(k, dtype=bool)
-            hit[np.flatnonzero(blocking)[ratios <= alpha]] = True
-            x[hit] = 0.0
-            passive &= ~hit
-        else:
-            x = np.zeros(k)
-
-        resid = b - A @ x
-        grad = -(A.T @ resid)  # gradient of 0.5 ||A w - b||^2
+        grad = -(A.T @ (b - A @ x))
         candidates = ~passive & (-grad > KKT_TOL)
         if not np.any(candidates):
-            return NnlsResult(
-                x, float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations
-            )
+            return result(x, passive, iterations)
+        best = (x, passive.copy())
         # enter the column with the most negative gradient; argmax takes the
         # first (= lowest-index) maximum on ties
-        scores = np.where(candidates, -grad, -np.inf)
-        passive[int(np.argmax(scores))] = True
+        passive[int(np.argmax(np.where(candidates, -grad, -np.inf)))] = True
+        z = least_squares(passive)
+        iterations += 1
+        if iterations > max_iter:
+            raise capped(best, iterations)
+        if not np.all(z[passive] > 0):
+            break
+        x = z
+    # block principal pivoting: move every infeasible index while their count
+    # falls, and after three exchanges in a row that do not lower it the
+    # lowest infeasible index alone
+    fewest, spare = k + 1, 3
+    while True:
+        grad = -(A.T @ (b - A @ z))
+        infeasible = (passive & (z < 0)) | (~passive & (grad < -KKT_TOL))
+        if not np.any(infeasible):
+            return result(z, passive, iterations)
+        if np.all(z[passive] >= 0) and np.linalg.norm(A @ z - b) < np.linalg.norm(A @ best[0] - b):
+            best = (z, passive.copy())
+        if np.count_nonzero(infeasible) < fewest:
+            fewest, spare = np.count_nonzero(infeasible), 3
+        elif spare > 0:
+            spare -= 1
+        else:
+            lowest = int(np.flatnonzero(infeasible)[0])
+            infeasible = np.zeros(k, dtype=bool)
+            infeasible[lowest] = True
+        passive = passive != infeasible
+        z = least_squares(passive)
+        iterations += 1
+        if iterations > max_iter:
+            raise capped(best, iterations)
 
 
 def kernel_basis(A, rtol: float = 1e-13) -> np.ndarray:

@@ -13,7 +13,7 @@ import gridrecover.sparsify as sparsify
 from gridrecover import io
 from gridrecover.cli import build_parser, main
 from gridrecover.network import Network, split_graphs
-from gridrecover.nnls import NnlsError
+from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import RecoveryConfig, RecoveryError, RecoveryTrace, TraceRow, recover
 from gridrecover.sparsify import effective_resistances
 from gridrecover.states import StateSet, generate_voltage_driven
@@ -319,7 +319,7 @@ def test_cli_recover_nonzero_exit_when_over_tol(tmp_path):
 
 def test_cli_recover_failed_initial_fit_exits_1(tmp_path, capsys, monkeypatch):
     def failing_solve(A, b):
-        raise NnlsError("stub: no convergence", None)
+        raise NnlsError("stub: no convergence", NnlsResult(np.zeros(A.shape[1]), 1.0, 1.0, 1))
 
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--out-dir", str(out)]) == 0

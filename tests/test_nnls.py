@@ -82,7 +82,9 @@ def test_nearly_dependent_column_falls_back_to_least_squares(monkeypatch):
     # a3 lies 1e-11 off the plane of a1 and a2, and b leans 1e4 out of that
     # plane along u: once a1 and a2 are passive, a3's gradient is -1e-7, so
     # it enters, with a diagonal entry of R below FALLBACK_RTOL times the
-    # column norms; the minimum-norm solve then steps back until a1 leaves
+    # column norms; the minimum-norm solve gives a1 and a2 negative weights,
+    # so the block phase takes over from it, moves both out and a2 back in,
+    # and solves those full-rank sets by Householder QR
     rng = np.random.default_rng(0)
     basis, _ = np.linalg.qr(rng.standard_normal((6, 3)))
     plane, u = basis[:, :2], basis[:, 2]
@@ -106,6 +108,92 @@ def test_nearly_dependent_column_falls_back_to_least_squares(monkeypatch):
     oracle = nnls_lstsq(A, b)
     assert res.iterations == oracle.iterations
     assert np.allclose(res.w, oracle.w, rtol=0, atol=1e-9)
+
+
+def _scaled_square(seed):
+    """A 3x3 system whose columns are scaled over six decades."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3, 3)
+    return A, rng.standard_normal(3)
+
+
+def test_block_phase_moves_one_index_when_full_exchanges_cycle(monkeypatch):
+    # from the passive set Lawson-Hanson hands over, full exchanges visit
+    # {2}, {1}, {0, 1, 2} and {2} again: three in a row that do not lower the
+    # infeasible count, after which the lowest infeasible index moves alone
+    A, b = _scaled_square(1723)
+    res = solve(A, b)
+    _, best = exhaustive_nnls(A, b)
+    assert abs(res.objective - best) <= 1e-12 * np.linalg.norm(b)
+    assert res.kkt_residual <= KKT_TOL
+    assert res.iterations == nnls_lstsq(A, b).iterations == 8
+    # with full exchanges alone the block phase cycles until the cap
+    monkeypatch.setattr(gridrecover.nnls, "FULL_EXCHANGES_WITHOUT_PROGRESS", 10**9)
+    with pytest.raises(NnlsError, match="within 100 least-squares solves"):
+        solve(A, b)
+
+
+def test_iteration_cap_in_the_block_phase_raises_with_the_best_feasible_iterate(monkeypatch):
+    # Lawson-Hanson's second solve hands over to the block phase, whose
+    # first solve is feasible (no negative weight) but not optimal
+    A, b = _scaled_square(70)
+    assert solve(A, b).iterations == 4
+    block_solves = []
+    solve_passive = gridrecover.nnls._passive_least_squares
+
+    def counting(A, b, passive):
+        block_solves.append(passive.copy())
+        return solve_passive(A, b, passive)
+
+    monkeypatch.setattr(gridrecover.nnls, "_passive_least_squares", counting)
+    monkeypatch.setattr(gridrecover.nnls, "ITERATIONS_PER_COLUMN", 0)
+    best = []
+    for cap in (2, 3):
+        block_solves.clear()
+        monkeypatch.setattr(gridrecover.nnls, "MIN_ITERATIONS", cap)
+        with pytest.raises(NnlsError, match=f"within {cap} least-squares solves") as info:
+            solve(A, b)
+        result = info.value.result
+        assert result.iterations == cap + 1
+        assert len(block_solves) == cap - 1  # the solve past the cap is the block phase's
+        assert np.all(result.w >= 0)
+        assert result.objective == pytest.approx(np.linalg.norm(A @ result.w - b), rel=1e-12)
+        best.append(result)
+    # at cap 2 the last Lawson-Hanson iterate, at cap 3 the block phase's better one
+    assert np.count_nonzero(best[0].w) == 1 and best[1].objective < best[0].objective
+
+
+def _near_dependent_system(seed):
+    """6x3 or 6x4: the last column 1e-11 off the span of the others, and b
+    leaning 1e3 to 1e5 out of that span."""
+    rng = np.random.default_rng(seed)
+    k = 3 + seed % 2
+    P = rng.standard_normal((6, k - 1))
+    c = rng.standard_normal(k - 1)
+    u = rng.standard_normal(6)
+    u /= np.linalg.norm(u)
+    A = np.column_stack((P, P @ c + 1e-11 * u))
+    b = P @ rng.standard_normal(k - 1) + 10.0 ** rng.uniform(3, 5) * u
+    return A, b
+
+
+def test_a_result_above_the_kkt_bound_is_raised():
+    # the minimum-norm fallback takes such a passive set as full rank and fits
+    # the out-of-span part of b with weights near 1e15, leaving gradients far
+    # above KKT_TOL: that result comes with NnlsError, never as a return
+    raised = 0
+    for seed in range(40):
+        A, b = _near_dependent_system(seed)
+        try:
+            res = solve(A, b)
+        except NnlsError as exc:
+            raised += 1
+            assert str(exc).startswith("KKT residual")
+            assert exc.result.kkt_residual > KKT_TOL
+            assert np.all(exc.result.w >= 0)
+        else:
+            assert res.kkt_residual <= KKT_TOL
+    assert raised > 0
 
 
 def test_input_validation():

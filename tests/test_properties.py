@@ -6,7 +6,7 @@ own, bit for bit; a parameter vector must survive the trip through the
 layout and back; a fit on the triangular factor, restricted or re-assembled,
 must agree with the fit on the tall equations to roundoff; NNLS must meet
 its KKT bound and the global optimum where columns repeat or depend on each
-other; and its updated QR factor must take the same active-set steps as
+other; and its factored solves must take the same active-set steps as
 solving every step afresh by least squares.
 """
 
@@ -111,13 +111,20 @@ def test_nnls_meets_kkt_and_the_optimum_on_rank_deficient_systems(system):
 
 @st.composite
 def nnls_systems(draw):
-    """A random tall or square system, or one of :func:`rank_deficient_systems`."""
-    shape = draw(st.sampled_from(["tall", "square", "rank-deficient"]))
+    """A random tall, square or wide system, or one of
+    :func:`rank_deficient_systems`.  A wide one has fewer rows than columns,
+    the shape of the trapezoidal factor ``assemble`` returns for fewer
+    equations than columns."""
+    shape = draw(st.sampled_from(["tall", "square", "wide", "rank-deficient"]))
     if shape == "rank-deficient":
         return draw(rank_deficient_systems())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = draw(st.integers(1, 10))
-    m = k if shape == "square" else draw(st.integers(k + 1, 3 * k + 4))
+    if shape == "wide":
+        k = draw(st.integers(2, 10))
+        m = draw(st.integers(1, k - 1))
+    else:
+        k = draw(st.integers(1, 10))
+        m = k if shape == "square" else draw(st.integers(k + 1, 3 * k + 4))
     A = rng.standard_normal((m, k))
     # weights of both signs leave some columns at zero in the optimum
     b = A @ rng.uniform(-1, 2, k) if draw(st.booleans()) else rng.standard_normal(m)
@@ -129,10 +136,19 @@ def nnls_systems(draw):
 def test_nnls_takes_the_steps_of_the_least_squares_oracle(system):
     A, b = system
     result, oracle = nnls_solve(A, b), nnls_lstsq(A, b)
-    assert np.array_equal(result.w > 0, oracle.w > 0)
     assert result.iterations == oracle.iterations
-    assert np.max(np.abs(result.w - oracle.w)) <= 1e-9 * np.max(np.abs(oracle.w))
-    assert abs(result.objective - oracle.objective) <= 1e-12 * (np.linalg.norm(b) + 1.0)
+    # identical columns can tie in the entering rule to one ulp of A.T @ resid,
+    # and either copy may then enter: compare the weights per group of copies
+    _, group = np.unique(A.T, axis=0, return_inverse=True)
+
+    def per_group(v):
+        return np.bincount(group.ravel(), weights=v)
+
+    assert np.array_equal(per_group(result.w > 0), per_group(oracle.w > 0))
+    assert np.max(np.abs(per_group(result.w) - per_group(oracle.w))) <= 1e-9 * np.max(np.abs(oracle.w))
+    tol = 1e-12 * (np.linalg.norm(b) + 1.0)
+    for objective in (oracle.objective, exhaustive_nnls(A, b)[1]):
+        assert abs(result.objective - objective) <= tol
 
 
 @PROPERTY
@@ -142,28 +158,3 @@ def test_nnls_objective_matches_scipy(system):
     A, b = system
     _, objective = optimize.nnls(A, b)
     assert abs(nnls_solve(A, b).objective - objective) <= 1e-12 * (np.linalg.norm(b) + 1.0)
-
-
-@st.composite
-def wide_systems(draw):
-    """A random system with fewer rows than columns, the shape of the
-    trapezoidal factor ``assemble`` returns for fewer equations than columns."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = draw(st.integers(2, 10))
-    A = rng.standard_normal((draw(st.integers(1, k - 1)), k))
-    b = A @ rng.uniform(-1, 2, k) if draw(st.booleans()) else rng.standard_normal(A.shape[0])
-    return A, b
-
-
-@PROPERTY
-@given(wide_systems())
-def test_nnls_on_wide_systems_takes_the_oracle_steps_to_the_optimum(system):
-    optimize = pytest.importorskip("scipy.optimize")
-    A, b = system
-    result, oracle = nnls_solve(A, b), nnls_lstsq(A, b)
-    assert np.array_equal(result.w > 0, oracle.w > 0)
-    assert result.iterations == oracle.iterations
-    assert np.max(np.abs(result.w - oracle.w)) <= 1e-9 * np.max(np.abs(oracle.w))
-    tol = 1e-12 * (np.linalg.norm(b) + 1.0)
-    for objective in (oracle.objective, optimize.nnls(A, b)[1], exhaustive_nnls(A, b)[1]):
-        assert abs(result.objective - objective) <= tol

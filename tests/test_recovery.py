@@ -8,7 +8,7 @@ import gridrecover.recovery
 import gridrecover.sparsify as sparsify
 from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
 from gridrecover.network import Network
-from gridrecover.nnls import NnlsError
+from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import (
     EVENT_ACCEPTED,
     EVENT_INITIAL,
@@ -174,7 +174,7 @@ def test_recover_failed_refit_keeps_the_rows_and_the_held_network(monkeypatch, t
     def solve_once(A, b):
         calls.append(A.shape)
         if len(calls) > 1:
-            raise NnlsError("stub: no convergence", None)
+            raise NnlsError("stub: no convergence", NnlsResult(np.zeros(A.shape[1]), 1.0, 1.0, 1))
         return solve(A, b)
 
     # every candidate goes to the active-set solver, which fails after the initial fit
