@@ -110,21 +110,29 @@ def test_nnls_meets_kkt_and_the_optimum_on_rank_deficient_systems(system):
 
 
 @st.composite
+def wide_systems(draw):
+    """A random system with fewer rows than columns, the shape of the
+    trapezoidal factor ``assemble`` returns for fewer equations than columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 10))
+    A = rng.standard_normal((draw(st.integers(1, k - 1)), k))
+    # weights of both signs leave some columns at zero in the optimum
+    b = A @ rng.uniform(-1, 2, k) if draw(st.booleans()) else rng.standard_normal(A.shape[0])
+    return A, b
+
+
+@st.composite
 def nnls_systems(draw):
-    """A random tall, square or wide system, or one of
-    :func:`rank_deficient_systems`.  A wide one has fewer rows than columns,
-    the shape of the trapezoidal factor ``assemble`` returns for fewer
-    equations than columns."""
+    """A random tall or square system, or one of :func:`wide_systems` or
+    :func:`rank_deficient_systems`."""
     shape = draw(st.sampled_from(["tall", "square", "wide", "rank-deficient"]))
+    if shape == "wide":
+        return draw(wide_systems())
     if shape == "rank-deficient":
         return draw(rank_deficient_systems())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if shape == "wide":
-        k = draw(st.integers(2, 10))
-        m = draw(st.integers(1, k - 1))
-    else:
-        k = draw(st.integers(1, 10))
-        m = k if shape == "square" else draw(st.integers(k + 1, 3 * k + 4))
+    k = draw(st.integers(1, 10))
+    m = k if shape == "square" else draw(st.integers(k + 1, 3 * k + 4))
     A = rng.standard_normal((m, k))
     # weights of both signs leave some columns at zero in the optimum
     b = A @ rng.uniform(-1, 2, k) if draw(st.booleans()) else rng.standard_normal(m)
@@ -158,3 +166,17 @@ def test_nnls_objective_matches_scipy(system):
     A, b = system
     _, objective = optimize.nnls(A, b)
     assert abs(nnls_solve(A, b).objective - objective) <= 1e-12 * (np.linalg.norm(b) + 1.0)
+
+
+@PROPERTY
+@given(wide_systems())
+def test_nnls_on_wide_systems_takes_the_oracle_steps_to_the_optimum(system):
+    optimize = pytest.importorskip("scipy.optimize")
+    A, b = system
+    result, oracle = nnls_solve(A, b), nnls_lstsq(A, b)
+    assert np.array_equal(result.w > 0, oracle.w > 0)
+    assert result.iterations == oracle.iterations
+    assert np.max(np.abs(result.w - oracle.w)) <= 1e-9 * np.max(np.abs(oracle.w))
+    tol = 1e-12 * (np.linalg.norm(b) + 1.0)
+    for objective in (oracle.objective, optimize.nnls(A, b)[1], exhaustive_nnls(A, b)[1]):
+        assert abs(result.objective - objective) <= tol
