@@ -11,12 +11,12 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+from numpy.random import SeedSequence
 
 from . import io
 from .bounds import ac_bound, dc_bound, dc_bound_coarse
@@ -50,6 +50,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _non_negative_float(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value >= 0):
@@ -66,7 +73,7 @@ def _out_dir(args) -> Path:
 def cmd_generate(args) -> int:
     out = _out_dir(args)
     if args.builtin:
-        net_seed, data_seed = np.random.SeedSequence(args.seed).spawn(2)
+        net_seed, data_seed = SeedSequence(args.seed).spawn(2)
         net = builtin_network(args.builtin, net_seed)
         scen = builtin_scenario(args.builtin, sigma=args.noise)
         states = generate_scenario(net, scen, args.m, seed=data_seed)
@@ -153,10 +160,14 @@ def _summary(states, cfg: RecoveryConfig, net, trace) -> dict:
 
 
 def cmd_recover(args) -> int:
-    out = _out_dir(args)
     cfg = RecoveryConfig(**{f.name: getattr(args, f.name) for f in fields(RecoveryConfig)})
+    out = _out_dir(args)
     states = io.load_states_csv(args.states)
     if args.trials > 1:
+        # the workers fork with numpy.random loaded (SeedSequence above);
+        # numpy imports it lazily, so each would import it again otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(args.trials)]
         workers = args.workers or min(args.trials, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--builtin", choices=BUILTINS)
     source.add_argument("--network", help="network JSON to sample voltage-driven states from")
     p.add_argument("--m", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--noise", type=_non_negative_float, default=0.0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_generate)
@@ -221,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sparsify", help="sample a spectral sparsifier of a network")
     p.add_argument("--network", required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_sparsify)
 
@@ -243,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial closeness parameter")
     p.add_argument("--psi", type=float, default=cfg.psi)
     p.add_argument("--tol", type=float, default=cfg.tol)
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--seed", type=_non_negative_int, default=cfg.seed)
     p.add_argument("--max-iterations", type=_positive_int, default=cfg.max_iterations)
     p.add_argument("--max-time", dest="max_wall_time", type=float, default=cfg.max_wall_time)
     p.add_argument("--max-stale", dest="max_stale_iterations", type=_positive_int,

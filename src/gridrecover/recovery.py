@@ -48,7 +48,8 @@ class RecoveryConfig:
 
     ``eps0`` is the starting closeness parameter and ``psi > 1`` its
     exploration factor, both finite.  ``tol`` is the rms acceptance
-    tolerance.  At least one stopping criterion must be enabled; the
+    tolerance.  ``seed`` is a non-negative integer, as numpy's seed
+    sequences take.  At least one stopping criterion must be enabled; the
     iteration counts must be at least 1 and the wall time positive.
     """
 
@@ -69,6 +70,8 @@ class RecoveryConfig:
             raise ValueError("psi must exceed 1 and be finite")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.max_stale_iterations is not None and self.max_stale_iterations < 1:

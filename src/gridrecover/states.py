@@ -13,7 +13,12 @@ Synthetic states come either from random voltages with their implied powers
 (``generate_voltage_driven``) or from random injections solved for their
 voltages by Newton power flow (``generate_scenario``).  ``solve_power_flow``
 runs Newton on a whole (m, n) stack of injections at once, one row per
-state, and each row gets the same bits as a solve of that state alone.
+state, and each row gets the same bits as a solve of that state alone.  Its
+Jacobians are built on the non-slack block only, from the real and
+imaginary parts of v * conj(L) cut to the non-slack nodes, with the
+injections added on the diagonals; each entry is the same floating-point
+operation as in the complex formula diag(inj) + v * conj(L), so the
+voltages keep their bits.
 """
 
 from __future__ import annotations
@@ -213,8 +218,10 @@ def solve_power_flow(
     node's voltage is pinned at 1; its injection is left free.
 
     Every row starts flat (v = 1) and takes Newton steps on its own: the
-    admittance matrix is built once, the mismatch is one matrix-vector
-    product per row, the Jacobians are solved as one (rows, k, k) stack, each
+    admittance matrix is built once and cut to the non-slack block once, the
+    mismatch is one matrix-vector product per row, the Jacobians are built
+    on that block directly (:func:`_jacobian`, the entries of the complex
+    formula, bit for bit) and solved as one (rows, k, k) stack, each
     row's step is halved until the infinity norm of its mismatch decreases,
     and a row stops once that norm is at most NEWTON_TOL.  So each row gets
     the bits it would get alone.  A singular Jacobian, a failed damping or
@@ -227,8 +234,8 @@ def solve_power_flow(
     if P.ndim != 2 or P.shape[1] != n or Q.shape != P.shape:
         raise ValueError(f"injections must be (m, {n}) arrays of one shape")
     L = admittance_matrix(net)
-    conj_L = np.conj(L)
     ns = np.array([j for j in range(n) if j != slack - 1])
+    conj_block = np.conj(L)[np.ix_(ns, ns)]
     k = len(ns)
     target = P + 1j * Q
     dc = net.kind == DC
@@ -239,16 +246,6 @@ def solve_power_flow(
         d = v * inj - target[rows]
         f = d.real[:, ns] if dc else np.concatenate([d.real[:, ns], d.imag[:, ns]], axis=1)
         return f, inj, np.max(np.abs(f), axis=1, initial=0.0)
-
-    def jacobian(v, inj):
-        diag = np.zeros(v.shape + (n,), dtype=complex)
-        diag[:, range(n), range(n)] = inj
-        v_l = v[:, :, None] * conj_L
-        d_de = (diag + v_l)[:, ns[:, None], ns]
-        if dc:
-            return d_de.real
-        d_df = (1j * diag - 1j * v_l)[:, ns[:, None], ns]
-        return np.block([[d_de.real, d_df.real], [d_de.imag, d_df.imag]])
 
     V = np.ones(P.shape, dtype=complex)
     failed: dict[int, str] = {}
@@ -261,7 +258,7 @@ def solve_power_flow(
         rows, v, f, inj, fnorm = (a[~done] for a in (rows, v, f, inj, fnorm))
         if not rows.size:
             break
-        step, solved = _solve_stack(jacobian(v, inj), -f)
+        step, solved = _solve_stack(_jacobian(v, inj, conj_block, ns, dc), -f)
         failed.update(dict.fromkeys(rows[~solved].tolist(), "singular power-flow Jacobian"))
         dv = np.zeros(v.shape, dtype=complex)
         dv[:, ns] = step if dc else step[:, :k] + 1j * step[:, k:]
@@ -290,6 +287,43 @@ def solve_power_flow(
         row = min(failed)
         raise PowerFlowError(failed[row], row=row)
     return V
+
+
+def _jacobian(
+    v: np.ndarray, inj: np.ndarray, conj_block: np.ndarray, ns: np.ndarray, dc: bool
+) -> np.ndarray:
+    """Newton Jacobians of the non-slack mismatch, one per row of ``v``.
+
+    ``inj`` is conj(L v) per row and ``conj_block`` is conj(L)[np.ix_(ns, ns)].
+    The derivative of v * conj(L v) by e is diag(inj) + v[:, None] * conj(L),
+    and by f it is 1j times diag(inj) - v[:, None] * conj(L).  With a and b
+    the real and imaginary parts of v[ns, None] * conj_block and D = diag(inj
+    at ns), the AC Jacobian is [[a + D.re, b - D.im], [b + D.im, -a + D.re]]
+    and the DC one is a + D.re, where v is real and a is v[ns].re times
+    conj_block.re.  The block is built directly, with no (n, n) temporary.
+    Each entry is the IEEE operation of the complex formula on the same
+    operands, up to order and exact negations and products by 0 and 1, so it
+    has the same value; an off-diagonal entry skips the formula's added
+    zero, which can only change the sign of a zero.
+    """
+    d = np.arange(len(ns))
+    inj = inj[:, ns]
+    if dc:
+        jac = v[:, ns].real[:, :, None] * conj_block.real
+        jac[:, d, d] += inj.real
+        return jac
+    k = len(ns)
+    v_l = v[:, ns, None] * conj_block
+    jac = np.empty((len(v), 2 * k, 2 * k))
+    jac[:, :k, :k] = v_l.real
+    jac[:, :k, k:] = v_l.imag
+    jac[:, k:, :k] = v_l.imag
+    np.negative(v_l.real, out=jac[:, k:, k:])
+    jac[:, d, d] += inj.real
+    jac[:, d, k + d] -= inj.imag
+    jac[:, k + d, d] += inj.imag
+    jac[:, k + d, k + d] += inj.real
+    return jac
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

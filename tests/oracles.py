@@ -270,6 +270,21 @@ def tall_fit(edges, states) -> Fit:
     return Fit(system, rms, condition_number(system.matrix), result)
 
 
+def newton_jacobian(L, v, inj, ns, dc: bool) -> np.ndarray:
+    """Jacobian of one state's non-slack mismatch, with ``inj`` = conj(L v),
+    from the complex formula: the full (n, n) derivatives by e and f, then
+    their ``np.ix_(ns, ns)`` blocks (the real part of the e block alone on
+    DC networks)."""
+    d_de = np.diag(inj) + v[:, None] * np.conj(L)
+    block = np.ix_(ns, ns)
+    if dc:
+        return d_de.real[block]
+    d_df = 1j * np.diag(inj) - 1j * (v[:, None] * np.conj(L))
+    return np.block(
+        [[d_de.real[block], d_df.real[block]], [d_de.imag[block], d_df.imag[block]]]
+    )
+
+
 def newton_per_state(net, p, q=None, slack: int = 1) -> np.ndarray:
     """Newton power flow on one state (1-D injections), with scalar damping:
     the per-state loop that ``states.solve_power_flow`` runs on a stack."""
@@ -293,26 +308,10 @@ def newton_per_state(net, p, q=None, slack: int = 1) -> np.ndarray:
         fnorm = np.max(np.abs(f))
         if fnorm <= gstates.NEWTON_TOL:
             return v
-        inj = np.conj(L @ v)
-        d_de = np.diag(inj) + v[:, None] * np.conj(L)
         try:
-            if dc:
-                jac = d_de.real[np.ix_(ns, ns)]
-                step = np.linalg.solve(jac, -f)
-                dv = np.zeros(n, dtype=complex)
-                dv[ns] = step
-            else:
-                d_df = 1j * np.diag(inj) - 1j * (v[:, None] * np.conj(L))
-                jac = np.block(
-                    [
-                        [d_de.real[np.ix_(ns, ns)], d_df.real[np.ix_(ns, ns)]],
-                        [d_de.imag[np.ix_(ns, ns)], d_df.imag[np.ix_(ns, ns)]],
-                    ]
-                )
-                step = np.linalg.solve(jac, -f)
-                k = len(ns)
-                dv = np.zeros(n, dtype=complex)
-                dv[ns] = step[:k] + 1j * step[k:]
+            step = np.linalg.solve(newton_jacobian(L, v, np.conj(L @ v), ns, dc), -f)
+            dv = np.zeros(n, dtype=complex)
+            dv[ns] = step if dc else step[: len(ns)] + 1j * step[len(ns):]
         except np.linalg.LinAlgError as exc:
             raise PowerFlowError("singular power-flow Jacobian") from exc
         alpha = 1.0

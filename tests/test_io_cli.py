@@ -1,13 +1,17 @@
+import concurrent.futures
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import gridrecover.cli
 import gridrecover.recovery
 import gridrecover.sparsify as sparsify
 from gridrecover import io
@@ -389,14 +393,21 @@ def test_cli_generate_from_network(tmp_path, noise):
     assert (rms(net, states) <= 1e-12) == (noise == "0")
 
 
+SEED_MESSAGE = "--seed: must be non-negative, got -1"
+
+
 @pytest.mark.parametrize(
     ("args", "message"),
     [
         (["generate", "--m", "5"], "--builtin"),
         (["generate", "--builtin", "table1_dc", "--network", "net.json", "--m", "5"], "--builtin"),
         (["report", "--trace", "trace.csv"], "unrecognized arguments: --out-dir"),
+        (["generate", "--builtin", "table1_dc", "--m", "5", "--seed", "-1"], SEED_MESSAGE),
+        (["sparsify", "--network", "network.json", "--eps", "1", "--seed", "-1"], SEED_MESSAGE),
+        (["recover", "--states", "states.csv", "--seed", "-1"], SEED_MESSAGE),
     ],
-    ids=["generate-neither-source", "generate-both-sources", "report-out-dir"],
+    ids=["generate-neither-source", "generate-both-sources", "report-out-dir",
+         "generate-negative-seed", "sparsify-negative-seed", "recover-negative-seed"],
 )
 def test_cli_rejects_while_parsing(tmp_path, capsys, args, message):
     # argparse exits before any (missing) input is read or output written
@@ -520,12 +531,25 @@ def test_cli_trials_reject_malformed_states_before_any_worker(tmp_path, capsys, 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was built")
 
-    monkeypatch.setattr(gridrecover.cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     path = tmp_path / "states.csv"
     path.write_text("e_1,P_1,e_2,P_2\n1.0,0.5,1.1,-0.5\n1.0,oops,1.1,-0.5\n")
     code = main(["recover", "--states", str(path), "--trials", "3", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "states.csv:3: non-numeric state entry" in capsys.readouterr().err
+
+
+def test_cli_loads_numpy_random_but_no_process_pool():
+    # numpy.random loads before a pool forks, so no worker imports it again;
+    # the pool, and multiprocessing with it, loads only for --trials above 1
+    code = (
+        "import sys, gridrecover.cli\n"
+        "print('numpy.random' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert run.stdout.split() == ["True", "False"]
 
 
 def test_cli_trials_read_the_states_once(tmp_path, monkeypatch):
@@ -540,7 +564,7 @@ def test_cli_trials_read_the_states_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(io, "load_states_csv", counting_load)
     # threads instead of processes, so that a load inside a worker is counted too
-    monkeypatch.setattr(gridrecover.cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     code = main(["recover", "--states", str(out / "states.csv"), "--trials", "3",
                  "--workers", "2", "--max-stale", "5", "--out-dir", str(out)])
     assert code in (0, 1)

@@ -6,21 +6,22 @@ own, bit for bit; a parameter vector must survive the trip through the
 layout and back; a fit on the triangular factor, restricted or re-assembled,
 must agree with the fit on the tall equations to roundoff; NNLS must meet
 its KKT bound and the global optimum where columns repeat or depend on each
-other; and its factored solves must take the same active-set steps as
-solving every step afresh by least squares.
+other; its factored solves must take the same active-set steps as
+solving every step afresh by least squares; and the Newton Jacobian built on
+the non-slack block must equal the complex formula's block, at any slack.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridrecover.network import complete_edges
+from gridrecover.network import DC, admittance_matrix, complete_edges
 from gridrecover.nnls import solve as nnls_solve
 from gridrecover.recovery import fit
-from gridrecover.states import generate_voltage_driven
+from gridrecover.states import _jacobian, generate_voltage_driven
 from gridrecover.vandermonde import assemble, network_from_columns, parameter_vector, restrict
 from helpers import random_ac_network, random_dc_network
-from oracles import exhaustive_nnls, nnls_lstsq, tall_fit, tall_system
+from oracles import exhaustive_nnls, newton_jacobian, nnls_lstsq, tall_fit, tall_system
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -180,3 +181,37 @@ def test_nnls_on_wide_systems_takes_the_oracle_steps_to_the_optimum(system):
     tol = 1e-12 * (np.linalg.norm(b) + 1.0)
     for objective in (oracle.objective, optimize.nnls(A, b)[1], exhaustive_nnls(A, b)[1]):
         assert abs(result.objective - objective) <= tol
+
+
+@st.composite
+def jacobian_cases(draw):
+    """A random DC or AC network, a stack of voltages and a slack node.
+
+    DC voltages are real with an imaginary zero of either sign, as Newton
+    steps leave them; AC voltages have any angle within half a radian."""
+    make = draw(st.sampled_from([random_dc_network, random_ac_network]))
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = make(rng, n, extra_edges=draw(st.integers(0, 4)))
+    m = draw(st.integers(1, 4))
+    v = rng.uniform(0.8, 1.2, (m, n)).astype(complex)
+    if net.kind == DC:
+        v.imag = draw(st.sampled_from([0.0, -0.0]))
+    else:
+        v *= np.exp(1j * rng.uniform(-0.5, 0.5, (m, n)))
+    return net, v, draw(st.integers(1, n))
+
+
+@PROPERTY
+@given(jacobian_cases())
+def test_newton_jacobian_equals_the_complex_formula(case):
+    net, v, slack = case
+    L = admittance_matrix(net)
+    ns = np.array([j for j in range(net.n) if j != slack - 1])
+    inj = np.conj((L @ v[..., None])[..., 0])
+    dc = net.kind == DC
+    got = _jacobian(v, inj, np.conj(L)[np.ix_(ns, ns)], ns, dc)
+    assert got.shape == (len(v),) + 2 * ((1 if dc else 2) * len(ns),)
+    for row in range(len(v)):
+        # equal values; only the sign of an off-diagonal zero may differ
+        assert np.array_equal(got[row], newton_jacobian(L, v[row], inj[row], ns, dc))

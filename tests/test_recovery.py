@@ -48,6 +48,7 @@ def test_config_validation():
         ("max_wall_time", 0.0, "max_wall_time must be positive"),
         ("max_wall_time", -1.0, "max_wall_time must be positive"),
         ("max_wall_time", nan, "max_wall_time must be positive"),
+        ("seed", -1, "seed must be non-negative, got -1"),
     ):
         with pytest.raises(ValueError, match=message):
             RecoveryConfig(**{field: value})

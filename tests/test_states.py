@@ -311,6 +311,21 @@ def test_stacked_solve_power_flow_equals_row_by_row_calls(make):
         assert np.array_equal(alone, newton_per_state(net, p[row], q[row], slack=1))
 
 
+@pytest.mark.parametrize("slack", [1, 3, 6])
+@pytest.mark.parametrize("make", [random_dc_network, random_ac_network])
+def test_stacked_solve_power_flow_equals_the_oracle_at_any_slack(make, slack):
+    # the first, a middle and the last node; node 1 injects nothing
+    rng = np.random.default_rng(9)
+    net = make(rng, 6, wrange=(1.0, 6.0))
+    p = np.column_stack([np.zeros(7), rng.uniform(-0.3, 0.0, (7, 5))])
+    q = np.column_stack([np.zeros(7), rng.uniform(-0.1, 0.1, (7, 5))])
+    stacked = solve_power_flow(net, p, q, slack=slack)
+    assert np.all(stacked[:, slack - 1] == 1)
+    for row in range(7):
+        want = newton_per_state(net, p[row], q[row], slack=slack)
+        assert np.array_equal(stacked[row], want)
+
+
 def test_stacked_solve_power_flow_names_the_failed_row():
     # past the nose point of a unit edge; a load of 0.5 steps onto a zero Jacobian
     line = Network.dc(2, ((1, 2),), [1.0])
