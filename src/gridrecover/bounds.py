@@ -90,8 +90,9 @@ def dc_bound_coarse(
         raise ValueError("dc_bound_coarse needs a DC network and DC data")
     if not (0 < vmin <= 1):
         raise ValueError("need 0 < vmin <= 1")
-    if vmax < vmin:
-        raise ValueError("need vmax >= vmin")
+    # written as "not lo <= x < hi" so that nan is rejected too
+    if not vmin <= vmax < math.inf:
+        raise ValueError(f"need a finite vmax >= vmin, got {vmax}")
     v = np.abs(states.e)
     if np.any(v < vmin) or np.any(v > vmax):
         raise ValueError(f"voltages leave the declared range [{vmin}, {vmax}]")

@@ -35,15 +35,22 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def _integer(value, where: str) -> int:
+    """An integral number as an int; a fraction or a boolean raises FormatError."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise FormatError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def network_from_dict(data: dict) -> Network:
     try:
         kind = data["kind"]
-        n = int(data["n"])
+        n = _integer(data["n"], "n")
         raw = data["edges"]
-        edges = [(int(e["j"]), int(e["k"])) for e in raw]
+        edges = [tuple(_integer(e[end], f"edges[{i}].{end}") for end in "jk") for i, e in enumerate(raw)]
         c = [float(e["c"]) for e in raw]
         s = [float(e.get("s", 0.0)) for e in raw]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed network object: {exc}") from exc
     try:
         return Network(kind, n, tuple(edges), np.array(c), np.array(s))

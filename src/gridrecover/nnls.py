@@ -43,16 +43,20 @@ Both phases count least-squares solves in ``iterations`` against one cap.
 A result whose KKT residual exceeds ``KKT_TOL`` is not returned: it is
 raised with :class:`NnlsError`, as is the best feasible iterate at the cap.
 
-A system whose unconstrained least-squares solution is strictly positive
-needs no active-set step: on full column rank that solution is the unique
-minimizer over all w, so over w >= 0 as well, and it meets the KKT
-conditions with an empty zero set and a zero gradient (Lawson & Hanson,
-ch. 23).  :func:`solve` would reach it from w = 0 by one step per column.
-:func:`back_substitute` takes a square upper triangle, as a re-compressed
-system is, applies the same rank test as the factor above, solves it by one
-back-substitution and returns that solution only when every weight is
-positive and the KKT residual is at most ``KKT_TOL``; otherwise the caller
-runs :func:`solve`.
+**Warm start.**  ``solve(A, b, from_all=True)`` starts the block phase from
+every column: one Householder QR of ``[A | b]``, the rank test above and a
+back-substitution give its first iterate, and w = 0 is the feasible
+iterate it has to beat.  A system whose least-squares solution is strictly
+positive then stops after that one solve: on full column rank that solution
+is the unique minimizer over all w, so over w >= 0 as well, and it meets the
+KKT conditions with an empty zero set and a zero gradient (Lawson & Hanson,
+ch. 23).  A mixed-sign solution is pivoted from there, in a few solves
+where the cold start takes one step per entering column.  A system that
+fails the rank test starts cold instead: its first solve would be the
+minimum-norm least-squares solution of every column, and on a degenerate
+system pivoting from there can end on a denser point of the optimal face
+than the cold start reaches (16 of 16 weights positive against 12 on a
+small_ac candidate), which changes the run's later decisions.
 """
 
 from __future__ import annotations
@@ -107,12 +111,6 @@ def _kkt_residual(grad: np.ndarray, passive: np.ndarray) -> float:
     if np.any(passive):
         viol = max(viol, float(np.max(np.abs(grad[passive]), initial=0.0)))
     return viol
-
-
-def _full_rank(R: np.ndarray) -> bool:
-    """Whether every diagonal entry of the upper triangle R exceeds
-    ``FALLBACK_RTOL`` times its largest column norm."""
-    return bool(np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * np.max(np.linalg.norm(R, axis=0)))
 
 
 class _PassiveQR:
@@ -179,58 +177,45 @@ class _PassiveQR:
         return z
 
 
-def _passive_least_squares(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
+def _back_substitution(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray | None:
     """Least-squares weights on the passive columns, zero elsewhere, from one
-    Householder QR of ``[A_F | b]`` and a back-substitution; minimum-norm
-    ``lstsq`` when the passive set is rank-deficient or wider than tall."""
+    Householder QR of ``[A_F | b]`` and a back-substitution; None when the
+    passive set is rank-deficient or wider than tall."""
     z = np.zeros(A.shape[1])
-    cols = A[:, passive]
-    p = cols.shape[1]
+    p = int(np.count_nonzero(passive))
     if p == 0:
         return z
-    if p <= A.shape[0]:
-        R = np.linalg.qr(np.column_stack((cols, b)), mode="r")
-        if _full_rank(R[:p, :p]):
-            # LU of a triangular matrix takes no row swap: this is a back-substitution
-            z[passive] = np.linalg.solve(R[:p, :p], R[:p, p])
-            return z
-    z[passive], *_ = np.linalg.lstsq(cols, b, rcond=None)
+    if p > A.shape[0]:
+        return None
+    R = np.linalg.qr(np.column_stack((A[:, passive], b)), mode="r")
+    R, qtb = R[:p, :p], R[:p, p]
+    # full rank: every diagonal entry above FALLBACK_RTOL times the largest column norm
+    if not np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * np.max(np.linalg.norm(R, axis=0)):
+        return None
+    # LU of a triangular matrix takes no row swap: this is a back-substitution
+    z[passive] = np.linalg.solve(R, qtb)
     return z
 
 
-def back_substitute(R, b) -> NnlsResult | None:
-    """The NNLS optimum of a square upper triangle R, when it is R^-1 b.
-
-    Returns None when a diagonal entry of R is at or below ``FALLBACK_RTOL``
-    times its largest column norm, when a weight of R^-1 b is not positive,
-    or when the KKT residual exceeds ``KKT_TOL``; a result counts one
-    least-squares solve.
-    """
-    R = np.asarray(R, dtype=float)
-    b = np.asarray(b, dtype=float)
-    k = len(b)
-    if R.shape != (k, k) or b.ndim != 1 or k == 0:
-        raise ValueError("R must be (k, k) and b must be (k,) with k >= 1")
-    if not _full_rank(R):
-        return None
-    # LU of a triangular matrix takes no row swap: this is a back-substitution
-    w = np.linalg.solve(R, b)
-    if not (w > 0).all():
-        return None
-    resid = b - R @ w
-    kkt = _kkt_residual(-(R.T @ resid), np.ones(k, dtype=bool))
-    if kkt > KKT_TOL:
-        return None
-    return NnlsResult(w, float(np.linalg.norm(resid)), kkt, 1)
+def _passive_least_squares(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """:func:`_back_substitution`, or minimum-norm ``lstsq`` where it declines."""
+    z = _back_substitution(A, b, passive)
+    if z is None:
+        z = np.zeros(A.shape[1])
+        z[passive], *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
+    return z
 
 
-def solve(A, b) -> NnlsResult:
+def solve(A, b, *, from_all: bool = False) -> NnlsResult:
     """Minimize ||A w - b|| subject to w >= 0.
 
-    Raises :class:`NnlsError` when the KKT residual at termination exceeds
-    ``KKT_TOL``, with that result attached, and when more than
-    max(ITERATIONS_PER_COLUMN * k, MIN_ITERATIONS) least-squares solves are
-    needed on k columns, with the best feasible iterate attached.
+    With ``from_all``, block principal pivoting starts from every column
+    when A as a whole passes the rank test; otherwise, and by default, the
+    solver starts from w = 0.  Raises :class:`NnlsError` when the KKT
+    residual at termination exceeds ``KKT_TOL``, with that result attached,
+    and when more than max(ITERATIONS_PER_COLUMN * k, MIN_ITERATIONS)
+    least-squares solves are needed on k columns, with the best feasible
+    iterate attached.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -241,6 +226,9 @@ def solve(A, b) -> NnlsResult:
 
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
+    z = _back_substitution(A, b, ~passive) if from_all else None
+    if z is not None:  # block pivoting from every column, w = 0 the iterate to beat
+        return _block_phase(A, b, ~passive, z, (x, b, -(A.T @ b), passive), 1, max_iter)
     factor = _PassiveQR(A, b)
     iterations = 0
     while True:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .network import Network, complete_edges, is_spanning_tree
-from .nnls import NnlsError, NnlsResult, back_substitute, solve as nnls_solve
+from .nnls import NnlsError, NnlsResult, solve as nnls_solve
 from .sparsify import sparsify_ac
 from .states import StateSet, rms as states_rms
 from .vandermonde import VandermondeSystem, assemble, condition_number, network_from_columns, restrict
@@ -42,6 +43,10 @@ EVENT_NO_REDUCTION = "no_edge_reduction"
 EVENTS = (EVENT_INITIAL, EVENT_ACCEPTED, EVENT_REJECTED_RMS, EVENT_NO_REDUCTION)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class RecoveryConfig:
     """Knobs of the recovery loop.
@@ -50,7 +55,8 @@ class RecoveryConfig:
     exploration factor, both finite.  ``tol`` is the rms acceptance
     tolerance.  ``seed`` is a non-negative integer, as numpy's seed
     sequences take.  At least one stopping criterion must be enabled; the
-    iteration counts must be at least 1 and the wall time positive.
+    iteration counts must be integers of at least 1 and the wall time
+    positive.
     """
 
     eps0: float = 0.1
@@ -70,12 +76,14 @@ class RecoveryConfig:
             raise ValueError("psi must exceed 1 and be finite")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.max_stale_iterations is not None and self.max_stale_iterations < 1:
-            raise ValueError("max_stale_iterations must be at least 1")
+        for name in ("max_iterations", "max_stale_iterations"):
+            value = getattr(self, name)
+            if value is not None and not (_is_integer(value) and value >= 1):
+                raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
         if self.max_wall_time is not None and not self.max_wall_time > 0:
             raise ValueError("max_wall_time must be positive")
         if not (
@@ -99,14 +107,13 @@ class Fit:
     complete graph's factor, is compressed again first: one QR of
     ``[matrix | rhs]`` gives a square triangle with the singular values of
     ``matrix``, so ``kappa`` is that of ``matrix``, a new rhs, and a corner
-    that joins ``rho`` by ``hypot``.  ``system`` is that square system.  Its
-    back-substitution is the least-squares solution; when it has full rank
-    and every weight is positive, that solution is the NNLS optimum, taken
-    as the fit in one least-squares solve (:func:`nnls.back_substitute`).
-    Otherwise the active-set solver runs on the square system.  Either way
-    ``nnls.objective`` is the square system's residual norm, which leaves
-    out ``rho`` and the corner; ``rms`` is ``hypot(nnls.objective, rho,
-    corner) / sqrt(rows)``, the rms of the data's residuals."""
+    that joins ``rho`` by ``hypot``.  ``system`` is that square system, and
+    the solver starts from all its columns (``from_all``): when it has full
+    rank and every least-squares weight is positive, its back-substitution
+    is the fit, in one least-squares solve.  Either way ``nnls.objective``
+    is the square system's residual norm, which leaves out ``rho`` and the
+    corner; ``rms`` is ``hypot(nnls.objective, rho, corner) / sqrt(rows)``,
+    the rms of the data's residuals."""
 
     system: VandermondeSystem
     rms: float
@@ -122,26 +129,22 @@ def fit(system: VandermondeSystem) -> Fit:
     """Best non-negative parameters for the system's edges.
 
     A system with more rows than columns is re-compressed to a square
-    triangle and fitted by back-substitution when its least-squares weights
-    are all positive, by the active-set solver otherwise; a square system,
-    such as the complete graph's or an assembled one, always goes to the
-    active-set solver.  Raises ValueError when the residual norm overflows,
-    and :class:`NnlsError` when the solver does not converge or ends above
-    ``nnls.KKT_TOL``.
+    triangle and fitted from all its columns, which the solver's warm start
+    takes when the triangle has full rank; a square system, such as the
+    complete graph's or an assembled one, is fitted from w = 0.  Raises
+    ValueError when the residual norm overflows, and :class:`NnlsError` when
+    the solver does not converge or ends above ``nnls.KKT_TOL``.
     """
     rows, cols = system.matrix.shape
-    result = None
     if rows > cols:
         R = np.linalg.qr(np.column_stack((system.matrix, system.rhs)), mode="r")
         rho = float(np.hypot(system.rho, R[cols, cols]))
         system = replace(system, matrix=R[:cols, :cols], rhs=R[:cols, cols], rho=rho)
-        result = back_substitute(system.matrix, system.rhs)
-    if result is None:
-        try:
-            result = nnls_solve(system.matrix, system.rhs)
-        except NnlsError as exc:
-            _residual(exc.result, system)  # an overflow is the clearer report
-            raise
+    try:
+        result = nnls_solve(system.matrix, system.rhs, from_all=rows > cols)
+    except NnlsError as exc:
+        _residual(exc.result, system)  # an overflow is the clearer report
+        raise
     fit_rms = float(_residual(result, system) / np.sqrt(system.rows))
     return Fit(system, fit_rms, condition_number(system), result)
 

@@ -30,7 +30,7 @@ from gridrecover.network import (
     laplacian,
     split_graphs,
 )
-from gridrecover.nnls import KKT_TOL, NnlsError, NnlsResult, _kkt_residual
+from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, NnlsResult, _kkt_residual
 from gridrecover.recovery import Fit
 from gridrecover.sparsify import EdgeStatistics, _pseudo_inverse, sample_count
 from gridrecover.states import PowerFlowError, StateSet, add_noise
@@ -151,7 +151,7 @@ def exhaustive_nnls(A, b, feas_tol: float = 1e-9) -> tuple[np.ndarray, float]:
     return best_w, best_obj
 
 
-def nnls_lstsq(A, b) -> NnlsResult:
+def nnls_lstsq(A, b, *, from_all: bool = False) -> NnlsResult:
     """NNLS by the steps of ``gridrecover.nnls.solve``, every least-squares
     solve made afresh.
 
@@ -160,7 +160,10 @@ def nnls_lstsq(A, b) -> NnlsResult:
     least-squares solve with a weight at or below zero, but each passive set
     is solved by minimum-norm ``np.linalg.lstsq`` on its columns instead of
     through an updated QR factor or a Householder QR, and the result is
-    returned whatever its KKT residual.
+    returned whatever its KKT residual.  With ``from_all``, a system with at
+    least as many rows as columns whose singular values stay above
+    ``FALLBACK_RTOL`` times the largest starts the block pivoting from every
+    column, as the solver's warm start does.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -183,23 +186,30 @@ def nnls_lstsq(A, b) -> NnlsResult:
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
     iterations = 0
-    # Lawson-Hanson while every passive weight stays positive
-    while True:
-        grad = -(A.T @ (b - A @ x))
-        candidates = ~passive & (-grad > KKT_TOL)
-        if not np.any(candidates):
-            return result(x, passive, iterations)
+    sv = np.linalg.svd(A, compute_uv=False)
+    if from_all and k <= len(b) and np.all(sv > FALLBACK_RTOL * np.max(sv, initial=0.0)):
         best = (x, passive.copy())
-        # enter the column with the most negative gradient; argmax takes the
-        # first (= lowest-index) maximum on ties
-        passive[int(np.argmax(np.where(candidates, -grad, -np.inf)))] = True
+        passive[:] = True
         z = least_squares(passive)
-        iterations += 1
-        if iterations > max_iter:
-            raise capped(best, iterations)
-        if not np.all(z[passive] > 0):
-            break
-        x = z
+        iterations = 1
+    else:
+        # Lawson-Hanson while every passive weight stays positive
+        while True:
+            grad = -(A.T @ (b - A @ x))
+            candidates = ~passive & (-grad > KKT_TOL)
+            if not np.any(candidates):
+                return result(x, passive, iterations)
+            best = (x, passive.copy())
+            # enter the column with the most negative gradient; argmax takes the
+            # first (= lowest-index) maximum on ties
+            passive[int(np.argmax(np.where(candidates, -grad, -np.inf)))] = True
+            z = least_squares(passive)
+            iterations += 1
+            if iterations > max_iter:
+                raise capped(best, iterations)
+            if not np.all(z[passive] > 0):
+                break
+            x = z
     # block principal pivoting: move every infeasible index while their count
     # falls, and after three exchanges in a row that do not lower it the
     # lowest infeasible index alone

@@ -54,6 +54,40 @@ def test_network_json_schema_errors(tmp_path):
             io.load_network(path)
 
 
+@pytest.mark.parametrize(
+    "edges, n, where",
+    [
+        ('[{"j": 1, "k": 2, "c": 1.0}]', "6.7", "n must be an integer, got 6.7"),
+        ('[{"j": 1, "k": 2, "c": 1.0}]', "true", "n must be an integer, got True"),
+        (
+            '[{"j": 1, "k": 2, "c": 1.0}, {"j": 1.9, "k": 3, "c": 1.0}]',
+            "3",
+            r"edges\[1\].j must be an integer, got 1.9",
+        ),
+        ('[{"j": 1, "k": false, "c": 1.0}]', "3", r"edges\[0\].k must be an integer, got False"),
+    ],
+)
+def test_network_json_rejects_non_integral_indices(tmp_path, capsys, edges, n, where):
+    path = tmp_path / "net.json"
+    path.write_text(f'{{"kind": "dc", "n": {n}, "edges": {edges}}}')
+    with pytest.raises(io.FormatError, match=where):
+        io.load_network(path)
+    # estimate stops at the file, before the states are read or a fit is made
+    out = tmp_path / "out"
+    assert main(["estimate", "--network", str(path), "--states", str(tmp_path / "absent.csv"),
+                 "--out-dir", str(out)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_network_json_takes_integral_floats(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text('{"kind": "dc", "n": 3.0, "edges": [{"j": 1, "k": 2.0, "c": 1.5}]}')
+    net = io.load_network(path)
+    assert (net.n, net.edges) == (3, ((1, 2),))
+    assert isinstance(net.n, int) and all(isinstance(j, int) for e in net.edges for j in e)
+
+
 def test_states_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     for make in (random_dc_network, random_ac_network):
@@ -322,7 +356,7 @@ def test_cli_recover_nonzero_exit_when_over_tol(tmp_path):
 
 
 def test_cli_recover_failed_initial_fit_exits_1(tmp_path, capsys, monkeypatch):
-    def failing_solve(A, b):
+    def failing_solve(A, b, from_all=False):
         raise NnlsError("stub: no convergence", NnlsResult(np.zeros(A.shape[1]), 1.0, 1.0, 1))
 
     out = tmp_path / "exp"
@@ -437,6 +471,20 @@ def test_cli_generate_rejects_m_below_one(tmp_path, capsys, value):
         main(["generate", "--builtin", "table1_dc", "--m", value, "--out-dir", str(out)])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
+def test_cli_bound_coarse_rejects_a_vmax_that_is_not_finite_or_below_vmin(tmp_path, capsys, value):
+    data = tmp_path / "data"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "20", "--seed", "2",
+                 "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["bound", "--network", str(data / "network.json"),
+                 "--states", str(data / "states.csv"), "--eps", "0.5", "--variant", "coarse",
+                 "--vmin", "0.8", "--vmax", value, "--out-dir", str(out)]) == 1
+    assert f"need a finite vmax >= vmin, got {float(value)}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridrecover.nnls
-from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, back_substitute, solve
+from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, solve
 from gridrecover.recovery import fit
 from gridrecover.vandermonde import assemble
 from oracles import exhaustive_nnls, kernel_basis, nnls_lstsq, tall_fit
@@ -197,11 +197,12 @@ def test_a_result_above_the_kkt_bound_is_raised():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        solve(np.eye(3), np.ones(2))
-    for R, b in ((np.eye(3), np.ones(2)), (np.ones((3, 2)), np.ones(3)), (np.eye(0), np.ones(0))):
-        with pytest.raises(ValueError):
-            back_substitute(R, b)
+    for from_all in (False, True):
+        for A, b in ((np.eye(3), np.ones(2)), (np.ones(3), np.ones(3)), (np.eye(3), np.ones((3, 1)))):
+            with pytest.raises(ValueError):
+                solve(A, b, from_all=from_all)
+    with pytest.raises(TypeError):
+        solve(np.eye(3), np.ones(3), True)  # from_all is keyword-only
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -217,27 +218,46 @@ def triangles(draw):
     return R, rng
 
 
+def _outcome(A, b, **kwargs):
+    """The solver's result, or the one its NnlsError carries."""
+    try:
+        return solve(A, b, **kwargs)
+    except NnlsError as exc:
+        return exc.result
+
+
 @PROPERTY
 @given(triangles())
 def test_back_substitution_is_the_optimum_of_a_positive_solution(case):
     R, rng = case
     b = R @ rng.uniform(0.5, 2.0, R.shape[1])
-    result = back_substitute(R, b)
-    assert result is not None and result.iterations == 1
+    result = solve(R, b, from_all=True)
+    assert result.iterations == 1
     assert np.all(result.w > 0) and result.kkt_residual <= KKT_TOL
+    # the warm start's one solve is a back-substitution on R itself
+    w = np.linalg.solve(R, b)
+    assert result.w.tobytes() == w.tobytes()
+    assert result.objective == float(np.linalg.norm(b - R @ w))
     reference, *_ = np.linalg.lstsq(R, b, rcond=None)
     assert np.max(np.abs(result.w - reference)) <= 1e-12 * np.max(np.abs(reference))
-    # both objectives are roundoff; the active-set solver's is no smaller
+    # both objectives are roundoff; the cold start's is no smaller
     assert result.objective <= solve(R, b).objective + 1e-15 * np.linalg.norm(b)
 
 
 @PROPERTY
 @given(triangles())
 def test_back_substitution_declines_a_mixed_sign_solution(case):
+    # the back-substitution has a negative weight, so block pivoting goes on
+    # from it to the optimum
     R, rng = case
     w = rng.uniform(0.5, 2.0, R.shape[1])
     w[rng.integers(R.shape[1])] = -rng.uniform(0.5, 2.0)
-    assert back_substitute(R, R @ w) is None
+    b = R @ w
+    result = solve(R, b, from_all=True)
+    assert result.iterations > 1 and np.all(result.w >= 0)
+    assert result.kkt_residual <= KKT_TOL
+    _, best = exhaustive_nnls(R, b)
+    assert abs(result.objective - best) <= 1e-12 * (np.linalg.norm(b) + 1.0)
 
 
 @PROPERTY
@@ -248,8 +268,15 @@ def test_back_substitution_declines_a_rank_deficient_triangle(case, fraction):
     R[j, j] = 0.0
     scale = float(np.max(np.linalg.norm(R, axis=0)))
     R[j, j] = fraction * FALLBACK_RTOL * scale
-    # a positive solution, so the rank test alone declines it
-    assert back_substitute(R, R @ rng.uniform(0.5, 2.0, R.shape[1])) is None
+    # a positive solution, so the rank test alone sends it to the cold start
+    b = R @ rng.uniform(0.5, 2.0, R.shape[1])
+    warm, cold = _outcome(R, b, from_all=True), _outcome(R, b)
+    assert warm.w.tobytes() == cold.w.tobytes()
+    assert (warm.objective, warm.kkt_residual, warm.iterations) == (
+        cold.objective,
+        cold.kkt_residual,
+        cold.iterations,
+    )
 
 
 def test_parameter_estimation_round_trip():

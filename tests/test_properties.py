@@ -7,7 +7,8 @@ layout and back; a fit on the triangular factor, restricted or re-assembled,
 must agree with the fit on the tall equations to roundoff; NNLS must meet
 its KKT bound and the global optimum where columns repeat or depend on each
 other; its factored solves must take the same active-set steps as
-solving every step afresh by least squares; and the Newton Jacobian built on
+solving every step afresh by least squares, from w = 0 and from all
+columns; and the Newton Jacobian built on
 the non-slack block must equal the complex formula's block, at any slack.
 """
 
@@ -125,26 +126,27 @@ def wide_systems(draw):
 @st.composite
 def nnls_systems(draw):
     """A random tall or square system, or one of :func:`wide_systems` or
-    :func:`rank_deficient_systems`."""
+    :func:`rank_deficient_systems`, and the solver's start: ``from_all``
+    drawn for tall and square systems, False for the others."""
     shape = draw(st.sampled_from(["tall", "square", "wide", "rank-deficient"]))
     if shape == "wide":
-        return draw(wide_systems())
+        return *draw(wide_systems()), False
     if shape == "rank-deficient":
-        return draw(rank_deficient_systems())
+        return *draw(rank_deficient_systems()), False
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(1, 10))
     m = k if shape == "square" else draw(st.integers(k + 1, 3 * k + 4))
     A = rng.standard_normal((m, k))
     # weights of both signs leave some columns at zero in the optimum
     b = A @ rng.uniform(-1, 2, k) if draw(st.booleans()) else rng.standard_normal(m)
-    return A, b
+    return A, b, draw(st.booleans())
 
 
 @PROPERTY
 @given(nnls_systems())
 def test_nnls_takes_the_steps_of_the_least_squares_oracle(system):
-    A, b = system
-    result, oracle = nnls_solve(A, b), nnls_lstsq(A, b)
+    A, b, from_all = system
+    result, oracle = nnls_solve(A, b, from_all=from_all), nnls_lstsq(A, b, from_all=from_all)
     assert result.iterations == oracle.iterations
     # identical columns can tie in the entering rule to one ulp of A.T @ resid,
     # and either copy may then enter: compare the weights per group of copies
@@ -164,9 +166,10 @@ def test_nnls_takes_the_steps_of_the_least_squares_oracle(system):
 @given(nnls_systems())
 def test_nnls_objective_matches_scipy(system):
     optimize = pytest.importorskip("scipy.optimize")
-    A, b = system
+    A, b, from_all = system
     _, objective = optimize.nnls(A, b)
-    assert abs(nnls_solve(A, b).objective - objective) <= 1e-12 * (np.linalg.norm(b) + 1.0)
+    result = nnls_solve(A, b, from_all=from_all)
+    assert abs(result.objective - objective) <= 1e-12 * (np.linalg.norm(b) + 1.0)
 
 
 @PROPERTY

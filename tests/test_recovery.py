@@ -49,10 +49,16 @@ def test_config_validation():
         ("max_wall_time", -1.0, "max_wall_time must be positive"),
         ("max_wall_time", nan, "max_wall_time must be positive"),
         ("seed", -1, "seed must be non-negative, got -1"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("max_iterations", 2.5, "max_iterations must be at least 1 and an integer, got 2.5"),
+        ("max_stale_iterations", 2.5, "max_stale_iterations must be at least 1 and an integer"),
+        ("max_stale_iterations", True, "max_stale_iterations must be at least 1 and an integer"),
     ):
         with pytest.raises(ValueError, match=message):
             RecoveryConfig(**{field: value})
     RecoveryConfig(max_iterations=1, max_stale_iterations=1, max_wall_time=1e-3)
+    RecoveryConfig(seed=np.int64(3), max_iterations=np.int32(2))  # numpy integers are integers
 
 
 def test_recover_fits_each_candidate_edge_set_once(monkeypatch, table1_states):
@@ -172,14 +178,13 @@ def test_recover_failed_refit_keeps_the_rows_and_the_held_network(monkeypatch, t
     held, initial = recover(table1_states, RecoveryConfig(seed=1, max_iterations=1))
     solve, calls = gridrecover.recovery.nnls_solve, []
 
-    def solve_once(A, b):
+    def solve_once(A, b, from_all=False):
         calls.append(A.shape)
         if len(calls) > 1:
             raise NnlsError("stub: no convergence", NnlsResult(np.zeros(A.shape[1]), 1.0, 1.0, 1))
         return solve(A, b)
 
-    # every candidate goes to the active-set solver, which fails after the initial fit
-    monkeypatch.setattr(gridrecover.recovery, "back_substitute", lambda R, b: None)
+    # the solver fails on the first candidate, after the initial fit
     monkeypatch.setattr(gridrecover.recovery, "nnls_solve", solve_once)
     with pytest.raises(RecoveryError) as exc:
         recover(table1_states, RecoveryConfig(seed=1))
@@ -313,14 +318,21 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     assert len(built_inside) == 1 + accepted + (len(held) - 1) + 1
 
 
+def _cold_start(monkeypatch):
+    """Make every fit start the solver from w = 0, whatever ``from_all`` says."""
+    solve = gridrecover.recovery.nnls_solve
+    monkeypatch.setattr(gridrecover.recovery, "nnls_solve", lambda A, b, from_all=False: solve(A, b))
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("sigma", [0.0, 1e-6])
 @pytest.mark.parametrize("name", BUILTINS)
 def test_back_substitution_changes_no_decision(monkeypatch, name, sigma, seed):
+    # the warm start, whose first solve is the back-substitution of every
+    # column, against the cold start on every candidate
     states, cfg = _builtin_run(name, sigma, seed)
     _, trace = recover(states, cfg)
-    # every candidate goes to the active-set solver
-    monkeypatch.setattr(gridrecover.recovery, "back_substitute", lambda R, b: None)
+    _cold_start(monkeypatch)
     _, cold_trace = recover(states, cfg)
     for row, cold in zip(trace.rows, cold_trace.rows):
         if (row.iteration, row.event, row.edges) != (cold.iteration, cold.event, cold.edges):
@@ -336,7 +348,7 @@ def test_back_substitution_keeps_the_column_the_cold_fit_drops(monkeypatch):
     # heawood_noisy instance 13012: at iteration 2 the active-set solver's
     # absolute KKT test stops one column short on the accepted candidate, so
     # its fit keeps 28 edges; every least-squares weight of the candidate is
-    # positive, and the back-substitution keeps all 29
+    # positive, and the warm start's back-substitution keeps all 29
     net_seed, data_seed = np.random.SeedSequence(13012).spawn(2)
     truth = builtin_network("heawood_dc", net_seed)
     scenario = builtin_scenario("heawood_dc", sigma=1e-6)
@@ -358,6 +370,6 @@ def test_back_substitution_keeps_the_column_the_cold_fit_drops(monkeypatch):
     system, accepted = fits[1]
     assert len(system.edges) == 29
     assert np.all(accepted.nnls.w > 0) and accepted.nnls.iterations == 1
-    monkeypatch.setattr(gridrecover.recovery, "back_substitute", lambda R, b: None)
+    _cold_start(monkeypatch)
     cold = fit(system)
     assert accepted.rms <= cold.rms

@@ -34,4 +34,6 @@ def test_traced_recover_yields_layer_metrics(spans, table1_states):
     assert metrics["nnls.lstsq_solves"] > 0  # result.iterations
     assert metrics["sparsify.draws"] > 0  # outcome.t
     assert metrics["nnls.kkt_max"] <= 1e-8
+    # every refit goes through the spanned solver, so the KKT bound sees it
+    assert metrics["nnls.refit_calls"] == metrics["vandermonde.restrict_calls"] > 0
     assert "1 traced recover calls" in bases["per-call means"]
