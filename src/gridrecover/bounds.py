@@ -66,9 +66,9 @@ def dc_bound(net: Network, states: StateSet, eps: float) -> BoundReport:
     """
     _check_eps(eps)
     if net.kind != DC or states.kind != DC:
-        raise ValueError("dc_bound needs a DC network and DC data")
+        raise ValueError(f"dc_bound needs a DC network and DC data, got {net.kind} and {states.kind}")
     if net.n != states.n:
-        raise ValueError("network and data disagree on n")
+        raise ValueError(f"network and data disagree on n: {net.n} against {states.n}")
     mismatch = 1.0 - phi_vector(states) / states.e.ravel()
     L = laplacian(net)
     norm_vlv = _max_block_norm(L, states.e)
@@ -87,7 +87,9 @@ def dc_bound_coarse(
     """
     _check_eps(eps)
     if net.kind != DC or states.kind != DC:
-        raise ValueError("dc_bound_coarse needs a DC network and DC data")
+        raise ValueError(
+            f"dc_bound_coarse needs a DC network and DC data, got {net.kind} and {states.kind}"
+        )
     if not (0 < vmin <= 1):
         raise ValueError("need 0 < vmin <= 1")
     # written as "not lo <= x < hi" so that nan is rejected too
@@ -110,9 +112,9 @@ def ac_delta(net: Network, states: StateSet) -> float:
     components and the Euclidean norms of the stacked voltage parts.
     """
     if net.kind != AC or states.kind != AC:
-        raise ValueError("ac_delta needs an AC network and AC data")
+        raise ValueError(f"ac_delta needs an AC network and AC data, got {net.kind} and {states.kind}")
     if net.n != states.n:
-        raise ValueError("network and data disagree on n")
+        raise ValueError(f"network and data disagree on n: {net.n} against {states.n}")
     cg, sg = split_graphs(net)
     Lc, Ls = laplacian(cg), laplacian(sg)
     E, F = states.e, states.f

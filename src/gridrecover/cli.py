@@ -86,9 +86,10 @@ def cmd_generate(args) -> int:
         }
     else:
         net = io.load_network(args.network)
-        states = generate_voltage_driven(net, args.m, seed=args.seed)
+        voltage_seed, noise_seed = SeedSequence(args.seed).spawn(2)
+        states = generate_voltage_driven(net, args.m, seed=voltage_seed)
         if args.noise:
-            states = add_noise(states, args.noise, seed=args.seed + 1)
+            states = add_noise(states, args.noise, seed=noise_seed)
         provenance = {"network": str(args.network), "sampling": "voltage_driven"}
     provenance.update({"m": args.m, "seed": args.seed, "noise": args.noise})
     io.save_network(net, out / "network.json")

@@ -64,7 +64,11 @@ def save_network(net: Network, path) -> None:
 
 def load_network(path) -> Network:
     with open(path) as fh:
-        return network_from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return network_from_dict(data)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # State CSV layout: one row per state, per node the fields below in order,
@@ -147,13 +151,13 @@ def load_trace_csv(path) -> RecoveryTrace:
                 continue
             where = f"{path}:{reader.line_num}"
             if len(row) != len(TRACE_COLUMNS):
-                raise FormatError(f"{where}: malformed trace row {row!r}")
+                raise FormatError(f"{where}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}")
             try:
                 parsed = TraceRow(*(parse(cell) for parse, cell in zip(_TRACE_TYPES, row)))
             except ValueError as exc:
                 raise FormatError(f"{where}: non-numeric trace entry: {exc}") from exc
             if parsed.event not in EVENTS:
-                raise FormatError(f"{where}: malformed trace row {row!r}")
+                raise FormatError(f"{where}: unknown event {parsed.event!r}")
             trace.append(parsed)
     return trace
 

@@ -20,12 +20,22 @@ DC = "dc"
 AC = "ac"
 
 
+def _integral(value, what: str) -> int:
+    """An integral number as an int; a fraction or a boolean raises
+    ValueError naming ``what``."""
+    if isinstance(value, (bool, np.bool_)) or int(value) != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _canonical_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
     """Validate 1-based endpoints and orient every edge as (j, k) with j < k."""
     out: list[Edge] = []
     seen: set[Edge] = set()
     for j, k in edges:
-        j, k = int(j), int(k)
+        if type(j) is not int or type(k) is not int:  # the loop's own edges hold ints
+            where = f"edge ({j!r}, {k!r}): node id"
+            j, k = _integral(j, where), _integral(k, where)
         if j == k:
             raise ValueError(f"loop edge ({j},{j}) is not allowed")
         if not (1 <= j <= n and 1 <= k <= n):
@@ -42,7 +52,7 @@ def _canonical_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]
 def _weight_array(values, count: int, label: str) -> np.ndarray:
     w = np.array(values, dtype=float)
     if w.shape != (count,):
-        raise ValueError(f"{label} must have exactly one entry per edge")
+        raise ValueError(f"{label} must have one entry per edge: shape {w.shape} for {count} edges")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError(f"{label} must be finite and non-negative")
     w.setflags(write=False)
@@ -69,8 +79,9 @@ class Network:
     def __post_init__(self):
         if self.kind not in (DC, AC):
             raise ValueError(f"kind must be 'dc' or 'ac', got {self.kind!r}")
+        object.__setattr__(self, "n", _integral(self.n, "n"))
         if self.n < 1:
-            raise ValueError("need at least one node")
+            raise ValueError(f"need at least one node, got n={self.n}")
         object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
         ne = len(self.edges)
         object.__setattr__(self, "c", _weight_array(self.c, ne, "conductances"))

@@ -1,5 +1,5 @@
-"""Non-negative least squares: Lawson-Hanson until its first drop, then
-block principal pivoting.
+"""Non-negative least squares: Lawson-Hanson until its first drop or
+rank-deficient step, then block principal pivoting.
 
 The solver runs in two phases and satisfies the KKT conditions up to
 least-squares precision, unlike interior-point solvers that stop at a
@@ -14,18 +14,20 @@ solved by least squares, as long as some gradient on the zero set is below
 solver keeps a QR factor of the passive columns from step to step and a
 least-squares solve is one product with the inverse of its triangular R.
 An entering column is appended by Gram-Schmidt with one reorthogonalization
-(CGS2).  While every passive weight stays positive this phase is all there
-is; a system whose optimum is reached that way, such as a tall one whose
-least-squares solution is positive, never leaves it.
+(CGS2).  While the factor stays full rank and every passive weight
+positive this phase is all there is; a system whose optimum is reached that
+way, such as a tall one whose least-squares solution is positive, never
+leaves it.
 
 **Block phase** (Júdice & Pires, *Comput. Oper. Res.* 21(5), 1994; Kim &
 Park, *SIAM J. Sci. Comput.* 33(6), 2011).  The first least-squares solve
 that gives a passive weight at or below zero would make Lawson-Hanson step
 back and drop columns one at a time; instead its passive set F is handed,
 with that solution, to block principal pivoting, and the factor above is
-released first.  Each block iteration takes the infeasible indices, a
-negative weight on F or a gradient below ``-KKT_TOL`` on the zero set, and
-moves every one of them to the other set while their count keeps falling.
+released first.  So is the first passive set the factor cannot take (see
+below).  Each block iteration takes the infeasible indices, a negative
+weight on F or a gradient below ``-KKT_TOL`` on the zero set, and moves
+every one of them to the other set while their count keeps falling.
 After ``FULL_EXCHANGES_WITHOUT_PROGRESS`` full exchanges in a row that do not
 lower it, only the lowest infeasible index moves, which guarantees
 termination on full column rank.  F is then solved afresh by one Householder
@@ -35,9 +37,12 @@ weight on F below zero and no gradient on the zero set below ``-KKT_TOL``.
 When a diagonal entry of R falls to ``FALLBACK_RTOL`` times the largest norm
 among the passive columns, or there are more passive columns than rows, the
 passive set is numerically rank-deficient (degenerate topologies have such
-sets), and its solve is minimum-norm least squares on those columns
-(``np.linalg.lstsq``).  In the Lawson-Hanson phase a deficient factor stays
-so, since columns only enter there.
+sets).  The Lawson-Hanson factor refuses a column that would make it so, and
+the step that entered it hands its passive set to the block phase, as a
+weight at or below zero does: the block phase owns every set the factor
+cannot take.  Its solve of a set that fails the same test on the
+Householder R is minimum-norm least squares on those columns
+(``np.linalg.lstsq``); the hand-over solve is the block phase's.
 
 Both phases count least-squares solves in ``iterations`` against one cap.
 A result whose KKT residual exceeds ``KKT_TOL`` is not returned: it is
@@ -116,15 +121,14 @@ def _kkt_residual(grad: np.ndarray, passive: np.ndarray) -> float:
 class _PassiveQR:
     """QR factor of A's passive columns, in the order they entered.
 
-    With p = len(cols) and no rank deficiency, ``q[:, :p] @ R`` is
-    ``A[:, cols]`` for an upper-triangular R whose inverse is
-    ``rinv[:p, :p]``, and ``qtb[:p]`` is ``q[:, :p].T @ b``.  R^-1 grows a
-    column at a time as columns enter, so a solve is one triangular product;
-    inverted that way (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, sec. 14.2, method 2) it gives the solve the
-    componentwise forward error bound of back-substitution.  A
-    rank-deficient set stays so when columns are added, so the factor stops
-    growing once ``deficient`` is set and only ``cols`` is kept.
+    With p = len(cols), ``q[:, :p] @ R`` is ``A[:, cols]`` for an
+    upper-triangular R whose inverse is ``rinv[:p, :p]``, and ``qtb[:p]`` is
+    ``q[:, :p].T @ b``.  R^-1 grows a column at a time as columns enter, so a
+    solve is one triangular product; inverted that way (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, sec. 14.2, method 2) it
+    gives the solve the componentwise forward error bound of
+    back-substitution.  The factor is always full rank: a column that would
+    make it deficient is refused, and its passive set is the block phase's.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -135,18 +139,15 @@ class _PassiveQR:
         self.rinv = np.zeros((size, size))
         self.qtb = np.empty(size)
         self.cols: list[int] = []
-        self.deficient = False
         self._scale = 0.0  # largest norm among the factored columns
         self._smallest = np.inf  # smallest diagonal entry of R, in modulus
 
-    def append(self, j: int) -> None:
+    def append(self, j: int) -> bool:
+        """Factor column j in; False, with the factor unchanged, when the
+        passive columns would outnumber the rows or fail the rank test."""
         p = len(self.cols)
-        self.cols.append(j)
-        if self.deficient:
-            return
-        if p == len(self.qtb):  # more columns than rows
-            self.deficient = True
-            return
+        if p == len(self.qtb):
+            return False
         a = self.A[:, j]
         Q = self.q[:, :p]
         h = Q.T @ a
@@ -155,25 +156,23 @@ class _PassiveQR:
         v -= Q @ again
         h += again
         d = math.sqrt(v @ v)
-        self._scale = max(self._scale, math.sqrt(a @ a))
-        self._smallest = min(self._smallest, d)
-        if self._smallest <= FALLBACK_RTOL * self._scale:
-            self.deficient = True
-            return
+        scale, smallest = max(self._scale, math.sqrt(a @ a)), min(self._smallest, d)
+        if smallest <= FALLBACK_RTOL * scale:
+            return False
+        self._scale, self._smallest = scale, smallest
         # R gains the column (h, d): its inverse gains (-R^-1 h / d, 1 / d)
         self.rinv[:p, p] = self.rinv[:p, :p] @ h / -d
         self.rinv[p, p] = 1.0 / d
         self.q[:, p] = v / d
         self.qtb[p] = self.q[:, p] @ self.b
+        self.cols.append(j)
+        return True
 
-    def least_squares(self, passive: np.ndarray) -> np.ndarray:
-        """Least-squares weights on the passive columns, zero elsewhere."""
+    def least_squares(self) -> np.ndarray:
+        """Least-squares weights on the factored columns, zero elsewhere."""
         z = np.zeros(self.A.shape[1])
-        if self.deficient:
-            z[passive], *_ = np.linalg.lstsq(self.A[:, passive], self.b, rcond=None)
-        else:
-            p = len(self.cols)
-            z[self.cols] = self.rinv[:p, :p] @ self.qtb[:p]
+        p = len(self.cols)
+        z[self.cols] = self.rinv[:p, :p] @ self.qtb[:p]
         return z
 
 
@@ -242,12 +241,12 @@ def solve(A, b, *, from_all: bool = False) -> NnlsResult:
         # first (= lowest-index) maximum on ties
         entering = int(np.argmax(np.where(candidates, -grad, -np.inf)))
         passive[entering] = True
-        factor.append(entering)
-        z = factor.least_squares(passive)
+        full_rank = factor.append(entering)
+        z = factor.least_squares() if full_rank else _passive_least_squares(A, b, passive)
         iterations += 1
         if iterations > max_iter:
             raise _capped(max_iter, feasible, iterations)
-        if not (z[passive] > 0).all():
+        if not (full_rank and (z[passive] > 0).all()):
             del factor  # the block phase solves afresh: free q and R^-1 first
             return _block_phase(A, b, passive, z, feasible, iterations, max_iter)
         x = z

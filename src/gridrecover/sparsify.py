@@ -129,7 +129,7 @@ def effective_resistances(g: Network) -> EdgeStatistics:
     disconnected on their positive support are handled per component.
     """
     if g.kind != DC:
-        raise ValueError("effective_resistances needs a DC network")
+        raise ValueError(f"effective_resistances needs a DC network, got {g.kind}")
     if not np.any(g.c > 0):
         raise ValueError("graph has no positive-weight edge")
     return row_statistics(g)["conductance"]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AC, DC, Network, admittance_matrix, is_connected
+from .network import AC, DC, Network, _integral, admittance_matrix, is_connected
 
 
 class PowerFlowError(RuntimeError):
@@ -59,19 +59,23 @@ class StateSet:
         for name in ("e", "f", "p", "q"):
             a = np.array(getattr(self, name), dtype=float)
             if a.ndim != 2:
-                raise ValueError(f"{name} must be a 2-D (m, n) array")
+                raise ValueError(f"{name} must be a 2-D (m, n) array, got shape {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains a non-finite value")
             a.setflags(write=False)
             arrays[name] = a
             object.__setattr__(self, name, a)
         shape = arrays["e"].shape
-        if any(a.shape != shape for a in arrays.values()):
-            raise ValueError("state arrays must share one (m, n) shape")
+        for name, a in arrays.items():
+            if a.shape != shape:
+                raise ValueError(f"state arrays must share one shape: e is {shape}, {name} is {a.shape}")
         if shape[0] < 1 or shape[1] < 1:
-            raise ValueError("need at least one state and one node")
-        if self.kind == DC and (np.any(arrays["f"] != 0) or np.any(arrays["q"] != 0)):
-            raise ValueError("DC states must have f = Q = 0")
+            raise ValueError(f"need at least one state and one node, got shape {shape}")
+        if self.kind == DC:
+            for name in ("f", "q"):
+                if np.any(arrays[name]):
+                    i, j = np.argwhere(arrays[name])[0]
+                    raise ValueError(f"DC states must have f = Q = 0, got {name}[{i}, {j}] != 0")
 
     @property
     def m(self) -> int:
@@ -132,8 +136,7 @@ class Scenario:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if not 1 <= self.slack <= self.n:
-            raise ValueError(f"slack node {self.slack} is not in 1..{self.n}")
+        object.__setattr__(self, "slack", _slack_node(self.slack, self.n))
         for j in self.zero:
             if not 1 <= j <= self.n or j == self.slack:
                 raise ValueError(f"zero-injection node {j} must be a non-slack node in 1..{self.n}")
@@ -142,6 +145,14 @@ class Scenario:
                 raise ValueError(f"bad sampling range ({lo}, {hi})")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"noise stddev must be finite and non-negative, got {self.sigma}")
+
+
+def _slack_node(slack, n: int) -> int:
+    """``slack`` as an int, checked to be a node in 1..n."""
+    node = _integral(slack, "slack node")
+    if not 1 <= node <= n:
+        raise ValueError(f"slack node {slack} is not in 1..{n}")
+    return node
 
 
 def _check_compatible(net: Network, states: StateSet) -> None:
@@ -192,7 +203,7 @@ def generate_voltage_driven(net: Network, m: int, seed=0) -> StateSet:
     a uniform angle in [-ANGLE_RANGE, ANGLE_RANGE].
     """
     if m < 1:
-        raise ValueError("need m >= 1")
+        raise ValueError(f"need m >= 1, got m={m}")
     rng = np.random.default_rng(seed)
     if net.kind == DC:
         e = rng.uniform(*VOLTAGE_RANGE, size=(m, net.n))
@@ -233,6 +244,7 @@ def solve_power_flow(
     Q = np.zeros_like(P) if q is None else np.asarray(q, dtype=float)
     if P.ndim != 2 or P.shape[1] != n or Q.shape != P.shape:
         raise ValueError(f"injections must be (m, {n}) arrays of one shape")
+    slack = _slack_node(slack, n)
     L = admittance_matrix(net)
     ns = np.array([j for j in range(n) if j != slack - 1])
     conj_block = np.conj(L)[np.ix_(ns, ns)]
@@ -358,7 +370,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     if scen.n != net.n:
         raise ValueError(f"scenario is for n={scen.n}, network has n={net.n}")
     if m < 1:
-        raise ValueError("need m >= 1")
+        raise ValueError(f"need m >= 1, got m={m}")
     if not is_connected(net):
         raise PowerFlowError("network must be connected to solve power flow")
 

@@ -227,7 +227,9 @@ def network_from_columns(system: VandermondeSystem, w: np.ndarray) -> Network:
     """Inverse of :func:`parameter_vector`: the network a solution describes."""
     w = np.asarray(w, dtype=float)
     if w.shape != (system.matrix.shape[1],):
-        raise ValueError("solution length must match the system's columns")
+        raise ValueError(
+            f"solution length must match the system's columns: {w.shape} for {system.matrix.shape[1]}"
+        )
     if system.kind == DC:
         return Network.dc(system.n, system.edges, w)
     return Network.ac(system.n, system.edges, w[0::2], w[1::2])

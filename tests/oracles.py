@@ -157,13 +157,14 @@ def nnls_lstsq(A, b, *, from_all: bool = False) -> NnlsResult:
 
     The same Lawson-Hanson phase (entering rule and iteration cap), handing
     its passive set to the same block principal pivoting at the first
-    least-squares solve with a weight at or below zero, but each passive set
-    is solved by minimum-norm ``np.linalg.lstsq`` on its columns instead of
-    through an updated QR factor or a Householder QR, and the result is
-    returned whatever its KKT residual.  With ``from_all``, a system with at
-    least as many rows as columns whose singular values stay above
-    ``FALLBACK_RTOL`` times the largest starts the block pivoting from every
-    column, as the solver's warm start does.
+    least-squares solve with a weight at or below zero or on a passive set
+    that fails the rank test, but each passive set is solved by minimum-norm
+    ``np.linalg.lstsq`` on its columns instead of through an updated QR
+    factor or a Householder QR, and the result is returned whatever its KKT
+    residual.  The rank test here asks for at least as many rows as columns
+    and singular values above ``FALLBACK_RTOL`` times the largest.  With
+    ``from_all``, a system that passes it starts the block pivoting from
+    every column, as the solver's warm start does.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -183,11 +184,15 @@ def nnls_lstsq(A, b, *, from_all: bool = False) -> NnlsResult:
     def capped(best, iterations):
         return NnlsError(f"no convergence within {max_iter} least-squares solves", result(*best, iterations))
 
+    def full_rank(cols):
+        sv = np.linalg.svd(A[:, cols], compute_uv=False)
+        wide = np.count_nonzero(cols) > len(b)
+        return not wide and np.all(sv > FALLBACK_RTOL * np.max(sv, initial=0.0))
+
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
     iterations = 0
-    sv = np.linalg.svd(A, compute_uv=False)
-    if from_all and k <= len(b) and np.all(sv > FALLBACK_RTOL * np.max(sv, initial=0.0)):
+    if from_all and full_rank(~passive):
         best = (x, passive.copy())
         passive[:] = True
         z = least_squares(passive)
@@ -207,7 +212,7 @@ def nnls_lstsq(A, b, *, from_all: bool = False) -> NnlsResult:
             iterations += 1
             if iterations > max_iter:
                 raise capped(best, iterations)
-            if not np.all(z[passive] > 0):
+            if not (np.all(z[passive] > 0) and full_rank(passive)):
                 break
             x = z
     # block principal pivoting: move every infeasible index while their count

@@ -55,6 +55,20 @@ def test_network_json_schema_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "edges, message",
+    [
+        ('[{"j": 2, "k": 2, "c": 1.0}]', r"loop edge \(2,2\) is not allowed"),
+        ('[{"j": 1, "k": 2, "c": 1.0}, {"j": 2, "k": 1, "c": 1.0}]', r"duplicate edge \(1,2\)"),
+    ],
+)
+def test_network_json_rejects_edges_that_fail_validation(tmp_path, edges, message):
+    path = tmp_path / "net.json"
+    path.write_text(f'{{"kind": "dc", "n": 3, "edges": {edges}}}')
+    with pytest.raises(io.FormatError, match=f"net.json: {message}"):
+        io.load_network(path)
+
+
+@pytest.mark.parametrize(
     "edges, n, where",
     [
         ('[{"j": 1, "k": 2, "c": 1.0}]', "6.7", "n must be an integer, got 6.7"),
@@ -119,6 +133,17 @@ def test_states_csv_malformed(tmp_path):
         io.load_states_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "bad.csv: empty state file"), ("e_1,P_1,e_2,P_2\n\n", "bad.csv: no state rows")],
+)
+def test_states_csv_without_rows(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(io.FormatError, match=message):
+        io.load_states_csv(path)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_states_csv_rejects_non_finite_with_line_and_column(tmp_path, bad):
     path = tmp_path / "states.csv"
@@ -143,6 +168,41 @@ def test_trace_round_trip_and_column_order(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(io.FormatError, match=r"trace.csv:3: non-numeric trace entry"):
         io.load_trace_csv(path)
+
+
+def test_trace_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("iteration,edges,rms,kappa,epsilon,event\n\n1,15,1e-06,10.0,0.1,initial\n\n")
+    assert io.load_trace_csv(path).rows == [TraceRow(1, 15, 1e-6, 10.0, 0.1, "initial")]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("iteration,edges,rms\n", r"trace.csv: unexpected trace header \['iteration', 'edges', 'rms'\]"),
+        ("", "trace.csv: unexpected trace header None"),
+        (
+            "iteration,edges,rms,kappa,epsilon,event\n1,15,1e-06,10.0,initial\n",
+            "trace.csv:2: expected 6 fields, got 5",
+        ),
+        (
+            "iteration,edges,rms,kappa,epsilon,event\n1,15,1e-06,10.0,0.1,restarted\n",
+            "trace.csv:2: unknown event 'restarted'",
+        ),
+    ],
+)
+def test_trace_csv_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(io.FormatError, match=message):
+        io.load_trace_csv(path)
+
+
+def test_unknown_builtin_names_the_choices():
+    from gridrecover.builtins import builtin_network
+
+    with pytest.raises(ValueError, match=r"unknown builtin 'heawood'; choose from \('table1_dc'"):
+        builtin_network("heawood")
 
 
 def test_render_trace_table_filters_unchanged_rows():
@@ -425,6 +485,26 @@ def test_cli_generate_from_network(tmp_path, noise):
     states = io.load_states_csv(out / "states.csv")
     assert states.m == 50
     assert (rms(net, states) <= 1e-12) == (noise == "0")
+
+
+def test_cli_generate_from_network_draws_noise_apart_from_other_seeds(tmp_path):
+    # voltages and noise come from two children of SeedSequence(seed), as for
+    # a builtin, so the noise of --seed 0 is not default_rng(1), the stream
+    # that --seed 1's voltages used to come from
+    source = tmp_path / "source"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "1", "--out-dir", str(source)]) == 0
+    runs = {}
+    for seed, noise in (("0", "0"), ("0", "1e-3")):
+        out = tmp_path / f"seed{seed}-noise{noise}"
+        assert main(["generate", "--network", str(source / "network.json"), "--m", "4",
+                     "--seed", seed, "--noise", noise, "--out-dir", str(out)]) == 0
+        runs[seed, noise] = io.load_states_csv(out / "states.csv")
+    n = runs["0", "0"].e.shape[1]
+    voltage_ss, noise_ss = np.random.SeedSequence(0).spawn(2)
+    assert np.array_equal(runs["0", "0"].e, np.random.default_rng(voltage_ss).uniform(0.9, 1.1, (4, n)))
+    drawn = (runs["0", "1e-3"].e - runs["0", "0"].e) / 1e-3
+    assert np.allclose(drawn, np.random.default_rng(noise_ss).standard_normal((4, n)), atol=1e-9)
+    assert not np.allclose(drawn, np.random.default_rng(1).standard_normal((4, n)), atol=1e-3)
 
 
 SEED_MESSAGE = "--seed: must be non-negative, got -1"

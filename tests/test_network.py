@@ -117,6 +117,11 @@ def test_series_equivalent_rejects_zero():
         series_equivalent(3.0, 0j)
 
 
+def test_series_equivalent_rejects_admittances_that_cancel():
+    with pytest.raises(ValueError, match="admittances cancel"):
+        series_equivalent(1.0 - 2.0j, -1.0 + 2.0j)
+
+
 def test_split_graphs_dc_has_zero_susceptance_side():
     net = Network.dc(3, ((1, 2),), [4.0])
     cg, sg = split_graphs(net)
@@ -176,6 +181,46 @@ def test_edges_canonicalized_and_validated():
         Network.dc(3, ((1, 2),), [-1.0])
     with pytest.raises(ValueError):
         Network(kind="dc", n=2, edges=((1, 2),), c=np.array([1.0]), s=np.array([2.0]))
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3.5, [(1, 2)], "n must be an integer, got 3.5"),
+        (True, [], "n must be an integer, got True"),
+        (3, [(1.5, 2)], r"edge \(1.5, 2\): node id must be an integer, got 1.5"),
+        (3, [(1, 2), (2, np.True_)], r"edge \(2, np.True_\): node id must be an integer"),
+    ],
+)
+def test_network_rejects_non_integral_node_ids(n, edges, message):
+    with pytest.raises(ValueError, match=message):
+        Network.dc(n, edges, np.ones(len(edges)))
+
+
+def test_network_takes_integral_floats_and_numpy_integers_as_ints():
+    net = Network.dc(np.int64(3), [(2.0, np.int64(1))], [1.0])
+    assert (net.n, net.edges) == (3, ((1, 2),))
+    assert type(net.n) is int and all(type(j) is int for j in net.edges[0])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: Network.dc(3, [(1, 2), (2, 3)], [1.0]),
+            r"conductances must have one entry per edge: shape \(1,\) for 2 edges",
+        ),
+        (
+            lambda: Network.ac(3, [(1, 2)], [1.0], [1.0, 2.0]),
+            r"susceptances must have one entry per edge: shape \(2,\) for 1 edges",
+        ),
+        (lambda: Network("DC", 3, (), [], []), "kind must be 'dc' or 'ac', got 'DC'"),
+        (lambda: Network.dc(0, [], []), "need at least one node, got n=0"),
+    ],
+)
+def test_network_rejects_malformed_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_weight_lookup_is_symmetric():

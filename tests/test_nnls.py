@@ -82,9 +82,10 @@ def test_nearly_dependent_column_falls_back_to_least_squares(monkeypatch):
     # a3 lies 1e-11 off the plane of a1 and a2, and b leans 1e4 out of that
     # plane along u: once a1 and a2 are passive, a3's gradient is -1e-7, so
     # it enters, with a diagonal entry of R below FALLBACK_RTOL times the
-    # column norms; the minimum-norm solve gives a1 and a2 negative weights,
-    # so the block phase takes over from it, moves both out and a2 back in,
-    # and solves those full-rank sets by Householder QR
+    # column norms; the factor refuses it, so the block phase takes over
+    # from the minimum-norm solve on all three, which gives a1 and a2
+    # negative weights, moves both out and a2 back in, and solves those
+    # full-rank sets by Householder QR
     rng = np.random.default_rng(0)
     basis, _ = np.linalg.qr(rng.standard_normal((6, 3)))
     plane, u = basis[:, :2], basis[:, 2]
@@ -108,6 +109,25 @@ def test_nearly_dependent_column_falls_back_to_least_squares(monkeypatch):
     oracle = nnls_lstsq(A, b)
     assert res.iterations == oracle.iterations
     assert np.allclose(res.w, oracle.w, rtol=0, atol=1e-9)
+
+
+def test_the_factor_refuses_a_column_it_cannot_take():
+    # column 2 lies 1e-11 off the plane of columns 0 and 1, and column 5 would
+    # be a fifth passive column on four rows: append returns False for each
+    # and leaves the factored columns and their solve as they were
+    rng = np.random.default_rng(3)
+    P = rng.standard_normal((4, 2))
+    u = rng.standard_normal(4)
+    u -= P @ np.linalg.lstsq(P, u, rcond=None)[0]
+    A = np.column_stack((P, P @ [1.0, 2.0] + 1e-11 * u / np.linalg.norm(u), rng.standard_normal((4, 3))))
+    b = rng.standard_normal(4)
+    for factored, refused in (([0, 1], 2), ([0, 1, 3, 4], 5)):
+        factor = gridrecover.nnls._PassiveQR(A, b)
+        assert [factor.append(j) for j in factored] == [True] * len(factored)
+        before = factor.least_squares()
+        assert factor.append(refused) is False
+        assert factor.cols == factored
+        assert factor.least_squares().tobytes() == before.tobytes()
 
 
 def _scaled_square(seed):

@@ -344,7 +344,7 @@ def test_back_substitution_changes_no_decision(monkeypatch, name, sigma, seed):
         assert len(trace) == len(cold_trace)
 
 
-def test_back_substitution_keeps_the_column_the_cold_fit_drops(monkeypatch):
+def test_warm_start_keeps_the_column_the_cold_fit_drops(monkeypatch):
     # heawood_noisy instance 13012: at iteration 2 the active-set solver's
     # absolute KKT test stops one column short on the accepted candidate, so
     # its fit keeps 28 edges; every least-squares weight of the candidate is

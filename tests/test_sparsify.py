@@ -76,6 +76,11 @@ def test_effective_resistances_requires_positive_edge():
         effective_resistances(Network.dc(3, ((1, 2),), [0.0]))
 
 
+def test_effective_resistances_rejects_an_ac_network():
+    with pytest.raises(ValueError, match="effective_resistances needs a DC network, got ac"):
+        effective_resistances(Network.ac(2, ((1, 2),), [1.0], [1.0]))
+
+
 def test_sample_count_formula():
     assert sample_count(6, 1.0) == math.ceil(8 * 6 * math.log(6))
     assert sample_count(6, 0.1) == math.ceil(8 * 6 * math.log(6) / 0.01)

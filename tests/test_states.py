@@ -218,6 +218,69 @@ def test_state_set_rejects_non_finite_values(bad):
         StateSet("ac", e, np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+def _state_arrays(**changes):
+    """(kind, e, f, p, q) of two flat DC states on three nodes, with changes."""
+    zeros = np.zeros((2, 3))
+    return dict(dict(kind="dc", e=np.ones((2, 3)), f=zeros, p=zeros, q=zeros), **changes)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(kind="DC"), "kind must be 'dc' or 'ac', got 'DC'"),
+        (dict(p=np.zeros(3)), r"p must be a 2-D \(m, n\) array, got shape \(3,\)"),
+        (dict(q=np.zeros((2, 4))), r"e is \(2, 3\), q is \(2, 4\)"),
+        (
+            {name: np.ones((0, 3)) for name in "efpq"},
+            r"need at least one state and one node, got shape \(0, 3\)",
+        ),
+        (dict(f=np.eye(2, 3)), r"DC states must have f = Q = 0, got f\[0, 0\] != 0"),
+        (dict(q=np.eye(2, 3)[::-1]), r"DC states must have f = Q = 0, got q\[0, 1\] != 0"),
+    ],
+)
+def test_state_set_rejects_malformed_input(changes, message):
+    with pytest.raises(ValueError, match=message):
+        StateSet(**_state_arrays(**changes))
+
+
+def test_generators_reject_m_below_1():
+    with pytest.raises(ValueError, match="need m >= 1, got m=0"):
+        generate_voltage_driven(PATH3, 0)
+    with pytest.raises(ValueError, match="need m >= 1, got m=0"):
+        generate_scenario(PATH3, Scenario(3), 0)
+
+
+def test_generate_scenario_rejects_a_scenario_for_other_n_and_a_disconnected_network():
+    with pytest.raises(ValueError, match="scenario is for n=4, network has n=3"):
+        generate_scenario(PATH3, Scenario(4), 2)
+    split = Network.dc(4, ((1, 2), (3, 4)), [1.0, 1.0])
+    with pytest.raises(PowerFlowError, match="must be connected"):
+        generate_scenario(split, Scenario(4), 2)
+
+
+@pytest.mark.parametrize(
+    "slack, message",
+    [
+        (0, r"slack node 0 is not in 1..3"),
+        (4, r"slack node 4 is not in 1..3"),
+        (1.5, "slack node must be an integer, got 1.5"),
+        (True, "slack node must be an integer, got True"),
+    ],
+)
+def test_slack_outside_the_nodes_is_rejected_before_any_solve(monkeypatch, slack, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario(3, slack=slack)
+    monkeypatch.setattr(gstates, "admittance_matrix", None)  # no solve may start
+    with pytest.raises(ValueError, match=message):
+        solve_power_flow(PATH3, np.zeros((1, 3)), slack=slack)
+
+
+def test_integral_float_slack_is_taken_as_an_int():
+    assert type(Scenario(3, slack=2.0).slack) is int
+    v = solve_power_flow(PATH3, np.zeros((1, 3)), slack=np.int64(2))
+    assert np.array_equal(v, solve_power_flow(PATH3, np.zeros((1, 3)), slack=2))
+
+
 def test_add_noise_zero_sigma_is_identity(table1_states):
     assert add_noise(table1_states, 0.0) is table1_states
 

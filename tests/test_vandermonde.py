@@ -270,11 +270,12 @@ def test_parameter_vector_round_trip():
     for make in (random_dc_network, random_ac_network):
         net = make(rng, 5)
         w = parameter_vector(net)
-        rebuilt = network_from_columns(
-            assemble(net.edges, generate_voltage_driven(net, 1, seed=0)), w
-        )
+        system = assemble(net.edges, generate_voltage_driven(net, 1, seed=0))
+        rebuilt = network_from_columns(system, w)
         assert set(rebuilt.edges) == set(net.edges)
         assert np.allclose(parameter_vector(rebuilt), w)
+        with pytest.raises(ValueError, match=rf"columns: \({len(w) + 1},\) for {len(w)}"):
+            network_from_columns(system, np.append(w, 1.0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
