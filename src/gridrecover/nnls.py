@@ -51,17 +51,20 @@ raised with :class:`NnlsError`, as is the best feasible iterate at the cap.
 **Warm start.**  ``solve(A, b, from_all=True)`` starts the block phase from
 every column: one Householder QR of ``[A | b]``, the rank test above and a
 back-substitution give its first iterate, and w = 0 is the feasible
-iterate it has to beat.  A system whose least-squares solution is strictly
-positive then stops after that one solve: on full column rank that solution
-is the unique minimizer over all w, so over w >= 0 as well, and it meets the
-KKT conditions with an empty zero set and a zero gradient (Lawson & Hanson,
-ch. 23).  A mixed-sign solution is pivoted from there, in a few solves
-where the cold start takes one step per entering column.  A system that
-fails the rank test starts cold instead: its first solve would be the
-minimum-norm least-squares solution of every column, and on a degenerate
-system pivoting from there can end on a denser point of the optimal face
-than the cold start reaches (16 of 16 weights positive against 12 on a
-small_ac candidate), which changes the run's later decisions.
+iterate it has to beat.  A square upper-triangular A, such as the candidate
+triangle of ``recovery.fit``, is that QR's R already (it would come back bit
+for bit), so it is not factored again.  A system whose least-squares
+solution is strictly positive then stops after that one solve: on full
+column rank that solution is the unique minimizer over all w, so over
+w >= 0 as well, and it meets the KKT conditions with an empty zero set and
+a zero gradient (Lawson & Hanson, ch. 23).  A mixed-sign solution is
+pivoted from there, in a few solves where the cold start takes one step
+per entering column.  A system that fails the rank test starts cold
+instead: its first solve would be the minimum-norm least-squares solution
+of every column, and on a degenerate system pivoting from there can end
+on a denser point of the optimal face than the cold start reaches (16 of
+16 weights positive against 12 on a small_ac candidate), which changes the
+run's later decisions.
 """
 
 from __future__ import annotations
@@ -129,24 +132,41 @@ class _PassiveQR:
     gives the solve the componentwise forward error bound of
     back-substitution.  The factor is always full rank: a column that would
     make it deficient is refused, and its passive set is the block phase's.
+
+    Memory: ``q``, ``rinv`` and ``qtb`` have room for at most max(2p, 8)
+    columns, doubled when a column enters a full factor, so the peak is the
+    old and the new ``q`` while it grows, m x 3p numbers at most, and not
+    the m x min(m, k) of a factor sized for every column (44 columns enter
+    the cold fit of a 435-column dc30 system).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
-        m, k = A.shape
-        size = min(m, k)  # a full-rank passive set has at most this many columns
         self.A, self.b = A, b
-        self.q = np.empty((m, size), order="F")
-        self.rinv = np.zeros((size, size))
-        self.qtb = np.empty(size)
+        self.q = np.empty((A.shape[0], 0), order="F")
+        self.rinv = np.zeros((0, 0))
+        self.qtb = np.empty(0)
         self.cols: list[int] = []
         self._scale = 0.0  # largest norm among the factored columns
         self._smallest = np.inf  # smallest diagonal entry of R, in modulus
+
+    def _grow(self) -> None:
+        """Double the room for factored columns (8 at first), up to min(m, k)."""
+        m, k = self.A.shape
+        p = len(self.cols)
+        size = min(max(2 * p, 8), m, k)
+        q, rinv, qtb = self.q, self.rinv, self.qtb
+        self.q = np.empty((m, size), order="F")
+        self.q[:, :p] = q
+        self.rinv = np.zeros((size, size))
+        self.rinv[:p, :p] = rinv
+        self.qtb = np.empty(size)
+        self.qtb[:p] = qtb
 
     def append(self, j: int) -> bool:
         """Factor column j in; False, with the factor unchanged, when the
         passive columns would outnumber the rows or fail the rank test."""
         p = len(self.cols)
-        if p == len(self.qtb):
+        if p == min(self.A.shape):
             return False
         a = self.A[:, j]
         Q = self.q[:, :p]
@@ -160,6 +180,8 @@ class _PassiveQR:
         if smallest <= FALLBACK_RTOL * scale:
             return False
         self._scale, self._smallest = scale, smallest
+        if p == len(self.qtb):
+            self._grow()
         # R gains the column (h, d): its inverse gains (-R^-1 h / d, 1 / d)
         self.rinv[:p, p] = self.rinv[:p, :p] @ h / -d
         self.rinv[p, p] = 1.0 / d
@@ -179,17 +201,35 @@ class _PassiveQR:
 def _back_substitution(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray | None:
     """Least-squares weights on the passive columns, zero elsewhere, from one
     Householder QR of ``[A_F | b]`` and a back-substitution; None when the
-    passive set is rank-deficient or wider than tall."""
-    z = np.zeros(A.shape[1])
+    passive set is rank-deficient or wider than tall.
+
+    ``[A_F | b]`` is written into one buffer, which is dropped once numpy's
+    factored copy of it exists, and R is read from the upper triangle of
+    that copy.  A square upper-triangular A with every column passive is its
+    own factor: a Householder QR of ``[A | b]`` returns it bit for bit, so
+    it is not run."""
+    m, k = A.shape
+    z = np.zeros(k)
     p = int(np.count_nonzero(passive))
     if p == 0:
         return z
-    if p > A.shape[0]:
+    if p > m:
         return None
-    R = np.linalg.qr(np.column_stack((A[:, passive], b)), mode="r")
-    R, qtb = R[:p, :p], R[:p, p]
-    # full rank: every diagonal entry above FALLBACK_RTOL times the largest column norm
-    if not np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * np.max(np.linalg.norm(R, axis=0)):
+    if p == k == m and not np.tril(A, -1).any():
+        R, qtb = A, b
+    else:
+        Ab = np.empty((m, p + 1))
+        Ab[:, :p] = A[:, passive]
+        Ab[:, p] = b
+        h, _ = np.linalg.qr(Ab, mode="raw")
+        del Ab
+        R = np.triu(h.T[:p])
+        del h
+        R, qtb = R[:, :p], R[:, p]
+    # full rank: every diagonal entry above FALLBACK_RTOL times the largest
+    # column norm; einsum sums the squares without a temporary of R's size
+    scale = math.sqrt(np.einsum("ij,ij->j", R, R).max())
+    if not np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * scale:
         return None
     # LU of a triangular matrix takes no row swap: this is a back-substitution
     z[passive] = np.linalg.solve(R, qtb)

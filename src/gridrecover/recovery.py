@@ -113,7 +113,13 @@ class Fit:
     is the fit, in one least-squares solve.  Either way ``nnls.objective``
     is the square system's residual norm, which leaves out ``rho`` and the
     corner; ``rms`` is ``hypot(nnls.objective, rho, corner) / sqrt(rows)``,
-    the rms of the data's residuals."""
+    the rms of the data's residuals.
+
+    That QR is the one factorization of a candidate: the solver takes a
+    square upper-triangular system as its own factor.  At the peak of a fit
+    the candidate's matrix, ``[matrix | rhs]``, numpy's copy of that and the
+    triangle cut from the copy are alive; each has only the candidate's
+    columns, so a fit stays below the assembly of the complete graph."""
 
     system: VandermondeSystem
     rms: float

@@ -34,6 +34,7 @@ this module decodes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -66,6 +67,12 @@ class VandermondeSystem:
     def __post_init__(self):
         self.matrix.flags.writeable = False
         self.rhs.flags.writeable = False
+
+    @cached_property
+    def _position(self) -> dict[Edge, int]:
+        """The index of each edge in ``edges``, built once however often
+        :func:`restrict` cuts candidates from the system."""
+        return {e: t for t, e in enumerate(self.edges)}
 
 
 def _sorted_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -124,10 +131,10 @@ def _node_equations(far: np.ndarray, pad: np.ndarray, states: StateSet, first: i
         for c, x in enumerate(row):
             out[:, :, i, c:-1:r] = x.transpose(0, 2, 1)
         out[:, :, i, -1] = injections[i][block].T
-    A = out[..., :-1]
-    # min/max propagate nan and expose +-inf without a full-size temporary
-    if not (np.isfinite(A.min()) and np.isfinite(A.max())):
-        state, node = np.argwhere(~np.isfinite(A).all(axis=(2, 3)).T)[0]
+    # min/max propagate nan and expose +-inf without a full-size temporary;
+    # the injections are finite, and out is contiguous, so no buffer either
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        state, node = np.argwhere(~np.isfinite(out).all(axis=(2, 3)).T)[0]
         raise ValueError(
             f"state {first + state + 1}, node {node + 1}: design-matrix entry overflows"
             " to a non-finite value; rescale the data"
@@ -149,6 +156,15 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     k columns of R, ``rhs`` its last column above the diagonal and ``rho``
     the modulus of its corner.  Raises ValueError naming the 1-based state
     and node when an entry overflows to a non-finite value.
+
+    Memory: the stack of the n node factors, n * min(r * m, r * d + 1)
+    rows of k + 1 numbers (900 x 436 for 200 states of n = 30), is the
+    only array of its size, and the peak is that stack and numpy's copy of
+    it inside the final QR.  Each QR, of a block fold or of the final
+    merge, is taken in ``mode="raw"``: the block, the old node factors and
+    the stack are dropped as soon as they are no longer needed, and R is
+    read from the upper triangle of numpy's factored copy afterwards, so no
+    triangular copy sits beside the stack and its copy.
     """
     edges = _sorted_edges(states.n, edges)
     n = states.n
@@ -163,13 +179,20 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     col = cols[node, slot]
     factors = None
     for first in range(0, states.m, _BLOCK_STATES):
-        stack = _node_equations(far, pad, states, first)
-        if factors is not None:
-            stack = np.concatenate((factors, stack), axis=1)
-        factors = np.linalg.qr(stack, mode="r")
+        block = _node_equations(far, pad, states, first)
+        stack = block if factors is None else np.concatenate((factors, block), axis=1)
+        del block, factors
+        h, _ = np.linalg.qr(stack, mode="raw")
+        del stack
+        factors = np.triu(h.swapaxes(1, 2)[:, : min(h.shape[1:])])
+        del h
     stacked = np.zeros((n, factors.shape[1], k + 1))
     stacked[node, :, col] = factors[node, :, slot]
-    R = np.linalg.qr(stacked.reshape(-1, k + 1), mode="r")
+    del factors
+    h, _ = np.linalg.qr(stacked.reshape(-1, k + 1), mode="raw")
+    del stacked
+    R = np.triu(h.T[: min(h.shape)])
+    del h
     # fewer equations than columns leave R trapezoidal, with no corner
     rho = float(abs(R[k, k])) if R.shape[0] > k else 0.0
     # column-major, since restrict and the solver gather column subsets of it
@@ -182,14 +205,25 @@ def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSys
 
     Gathering the columns of R that belong to the subset gives, with the
     same ``rhs``, ``rho`` and ``rows``, the residual of the subset's
-    equations for every parameter vector.
+    equations for every parameter vector.  A subset given as the recovery
+    loop draws it from a held network, the system's own edges in order with
+    ``int`` node ids, is looked up as it is; any other is validated and
+    sorted first.
     """
-    sub = _sorted_edges(system.n, edges)
-    position = {e: t for t, e in enumerate(system.edges)}
-    missing = [e for e in sub if e not in position]
-    if missing:
-        raise ValueError(f"edges {missing} not present in the system")
-    idx = np.array([position[e] for e in sub])
+    position = system._position
+    sub = tuple(edges)
+    try:
+        idx = [position[e] for e in sub if type(e[0]) is type(e[1]) is int]
+        own = 0 < len(idx) == len(sub) and all(s < t for s, t in zip(idx, idx[1:]))
+    except (KeyError, TypeError, IndexError):
+        own = False
+    if not own:
+        sub = _sorted_edges(system.n, sub)
+        missing = [e for e in sub if e not in position]
+        if missing:
+            raise ValueError(f"edges {missing} not present in the system")
+        idx = [position[e] for e in sub]
+    idx = np.array(idx)
     if system.kind != DC:
         idx = np.column_stack((2 * idx, 2 * idx + 1)).ravel()
     return replace(system, matrix=system.matrix[:, idx], edges=sub)

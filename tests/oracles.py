@@ -11,6 +11,9 @@ themselves instead of their triangular factor, Newton power flow solves one stat
 with its own admittance matrix, Jacobian and linear solve, and AC
 sparsification splits a network into its conductance and susceptance graphs,
 sparsifies each as its own network and merges the kept edges by name.
+The reference assembly shares the library's per-node equations but takes
+every QR with ``mode="r"``, as the library did before it read R out of
+numpy's factored copy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,14 @@ from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, NnlsResult, _kkt
 from gridrecover.recovery import Fit
 from gridrecover.sparsify import EdgeStatistics, _pseudo_inverse, sample_count
 from gridrecover.states import PowerFlowError, StateSet, add_noise
-from gridrecover.vandermonde import VandermondeSystem, condition_number
+from gridrecover.vandermonde import (
+    _BLOCK_STATES,
+    VandermondeSystem,
+    _incidence,
+    _node_equations,
+    _sorted_edges,
+    condition_number,
+)
 
 
 def direct_residuals(net, states) -> np.ndarray:
@@ -274,6 +284,35 @@ def tall_system(edges, states) -> VandermondeSystem:
     ]
     rhs = (states.p if states.kind == "dc" else np.stack((states.p, states.q), axis=2)).ravel()
     return VandermondeSystem(states.kind, states.n, np.array(columns).T, rhs, edges, 0.0, len(rhs))
+
+
+def assemble_reference(edges, states) -> VandermondeSystem:
+    """:func:`gridrecover.vandermonde.assemble` as it was before it read R
+    out of numpy's factored copy: the same blocks and folds, each QR taken
+    with ``mode="r"``, whose triangular copy sat beside the stack and
+    numpy's copy of it.  The same LAPACK calls on the same values, so the
+    system is the same bit for bit."""
+    edges = _sorted_edges(states.n, edges)
+    n = states.n
+    r = 1 if states.kind == DC else 2
+    k = r * len(edges)
+    edge, far, pad = _incidence(n, edges)
+    cols = np.full((n, r * pad.shape[1] + 1), k)
+    cols[:, :-1] = (r * edge[:, :, None] + np.arange(r)).reshape(n, -1)
+    node, slot = np.nonzero(np.append(np.repeat(~pad, r, axis=1), np.ones((n, 1), bool), axis=1))
+    col = cols[node, slot]
+    factors = None
+    for first in range(0, states.m, _BLOCK_STATES):
+        stack = _node_equations(far, pad, states, first)
+        if factors is not None:
+            stack = np.concatenate((factors, stack), axis=1)
+        factors = np.linalg.qr(stack, mode="r")
+    stacked = np.zeros((n, factors.shape[1], k + 1))
+    stacked[node, :, col] = factors[node, :, slot]
+    R = np.linalg.qr(stacked.reshape(-1, k + 1), mode="r")
+    rho = float(abs(R[k, k])) if R.shape[0] > k else 0.0
+    matrix = np.asfortranarray(R[:k, :k])
+    return VandermondeSystem(states.kind, n, matrix, R[:k, k].copy(), edges, rho, r * n * states.m)
 
 
 def tall_fit(edges, states) -> Fit:

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridrecover.nnls
+from gridrecover.network import complete_edges
 from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, solve
 from gridrecover.recovery import fit
+from gridrecover.states import generate_voltage_driven
 from gridrecover.vandermonde import assemble
+from helpers import random_dc_network
 from oracles import exhaustive_nnls, kernel_basis, nnls_lstsq, tall_fit
 from test_vandermonde import K3, path3_states
 
@@ -254,7 +259,10 @@ def test_back_substitution_is_the_optimum_of_a_positive_solution(case):
     result = solve(R, b, from_all=True)
     assert result.iterations == 1
     assert np.all(result.w > 0) and result.kkt_residual <= KKT_TOL
-    # the warm start's one solve is a back-substitution on R itself
+    # the warm start's one solve is a back-substitution on R itself: a
+    # Householder QR of [R | b] would return it bit for bit, so none is run
+    Rb = np.column_stack((R, b))
+    assert np.linalg.qr(Rb, mode="r").tobytes() == Rb.tobytes()
     w = np.linalg.solve(R, b)
     assert result.w.tobytes() == w.tobytes()
     assert result.objective == float(np.linalg.norm(b - R @ w))
@@ -371,3 +379,40 @@ def test_exhaustive_oracle_does_not_fit_roundoff_on_a_rank_one_system():
     assert np.linalg.norm(A @ w - b) == pytest.approx(best, rel=1e-12)
     assert np.max(w) < 1e3
     assert abs(solve(A, b).objective - best) <= 1e-12 * (np.linalg.norm(b) + 1.0)
+
+
+def test_warm_start_on_a_triangle_runs_no_qr(monkeypatch):
+    rng = np.random.default_rng(8)
+    R = np.linalg.qr(rng.standard_normal((30, 12)), mode="r")
+    b = R @ rng.uniform(0.5, 2.0, 12)
+    qr, calls = np.linalg.qr, []
+
+    def counting_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    assert solve(R, b, from_all=True).iterations == 1
+    assert calls == []
+    solve(R[:, ::-1], b, from_all=True)  # square, not triangular: factored
+    assert calls == [(12, 13)]
+
+
+def test_cold_start_memory_grows_with_the_passive_set_not_the_columns():
+    # the dc30 benchmark shape: a 435 x 435 complete-graph factor whose cold
+    # fit ends with the 44 true edges passive; the factor of the passive
+    # columns holds m x (at most 2p) numbers, and while it grows the old and
+    # the new one are both alive
+    net = random_dc_network(np.random.default_rng(30), 30, extra_edges=15, wrange=(0.5, 100.0))
+    full = assemble(complete_edges(30), generate_voltage_driven(net, 200, seed=31))
+    m, k = full.matrix.shape
+    solve(np.eye(3), np.ones(3))  # first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        result = solve(full.matrix, full.rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p = int(np.count_nonzero(result.w))
+    assert p == len(net.edges) < k // 9
+    assert peak <= 4 * 8 * m * p

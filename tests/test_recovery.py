@@ -6,6 +6,7 @@ import pytest
 
 import gridrecover.recovery
 import gridrecover.sparsify as sparsify
+import gridrecover.vandermonde
 from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
 from gridrecover.network import Network
 from gridrecover.nnls import NnlsError, NnlsResult
@@ -73,6 +74,41 @@ def test_recover_fits_each_candidate_edge_set_once(monkeypatch, table1_states):
     refits = [r for r in trace if r.event in (EVENT_ACCEPTED, EVENT_REJECTED_RMS) and r.edges]
     # sparsification draws the same candidates again; each is fitted once
     assert len(restricted) == len(set(restricted)) < len(refits)
+
+
+@pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
+def test_candidates_are_cut_without_revalidation_and_factored_once(monkeypatch, name):
+    # the complete graph's edges are validated once, by assemble; the loop
+    # cuts every candidate from them by column position, and each refit runs
+    # one Householder QR, its own re-compression: the warm start takes that
+    # triangle as its factor
+    states, cfg = _builtin_run(name, 1e-6, 1)
+    canonical_edges = gridrecover.vandermonde._canonical_edges
+    fit = gridrecover.recovery.fit
+    qr = np.linalg.qr
+    validated, qrs_per_refit, calls = [], [], []
+
+    def counting_canonical_edges(n, edges):
+        validated.append(n)
+        return canonical_edges(n, edges)
+
+    def counting_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    def watched_fit(system):
+        calls.clear()
+        result = fit(system)
+        if system.matrix.shape[0] > system.matrix.shape[1] and result.nnls.iterations == 1:
+            qrs_per_refit.append(len(calls))
+        return result
+
+    monkeypatch.setattr(gridrecover.vandermonde, "_canonical_edges", counting_canonical_edges)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(gridrecover.recovery, "fit", watched_fit)
+    _, trace = recover(states, cfg)
+    assert len(validated) == 1
+    assert qrs_per_refit and set(qrs_per_refit) == {1}
 
 
 def test_recover_table1_exact(table1_network, table1_states):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
 from gridrecover.network import Network, complete_edges
 from gridrecover.states import (
     Scenario,
@@ -24,7 +25,7 @@ from gridrecover.vandermonde import (
     restrict,
 )
 from helpers import random_ac_network, random_dc_network
-from oracles import tall_system
+from oracles import assemble_reference, tall_system
 
 K3 = ((1, 2), (1, 3), (2, 3))
 
@@ -158,6 +159,25 @@ def test_column_subset_coherence():
             restrict(direct, complete_edges(6))
 
 
+def test_restrict_validates_what_is_not_the_systems_own_edge_order():
+    states = generate_voltage_driven(random_dc_network(np.random.default_rng(5), 5), 5, seed=6)
+    full = tall_system(complete_edges(5), states)
+    own = ((1, 2), (2, 4), (3, 5))
+    expected = restrict(full, own)
+    # reversed, unsorted or numpy ids: validated, oriented and sorted first
+    for edges in (((4, 2), (1, 2), (5, 3)), [[np.int64(1), 2], (2, 4), (3, 5)]):
+        got = restrict(full, edges)
+        assert got.edges == own and got.matrix.tobytes() == expected.matrix.tobytes()
+    for edges, message in (
+        ((), "edge set must be nonempty"),
+        (((1, 2), (1, 2)), r"duplicate edge \(1,2\)"),
+        (((True, 2),), "node id must be an integer, got True"),
+        (((1, 6),), r"edge \(1,6\) out of range for n=5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            restrict(full, edges)
+
+
 def assert_factor_of_rows(system, tall, rng):
     """The compressed system keeps every residual norm of the rows and their
     singular values: ||A w - b|| = hypot(||R w - c||, rho)."""
@@ -204,7 +224,38 @@ def test_node_local_fold_keeps_norms_and_singular_values(kind, n, m, edges):
     net = (random_dc_network if kind == "dc" else random_ac_network)(rng, n)
     states = add_noise(generate_voltage_driven(net, m, seed=m), 1e-3, seed=m + 1)
     edges = net.edges if edges is None else edges
-    assert_factor_of_rows(assemble(edges, states), tall_system(edges, states), rng)
+    system = assemble(edges, states)
+    assert_factor_of_rows(system, tall_system(edges, states), rng)
+    assert_same_bits(system, assemble_reference(edges, states))
+
+
+def assert_same_bits(system, reference):
+    assert system.edges == reference.edges
+    assert (system.kind, system.n, system.rho, system.rows) == (
+        reference.kind,
+        reference.n,
+        reference.rho,
+        reference.rows,
+    )
+    assert system.matrix.tobytes() == reference.matrix.tobytes()
+    assert system.matrix.strides == reference.matrix.strides
+    assert system.rhs.tobytes() == reference.rhs.tobytes()
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_assembly_is_the_reference_fold_bit_for_bit_on_the_builtins(name):
+    net = builtin_network(name, 0)
+    states = generate_scenario(net, builtin_scenario(name, sigma=1e-6), 80, seed=1)
+    for edges in (complete_edges(net.n), net.edges):
+        assert_same_bits(assemble(edges, states), assemble_reference(edges, states))
+
+
+def test_assembly_is_the_reference_fold_bit_for_bit_at_dc30_size():
+    # the benchmark's dc30 shape: n = 30, 200 states, a 900 x 436 stack
+    net = random_dc_network(np.random.default_rng(30), 30, extra_edges=15, wrange=(0.5, 100.0))
+    states = generate_voltage_driven(net, 200, seed=31)
+    edges = complete_edges(30)
+    assert_same_bits(assemble(edges, states), assemble_reference(edges, states))
 
 
 def test_assembly_memory_is_bounded_by_the_block_not_by_m():
@@ -221,8 +272,10 @@ def test_assembly_memory_is_bounded_by_the_block_not_by_m():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
-    # one tall 6000 x 436 [A | b], the equations of 200 states of n = 30
-    assert max(peaks) < 8 * 6000 * 436
+    # the 30 node factors of 30 x 436 each, stacked for the final QR, and
+    # numpy's copy of that stack: nothing else of its size is alive then
+    stack = 8 * 30 * 30 * 436
+    assert max(peaks) <= 2.1 * stack
 
 
 def test_kernel_vector_of_silent_middle_node_data():
