@@ -170,7 +170,8 @@ def cmd_recover(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(args.trials)]
-        workers = args.workers or min(args.trials, os.cpu_count() or 1)
+        # the pool forks all its workers up front: no more than there are trials
+        workers = min(args.workers or os.cpu_count() or 1, args.trials)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(recover, repeat(states), cfgs))
         trials = [_summary(states, c, *run) for c, run in zip(cfgs, runs)]

@@ -10,6 +10,7 @@ are dense; the intended scale is a few dozen nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,10 +129,21 @@ class Network:
         return complex(self.c[i], -self.s[i])
 
     def normalized(self) -> "Network":
-        """Drop edges whose conductance and susceptance are both zero."""
+        """Drop edges whose conductance and susceptance are both zero.
+
+        The copy holds a selection of this network's edges and weights, which
+        were validated when this network was built, so it is not validated
+        again; it equals the ``Network`` built from the same parts."""
         keep = (self.c > 0) | (self.s > 0)
-        edges = tuple(e for e, k in zip(self.edges, keep) if k)
-        return Network(self.kind, self.n, edges, self.c[keep], self.s[keep])
+        edges = tuple(compress(self.edges, keep))
+        c, s = self.c[keep], self.s[keep]
+        c.setflags(write=False)
+        s.setflags(write=False)
+        net = object.__new__(type(self))
+        net.__dict__.update(
+            kind=self.kind, n=self.n, edges=edges, c=c, s=s, _index={e: i for i, e in enumerate(edges)}
+        )
+        return net
 
 
 def split_graphs(net: Network) -> tuple[Network, Network]:

@@ -113,12 +113,16 @@ class NnlsError(RuntimeError):
 
 
 def _kkt_residual(grad: np.ndarray, passive: np.ndarray) -> float:
-    viol = 0.0
-    if np.any(~passive):
-        viol = max(viol, float(np.max(-grad[~passive], initial=0.0)))
-    if np.any(passive):
-        viol = max(viol, float(np.max(np.abs(grad[passive]), initial=0.0)))
-    return viol
+    """The largest of -grad on the zero set, |grad| on the passive set and 0;
+    0.0 first, so that no violation reads +0.0 where numpy's max gives -0.0."""
+    return max(0.0, float(np.where(passive, np.abs(grad), -grad).max(initial=0.0)))
+
+
+def _norm(r: np.ndarray) -> float:
+    """||r|| of a 1-D float vector, taken as ``np.linalg.norm`` takes it: the
+    square root of the dot product of its contiguous form with itself."""
+    r = r.ravel(order="K")  # a view of a contiguous r; the rhs may be a strided column
+    return math.sqrt(r.dot(r))
 
 
 class _PassiveQR:
@@ -296,7 +300,7 @@ def _block_phase(A, b, passive, z, feasible, iterations, max_iter) -> NnlsResult
     """Block principal pivoting from ``passive`` and its least-squares
     solution ``z``; ``feasible`` is the last feasible iterate, as the
     (w, residual, gradient, passive set) of :func:`_result`."""
-    best = float(np.linalg.norm(feasible[1]))
+    best = _norm(feasible[1])
     fewest, spare = len(z) + 1, FULL_EXCHANGES_WITHOUT_PROGRESS
     while True:
         resid = b - A @ z
@@ -306,7 +310,7 @@ def _block_phase(A, b, passive, z, feasible, iterations, max_iter) -> NnlsResult
         count = int(np.count_nonzero(infeasible))
         if count == 0:
             return _checked(z, resid, grad, passive, iterations)
-        objective = float(np.linalg.norm(resid))
+        objective = _norm(resid)
         if not negative.any() and objective < best:
             feasible, best = (z, resid, grad, passive.copy()), objective
         if count < fewest:
@@ -323,7 +327,7 @@ def _block_phase(A, b, passive, z, feasible, iterations, max_iter) -> NnlsResult
 
 
 def _result(w, resid, grad, passive, iterations) -> NnlsResult:
-    return NnlsResult(w, float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations)
+    return NnlsResult(w, _norm(resid), _kkt_residual(grad, passive), iterations)
 
 
 def _checked(w, resid, grad, passive, iterations) -> NnlsResult:

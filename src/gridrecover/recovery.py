@@ -14,6 +14,9 @@ rejected candidate by its edge set: sparsification often draws an edge set
 the run has already rejected, and the kept pair then stands in for a new
 restriction and solve.  An accepted edge set is never drawn again, since
 every later candidate has fewer edges than the network it is drawn from.
+A draw's decision needs only its edge set: the loop reads the edges of each
+sparsification outcome and never its weights or sampled network, which are
+therefore never built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -143,9 +146,15 @@ def fit(system: VandermondeSystem) -> Fit:
     """
     rows, cols = system.matrix.shape
     if rows > cols:
-        R = np.linalg.qr(np.column_stack((system.matrix, system.rhs)), mode="r")
+        Ab = np.empty((rows, cols + 1))
+        Ab[:, :cols] = system.matrix
+        Ab[:, cols] = system.rhs
+        R = np.linalg.qr(Ab, mode="r")
+        del Ab
         rho = float(np.hypot(system.rho, R[cols, cols]))
-        system = replace(system, matrix=R[:cols, :cols], rhs=R[:cols, cols], rho=rho)
+        system = VandermondeSystem(
+            system.kind, system.n, R[:cols, :cols], R[:cols, cols], system.edges, rho, system.rows
+        )
     try:
         result = nnls_solve(system.matrix, system.rhs, from_all=rows > cols)
     except NnlsError as exc:
@@ -181,12 +190,22 @@ class TraceRow:
 
 @dataclass
 class RecoveryTrace:
-    """Full per-iteration log of one recovery run."""
+    """Full per-iteration log of one recovery run; rows are added by
+    :meth:`append`, which keeps the count of trailing stale rows."""
 
     rows: list[TraceRow] = field(default_factory=list)
+    _stale: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for row in self.rows:
+            self._count(row)
+
+    def _count(self, row: TraceRow) -> None:
+        self._stale = 0 if row.event in (EVENT_INITIAL, EVENT_ACCEPTED) else self._stale + 1
 
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
+        self._count(row)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -200,12 +219,7 @@ class RecoveryTrace:
 
     def stale_iterations(self) -> int:
         """Consecutive trailing iterations without an accepted change."""
-        count = 0
-        for row in reversed(self.rows):
-            if row.event in (EVENT_INITIAL, EVENT_ACCEPTED):
-                break
-            count += 1
-        return count
+        return self._stale
 
 
 class RecoveryError(RuntimeError):

@@ -15,14 +15,17 @@ on bridges and sum to n minus the number of connected components.
 The statistics of a network depend on nothing but the network, which is
 immutable, so they are computed once per ``Network`` object and kept on it:
 the recovery loop samples one held network again and again until it accepts
-another.  A sample is its kept edges and their weights; the sampled
-``Network`` is built only when ``SparsifyOutcome.graph`` is first read.
+another.  A sample is its draw counts and the edges they keep.  Its weights
+(``SparsifyOutcome.c`` and ``.s``) and the sampled ``Network``
+(``SparsifyOutcome.graph``) are derived from the counts when first read; the
+recovery loop reads only the edges, so a draw it does not accept builds no
+weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 
@@ -60,19 +63,45 @@ class EdgeStatistics:
 @dataclass(frozen=True, eq=False)
 class SparsifyOutcome:
     """Result of one sparsification run: the kept edges of a ``kind`` network
-    on nodes 1..n, in input order, their conductances and susceptances, and
-    the number of draws t per weight row."""
+    on nodes 1..n, in input order, and the number of draws t per weight row.
+
+    An edge is kept when a row drew it at least once.  Its conductance and
+    susceptance, ``c`` and ``s``, are count * w / (t * p) of each row that
+    drew it and 0 for a row that did not; they are computed from the draw
+    counts when first read, and the sampled network, ``graph``, is built
+    from them when it is first read."""
 
     kind: str
     n: int
     edges: tuple[Edge, ...]
-    c: np.ndarray
-    s: np.ndarray
     t: int
+    # (row index, positions, statistics, counts) of each sampled weight row,
+    # positions and counts over the row's positive entries
+    _draws: tuple = field(repr=False)
+    _keep: np.ndarray = field(repr=False)  # the kept edges, as a mask over the input's
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        out = np.zeros((2, len(self._keep)))
+        for i, at, row, counts in self._draws:
+            # p is 0 where a resistance clips to 0, so divide drawn entries only
+            drawn = counts > 0
+            out[i, at[drawn]] = counts[drawn] * row.w[drawn] / (self.t * row.p[drawn])
+        return out[:, self._keep]
+
+    @property
+    def c(self) -> np.ndarray:
+        """Sampled conductances of the kept edges, computed on first read."""
+        return self._weights[0]
+
+    @property
+    def s(self) -> np.ndarray:
+        """Sampled susceptances of the kept edges, computed on first read."""
+        return self._weights[1]
 
     @cached_property
     def graph(self) -> Network:
-        """The sampled network, built on first use."""
+        """The sampled network, built on first read."""
         return Network(self.kind, self.n, self.edges, self.c, self.s)
 
 
@@ -160,8 +189,10 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
     susceptances) takes t draws of its own: from ``seed`` on DC, from the two
     children of its SeedSequence on AC, conductances first.  A drawn entry
     becomes count * w / (t * p), so its expectation over seeds is w; an entry
-    with no draws is 0.  The edges with any positive weight are kept, in
-    input order.
+    with no draws is 0.  The edges drawn by either row are kept, in input
+    order.  The draw is made here; the weights, and the sampled network, are
+    derived from its counts when the outcome's ``c``, ``s`` or ``graph`` is
+    first read.
     """
     t = sample_count(net.n, eps)
     if net.kind == DC:
@@ -169,22 +200,22 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
     else:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         seeds = ss.spawn(2)
-    out = np.zeros((2, len(net.edges)))
+    keep = np.zeros(len(net.edges), dtype=bool)
+    draws = []
     stats = _statistics(net)
-    for label, row_seed, new_w in zip(WEIGHT_ROWS, seeds, out):
+    for i, (label, row_seed) in enumerate(zip(WEIGHT_ROWS, seeds)):
         if label not in stats:
             continue
         at, row = stats[label]
         # the draw counts of t draws with replacement, in O(edges) memory and
-        # time; p is 0 where a resistance clips to 0, so divide drawn entries only
+        # time; they sum to t >= 1, and a drawn entry's weight is at least
+        # w / t, positive unless w is within a factor t of the smallest double
         counts = np.random.default_rng(row_seed).multinomial(t, row.p)
-        drawn = counts > 0
-        new_w[at[drawn]] = counts[drawn] * row.w[drawn] / (t * row.p[drawn])
-    keep = np.any(out > 0, axis=0)
-    if not keep.any():
+        keep[at[counts > 0]] = True
+        draws.append((i, at, row, counts))
+    if not draws:
         raise ValueError("network has no positive-weight edge")
-    c, s = out[:, keep]
-    return SparsifyOutcome(net.kind, net.n, tuple(compress(net.edges, keep)), c, s, t)
+    return SparsifyOutcome(net.kind, net.n, tuple(compress(net.edges, keep)), t, tuple(draws), keep)
 
 
 def is_epsilon_approximation(net: Network, net2: Network, eps: float) -> bool:

@@ -33,7 +33,7 @@ this module decodes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -226,7 +226,9 @@ def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSys
     idx = np.array(idx)
     if system.kind != DC:
         idx = np.column_stack((2 * idx, 2 * idx + 1)).ravel()
-    return replace(system, matrix=system.matrix[:, idx], edges=sub)
+    return VandermondeSystem(
+        system.kind, system.n, system.matrix[:, idx], system.rhs, sub, system.rho, system.rows
+    )
 
 
 def condition_number(system) -> float:

@@ -10,7 +10,9 @@ unit weight per column, and the tall fit solves those stacked equations
 themselves instead of their triangular factor, Newton power flow solves one state at a time, each
 with its own admittance matrix, Jacobian and linear solve, and AC
 sparsification splits a network into its conductance and susceptance graphs,
-sparsifies each as its own network and merges the kept edges by name.
+sparsifies each as its own network and merges the kept edges by name,
+while the eager sampler takes the library's draws but computes every weight
+at the draw and keeps the edges of positive weight.
 The reference assembly shares the library's per-node equations but takes
 every QR with ``mode="r"``, as the library did before it read R out of
 numpy's factored copy.
@@ -35,7 +37,13 @@ from gridrecover.network import (
 )
 from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, NnlsResult, _kkt_residual
 from gridrecover.recovery import Fit
-from gridrecover.sparsify import EdgeStatistics, _pseudo_inverse, sample_count
+from gridrecover.sparsify import (
+    WEIGHT_ROWS,
+    EdgeStatistics,
+    _pseudo_inverse,
+    row_statistics,
+    sample_count,
+)
 from gridrecover.states import PowerFlowError, StateSet, add_noise
 from gridrecover.vandermonde import (
     _BLOCK_STATES,
@@ -488,3 +496,35 @@ def sparsify_two_graphs(net, eps: float, seed=0) -> SimpleNamespace:
     c = np.array([c_side.get(e, 0.0) for e in edges])
     s = np.array([s_side.get(e, 0.0) for e in edges])
     return SimpleNamespace(graph=Network.ac(net.n, edges, c, s), t=t)
+
+
+def sparsify_eager(net, eps: float, seed=0) -> SimpleNamespace:
+    """``sparsify_ac``'s draws, with every weight computed at the draw.
+
+    Each sampled row's weights, count * w / (t * p) where drawn and 0
+    elsewhere, are written into one array over the input's edges, and an
+    edge is kept where one of its weights is positive; the outcome holds
+    the kept ``edges``, ``c``, ``s``, ``t`` and the sampled ``graph``.
+    """
+    t = sample_count(net.n, eps)
+    if net.kind == DC:
+        seeds = (seed, None)
+    else:
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        seeds = ss.spawn(2)
+    stats = row_statistics(net)
+    out = np.zeros((2, len(net.edges)))
+    for label, w, row_seed, new_w in zip(WEIGHT_ROWS, (net.c, net.s), seeds, out):
+        if label not in stats:
+            continue
+        row = stats[label]
+        at = np.flatnonzero(w > 0)
+        counts = np.random.default_rng(row_seed).multinomial(t, row.p)
+        drawn = counts > 0
+        new_w[at[drawn]] = counts[drawn] * row.w[drawn] / (t * row.p[drawn])
+    keep = np.any(out > 0, axis=0)
+    if not keep.any():
+        raise ValueError("network has no positive-weight edge")
+    c, s = out[:, keep]
+    edges = tuple(e for e, k in zip(net.edges, keep) if k)
+    return SimpleNamespace(edges=edges, c=c, s=s, t=t, graph=Network(net.kind, net.n, edges, c, s))

@@ -612,6 +612,28 @@ def test_cli_trials_fan_out(tmp_path):
     assert summary["trials"][0]["seed"] == 10
 
 
+@pytest.mark.parametrize("workers", [["--workers", "4"], []])
+def test_cli_trials_start_no_more_workers_than_trials(tmp_path, monkeypatch, workers):
+    # a process pool forks all its workers up front, so --trials 2 gets at
+    # most 2 of them, even on 8 CPUs; threads stand in for the processes
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "4",
+                 "--out-dir", str(out)]) == 0
+    sizes = []
+
+    def spy_pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    code = main(["recover", "--states", str(out / "states.csv"), "--trials", "2", *workers,
+                 "--max-stale", "5", "--out-dir", str(out)])
+    assert code in (0, 1)
+    assert len(json.loads((out / "trials.json").read_text())["trials"]) == 2
+    assert sizes == [2]
+
+
 def _trace_rows(payload):
     """The trace of one seeded recovery; module-level so workers can import it."""
     states_path, cfg = payload

@@ -235,6 +235,29 @@ def test_normalized_drops_dead_edges():
     assert pruned.edges == ((1, 2), (1, 3))
 
 
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+def test_normalized_equals_the_network_built_from_its_parts(kind):
+    # the pruned copy is cut from a validated network without validating it
+    # again: it must be the network the constructor builds from the same parts
+    rng = np.random.default_rng(23 + (kind == "ac"))
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        pool = [(k, j) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+        edges = [pool[i] for i in rng.permutation(len(pool))[: int(rng.integers(1, len(pool) + 1))]]
+        c, s = rng.uniform(0.1, 10.0, (2, len(edges))) * (rng.random((2, len(edges))) > 0.4)
+        net = Network.dc(n, edges, c) if kind == "dc" else Network.ac(n, edges, c, s)
+        pruned = net.normalized()
+        keep = (net.c > 0) | (net.s > 0)
+        parts = [e for e, k in zip(net.edges, keep) if k], net.c[keep], net.s[keep]
+        built = Network(net.kind, net.n, *parts)
+        assert type(pruned) is Network and pruned == built
+        assert pruned.__dict__.keys() == built.__dict__.keys()
+        assert pruned._index == built._index and type(pruned.n) is int
+        for a, b in ((pruned.c, built.c), (pruned.s, built.s)):
+            assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
+            assert not a.flags.writeable and not b.flags.writeable
+
+
 def test_complete_edges_count_and_order():
     edges = complete_edges(4)
     assert edges == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))

@@ -11,6 +11,7 @@ from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
 from gridrecover.network import Network
 from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import (
+    EVENTS,
     EVENT_ACCEPTED,
     EVENT_INITIAL,
     EVENT_NO_REDUCTION,
@@ -24,6 +25,7 @@ from gridrecover.recovery import (
 )
 from gridrecover.states import StateSet, add_noise, generate_scenario, rms
 from gridrecover.vandermonde import restrict
+from oracles import sparsify_eager
 
 
 def test_config_validation():
@@ -278,6 +280,26 @@ def test_stale_counter():
     assert len(trace.filtered()) == 2
 
 
+def _rescanned_stale_count(rows):
+    count = 0
+    for row in reversed(rows):
+        if row.event in (EVENT_INITIAL, EVENT_ACCEPTED):
+            break
+        count += 1
+    return count
+
+
+def test_stale_count_kept_on_append_equals_a_rescan():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        trace = RecoveryTrace()
+        for i in range(int(rng.integers(0, 30))):
+            trace.append(TraceRow(i + 1, 5, 1e-9, 10.0, 0.1, str(rng.choice(EVENTS))))
+            assert trace.stale_iterations() == _rescanned_stale_count(trace.rows)
+        # a trace built from rows counts them too
+        assert RecoveryTrace(list(trace.rows)).stale_iterations() == trace.stale_iterations()
+
+
 def _builtin_run(name, sigma, seed):
     """60 states of a builtin and a config whose tol is 1.5 times the noise
     floor (1e-5 on exact data), so that noisy runs accept several times."""
@@ -305,6 +327,49 @@ def test_kept_statistics_change_no_result(monkeypatch, name, sigma, seed):
     assert trace.rows == fresh_trace.rows
     assert net.edges == fresh_net.edges
     assert np.array_equal(net.c, fresh_net.c) and np.array_equal(net.s, fresh_net.s)
+
+
+def _hex_rows(trace):
+    return [
+        (r.iteration, r.event, r.edges, r.rms.hex(), r.kappa.hex(), r.epsilon.hex()) for r in trace
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("sigma", [0.0, 1e-6])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_lazy_draw_weights_change_no_result(monkeypatch, name, sigma, seed):
+    # the loop keeps the drawn edges of an outcome whose weights are derived
+    # only when read; a sampler that computes every weight at the draw and
+    # keeps the edges of positive weight must give the same run, bit for bit
+    states, cfg = _builtin_run(name, sigma, seed)
+    net, trace = recover(states, cfg)
+    monkeypatch.setattr(gridrecover.recovery, "sparsify_ac", sparsify_eager)
+    eager_net, eager_trace = recover(states, cfg)
+    assert _hex_rows(trace) == _hex_rows(eager_trace)
+    assert net == eager_net
+
+
+@pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
+def test_the_loop_reads_only_the_edges_of_a_draw(monkeypatch, name):
+    read = []
+
+    def spy(attr):
+        original = getattr(sparsify.SparsifyOutcome, attr)
+
+        def get(self):
+            read.append(attr)
+            return original.__get__(self, sparsify.SparsifyOutcome)
+
+        return property(get)
+
+    for attr in ("c", "s", "graph"):
+        monkeypatch.setattr(sparsify.SparsifyOutcome, attr, spy(attr))
+    states, cfg = _builtin_run(name, 1e-6, 1)
+    net, trace = recover(states, cfg)
+    assert read == [] and len(trace) > 10
+    outcome = sparsify.sparsify_ac(net, 0.5, 0)  # the spies see a read
+    assert np.array_equal(outcome.graph.c, outcome.c) and read == ["graph", "c", "s", "c"]
 
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
@@ -346,12 +411,13 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     assert rows == len(held) * (2 if name == "small_ac" else 1)
     assert len(inverses) == rows
     assert built_inside and not any(built_inside)
-    # networks are built for the initial fit (the first held network), for
-    # each accepted refit and its pruned copy (the later held networks) and
-    # for the result: none for a draw or a rejected refit
+    # networks are built, and validated, for the initial fit (the first held
+    # network) and for each accepted refit: none for a draw or a rejected
+    # refit; the pruned copies (the later held networks) and the result are
+    # cut from validated networks without validating them again
     accepted = sum(row.event == EVENT_ACCEPTED for row in trace)
     assert len(refits) > accepted
-    assert len(built_inside) == 1 + accepted + (len(held) - 1) + 1
+    assert len(built_inside) == 1 + accepted == len(held)
 
 
 def _cold_start(monkeypatch):

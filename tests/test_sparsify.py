@@ -12,7 +12,7 @@ from gridrecover.sparsify import (
     sparsify_ac,
 )
 from helpers import random_connected_graph, random_graph
-from oracles import resistance_by_grounded_solve, sparsify_two_graphs
+from oracles import resistance_by_grounded_solve, sparsify_eager, sparsify_two_graphs
 
 TRIANGLE = Network.dc(3, ((1, 2), (1, 3), (2, 3)), np.ones(3))
 
@@ -244,6 +244,23 @@ def test_sparsify_ac_matches_two_graph_oracle(shape, as_sequence):
             assert np.array_equal(g.c, h.c) and np.array_equal(g.s, h.s)
         assert np.all(g.c >= 0) and np.all(g.s >= 0) and np.all((g.c > 0) | (g.s > 0))
     assert 0 < errors < 60
+
+
+@pytest.mark.parametrize("shape", ["dc", "ac", "c_only", "s_only"])
+def test_sparsify_ac_weights_read_later_are_the_weights_of_the_draw(shape):
+    # the outcome keeps the drawn edges and derives c and s when first read:
+    # the same bits as weights computed at the draw, kept where positive
+    rng = np.random.default_rng(["dc", "ac", "c_only", "s_only"].index(shape) + 40)
+    for _ in range(60):
+        net = _random_network(rng, shape)
+        eps, seed = float(rng.uniform(0.05, 2.0)), int(rng.integers(2**32))
+        out, err = _outcome_or_error(sparsify_ac, net, eps, seed)
+        ref, ref_err = _outcome_or_error(sparsify_eager, net, eps, seed)
+        assert err == ref_err
+        if err is None:
+            assert out.edges == ref.edges and out.t == ref.t
+            assert out.c.tobytes() == ref.c.tobytes() and out.s.tobytes() == ref.s.tobytes()
+            assert out.graph == ref.graph
 
 
 @pytest.mark.parametrize(
