@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AC, DC, Network, laplacian, spectral_norm, split_graphs
+from .network import AC, DC, Network, _finite_non_negative, _laplacian, laplacian, spectral_norm
 from .states import StateSet, rms
 
 
@@ -31,9 +31,20 @@ class BoundReport:
     variant: str  # "fine" | "coarse" | "ac"
 
 
-def _check_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+def _check_inputs(name: str, kind: str, net: Network, states: StateSet) -> None:
+    """Raise ValueError unless the network and the data are both of ``kind``
+    and on the same nodes; ``name`` is the certificate's."""
+    if net.kind != kind or states.kind != kind:
+        what = f"{'an' if kind == AC else 'a'} {kind.upper()} network and {kind.upper()} data"
+        raise ValueError(f"{name} needs {what}, got {net.kind} and {states.kind}")
+    if net.n != states.n:
+        raise ValueError(f"network and data disagree on n: {net.n} against {states.n}")
+
+
+def _report(net: Network, states: StateSet, eps: float, term: float, variant: str) -> BoundReport:
+    """The certificate rms(G') <= rms(G) + eps * term."""
+    base = rms(net, states)
+    return BoundReport(base, eps, term, base + eps * term, variant)
 
 
 def _max_block_norm(L: np.ndarray, diag: np.ndarray) -> float:
@@ -64,17 +75,13 @@ def dc_bound(net: Network, states: StateSet, eps: float) -> BoundReport:
     block maximum is the spectral norm of the full voltage-conjugated block
     Laplacian.
     """
-    _check_eps(eps)
-    if net.kind != DC or states.kind != DC:
-        raise ValueError(f"dc_bound needs a DC network and DC data, got {net.kind} and {states.kind}")
-    if net.n != states.n:
-        raise ValueError(f"network and data disagree on n: {net.n} against {states.n}")
+    _finite_non_negative(eps, "eps")
+    _check_inputs("dc_bound", DC, net, states)
     mismatch = 1.0 - phi_vector(states) / states.e.ravel()
     L = laplacian(net)
     norm_vlv = _max_block_norm(L, states.e)
     term = norm_vlv * float(np.linalg.norm(mismatch)) / math.sqrt(states.m * states.n)
-    base = rms(net, states)
-    return BoundReport(base, eps, term, base + eps * term, "fine")
+    return _report(net, states, eps, term, "fine")
 
 
 def dc_bound_coarse(
@@ -85,11 +92,8 @@ def dc_bound_coarse(
     bound_term = vmax^2 * (1 - vmin)/vmin * ||L||; requires declared bounds
     0 < vmin <= |v| <= vmax with vmin <= 1 to hold on the data.
     """
-    _check_eps(eps)
-    if net.kind != DC or states.kind != DC:
-        raise ValueError(
-            f"dc_bound_coarse needs a DC network and DC data, got {net.kind} and {states.kind}"
-        )
+    _finite_non_negative(eps, "eps")
+    _check_inputs("dc_bound_coarse", DC, net, states)
     if not (0 < vmin <= 1):
         raise ValueError("need 0 < vmin <= 1")
     # written as "not lo <= x < hi" so that nan is rejected too
@@ -100,8 +104,7 @@ def dc_bound_coarse(
         raise ValueError(f"voltages leave the declared range [{vmin}, {vmax}]")
     L = laplacian(net)
     term = vmax**2 * (1.0 - vmin) / vmin * spectral_norm(L)
-    base = rms(net, states)
-    return BoundReport(base, eps, term, base + eps * term, "coarse")
+    return _report(net, states, eps, term, "coarse")
 
 
 def ac_delta(net: Network, states: StateSet) -> float:
@@ -111,12 +114,8 @@ def ac_delta(net: Network, states: StateSet) -> float:
     scaled by sqrt(m n) with cross terms built from the largest voltage
     components and the Euclidean norms of the stacked voltage parts.
     """
-    if net.kind != AC or states.kind != AC:
-        raise ValueError(f"ac_delta needs an AC network and AC data, got {net.kind} and {states.kind}")
-    if net.n != states.n:
-        raise ValueError(f"network and data disagree on n: {net.n} against {states.n}")
-    cg, sg = split_graphs(net)
-    Lc, Ls = laplacian(cg), laplacian(sg)
+    _check_inputs("ac_delta", AC, net, states)
+    Lc, Ls = (_laplacian(net.n, net.edges, w) for w in (net.c, net.s))
     E, F = states.e, states.f
     root_mn = math.sqrt(states.m * states.n)
     n_e = float(np.max(np.abs(E)))
@@ -131,8 +130,6 @@ def ac_delta(net: Network, states: StateSet) -> float:
 
 def ac_bound(net: Network, states: StateSet, eps: float) -> BoundReport:
     """AC certificate: rms(G') <= rms(G) + eps * delta / sqrt(2 m n)."""
-    _check_eps(eps)
-    delta = ac_delta(net, states)
-    term = delta / math.sqrt(2 * states.m * states.n)
-    base = rms(net, states)
-    return BoundReport(base, eps, term, base + eps * term, "ac")
+    _finite_non_negative(eps, "eps")
+    term = ac_delta(net, states) / math.sqrt(2 * states.m * states.n)
+    return _report(net, states, eps, term, "ac")

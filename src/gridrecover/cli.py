@@ -71,7 +71,6 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    out = _out_dir(args)
     if args.builtin:
         net_seed, data_seed = SeedSequence(args.seed).spawn(2)
         net = builtin_network(args.builtin, net_seed)
@@ -92,6 +91,7 @@ def cmd_generate(args) -> int:
             states = add_noise(states, args.noise, seed=noise_seed)
         provenance = {"network": str(args.network), "sampling": "voltage_driven"}
     provenance.update({"m": args.m, "seed": args.seed, "noise": args.noise})
+    out = _out_dir(args)
     io.save_network(net, out / "network.json")
     io.save_states_csv(states, out / "states.csv")
     (out / "provenance.json").write_text(json.dumps(provenance, indent=2) + "\n")

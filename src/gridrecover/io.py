@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import AC, DC, Network
+from .network import AC, DC, Network, _integral, _real
 from .recovery import EVENTS, RecoveryTrace, TraceRow
 from .sparsify import EdgeStatistics
 from .states import StateSet
@@ -35,21 +35,14 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
-def _integer(value, where: str) -> int:
-    """An integral number as an int; a fraction or a boolean raises FormatError."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise FormatError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
 def network_from_dict(data: dict) -> Network:
     try:
         kind = data["kind"]
-        n = _integer(data["n"], "n")
+        n = _integral(data["n"], "n")
         raw = data["edges"]
-        edges = [tuple(_integer(e[end], f"edges[{i}].{end}") for end in "jk") for i, e in enumerate(raw)]
-        c = [float(e["c"]) for e in raw]
-        s = [float(e.get("s", 0.0)) for e in raw]
+        edges = [tuple(_integral(e[end], f"edges[{i}].{end}") for end in "jk") for i, e in enumerate(raw)]
+        c = [_real(e["c"], f"edges[{i}].c") for i, e in enumerate(raw)]
+        s = [_real(e.get("s", 0.0), f"edges[{i}].s") for i, e in enumerate(raw)]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed network object: {exc}") from exc
     try:

@@ -9,6 +9,8 @@ are dense; the intended scale is a few dozen nodes.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
@@ -22,11 +24,23 @@ AC = "ac"
 
 
 def _integral(value, what: str) -> int:
-    """An integral number as an int; a fraction or a boolean raises
-    ValueError naming ``what``."""
-    if isinstance(value, (bool, np.bool_)) or int(value) != value:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    """An integral number as an int; anything else (a fraction, an infinity,
+    nan, a boolean, a string, None) raises ValueError naming ``what``."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _finite_non_negative(value, what: str):
+    """``value``, checked to be finite and non-negative; raises ValueError
+    naming ``what``."""
+    # written as "not lo <= x < hi" so that nan is rejected too
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and non-negative, got {value}")
+    return value
 
 
 def _canonical_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
@@ -50,7 +64,19 @@ def _canonical_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]
     return tuple(out)
 
 
+def _real(value, what: str) -> float:
+    """A real number as a float; a boolean, a string or any other value
+    raises ValueError naming ``what``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _weight_array(values, count: int, label: str) -> np.ndarray:
+    """The weights as a new read-only float array, one per edge; raises
+    ValueError unless they are numbers, finite and non-negative."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        values = [_real(v, f"{label}[{i}]") for i, v in enumerate(values)]
     w = np.array(values, dtype=float)
     if w.shape != (count,):
         raise ValueError(f"{label} must have one entry per edge: shape {w.shape} for {count} edges")
@@ -80,16 +106,30 @@ class Network:
     def __post_init__(self):
         if self.kind not in (DC, AC):
             raise ValueError(f"kind must be 'dc' or 'ac', got {self.kind!r}")
-        object.__setattr__(self, "n", _integral(self.n, "n"))
-        if self.n < 1:
-            raise ValueError(f"need at least one node, got n={self.n}")
-        object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
-        ne = len(self.edges)
-        object.__setattr__(self, "c", _weight_array(self.c, ne, "conductances"))
-        object.__setattr__(self, "s", _weight_array(self.s, ne, "susceptances"))
-        if self.kind == DC and np.any(self.s != 0):
+        n = _integral(self.n, "n")
+        if n < 1:
+            raise ValueError(f"need at least one node, got n={n}")
+        self._fill(self.kind, n, _canonical_edges(n, self.edges), self.c, self.s)
+
+    @classmethod
+    def _derived(cls, kind: str, n: int, edges: tuple[Edge, ...], c, s) -> "Network":
+        """A network on edges cut, in order, from a validated network or
+        system of this ``kind`` and ``n``: only the weights are checked, so
+        it equals the network the constructor builds from the same parts."""
+        net = object.__new__(cls)
+        net._fill(kind, n, edges, c, s)
+        return net
+
+    def _fill(self, kind: str, n: int, edges: tuple[Edge, ...], c, s) -> None:
+        """Check the weights and set every field of a network whose kind, n
+        and edges are valid."""
+        c = _weight_array(c, len(edges), "conductances")
+        s = _weight_array(s, len(edges), "susceptances")
+        if kind == DC and np.any(s != 0):
             raise ValueError("DC networks must have zero susceptance everywhere")
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.edges)})
+        self.__dict__.update(
+            kind=kind, n=n, edges=edges, c=c, s=s, _index={e: i for i, e in enumerate(edges)}
+        )
 
     @classmethod
     def dc(cls, n: int, edges, conductances) -> "Network":
@@ -129,27 +169,17 @@ class Network:
         return complex(self.c[i], -self.s[i])
 
     def normalized(self) -> "Network":
-        """Drop edges whose conductance and susceptance are both zero.
-
-        The copy holds a selection of this network's edges and weights, which
-        were validated when this network was built, so it is not validated
-        again; it equals the ``Network`` built from the same parts."""
+        """Drop edges whose conductance and susceptance are both zero."""
         keep = (self.c > 0) | (self.s > 0)
         edges = tuple(compress(self.edges, keep))
-        c, s = self.c[keep], self.s[keep]
-        c.setflags(write=False)
-        s.setflags(write=False)
-        net = object.__new__(type(self))
-        net.__dict__.update(
-            kind=self.kind, n=self.n, edges=edges, c=c, s=s, _index={e: i for i, e in enumerate(edges)}
-        )
-        return net
+        return self._derived(self.kind, self.n, edges, self.c[keep], self.s[keep])
 
 
 def split_graphs(net: Network) -> tuple[Network, Network]:
     """Conductance and susceptance graphs: DC networks on the same edges,
     weighted by c and by s."""
-    return Network.dc(net.n, net.edges, net.c), Network.dc(net.n, net.edges, net.s)
+    zero = np.zeros(len(net.edges))
+    return tuple(Network._derived(DC, net.n, net.edges, w, zero) for w in (net.c, net.s))
 
 
 def _laplacian(n: int, edges: tuple[Edge, ...], w: np.ndarray) -> np.ndarray:

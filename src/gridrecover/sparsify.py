@@ -31,8 +31,7 @@ from itertools import compress
 
 import numpy as np
 
-from .bounds import _check_eps
-from .network import DC, Edge, Network, _laplacian, spectral_norm
+from .network import DC, Edge, Network, _finite_non_negative, _laplacian, spectral_norm
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-12
@@ -102,7 +101,7 @@ class SparsifyOutcome:
     @cached_property
     def graph(self) -> Network:
         """The sampled network, built on first read."""
-        return Network(self.kind, self.n, self.edges, self.c, self.s)
+        return Network._derived(self.kind, self.n, self.edges, self.c, self.s)
 
 
 def _pseudo_inverse(L: np.ndarray) -> np.ndarray:
@@ -229,7 +228,7 @@ def is_epsilon_approximation(net: Network, net2: Network, eps: float) -> bool:
         raise ValueError("networks must share the kind")
     if net.n != net2.n:
         raise ValueError("graphs must share the vertex set")
-    _check_eps(eps)
+    _finite_non_negative(eps, "eps")
     rows = ((net.c, net2.c),) if net.kind == DC else ((net.c, net2.c), (net.s, net2.s))
     for w, w2 in rows:
         L = _laplacian(net.n, net.edges, w)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AC, DC, Network, _integral, admittance_matrix, is_connected
+from .network import AC, DC, Network, _finite_non_negative, _integral, admittance_matrix, is_connected
 
 
 class PowerFlowError(RuntimeError):
@@ -136,15 +136,16 @@ class Scenario:
     sigma: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integral(self.n, "n"))
         object.__setattr__(self, "slack", _slack_node(self.slack, self.n))
+        object.__setattr__(self, "zero", tuple(_integral(j, "zero-injection node") for j in self.zero))
         for j in self.zero:
             if not 1 <= j <= self.n or j == self.slack:
                 raise ValueError(f"zero-injection node {j} must be a non-slack node in 1..{self.n}")
         for lo, hi in (self.p_range, self.q_range):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bad sampling range ({lo}, {hi})")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"noise stddev must be finite and non-negative, got {self.sigma}")
+        _finite_non_negative(self.sigma, "noise stddev")
 
 
 def _slack_node(slack, n: int) -> int:
@@ -153,6 +154,14 @@ def _slack_node(slack, n: int) -> int:
     if not 1 <= node <= n:
         raise ValueError(f"slack node {slack} is not in 1..{n}")
     return node
+
+
+def _state_count(m) -> int:
+    """``m`` as an int, checked to be at least 1."""
+    m = _integral(m, "m")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    return m
 
 
 def _check_compatible(net: Network, states: StateSet) -> None:
@@ -202,8 +211,7 @@ def generate_voltage_driven(net: Network, m: int, seed=0) -> StateSet:
     rounding.  Magnitudes are uniform in VOLTAGE_RANGE; AC voltages also get
     a uniform angle in [-ANGLE_RANGE, ANGLE_RANGE].
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
+    m = _state_count(m)
     rng = np.random.default_rng(seed)
     if net.kind == DC:
         e = rng.uniform(*VOLTAGE_RANGE, size=(m, net.n))
@@ -369,8 +377,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     """
     if scen.n != net.n:
         raise ValueError(f"scenario is for n={scen.n}, network has n={net.n}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
+    m = _state_count(m)
     if not is_connected(net):
         raise PowerFlowError("network must be connected to solve power flow")
 
@@ -435,9 +442,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
 
 def add_noise(states: StateSet, sigma: float, seed=0) -> StateSet:
     """Additive i.i.d. Gaussian noise on every measured component."""
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"noise stddev must be finite and non-negative, got {sigma}")
-    if sigma == 0:
+    if _finite_non_negative(sigma, "noise stddev") == 0:
         return states
     rng = np.random.default_rng(seed)
     shape = states.e.shape

@@ -260,12 +260,15 @@ def parameter_vector(net: Network, edges: Iterable[Edge] | None = None) -> np.nd
 
 
 def network_from_columns(system: VandermondeSystem, w: np.ndarray) -> Network:
-    """Inverse of :func:`parameter_vector`: the network a solution describes."""
-    w = np.asarray(w, dtype=float)
+    """Inverse of :func:`parameter_vector`: the network a solution describes.
+
+    Its edges are the system's, validated when the system was built, so only
+    the weights ``w`` are checked."""
+    w = np.asarray(w)
     if w.shape != (system.matrix.shape[1],):
         raise ValueError(
             f"solution length must match the system's columns: {w.shape} for {system.matrix.shape[1]}"
         )
     if system.kind == DC:
-        return Network.dc(system.n, system.edges, w)
-    return Network.ac(system.n, system.edges, w[0::2], w[1::2])
+        return Network._derived(DC, system.n, system.edges, w, np.zeros(len(w)))
+    return Network._derived(system.kind, system.n, system.edges, w[0::2], w[1::2])

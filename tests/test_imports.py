@@ -6,6 +6,9 @@ imports are the re-exported API, and so is ``from __future__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +55,26 @@ def test_unused_imports_are_found():
         "print(os.path.sep, tau)\n"
     )
     assert unused_imports(source) == [(3, "np"), (4, "pi")]
+
+
+def test_package_and_command_line_need_only_numpy():
+    # the test extra (scipy, hypothesis) is blocked in a fresh interpreter:
+    # importing the package and running "python -m gridrecover.cli --help"
+    # must not reach for either
+    code = (
+        "import runpy, sys\n"
+        "sys.modules.update(scipy=None, hypothesis=None)\n"
+        "try:\n"
+        "    import scipy.optimize\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('scipy is not blocked')\n"
+        "import gridrecover\n"
+        "sys.argv = ['gridrecover', '--help']\n"
+        "runpy.run_module('gridrecover.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: gridrecover") and run.stderr == ""

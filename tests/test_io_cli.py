@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -91,6 +92,27 @@ def test_network_json_rejects_non_integral_indices(tmp_path, capsys, edges, n, w
     assert main(["estimate", "--network", str(path), "--states", str(tmp_path / "absent.csv"),
                  "--out-dir", str(out)]) == 2
     assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n, edge, where",
+    [
+        ('"3"', '{"j": 1, "k": 2, "c": 1.0}', "n must be an integer, got '3'"),
+        ("3", '{"j": 1, "k": 2, "c": true}', r"edges\[0\].c must be a number, got True"),
+        ("3", '{"j": 1, "k": 2, "c": "1e3"}', r"edges\[0\].c must be a number, got '1e3'"),
+        ("3", '{"j": 1, "k": 2, "c": 1.0, "s": null}', r"edges\[0\].s must be a number, got None"),
+    ],
+)
+def test_network_json_rejects_fields_that_are_not_numbers(tmp_path, capsys, n, edge, where):
+    path = tmp_path / "net.json"
+    path.write_text(f'{{"kind": "dc", "n": {n}, "edges": [{edge}]}}')
+    with pytest.raises(io.FormatError, match=where):
+        io.load_network(path)
+    # generate stops at the file, before any state is drawn or any output written
+    out = tmp_path / "out"
+    assert main(["generate", "--network", str(path), "--m", "3", "--out-dir", str(out)]) == 2
+    assert re.search(where, capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -13,6 +13,8 @@ from gridrecover.network import (
     series_equivalent,
     split_graphs,
 )
+from gridrecover.sparsify import sparsify_ac
+from gridrecover.vandermonde import VandermondeSystem, network_from_columns, parameter_vector
 from helpers import random_graph
 from oracles import laplacian_by_edge_loop
 
@@ -190,11 +192,39 @@ def test_edges_canonicalized_and_validated():
         (True, [], "n must be an integer, got True"),
         (3, [(1.5, 2)], r"edge \(1.5, 2\): node id must be an integer, got 1.5"),
         (3, [(1, 2), (2, np.True_)], r"edge \(2, np.True_\): node id must be an integer"),
+        (float("inf"), [], "n must be an integer, got inf"),
+        (float("nan"), [], "n must be an integer, got nan"),
+        (None, [], "n must be an integer, got None"),
+        ("3", [], "n must be an integer, got '3'"),
+        (3, [(1, "2")], r"edge \(1, '2'\): node id must be an integer, got '2'"),
+        (3, [(1, "2.5")], r"edge \(1, '2.5'\): node id must be an integer, got '2.5'"),
     ],
 )
 def test_network_rejects_non_integral_node_ids(n, edges, message):
     with pytest.raises(ValueError, match=message):
         Network.dc(n, edges, np.ones(len(edges)))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Network.dc(2, [(1, 2)], ["1.5"]), r"conductances\[0\] must be a number, got '1.5'"),
+        (lambda: Network.dc(2, [(1, 2)], [True]), r"conductances\[0\] must be a number, got True"),
+        (lambda: Network.dc(3, [(1, 2), (2, 3)], [2.0, True]), r"conductances\[1\] must be a number"),
+        (lambda: Network.dc(2, [(1, 2)], np.array([True])), r"conductances\[0\] must be a number"),
+        (lambda: Network.dc(2, [(1, 2)], [None]), r"conductances\[0\] must be a number, got None"),
+        (lambda: Network.ac(2, [(1, 2)], [1.0], np.array(["1"])), r"susceptances\[0\] must be a number"),
+    ],
+)
+def test_network_rejects_weights_that_are_not_numbers(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_network_takes_integer_and_numpy_weights():
+    for c in ([2, np.float32(0.5)], np.array([2, 0]), np.array([2.0, 0.5]), (np.int64(2), 0.5)):
+        net = Network.dc(3, [(1, 2), (2, 3)], c)
+        assert net.c.dtype == float and np.array_equal(net.c, np.asarray(c, dtype=float))
 
 
 def test_network_takes_integral_floats_and_numpy_integers_as_ints():
@@ -235,27 +265,60 @@ def test_normalized_drops_dead_edges():
     assert pruned.edges == ((1, 2), (1, 3))
 
 
-@pytest.mark.parametrize("kind", ["dc", "ac"])
-def test_normalized_equals_the_network_built_from_its_parts(kind):
-    # the pruned copy is cut from a validated network without validating it
-    # again: it must be the network the constructor builds from the same parts
-    rng = np.random.default_rng(23 + (kind == "ac"))
-    for _ in range(50):
+def _random_networks(kind, seed, count=50):
+    """Random networks of the kind on 2..8 nodes, in any edge order, about
+    two in five weights zero."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         n = int(rng.integers(2, 9))
         pool = [(k, j) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
         edges = [pool[i] for i in rng.permutation(len(pool))[: int(rng.integers(1, len(pool) + 1))]]
         c, s = rng.uniform(0.1, 10.0, (2, len(edges))) * (rng.random((2, len(edges))) > 0.4)
-        net = Network.dc(n, edges, c) if kind == "dc" else Network.ac(n, edges, c, s)
-        pruned = net.normalized()
+        yield Network.dc(n, edges, c) if kind == "dc" else Network.ac(n, edges, c, s)
+
+
+def _assert_built_alike(derived, built):
+    """``derived`` equals ``built``, the network the validating constructor
+    built from the same parts: the same fields, field types, weight bits and
+    read-only weights."""
+    assert type(derived) is Network and derived == built
+    assert derived.__dict__.keys() == built.__dict__.keys()
+    assert derived._index == built._index and type(derived.n) is int
+    for a, b in ((derived.c, built.c), (derived.s, built.s)):
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
+        assert not a.flags.writeable and not b.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+def test_normalized_equals_the_network_built_from_its_parts(kind):
+    # the pruned copy is cut from a validated network without validating it
+    # again: it must be the network the constructor builds from the same parts
+    for net in _random_networks(kind, 23 + (kind == "ac")):
         keep = (net.c > 0) | (net.s > 0)
         parts = [e for e, k in zip(net.edges, keep) if k], net.c[keep], net.s[keep]
-        built = Network(net.kind, net.n, *parts)
-        assert type(pruned) is Network and pruned == built
-        assert pruned.__dict__.keys() == built.__dict__.keys()
-        assert pruned._index == built._index and type(pruned.n) is int
-        for a, b in ((pruned.c, built.c), (pruned.s, built.s)):
-            assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
-            assert not a.flags.writeable and not b.flags.writeable
+        _assert_built_alike(net.normalized(), Network(net.kind, net.n, *parts))
+
+
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+def test_derived_networks_equal_the_networks_built_from_their_parts(kind):
+    # the split graphs, a solution's network and a sample's network are cut
+    # from a validated network or system, and only their weights are checked
+    checked = 0
+    for net in _random_networks(kind, 31 + (kind == "ac")):
+        for g, w in zip(split_graphs(net), (net.c, net.s)):
+            _assert_built_alike(g, Network.dc(net.n, net.edges, w))
+        edges = tuple(sorted(net.edges))
+        k = len(parameter_vector(net))
+        system = VandermondeSystem(net.kind, net.n, np.eye(k), np.zeros(k), edges, 0.0, k)
+        fitted = network_from_columns(system, parameter_vector(net))
+        order = [net.edge_index(*e) for e in edges]
+        _assert_built_alike(fitted, Network(net.kind, net.n, edges, net.c[order], net.s[order]))
+        if np.any(net.c > 0) or np.any(net.s > 0):
+            outcome = sparsify_ac(net, 0.5, checked)
+            built = Network(net.kind, net.n, outcome.edges, outcome.c, outcome.s)
+            _assert_built_alike(outcome.graph, built)
+            checked += 1
+    assert checked > 40
 
 
 def test_complete_edges_count_and_order():

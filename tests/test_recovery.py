@@ -377,23 +377,37 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     states, cfg = _builtin_run(name, 1e-6, 1)
     pseudo_inverse = sparsify._pseudo_inverse
     sparsify_ac = gridrecover.recovery.sparsify_ac
+    derived = Network._derived.__func__
+    normalized = Network.normalized
     post_init = Network.__post_init__
-    held, inverses, refits, built_inside, inside = {}, [], [], [], [False]
+    held, inverses, refits, validated = {}, [], [], []
+    inside = {"sparsify": False, "normalized": False}
+    builds = []  # the flags of inside at each build through Network._derived
 
     def counting_pseudo_inverse(L):
         inverses.append(L.shape)
         return pseudo_inverse(L)
 
+    def watched(flag, function):
+        def call(*args):
+            inside[flag] = True
+            try:
+                return function(*args)
+            finally:
+                inside[flag] = False
+
+        return call
+
     def watched_sparsify(net, eps, seed):
         held[id(net)] = net
-        inside[0] = True
-        try:
-            return sparsify_ac(net, eps, seed)
-        finally:
-            inside[0] = False
+        return watched("sparsify", sparsify_ac)(net, eps, seed)
+
+    def watched_derived(cls, *parts):
+        builds.append(dict(inside))
+        return derived(cls, *parts)
 
     def watched_post_init(self):
-        built_inside.append(inside[0])
+        validated.append(self)
         post_init(self)
 
     def counting_restrict(system, edges):
@@ -403,6 +417,8 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     monkeypatch.setattr(sparsify, "_pseudo_inverse", counting_pseudo_inverse)
     monkeypatch.setattr(gridrecover.recovery, "sparsify_ac", watched_sparsify)
     monkeypatch.setattr(gridrecover.recovery, "restrict", counting_restrict)
+    monkeypatch.setattr(Network, "_derived", classmethod(watched_derived))
+    monkeypatch.setattr(Network, "normalized", watched("normalized", normalized))
     monkeypatch.setattr(Network, "__post_init__", watched_post_init)
     _, trace = recover(states, cfg)
     # one network is held from each initial or accepted row to the next
@@ -410,14 +426,18 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     rows = sum(int(np.any(net.c > 0)) + int(np.any(net.s > 0)) for net in held.values())
     assert rows == len(held) * (2 if name == "small_ac" else 1)
     assert len(inverses) == rows
-    assert built_inside and not any(built_inside)
-    # networks are built, and validated, for the initial fit (the first held
-    # network) and for each accepted refit: none for a draw or a rejected
-    # refit; the pruned copies (the later held networks) and the result are
-    # cut from validated networks without validating them again
+    # every network of a run is cut from the validated system or from a
+    # validated network, so none is validated again: the fitted networks
+    # are built for the initial fit (the first held network) and for each
+    # accepted refit, none for a draw or a rejected refit, and the pruned
+    # copies (the later held networks) and the result are built from them
+    assert validated == []
+    assert builds and not any(b["sparsify"] for b in builds)
     accepted = sum(row.event == EVENT_ACCEPTED for row in trace)
     assert len(refits) > accepted
-    assert len(built_inside) == 1 + accepted == len(held)
+    fitted = [b for b in builds if not b["normalized"]]
+    assert len(fitted) == 1 + accepted == len(held)
+    assert len(builds) - len(fitted) == accepted + 1
 
 
 def _cold_start(monkeypatch):

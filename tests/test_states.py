@@ -250,6 +250,49 @@ def test_generators_reject_m_below_1():
         generate_scenario(PATH3, Scenario(3), 0)
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [(2.5, "m must be an integer, got 2.5"), (np.inf, "m must be an integer, got inf"),
+     ("3", "m must be an integer, got '3'"), (True, "m must be an integer, got True")],
+)
+def test_generators_reject_a_non_integral_m(m, message):
+    with pytest.raises(ValueError, match=message):
+        generate_voltage_driven(PATH3, m)
+    with pytest.raises(ValueError, match=message):
+        generate_scenario(PATH3, Scenario(3), m)
+
+
+def test_generators_take_an_integral_float_m_as_an_int():
+    assert generate_voltage_driven(PATH3, 3.0, seed=1) == generate_voltage_driven(PATH3, 3, seed=1)
+    net, scen = builtin_network("table1_dc"), builtin_scenario("table1_dc")
+    assert generate_scenario(net, scen, np.float64(3), seed=1) == generate_scenario(net, scen, 3, seed=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n=3.5), "n must be an integer, got 3.5"),
+        (dict(n=np.inf), "n must be an integer, got inf"),
+        (dict(n=None), "n must be an integer, got None"),
+        (dict(n=3, zero=(2.5,)), "zero-injection node must be an integer, got 2.5"),
+        (dict(n=3, zero=(2, True)), "zero-injection node must be an integer, got True"),
+        (dict(n=3, zero=(4.0,)), "zero-injection node 4 must be a non-slack node in 1..3"),
+    ],
+)
+def test_scenario_rejects_non_integral_nodes(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario(**kwargs)
+
+
+def test_scenario_takes_integral_float_nodes_as_ints():
+    scen = Scenario(3.0, zero=(3.0,))
+    assert (scen.n, scen.zero) == (3, (3,)) and type(scen.n) is type(scen.zero[0]) is int
+    # node 3 injects nothing, exactly as with zero=(3,)
+    states = generate_scenario(PATH3, Scenario(3, zero=(3.0,), p_range=(-0.1, -0.01)), 4, seed=2)
+    assert np.all(states.p[:, 2] == 0.0)
+    assert states == generate_scenario(PATH3, Scenario(3, zero=(3,), p_range=(-0.1, -0.01)), 4, seed=2)
+
+
 def test_generate_scenario_rejects_a_scenario_for_other_n_and_a_disconnected_network():
     with pytest.raises(ValueError, match="scenario is for n=4, network has n=3"):
         generate_scenario(PATH3, Scenario(4), 2)
@@ -265,6 +308,9 @@ def test_generate_scenario_rejects_a_scenario_for_other_n_and_a_disconnected_net
         (4, r"slack node 4 is not in 1..3"),
         (1.5, "slack node must be an integer, got 1.5"),
         (True, "slack node must be an integer, got True"),
+        (np.nan, "slack node must be an integer, got nan"),
+        (np.inf, "slack node must be an integer, got inf"),
+        (None, "slack node must be an integer, got None"),
     ],
 )
 def test_slack_outside_the_nodes_is_rejected_before_any_solve(monkeypatch, slack, message):

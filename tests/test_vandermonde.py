@@ -329,6 +329,13 @@ def test_parameter_vector_round_trip():
         assert np.allclose(parameter_vector(rebuilt), w)
         with pytest.raises(ValueError, match=rf"columns: \({len(w) + 1},\) for {len(w)}"):
             network_from_columns(system, np.append(w, 1.0))
+        # the edges are the system's; the weights are checked
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            network_from_columns(system, -w)
+        with pytest.raises(ValueError, match=r"conductances\[0\] must be a number"):
+            network_from_columns(system, w > 0)
+        with pytest.raises(ValueError, match=r"conductances\[0\] must be a number"):
+            network_from_columns(system, w.astype(str))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
