@@ -162,8 +162,8 @@ def _summary(states, cfg: RecoveryConfig, net, trace) -> dict:
 
 def cmd_recover(args) -> int:
     cfg = RecoveryConfig(**{f.name: getattr(args, f.name) for f in fields(RecoveryConfig)})
-    out = _out_dir(args)
     states = io.load_states_csv(args.states)
+    out = _out_dir(args)  # only once the states are read: bad input leaves no directory
     if args.trials > 1:
         # the workers fork with numpy.random loaded (SeedSequence above);
         # numpy imports it lazily, so each would import it again otherwise
@@ -260,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=_positive_int, default=cfg.max_iterations)
     p.add_argument("--max-time", dest="max_wall_time", type=float, default=cfg.max_wall_time)
     p.add_argument("--max-stale", dest="max_stale_iterations", type=_positive_int,
-                   default=cfg.max_stale_iterations)
+                   default=cfg.max_stale_iterations,
+                   help="stop after this many iterations without an accept; a run stops"
+                        " sooner once deleting any one edge from the held fit would raise"
+                        " the rms past --tol")
     p.add_argument("--stop-on-tree", action="store_true", default=cfg.stop_on_tree)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--workers", type=_positive_int, default=None)

@@ -5,7 +5,11 @@ then repeatedly sparsifies the current network and re-estimates parameters on
 the surviving edges.  A sparsification that fails to drop edges loosens the
 closeness parameter (eps *= psi); a re-estimation whose rms exceeds the
 tolerance tightens it (eps /= psi); an accepted network strictly shrinks the
-edge set.  Iteration 1 is the complete-graph fit itself.
+edge set.  Iteration 1 is the complete-graph fit itself.  The loop stops
+once deleting any one edge from the held fit would raise the rms past the
+tolerance, least squares on the remaining edges included, since every later
+candidate lies inside such a deletion (reason ``minimal``, see
+:func:`_minimal`), or else when a configured limit is reached.
 
 All candidate systems are column restrictions of the complete-graph system,
 assembled once per run into its triangular factor, and every one is
@@ -30,11 +34,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import Network, complete_edges, is_spanning_tree
-from .nnls import NnlsError, NnlsResult, solve as nnls_solve
+from .network import DC, Network, complete_edges, is_spanning_tree
+from .nnls import FALLBACK_RTOL, NnlsError, NnlsResult, solve as nnls_solve
 from .sparsify import sparsify_ac
 from .states import StateSet, rms as states_rms
-from .vandermonde import VandermondeSystem, assemble, condition_number, network_from_columns, restrict
+from .vandermonde import (
+    VandermondeSystem,
+    assemble,
+    condition_number,
+    network_from_columns,
+    positive_network_from_columns,
+    restrict,
+)
 
 log = logging.getLogger("gridrecover.recovery")
 
@@ -44,6 +55,16 @@ EVENT_REJECTED_RMS = "rejected_rms"
 EVENT_NO_REDUCTION = "no_edge_reduction"
 
 EVENTS = (EVENT_INITIAL, EVENT_ACCEPTED, EVENT_REJECTED_RMS, EVENT_NO_REDUCTION)
+
+# A held network is certified minimal only when each edge's deletion bound
+# clears the acceptance threshold tol * sqrt(rows) by this many units of
+# p * eps * kappa * ||b|| (p columns, kappa the triangle's condition number,
+# b the data's injections).  That unit is the scale of the roundoff in a
+# least-squares residual computed through a Householder QR of p columns
+# (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 20),
+# and the bound and a candidate's own rms are both such residuals; the
+# hundredfold room covers the constants those error bounds leave out.
+MINIMAL_ROUNDOFF_UNITS = 100
 
 
 def _is_integer(value) -> bool:
@@ -173,6 +194,53 @@ def _residual(result: NnlsResult, system: VandermondeSystem) -> float:
     return residual
 
 
+def _minimal(held: Fit, tol: float) -> bool:
+    """Whether no proper subset of the held network's edges can fit within ``tol``.
+
+    Every later candidate is drawn from the held network H, so one with
+    fewer edges lies inside H minus some edge e, and NNLS on its columns
+    does no better than unconstrained least squares on H minus e.  With R
+    the triangle, y the least-squares weights and rho the residual of least
+    squares on the columns of H's edges, that least-squares residual,
+    squared, is ``rho^2 + y_E^T [(R^-1 R^-T)_EE]^-1 y_E``, E being e's
+    column (DC) or column pair (AC): the column-deletion identity.  H is
+    minimal when that exceeds ``rows * tol^2`` for every e, with the room
+    of ``MINIMAL_ROUNDOFF_UNITS``.  A triangle that fails the solver's rank
+    test (``nnls.FALLBACK_RTOL``) certifies nothing.
+
+    R comes from one QR of those columns of the held system with its rhs;
+    when every held weight is positive the held system is already that
+    triangle, which the QR returns bit for bit.
+    """
+    system = held.system
+    r = 1 if system.kind == DC else 2
+    cols = np.repeat((held.nnls.w > 0).reshape(-1, r).any(axis=1), r)
+    p = int(np.count_nonzero(cols))
+    Ab = np.empty((system.matrix.shape[0], p + 1))
+    Ab[:, :p] = system.matrix[:, cols]
+    Ab[:, p] = system.rhs
+    T = np.linalg.qr(Ab, mode="r")
+    if p == 0 or T.shape[0] < p:
+        return False
+    R = T[:p, :p]
+    scale = math.sqrt(np.einsum("ij,ij->j", R, R).max())
+    if not np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * scale:
+        return False
+    Rinv = np.linalg.inv(R)
+    y = np.linalg.solve(R, T[:p, p])
+    if r == 1:
+        raised = y * y / np.einsum("ij,ij->i", Rinv, Rinv)
+    else:
+        pairs, yE = Rinv.reshape(-1, 2, p), y.reshape(-1, 2, 1)
+        raised = (yE * np.linalg.solve(pairs @ pairs.transpose(0, 2, 1), yE)).sum(axis=(1, 2))
+    rho = math.hypot(system.rho, T[p, p] if T.shape[0] > p else 0.0)
+    kappa = np.linalg.norm(R) * np.linalg.norm(Rinv)  # Frobenius: at least the 2-norm's
+    b = math.hypot(np.linalg.norm(system.rhs), system.rho)  # ||b|| of the data
+    roundoff = MINIMAL_ROUNDOFF_UNITS * p * np.finfo(float).eps * kappa * b
+    threshold = tol * math.sqrt(system.rows) + roundoff
+    return bool(np.min(rho * rho + raised) > threshold * threshold)
+
+
 @dataclass(frozen=True)
 class TraceRow:
     """One loop iteration.  ``edges``/``rms``/``kappa`` describe the fitted
@@ -288,8 +356,9 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     eps = cfg.eps0
     iteration = 1
     rejected: dict[tuple, tuple[float, float]] = {}  # (rms, kappa) by candidate edge set
+    minimal = False  # no later candidate can be accepted (see _minimal)
     while True:
-        stop, reason = should_stop(trace, cfg, time.monotonic() - t0, cur)
+        stop, reason = (True, "minimal") if minimal else should_stop(trace, cfg, time.monotonic() - t0, cur)
         if stop:
             log.info("stopping after iteration %d (%s)", iteration, reason)
             break
@@ -313,7 +382,8 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
                         cur.normalized(),
                     ) from exc
                 if refit.rms <= cfg.tol:
-                    cur, held = refit.network.normalized(), refit
+                    cur, held = positive_network_from_columns(refit.system, refit.nnls.w), refit
+                    minimal = _minimal(held, cfg.tol)
                     trace.append(
                         TraceRow(iteration, len(cur.edges), held.rms, held.kappa, eps_used, EVENT_ACCEPTED)
                     )

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -259,16 +260,30 @@ def parameter_vector(net: Network, edges: Iterable[Edge] | None = None) -> np.nd
     return w
 
 
-def network_from_columns(system: VandermondeSystem, w: np.ndarray) -> Network:
-    """Inverse of :func:`parameter_vector`: the network a solution describes.
-
-    Its edges are the system's, validated when the system was built, so only
-    the weights ``w`` are checked."""
+def _edge_weights(system: VandermondeSystem, w) -> tuple[np.ndarray, np.ndarray]:
+    """The conductances and susceptances a solution gives the system's edges."""
     w = np.asarray(w)
     if w.shape != (system.matrix.shape[1],):
         raise ValueError(
             f"solution length must match the system's columns: {w.shape} for {system.matrix.shape[1]}"
         )
     if system.kind == DC:
-        return Network._derived(DC, system.n, system.edges, w, np.zeros(len(w)))
-    return Network._derived(system.kind, system.n, system.edges, w[0::2], w[1::2])
+        return w, np.zeros(len(w))
+    return w[0::2], w[1::2]
+
+
+def network_from_columns(system: VandermondeSystem, w: np.ndarray) -> Network:
+    """Inverse of :func:`parameter_vector`: the network a solution describes.
+
+    Its edges are the system's, validated when the system was built, so only
+    the weights ``w`` are checked."""
+    return Network._derived(system.kind, system.n, system.edges, *_edge_weights(system, w))
+
+
+def positive_network_from_columns(system: VandermondeSystem, w: np.ndarray) -> Network:
+    """The network of the edges a solution weights positively: equal, weight
+    bytes included, to ``network_from_columns(system, w).normalized()``,
+    but built once."""
+    c, s = _edge_weights(system, w)
+    keep = (c > 0) | (s > 0)
+    return Network._derived(system.kind, system.n, tuple(compress(system.edges, keep)), c[keep], s[keep])

@@ -437,6 +437,22 @@ def test_cli_recover_nonzero_exit_when_over_tol(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("trials", ["1", "2"])
+def test_cli_recover_malformed_states_leave_no_directory(tmp_path, capsys, trials):
+    # the states are read before the output directory is made, as every
+    # other command reads its inputs first
+    data = tmp_path / "data"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "2", "--out-dir", str(data)]) == 0
+    header, first, second = (data / "states.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header, first, "x" + second[second.index(","):]]) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["recover", "--states", str(bad), "--trials", trials, "--out-dir", str(out)]) == 2
+    assert "parse error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_recover_failed_initial_fit_exits_1(tmp_path, capsys, monkeypatch):
     def failing_solve(A, b, from_all=False):
         raise NnlsError("stub: no convergence", NnlsResult(np.zeros(A.shape[1]), 1.0, 1.0, 1))

@@ -8,8 +8,10 @@ must agree with the fit on the tall equations to roundoff; NNLS must meet
 its KKT bound and the global optimum where columns repeat or depend on each
 other; its factored solves must take the same active-set steps as
 solving every step afresh by least squares, from w = 0 and from all
-columns; and the Newton Jacobian built on
-the non-slack block must equal the complex formula's block, at any slack.
+columns; the Newton Jacobian built on
+the non-slack block must equal the complex formula's block, at any slack;
+and no proper subset of a network the recovery loop certifies minimal may
+fit within its tolerance.
 """
 
 import numpy as np
@@ -18,9 +20,15 @@ from hypothesis import given, settings, strategies as st
 
 from gridrecover.network import DC, admittance_matrix, complete_edges
 from gridrecover.nnls import solve as nnls_solve
-from gridrecover.recovery import fit
-from gridrecover.states import _jacobian, generate_voltage_driven
-from gridrecover.vandermonde import assemble, network_from_columns, parameter_vector, restrict
+from gridrecover.recovery import _minimal, fit
+from gridrecover.states import _jacobian, add_noise, generate_voltage_driven
+from gridrecover.vandermonde import (
+    assemble,
+    network_from_columns,
+    parameter_vector,
+    positive_network_from_columns,
+    restrict,
+)
 from helpers import random_ac_network, random_dc_network
 from oracles import exhaustive_nnls, newton_jacobian, nnls_lstsq, tall_fit, tall_system
 
@@ -218,3 +226,52 @@ def test_newton_jacobian_equals_the_complex_formula(case):
     for row in range(len(v)):
         # equal values; only the sign of an off-diagonal zero may differ
         assert np.array_equal(got[row], newton_jacobian(L, v[row], inj[row], ns, dc))
+
+
+@st.composite
+def held_fits(draw):
+    """The complete graph's system of a random DC or AC network's states,
+    exact or noisy; a fit on the network's edges and up to three others, as
+    the loop holds one; a tolerance; and a seed for subsets."""
+    make = draw(st.sampled_from([random_dc_network, random_ac_network]))
+    n = draw(st.integers(3, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    net = make(rng, n, extra_edges=draw(st.integers(0, 3)))
+    # a few states leave the complete graph's system wider than tall
+    states = generate_voltage_driven(net, draw(st.integers(1, 40)), seed=seed)
+    sigma = draw(st.sampled_from([0.0, 1e-6, 1e-4]))
+    if sigma:
+        states = add_noise(states, sigma, seed=seed)
+    full = assemble(complete_edges(n), states)
+    extra = draw(st.lists(st.sampled_from(complete_edges(n)), max_size=3, unique=True))
+    held = fit(restrict(full, set(net.edges) | set(extra)))
+    # relative to the rms of the injections, from roundoff up to all of it,
+    # log-uniform (hypothesis would favour the ends of a drawn range)
+    scale = np.hypot(np.linalg.norm(full.rhs), full.rho) / np.sqrt(full.rows)
+    return full, held, scale * 10.0 ** rng.uniform(-9, 0), seed
+
+
+@PROPERTY
+@given(held_fits())
+def test_no_proper_subset_of_a_minimal_network_fits(case):
+    full, held, tol, seed = case
+    rng = np.random.default_rng(seed + 1)
+    edges = positive_network_from_columns(held.system, held.nnls.w).edges
+    subsets = [edges[:i] + edges[i + 1 :] for i in range(len(edges))]
+    for _ in range(3):  # and smaller ones
+        size = int(rng.integers(1, len(edges))) if len(edges) > 1 else 0
+        subsets.append([edges[i] for i in sorted(rng.choice(len(edges), size, replace=False))])
+    fits = [fit(restrict(full, subset)).rms for subset in subsets if subset]
+    if _minimal(held, tol):
+        assert all(rms > tol for rms in fits)
+    # least squares on a one-edge deletion, by lstsq: at a tolerance that
+    # meets it, no network is minimal, whatever the signs of its weights
+    deletions = [restrict(full, subset) for subset in subsets[: len(edges)] if subset]
+    if deletions:
+        floor = min(
+            np.hypot(np.linalg.norm(cut.matrix @ np.linalg.lstsq(cut.matrix, cut.rhs)[0] - cut.rhs), cut.rho)
+            / np.sqrt(cut.rows)
+            for cut in deletions
+        )
+        assert not _minimal(held, (1 + 1e-6) * floor)

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import gridrecover.recovery
 import gridrecover.sparsify as sparsify
 import gridrecover.vandermonde
 from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
-from gridrecover.network import Network
+from gridrecover.network import Network, complete_edges
 from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import (
+    _minimal,
     EVENTS,
     EVENT_ACCEPTED,
     EVENT_INITIAL,
@@ -20,11 +22,12 @@ from gridrecover.recovery import (
     RecoveryError,
     RecoveryTrace,
     TraceRow,
+    fit,
     recover,
     should_stop,
 )
 from gridrecover.states import StateSet, add_noise, generate_scenario, rms
-from gridrecover.vandermonde import restrict
+from gridrecover.vandermonde import assemble, restrict
 from oracles import sparsify_eager
 
 
@@ -72,7 +75,10 @@ def test_recover_fits_each_candidate_edge_set_once(monkeypatch, table1_states):
         return restrict(system, edges)
 
     monkeypatch.setattr(gridrecover.recovery, "restrict", counting_restrict)
-    _, trace = recover(table1_states, RecoveryConfig(seed=3))
+    # at tol 1e-2 the run accepts down to two edges over some 35 iterations;
+    # at 1e-5 the first accepted network is already minimal, and the run ends
+    # after one refit
+    _, trace = recover(table1_states, RecoveryConfig(tol=1e-2, seed=0))
     refits = [r for r in trace if r.event in (EVENT_ACCEPTED, EVENT_REJECTED_RMS) and r.edges]
     # sparsification draws the same candidates again; each is fitted once
     assert len(restricted) == len(set(restricted)) < len(refits)
@@ -309,6 +315,15 @@ def _builtin_run(name, sigma, seed):
     return states, RecoveryConfig(seed=seed, tol=tol, max_stale_iterations=10)
 
 
+def _long_run(name):
+    """A run of :func:`_builtin_run` at 6 times the noise floor: on
+    heawood_dc a subset of the last held network still fits there, so the
+    run is not ended by minimality but by its stale count, after 19
+    iterations; small_ac ends on a minimal network after 16."""
+    states, cfg = _builtin_run(name, 1e-6, 1)
+    return states, replace(cfg, tol=4 * cfg.tol)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("sigma", [0.0, 1e-6])
 @pytest.mark.parametrize("name", BUILTINS)
@@ -365,7 +380,7 @@ def test_the_loop_reads_only_the_edges_of_a_draw(monkeypatch, name):
 
     for attr in ("c", "s", "graph"):
         monkeypatch.setattr(sparsify.SparsifyOutcome, attr, spy(attr))
-    states, cfg = _builtin_run(name, 1e-6, 1)
+    states, cfg = _long_run(name)
     net, trace = recover(states, cfg)
     assert read == [] and len(trace) > 10
     outcome = sparsify.sparsify_ac(net, 0.5, 0)  # the spies see a read
@@ -374,7 +389,7 @@ def test_the_loop_reads_only_the_edges_of_a_draw(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
 def test_recover_samples_each_held_network_once(monkeypatch, name):
-    states, cfg = _builtin_run(name, 1e-6, 1)
+    states, cfg = _long_run(name)
     pseudo_inverse = sparsify._pseudo_inverse
     sparsify_ac = gridrecover.recovery.sparsify_ac
     derived = Network._derived.__func__
@@ -421,23 +436,62 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     monkeypatch.setattr(Network, "normalized", watched("normalized", normalized))
     monkeypatch.setattr(Network, "__post_init__", watched_post_init)
     _, trace = recover(states, cfg)
-    # one network is held from each initial or accepted row to the next
-    assert len(held) == len(trace.filtered()) > 2
+    # one network is held from each initial or accepted row to the next; a
+    # run that ends on a minimal network never samples that last one
+    minimal = trace.stale_iterations() < cfg.max_stale_iterations
+    assert minimal == (name == "small_ac")
+    accepted = sum(row.event == EVENT_ACCEPTED for row in trace)
+    assert len(held) == 1 + accepted - minimal == len(trace.filtered()) - minimal > 2
     rows = sum(int(np.any(net.c > 0)) + int(np.any(net.s > 0)) for net in held.values())
     assert rows == len(held) * (2 if name == "small_ac" else 1)
     assert len(inverses) == rows
     # every network of a run is cut from the validated system or from a
-    # validated network, so none is validated again: the fitted networks
-    # are built for the initial fit (the first held network) and for each
-    # accepted refit, none for a draw or a rejected refit, and the pruned
-    # copies (the later held networks) and the result are built from them
+    # validated network, so none is validated again: networks are built from
+    # solutions for the initial fit (the first held network) and for each
+    # accepted refit, already pruned, none for a draw or a rejected refit,
+    # and the result is the one pruned copy
     assert validated == []
     assert builds and not any(b["sparsify"] for b in builds)
-    accepted = sum(row.event == EVENT_ACCEPTED for row in trace)
     assert len(refits) > accepted
     fitted = [b for b in builds if not b["normalized"]]
-    assert len(fitted) == 1 + accepted == len(held)
-    assert len(builds) - len(fitted) == accepted + 1
+    assert len(fitted) == 1 + accepted
+    assert len(builds) - len(fitted) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("sigma", [0.0, 1e-6])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_ending_on_a_minimal_network_changes_no_result(monkeypatch, name, sigma, seed):
+    # a run that ends once its held network is minimal returns the network
+    # the run without that stop returns after its stale iterations, and its
+    # trace is the head of that run's trace
+    states, cfg = _builtin_run(name, sigma, seed)
+    net, trace = recover(states, cfg)
+    monkeypatch.setattr(gridrecover.recovery, "_minimal", lambda held, tol: False)
+    stale_net, stale_trace = recover(states, cfg)
+    assert stale_trace.stale_iterations() == cfg.max_stale_iterations
+    assert trace.rows == stale_trace.rows[: len(trace)]
+    assert net.edges == stale_net.edges
+    assert net.c.tobytes() == stale_net.c.tobytes() and net.s.tobytes() == stale_net.s.tobytes()
+    if sigma == 0.0:  # exact data: the first accepted network is minimal
+        assert [r.event for r in trace] == [EVENT_INITIAL, EVENT_ACCEPTED]
+
+
+def test_a_held_network_with_a_removable_edge_is_not_minimal():
+    # the long heawood run ends on 21 edges, one of which can go within tol
+    states, cfg = _long_run("heawood_dc")
+    net, _ = recover(states, cfg)
+    full = assemble(complete_edges(states.n), states)
+    held = fit(restrict(full, net.edges))
+    assert np.all(held.nnls.w > 0) and held.rms <= cfg.tol
+    subsets = [net.edges[:i] + net.edges[i + 1 :] for i in range(len(net.edges))]
+    fits = [fit(restrict(full, subset)).rms for subset in subsets]
+    assert sum(rms <= cfg.tol for rms in fits) == 1
+    assert not _minimal(held, cfg.tol)
+    # nor at the tolerance that subset just meets; at 0.99 times that no
+    # one-edge deletion fits, and the bound certifies the network
+    assert not _minimal(held, min(fits))
+    assert _minimal(held, 0.99 * min(fits))
 
 
 def _cold_start(monkeypatch):
