@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import AC, DC, Network, _finite_non_negative, _laplacian, laplacian, spectral_norm
-from .states import StateSet, rms
+from .states import StateSet, _check_compatible, rms
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,12 @@ class BoundReport:
 
 def _check_inputs(name: str, kind: str, net: Network, states: StateSet) -> None:
     """Raise ValueError unless the network and the data are both of ``kind``
-    and on the same nodes; ``name`` is the certificate's."""
+    and on the same nodes; ``name`` is the certificate's.  With the kinds
+    equal, the node rule is :func:`.states._check_compatible`'s."""
     if net.kind != kind or states.kind != kind:
         what = f"{'an' if kind == AC else 'a'} {kind.upper()} network and {kind.upper()} data"
         raise ValueError(f"{name} needs {what}, got {net.kind} and {states.kind}")
-    if net.n != states.n:
-        raise ValueError(f"network and data disagree on n: {net.n} against {states.n}")
+    _check_compatible(net, states)
 
 
 def _report(net: Network, states: StateSet, eps: float, term: float, variant: str) -> BoundReport:

@@ -51,9 +51,12 @@ raised with :class:`NnlsError`, as is the best feasible iterate at the cap.
 **Warm start.**  ``solve(A, b, from_all=True)`` starts the block phase from
 every column: one Householder QR of ``[A | b]``, the rank test above and a
 back-substitution give its first iterate, and w = 0 is the feasible
-iterate it has to beat.  A square upper-triangular A, such as the candidate
-triangle of ``recovery.fit``, is that QR's R already (it would come back bit
-for bit), so it is not factored again.  A system whose least-squares
+iterate it has to beat.  That QR and that rank test are written once, as
+:func:`_triangle` and :func:`_full_rank`, and ``recovery.fit`` takes its
+candidate triangle and ``recovery._minimal`` its held triangle from them
+too.  A square upper-triangular A, such as the candidate triangle of
+``recovery.fit``, is that QR's R already (it would come back bit for bit),
+so it is not factored again.  A system whose least-squares
 solution is strictly positive then stops after that one solve: on full
 column rank that solution is the unique minimizer over all w, so over
 w >= 0 as well, and it meets the KKT conditions with an empty zero set and
@@ -202,38 +205,49 @@ class _PassiveQR:
         return z
 
 
-def _back_substitution(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray | None:
-    """Least-squares weights on the passive columns, zero elsewhere, from one
-    Householder QR of ``[A_F | b]`` and a back-substitution; None when the
-    passive set is rank-deficient or wider than tall.
+def _triangle(A: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """R, Q^T b and the corner |R[p, p]| of one Householder QR of
+    ``[A_cols | b]``, p the number of columns in the mask ``cols``; the
+    corner is 0.0 when there are no more than p rows.
 
-    ``[A_F | b]`` is written into one buffer, which is dropped once numpy's
-    factored copy of it exists, and R is read from the upper triangle of
-    that copy.  A square upper-triangular A with every column passive is its
-    own factor: a Householder QR of ``[A | b]`` returns it bit for bit, so
-    it is not run."""
+    ``[A_cols | b]`` is written into one buffer, which is dropped once
+    numpy's factored copy of it exists, and R is read from the upper
+    triangle of that copy.  A square upper-triangular A with every column
+    taken is its own factor: a Householder QR of ``[A | b]`` returns it bit
+    for bit, so it is not run."""
     m, k = A.shape
-    z = np.zeros(k)
-    p = int(np.count_nonzero(passive))
-    if p == 0:
-        return z
-    if p > m:
-        return None
+    p = int(np.count_nonzero(cols))
     if p == k == m and not np.tril(A, -1).any():
-        R, qtb = A, b
-    else:
-        Ab = np.empty((m, p + 1))
-        Ab[:, :p] = A[:, passive]
-        Ab[:, p] = b
-        h, _ = np.linalg.qr(Ab, mode="raw")
-        del Ab
-        R = np.triu(h.T[:p])
-        del h
-        R, qtb = R[:, :p], R[:, p]
-    # full rank: every diagonal entry above FALLBACK_RTOL times the largest
-    # column norm; einsum sums the squares without a temporary of R's size
+        return A, b, 0.0
+    Ab = np.empty((m, p + 1))
+    Ab[:, :p] = A if p == k else A[:, cols]
+    Ab[:, p] = b
+    h, _ = np.linalg.qr(Ab, mode="raw")
+    del Ab
+    T = np.triu(h.T[: p + 1])
+    del h
+    return T[:p, :p], T[:p, p], float(abs(T[p, p])) if T.shape[0] > p else 0.0
+
+
+def _full_rank(R: np.ndarray) -> bool:
+    """Whether the triangle R of p columns has p diagonal entries, each above
+    FALLBACK_RTOL times the largest column norm; einsum sums the squares
+    without a temporary of R's size."""
+    if R.shape[0] < R.shape[1]:
+        return False
     scale = math.sqrt(np.einsum("ij,ij->j", R, R).max())
-    if not np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * scale:
+    return bool(np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * scale)
+
+
+def _back_substitution(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray | None:
+    """Least-squares weights on the passive columns, zero elsewhere, from the
+    :func:`_triangle` of ``[A_F | b]`` and a back-substitution; None when
+    the passive set is rank-deficient or wider than tall."""
+    z = np.zeros(A.shape[1])
+    if not passive.any():
+        return z
+    R, qtb, _ = _triangle(A, b, passive)
+    if not _full_rank(R):
         return None
     # LU of a triangular matrix takes no row swap: this is a back-substitution
     z[passive] = np.linalg.solve(R, qtb)

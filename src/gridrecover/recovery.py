@@ -13,14 +13,9 @@ candidate lies inside such a deletion (reason ``minimal``, see
 
 All candidate systems are column restrictions of the complete-graph system,
 assembled once per run into its triangular factor, and every one is
-estimated by :func:`fit`.  A run keeps the rms and condition number of each
-rejected candidate by its edge set: sparsification often draws an edge set
-the run has already rejected, and the kept pair then stands in for a new
-restriction and solve.  An accepted edge set is never drawn again, since
-every later candidate has fewer edges than the network it is drawn from.
-A draw's decision needs only its edge set: the loop reads the edges of each
-sparsification outcome and never its weights or sampled network, which are
-therefore never built.
+estimated by :func:`fit`.  A draw's decision needs only its edge set: the
+loop reads the edges of each sparsification outcome and never its weights
+or sampled network, which are therefore never built.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .network import DC, Network, complete_edges, is_spanning_tree
-from .nnls import FALLBACK_RTOL, NnlsError, NnlsResult, solve as nnls_solve
+from .nnls import NnlsError, NnlsResult, _full_rank, _triangle, solve as nnls_solve
 from .sparsify import sparsify_ac
 from .states import StateSet, rms as states_rms
 from .vandermonde import (
@@ -139,10 +134,11 @@ class Fit:
     corner; ``rms`` is ``hypot(nnls.objective, rho, corner) / sqrt(rows)``,
     the rms of the data's residuals.
 
-    That QR is the one factorization of a candidate: the solver takes a
-    square upper-triangular system as its own factor.  At the peak of a fit
-    the candidate's matrix, ``[matrix | rhs]``, numpy's copy of that and the
-    triangle cut from the copy are alive; each has only the candidate's
+    That QR (``nnls._triangle``) is the one factorization of a candidate:
+    the solver takes a square upper-triangular system as its own factor.
+    At the peak of a fit the candidate's matrix, ``[matrix | rhs]`` and
+    numpy's factored copy of that are alive; the buffer is dropped before
+    the triangle is cut from the copy.  Each has only the candidate's
     columns, so a fit stays below the assembly of the complete graph."""
 
     system: VandermondeSystem
@@ -167,15 +163,9 @@ def fit(system: VandermondeSystem) -> Fit:
     """
     rows, cols = system.matrix.shape
     if rows > cols:
-        Ab = np.empty((rows, cols + 1))
-        Ab[:, :cols] = system.matrix
-        Ab[:, cols] = system.rhs
-        R = np.linalg.qr(Ab, mode="r")
-        del Ab
-        rho = float(np.hypot(system.rho, R[cols, cols]))
-        system = VandermondeSystem(
-            system.kind, system.n, R[:cols, :cols], R[:cols, cols], system.edges, rho, system.rows
-        )
+        R, rhs, corner = _triangle(system.matrix, system.rhs, np.ones(cols, dtype=bool))
+        rho = float(np.hypot(system.rho, corner))
+        system = VandermondeSystem(system.kind, system.n, R, rhs, system.edges, rho, system.rows)
     try:
         result = nnls_solve(system.matrix, system.rhs, from_all=rows > cols)
     except NnlsError as exc:
@@ -206,34 +196,29 @@ def _minimal(held: Fit, tol: float) -> bool:
     column (DC) or column pair (AC): the column-deletion identity.  H is
     minimal when that exceeds ``rows * tol^2`` for every e, with the room
     of ``MINIMAL_ROUNDOFF_UNITS``.  A triangle that fails the solver's rank
-    test (``nnls.FALLBACK_RTOL``) certifies nothing.
+    test (``nnls._full_rank``) certifies nothing.
 
-    R comes from one QR of those columns of the held system with its rhs;
-    when every held weight is positive the held system is already that
-    triangle, which the QR returns bit for bit.
+    R is the ``nnls._triangle`` of those columns of the held system with its
+    rhs.  When every held weight is positive the held system is already that
+    triangle, so no QR is run.
     """
     system = held.system
     r = 1 if system.kind == DC else 2
     cols = np.repeat((held.nnls.w > 0).reshape(-1, r).any(axis=1), r)
-    p = int(np.count_nonzero(cols))
-    Ab = np.empty((system.matrix.shape[0], p + 1))
-    Ab[:, :p] = system.matrix[:, cols]
-    Ab[:, p] = system.rhs
-    T = np.linalg.qr(Ab, mode="r")
-    if p == 0 or T.shape[0] < p:
+    if not cols.any():
         return False
-    R = T[:p, :p]
-    scale = math.sqrt(np.einsum("ij,ij->j", R, R).max())
-    if not np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * scale:
+    R, c, corner = _triangle(system.matrix, system.rhs, cols)
+    if not _full_rank(R):
         return False
+    p = R.shape[1]
     Rinv = np.linalg.inv(R)
-    y = np.linalg.solve(R, T[:p, p])
+    y = np.linalg.solve(R, c)
     if r == 1:
         raised = y * y / np.einsum("ij,ij->i", Rinv, Rinv)
     else:
         pairs, yE = Rinv.reshape(-1, 2, p), y.reshape(-1, 2, 1)
         raised = (yE * np.linalg.solve(pairs @ pairs.transpose(0, 2, 1), yE)).sum(axis=(1, 2))
-    rho = math.hypot(system.rho, T[p, p] if T.shape[0] > p else 0.0)
+    rho = math.hypot(system.rho, corner)
     kappa = np.linalg.norm(R) * np.linalg.norm(Rinv)  # Frobenius: at least the 2-norm's
     b = math.hypot(np.linalg.norm(system.rhs), system.rho)  # ||b|| of the data
     roundoff = MINIMAL_ROUNDOFF_UNITS * p * np.finfo(float).eps * kappa * b
@@ -346,8 +331,12 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
         held = fit(full)
     except NnlsError as exc:
         raise RecoveryError(f"initial estimation failed: {exc}", trace, None) from exc
-    cur = held.network
-    trace.append(TraceRow(1, len(cur.edges), held.rms, held.kappa, cfg.eps0, EVENT_INITIAL))
+    # the held network, zero-weight edges pruned: they add nothing to the
+    # Laplacian, so they change no draw; a draw must have fewer edges than
+    # the held fit, whose count includes them until the first accept
+    cur = positive_network_from_columns(held.system, held.nnls.w)
+    held_size = len(full.edges)
+    trace.append(TraceRow(1, held_size, held.rms, held.kappa, cfg.eps0, EVENT_INITIAL))
     if held.rms > cfg.tol:
         log.warning(
             "complete-graph fit rms %.3e exceeds tol %.3e; continuing", held.rms, cfg.tol
@@ -355,7 +344,6 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
 
     eps = cfg.eps0
     iteration = 1
-    rejected: dict[tuple, tuple[float, float]] = {}  # (rms, kappa) by candidate edge set
     minimal = False  # no later candidate can be accepted (see _minimal)
     while True:
         stop, reason = (True, "minimal") if minimal else should_stop(trace, cfg, time.monotonic() - t0, cur)
@@ -368,47 +356,37 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
             outcome = sparsify_ac(cur, eps, np.random.SeedSequence([cfg.seed, iteration]))
         except ValueError as exc:  # such as eps shrunk past the 2^63-draw limit
             raise RecoveryError(
-                f"sparsification failed at iteration {iteration}: {exc}", trace, cur.normalized()
+                f"sparsification failed at iteration {iteration}: {exc}", trace, cur
             ) from exc
         candidate_edges = outcome.edges
-        if len(candidate_edges) < len(cur.edges):
-            if candidate_edges not in rejected:
-                try:
-                    refit = fit(restrict(full, candidate_edges))
-                except NnlsError as exc:
-                    raise RecoveryError(
-                        f"estimation failed at iteration {iteration}: {exc}",
-                        trace,
-                        cur.normalized(),
-                    ) from exc
-                if refit.rms <= cfg.tol:
-                    cur, held = positive_network_from_columns(refit.system, refit.nnls.w), refit
-                    minimal = _minimal(held, cfg.tol)
-                    trace.append(
-                        TraceRow(iteration, len(cur.edges), held.rms, held.kappa, eps_used, EVENT_ACCEPTED)
-                    )
-                    continue
-                rejected[candidate_edges] = (refit.rms, refit.kappa)
+        if len(candidate_edges) < held_size:
+            try:
+                refit = fit(restrict(full, candidate_edges))
+            except NnlsError as exc:
+                raise RecoveryError(
+                    f"estimation failed at iteration {iteration}: {exc}", trace, cur
+                ) from exc
+            if refit.rms <= cfg.tol:
+                cur, held = positive_network_from_columns(refit.system, refit.nnls.w), refit
+                held_size = len(cur.edges)
+                minimal = _minimal(held, cfg.tol)
+                trace.append(TraceRow(iteration, held_size, held.rms, held.kappa, eps_used, EVENT_ACCEPTED))
+                continue
             eps = eps / cfg.psi
             trace.append(
                 TraceRow(
-                    iteration, len(candidate_edges), *rejected[candidate_edges], eps_used, EVENT_REJECTED_RMS
+                    iteration, len(candidate_edges), refit.rms, refit.kappa, eps_used, EVENT_REJECTED_RMS
                 )
             )
         else:
             eps = eps * cfg.psi
-            trace.append(
-                TraceRow(
-                    iteration, len(cur.edges), held.rms, held.kappa, eps_used, EVENT_NO_REDUCTION
-                )
-            )
+            trace.append(TraceRow(iteration, held_size, held.rms, held.kappa, eps_used, EVENT_NO_REDUCTION))
 
-    final = cur.normalized()
     if log.isEnabledFor(logging.INFO):  # the re-check costs a pass over the data
         log.info(
             "recovered %d edges, rms %.3e (re-checked %.3e)",
-            len(final.edges),
+            len(cur.edges),
             held.rms,
-            states_rms(final, states),
+            states_rms(cur, states),
         )
-    return final, trace
+    return cur, trace

@@ -122,9 +122,9 @@ def test_bounds_reject_data_on_other_n_and_coarse_ac_input():
     dc = Network.dc(2, ((1, 2),), [1.0])
     ac = Network.ac(2, ((1, 2),), [1.0], [1.0])
     ac_states = StateSet("ac", np.ones((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="disagree on n: 2 against 3"):
+    with pytest.raises(ValueError, match="network has n=2, states have n=3"):
         dc_bound(dc, flat_states(2, 3), 0.1)
-    with pytest.raises(ValueError, match="disagree on n: 2 against 3"):
+    with pytest.raises(ValueError, match="network has n=2, states have n=3"):
         ac_delta(ac, ac_states)
     with pytest.raises(ValueError, match="needs a DC network and DC data, got ac and dc"):
         dc_bound_coarse(ac, flat_states(2, 2), 0.1, 0.9, 1.1)

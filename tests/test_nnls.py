@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridrecover.nnls
 from gridrecover.network import complete_edges
-from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, solve
+from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, _triangle, solve
 from gridrecover.recovery import fit
 from gridrecover.states import generate_voltage_driven
 from gridrecover.vandermonde import assemble
@@ -263,6 +263,15 @@ def test_back_substitution_is_the_optimum_of_a_positive_solution(case):
     # Householder QR of [R | b] would return it bit for bit, so none is run
     Rb = np.column_stack((R, b))
     assert np.linalg.qr(Rb, mode="r").tobytes() == Rb.tobytes()
+    # the one triangle of the solver and the recovery loop: on every column
+    # it is R itself, and on a column subset it is numpy's mode "r" QR of
+    # [A_cols | b], bytes and corner included
+    for cols in (np.ones(R.shape[1], dtype=bool), rng.random(R.shape[1]) < 0.5):
+        p = int(np.count_nonzero(cols))
+        T = np.linalg.qr(np.column_stack((R[:, cols], b)), mode="r")
+        triangle, qtb, corner = _triangle(R, b, cols)
+        assert triangle.tobytes() == T[:p, :p].tobytes() and qtb.tobytes() == T[:p, p].tobytes()
+        assert corner == (abs(T[p, p]) if T.shape[0] > p else 0.0)
     w = np.linalg.solve(R, b)
     assert result.w.tobytes() == w.tobytes()
     assert result.objective == float(np.linalg.norm(b - R @ w))

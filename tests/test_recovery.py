@@ -67,7 +67,7 @@ def test_config_validation():
     RecoveryConfig(seed=np.int64(3), max_iterations=np.int32(2))  # numpy integers are integers
 
 
-def test_recover_fits_each_candidate_edge_set_once(monkeypatch, table1_states):
+def test_recover_refits_every_candidate_and_repeats_its_bits(monkeypatch, table1_states):
     restricted = []
 
     def counting_restrict(system, edges):
@@ -75,13 +75,21 @@ def test_recover_fits_each_candidate_edge_set_once(monkeypatch, table1_states):
         return restrict(system, edges)
 
     monkeypatch.setattr(gridrecover.recovery, "restrict", counting_restrict)
-    # at tol 1e-2 the run accepts down to two edges over some 35 iterations;
-    # at 1e-5 the first accepted network is already minimal, and the run ends
-    # after one refit
+    # at tol 1e-2 the run accepts down to two edges and draws some candidates
+    # more than once; at 1e-5 the first accepted network is already minimal,
+    # and the run ends after one refit
     _, trace = recover(table1_states, RecoveryConfig(tol=1e-2, seed=0))
-    refits = [r for r in trace if r.event in (EVENT_ACCEPTED, EVENT_REJECTED_RMS) and r.edges]
-    # sparsification draws the same candidates again; each is fitted once
-    assert len(restricted) == len(set(restricted)) < len(refits)
+    refits = [r for r in trace if r.event in (EVENT_ACCEPTED, EVENT_REJECTED_RMS)]
+    # each refit row is the fit of its own restriction, in order
+    assert len(restricted) == len(refits) == 15 and len(set(restricted)) == 9
+    bits = {}
+    for edges, row in zip(restricted, refits):
+        if row.event == EVENT_REJECTED_RMS:
+            assert row.edges == len(edges)
+        else:  # the held network drops the candidate's zero-weight edges
+            assert row.edges <= len(edges)
+        # a candidate drawn again is fitted by the same arithmetic: same bits
+        assert bits.setdefault(edges, (row.rms.hex(), row.kappa.hex())) == (row.rms.hex(), row.kappa.hex())
 
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
@@ -89,12 +97,14 @@ def test_candidates_are_cut_without_revalidation_and_factored_once(monkeypatch, 
     # the complete graph's edges are validated once, by assemble; the loop
     # cuts every candidate from them by column position, and each refit runs
     # one Householder QR, its own re-compression: the warm start takes that
-    # triangle as its factor
+    # triangle as its factor; the minimal test of an accepted refit with
+    # every weight positive takes that triangle too, and runs no QR
     states, cfg = _builtin_run(name, 1e-6, 1)
     canonical_edges = gridrecover.vandermonde._canonical_edges
     fit = gridrecover.recovery.fit
+    minimal = gridrecover.recovery._minimal
     qr = np.linalg.qr
-    validated, qrs_per_refit, calls = [], [], []
+    validated, qrs_per_refit, calls, minimal_qrs = [], [], [], []
 
     def counting_canonical_edges(n, edges):
         validated.append(n)
@@ -111,12 +121,22 @@ def test_candidates_are_cut_without_revalidation_and_factored_once(monkeypatch, 
             qrs_per_refit.append(len(calls))
         return result
 
+    def watched_minimal(held, tol):
+        calls.clear()
+        certified = minimal(held, tol)
+        minimal_qrs.append((bool(np.all(held.nnls.w > 0)), certified, len(calls)))
+        return certified
+
     monkeypatch.setattr(gridrecover.vandermonde, "_canonical_edges", counting_canonical_edges)
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(gridrecover.recovery, "fit", watched_fit)
+    monkeypatch.setattr(gridrecover.recovery, "_minimal", watched_minimal)
     _, trace = recover(states, cfg)
     assert len(validated) == 1
     assert qrs_per_refit and set(qrs_per_refit) == {1}
+    assert all(qrs == 0 for positive, _, qrs in minimal_qrs if positive)
+    assert all(qrs <= 1 for _, _, qrs in minimal_qrs)
+    assert minimal_qrs[-1][:2] == (True, True)  # the run ends certified, without a QR
 
 
 def test_recover_table1_exact(table1_network, table1_states):
@@ -449,13 +469,11 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     # validated network, so none is validated again: networks are built from
     # solutions for the initial fit (the first held network) and for each
     # accepted refit, already pruned, none for a draw or a rejected refit,
-    # and the result is the one pruned copy
+    # and the result is the last held network itself, not a pruned copy
     assert validated == []
-    assert builds and not any(b["sparsify"] for b in builds)
+    assert builds and not any(b["sparsify"] or b["normalized"] for b in builds)
     assert len(refits) > accepted
-    fitted = [b for b in builds if not b["normalized"]]
-    assert len(fitted) == 1 + accepted
-    assert len(builds) - len(fitted) == 1
+    assert len(builds) == 1 + accepted
 
 
 @pytest.mark.parametrize("seed", [1, 2])
