@@ -140,40 +140,29 @@ class _PassiveQR:
     back-substitution.  The factor is always full rank: a column that would
     make it deficient is refused, and its passive set is the block phase's.
 
-    Memory: ``q``, ``rinv`` and ``qtb`` have room for at most max(2p, 8)
-    columns, doubled when a column enters a full factor, so the peak is the
-    old and the new ``q`` while it grows, m x 3p numbers at most, and not
-    the m x min(m, k) of a factor sized for every column (44 columns enter
-    the cold fit of a 435-column dc30 system).
+    The factor is sized once, for the min(m, k) columns a full-rank passive
+    set can have.  Every solver call in a recovery run is on a triangle no
+    larger than the complete graph's factor, so its m x min(m, k) numbers
+    stay below the stack of node factors that ``vandermonde.assemble``
+    folds: the assembly, not the solver, sets a run's allocation peak.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
+        m, k = A.shape
+        size = min(m, k)  # a full-rank passive set has at most this many columns
         self.A, self.b = A, b
-        self.q = np.empty((A.shape[0], 0), order="F")
-        self.rinv = np.zeros((0, 0))
-        self.qtb = np.empty(0)
+        self.q = np.empty((m, size), order="F")
+        self.rinv = np.zeros((size, size))
+        self.qtb = np.empty(size)
         self.cols: list[int] = []
         self._scale = 0.0  # largest norm among the factored columns
         self._smallest = np.inf  # smallest diagonal entry of R, in modulus
-
-    def _grow(self) -> None:
-        """Double the room for factored columns (8 at first), up to min(m, k)."""
-        m, k = self.A.shape
-        p = len(self.cols)
-        size = min(max(2 * p, 8), m, k)
-        q, rinv, qtb = self.q, self.rinv, self.qtb
-        self.q = np.empty((m, size), order="F")
-        self.q[:, :p] = q
-        self.rinv = np.zeros((size, size))
-        self.rinv[:p, :p] = rinv
-        self.qtb = np.empty(size)
-        self.qtb[:p] = qtb
 
     def append(self, j: int) -> bool:
         """Factor column j in; False, with the factor unchanged, when the
         passive columns would outnumber the rows or fail the rank test."""
         p = len(self.cols)
-        if p == min(self.A.shape):
+        if p == len(self.qtb):
             return False
         a = self.A[:, j]
         Q = self.q[:, :p]
@@ -187,8 +176,6 @@ class _PassiveQR:
         if smallest <= FALLBACK_RTOL * scale:
             return False
         self._scale, self._smallest = scale, smallest
-        if p == len(self.qtb):
-            self._grow()
         # R gains the column (h, d): its inverse gains (-R^-1 h / d, 1 / d)
         self.rinv[:p, p] = self.rinv[:p, :p] @ h / -d
         self.rinv[p, p] = 1.0 / d

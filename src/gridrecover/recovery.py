@@ -192,11 +192,14 @@ def _minimal(held: Fit, tol: float) -> bool:
     does no better than unconstrained least squares on H minus e.  With R
     the triangle, y the least-squares weights and rho the residual of least
     squares on the columns of H's edges, that least-squares residual,
-    squared, is ``rho^2 + y_E^T [(R^-1 R^-T)_EE]^-1 y_E``, E being e's
-    column (DC) or column pair (AC): the column-deletion identity.  H is
+    squared, is ``rho^2 + y_E^T [(R^-1 R^-T)_EE]^-1 y_E``, E being e's r
+    columns (r = 1 for DC, 2 for AC): the column-deletion identity, one
+    formula for both kinds, taken for every e at once as a batch of r x r
+    solves (for r = 1 a solve gives y_e^2 / ||row e of R^-1||^2).  H is
     minimal when that exceeds ``rows * tol^2`` for every e, with the room
-    of ``MINIMAL_ROUNDOFF_UNITS``.  A triangle that fails the solver's rank
-    test (``nnls._full_rank``) certifies nothing.
+    of ``MINIMAL_ROUNDOFF_UNITS``.  A held fit with no positive weight, and
+    a triangle that fails the solver's rank test (``nnls._full_rank``),
+    certify nothing.
 
     R is the ``nnls._triangle`` of those columns of the held system with its
     rhs.  When every held weight is positive the held system is already that
@@ -213,11 +216,8 @@ def _minimal(held: Fit, tol: float) -> bool:
     p = R.shape[1]
     Rinv = np.linalg.inv(R)
     y = np.linalg.solve(R, c)
-    if r == 1:
-        raised = y * y / np.einsum("ij,ij->i", Rinv, Rinv)
-    else:
-        pairs, yE = Rinv.reshape(-1, 2, p), y.reshape(-1, 2, 1)
-        raised = (yE * np.linalg.solve(pairs @ pairs.transpose(0, 2, 1), yE)).sum(axis=(1, 2))
+    rows_E, yE = Rinv.reshape(-1, r, p), y.reshape(-1, r, 1)
+    raised = (yE * np.linalg.solve(rows_E @ rows_E.transpose(0, 2, 1), yE)).sum(axis=(1, 2))
     rho = math.hypot(system.rho, corner)
     kappa = np.linalg.norm(R) * np.linalg.norm(Rinv)  # Frobenius: at least the 2-norm's
     b = math.hypot(np.linalg.norm(system.rhs), system.rho)  # ||b|| of the data

@@ -27,8 +27,10 @@ Column layout: the edges are sorted lexicographically; a DC system has one
 column per edge, an AC system two, the conductance c then the susceptance s,
 so column 2t is c and column 2t + 1 is s of edge t.  The layout is
 deterministic across runs, the equations of a subset are exactly a column
-restriction of a larger set's, so are the columns of its factor, and only
-this module decodes it.
+restriction of a larger set's, and so are the columns of its factor.  DC is
+the one-column case of that layout: edge t owns columns r*t to r*t + r - 1,
+r being 1 for DC and 2 for AC.  This module decodes it, and so does
+``recovery._minimal``, which groups the held triangle's columns by edge.
 """
 
 from __future__ import annotations
@@ -224,11 +226,10 @@ def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSys
         if missing:
             raise ValueError(f"edges {missing} not present in the system")
         idx = [position[e] for e in sub]
-    idx = np.array(idx)
-    if system.kind != DC:
-        idx = np.column_stack((2 * idx, 2 * idx + 1)).ravel()
+    r = 1 if system.kind == DC else 2  # columns per edge
+    cols = (r * np.array(idx)[:, None] + np.arange(r)).ravel()
     return VandermondeSystem(
-        system.kind, system.n, system.matrix[:, idx], system.rhs, sub, system.rho, system.rows
+        system.kind, system.n, system.matrix[:, cols], system.rhs, sub, system.rho, system.rows
     )
 
 
@@ -250,14 +251,10 @@ def parameter_vector(net: Network, edges: Iterable[Edge] | None = None) -> np.nd
     Edges absent from the network contribute zeros.
     """
     edges = _sorted_edges(net.n, net.edges if edges is None else edges)
-    idx = [net.edge_index(*e) if net.has_edge(*e) else None for e in edges]
-    c = np.array([0.0 if i is None else net.c[i] for i in idx])
-    if net.kind == DC:
-        return c
-    w = np.empty(2 * len(edges))
-    w[0::2] = c
-    w[1::2] = [0.0 if i is None else net.s[i] for i in idx]
-    return w
+    weights = np.column_stack((net.c, net.s))
+    table = np.array([weights[net.edge_index(*e)] if net.has_edge(*e) else (0.0, 0.0) for e in edges])
+    r = 1 if net.kind == DC else 2  # columns per edge: c, then s for AC
+    return table[:, :r].ravel()
 
 
 def _edge_weights(system: VandermondeSystem, w) -> tuple[np.ndarray, np.ndarray]:

@@ -1,0 +1,107 @@
+"""Digest of the declared set of recovery runs, for bit-for-bit comparisons.
+
+Run it in two checkouts and compare the last line::
+
+    python3 tests/declared_set.py            # one digest
+    python3 tests/declared_set.py --listing  # one line per run, then the digest
+
+The set is every builtin x noise sigma in {0, 1e-6, 1e-5} x seeds 0-19, with
+120 states drawn as ``gridrecover generate --builtin NAME --seed SEED`` draws
+them.  Exact data is recovered at tol 1e-5, noisy data at 1.0 and 1.5 times
+the rms of the true network on the data: 400 runs.  Each run contributes
+every trace row (floats as hex), the returned edges and the bytes of their
+conductances and susceptances, or the message of a ``RecoveryError`` and
+the rows of its partial trace.  The listing names, per run, its trace rows,
+last event, returned edge count, whether those are the true edges, and the
+run's own digest, so that a change of results can be read run by run.
+
+The script imports ``gridrecover`` from the ``src`` directory of its own
+checkout and pins one BLAS thread before numpy loads: float bits depend on
+the BLAS build and its thread count, so compare digests only on one machine.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from numpy.random import SeedSequence  # noqa: E402
+
+from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario  # noqa: E402
+from gridrecover.recovery import RecoveryConfig, RecoveryError, recover  # noqa: E402
+from gridrecover.states import generate_scenario, rms  # noqa: E402
+
+STATES = 120
+SIGMAS = (0.0, 1e-6, 1e-5)
+SEEDS = range(20)
+EXACT_TOL = 1e-5
+NOISY_TOL_FACTORS = (1.0, 1.5)
+
+
+def runs():
+    """(builtin, sigma, seed, tol factor or None, true network, states, config) of each run."""
+    for name in BUILTINS:
+        for sigma in SIGMAS:
+            for seed in SEEDS:
+                net_seed, data_seed = SeedSequence(seed).spawn(2)
+                net = builtin_network(name, net_seed)
+                states = generate_scenario(net, builtin_scenario(name, sigma=sigma), STATES, seed=data_seed)
+                if sigma == 0.0:
+                    yield name, sigma, seed, None, net, states, RecoveryConfig(seed=seed, tol=EXACT_TOL)
+                    continue
+                floor = rms(net, states)
+                for f in NOISY_TOL_FACTORS:
+                    yield name, sigma, seed, f, net, states, RecoveryConfig(seed=seed, tol=f * floor)
+
+
+def _rows(trace) -> str:
+    return "".join(
+        f"{r.iteration} {r.edges} {r.rms.hex()} {r.kappa.hex()} {r.epsilon.hex()} {r.event}\n" for r in trace
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--listing", action="store_true", help="print one line per run before the digest")
+    args = parser.parse_args(argv)
+    total = hashlib.sha256()
+    count = rows = 0
+    for name, sigma, seed, factor, truth, states, cfg in runs():
+        run = f"{name} {sigma!r} {seed} {factor!r} {cfg.tol.hex()}\n"
+        try:
+            net, trace = recover(states, cfg)
+        except RecoveryError as exc:
+            run += f"error {exc}\n{_rows(exc.trace)}"
+            rows += len(exc.trace)
+            summary = f"{len(exc.trace)} rows, error: {exc}"
+            weights = b""
+        else:
+            run += _rows(trace) + f"{net.edges}\n"
+            rows += len(trace)
+            summary = (
+                f"{len(trace)} rows, last {trace.rows[-1].event}, {len(net.edges)} edges,"
+                f" exact {set(net.edges) == set(truth.edges)}"
+            )
+            weights = net.c.tobytes() + net.s.tobytes()
+        digest = hashlib.sha256(run.encode() + weights).hexdigest()
+        total.update(digest.encode())
+        count += 1
+        if args.listing:
+            tol = "exact" if factor is None else factor
+            print(f"{name} sigma={sigma:g} seed={seed} tol={tol}: {summary} {digest[:16]}")
+    print(f"{count} runs, {rows} trace rows, digest {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,7 @@ import gridrecover.recovery
 import gridrecover.sparsify as sparsify
 import gridrecover.vandermonde
 from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
-from gridrecover.network import Network, complete_edges
+from gridrecover.network import DC, Network, complete_edges
 from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import (
     _minimal,
@@ -18,6 +18,7 @@ from gridrecover.recovery import (
     EVENT_INITIAL,
     EVENT_NO_REDUCTION,
     EVENT_REJECTED_RMS,
+    Fit,
     RecoveryConfig,
     RecoveryError,
     RecoveryTrace,
@@ -27,7 +28,7 @@ from gridrecover.recovery import (
     should_stop,
 )
 from gridrecover.states import StateSet, add_noise, generate_scenario, rms
-from gridrecover.vandermonde import assemble, restrict
+from gridrecover.vandermonde import VandermondeSystem, assemble, restrict
 from oracles import sparsify_eager
 
 
@@ -510,6 +511,32 @@ def test_a_held_network_with_a_removable_edge_is_not_minimal():
     # one-edge deletion fits, and the bound certifies the network
     assert not _minimal(held, min(fits))
     assert _minimal(held, 0.99 * min(fits))
+
+
+def _triangle_system(matrix, rhs):
+    """A DC system on the triangle's three edges whose factor is ``matrix``."""
+    edges = ((1, 2), (1, 3), (2, 3))
+    return VandermondeSystem(DC, 3, np.array(matrix, float), np.array(rhs, float), edges, 0.0, 3)
+
+
+def test_a_held_fit_without_a_positive_weight_is_not_minimal():
+    # every gradient is positive at w = 0, so the fit keeps no edge: there
+    # is no triangle of held columns to bound, and nothing is certified,
+    # however loose the tolerance
+    held = fit(_triangle_system(np.eye(3), [-1.0, -1.0, -1.0]))
+    assert not held.nnls.w.any()
+    assert not _minimal(held, 10 * held.rms)
+
+
+def test_a_held_fit_on_a_rank_deficient_triangle_is_not_minimal():
+    # edges (1, 2) and (1, 3) have the same column, and the weights (1, 1, 1)
+    # fit exactly, as do (2, 0, 1) and (0, 2, 1): either edge can go.  The
+    # held triangle fails the solver's rank test, so it certifies nothing
+    system = _triangle_system([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [2.0, 0.0, 1.0])
+    w = np.ones(3)
+    held = Fit(system, 0.0, np.inf, NnlsResult(w, 0.0, 0.0, 1))
+    assert np.array_equal(system.matrix @ w, system.rhs)
+    assert not _minimal(held, 1e-3)
 
 
 def _cold_start(monkeypatch):

@@ -29,6 +29,7 @@ def test_bridges_have_unit_leverage():
     stats = effective_resistances(g)
     for bridge in ((3, 4), (4, 5), (4, 6)):
         assert stats.for_edge(*bridge)[1] == pytest.approx(1.0, abs=1e-9)
+        assert stats.for_edge(*reversed(bridge)) == stats.for_edge(*bridge)  # looked up symmetrically
 
 
 def test_resistances_match_grounded_solve_oracle():

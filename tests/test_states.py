@@ -103,6 +103,7 @@ def test_voltage_driven_states_are_exact():
     for make in (random_dc_network, random_ac_network):
         net = make(rng, 6)
         states = generate_voltage_driven(net, 50, seed=12)
+        assert len(states) == states.m == 50
         assert rms(net, states) <= 1e-12
         mag = np.abs(states.voltage())
         assert mag.min() >= 0.9 and mag.max() <= 1.1
