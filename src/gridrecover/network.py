@@ -9,6 +9,7 @@ are dense; the intended scale is a few dozen nodes.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -41,6 +42,16 @@ def _finite_non_negative(value, what: str):
     if not 0 <= value < math.inf:
         raise ValueError(f"{what} must be finite and non-negative, got {value}")
     return value
+
+
+def _children(seed, count: int) -> list[np.random.SeedSequence]:
+    """``count`` children of ``seed``, a SeedSequence or an entropy value to
+    make one from.  A given SeedSequence is spawned from a copy, so a call
+    does not advance it, and the same seed object gives the same children
+    on every call."""
+    if isinstance(seed, np.random.SeedSequence):
+        return copy.copy(seed).spawn(count)
+    return np.random.SeedSequence(seed).spawn(count)
 
 
 def _canonical_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:

@@ -52,11 +52,12 @@ raised with :class:`NnlsError`, as is the best feasible iterate at the cap.
 every column: one Householder QR of ``[A | b]``, the rank test above and a
 back-substitution give its first iterate, and w = 0 is the feasible
 iterate it has to beat.  That QR and that rank test are written once, as
-:func:`_triangle` and :func:`_full_rank`, and ``recovery.fit`` takes its
-candidate triangle and ``recovery._minimal`` its held triangle from them
-too.  A square upper-triangular A, such as the candidate triangle of
-``recovery.fit``, is that QR's R already (it would come back bit for bit),
-so it is not factored again.  A system whose least-squares
+:func:`_triangle` and :func:`_full_rank`; ``vandermonde.compressed``
+takes the square system of a column subset from the same :func:`_triangle`,
+and ``recovery._minimal`` tests its held triangle's rank with
+:func:`_full_rank`.  A square upper-triangular A, such as a candidate
+triangle of ``recovery.fit``, is that QR's R already (it would come back
+bit for bit), so it is not factored again.  A system whose least-squares
 solution is strictly positive then stops after that one solve: on full
 column rank that solution is the unique minimizer over all w, so over
 w >= 0 as well, and it meets the KKT conditions with an empty zero set and

@@ -29,13 +29,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import DC, Network, complete_edges, is_spanning_tree
-from .nnls import NnlsError, NnlsResult, _full_rank, _triangle, solve as nnls_solve
+from .network import Network, _real, complete_edges, is_spanning_tree
+from .nnls import NnlsError, NnlsResult, _full_rank, solve as nnls_solve
 from .sparsify import sparsify_ac
 from .states import StateSet, rms as states_rms
 from .vandermonde import (
     VandermondeSystem,
     assemble,
+    compressed,
     condition_number,
     network_from_columns,
     positive_network_from_columns,
@@ -72,7 +73,8 @@ class RecoveryConfig:
 
     ``eps0`` is the starting closeness parameter and ``psi > 1`` its
     exploration factor, both finite.  ``tol`` is the rms acceptance
-    tolerance.  ``seed`` is a non-negative integer, as numpy's seed
+    tolerance.  These three and the wall time are numbers, not booleans or
+    strings.  ``seed`` is a non-negative integer, as numpy's seed
     sequences take.  At least one stopping criterion must be enabled; the
     iteration counts must be integers of at least 1 and the wall time
     positive.
@@ -89,11 +91,11 @@ class RecoveryConfig:
 
     def __post_init__(self):
         # written as "not lo < x < hi" so that nan is rejected too
-        if not 0 < self.eps0 < math.inf:
+        if not 0 < _real(self.eps0, "eps0") < math.inf:
             raise ValueError("eps0 must be positive and finite")
-        if not 1 < self.psi < math.inf:
+        if not 1 < _real(self.psi, "psi") < math.inf:
             raise ValueError("psi must exceed 1 and be finite")
-        if not self.tol > 0:
+        if not _real(self.tol, "tol") > 0:
             raise ValueError("tol must be positive")
         if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
@@ -103,7 +105,7 @@ class RecoveryConfig:
             value = getattr(self, name)
             if value is not None and not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
-        if self.max_wall_time is not None and not self.max_wall_time > 0:
+        if self.max_wall_time is not None and not _real(self.max_wall_time, "max_wall_time") > 0:
             raise ValueError("max_wall_time must be positive")
         if not (
             self.max_iterations is not None
@@ -123,23 +125,22 @@ class Fit:
     on first read.
 
     A system with more rows than columns, such as a candidate cut from the
-    complete graph's factor, is compressed again first: one QR of
-    ``[matrix | rhs]`` gives a square triangle with the singular values of
-    ``matrix``, so ``kappa`` is that of ``matrix``, a new rhs, and a corner
-    that joins ``rho`` by ``hypot``.  ``system`` is that square system, and
-    the solver starts from all its columns (``from_all``): when it has full
-    rank and every least-squares weight is positive, its back-substitution
-    is the fit, in one least-squares solve.  Either way ``nnls.objective``
-    is the square system's residual norm, which leaves out ``rho`` and the
-    corner; ``rms`` is ``hypot(nnls.objective, rho, corner) / sqrt(rows)``,
-    the rms of the data's residuals.
+    complete graph's factor, is compressed again first
+    (:func:`vandermonde.compressed`): ``system`` is that square system, with
+    the singular values of the candidate's matrix, so ``kappa`` is that
+    matrix's, and the solver starts from all its columns (``from_all``):
+    when it has full rank and every least-squares weight is positive, its
+    back-substitution is the fit, in one least-squares solve.  Either way
+    ``nnls.objective`` is the square system's residual norm, which leaves
+    out ``rho``; ``rms`` is ``hypot(nnls.objective, rho) / sqrt(rows)``, the
+    rms of the data's residuals.
 
-    That QR (``nnls._triangle``) is the one factorization of a candidate:
-    the solver takes a square upper-triangular system as its own factor.
-    At the peak of a fit the candidate's matrix, ``[matrix | rhs]`` and
-    numpy's factored copy of that are alive; the buffer is dropped before
-    the triangle is cut from the copy.  Each has only the candidate's
-    columns, so a fit stays below the assembly of the complete graph."""
+    That re-compression is the one factorization of a candidate: the solver
+    takes a square upper-triangular system as its own factor.  At the peak
+    of a fit the candidate's matrix, ``[matrix | rhs]`` and numpy's factored
+    copy of that are alive; the buffer is dropped before the triangle is cut
+    from the copy.  Each has only the candidate's columns, so a fit stays
+    below the assembly of the complete graph."""
 
     system: VandermondeSystem
     rms: float
@@ -155,17 +156,15 @@ def fit(system: VandermondeSystem) -> Fit:
     """Best non-negative parameters for the system's edges.
 
     A system with more rows than columns is re-compressed to a square
-    triangle and fitted from all its columns, which the solver's warm start
-    takes when the triangle has full rank; a square system, such as the
-    complete graph's or an assembled one, is fitted from w = 0.  Raises
+    system (:func:`vandermonde.compressed`) and fitted from all its columns,
+    which the solver's warm start takes when the triangle has full rank; a
+    square system, such as the complete graph's or an assembled one, is
+    fitted from w = 0.  Raises
     ValueError when the residual norm overflows, and :class:`NnlsError` when
     the solver does not converge or ends above ``nnls.KKT_TOL``.
     """
     rows, cols = system.matrix.shape
-    if rows > cols:
-        R, rhs, corner = _triangle(system.matrix, system.rhs, np.ones(cols, dtype=bool))
-        rho = float(np.hypot(system.rho, corner))
-        system = VandermondeSystem(system.kind, system.n, R, rhs, system.edges, rho, system.rows)
+    system = compressed(system) if rows > cols else system
     try:
         result = nnls_solve(system.matrix, system.rhs, from_all=rows > cols)
     except NnlsError as exc:
@@ -193,7 +192,7 @@ def _minimal(held: Fit, tol: float) -> bool:
     the triangle, y the least-squares weights and rho the residual of least
     squares on the columns of H's edges, that least-squares residual,
     squared, is ``rho^2 + y_E^T [(R^-1 R^-T)_EE]^-1 y_E``, E being e's r
-    columns (r = 1 for DC, 2 for AC): the column-deletion identity, one
+    columns (r the system's ``width``): the column-deletion identity, one
     formula for both kinds, taken for every e at once as a batch of r x r
     solves (for r = 1 a solve gives y_e^2 / ||row e of R^-1||^2).  H is
     minimal when that exceeds ``rows * tol^2`` for every e, with the room
@@ -201,29 +200,28 @@ def _minimal(held: Fit, tol: float) -> bool:
     a triangle that fails the solver's rank test (``nnls._full_rank``),
     certify nothing.
 
-    R is the ``nnls._triangle`` of those columns of the held system with its
-    rhs.  When every held weight is positive the held system is already that
-    triangle, so no QR is run.
+    R, its rhs and rho come from :func:`vandermonde.compressed` on H's
+    edges, those the held fit weights positively.  When every held weight is
+    positive the held system is already that triangle, so no QR is run.
     """
     system = held.system
-    r = 1 if system.kind == DC else 2
-    cols = np.repeat((held.nnls.w > 0).reshape(-1, r).any(axis=1), r)
-    if not cols.any():
+    keep = (held.nnls.w > 0).reshape(-1, system.width).any(axis=1)
+    if not keep.any():
         return False
-    R, c, corner = _triangle(system.matrix, system.rhs, cols)
+    kept = compressed(system, keep)
+    R = kept.matrix
     if not _full_rank(R):
         return False
     p = R.shape[1]
     Rinv = np.linalg.inv(R)
-    y = np.linalg.solve(R, c)
-    rows_E, yE = Rinv.reshape(-1, r, p), y.reshape(-1, r, 1)
+    y = np.linalg.solve(R, kept.rhs)
+    rows_E, yE = Rinv.reshape(-1, system.width, p), y.reshape(-1, system.width, 1)
     raised = (yE * np.linalg.solve(rows_E @ rows_E.transpose(0, 2, 1), yE)).sum(axis=(1, 2))
-    rho = math.hypot(system.rho, corner)
     kappa = np.linalg.norm(R) * np.linalg.norm(Rinv)  # Frobenius: at least the 2-norm's
     b = math.hypot(np.linalg.norm(system.rhs), system.rho)  # ||b|| of the data
     roundoff = MINIMAL_ROUNDOFF_UNITS * p * np.finfo(float).eps * kappa * b
     threshold = tol * math.sqrt(system.rows) + roundoff
-    return bool(np.min(rho * rho + raised) > threshold * threshold)
+    return bool(np.min(kept.rho * kept.rho + raised) > threshold * threshold)
 
 
 @dataclass(frozen=True)
@@ -343,20 +341,18 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
         )
 
     eps = cfg.eps0
-    iteration = 1
     minimal = False  # no later candidate can be accepted (see _minimal)
+    # the iteration under way is len(trace) + 1: every iteration appends one row
     while True:
         stop, reason = (True, "minimal") if minimal else should_stop(trace, cfg, time.monotonic() - t0, cur)
         if stop:
-            log.info("stopping after iteration %d (%s)", iteration, reason)
+            log.info("stopping after iteration %d (%s)", len(trace), reason)
             break
-        iteration += 1
-        eps_used = eps
         try:
-            outcome = sparsify_ac(cur, eps, np.random.SeedSequence([cfg.seed, iteration]))
+            outcome = sparsify_ac(cur, eps, np.random.SeedSequence([cfg.seed, len(trace) + 1]))
         except ValueError as exc:  # such as eps shrunk past the 2^63-draw limit
             raise RecoveryError(
-                f"sparsification failed at iteration {iteration}: {exc}", trace, cur
+                f"sparsification failed at iteration {len(trace) + 1}: {exc}", trace, cur
             ) from exc
         candidate_edges = outcome.edges
         if len(candidate_edges) < held_size:
@@ -364,23 +360,21 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
                 refit = fit(restrict(full, candidate_edges))
             except NnlsError as exc:
                 raise RecoveryError(
-                    f"estimation failed at iteration {iteration}: {exc}", trace, cur
+                    f"estimation failed at iteration {len(trace) + 1}: {exc}", trace, cur
                 ) from exc
             if refit.rms <= cfg.tol:
                 cur, held = positive_network_from_columns(refit.system, refit.nnls.w), refit
                 held_size = len(cur.edges)
                 minimal = _minimal(held, cfg.tol)
-                trace.append(TraceRow(iteration, held_size, held.rms, held.kappa, eps_used, EVENT_ACCEPTED))
+                trace.append(TraceRow(len(trace) + 1, held_size, held.rms, held.kappa, eps, EVENT_ACCEPTED))
                 continue
-            eps = eps / cfg.psi
             trace.append(
-                TraceRow(
-                    iteration, len(candidate_edges), refit.rms, refit.kappa, eps_used, EVENT_REJECTED_RMS
-                )
+                TraceRow(len(trace) + 1, len(candidate_edges), refit.rms, refit.kappa, eps, EVENT_REJECTED_RMS)
             )
+            eps = eps / cfg.psi
         else:
+            trace.append(TraceRow(len(trace) + 1, held_size, held.rms, held.kappa, eps, EVENT_NO_REDUCTION))
             eps = eps * cfg.psi
-            trace.append(TraceRow(iteration, held_size, held.rms, held.kappa, eps_used, EVENT_NO_REDUCTION))
 
     if log.isEnabledFor(logging.INFO):  # the re-check costs a pass over the data
         log.info(

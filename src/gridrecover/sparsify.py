@@ -31,7 +31,7 @@ from itertools import compress
 
 import numpy as np
 
-from .network import DC, Edge, Network, _finite_non_negative, _laplacian, spectral_norm
+from .network import DC, Edge, Network, _children, _finite_non_negative, _laplacian, spectral_norm
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-12
@@ -186,19 +186,19 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
 
     Each weight row with a positive entry (conductances, and on AC networks
     susceptances) takes t draws of its own: from ``seed`` on DC, from the two
-    children of its SeedSequence on AC, conductances first.  A drawn entry
-    becomes count * w / (t * p), so its expectation over seeds is w; an entry
-    with no draws is 0.  The edges drawn by either row are kept, in input
-    order.  The draw is made here; the weights, and the sampled network, are
-    derived from its counts when the outcome's ``c``, ``s`` or ``graph`` is
-    first read.
+    children of its SeedSequence on AC, conductances first; a SeedSequence
+    given as ``seed`` is not advanced.  A drawn entry becomes
+    count * w / (t * p), so its expectation over seeds is w; an entry with
+    no draws is 0.  The edges drawn by either row are kept, in input order.
+    The draw is made here; the weights, and the sampled network, are derived
+    from its counts when the outcome's ``c``, ``s`` or ``graph`` is first
+    read.
     """
     t = sample_count(net.n, eps)
     if net.kind == DC:
         seeds = (seed, None)  # the susceptance row is all zero and draws nothing
     else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        seeds = ss.spawn(2)
+        seeds = _children(seed, 2)
     keep = np.zeros(len(net.edges), dtype=bool)
     draws = []
     stats = _statistics(net)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AC, DC, Network, _finite_non_negative, _integral, admittance_matrix, is_connected
+from .network import AC, DC, Network, _children, _finite_non_negative, _integral, admittance_matrix, is_connected
 
 
 class PowerFlowError(RuntimeError):
@@ -369,11 +369,12 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
 
     Residuals of the output are at the Newton tolerance (<= 1e-10 rms) before
     noise.  Every state draws from its own RNG substream derived from the
-    seed, so the output is deterministic and shardable.  Each round solves
-    the states whose voltages are still pending in one batched
-    solve_power_flow call; a state whose voltage magnitude left
-    VOLTAGE_RANGE draws again, up to MAX_RETRIES times.  An error names the
-    first state, in order, whose draws failed.
+    seed, so the output is deterministic and shardable; a SeedSequence given
+    as ``seed`` is not advanced.  Each round solves the states whose
+    voltages are still pending in one batched solve_power_flow call; a state
+    whose voltage magnitude left VOLTAGE_RANGE draws again, up to
+    MAX_RETRIES times.  An error names the first state, in order, whose
+    draws failed.
     """
     if scen.n != net.n:
         raise ValueError(f"scenario is for n={scen.n}, network has n={net.n}")
@@ -385,8 +386,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     loads = np.array([j for j in range(net.n) if j + 1 != slack and j + 1 not in scen.zero], int)
     vmin, vmax = VOLTAGE_RANGE
     dc = net.kind == DC
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(m + 1)
+    children = _children(seed, m + 1)
     rngs = [np.random.default_rng(child) for child in children[:m]]
     lo, hi = zip(scen.p_range, scen.q_range)  # AC draws (P, Q) per load, in that order
     P = np.zeros((m, net.n))

@@ -29,8 +29,10 @@ so column 2t is c and column 2t + 1 is s of edge t.  The layout is
 deterministic across runs, the equations of a subset are exactly a column
 restriction of a larger set's, and so are the columns of its factor.  DC is
 the one-column case of that layout: edge t owns columns r*t to r*t + r - 1,
-r being 1 for DC and 2 for AC.  This module decodes it, and so does
-``recovery._minimal``, which groups the held triangle's columns by edge.
+r being :attr:`VandermondeSystem.width`, 1 for DC and 2 for AC.  Only this
+module decodes it: :func:`restrict` cuts the columns of an edge subset from
+a system, and :func:`compressed` folds those of the kept edges into a square
+system of their own.
 """
 
 from __future__ import annotations
@@ -42,10 +44,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .network import DC, Edge, Network, _canonical_edges
+from .network import AC, DC, Edge, Network, _canonical_edges
+from .nnls import _triangle
 from .states import StateSet
 
 RANK_RTOL = 1e-13
+# columns per edge, which are also equations per node and state: c, then s on AC
+_WIDTH = {DC: 1, AC: 2}
 # states per block of equations folded into the node factors; bounds the rows held
 _BLOCK_STATES = 25
 
@@ -76,6 +81,11 @@ class VandermondeSystem:
         """The index of each edge in ``edges``, built once however often
         :func:`restrict` cuts candidates from the system."""
         return {e: t for t, e in enumerate(self.edges)}
+
+    @property
+    def width(self) -> int:
+        """The columns of each edge: 1 on DC, 2 on AC."""
+        return _WIDTH[self.kind]
 
 
 def _sorted_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -171,7 +181,7 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     """
     edges = _sorted_edges(states.n, edges)
     n = states.n
-    r = 1 if states.kind == DC else 2  # equations per node and state; columns per edge
+    r = _WIDTH[states.kind]
     k = r * len(edges)
     edge, far, pad = _incidence(n, edges)
     # node v's slot -> column: its edges' columns, then the rhs column k;
@@ -226,11 +236,26 @@ def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSys
         if missing:
             raise ValueError(f"edges {missing} not present in the system")
         idx = [position[e] for e in sub]
-    r = 1 if system.kind == DC else 2  # columns per edge
-    cols = (r * np.array(idx)[:, None] + np.arange(r)).ravel()
+    cols = (system.width * np.array(idx)[:, None] + np.arange(system.width)).ravel()
     return VandermondeSystem(
         system.kind, system.n, system.matrix[:, cols], system.rhs, sub, system.rho, system.rows
     )
+
+
+def compressed(system: VandermondeSystem, keep: np.ndarray | None = None) -> VandermondeSystem:
+    """The square system of the kept edges, every edge when ``keep`` is None.
+
+    ``keep`` masks the system's edges.  One Householder QR of their columns
+    with the rhs (``nnls._triangle``) gives a triangle with the singular
+    values of those columns, a new rhs and a corner, which joins ``rho`` by
+    ``hypot``; so the result keeps, for every parameter vector of the kept
+    edges, the residual of the data's equations.  A square triangle with
+    every edge kept is returned as its own factor, bit for bit.
+    """
+    keep = np.ones(len(system.edges), dtype=bool) if keep is None else keep
+    R, rhs, corner = _triangle(system.matrix, system.rhs, np.repeat(keep, system.width))
+    edges = tuple(compress(system.edges, keep))
+    return VandermondeSystem(system.kind, system.n, R, rhs, edges, float(np.hypot(system.rho, corner)), system.rows)
 
 
 def condition_number(system) -> float:
@@ -253,8 +278,7 @@ def parameter_vector(net: Network, edges: Iterable[Edge] | None = None) -> np.nd
     edges = _sorted_edges(net.n, net.edges if edges is None else edges)
     weights = np.column_stack((net.c, net.s))
     table = np.array([weights[net.edge_index(*e)] if net.has_edge(*e) else (0.0, 0.0) for e in edges])
-    r = 1 if net.kind == DC else 2  # columns per edge: c, then s for AC
-    return table[:, :r].ravel()
+    return table[:, : _WIDTH[net.kind]].ravel()
 
 
 def _edge_weights(system: VandermondeSystem, w) -> tuple[np.ndarray, np.ndarray]:

@@ -61,11 +61,21 @@ def test_config_validation():
         ("max_iterations", 2.5, "max_iterations must be at least 1 and an integer, got 2.5"),
         ("max_stale_iterations", 2.5, "max_stale_iterations must be at least 1 and an integer"),
         ("max_stale_iterations", True, "max_stale_iterations must be at least 1 and an integer"),
+        ("tol", True, "tol must be a number, got True"),
+        ("tol", "1e-5", "tol must be a number, got '1e-5'"),
+        ("eps0", "0.1", "eps0 must be a number"),
+        ("eps0", np.bool_(True), "eps0 must be a number"),
+        ("psi", None, "psi must be a number, got None"),
+        ("max_wall_time", "3", "max_wall_time must be a number, got '3'"),
+        ("max_wall_time", False, "max_wall_time must be a number"),
     ):
         with pytest.raises(ValueError, match=message):
             RecoveryConfig(**{field: value})
     RecoveryConfig(max_iterations=1, max_stale_iterations=1, max_wall_time=1e-3)
     RecoveryConfig(seed=np.int64(3), max_iterations=np.int32(2))  # numpy integers are integers
+    # any real number is a number, and a float keeps its bits
+    cfg = RecoveryConfig(eps0=np.float64(0.2), psi=2, tol=0.1 + 0.2, max_wall_time=np.float32(1.5))
+    assert cfg.tol == 0.1 + 0.2 and type(cfg.tol) is float and cfg.psi == 2
 
 
 def test_recover_refits_every_candidate_and_repeats_its_bits(monkeypatch, table1_states):

@@ -217,6 +217,16 @@ def _outcome_or_error(sparsify, net, eps, seed):
         return None, str(exc)
 
 
+@pytest.mark.parametrize("net", [small_ac(0), table1_dc()], ids=["ac", "dc"])
+def test_sparsify_ac_leaves_a_seed_sequence_as_it_was(net):
+    ss = np.random.SeedSequence(5)
+    ss.spawn(1)  # a sequence that has spawned before
+    first, second = (sparsify_ac(net, 0.5, ss) for _ in range(2))
+    assert ss.n_children_spawned == 1
+    assert first.edges == second.edges
+    assert first.c.tobytes() == second.c.tobytes() and first.s.tobytes() == second.s.tobytes()
+
+
 @pytest.mark.parametrize("as_sequence", [False, True])
 @pytest.mark.parametrize("shape", ["dc", "ac", "c_only", "s_only"])
 def test_sparsify_ac_matches_two_graph_oracle(shape, as_sequence):
@@ -226,7 +236,7 @@ def test_sparsify_ac_matches_two_graph_oracle(shape, as_sequence):
         net = _random_network(rng, shape)
         eps = float(rng.uniform(0.05, 2.0))
         entropy = int(rng.integers(2**32))
-        # an AC run spawns from a SeedSequence seed, so each side gets its own
+        # the oracle spawns from a SeedSequence seed and advances it, so each side gets its own
         seed = (lambda: np.random.SeedSequence(entropy)) if as_sequence else (lambda: entropy)
         out, err = _outcome_or_error(sparsify_ac, net, eps, seed())
         ref, ref_err = _outcome_or_error(sparsify_two_graphs, net, eps, seed())

@@ -162,6 +162,16 @@ def test_generate_scenario_deterministic(table1_network):
     assert a == b
 
 
+@pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
+def test_generate_scenario_leaves_a_seed_sequence_as_it_was(name):
+    net, scen = builtin_network(name, 0), builtin_scenario(name, sigma=1e-6)
+    ss = np.random.SeedSequence(5)
+    first, second = (generate_scenario(net, scen, 5, seed=ss) for _ in range(2))
+    assert ss.n_children_spawned == 0
+    for a in ("e", "f", "p", "q"):
+        assert getattr(first, a).tobytes() == getattr(second, a).tobytes()
+
+
 def test_generate_scenario_ac_residuals_small():
     rng = np.random.default_rng(6)
     net = random_ac_network(rng, 5, wrange=(5.0, 50.0))

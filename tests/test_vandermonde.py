@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from gridrecover.vandermonde import (
     _incidence,
     _node_equations,
     assemble,
+    compressed,
     condition_number,
     network_from_columns,
     parameter_vector,
+    positive_network_from_columns,
     restrict,
 )
 from helpers import random_ac_network, random_dc_network
@@ -336,6 +339,45 @@ def test_parameter_vector_round_trip():
             network_from_columns(system, w > 0)
         with pytest.raises(ValueError, match=r"conductances\[0\] must be a number"):
             network_from_columns(system, w.astype(str))
+
+
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+@pytest.mark.parametrize("build", [network_from_columns, positive_network_from_columns])
+def test_a_solution_of_the_wrong_length_is_rejected(kind, build):
+    net = (random_dc_network if kind == "dc" else random_ac_network)(np.random.default_rng(9), 5)
+    system = assemble(net.edges, generate_voltage_driven(net, 2, seed=0))
+    w = parameter_vector(net)
+    assert len(w) == system.width * len(net.edges)
+    # one short, one long, and on AC one weight per edge where each edge has two
+    for wrong in [w[:-1], np.append(w, 1.0)] + ([w[: len(net.edges)]] if kind == "ac" else []):
+        with pytest.raises(ValueError, match="solution length must match the system's columns"):
+            build(system, wrong)
+
+
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+def test_compressed_keeps_the_residual_of_the_kept_edges(kind):
+    rng = np.random.default_rng(11)
+    net = (random_dc_network if kind == "dc" else random_ac_network)(rng, 5)
+    full = assemble(complete_edges(5), generate_voltage_driven(net, 4, seed=1))
+    tall = restrict(full, net.edges)
+    assert tall.matrix.shape[0] > tall.matrix.shape[1]
+    keep = np.arange(len(tall.edges)) % 2 == 0
+    kept = compressed(tall, keep)
+    assert kept.edges == tuple(compress(tall.edges, keep))
+    assert kept.matrix.shape == (kept.width * int(keep.sum()),) * 2
+    assert not np.tril(kept.matrix, -1).any()
+    reference = restrict(tall, kept.edges)
+    for _ in range(5):
+        w = rng.uniform(size=kept.matrix.shape[1])
+        assert np.hypot(np.linalg.norm(kept.matrix @ w - kept.rhs), kept.rho) == pytest.approx(
+            np.hypot(np.linalg.norm(reference.matrix @ w - reference.rhs), reference.rho), rel=1e-12
+        )
+    sv = np.linalg.svd(kept.matrix, compute_uv=False)
+    assert np.allclose(sv, np.linalg.svd(reference.matrix, compute_uv=False), rtol=1e-12)
+    assert compressed(tall).edges == tall.edges
+    # every edge of a square triangle: the system is its own factor
+    whole = compressed(full)
+    assert whole.matrix is full.matrix and whole.rhs is full.rhs and whole.rho == full.rho
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
