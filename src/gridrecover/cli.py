@@ -1,13 +1,14 @@
 """Command-line surface: generate, estimate, sparsify, bound, recover, report.
 
 Exit codes: 0 success, 1 solver or runtime failure, 2 bad input files or
-arguments.  Set GRIDRECOVER_LOG=debug|info|warning to control verbosity.
+arguments, or an OS error on a named path (a missing input, a directory
+where a file is expected, an output directory that cannot be made).
+Set GRIDRECOVER_LOG=debug|info|warning to control verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -94,7 +95,7 @@ def cmd_generate(args) -> int:
     out = _out_dir(args)
     io.save_network(net, out / "network.json")
     io.save_states_csv(states, out / "states.csv")
-    (out / "provenance.json").write_text(json.dumps(provenance, indent=2) + "\n")
+    io.save_json(provenance, out / "provenance.json")
     print(f"wrote {out / 'network.json'}, {out / 'states.csv'} ({states.m} states)")
     return 0
 
@@ -112,7 +113,7 @@ def cmd_estimate(args) -> int:
         "iterations": result.nnls.iterations,
     }
     out = _out_dir(args)
-    (out / "estimate.json").write_text(json.dumps(payload, indent=2) + "\n")
+    io.save_json(payload, out / "estimate.json")
     print(f"rms {result.rms:.3e}  kappa {result.kappa:.3e}  -> {out / 'estimate.json'}")
     return 0
 
@@ -140,7 +141,7 @@ def cmd_bound(args) -> int:
     else:
         report = ac_bound(net, states, args.eps)
     out = _out_dir(args)
-    (out / "bound.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
+    io.save_json(asdict(report), out / "bound.json")
     print(
         f"rms {report.rms_base:.3e} + eps*{report.bound_term:.3e}"
         f" = {report.bound_total:.3e} ({report.variant})"
@@ -182,7 +183,7 @@ def cmd_recover(args) -> int:
             "success_rate": successes / len(trials),
             "edge_counts": sorted(t["edges"] for t in trials),
         }
-        (out / "trials.json").write_text(json.dumps(summary, indent=2) + "\n")
+        io.save_json(summary, out / "trials.json")
         print(f"{successes}/{len(trials)} trials reached rms <= {cfg.tol:g}")
         return 0 if successes == len(trials) else 1
 
@@ -215,43 +216,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="synthesize a network and measurement states")
+    def command(name, func, summary, *parents):
+        """A subcommand that runs ``func`` and takes the options of ``parents``."""
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    # the options that several commands share, each declared once
+    network, states, out_dir = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    network.add_argument("--network", required=True)
+    states.add_argument("--states", required=True)
+    out_dir.add_argument("--out-dir", default=".")
+
+    p = command("generate", cmd_generate, "synthesize a network and measurement states", out_dir)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--builtin", choices=BUILTINS)
     source.add_argument("--network", help="network JSON to sample voltage-driven states from")
     p.add_argument("--m", type=_positive_int, default=200)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--noise", type=_non_negative_float, default=0.0)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("estimate", help="fit parameters on a fixed topology")
-    p.add_argument("--network", required=True)
-    p.add_argument("--states", required=True)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_estimate)
+    command("estimate", cmd_estimate, "fit parameters on a fixed topology", network, states, out_dir)
 
-    p = sub.add_parser("sparsify", help="sample a spectral sparsifier of a network")
-    p.add_argument("--network", required=True)
+    p = command("sparsify", cmd_sparsify, "sample a spectral sparsifier of a network", network, out_dir)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_sparsify)
 
-    p = sub.add_parser("bound", help="rms-growth certificate for a sparsification")
-    p.add_argument("--network", required=True)
-    p.add_argument("--states", required=True)
+    p = command("bound", cmd_bound, "rms-growth certificate for a sparsification", network, states, out_dir)
     p.add_argument("--eps", type=_non_negative_float, required=True)
     p.add_argument("--variant", choices=("fine", "coarse", "ac"), default="fine")
     p.add_argument("--vmin", type=float, default=VOLTAGE_RANGE[0])
     p.add_argument("--vmax", type=float, default=VOLTAGE_RANGE[1])
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_bound)
 
     # one option per RecoveryConfig field, stored under the field's name
     cfg = RecoveryConfig()
-    p = sub.add_parser("recover", help="recover a sparse topology and parameters")
-    p.add_argument("--states", required=True)
+    p = command("recover", cmd_recover, "recover a sparse topology and parameters", states, out_dir)
     p.add_argument("--eps", dest="eps0", type=float, default=cfg.eps0,
                    help="initial closeness parameter")
     p.add_argument("--psi", type=float, default=cfg.psi)
@@ -267,13 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-on-tree", action="store_true", default=cfg.stop_on_tree)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--workers", type=_positive_int, default=None)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_recover)
 
-    p = sub.add_parser("report", help="render a recovery trace as a table")
+    p = command("report", cmd_report, "render a recovery trace as a table")
     p.add_argument("--trace", required=True)
     p.add_argument("--all", action="store_true", help="include unchanged iterations")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -283,14 +279,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc.msg} at line {exc.lineno} column {exc.colno}", file=sys.stderr)
-        return 2
     except io.FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:  # not about a named path, such as a failed fork: exit 1
+            raise
+        print(f"file error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except (PowerFlowError, NnlsError, RecoveryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

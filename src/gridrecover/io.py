@@ -1,15 +1,20 @@
 """On-disk formats: network JSON, state-set CSV, trace CSV, reports.
 
 Floats are written with ``repr``, which is the shortest form that parses back
-to the identical double, so every round trip is exact.
+to the identical double, so every round trip is exact.  JSON files are
+strict JSON: a non-finite float is written as its ``repr`` string ("inf",
+"-inf", "nan"), which ``float`` reads back.  Every input file is read as
+UTF-8 text.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import typing
 from dataclasses import fields
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -51,16 +56,41 @@ def network_from_dict(data: dict) -> Network:
         raise FormatError(str(exc)) from exc
 
 
+def _read(path) -> StringIO:
+    """An input file's text, its line ends as written; a file that is not
+    UTF-8 raises FormatError naming it."""
+    try:
+        return StringIO(Path(path).read_bytes().decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _finite(value):
+    """``value`` with every non-finite float, in lists and dicts too,
+    replaced by its repr string."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))  # float(): numpy's own repr names its type
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def save_json(data, path) -> None:
+    """Write ``data`` as indented, strict JSON: the one form of every JSON file."""
+    Path(path).write_text(json.dumps(_finite(data), indent=2, allow_nan=False) + "\n")
+
+
 def save_network(net: Network, path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n")
+    save_json(network_to_dict(net), path)
 
 
 def load_network(path) -> Network:
-    with open(path) as fh:
-        data = json.load(fh)
+    fh = _read(path)
     try:
-        return network_from_dict(data)
-    except FormatError as exc:
+        return network_from_dict(json.load(fh))
+    except (json.JSONDecodeError, FormatError) as exc:  # either names its line or its field
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -86,13 +116,12 @@ def save_states_csv(states: StateSet, path) -> None:
 
 
 def load_states_csv(path) -> StateSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty state file") from None
-        rows = [(reader.line_num, row) for row in reader if row]
+    reader = csv.reader(_read(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: empty state file") from None
+    rows = [(reader.line_num, row) for row in reader if row]
     kind = AC if "f_1" in header else DC
     per_node = len(_STATE_FIELDS[kind])
     n, rem = divmod(len(header), per_node)
@@ -134,24 +163,23 @@ def save_trace_csv(trace: RecoveryTrace, path) -> None:
 
 def load_trace_csv(path) -> RecoveryTrace:
     trace = RecoveryTrace()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(TRACE_COLUMNS):
-            raise FormatError(f"{path}: unexpected trace header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(TRACE_COLUMNS):
-                raise FormatError(f"{where}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}")
-            try:
-                parsed = TraceRow(*(parse(cell) for parse, cell in zip(_TRACE_TYPES, row)))
-            except ValueError as exc:
-                raise FormatError(f"{where}: non-numeric trace entry: {exc}") from exc
-            if parsed.event not in EVENTS:
-                raise FormatError(f"{where}: unknown event {parsed.event!r}")
-            trace.append(parsed)
+    reader = csv.reader(_read(path))
+    header = next(reader, None)
+    if header != list(TRACE_COLUMNS):
+        raise FormatError(f"{path}: unexpected trace header {header!r}")
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) != len(TRACE_COLUMNS):
+            raise FormatError(f"{where}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}")
+        try:
+            parsed = TraceRow(*(parse(cell) for parse, cell in zip(_TRACE_TYPES, row)))
+        except ValueError as exc:
+            raise FormatError(f"{where}: non-numeric trace entry: {exc}") from exc
+        if parsed.event not in EVENTS:
+            raise FormatError(f"{where}: unknown event {parsed.event!r}")
+        trace.append(parsed)
     return trace
 
 

@@ -54,6 +54,11 @@ def _children(seed, count: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(count)
 
 
+def _oriented(j: int, k: int) -> Edge:
+    """The edge (j, k) with its lower end first."""
+    return (j, k) if j < k else (k, j)
+
+
 def _canonical_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
     """Validate 1-based endpoints and orient every edge as (j, k) with j < k."""
     out: list[Edge] = []
@@ -66,8 +71,7 @@ def _canonical_edges(n: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]
             raise ValueError(f"loop edge ({j},{j}) is not allowed")
         if not (1 <= j <= n and 1 <= k <= n):
             raise ValueError(f"edge ({j},{k}) out of range for n={n}")
-        if j > k:
-            j, k = k, j
+        j, k = _oriented(j, k)
         if (j, k) in seen:
             raise ValueError(f"duplicate edge ({j},{k})")
         seen.add((j, k))
@@ -163,27 +167,29 @@ class Network:
 
     def edge_index(self, j: int, k: int) -> int:
         """Index of edge (j, k), looked up symmetrically."""
-        if j > k:
-            j, k = k, j
-        return self._index[(j, k)]
+        return self._index[_oriented(j, k)]
 
     def has_edge(self, j: int, k: int) -> bool:
-        if j > k:
-            j, k = k, j
-        return (j, k) in self._index
+        return _oriented(j, k) in self._index
 
     def weight(self, j: int, k: int) -> complex:
         """Complex admittance c - i*s of an edge; 0 for absent edges."""
-        if not self.has_edge(j, k):
+        i = self._index.get(_oriented(j, k))
+        if i is None:
             return 0.0
-        i = self.edge_index(j, k)
         return complex(self.c[i], -self.s[i])
 
     def normalized(self) -> "Network":
         """Drop edges whose conductance and susceptance are both zero."""
-        keep = (self.c > 0) | (self.s > 0)
-        edges = tuple(compress(self.edges, keep))
-        return self._derived(self.kind, self.n, edges, self.c[keep], self.s[keep])
+        return _positive_part(self.kind, self.n, self.edges, self.c, self.s)
+
+
+def _positive_part(kind: str, n: int, edges: tuple[Edge, ...], c: np.ndarray, s: np.ndarray) -> Network:
+    """The network of the edges with a positive conductance or susceptance,
+    cut from the validated ``edges`` of a ``kind`` network or system on n
+    nodes; ``c`` and ``s`` hold their weights."""
+    keep = (c > 0) | (s > 0)
+    return Network._derived(kind, n, tuple(compress(edges, keep)), c[keep], s[keep])
 
 
 def split_graphs(net: Network) -> tuple[Network, Network]:

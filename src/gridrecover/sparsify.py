@@ -31,7 +31,7 @@ from itertools import compress
 
 import numpy as np
 
-from .network import DC, Edge, Network, _children, _finite_non_negative, _laplacian, spectral_norm
+from .network import DC, Edge, Network, _children, _finite_non_negative, _laplacian, _oriented, spectral_norm
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-12
@@ -53,9 +53,7 @@ class EdgeStatistics:
     p: np.ndarray
 
     def for_edge(self, j: int, k: int) -> tuple[float, float, float]:
-        if j > k:
-            j, k = k, j
-        i = self.edges.index((j, k))
+        i = self.edges.index(_oriented(j, k))
         return float(self.r_eff[i]), float(self.leverage[i]), float(self.p[i])
 
 

@@ -431,7 +431,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     S = _exact_powers(admittance_matrix(net), V[:, None, :])[:, 0]
     P[:, slack - 1] = S.real[:, slack - 1]
     if dc:
-        out = StateSet(DC, V.real, np.zeros_like(P), P, np.zeros_like(P))
+        out = StateSet.dc(V.real, P)
     else:
         Q[:, slack - 1] = S.imag[:, slack - 1]
         out = StateSet(AC, V.real, V.imag, P, Q)
@@ -449,7 +449,7 @@ def add_noise(states: StateSet, sigma: float, seed=0) -> StateSet:
     e = states.e + sigma * rng.standard_normal(shape)
     p = states.p + sigma * rng.standard_normal(shape)
     if states.kind == DC:
-        return StateSet(DC, e, np.zeros(shape), p, np.zeros(shape))
+        return StateSet.dc(e, p)
     f = states.f + sigma * rng.standard_normal(shape)
     q = states.q + sigma * rng.standard_normal(shape)
     return StateSet(AC, e, f, p, q)

@@ -44,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .network import AC, DC, Edge, Network, _canonical_edges
+from .network import AC, DC, Edge, Network, _canonical_edges, _positive_part
 from .nnls import _triangle
 from .states import StateSet
 
@@ -305,6 +305,4 @@ def positive_network_from_columns(system: VandermondeSystem, w: np.ndarray) -> N
     """The network of the edges a solution weights positively: equal, weight
     bytes included, to ``network_from_columns(system, w).normalized()``,
     but built once."""
-    c, s = _edge_weights(system, w)
-    keep = (c > 0) | (s > 0)
-    return Network._derived(system.kind, system.n, tuple(compress(system.edges, keep)), c[keep], s[keep])
+    return _positive_part(system.kind, system.n, system.edges, *_edge_weights(system, w))

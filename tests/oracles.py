@@ -30,6 +30,7 @@ from gridrecover.network import (
     DC,
     Edge,
     Network,
+    _children,
     admittance_matrix,
     is_connected,
     laplacian,
@@ -402,8 +403,7 @@ def scenario_per_state(net, scen, m: int, seed=0) -> StateSet:
     vmin, vmax = gstates.VOLTAGE_RANGE
     dc = net.kind == DC
     L = admittance_matrix(net)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(m + 1)
+    children = _children(seed, m + 1)
     E = np.empty((m, net.n))
     F = np.zeros((m, net.n))
     P = np.empty((m, net.n))
@@ -471,16 +471,16 @@ def sparsify_two_graphs(net, eps: float, seed=0) -> SimpleNamespace:
     """Sparsification through the conductance and susceptance graphs.
 
     A DC network is sparsified as one graph with ``seed``.  An AC network is
-    split into its two graphs, each sparsified with one child of ``seed``'s
-    SeedSequence, conductances first; the output holds the sorted union of
+    split into its two graphs, each sparsified with one child of ``seed``,
+    conductances first, spawned as the library spawns them (a SeedSequence
+    given as ``seed`` is not advanced); the output holds the sorted union of
     the two kept edge sets, a weight missing from one side zero-filled.
     """
     if net.kind == DC:
         return _sparsify_graph(net, eps, seed)
 
     cg, sg = split_graphs(net)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    c_seed, s_seed = ss.spawn(2)
+    c_seed, s_seed = _children(seed, 2)
     sides: list[dict[Edge, float]] = []
     t = sample_count(net.n, eps)
     for graph, side_seed in ((cg, c_seed), (sg, s_seed)):
@@ -510,8 +510,7 @@ def sparsify_eager(net, eps: float, seed=0) -> SimpleNamespace:
     if net.kind == DC:
         seeds = (seed, None)
     else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        seeds = ss.spawn(2)
+        seeds = _children(seed, 2)
     stats = row_statistics(net)
     out = np.zeros((2, len(net.edges)))
     for label, w, row_seed, new_w in zip(WEIGHT_ROWS, (net.c, net.s), seeds, out):

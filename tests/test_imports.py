@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and only ``io``
+touches files.
 
 No linter runs on this code base, so an import that outlives its last use
 stays unnoticed.  Package ``__init__.py`` files are exempt, since their
@@ -78,3 +79,53 @@ def test_package_and_command_line_need_only_numpy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("usage: gridrecover") and run.stderr == ""
+
+
+FILE_MODULES = {"json", "csv"}
+FILE_CALLS = {"open", "read_text", "write_text"}
+
+
+def file_access(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each import of json or csv and each call of open,
+    read_text or write_text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module.partition(".")[0]]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            names = [func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in FILE_MODULES | FILE_CALLS]
+    return found
+
+
+def test_only_io_reads_and_writes_files():
+    # every file format has one reader and one writer, in gridrecover.io
+    paths = sorted((ROOT / "src" / "gridrecover").glob("*.py"))
+    assert len(paths) > 5 and paths[0].parent / "io.py" in paths
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in paths
+        if path.name != "io.py"
+        for line, name in file_access(path.read_text())
+    ]
+    assert not found, "file access outside gridrecover.io:\n" + "\n".join(found)
+
+
+def test_file_access_is_found():
+    source = (
+        "import csv\n"
+        "from json import dumps\n"
+        "from . import io\n"
+        "from .io import save_json\n"
+        "with open('x') as fh:\n"
+        "    Path('y').write_text(fh.read())\n"
+        "print(Path('z').read_text())\n"
+    )
+    assert sorted(file_access(source)) == [
+        (1, "csv"), (2, "json"), (5, "open"), (6, "write_text"), (7, "read_text"),
+    ]

@@ -420,12 +420,73 @@ def test_cli_malformed_json_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+    assert err.startswith(f"parse error: {bad}: ")
 
 
 def test_cli_missing_file_exits_2(tmp_path, capsys):
     code = main(["estimate", "--network", str(tmp_path / "absent.json"),
                  "--states", str(tmp_path / "absent.csv"), "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    ("args", "named"),
+    [(["estimate", "--network", "absent.json", "--states", "absent.csv", "--out-dir", "out"], "absent.json"),
+     (["report", "--trace", "a_dir"], "a_dir"),
+     (["generate", "--builtin", "path3_dc", "--m", "2", "--out-dir", "a_file"], "a_file")],
+    ids=["missing", "directory", "out-dir-is-a-file"],
+)
+def test_cli_os_error_on_a_named_path_exits_2(tmp_path, capsys, monkeypatch, args, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    before = sorted(tmp_path.iterdir())
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"file error: {named}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before and (tmp_path / "a_file").is_file()
+
+
+@pytest.mark.parametrize(
+    ("loader", "args"),
+    [(io.load_states_csv, ["recover", "--states", "{bad}", "--out-dir", "{out}"]),
+     (io.load_network, ["estimate", "--network", "{bad}", "--states", "{bad}", "--out-dir", "{out}"]),
+     (io.load_trace_csv, ["report", "--trace", "{bad}"])],
+    ids=["states", "network", "trace"],
+)
+def test_an_input_that_is_not_utf8_is_a_malformed_file(tmp_path, capsys, loader, args):
+    bad, out = tmp_path / "bin.csv", tmp_path / "out"
+    bad.write_bytes(bytes([0x80, 0x81, 0xFF]))
+    with pytest.raises(io.FormatError, match=f"^{re.escape(str(bad))}: not UTF-8 text: .*byte 0x80"):
+        loader(bad)
+    assert main([a.format(bad=bad, out=out) for a in args]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: {bad}: not UTF-8 text")
+    assert not out.exists()
+
+
+def _strict_json(path):
+    """A JSON file parsed by a strict parser, which rejects NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_save_json_writes_non_finite_floats_as_strings(tmp_path):
+    data = {"a": [float("nan"), -float("inf"), 1.5], "b": (np.float64("inf"), 2), "c": "x"}
+    io.save_json(data, tmp_path / "x.json")
+    assert _strict_json(tmp_path / "x.json") == {"a": ["nan", "-inf", 1.5], "b": ["inf", 2], "c": "x"}
+
+
+def test_cli_estimate_writes_an_infinite_kappa_as_strict_json(tmp_path):
+    # the complete graph on path3_dc's silent middle node is the criterion-5
+    # degeneracy: its fit has kappa = inf
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--out-dir", str(out)]) == 0
+    io.save_network(Network.dc(3, ((1, 2), (1, 3), (2, 3)), [1.0, 1.0, 1.0]), tmp_path / "k3.json")
+    assert main(["estimate", "--network", str(tmp_path / "k3.json"),
+                 "--states", str(out / "states.csv"), "--out-dir", str(out)]) == 0
+    result = _strict_json(out / "estimate.json")
+    assert result["kappa"] == "inf" and float(result["kappa"]) == float("inf")
 
 
 def test_cli_recover_nonzero_exit_when_over_tol(tmp_path):
