@@ -24,7 +24,6 @@ from .recovery import (
     TraceRow,
     fit,
     recover,
-    should_stop,
 )
 from .sparsify import (
     EdgeStatistics,

@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after this many iterations without an accept; a run stops"
                         " sooner once deleting any one edge from the held fit would raise"
                         " the rms past --tol")
-    p.add_argument("--stop-on-tree", action="store_true", default=cfg.stop_on_tree)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--workers", type=_positive_int, default=None)
 

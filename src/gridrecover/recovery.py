@@ -5,11 +5,17 @@ then repeatedly sparsifies the current network and re-estimates parameters on
 the surviving edges.  A sparsification that fails to drop edges loosens the
 closeness parameter (eps *= psi); a re-estimation whose rms exceeds the
 tolerance tightens it (eps /= psi); an accepted network strictly shrinks the
-edge set.  Iteration 1 is the complete-graph fit itself.  The loop stops
-once deleting any one edge from the held fit would raise the rms past the
-tolerance, least squares on the remaining edges included, since every later
-candidate lies inside such a deletion (reason ``minimal``, see
-:func:`_minimal`), or else when a configured limit is reached.
+edge set.  Iteration 1 is the complete-graph fit itself.  Before each
+further iteration the loop checks, in this order, whether it stops:
+
+- ``minimal``: deleting any one edge from the held fit would raise the rms
+  past the tolerance, least squares on the remaining edges included, and
+  every later candidate lies inside such a deletion (see :func:`_minimal`);
+- ``time``: ``max_wall_time`` seconds have passed since the run began;
+- ``iterations``: the trace has ``max_iterations`` rows;
+- ``stale``: ``max_stale_iterations`` rows have followed the held fit's.
+
+It logs the reason at INFO, as ``stopping after iteration N (reason)``.
 
 All candidate systems are column restrictions of the complete-graph system,
 assembled once per run into its triangular factor, and every one is
@@ -22,14 +28,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .network import Network, _real, complete_edges, is_spanning_tree
+from .network import Network, _integral, _real, complete_edges
 from .nnls import NnlsError, NnlsResult, _full_rank, solve as nnls_solve
 from .sparsify import sparsify_ac
 from .states import StateSet, rms as states_rms
@@ -63,10 +68,6 @@ EVENTS = (EVENT_INITIAL, EVENT_ACCEPTED, EVENT_REJECTED_RMS, EVENT_NO_REDUCTION)
 MINIMAL_ROUNDOFF_UNITS = 100
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass
 class RecoveryConfig:
     """Knobs of the recovery loop.
@@ -75,9 +76,9 @@ class RecoveryConfig:
     exploration factor, both finite.  ``tol`` is the rms acceptance
     tolerance.  These three and the wall time are numbers, not booleans or
     strings.  ``seed`` is a non-negative integer, as numpy's seed
-    sequences take.  At least one stopping criterion must be enabled; the
-    iteration counts must be integers of at least 1 and the wall time
-    positive.
+    sequences take.  At least one finite limit must be set; the iteration
+    counts must be integers of at least 1 and the wall time positive.  An
+    integral float such as ``3.0`` is taken as its int.
     """
 
     eps0: float = 0.1
@@ -87,7 +88,6 @@ class RecoveryConfig:
     max_iterations: int | None = None
     max_wall_time: float | None = None
     max_stale_iterations: int | None = 30
-    stop_on_tree: bool = False
 
     def __post_init__(self):
         # written as "not lo < x < hi" so that nan is rejected too
@@ -97,22 +97,19 @@ class RecoveryConfig:
             raise ValueError("psi must exceed 1 and be finite")
         if not _real(self.tol, "tol") > 0:
             raise ValueError("tol must be positive")
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        self.seed = _integral(self.seed, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("max_iterations", "max_stale_iterations"):
             value = getattr(self, name)
-            if value is not None and not (_is_integer(value) and value >= 1):
-                raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
+            if value is not None and (value := _integral(value, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+            setattr(self, name, value)
         if self.max_wall_time is not None and not _real(self.max_wall_time, "max_wall_time") > 0:
             raise ValueError("max_wall_time must be positive")
-        if not (
-            self.max_iterations is not None
-            or self.max_wall_time is not None
-            or self.max_stale_iterations is not None
-            or self.stop_on_tree
-        ):
+        # None sets no limit, and neither does an infinite wall time
+        limits = (self.max_iterations, self.max_stale_iterations, self.max_wall_time or math.inf)
+        if limits == (None, None, math.inf):
             raise ValueError("enable at least one stopping criterion")
 
 
@@ -241,22 +238,12 @@ class TraceRow:
 
 @dataclass
 class RecoveryTrace:
-    """Full per-iteration log of one recovery run; rows are added by
-    :meth:`append`, which keeps the count of trailing stale rows."""
+    """Full per-iteration log of one recovery run."""
 
     rows: list[TraceRow] = field(default_factory=list)
-    _stale: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for row in self.rows:
-            self._count(row)
-
-    def _count(self, row: TraceRow) -> None:
-        self._stale = 0 if row.event in (EVENT_INITIAL, EVENT_ACCEPTED) else self._stale + 1
 
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
-        self._count(row)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -267,10 +254,6 @@ class RecoveryTrace:
     def filtered(self) -> list[TraceRow]:
         """Rows where the held network changed (the published-table view)."""
         return [r for r in self.rows if r.event in (EVENT_INITIAL, EVENT_ACCEPTED)]
-
-    def stale_iterations(self) -> int:
-        """Consecutive trailing iterations without an accepted change."""
-        return self._stale
 
 
 class RecoveryError(RuntimeError):
@@ -285,27 +268,6 @@ class RecoveryError(RuntimeError):
     def __reduce__(self):
         # rebuilt from all three arguments, so the error crosses a process boundary
         return type(self), (*self.args, self.trace, self.network)
-
-
-def should_stop(
-    trace: RecoveryTrace,
-    cfg: RecoveryConfig,
-    elapsed: float = 0.0,
-    net: Network | None = None,
-) -> tuple[bool, str]:
-    """Evaluate the enabled stopping criteria against the current run."""
-    if cfg.max_wall_time is not None and elapsed >= cfg.max_wall_time:
-        return True, "time"
-    if cfg.max_iterations is not None and len(trace) >= cfg.max_iterations:
-        return True, "iterations"
-    if (
-        cfg.max_stale_iterations is not None
-        and trace.stale_iterations() >= cfg.max_stale_iterations
-    ):
-        return True, "stale"
-    if cfg.stop_on_tree and net is not None and is_spanning_tree(net):
-        return True, "tree"
-    return False, ""
 
 
 def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Network, RecoveryTrace]:
@@ -333,7 +295,7 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     # Laplacian, so they change no draw; a draw must have fewer edges than
     # the held fit, whose count includes them until the first accept
     cur = positive_network_from_columns(held.system, held.nnls.w)
-    held_size = len(full.edges)
+    held_size, held_at = len(full.edges), 1  # held_at: the iteration of the held fit's row
     trace.append(TraceRow(1, held_size, held.rms, held.kappa, cfg.eps0, EVENT_INITIAL))
     if held.rms > cfg.tol:
         log.warning(
@@ -344,8 +306,14 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     minimal = False  # no later candidate can be accepted (see _minimal)
     # the iteration under way is len(trace) + 1: every iteration appends one row
     while True:
-        stop, reason = (True, "minimal") if minimal else should_stop(trace, cfg, time.monotonic() - t0, cur)
-        if stop:
+        reason = (  # a limit of None is no limit
+            "minimal" if minimal
+            else "time" if time.monotonic() - t0 >= (cfg.max_wall_time or math.inf)
+            else "iterations" if len(trace) >= (cfg.max_iterations or math.inf)
+            else "stale" if len(trace) - held_at >= (cfg.max_stale_iterations or math.inf)
+            else None
+        )
+        if reason:
             log.info("stopping after iteration %d (%s)", len(trace), reason)
             break
         try:
@@ -364,7 +332,7 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
                 ) from exc
             if refit.rms <= cfg.tol:
                 cur, held = positive_network_from_columns(refit.system, refit.nnls.w), refit
-                held_size = len(cur.edges)
+                held_size, held_at = len(cur.edges), len(trace) + 1
                 minimal = _minimal(held, cfg.tol)
                 trace.append(TraceRow(len(trace) + 1, held_size, held.rms, held.kappa, eps, EVENT_ACCEPTED))
                 continue

@@ -1,9 +1,11 @@
-"""Every name a module imports is used in that module, and only ``io``
-touches files.
+"""Every name a module imports is used in that module, every name a
+module defines is read somewhere in the package, and only ``io`` touches
+files.
 
 No linter runs on this code base, so an import that outlives its last use
-stays unnoticed.  Package ``__init__.py`` files are exempt, since their
-imports are the re-exported API, and so is ``from __future__``.
+stays unnoticed, and so does a function or constant that outlives its last
+caller.  Package ``__init__.py`` files are exempt, since their imports are
+the re-exported API, and so is ``from __future__``.
 """
 
 import ast
@@ -56,6 +58,77 @@ def test_unused_imports_are_found():
         "print(os.path.sep, tau)\n"
     )
     assert unused_imports(source) == [(3, "np"), (4, "pi")]
+
+
+def defined_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level function, class and assigned name."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (node.lineno, leaf.id)
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            ]
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Every name that an expression reads, an attribute names or an import takes."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """"file:line: name" of each name that a module of ``sources`` (file
+    name to source) defines and no module reads.  What ``__init__.py``
+    binds is the package's API, and what it imports counts as read."""
+    read = set().union(*map(read_names, sources.values()))
+    return [
+        f"{name}:{line}: {defined}"
+        for name, source in sources.items()
+        if name != "__init__.py"
+        for line, defined in defined_names(source)
+        if defined not in read
+    ]
+
+
+def test_no_dead_names():
+    paths = sorted((ROOT / "src" / "gridrecover").glob("*.py"))
+    assert len(paths) > 5 and paths[0].name == "__init__.py"
+    dead = dead_names({path.name: path.read_text() for path in paths})
+    assert not dead, "defined but never read:\n" + "\n".join(dead)
+
+
+def test_dead_names_are_found():
+    sources = {
+        "a.py": (
+            "import math\n"
+            "LIMIT = 3\n"
+            "_cache, SIZE = {}, 2\n"
+            "def used(): return math.pi\n"
+            "def unused(): return LIMIT\n"
+            "class Gone: pass\n"
+            "shadowed: int = 0\n"
+            "shadowed = 1\n"
+        ),
+        "b.py": "from .a import used\nfrom . import a\nprint(used(), a._cache)\n",
+        "__init__.py": "from .a import SIZE\n__version__ = '0'\n",
+    }
+    assert dead_names(sources) == [
+        "a.py:5: unused", "a.py:6: Gone", "a.py:7: shadowed", "a.py:8: shadowed",
+    ]
 
 
 def test_package_and_command_line_need_only_numpy():

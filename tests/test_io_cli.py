@@ -618,9 +618,12 @@ SEED_MESSAGE = "--seed: must be non-negative, got -1"
         (["generate", "--builtin", "table1_dc", "--m", "5", "--seed", "-1"], SEED_MESSAGE),
         (["sparsify", "--network", "network.json", "--eps", "1", "--seed", "-1"], SEED_MESSAGE),
         (["recover", "--states", "states.csv", "--seed", "-1"], SEED_MESSAGE),
+        (["recover", "--states", "states.csv", "--stop-on-tree"],
+         "unrecognized arguments: --stop-on-tree"),
     ],
     ids=["generate-neither-source", "generate-both-sources", "report-out-dir",
-         "generate-negative-seed", "sparsify-negative-seed", "recover-negative-seed"],
+         "generate-negative-seed", "sparsify-negative-seed", "recover-negative-seed",
+         "recover-stop-on-tree"],
 )
 def test_cli_rejects_while_parsing(tmp_path, capsys, args, message):
     # argparse exits before any (missing) input is read or output written

@@ -1,4 +1,5 @@
 import logging
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from gridrecover.network import DC, Network, complete_edges
 from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import (
     _minimal,
-    EVENTS,
     EVENT_ACCEPTED,
     EVENT_INITIAL,
     EVENT_NO_REDUCTION,
@@ -25,7 +25,6 @@ from gridrecover.recovery import (
     TraceRow,
     fit,
     recover,
-    should_stop,
 )
 from gridrecover.states import StateSet, add_noise, generate_scenario, rms
 from gridrecover.vandermonde import VandermondeSystem, assemble, restrict
@@ -41,7 +40,9 @@ def test_config_validation():
         RecoveryConfig(tol=0.0)
     with pytest.raises(ValueError):
         RecoveryConfig(max_iterations=None, max_wall_time=None, max_stale_iterations=None)
-    RecoveryConfig(max_stale_iterations=None, stop_on_tree=True)  # one criterion is enough
+    with pytest.raises(ValueError, match="enable at least one stopping criterion"):
+        RecoveryConfig(max_stale_iterations=None, max_wall_time=math.inf)  # no limit at all
+    RecoveryConfig(max_stale_iterations=None, max_iterations=1)  # one criterion is enough
     nan = float("nan")
     for field, value, message in (
         ("eps0", nan, "eps0 must be positive"),
@@ -58,9 +59,9 @@ def test_config_validation():
         ("seed", -1, "seed must be non-negative, got -1"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("seed", True, "seed must be an integer, got True"),
-        ("max_iterations", 2.5, "max_iterations must be at least 1 and an integer, got 2.5"),
-        ("max_stale_iterations", 2.5, "max_stale_iterations must be at least 1 and an integer"),
-        ("max_stale_iterations", True, "max_stale_iterations must be at least 1 and an integer"),
+        ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+        ("max_stale_iterations", 2.5, "max_stale_iterations must be an integer, got 2.5"),
+        ("max_stale_iterations", True, "max_stale_iterations must be an integer, got True"),
         ("tol", True, "tol must be a number, got True"),
         ("tol", "1e-5", "tol must be a number, got '1e-5'"),
         ("eps0", "0.1", "eps0 must be a number"),
@@ -72,7 +73,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match=message):
             RecoveryConfig(**{field: value})
     RecoveryConfig(max_iterations=1, max_stale_iterations=1, max_wall_time=1e-3)
-    RecoveryConfig(seed=np.int64(3), max_iterations=np.int32(2))  # numpy integers are integers
+    # numpy integers and integral floats are integers, stored as ints
+    cfg = RecoveryConfig(seed=3.0, max_iterations=np.int32(2), max_stale_iterations=np.int64(4))
+    assert (cfg.seed, cfg.max_iterations, cfg.max_stale_iterations) == (3, 2, 4)
+    assert {type(cfg.seed), type(cfg.max_iterations), type(cfg.max_stale_iterations)} == {int}
     # any real number is a number, and a float keeps its bits
     cfg = RecoveryConfig(eps0=np.float64(0.2), psi=2, tol=0.1 + 0.2, max_wall_time=np.float32(1.5))
     assert cfg.tol == 0.1 + 0.2 and type(cfg.tol) is float and cfg.psi == 2
@@ -173,7 +177,7 @@ def test_recover_accept_everything_under_huge_tolerance(table1_states):
     sizes = [r.edges for r in trace if r.event in (EVENT_INITIAL, EVENT_ACCEPTED)]
     assert sizes == sorted(sizes, reverse=True)
     assert all(r.event != EVENT_REJECTED_RMS for r in trace)
-    assert trace.stale_iterations() >= 10
+    assert _rescanned_stale_count(trace.rows) >= 10
 
 
 def test_recover_accepted_rows_strictly_shrink(table1_states):
@@ -289,31 +293,31 @@ def _stub_trace(events):
     return trace
 
 
-def test_should_stop_reasons():
-    cfg = RecoveryConfig(max_iterations=5, max_wall_time=60.0, max_stale_iterations=3)
-    trace = _stub_trace([EVENT_INITIAL])
-    assert should_stop(trace, cfg, elapsed=61.0) == (True, "time")
-    assert should_stop(trace, cfg, elapsed=0.0) == (False, "")
-    long = _stub_trace([EVENT_INITIAL] + [EVENT_ACCEPTED] * 4)
-    assert should_stop(long, cfg, elapsed=0.0) == (True, "iterations")
-    stale = _stub_trace([EVENT_INITIAL, EVENT_NO_REDUCTION, EVENT_REJECTED_RMS, EVENT_NO_REDUCTION])
-    assert should_stop(stale, cfg, elapsed=0.0) == (True, "stale")
-
-
-def test_should_stop_on_tree():
-    cfg = RecoveryConfig(stop_on_tree=True, max_stale_iterations=None)
-    trace = _stub_trace([EVENT_INITIAL])
-    path = Network.dc(3, ((1, 2), (2, 3)), [1.0, 1.0])
-    triangle = Network.dc(3, ((1, 2), (2, 3), (1, 3)), [1.0, 1.0, 1.0])
-    assert should_stop(trace, cfg, net=path) == (True, "tree")
-    assert should_stop(trace, cfg, net=triangle) == (False, "")
+@pytest.mark.parametrize(
+    ("limits", "reason", "rows"),
+    [
+        (dict(max_iterations=1), "iterations", 1),
+        (dict(max_wall_time=1e-9), "time", 1),
+        (dict(max_wall_time=1e-9, max_iterations=1), "time", 1),  # time is checked first
+        (dict(tol=1e-14, max_stale_iterations=3), "stale", 4),  # every refit rejected
+        ({}, "minimal", 2),
+    ],
+    ids=["iterations", "time", "time-before-iterations", "stale", "minimal"],
+)
+def test_recover_stop_reasons(table1_states, caplog, limits, reason, rows):
+    with caplog.at_level(logging.INFO, logger="gridrecover.recovery"):
+        _, trace = recover(table1_states, RecoveryConfig(seed=0, **limits))
+    stops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stopping")]
+    assert stops == [f"stopping after iteration {rows} ({reason})"]
+    assert len(trace) == rows
+    if reason == "stale":
+        assert [r.event for r in trace.rows[1:]] == [EVENT_REJECTED_RMS] * 3
 
 
 def test_stale_counter():
     trace = _stub_trace(
         [EVENT_INITIAL, EVENT_ACCEPTED, EVENT_NO_REDUCTION, EVENT_REJECTED_RMS]
     )
-    assert trace.stale_iterations() == 2
     assert len(trace.filtered()) == 2
 
 
@@ -324,17 +328,6 @@ def _rescanned_stale_count(rows):
             break
         count += 1
     return count
-
-
-def test_stale_count_kept_on_append_equals_a_rescan():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        trace = RecoveryTrace()
-        for i in range(int(rng.integers(0, 30))):
-            trace.append(TraceRow(i + 1, 5, 1e-9, 10.0, 0.1, str(rng.choice(EVENTS))))
-            assert trace.stale_iterations() == _rescanned_stale_count(trace.rows)
-        # a trace built from rows counts them too
-        assert RecoveryTrace(list(trace.rows)).stale_iterations() == trace.stale_iterations()
 
 
 def _builtin_run(name, sigma, seed):
@@ -469,7 +462,7 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     _, trace = recover(states, cfg)
     # one network is held from each initial or accepted row to the next; a
     # run that ends on a minimal network never samples that last one
-    minimal = trace.stale_iterations() < cfg.max_stale_iterations
+    minimal = _rescanned_stale_count(trace.rows) < cfg.max_stale_iterations
     assert minimal == (name == "small_ac")
     accepted = sum(row.event == EVENT_ACCEPTED for row in trace)
     assert len(held) == 1 + accepted - minimal == len(trace.filtered()) - minimal > 2
@@ -498,7 +491,7 @@ def test_ending_on_a_minimal_network_changes_no_result(monkeypatch, name, sigma,
     net, trace = recover(states, cfg)
     monkeypatch.setattr(gridrecover.recovery, "_minimal", lambda held, tol: False)
     stale_net, stale_trace = recover(states, cfg)
-    assert stale_trace.stale_iterations() == cfg.max_stale_iterations
+    assert _rescanned_stale_count(stale_trace.rows) == cfg.max_stale_iterations
     assert trace.rows == stale_trace.rows[: len(trace)]
     assert net.edges == stale_net.edges
     assert net.c.tobytes() == stale_net.c.tobytes() and net.s.tobytes() == stale_net.s.tobytes()
