@@ -44,14 +44,19 @@ def _finite_non_negative(value, what: str):
     return value
 
 
-def _children(seed, count: int) -> list[np.random.SeedSequence]:
-    """``count`` children of ``seed``, a SeedSequence or an entropy value to
-    make one from.  A given SeedSequence is spawned from a copy, so a call
-    does not advance it, and the same seed object gives the same children
-    on every call."""
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` as a SeedSequence of the caller's own: a copy of a given
+    one, so that spawning from it does not advance the given one, or one
+    made from ``seed`` as entropy."""
     if isinstance(seed, np.random.SeedSequence):
-        return copy.copy(seed).spawn(count)
-    return np.random.SeedSequence(seed).spawn(count)
+        return copy.copy(seed)
+    return np.random.SeedSequence(seed)
+
+
+def _children(seed, count: int) -> list[np.random.SeedSequence]:
+    """``count`` children of :func:`_seed_sequence` of ``seed``: the same
+    seed object gives the same children on every call."""
+    return _seed_sequence(seed).spawn(count)
 
 
 def _oriented(j: int, k: int) -> Edge:

@@ -19,6 +19,12 @@ imaginary parts of v * conj(L) cut to the non-slack nodes, with the
 injections added on the diagonals; each entry is the same floating-point
 operation as in the complex formula diag(inj) + v * conj(L), so the
 voltages keep their bits.
+
+Each scenario state draws its injections from its own stream: numpy's
+``default_rng(child)`` for its child of the seed.  The streams of all
+states are computed at once, as arrays over the states: the children's
+SeedSequence pools, the PCG64 seeding, and each draw as a 128-bit LCG step
+with the XSL-RR output, bit for bit as numpy makes them one by one.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AC, DC, Network, _children, _finite_non_negative, _integral, admittance_matrix, is_connected
+from .network import AC, DC, Network, _finite_non_negative, _integral, _seed_sequence, admittance_matrix, is_connected
 
 
 class PowerFlowError(RuntimeError):
@@ -143,8 +149,9 @@ class Scenario:
             if not 1 <= j <= self.n or j == self.slack:
                 raise ValueError(f"zero-injection node {j} must be a non-slack node in 1..{self.n}")
         for lo, hi in (self.p_range, self.q_range):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ValueError(f"bad sampling range ({lo}, {hi})")
+            # a draw is lo + (hi - lo) * u, so its width must be finite too
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi) or np.isinf(float(hi) - float(lo)):
+                raise ValueError(f"bad sampling range ({lo}, {hi}): need finite lo <= hi, hi - lo finite")
         _finite_non_negative(self.sigma, "noise stddev")
 
 
@@ -364,12 +371,147 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, solved
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into a pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generating state words from a pool
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
+_M1, _M0 = np.uint64(_PCG_MULT >> 32 & _MASK32), np.uint64(_PCG_MULT & _MASK32)  # _MULT_LO's limbs
+# shifts and masks as uint64 scalars: a Python int beside a uint64 operand
+# could change the result's dtype under numpy's legacy promotion
+_U1, _U11, _U32, _U58, _U63, _U64, _LOW = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64, _MASK32))
+
+
+def _uint32_words(x) -> list[int]:
+    """Entropy as numpy's SeedSequence reads it: an int as its little-endian
+    32-bit words (0 as one word), and a sequence as its items' words in
+    order.  numpy parses a string item by rules of its own, which are not
+    copied here, so one is refused."""
+    if isinstance(x, str):
+        raise ValueError(f"seed items must be integers, got {x!r}")
+    if not isinstance(x, (int, np.integer)):
+        return [w for item in x for w in _uint32_words(item)]
+    x = int(x)  # SeedSequence has refused a negative one
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hash(value, const: int, mult: int):
+    """One step of numpy's SeedSequence hash of ``value``, an int below
+    2**32 or a uint32 array, with the running constant ``const``: the
+    hashed value and the next constant.  Every int here is below 2**32, so
+    it keeps an array's uint32 dtype under either numpy promotion rule."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """numpy's SeedSequence mix of two words, ints or uint32 arrays alike."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _child_pools(ss: np.random.SeedSequence, count: int) -> np.ndarray:
+    """(count, pool_size) uint32: the entropy pools of the ``count``
+    children that ``ss.spawn(count)`` would make, without making them.
+
+    A child's entropy words are its parent's entropy (zero-padded to the
+    pool size), the parent's spawn key and last its own index.  Only that
+    index differs between children, so the pool is mixed up to it once, and
+    every child's index is mixed in as an array.
+    """
+    size = ss.pool_size
+    words = _uint32_words(ss.entropy)
+    words += [0] * (size - len(words)) + _uint32_words(ss.spawn_key)
+    const = _INIT_A
+    pool = []
+    for w in words[:size]:
+        h, const = _hash(w, const, _MULT_A)
+        pool.append(h)
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                h, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[size:]:
+        for dst in range(size):
+            h, const = _hash(w, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    first = ss.n_children_spawned  # a uint32 in numpy, so an index is one word
+    if first + count > 2**32:
+        raise ValueError(f"a SeedSequence spawns at most 2**32 children, asked for {first} + {count}")
+    index = np.arange(first, first + count, dtype=np.uint32)
+    pools = np.empty((count, size), dtype=np.uint32)
+    for dst in range(size):
+        h, const = _hash(index, const, _MULT_A)
+        pools[:, dst] = _mix(np.full(count, pool[dst], dtype=np.uint32), h)
+    return pools
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on the (hi, lo)
+    uint64 halves of a stack of states.  uint64 products wrap mod 2**64;
+    the high half of lo times the multiplier's low half is summed from
+    32-bit limb products, which uint64 holds exactly."""
+    a0, a1 = lo & _LOW, lo >> _U32
+    p00, p01, p10 = a0 * _M0, a0 * _M1, a1 * _M0
+    mid = (p00 >> _U32) + (p01 & _LOW) + (p10 & _LOW)
+    mulhi = a1 * _M1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    lo_out = lo * _MULT_LO + inc_lo
+    hi_out = mulhi + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (lo_out < inc_lo)
+    return hi_out, lo_out
+
+
+def _pcg64_streams(pools: np.ndarray) -> np.ndarray:
+    """(4, count) uint64: the state (high, low half) and increment (high,
+    low) of ``default_rng(child)``'s PCG64 for each child's pool.
+
+    The pool yields four uint64 words (numpy's ``generate_state(4,
+    np.uint64)``): the initial state and the sequence; PCG64 seeds as
+    O'Neill's ``srandom`` does, inc = 2 * sequence + 1 and a step, the
+    initial state added, a step.
+    """
+    const = _INIT_B
+    words = []
+    for i in range(8):
+        w, const = _hash(pools[:, i % pools.shape[1]], const, _MULT_B)
+        words.append(w.astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (words[2 * j] | words[2 * j + 1] << _U32 for j in range(4))
+    inc_hi, inc_lo = q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1
+    lo = inc_lo + s_lo
+    hi, lo = _lcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+    return np.stack([hi, lo, inc_hi, inc_lo])
+
+
+def _random(streams: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """(len(rows), k): the next k doubles of the PCG64 streams ``rows`` of
+    ``streams`` (:func:`_pcg64_streams`), as ``Generator.random`` draws
+    them, and those streams advanced past them.  A draw is one step and
+    the XSL-RR output x, as the double (x >> 11) * 2**-53."""
+    hi, lo, inc_hi, inc_lo = streams[:, rows]
+    out = np.empty((k, len(hi)), dtype=np.uint64)
+    for j in range(k):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U58
+        out[j] = x >> rot | x << (_U64 - rot & _U63)
+    streams[:2, rows] = hi, lo
+    return (out.T >> _U11) * 2.0**-53
+
+
 def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     """Sample injections per the scenario and solve power flow for all states.
 
     Residuals of the output are at the Newton tolerance (<= 1e-10 rms) before
-    noise.  Every state draws from its own RNG substream derived from the
-    seed, so the output is deterministic and shardable; a SeedSequence given
+    noise.  State k draws from numpy's ``default_rng(child)`` stream of the
+    k-th child of the seed (children as :func:`network._children` spawns
+    them), computed for all states at once, so the output is deterministic
+    and shardable; the noise is drawn from child m.  A SeedSequence given
     as ``seed`` is not advanced.  Each round solves the states whose
     voltages are still pending in one batched solve_power_flow call; a state
     whose voltage magnitude left VOLTAGE_RANGE draws again, up to
@@ -386,9 +528,10 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     loads = np.array([j for j in range(net.n) if j + 1 != slack and j + 1 not in scen.zero], int)
     vmin, vmax = VOLTAGE_RANGE
     dc = net.kind == DC
-    children = _children(seed, m + 1)
-    rngs = [np.random.default_rng(child) for child in children[:m]]
-    lo, hi = zip(scen.p_range, scen.q_range)  # AC draws (P, Q) per load, in that order
+    ss = _seed_sequence(seed)
+    streams = _pcg64_streams(_child_pools(ss, m))
+    # AC draws (P, Q) per load, in that order; numpy's uniform is lo + (hi - lo) * u
+    lo, hi = np.array([scen.p_range] if dc else [scen.p_range, scen.q_range], dtype=float).T
     P = np.zeros((m, net.n))
     Q = np.zeros((m, net.n))
     V = np.empty((m, net.n), dtype=complex)
@@ -396,11 +539,11 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     error = None  # the failure of the first state, in order, seen so far
 
     for _ in range(MAX_RETRIES):
-        for k in pending:
-            if dc:
-                P[k, loads] = rngs[k].uniform(*scen.p_range, size=loads.size)
-            else:
-                P[k, loads], Q[k, loads] = rngs[k].uniform(lo, hi, size=(loads.size, 2)).T
+        u = _random(streams, pending, loads.size * lo.size).reshape(pending.size, loads.size, lo.size)
+        draws = lo + (hi - lo) * u
+        P[np.ix_(pending, loads)] = draws[..., 0]
+        if not dc:
+            Q[np.ix_(pending, loads)] = draws[..., 1]
         try:
             v = solve_power_flow(net, P[pending], Q[pending], slack=slack)
         except PowerFlowError as exc:
@@ -436,7 +579,10 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
         Q[:, slack - 1] = S.imag[:, slack - 1]
         out = StateSet(AC, V.real, V.imag, P, Q)
     if scen.sigma > 0:
-        out = add_noise(out, scen.sigma, children[m])
+        # the child that ss.spawn(m + 1) would make last
+        key = (*ss.spawn_key, ss.n_children_spawned + m)
+        noise = np.random.SeedSequence(ss.entropy, spawn_key=key, pool_size=ss.pool_size)
+        out = add_noise(out, scen.sigma, noise)
     return out
 
 

@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module, every name a
-module defines is read somewhere in the package, and only ``io`` touches
-files.
+module defines is read somewhere in the package, only ``io`` touches
+files, and no module reaches for a private name of numpy.
 
 No linter runs on this code base, so an import that outlives its last use
 stays unnoticed, and so does a function or constant that outlives its last
@@ -201,4 +201,76 @@ def test_file_access_is_found():
     )
     assert sorted(file_access(source)) == [
         (1, "csv"), (2, "json"), (5, "open"), (6, "write_text"), (7, "read_text"),
+    ]
+
+
+def _private(dotted: str) -> bool:
+    """Whether a part of the dotted name starts with an underscore and is
+    not a dunder such as ``__version__``."""
+    return any(p.startswith("_") and not p.endswith("__") for p in dotted.split("."))
+
+
+def numpy_private_names(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of each private name reached in numpy: imported
+    from a numpy module, or read as an attribute of a numpy module or
+    object under whatever name it was imported as."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> dotted numpy name
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "numpy":
+                    # "import numpy.random" binds numpy, "import numpy.random as r" binds r
+                    bound[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+                    if _private(alias.name):
+                        found.append((node.lineno, alias.name))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == "numpy":
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = dotted
+                if _private(dotted):
+                    found.append((node.lineno, dotted))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            chain, base = [node.attr], node.value
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                found.append((node.lineno, ".".join([bound[base.id], *reversed(chain)])))
+    return sorted(found)
+
+
+def test_no_numpy_private_names():
+    # numpy's streams are recomputed in gridrecover.states from numpy's
+    # published algorithms, not borrowed from its internals
+    paths = sorted((ROOT / "src" / "gridrecover").glob("*.py"))
+    assert len(paths) > 5
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in paths
+        for line, name in numpy_private_names(path.read_text())
+    ]
+    assert not found, "private numpy names:\n" + "\n".join(found)
+
+
+def test_numpy_private_names_are_found():
+    source = (
+        "import os\n"
+        "import numpy as np\n"
+        "import numpy.random._pcg64\n"
+        "from numpy.random.bit_generator import _coerce_to_uint32_array, SeedSequence\n"
+        "from numpy.random import bit_generator as bg\n"
+        "from numpy._core import multiarray\n"
+        "from ._local import _helper\n"
+        "print(np.__version__, np.random._pickle.x, bg._int_to_uint32_array(1))\n"
+        "print(os._exit, _helper._x, SeedSequence.pool)\n"
+    )
+    assert numpy_private_names(source) == [
+        (3, "numpy.random._pcg64"),
+        (4, "numpy.random.bit_generator._coerce_to_uint32_array"),
+        (6, "numpy._core.multiarray"),
+        (8, "numpy.random._pickle"),
+        (8, "numpy.random.bit_generator._int_to_uint32_array"),
     ]

@@ -10,18 +10,27 @@ other; its factored solves must take the same active-set steps as
 solving every step afresh by least squares, from w = 0 and from all
 columns; the Newton Jacobian built on
 the non-slack block must equal the complex formula's block, at any slack;
-and no proper subset of a network the recovery loop certifies minimal may
-fit within its tolerance.
+no proper subset of a network the recovery loop certifies minimal may
+fit within its tolerance; and the scenario streams, computed for all
+children of a seed at once, must be numpy's ``default_rng(child)`` streams
+bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridrecover.network import DC, admittance_matrix, complete_edges
+from gridrecover.network import DC, _children, _seed_sequence, admittance_matrix, complete_edges
 from gridrecover.nnls import solve as nnls_solve
 from gridrecover.recovery import _minimal, fit
-from gridrecover.states import _jacobian, add_noise, generate_voltage_driven
+from gridrecover.states import (
+    _child_pools,
+    _jacobian,
+    _pcg64_streams,
+    _random,
+    add_noise,
+    generate_voltage_driven,
+)
 from gridrecover.vandermonde import (
     assemble,
     network_from_columns,
@@ -275,3 +284,57 @@ def test_no_proper_subset_of_a_minimal_network_fits(case):
             for cut in deletions
         )
         assert not _minimal(held, (1 + 1e-6) * floor)
+
+
+def _spawned(entropy: int, count: int) -> np.random.SeedSequence:
+    ss = np.random.SeedSequence(entropy)
+    ss.spawn(count)
+    return ss
+
+
+def seeds(kind: str):
+    """Seeds of one kind that _children takes: 0, a small int, an int of
+    three or more words, a list of ints, fresh OS entropy (seed None, kept
+    as its sequence so that both sides read the same entropy), and
+    SeedSequences with a spawn key of one- and two-word ints, with children
+    spawned before, and with a pool of 8 words."""
+    entropy = st.integers(0, 2**64)
+    return {
+        "zero": st.just(0),
+        "small": st.integers(1, 2**32 - 1),
+        "big": st.integers(2**64, 2**130),
+        "list": st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+        "none": st.builds(np.random.SeedSequence, st.none()),
+        "key": st.builds(
+            lambda e, key: np.random.SeedSequence(e, spawn_key=tuple(key)),
+            entropy,
+            st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
+        ),
+        "spawned": st.builds(_spawned, entropy, st.integers(1, 5)),
+        "pool": st.builds(lambda e: np.random.SeedSequence(e, pool_size=8), entropy),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["zero", "small", "big", "list", "none", "key", "spawned", "pool"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scenario_streams_are_numpys_default_rng_streams(kind, data):
+    seed = data.draw(seeds(kind))
+    count, k = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 9))
+    children = _children(seed, count)
+    pools = _child_pools(_seed_sequence(seed), count)
+    assert pools.dtype == np.uint32
+    assert np.array_equal(pools, [child.pool for child in children])
+    streams = _pcg64_streams(pools)
+    rngs = [np.random.default_rng(child) for child in children]
+    for j, rng in enumerate(rngs):
+        state = rng.bit_generator.state["state"]
+        assert int(streams[0, j]) << 64 | int(streams[1, j]) == state["state"]
+        assert int(streams[2, j]) << 64 | int(streams[3, j]) == state["inc"]
+    got = _random(streams, np.arange(count), k)
+    assert got.tobytes() == np.array([rng.random(k) for rng in rngs]).tobytes()
+    # a retry round continues only some streams, each where it stopped
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, count - 1)))), dtype=int)
+    more = data.draw(st.integers(0, 9))
+    want = np.array([rngs[j].random(more) for j in rows]).reshape(len(rows), more)
+    assert _random(streams, rows, more).tobytes() == want.tobytes()

@@ -142,6 +142,14 @@ def test_scenario_validation():
     assert Scenario(3, slack=3, zero=(1, 2)).zero == (1, 2)
 
 
+@pytest.mark.parametrize("field", ["p_range", "q_range"])
+def test_scenario_rejects_a_range_whose_width_overflows(field):
+    # both ends are finite, but a draw lo + (hi - lo) * u would be inf or nan
+    with pytest.raises(ValueError, match=r"^bad sampling range \(-1e\+308, 1e\+308\): .*hi - lo finite$"):
+        Scenario(6, **{field: (-1e308, 1e308)})
+    assert getattr(Scenario(6, **{field: (-1e308, 0.0)}), field) == (-1e308, 0.0)
+
+
 def test_generate_scenario_exact_and_zero_injection(table1_network):
     scen = Scenario(6, zero=(2,), p_range=(-0.01, 0.0))
     states = generate_scenario(table1_network, scen, 30, seed=1)
@@ -170,6 +178,32 @@ def test_generate_scenario_leaves_a_seed_sequence_as_it_was(name):
     assert ss.n_children_spawned == 0
     for a in ("e", "f", "p", "q"):
         assert getattr(first, a).tobytes() == getattr(second, a).tobytes()
+
+
+@pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
+def test_generate_scenario_from_a_seed_sequence_that_has_spawned_equals_the_oracle(name):
+    # the state and noise children are those after the three spawned before
+    net, scen = builtin_network(name, 0), builtin_scenario(name, sigma=1e-6)
+    ss = np.random.SeedSequence(5)
+    ss.spawn(3)
+    got = generate_scenario(net, scen, 20, seed=ss)
+    assert got == scenario_per_state(net, scen, 20, seed=ss)
+    assert got != generate_scenario(net, scen, 20, seed=np.random.SeedSequence(5))
+    assert ss.n_children_spawned == 3
+
+
+def test_generate_scenario_refuses_child_indices_past_32_bits():
+    # numpy counts children in a uint32; its own spawn would not return here
+    ss = np.random.SeedSequence(9, n_children_spawned=2**32 - 2)
+    with pytest.raises(ValueError, match=r"^a SeedSequence spawns at most 2\*\*32 children, asked for 4294967294 \+ 3$"):
+        generate_scenario(PATH3, Scenario(3), 3, seed=ss)
+    assert generate_scenario(PATH3, Scenario(3), 2, seed=ss).m == 2
+
+
+def test_generate_scenario_refuses_a_seed_string():
+    # numpy parses a string item ("017" as 17 in numpy 2.4) by rules not copied here
+    with pytest.raises(ValueError, match="^seed items must be integers, got '017'$"):
+        generate_scenario(PATH3, Scenario(3), 2, seed=[1, "017"])
 
 
 def test_generate_scenario_ac_residuals_small():
