@@ -17,11 +17,11 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from numpy.random import SeedSequence
 
 from . import io
 from .bounds import ac_bound, dc_bound, dc_bound_coarse
 from .builtins import BUILTINS, builtin_network, builtin_scenario
+from .network import _children
 from .nnls import NnlsError
 from .recovery import RecoveryConfig, RecoveryError, fit, recover
 from .sparsify import row_statistics, sparsify_ac
@@ -72,11 +72,12 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
+    # a builtin's network and states, or voltage-driven states and their noise
+    first, second = _children(args.seed, 2)
     if args.builtin:
-        net_seed, data_seed = SeedSequence(args.seed).spawn(2)
-        net = builtin_network(args.builtin, net_seed)
+        net = builtin_network(args.builtin, first)
         scen = builtin_scenario(args.builtin, sigma=args.noise)
-        states = generate_scenario(net, scen, args.m, seed=data_seed)
+        states = generate_scenario(net, scen, args.m, seed=second)
         provenance = {
             "builtin": args.builtin,
             "slack": scen.slack,
@@ -86,10 +87,7 @@ def cmd_generate(args) -> int:
         }
     else:
         net = io.load_network(args.network)
-        voltage_seed, noise_seed = SeedSequence(args.seed).spawn(2)
-        states = generate_voltage_driven(net, args.m, seed=voltage_seed)
-        if args.noise:
-            states = add_noise(states, args.noise, seed=noise_seed)
+        states = add_noise(generate_voltage_driven(net, args.m, seed=first), args.noise, seed=second)
         provenance = {"network": str(args.network), "sampling": "voltage_driven"}
     provenance.update({"m": args.m, "seed": args.seed, "noise": args.noise})
     out = _out_dir(args)
@@ -166,8 +164,8 @@ def cmd_recover(args) -> int:
     states = io.load_states_csv(args.states)
     out = _out_dir(args)  # only once the states are read: bad input leaves no directory
     if args.trials > 1:
-        # the workers fork with numpy.random loaded (SeedSequence above);
-        # numpy imports it lazily, so each would import it again otherwise
+        # the workers fork with numpy.random loaded (network imports
+        # SeedSequence); numpy imports it lazily, so each would import it again
         from concurrent.futures import ProcessPoolExecutor
 
         cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(args.trials)]

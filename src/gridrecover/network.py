@@ -9,7 +9,6 @@ are dense; the intended scale is a few dozen nodes.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random import SeedSequence  # loaded here, before a --trials pool forks
 
 Edge = tuple[int, int]
 
@@ -44,19 +44,36 @@ def _finite_non_negative(value, what: str):
     return value
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    """``seed`` as a SeedSequence of the caller's own: a copy of a given
-    one, so that spawning from it does not advance the given one, or one
-    made from ``seed`` as entropy."""
-    if isinstance(seed, np.random.SeedSequence):
-        return copy.copy(seed)
-    return np.random.SeedSequence(seed)
+def _seed_sequence(seed) -> SeedSequence:
+    """``seed`` as a SeedSequence: a given one as it is, else one made from
+    ``seed`` as entropy.  Its children are made by :func:`_child`, which
+    does not advance it."""
+    return seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
 
 
-def _children(seed, count: int) -> list[np.random.SeedSequence]:
-    """``count`` children of :func:`_seed_sequence` of ``seed``: the same
-    seed object gives the same children on every call."""
-    return _seed_sequence(seed).spawn(count)
+def _child_index(ss: SeedSequence, i: int) -> int:
+    """The spawn-key index of the i-th child of ``ss``: its
+    ``n_children_spawned + i``.  numpy counts children in a uint32, whose
+    ``spawn`` wraps past it and never returns, so an index of 2**32 or more
+    is refused."""
+    index = ss.n_children_spawned + i
+    if index >= 2**32:
+        raise ValueError(f"a SeedSequence's child index must be below 2**32, got {index}")
+    return index
+
+
+def _child(ss: SeedSequence, i: int) -> SeedSequence:
+    """The child that ``ss.spawn`` would make i-th, made as numpy makes it,
+    without advancing ``ss``."""
+    key = (*ss.spawn_key, _child_index(ss, i))
+    return SeedSequence(ss.entropy, spawn_key=key, pool_size=ss.pool_size)
+
+
+def _children(seed, count: int) -> list[SeedSequence]:
+    """The first ``count`` children of :func:`_seed_sequence` of ``seed``:
+    the same seed object gives the same children on every call."""
+    ss = _seed_sequence(seed)
+    return [_child(ss, i) for i in range(count)]
 
 
 def _oriented(j: int, k: int) -> Edge:

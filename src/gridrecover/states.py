@@ -21,19 +21,20 @@ operation as in the complex formula diag(inj) + v * conj(L), so the
 voltages keep their bits.
 
 Each scenario state draws its injections from its own stream: numpy's
-``default_rng(child)`` for its child of the seed.  The streams of all
-states are computed at once, as arrays over the states: the children's
-SeedSequence pools, the PCG64 seeding, and each draw as a 128-bit LCG step
-with the XSL-RR output, bit for bit as numpy makes them one by one.
+``default_rng(child)`` for its child of the seed, numbered as ``ss.spawn``
+would number it.  The streams of all states are computed at once, as
+arrays over the states: the children's SeedSequence pools, the PCG64
+seeding, and each draw as a 128-bit LCG step with the XSL-RR output, bit
+for bit as numpy makes them one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import AC, DC, Network, _finite_non_negative, _integral, _seed_sequence, admittance_matrix, is_connected
+from .network import AC, DC, Network, _child, _child_index, _finite_non_negative, _integral, _seed_sequence, admittance_matrix, is_connected
 
 
 class PowerFlowError(RuntimeError):
@@ -190,8 +191,7 @@ def residuals(net: Network, states: StateSet) -> np.ndarray:
         e = states.e
         r = e * (e @ L.real) - states.p  # L symmetric, so rows e @ L = (L e)^T
         return r.ravel()
-    v = states.voltage()
-    r = v * np.conj(v @ L) - states.power()
+    r = _exact_powers(L, states.voltage()) - states.power()
     out = np.empty((states.m, 2 * states.n))
     out[:, 0::2] = r.real
     out[:, 1::2] = r.imag
@@ -279,11 +279,11 @@ def solve_power_flow(
     rows = np.arange(len(P))  # the rows still iterating, and their v, f, inj, |f|
     v = V.copy()
     f, inj, fnorm = mismatch(v, rows)
-    for _ in range(NEWTON_MAX_ITER):
+    for it in range(NEWTON_MAX_ITER + 1):  # the last pass only checks
         done = fnorm <= NEWTON_TOL
         V[rows[done]] = v[done]
         rows, v, f, inj, fnorm = (a[~done] for a in (rows, v, f, inj, fnorm))
-        if not rows.size:
+        if not rows.size or it == NEWTON_MAX_ITER:
             break
         step, solved = _solve_stack(_jacobian(v, inj, conj_block, ns, dc), -f)
         failed.update(dict.fromkeys(rows[~solved].tolist(), "singular power-flow Jacobian"))
@@ -306,10 +306,8 @@ def solve_power_flow(
         failed.update(dict.fromkeys(rows[trying].tolist(), "damping failed to reduce the mismatch"))
         solved[trying] = False
         rows, v, f, inj, fnorm = (a[solved] for a in (rows, v, f, inj, fnorm))
-    done = fnorm <= NEWTON_TOL
-    V[rows[done]] = v[done]
     reason = f"no convergence after {NEWTON_MAX_ITER} Newton iterations"
-    failed.update(dict.fromkeys(rows[~done].tolist(), reason))
+    failed.update(dict.fromkeys(rows.tolist(), reason))
     if failed:
         row = min(failed)
         raise PowerFlowError(failed[row], row=row)
@@ -443,10 +441,8 @@ def _child_pools(ss: np.random.SeedSequence, count: int) -> np.ndarray:
         for dst in range(size):
             h, const = _hash(w, const, _MULT_A)
             pool[dst] = _mix(pool[dst], h)
-    first = ss.n_children_spawned  # a uint32 in numpy, so an index is one word
-    if first + count > 2**32:
-        raise ValueError(f"a SeedSequence spawns at most 2**32 children, asked for {first} + {count}")
-    index = np.arange(first, first + count, dtype=np.uint32)
+    # each index is below 2**32, so it is one word
+    index = np.arange(ss.n_children_spawned, _child_index(ss, count - 1) + 1, dtype=np.uint32)
     pools = np.empty((count, size), dtype=np.uint32)
     for dst in range(size):
         h, const = _hash(index, const, _MULT_A)
@@ -509,10 +505,10 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
 
     Residuals of the output are at the Newton tolerance (<= 1e-10 rms) before
     noise.  State k draws from numpy's ``default_rng(child)`` stream of the
-    k-th child of the seed (children as :func:`network._children` spawns
-    them), computed for all states at once, so the output is deterministic
-    and shardable; the noise is drawn from child m.  A SeedSequence given
-    as ``seed`` is not advanced.  Each round solves the states whose
+    k-th child of the seed (children as ``ss.spawn`` would number them),
+    computed for all states at once, so the output is deterministic and
+    shardable; the noise is drawn from child m.  A SeedSequence given as
+    ``seed`` is not advanced.  Each round solves the states whose
     voltages are still pending in one batched solve_power_flow call; a state
     whose voltage magnitude left VOLTAGE_RANGE draws again, up to
     MAX_RETRIES times.  An error names the first state, in order, whose
@@ -530,6 +526,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     dc = net.kind == DC
     ss = _seed_sequence(seed)
     streams = _pcg64_streams(_child_pools(ss, m))
+    noise = _child(ss, m) if scen.sigma > 0 else None  # refused here, before any solve
     # AC draws (P, Q) per load, in that order; numpy's uniform is lo + (hi - lo) * u
     lo, hi = np.array([scen.p_range] if dc else [scen.p_range, scen.q_range], dtype=float).T
     P = np.zeros((m, net.n))
@@ -578,12 +575,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     else:
         Q[:, slack - 1] = S.imag[:, slack - 1]
         out = StateSet(AC, V.real, V.imag, P, Q)
-    if scen.sigma > 0:
-        # the child that ss.spawn(m + 1) would make last
-        key = (*ss.spawn_key, ss.n_children_spawned + m)
-        noise = np.random.SeedSequence(ss.entropy, spawn_key=key, pool_size=ss.pool_size)
-        out = add_noise(out, scen.sigma, noise)
-    return out
+    return add_noise(out, scen.sigma, noise)
 
 
 def add_noise(states: StateSet, sigma: float, seed=0) -> StateSet:
@@ -591,11 +583,5 @@ def add_noise(states: StateSet, sigma: float, seed=0) -> StateSet:
     if _finite_non_negative(sigma, "noise stddev") == 0:
         return states
     rng = np.random.default_rng(seed)
-    shape = states.e.shape
-    e = states.e + sigma * rng.standard_normal(shape)
-    p = states.p + sigma * rng.standard_normal(shape)
-    if states.kind == DC:
-        return StateSet.dc(e, p)
-    f = states.f + sigma * rng.standard_normal(shape)
-    q = states.q + sigma * rng.standard_normal(shape)
-    return StateSet(AC, e, f, p, q)
+    measured = ("e", "p") if states.kind == DC else ("e", "p", "f", "q")  # in draw order
+    return replace(states, **{a: getattr(states, a) + sigma * rng.standard_normal(states.e.shape) for a in measured})

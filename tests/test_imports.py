@@ -134,7 +134,9 @@ def test_dead_names_are_found():
 def test_package_and_command_line_need_only_numpy():
     # the test extra (scipy, hypothesis) is blocked in a fresh interpreter:
     # importing the package and running "python -m gridrecover.cli --help"
-    # must not reach for either
+    # must not reach for either.  The command line must have loaded
+    # numpy.random, which numpy imports lazily, so that --trials workers
+    # fork with it rather than each importing it again.
     code = (
         "import runpy, sys\n"
         "sys.modules.update(scipy=None, hypothesis=None)\n"
@@ -146,12 +148,46 @@ def test_package_and_command_line_need_only_numpy():
         "    sys.exit('scipy is not blocked')\n"
         "import gridrecover\n"
         "sys.argv = ['gridrecover', '--help']\n"
-        "runpy.run_module('gridrecover.cli', run_name='__main__', alter_sys=True)\n"
+        "try:\n"
+        "    runpy.run_module('gridrecover.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    assert 'numpy.random' in sys.modules, 'numpy.random is not loaded'\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("usage: gridrecover") and run.stderr == ""
+
+
+def spawn_calls(source: str) -> list[int]:
+    """Lines of each call of an attribute named ``spawn``, such as numpy's
+    ``SeedSequence.spawn``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "spawn"
+    ]
+
+
+def test_no_spawn_calls():
+    # a seed's children are made by network._child, which advances nothing,
+    # so _seed_sequence can hand a given SeedSequence on without a copy
+    paths = sorted((ROOT / "src" / "gridrecover").glob("*.py"))
+    assert len(paths) > 5
+    found = [f"{path.name}:{line}" for path in paths for line in spawn_calls(path.read_text())]
+    assert not found, "spawn called:\n" + "\n".join(found)
+
+
+def test_spawn_calls_are_found():
+    source = (
+        '"""Children as ss.spawn(2) would make them."""\n'
+        "import numpy as np\n"
+        "a, b = np.random.SeedSequence(0).spawn(2)\n"
+        "# ss.spawn(1)\n"
+        "kids = ss.spawn\n"
+        "print(spawn(3), rng.spawn(\n    1))\n"
+    )
+    assert spawn_calls(source) == [3, 6]
 
 
 FILE_MODULES = {"json", "csv"}

@@ -16,6 +16,8 @@ children of a seed at once, must be numpy's ``default_rng(child)`` streams
 bit for bit.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,10 +323,17 @@ def seeds(kind: str):
 def test_scenario_streams_are_numpys_default_rng_streams(kind, data):
     seed = data.draw(seeds(kind))
     count, k = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 9))
+    ss = _seed_sequence(seed)
+    before = ss.n_children_spawned
     children = _children(seed, count)
-    pools = _child_pools(_seed_sequence(seed), count)
+    pools = _child_pools(ss, count)
+    assert ss.n_children_spawned == before  # a given SeedSequence is not advanced
     assert pools.dtype == np.uint32
     assert np.array_equal(pools, [child.pool for child in children])
+    # _children makes the children numpy's spawn makes, without spawning
+    spawned = copy.copy(ss).spawn(count)
+    assert np.array_equal(pools, [child.pool for child in spawned])
+    assert [c.spawn_key for c in children] == [c.spawn_key for c in spawned]
     streams = _pcg64_streams(pools)
     rngs = [np.random.default_rng(child) for child in children]
     for j, rng in enumerate(rngs):

@@ -227,6 +227,15 @@ def test_sparsify_ac_leaves_a_seed_sequence_as_it_was(net):
     assert first.c.tobytes() == second.c.tobytes() and first.s.tobytes() == second.s.tobytes()
 
 
+def test_sparsify_ac_refuses_child_indices_past_32_bits():
+    # numpy counts children in a uint32, and its spawn(2) never returned here
+    ss = np.random.SeedSequence(9, n_children_spawned=2**32 - 1)
+    with pytest.raises(ValueError, match=r"^a SeedSequence's child index must be below 2\*\*32, got 4294967296$"):
+        sparsify_ac(small_ac(0), 0.5, ss)
+    # a DC network draws from the seed itself, not from a child
+    assert sparsify_ac(table1_dc(), 0.5, ss).t >= 1
+
+
 @pytest.mark.parametrize("as_sequence", [False, True])
 @pytest.mark.parametrize("shape", ["dc", "ac", "c_only", "s_only"])
 def test_sparsify_ac_matches_two_graph_oracle(shape, as_sequence):

@@ -194,10 +194,17 @@ def test_generate_scenario_from_a_seed_sequence_that_has_spawned_equals_the_orac
 
 def test_generate_scenario_refuses_child_indices_past_32_bits():
     # numpy counts children in a uint32; its own spawn would not return here
+    too_far = r"^a SeedSequence's child index must be below 2\*\*32, got 4294967296$"
     ss = np.random.SeedSequence(9, n_children_spawned=2**32 - 2)
-    with pytest.raises(ValueError, match=r"^a SeedSequence spawns at most 2\*\*32 children, asked for 4294967294 \+ 3$"):
+    with pytest.raises(ValueError, match=too_far):
         generate_scenario(PATH3, Scenario(3), 3, seed=ss)
     assert generate_scenario(PATH3, Scenario(3), 2, seed=ss).m == 2
+    # the noise is child m, so 5 noisy states need index 2**32 as a 6th state would
+    net = builtin_network("small_ac", 0)
+    ss = np.random.SeedSequence(9, n_children_spawned=2**32 - 5)
+    with pytest.raises(ValueError, match=too_far):
+        generate_scenario(net, builtin_scenario("small_ac", sigma=1e-6), 5, seed=ss)
+    assert generate_scenario(net, builtin_scenario("small_ac", sigma=0.0), 5, seed=ss).m == 5
 
 
 def test_generate_scenario_refuses_a_seed_string():
