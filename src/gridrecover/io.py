@@ -4,7 +4,8 @@ Floats are written with ``repr``, which is the shortest form that parses back
 to the identical double, so every round trip is exact.  JSON files are
 strict JSON: a non-finite float is written as its ``repr`` string ("inf",
 "-inf", "nan"), which ``float`` reads back.  Every input file is read as
-UTF-8 text.
+UTF-8 text.  Every CSV file is written by one writer and read by one row
+reader, which reports a line that csv cannot parse as malformed.
 """
 
 from __future__ import annotations
@@ -90,8 +91,47 @@ def load_network(path) -> Network:
     fh = _read(path)
     try:
         return network_from_dict(json.load(fh))
-    except (json.JSONDecodeError, FormatError) as exc:  # either names its line or its field
+    # a JSONDecodeError names its line and a FormatError its field; json's
+    # limits raise a plain ValueError (integer digits) or a RecursionError
+    # (nesting depth)
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _save_csv(path, header, rows) -> None:
+    """Write a CSV file: the header, then the rows; the one form of every CSV file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _csv_rows(path):
+    """A CSV input as csv reads it: the header first, None for an empty
+    file, then the line number and fields of each non-blank row.  A line
+    that csv rejects, such as one with a field past csv's size limit,
+    raises FormatError naming the file and the line."""
+    reader = csv.reader(_read(path))
+    try:
+        yield next(reader, None)
+        yield from ((reader.line_num, row) for row in reader if row)
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _parsed_rows(path, rows, types, what: str):
+    """The line number and parsed fields of each of the (line, fields)
+    ``rows``, field i parsed by ``types[i]``; a row of another length, or a
+    field that its type rejects with ValueError, raises FormatError naming
+    the line."""
+    for line, row in rows:
+        if len(row) != len(types):
+            raise FormatError(f"{path}:{line}: expected {len(types)} fields, got {len(row)}")
+        try:
+            parsed = [parse(cell) for parse, cell in zip(types, row)]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{line}: non-numeric {what} entry: {exc}") from exc
+        yield line, parsed
 
 
 # State CSV layout: one row per state, per node the fields below in order,
@@ -109,40 +149,28 @@ def save_states_csv(states: StateSet, path) -> None:
     data = np.empty((states.m, len(fields) * states.n))
     for i, name in enumerate(fields):
         data[:, i :: len(fields)] = getattr(states, name.lower())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_state_header(states.kind, states.n))
-        writer.writerows(map(repr, row) for row in data.tolist())
+    _save_csv(path, _state_header(states.kind, states.n), (map(repr, row) for row in data.tolist()))
 
 
 def load_states_csv(path) -> StateSet:
-    reader = csv.reader(_read(path))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{path}: empty state file") from None
-    rows = [(reader.line_num, row) for row in reader if row]
+    rows = _csv_rows(path)
+    header = next(rows)
+    if header is None:
+        raise FormatError(f"{path}: empty state file")
     kind = AC if "f_1" in header else DC
     per_node = len(_STATE_FIELDS[kind])
     n, rem = divmod(len(header), per_node)
     if rem or n < 1 or header != _state_header(kind, n):
         raise FormatError(f"{path}: unexpected state header {header!r}")
-    if not rows:
+    parsed = list(_parsed_rows(path, rows, (float,) * len(header), "state"))
+    if not parsed:
         raise FormatError(f"{path}: no state rows")
-    values = []
-    for line, row in rows:
-        if len(row) != len(header):
-            raise FormatError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-        try:
-            values.append([float(x) for x in row])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{line}: non-numeric state entry: {exc}") from exc
-    data = np.array(values)
+    data = np.array([values for _, values in parsed])
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]
         raise FormatError(
-            f"{path}:{rows[r][0]}: non-finite value {float(data[r, c])!r} in column {header[c]}"
+            f"{path}:{parsed[r][0]}: non-finite value {float(data[r, c])!r} in column {header[c]}"
         )
     columns = [data[:, i::per_node] for i in range(per_node)]
     return StateSet.dc(*columns) if kind == DC else StateSet(AC, *columns)
@@ -155,58 +183,40 @@ _TRACE_TYPES = tuple(typing.get_type_hints(TraceRow)[name] for name in TRACE_COL
 
 
 def save_trace_csv(trace: RecoveryTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows([getattr(r, name) for name in TRACE_COLUMNS] for r in trace)
+    _save_csv(path, TRACE_COLUMNS, ([getattr(r, name) for name in TRACE_COLUMNS] for r in trace))
 
 
 def load_trace_csv(path) -> RecoveryTrace:
-    trace = RecoveryTrace()
-    reader = csv.reader(_read(path))
-    header = next(reader, None)
+    rows = _csv_rows(path)
+    header = next(rows)
     if header != list(TRACE_COLUMNS):
         raise FormatError(f"{path}: unexpected trace header {header!r}")
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path}:{reader.line_num}"
-        if len(row) != len(TRACE_COLUMNS):
-            raise FormatError(f"{where}: expected {len(TRACE_COLUMNS)} fields, got {len(row)}")
-        try:
-            parsed = TraceRow(*(parse(cell) for parse, cell in zip(_TRACE_TYPES, row)))
-        except ValueError as exc:
-            raise FormatError(f"{where}: non-numeric trace entry: {exc}") from exc
-        if parsed.event not in EVENTS:
-            raise FormatError(f"{where}: unknown event {parsed.event!r}")
-        trace.append(parsed)
+    trace = RecoveryTrace()
+    for line, cells in _parsed_rows(path, rows, _TRACE_TYPES, "trace"):
+        row = TraceRow(*cells)
+        if row.event not in EVENTS:
+            raise FormatError(f"{path}:{line}: unknown event {row.event!r}")
+        trace.append(row)
     return trace
 
 
 def render_trace_table(trace: RecoveryTrace, include_all: bool = False) -> str:
     """Text table of a run; by default only rows where the network changed."""
-    rows = list(trace) if include_all else trace.filtered()
-    header = ["iteration", "edges", "rms", "kappa", "epsilon"]
-    if include_all:
-        header.append("event")
-    body = []
-    for r in rows:
-        line = [str(r.iteration), str(r.edges), f"{r.rms:.3e}", f"{r.kappa:.3e}", f"{r.epsilon:.4f}"]
-        if include_all:
-            line.append(r.event)
-        body.append(line)
-    widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h) for i, h in enumerate(header)]
-    fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    lines = [fmt.format(*header)]
-    lines += [fmt.format(*row) for row in body]
-    return "\n".join(lines)
+    shown = 6 if include_all else 5  # the event column only with every row
+    table = [["iteration", "edges", "rms", "kappa", "epsilon", "event"][:shown]] + [
+        [str(r.iteration), str(r.edges), f"{r.rms:.3e}", f"{r.kappa:.3e}", f"{r.epsilon:.4f}", r.event][:shown]
+        for r in (trace if include_all else trace.filtered())
+    ]
+    # each column as wide as its widest cell, the header's included
+    fmt = "  ".join(f"{{:>{max(map(len, column))}}}" for column in zip(*table))
+    return "\n".join(fmt.format(*row) for row in table)
 
 
 def save_edge_statistics_csv(stats_by_graph: dict[str, EdgeStatistics], path) -> None:
     """CSV of per-edge statistics; one block per labelled graph."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["graph", "j", "k", "r_eff", "leverage", "p"])
-        for label, stats in stats_by_graph.items():
-            for (j, k), r, lev, p in zip(stats.edges, stats.r_eff, stats.leverage, stats.p):
-                writer.writerow([label, j, k, repr(float(r)), repr(float(lev)), repr(float(p))])
+    rows = (
+        [label, j, k, repr(float(r)), repr(float(lev)), repr(float(p))]
+        for label, stats in stats_by_graph.items()
+        for (j, k), r, lev, p in zip(stats.edges, stats.r_eff, stats.leverage, stats.p)
+    )
+    _save_csv(path, ["graph", "j", "k", "r_eff", "leverage", "p"], rows)

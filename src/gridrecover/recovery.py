@@ -40,6 +40,8 @@ from .sparsify import sparsify_ac
 from .states import StateSet, rms as states_rms
 from .vandermonde import (
     VandermondeSystem,
+    _deletion_residuals,
+    _kept_edges,
     assemble,
     compressed,
     condition_number,
@@ -185,40 +187,30 @@ def _minimal(held: Fit, tol: float) -> bool:
 
     Every later candidate is drawn from the held network H, so one with
     fewer edges lies inside H minus some edge e, and NNLS on its columns
-    does no better than unconstrained least squares on H minus e.  With R
-    the triangle, y the least-squares weights and rho the residual of least
-    squares on the columns of H's edges, that least-squares residual,
-    squared, is ``rho^2 + y_E^T [(R^-1 R^-T)_EE]^-1 y_E``, E being e's r
-    columns (r the system's ``width``): the column-deletion identity, one
-    formula for both kinds, taken for every e at once as a batch of r x r
-    solves (for r = 1 a solve gives y_e^2 / ||row e of R^-1||^2).  H is
-    minimal when that exceeds ``rows * tol^2`` for every e, with the room
-    of ``MINIMAL_ROUNDOFF_UNITS``.  A held fit with no positive weight, and
-    a triangle that fails the solver's rank test (``nnls._full_rank``),
-    certify nothing.
+    does no better than unconstrained least squares on H minus e, whose
+    squared residual :func:`vandermonde._deletion_residuals` gives for
+    every e at once.  H is minimal when each exceeds ``rows * tol^2``, with
+    the room of ``MINIMAL_ROUNDOFF_UNITS``.  A held fit with no positive
+    weight, and a triangle that fails the solver's rank test
+    (``nnls._full_rank``), certify nothing.
 
-    R, its rhs and rho come from :func:`vandermonde.compressed` on H's
-    edges, those the held fit weights positively.  When every held weight is
-    positive the held system is already that triangle, so no QR is run.
+    The triangle comes from :func:`vandermonde.compressed` on H's edges,
+    those the held fit weights positively (:func:`vandermonde._kept_edges`).
+    When every held weight is positive the held system is already that
+    triangle, so no QR is run.
     """
     system = held.system
-    keep = (held.nnls.w > 0).reshape(-1, system.width).any(axis=1)
+    keep = _kept_edges(system, held.nnls.w)
     if not keep.any():
         return False
     kept = compressed(system, keep)
-    R = kept.matrix
-    if not _full_rank(R):
+    if not _full_rank(kept.matrix):
         return False
-    p = R.shape[1]
-    Rinv = np.linalg.inv(R)
-    y = np.linalg.solve(R, kept.rhs)
-    rows_E, yE = Rinv.reshape(-1, system.width, p), y.reshape(-1, system.width, 1)
-    raised = (yE * np.linalg.solve(rows_E @ rows_E.transpose(0, 2, 1), yE)).sum(axis=(1, 2))
-    kappa = np.linalg.norm(R) * np.linalg.norm(Rinv)  # Frobenius: at least the 2-norm's
+    residuals, kappa = _deletion_residuals(kept)
     b = math.hypot(np.linalg.norm(system.rhs), system.rho)  # ||b|| of the data
-    roundoff = MINIMAL_ROUNDOFF_UNITS * p * np.finfo(float).eps * kappa * b
+    roundoff = MINIMAL_ROUNDOFF_UNITS * kept.matrix.shape[1] * np.finfo(float).eps * kappa * b
     threshold = tol * math.sqrt(system.rows) + roundoff
-    return bool(np.min(kept.rho * kept.rho + raised) > threshold * threshold)
+    return bool(np.min(residuals) > threshold * threshold)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,10 @@ restriction of a larger set's, and so are the columns of its factor.  DC is
 the one-column case of that layout: edge t owns columns r*t to r*t + r - 1,
 r being :attr:`VandermondeSystem.width`, 1 for DC and 2 for AC.  Only this
 module decodes it: :func:`restrict` cuts the columns of an edge subset from
-a system, and :func:`compressed` folds those of the kept edges into a square
-system of their own.
+a system, :func:`compressed` folds those of the kept edges into a square
+system of their own, :func:`_kept_edges` reads which edges a solution
+weights positively, and :func:`_deletion_residuals` bounds, edge by edge,
+the residual left when the edge's columns are deleted.
 """
 
 from __future__ import annotations
@@ -258,6 +260,25 @@ def compressed(system: VandermondeSystem, keep: np.ndarray | None = None) -> Van
     return VandermondeSystem(system.kind, system.n, R, rhs, edges, float(np.hypot(system.rho, corner)), system.rows)
 
 
+def _deletion_residuals(system: VandermondeSystem) -> tuple[np.ndarray, float]:
+    """Each edge's least-squares residual, squared, once its columns are
+    deleted, and ||R||_F ||R^-1||_F, for a full-rank square system.
+
+    With R the triangle and y its least-squares weights, deleting the r
+    columns E of an edge (r the system's ``width``) leaves the residual
+    ``rho^2 + y_E^T [(R^-1 R^-T)_EE]^-1 y_E``: the column-deletion identity,
+    one formula for both kinds, taken for every edge at once as a batch of
+    r x r solves (for r = 1 a solve gives y_e^2 / ||row e of R^-1||^2).
+    The Frobenius product is at least the 2-norm condition number of R.
+    """
+    R = system.matrix
+    Rinv = np.linalg.inv(R)
+    y = np.linalg.solve(R, system.rhs)
+    rows_E, yE = Rinv.reshape(-1, system.width, R.shape[1]), y.reshape(-1, system.width, 1)
+    raised = (yE * np.linalg.solve(rows_E @ rows_E.transpose(0, 2, 1), yE)).sum(axis=(1, 2))
+    return system.rho * system.rho + raised, float(np.linalg.norm(R) * np.linalg.norm(Rinv))
+
+
 def condition_number(system) -> float:
     """sigma_max / sigma_min; +inf when rank-deficient, i.e. sigma_min < RANK_RTOL * sigma_max."""
     A = system.matrix if isinstance(system, VandermondeSystem) else np.asarray(system)
@@ -306,3 +327,10 @@ def positive_network_from_columns(system: VandermondeSystem, w: np.ndarray) -> N
     bytes included, to ``network_from_columns(system, w).normalized()``,
     but built once."""
     return _positive_part(system.kind, system.n, system.edges, *_edge_weights(system, w))
+
+
+def _kept_edges(system: VandermondeSystem, w) -> np.ndarray:
+    """The mask of the system's edges that a solution weights positively,
+    by the rule of ``network._positive_part``."""
+    c, s = _edge_weights(system, w)
+    return (c > 0) | (s > 0)

@@ -190,6 +190,42 @@ def test_spawn_calls_are_found():
     assert spawn_calls(source) == [3, 6]
 
 
+def width_reads(source: str) -> list[int]:
+    """Lines of each read of an attribute named ``width``, such as
+    ``VandermondeSystem.width``, the columns of each edge."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "width"
+    )
+
+
+def test_only_vandermonde_decodes_the_column_layout():
+    # an edge's columns are laid out, restricted, compressed and read back
+    # by gridrecover.vandermonde alone; no other module needs their width
+    paths = sorted((ROOT / "src" / "gridrecover").glob("*.py"))
+    assert len(paths) > 5 and paths[0].parent / "vandermonde.py" in paths
+    found = [
+        f"{path.name}:{line}"
+        for path in paths
+        if path.name != "vandermonde.py"
+        for line in width_reads(path.read_text())
+    ]
+    assert not found, "column layout read outside gridrecover.vandermonde:\n" + "\n".join(found)
+
+
+def test_width_reads_are_found():
+    source = (
+        '"""Columns as system.width gives them."""\n'
+        "r = held.system.width\n"
+        "# rows.reshape(-1, system.width)\n"
+        "width = getattr(system, 'width')\n"
+        "print(width, f(\n    system).width)\n"
+        "system.width = 2\n"
+    )
+    assert width_reads(source) == [2, 5, 7]
+
+
 FILE_MODULES = {"json", "csv"}
 FILE_CALLS = {"open", "read_text", "write_text"}
 

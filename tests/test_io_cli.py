@@ -464,6 +464,41 @@ def test_an_input_that_is_not_utf8_is_a_malformed_file(tmp_path, capsys, loader,
     assert not out.exists()
 
 
+# each input runs into a limit of Python's parsers: csv's field size
+# (131,072 characters), json's nesting depth and the 4,300-digit integer
+TOO_LONG_FIELD = "1" * 140_000
+TOO_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+TOO_LONG_INTEGER = '{"kind": "dc", "n": 2, "edges": [{"j": 1, "k": 2, "c": 1' + "0" * 5000 + "}]}"
+
+
+@pytest.mark.parametrize(
+    ("loader", "text", "args", "message"),
+    [(io.load_states_csv, f"e_1,P_1,e_2,P_2\n1.0,0.1,0.9,{TOO_LONG_FIELD}\n",
+      ["recover", "--states", "{bad}", "--out-dir", "{out}"], ":2: field larger than field limit (131072)"),
+     (io.load_trace_csv, f"iteration,edges,rms,kappa,epsilon,event\n1,3,{TOO_LONG_FIELD},1.0,0.1,initial\n",
+      ["report", "--trace", "{bad}"], ":2: field larger than field limit (131072)"),
+     (io.load_network, TOO_DEEP_JSON,
+      ["sparsify", "--network", "{bad}", "--eps", "1", "--out-dir", "{out}"], ": maximum recursion depth exceeded"),
+     (io.load_network, TOO_DEEP_JSON,
+      ["generate", "--network", "{bad}", "--out-dir", "{out}"], ": maximum recursion depth exceeded"),
+     (io.load_network, TOO_LONG_INTEGER,
+      ["estimate", "--network", "{bad}", "--states", "{bad}", "--out-dir", "{out}"], ": Exceeds the limit (4300 digits)"),
+     (io.load_network, TOO_LONG_INTEGER,
+      ["bound", "--network", "{bad}", "--states", "{bad}", "--eps", "0.1", "--out-dir", "{out}"],
+      ": Exceeds the limit (4300 digits)")],
+    ids=["recover-field", "report-field", "sparsify-depth", "generate-depth", "estimate-digits", "bound-digits"],
+)
+def test_an_input_past_a_parser_limit_is_a_malformed_file(tmp_path, capsys, loader, text, args, message):
+    bad, out = tmp_path / "input", tmp_path / "out"
+    bad.write_text(text)
+    with pytest.raises(io.FormatError, match=f"^{re.escape(str(bad) + message)}"):
+        loader(bad)
+    assert main([a.format(bad=bad, out=out) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {bad}{message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _strict_json(path):
     """A JSON file parsed by a strict parser, which rejects NaN and Infinity."""
     def reject(constant):

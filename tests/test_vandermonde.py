@@ -17,7 +17,9 @@ from gridrecover.states import (
 )
 from gridrecover.vandermonde import (
     _BLOCK_STATES,
+    _deletion_residuals,
     _incidence,
+    _kept_edges,
     _node_equations,
     assemble,
     compressed,
@@ -378,6 +380,35 @@ def test_compressed_keeps_the_residual_of_the_kept_edges(kind):
     # every edge of a square triangle: the system is its own factor
     whole = compressed(full)
     assert whole.matrix is full.matrix and whole.rhs is full.rhs and whole.rho == full.rho
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
+def test_deletion_residuals_are_least_squares_without_each_edge(name, seed):
+    net = builtin_network(name, seed)
+    states = generate_scenario(net, builtin_scenario(name, sigma=1e-6), 60, seed=seed)
+    kept = compressed(restrict(assemble(complete_edges(net.n), states), net.edges))
+    R, r = kept.matrix, kept.width
+    residuals, kappa = _deletion_residuals(kept)
+    assert residuals.shape == (len(net.edges),)
+    for t in range(len(net.edges)):
+        others = np.delete(R, np.s_[r * t : r * t + r], axis=1)
+        y = np.linalg.lstsq(others, kept.rhs, rcond=None)[0]
+        brute = kept.rho**2 + np.linalg.norm(others @ y - kept.rhs) ** 2
+        assert residuals[t] == pytest.approx(brute, rel=1e-9)
+    assert kappa == pytest.approx(np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)), rel=1e-12)
+    assert kappa >= condition_number(kept)
+
+
+@pytest.mark.parametrize("kind", ["dc", "ac"])
+def test_kept_edges_are_those_a_solution_weights_positively(kind):
+    rng = np.random.default_rng(5)
+    net = (random_dc_network if kind == "dc" else random_ac_network)(rng, 6)
+    system = assemble(net.edges, generate_voltage_driven(net, 5, seed=2))
+    for _ in range(5):
+        w = rng.choice([0.0, 0.5], size=system.matrix.shape[1])
+        kept = tuple(compress(system.edges, _kept_edges(system, w)))
+        assert kept == positive_network_from_columns(system, w).edges
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
