@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AC, DC, Network, _finite_non_negative, _laplacian, laplacian, spectral_norm
+from .network import AC, DC, Network, _finite_non_negative, laplacian, spectral_norm, split_graphs
 from .states import StateSet, _check_compatible, rms
 
 
@@ -115,7 +115,7 @@ def ac_delta(net: Network, states: StateSet) -> float:
     components and the Euclidean norms of the stacked voltage parts.
     """
     _check_inputs("ac_delta", AC, net, states)
-    Lc, Ls = (_laplacian(net.n, net.edges, w) for w in (net.c, net.s))
+    Lc, Ls = map(laplacian, split_graphs(net))
     E, F = states.e, states.f
     root_mn = math.sqrt(states.m * states.n)
     n_e = float(np.max(np.abs(E)))

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 solver or runtime failure, 2 bad input files or
 arguments, or an OS error on a named path (a missing input, a directory
-where a file is expected, an output directory that cannot be made).
+where a file is expected, an output directory that cannot be made).  The
+real values the library checks exit 1 when out of range, as its ValueError
+does: ``recover --eps``, ``--psi``, ``--tol`` and ``--max-time``,
+``sparsify --eps``, and the coarse ``bound``'s ``--vmin`` and ``--vmax``.
 Set GRIDRECOVER_LOG=debug|info|warning to control verbosity.
 """
 

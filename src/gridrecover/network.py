@@ -206,11 +206,17 @@ class Network:
         return _positive_part(self.kind, self.n, self.edges, self.c, self.s)
 
 
+def _kept(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The mask of the edges a network keeps: a positive conductance or
+    susceptance."""
+    return (c > 0) | (s > 0)
+
+
 def _positive_part(kind: str, n: int, edges: tuple[Edge, ...], c: np.ndarray, s: np.ndarray) -> Network:
-    """The network of the edges with a positive conductance or susceptance,
-    cut from the validated ``edges`` of a ``kind`` network or system on n
-    nodes; ``c`` and ``s`` hold their weights."""
-    keep = (c > 0) | (s > 0)
+    """The network of the edges :func:`_kept` masks, cut from the validated
+    ``edges`` of a ``kind`` network or system on n nodes; ``c`` and ``s``
+    hold their weights."""
+    keep = _kept(c, s)
     return Network._derived(kind, n, tuple(compress(edges, keep)), c[keep], s[keep])
 
 

@@ -268,8 +268,10 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     Returns the last accepted network (zero-weight edges pruned) and the full
     trace; a run that cannot go on raises :class:`RecoveryError`.  If the
     initial complete-graph fit already exceeds the tolerance a warning is
-    logged and the loop proceeds: re-estimation after sparsification
-    frequently lands below it anyway.
+    logged and the loop proceeds, though a subset of the complete graph's
+    columns cannot fit better than all of them: a candidate lands below that
+    rms only by roundoff, or when the initial NNLS stopped short of its
+    optimum.
     """
     cfg = RecoveryConfig() if cfg is None else cfg
     n = states.n

@@ -31,7 +31,7 @@ from itertools import compress
 
 import numpy as np
 
-from .network import DC, Edge, Network, _children, _finite_non_negative, _laplacian, _oriented, spectral_norm
+from .network import DC, Edge, Network, _children, _finite_non_negative, _laplacian, _oriented, laplacian, spectral_norm, split_graphs
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-12
@@ -219,18 +219,17 @@ def is_epsilon_approximation(net: Network, net2: Network, eps: float) -> bool:
     """Check the two-sided quadratic-form inequality between Laplacians.
 
     True iff (1+eps)*L - L' and L' - L/(1+eps) are both positive
-    semidefinite, with eigenvalues allowed to dip to -PSD_TOL*||L||.  On AC
-    networks the conductance and the susceptance Laplacians must both pass.
+    semidefinite, with eigenvalues allowed to dip to -PSD_TOL*||L||.  The
+    conductance and the susceptance Laplacians (:func:`split_graphs`) must
+    both pass; a DC network's susceptance pair is all zero and passes.
     """
     if net.kind != net2.kind:
         raise ValueError("networks must share the kind")
     if net.n != net2.n:
         raise ValueError("graphs must share the vertex set")
     _finite_non_negative(eps, "eps")
-    rows = ((net.c, net2.c),) if net.kind == DC else ((net.c, net2.c), (net.s, net2.s))
-    for w, w2 in rows:
-        L = _laplacian(net.n, net.edges, w)
-        L2 = _laplacian(net.n, net2.edges, w2)
+    for g, g2 in zip(split_graphs(net), split_graphs(net2)):
+        L, L2 = laplacian(g), laplacian(g2)
         slack = PSD_TOL * spectral_norm(L)
         upper = (1.0 + eps) * L - L2
         lower = L2 - L / (1.0 + eps)

@@ -46,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .network import AC, DC, Edge, Network, _canonical_edges, _positive_part
+from .network import AC, DC, Edge, Network, _canonical_edges, _kept, _positive_part
 from .nnls import _triangle
 from .states import StateSet
 
@@ -220,24 +220,16 @@ def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSys
 
     Gathering the columns of R that belong to the subset gives, with the
     same ``rhs``, ``rho`` and ``rows``, the residual of the subset's
-    equations for every parameter vector.  A subset given as the recovery
-    loop draws it from a held network, the system's own edges in order with
-    ``int`` node ids, is looked up as it is; any other is validated and
-    sorted first.
+    equations for every parameter vector.  An edge set is checked where it
+    enters this module, in :func:`assemble` or here: the subset is
+    validated and sorted, and every edge must be one of the system's.
     """
+    sub = _sorted_edges(system.n, edges)
     position = system._position
-    sub = tuple(edges)
-    try:
-        idx = [position[e] for e in sub if type(e[0]) is type(e[1]) is int]
-        own = 0 < len(idx) == len(sub) and all(s < t for s, t in zip(idx, idx[1:]))
-    except (KeyError, TypeError, IndexError):
-        own = False
-    if not own:
-        sub = _sorted_edges(system.n, sub)
-        missing = [e for e in sub if e not in position]
-        if missing:
-            raise ValueError(f"edges {missing} not present in the system")
-        idx = [position[e] for e in sub]
+    missing = [e for e in sub if e not in position]
+    if missing:
+        raise ValueError(f"edges {missing} not present in the system")
+    idx = [position[e] for e in sub]
     cols = (system.width * np.array(idx)[:, None] + np.arange(system.width)).ravel()
     return VandermondeSystem(
         system.kind, system.n, system.matrix[:, cols], system.rhs, sub, system.rho, system.rows
@@ -331,6 +323,5 @@ def positive_network_from_columns(system: VandermondeSystem, w: np.ndarray) -> N
 
 def _kept_edges(system: VandermondeSystem, w) -> np.ndarray:
     """The mask of the system's edges that a solution weights positively,
-    by the rule of ``network._positive_part``."""
-    c, s = _edge_weights(system, w)
-    return (c > 0) | (s > 0)
+    by the rule of ``network._kept``."""
+    return _kept(*_edge_weights(system, w))

@@ -15,10 +15,21 @@ the rows of its partial trace.  The listing names, per run, its trace rows,
 last event, returned edge count, whether those are the true edges, and the
 run's own digest, so that a change of results can be read run by run.
 
+The last line ends with a second digest, over the returned edges alone:
+each run's builtin, sigma, seed and tol factor with the edges it returns,
+or with its error's type.  It holds no float bits (the tol is computed from
+the data, so its bits change with the BLAS kernel).  Under numpy 2.4.6's
+bundled OpenBLAS it reads ``9146d58f800e4e7b…`` with every kernel tried::
+
+    OPENBLAS_CORETYPE=<kernel> python3 tests/declared_set.py
+
+for <kernel> SkylakeX (the default on the machine measured), Haswell,
+Sandybridge and Prescott; the trace digest changes under the last three.
+
 The script imports ``gridrecover`` from the ``src`` directory of its own
 checkout and pins one BLAS thread before numpy loads: float bits depend on
-the BLAS build and its thread count, so compare digests only on one machine.
-pytest does not collect this file.
+the BLAS build and its thread count, so compare the trace digest only on
+one machine.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -74,18 +85,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--listing", action="store_true", help="print one line per run before the digest")
     args = parser.parse_args(argv)
-    total = hashlib.sha256()
+    total, edge_sets = hashlib.sha256(), hashlib.sha256()
     count = rows = 0
     for name, sigma, seed, factor, truth, states, cfg in runs():
-        run = f"{name} {sigma!r} {seed} {factor!r} {cfg.tol.hex()}\n"
+        key = f"{name} {sigma!r} {seed} {factor!r}"
+        run = f"{key} {cfg.tol.hex()}\n"
         try:
             net, trace = recover(states, cfg)
         except RecoveryError as exc:
+            edge_sets.update(f"{key} error {type(exc).__name__}\n".encode())
             run += f"error {exc}\n{_rows(exc.trace)}"
             rows += len(exc.trace)
             summary = f"{len(exc.trace)} rows, error: {exc}"
             weights = b""
         else:
+            edge_sets.update(f"{key} {net.edges}\n".encode())
             run += _rows(trace) + f"{net.edges}\n"
             rows += len(trace)
             summary = (
@@ -99,7 +113,7 @@ def main(argv=None) -> int:
         if args.listing:
             tol = "exact" if factor is None else factor
             print(f"{name} sigma={sigma:g} seed={seed} tol={tol}: {summary} {digest[:16]}")
-    print(f"{count} runs, {rows} trace rows, digest {total.hexdigest()}")
+    print(f"{count} runs, {rows} trace rows, digest {total.hexdigest()}, edge sets {edge_sets.hexdigest()}")
     return 0
 
 

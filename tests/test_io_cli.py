@@ -564,14 +564,22 @@ def test_cli_recover_failed_initial_fit_exits_1(tmp_path, capsys, monkeypatch):
     assert not (out / "recovered.json").exists()
 
 
-def test_cli_recover_sample_count_overflow_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "noise, tol",
+    [
+        ("1e-4", "1e-9"),  # tol below the noise: the initial fit is already certified
+        ("0", "1e-15"),  # exact data, tol below its roundoff rms: the initial fit is not
+    ],
+    ids=["noisy", "exact"],
+)
+def test_cli_recover_sample_count_overflow_exits_1(tmp_path, capsys, noise, tol):
     # every refit misses the tolerance, so eps shrinks by psi per iteration
     # until 8 n ln(n) / eps^2 passes 2^63
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "7",
-                 "--noise", "1e-4", "--out-dir", str(out)]) == 0
+                 "--noise", noise, "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-9",
+    code = main(["recover", "--states", str(out / "states.csv"), "--tol", tol,
                  "--max-stale", "60", "--out-dir", str(out)])
     assert code == 1
     assert "at n=6 needs" in capsys.readouterr().err

@@ -108,22 +108,16 @@ def test_recover_refits_every_candidate_and_repeats_its_bits(monkeypatch, table1
 
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
-def test_candidates_are_cut_without_revalidation_and_factored_once(monkeypatch, name):
-    # the complete graph's edges are validated once, by assemble; the loop
-    # cuts every candidate from them by column position, and each refit runs
-    # one Householder QR, its own re-compression: the warm start takes that
-    # triangle as its factor; the minimal test of an accepted refit with
-    # every weight positive takes that triangle too, and runs no QR
+def test_candidates_are_factored_once(monkeypatch, name):
+    # each refit runs one Householder QR, its own re-compression: the warm
+    # start takes that triangle as its factor; the minimal test of an
+    # accepted refit with every weight positive takes that triangle too, and
+    # runs no QR
     states, cfg = _builtin_run(name, 1e-6, 1)
-    canonical_edges = gridrecover.vandermonde._canonical_edges
     fit = gridrecover.recovery.fit
     minimal = gridrecover.recovery._minimal
     qr = np.linalg.qr
-    validated, qrs_per_refit, calls, minimal_qrs = [], [], [], []
-
-    def counting_canonical_edges(n, edges):
-        validated.append(n)
-        return canonical_edges(n, edges)
+    qrs_per_refit, calls, minimal_qrs = [], [], []
 
     def counting_qr(*args, **kwargs):
         calls.append(args[0].shape)
@@ -142,12 +136,10 @@ def test_candidates_are_cut_without_revalidation_and_factored_once(monkeypatch, 
         minimal_qrs.append((bool(np.all(held.nnls.w > 0)), certified, len(calls)))
         return certified
 
-    monkeypatch.setattr(gridrecover.vandermonde, "_canonical_edges", counting_canonical_edges)
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(gridrecover.recovery, "fit", watched_fit)
     monkeypatch.setattr(gridrecover.recovery, "_minimal", watched_minimal)
     _, trace = recover(states, cfg)
-    assert len(validated) == 1
     assert qrs_per_refit and set(qrs_per_refit) == {1}
     assert all(qrs == 0 for positive, _, qrs in minimal_qrs if positive)
     assert all(qrs <= 1 for _, _, qrs in minimal_qrs)
