@@ -5,7 +5,8 @@ arguments, or an OS error on a named path (a missing input, a directory
 where a file is expected, an output directory that cannot be made).  The
 real values the library checks exit 1 when out of range, as its ValueError
 does: ``recover --eps``, ``--psi``, ``--tol`` and ``--max-time``,
-``sparsify --eps``, and the coarse ``bound``'s ``--vmin`` and ``--vmax``.
+``sparsify --eps``, and the coarse ``bound``'s ``--vmin`` and ``--vmax``;
+either of those two given to another ``bound`` variant exits 2.
 Set GRIDRECOVER_LOG=debug|info|warning to control verbosity.
 """
 
@@ -133,12 +134,16 @@ def cmd_sparsify(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    limits = {"--vmin": args.vmin, "--vmax": args.vmax}
+    for flag in (f for f, v in limits.items() if v is not None and args.variant != "coarse"):
+        args.usage_error(f"argument {flag}: only --variant coarse reads it")
     net = io.load_network(args.network)
     states = io.load_states_csv(args.states)
     if args.variant == "fine":
         report = dc_bound(net, states, args.eps)
     elif args.variant == "coarse":
-        report = dc_bound_coarse(net, states, args.eps, args.vmin, args.vmax)
+        vmin, vmax = (d if v is None else v for v, d in zip(limits.values(), VOLTAGE_RANGE))
+        report = dc_bound_coarse(net, states, args.eps, vmin, vmax)
     else:
         report = ac_bound(net, states, args.eps)
     out = _out_dir(args)
@@ -246,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bound", cmd_bound, "rms-growth certificate for a sparsification", network, states, out_dir)
     p.add_argument("--eps", type=_non_negative_float, required=True)
     p.add_argument("--variant", choices=("fine", "coarse", "ac"), default="fine")
-    p.add_argument("--vmin", type=float, default=VOLTAGE_RANGE[0])
-    p.add_argument("--vmax", type=float, default=VOLTAGE_RANGE[1])
+    for flag, default in zip(("--vmin", "--vmax"), VOLTAGE_RANGE):
+        p.add_argument(flag, type=float, help=f"--variant coarse only (default {default})")
+    p.set_defaults(usage_error=p.error)
 
     # one option per RecoveryConfig field, stored under the field's name
     cfg = RecoveryConfig()

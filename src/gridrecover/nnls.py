@@ -55,13 +55,15 @@ iterate it has to beat.  That QR and that rank test are written once, as
 :func:`_triangle` and :func:`_full_rank`; ``vandermonde.compressed``
 takes the square system of a column subset from the same :func:`_triangle`,
 and ``recovery._minimal`` tests its held triangle's rank with
-:func:`_full_rank`.  A square upper-triangular A, such as a candidate
-triangle of ``recovery.fit``, is that QR's R already (it would come back
-bit for bit), so it is not factored again.  A system whose least-squares
-solution is strictly positive then stops after that one solve: on full
-column rank that solution is the unique minimizer over all w, so over
-w >= 0 as well, and it meets the KKT conditions with an empty zero set and
-a zero gradient (Lawson & Hanson, ch. 23).  A mixed-sign solution is
+:func:`_full_rank`.  R, Q^T b and the corner are read from a raw QR of
+``[A | b]`` in one place, :func:`_raw_triangle`, which also reads
+``vandermonde.assemble``'s final merge.  A square upper-triangular A, such
+as a candidate triangle of ``recovery.fit``, is that QR's R already (it
+would come back bit for bit), so it is not factored again.  A system
+whose least-squares solution is strictly positive then stops after that
+one solve: on full column rank that solution is the unique minimizer over
+all w, so over w >= 0 as well, and it meets the KKT conditions with an
+empty zero set and a zero gradient (Lawson & Hanson, ch. 23).  A mixed-sign solution is
 pivoted from there, in a few solves where the cold start takes one step
 per entering column.  A system that fails the rank test starts cold
 instead: its first solve would be the minimum-norm least-squares solution
@@ -200,9 +202,10 @@ def _triangle(A: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple[np.ndarra
 
     ``[A_cols | b]`` is written into one buffer, which is dropped once
     numpy's factored copy of it exists, and R is read from the upper
-    triangle of that copy.  A square upper-triangular A with every column
-    taken is its own factor: a Householder QR of ``[A | b]`` returns it bit
-    for bit, so it is not run."""
+    triangle of that copy (:func:`_raw_triangle`).  A square
+    upper-triangular A with every column taken is its own factor: a
+    Householder QR of ``[A | b]`` returns it bit for bit, so it is not
+    run."""
     m, k = A.shape
     p = int(np.count_nonzero(cols))
     if p == k == m and not np.tril(A, -1).any():
@@ -212,8 +215,16 @@ def _triangle(A: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple[np.ndarra
     Ab[:, p] = b
     h, _ = np.linalg.qr(Ab, mode="raw")
     del Ab
+    return _raw_triangle(h)
+
+
+def _raw_triangle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """R, Q^T b and the corner |R[p, p]| from ``h``, numpy's ``mode="raw"``
+    QR of a p + 1 column ``[A | b]``, read as a copy of the upper triangle
+    of its first p + 1 rows; fewer rows than that leave R trapezoidal and
+    the corner 0.0."""
+    p = h.shape[0] - 1
     T = np.triu(h.T[: p + 1])
-    del h
     return T[:p, :p], T[:p, p], float(abs(T[p, p])) if T.shape[0] > p else 0.0
 
 

@@ -80,7 +80,9 @@ class RecoveryConfig:
     strings.  ``seed`` is a non-negative integer, as numpy's seed
     sequences take.  At least one finite limit must be set; the iteration
     counts must be integers of at least 1 and the wall time positive.  An
-    integral float such as ``3.0`` is taken as its int.
+    integral float such as ``3.0`` is taken as its int, and any real
+    number given for the four real fields, an int or a numpy scalar, is
+    stored as a Python float.
     """
 
     eps0: float = 0.1
@@ -93,11 +95,11 @@ class RecoveryConfig:
 
     def __post_init__(self):
         # written as "not lo < x < hi" so that nan is rejected too
-        if not 0 < _real(self.eps0, "eps0") < math.inf:
+        if not 0 < (eps0 := _real(self.eps0, "eps0")) < math.inf:
             raise ValueError("eps0 must be positive and finite")
-        if not 1 < _real(self.psi, "psi") < math.inf:
+        if not 1 < (psi := _real(self.psi, "psi")) < math.inf:
             raise ValueError("psi must exceed 1 and be finite")
-        if not _real(self.tol, "tol") > 0:
+        if not (tol := _real(self.tol, "tol")) > 0:
             raise ValueError("tol must be positive")
         self.seed = _integral(self.seed, "seed")
         if self.seed < 0:
@@ -107,8 +109,9 @@ class RecoveryConfig:
             if value is not None and (value := _integral(value, name)) < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
             setattr(self, name, value)
-        if self.max_wall_time is not None and not _real(self.max_wall_time, "max_wall_time") > 0:
+        if (wall := self.max_wall_time) is not None and not (wall := _real(wall, "max_wall_time")) > 0:
             raise ValueError("max_wall_time must be positive")
+        self.eps0, self.psi, self.tol, self.max_wall_time = eps0, psi, tol, wall
         # None sets no limit, and neither does an infinite wall time
         limits = (self.max_iterations, self.max_stale_iterations, self.max_wall_time or math.inf)
         if limits == (None, None, math.inf):

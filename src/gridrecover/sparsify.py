@@ -15,11 +15,11 @@ on bridges and sum to n minus the number of connected components.
 The statistics of a network depend on nothing but the network, which is
 immutable, so they are computed once per ``Network`` object and kept on it:
 the recovery loop samples one held network again and again until it accepts
-another.  A sample is its draw counts and the edges they keep.  Its weights
-(``SparsifyOutcome.c`` and ``.s``) and the sampled ``Network``
-(``SparsifyOutcome.graph``) are derived from the counts when first read; the
-recovery loop reads only the edges, so a draw it does not accept builds no
-weights.
+another.  A sample is its draw counts and the edges they keep.  The sampled
+``Network`` (``SparsifyOutcome.graph``) is built from the counts when first
+read, and its weights are the sample's (``SparsifyOutcome.c`` and ``.s``);
+the recovery loop reads only the edges, so a draw it does not accept builds
+no weights.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ class SparsifyOutcome:
 
     An edge is kept when a row drew it at least once.  Its conductance and
     susceptance, ``c`` and ``s``, are count * w / (t * p) of each row that
-    drew it and 0 for a row that did not; they are computed from the draw
-    counts when first read, and the sampled network, ``graph``, is built
-    from them when it is first read."""
+    drew it and 0 for a row that did not.  They are the weights of the
+    sampled network, ``graph``, which is built from the draw counts when it
+    is first read, so ``c`` and ``s`` are read-only as every network's are."""
 
     kind: str
     n: int
@@ -78,28 +78,24 @@ class SparsifyOutcome:
     _keep: np.ndarray = field(repr=False)  # the kept edges, as a mask over the input's
 
     @cached_property
-    def _weights(self) -> np.ndarray:
-        out = np.zeros((2, len(self._keep)))
+    def graph(self) -> Network:
+        """The sampled network, its weights computed from the counts on first read."""
+        w = np.zeros((2, len(self._keep)))
         for i, at, row, counts in self._draws:
             # p is 0 where a resistance clips to 0, so divide drawn entries only
             drawn = counts > 0
-            out[i, at[drawn]] = counts[drawn] * row.w[drawn] / (self.t * row.p[drawn])
-        return out[:, self._keep]
+            w[i, at[drawn]] = counts[drawn] * row.w[drawn] / (self.t * row.p[drawn])
+        return Network._derived(self.kind, self.n, self.edges, *w[:, self._keep])
 
     @property
     def c(self) -> np.ndarray:
-        """Sampled conductances of the kept edges, computed on first read."""
-        return self._weights[0]
+        """Sampled conductances of the kept edges: ``graph.c``."""
+        return self.graph.c
 
     @property
     def s(self) -> np.ndarray:
-        """Sampled susceptances of the kept edges, computed on first read."""
-        return self._weights[1]
-
-    @cached_property
-    def graph(self) -> Network:
-        """The sampled network, built on first read."""
-        return Network._derived(self.kind, self.n, self.edges, self.c, self.s)
+        """Sampled susceptances of the kept edges: ``graph.s``."""
+        return self.graph.s
 
 
 def _pseudo_inverse(L: np.ndarray) -> np.ndarray:
@@ -188,8 +184,8 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
     given as ``seed`` is not advanced.  A drawn entry becomes
     count * w / (t * p), so its expectation over seeds is w; an entry with
     no draws is 0.  The edges drawn by either row are kept, in input order.
-    The draw is made here; the weights, and the sampled network, are derived
-    from its counts when the outcome's ``c``, ``s`` or ``graph`` is first
+    The draw is made here; the sampled network and its weights are derived
+    from its counts when the outcome's ``graph``, ``c`` or ``s`` is first
     read.
     """
     t = sample_count(net.n, eps)

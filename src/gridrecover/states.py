@@ -40,13 +40,15 @@ from .network import AC, DC, Network, _child, _child_index, _finite_non_negative
 class PowerFlowError(RuntimeError):
     """Power-flow solve failed (non-convergence, singular Jacobian, bad range).
 
-    A failed row of a stacked solve is named: ``row`` is its index and
-    ``reason`` the message without it.
+    A failed row of a stacked solve is named: ``row`` is its index,
+    ``reason`` the message without it, and ``solved`` the voltages of the
+    rows before it, which all converged, each with the bits of a solve of
+    that row alone.
     """
 
-    def __init__(self, reason: str, row: int | None = None):
+    def __init__(self, reason: str, row: int | None = None, solved: np.ndarray | None = None):
         super().__init__(reason if row is None else f"row {row}: {reason}")
-        self.reason, self.row = reason, row
+        self.reason, self.row, self.solved = reason, row, solved
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +254,8 @@ def solve_power_flow(
     and a row stops once that norm is at most NEWTON_TOL.  So each row gets
     the bits it would get alone.  A singular Jacobian, a failed damping or
     no convergence in NEWTON_MAX_ITER steps raises PowerFlowError for the
-    failed row of lowest index, after the other rows have finished.
+    failed row of lowest index, after the other rows have finished; the
+    error keeps the voltages of the rows before that one as ``solved``.
     """
     n = net.n
     P = np.asarray(p, dtype=float)
@@ -310,7 +313,7 @@ def solve_power_flow(
     failed.update(dict.fromkeys(rows.tolist(), reason))
     if failed:
         row = min(failed)
-        raise PowerFlowError(failed[row], row=row)
+        raise PowerFlowError(failed[row], row=row, solved=V[:row])
     return V
 
 
@@ -545,13 +548,10 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
             v = solve_power_flow(net, P[pending], Q[pending], slack=slack)
         except PowerFlowError as exc:
             # states after the failed one no longer matter; those before it
-            # solved (rows are independent) and still need their answer
+            # converged (rows are independent) and keep their voltages
             error = PowerFlowError(f"state {pending[exc.row]}: {exc.reason}")
             error.__cause__ = exc
-            pending = pending[: exc.row]
-            if not pending.size:
-                break
-            v = solve_power_flow(net, P[pending], Q[pending], slack=slack)
+            pending, v = pending[: exc.row], exc.solved
         mag = np.abs(v)
         ok = np.all((mag >= vmin) & (mag <= vmax), axis=1)
         V[pending[ok]] = v[ok]

@@ -47,7 +47,7 @@ from typing import Iterable
 import numpy as np
 
 from .network import AC, DC, Edge, Network, _canonical_edges, _kept, _positive_part
-from .nnls import _triangle
+from .nnls import _raw_triangle, _triangle
 from .states import StateSet
 
 RANK_RTOL = 1e-13
@@ -178,8 +178,9 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     it inside the final QR.  Each QR, of a block fold or of the final
     merge, is taken in ``mode="raw"``: the block, the old node factors and
     the stack are dropped as soon as they are no longer needed, and R is
-    read from the upper triangle of numpy's factored copy afterwards, so no
-    triangular copy sits beside the stack and its copy.
+    read from the upper triangle of numpy's factored copy afterwards, the
+    final one by ``nnls._raw_triangle``, so no triangular copy sits beside
+    the stack and its copy.
     """
     edges = _sorted_edges(states.n, edges)
     n = states.n
@@ -206,13 +207,10 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     del factors
     h, _ = np.linalg.qr(stacked.reshape(-1, k + 1), mode="raw")
     del stacked
-    R = np.triu(h.T[: min(h.shape)])
+    R, rhs, rho = _raw_triangle(h)
     del h
-    # fewer equations than columns leave R trapezoidal, with no corner
-    rho = float(abs(R[k, k])) if R.shape[0] > k else 0.0
     # column-major, since restrict and the solver gather column subsets of it
-    matrix = np.asfortranarray(R[:k, :k])
-    return VandermondeSystem(states.kind, n, matrix, R[:k, k].copy(), edges, rho, r * n * states.m)
+    return VandermondeSystem(states.kind, n, np.asfortranarray(R), rhs.copy(), edges, rho, r * n * states.m)
 
 
 def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSystem:

@@ -2,8 +2,9 @@
 
 Run it in two checkouts and compare the last line::
 
-    python3 tests/declared_set.py            # one digest
-    python3 tests/declared_set.py --listing  # one line per run, then the digest
+    python3 tests/declared_set.py            # the digests
+    python3 tests/declared_set.py --listing  # one line per run, then the digests
+    python3 tests/declared_set.py --kernels  # the digests under each BLAS kernel
 
 The set is every builtin x noise sigma in {0, 1e-6, 1e-5} x seeds 0-19, with
 120 states drawn as ``gridrecover generate --builtin NAME --seed SEED`` draws
@@ -15,16 +16,32 @@ the rows of its partial trace.  The listing names, per run, its trace rows,
 last event, returned edge count, whether those are the true edges, and the
 run's own digest, so that a change of results can be read run by run.
 
-The last line ends with a second digest, over the returned edges alone:
-each run's builtin, sigma, seed and tol factor with the edges it returns,
-or with its error's type.  It holds no float bits (the tol is computed from
-the data, so its bits change with the BLAS kernel).  Under numpy 2.4.6's
-bundled OpenBLAS it reads ``9146d58f800e4e7b…`` with every kernel tried::
+The last line ends with two more digests, which hold no float bits (the
+tol is computed from the data, so its bits change with the BLAS kernel).
+``edge sets`` is over the returned edges alone: each run's builtin, sigma,
+seed and tol factor with the edges it returns, or with its error's type.
+``events`` is over the path each run took: its key with the event and the
+edge count of every trace row, of its partial trace on an error.
 
-    OPENBLAS_CORETYPE=<kernel> python3 tests/declared_set.py
+``--kernels`` runs the set again in one child process per
+``OPENBLAS_CORETYPE`` of ``KERNELS`` and prints each child's last line, or
+its exit code and last error line when it fails, as it does on a CPU
+without the kernel's instructions; it sets no variable outside those
+children.  Under numpy 2.4.6's bundled OpenBLAS, on a 2-CPU Intel Xeon
+with AVX-512 (SkylakeX is its default kernel), it read::
 
-for <kernel> SkylakeX (the default on the machine measured), Haswell,
-Sandybridge and Prescott; the trace digest changes under the last three.
+    ===========  ==========  ==================  ==================  ==================
+    kernel       trace rows  digest              edge sets           events
+    ===========  ==========  ==================  ==================  ==================
+    SkylakeX     6179        8555a64a53e88a99…   9146d58f800e4e7b…   a1ff257b39c74f84…
+    Haswell      6207        2d146ab5a2e966c4…   9146d58f800e4e7b…   640aa488c8efa85e…
+    Sandybridge  6223        379644c4dac282b0…   9146d58f800e4e7b…   a90ab68042ae68fe…
+    Prescott     6223        195405f1c789e5ad…   9146d58f800e4e7b…   a90ab68042ae68fe…
+    ===========  ==========  ==================  ==================  ==================
+
+Every kernel returns the same edges, but on some runs Haswell, Sandybridge
+and Prescott reach them by other paths, with more trace rows; Sandybridge
+and Prescott take the same paths as each other.
 
 The script imports ``gridrecover`` from the ``src`` directory of its own
 checkout and pins one BLAS thread before numpy loads: float bits depend on
@@ -41,6 +58,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -57,6 +75,8 @@ SIGMAS = (0.0, 1e-6, 1e-5)
 SEEDS = range(20)
 EXACT_TOL = 1e-5
 NOISY_TOL_FACTORS = (1.0, 1.5)
+# the OPENBLAS_CORETYPE values that --kernels runs the set under
+KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Prescott")
 
 
 def runs():
@@ -81,11 +101,34 @@ def _rows(trace) -> str:
     )
 
 
+def _events(trace) -> str:
+    return " ".join(f"{r.event}:{r.edges}" for r in trace)
+
+
+def kernels() -> int:
+    """Run the set once per BLAS kernel, each in a child process of its own,
+    and print each child's last line; a child that fails, for example on a
+    CPU without the kernel's instructions, is reported with its exit code."""
+    for kernel in KERNELS:
+        child = subprocess.run(
+            [sys.executable, __file__], env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+            capture_output=True, text=True, check=False,
+        )
+        if child.returncode == 0:
+            print(f"{kernel}: {child.stdout.splitlines()[-1]}")
+        else:  # a child killed by a signal, such as SIGILL, has a negative code
+            print(f"{kernel}: exit code {child.returncode}: {(child.stderr.splitlines() or [''])[-1]}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--listing", action="store_true", help="print one line per run before the digest")
+    parser.add_argument("--kernels", action="store_true", help="run the set under each BLAS kernel of KERNELS")
     args = parser.parse_args(argv)
-    total, edge_sets = hashlib.sha256(), hashlib.sha256()
+    if args.kernels:
+        return kernels()
+    total, edge_sets, events = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = rows = 0
     for name, sigma, seed, factor, truth, states, cfg in runs():
         key = f"{name} {sigma!r} {seed} {factor!r}"
@@ -94,12 +137,14 @@ def main(argv=None) -> int:
             net, trace = recover(states, cfg)
         except RecoveryError as exc:
             edge_sets.update(f"{key} error {type(exc).__name__}\n".encode())
+            events.update(f"{key} {_events(exc.trace)}\n".encode())
             run += f"error {exc}\n{_rows(exc.trace)}"
             rows += len(exc.trace)
             summary = f"{len(exc.trace)} rows, error: {exc}"
             weights = b""
         else:
             edge_sets.update(f"{key} {net.edges}\n".encode())
+            events.update(f"{key} {_events(trace)}\n".encode())
             run += _rows(trace) + f"{net.edges}\n"
             rows += len(trace)
             summary = (
@@ -113,7 +158,10 @@ def main(argv=None) -> int:
         if args.listing:
             tol = "exact" if factor is None else factor
             print(f"{name} sigma={sigma:g} seed={seed} tol={tol}: {summary} {digest[:16]}")
-    print(f"{count} runs, {rows} trace rows, digest {total.hexdigest()}, edge sets {edge_sets.hexdigest()}")
+    print(
+        f"{count} runs, {rows} trace rows, digest {total.hexdigest()}, edge sets {edge_sets.hexdigest()},"
+        f" events {events.hexdigest()}"
+    )
     return 0
 
 

@@ -725,6 +725,34 @@ def test_cli_bound_rejects_bad_eps(tmp_path, capsys, value):
     assert not (tmp_path / "bound.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--vmin", "--vmax"])
+@pytest.mark.parametrize("variant", [[], ["--variant", "fine"], ["--variant", "ac"]])
+def test_cli_bound_takes_vmin_and_vmax_with_the_coarse_variant_only(tmp_path, capsys, variant, flag):
+    # only the coarse certificate reads them; checked before the (missing) files are read
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--network", str(tmp_path / "network.json"),
+              "--states", str(tmp_path / "states.csv"), "--eps", "0.5", *variant,
+              flag, "nan", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: only --variant coarse reads it" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_bound_coarse_defaults_to_the_voltage_range(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "20", "--seed", "2",
+                 "--out-dir", str(data)]) == 0
+    reports = []
+    for limits in ([], ["--vmin", "0.9"], ["--vmin", "0.9", "--vmax", "1.1"]):
+        out = tmp_path / f"out{len(limits)}"
+        assert main(["bound", "--network", str(data / "network.json"),
+                     "--states", str(data / "states.csv"), "--eps", "0.5", "--variant", "coarse",
+                     *limits, "--out-dir", str(out)]) == 0
+        reports.append((out / "bound.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
 # sha256 of states.csv from `generate --builtin NAME --m 50 --seed 5 --noise 1e-6`,
 # written by the per-state Newton loop that the batched solve replaced
 STATES_SHA256 = {

@@ -82,6 +82,21 @@ def test_config_validation():
     assert cfg.tol == 0.1 + 0.2 and type(cfg.tol) is float and cfg.psi == 2
 
 
+def test_config_stores_its_real_fields_as_floats(table1_states):
+    cfg = RecoveryConfig(eps0=1, psi=np.float32(1.5), tol=np.float32(1e-5), max_wall_time=np.int64(60))
+    values = (cfg.eps0, cfg.psi, cfg.tol, cfg.max_wall_time)
+    assert values == (1.0, 1.5, float(np.float32(1e-5)), 60.0)
+    assert {type(v) for v in values} == {float}
+    # a float keeps its bits
+    cfg = RecoveryConfig(eps0=0.1 + 0.2, psi=np.float64(1.1), tol=1e-5 / 3, max_wall_time=0.7)
+    assert [v.hex() for v in (cfg.eps0, cfg.psi, cfg.tol, cfg.max_wall_time)] == [
+        v.hex() for v in (0.1 + 0.2, 1.1, 1e-5 / 3, 0.7)
+    ]
+    # an int eps0 gives trace rows whose epsilon is the float TraceRow declares
+    _, trace = recover(table1_states, RecoveryConfig(eps0=1, seed=0, max_iterations=3))
+    assert len(trace) == 3 and all(type(r.epsilon) is float for r in trace)
+
+
 def test_recover_refits_every_candidate_and_repeats_its_bits(monkeypatch, table1_states):
     restricted = []
 
@@ -400,7 +415,8 @@ def test_the_loop_reads_only_the_edges_of_a_draw(monkeypatch, name):
     net, trace = recover(states, cfg)
     assert read == [] and len(trace) > 10
     outcome = sparsify.sparsify_ac(net, 0.5, 0)  # the spies see a read
-    assert np.array_equal(outcome.graph.c, outcome.c) and read == ["graph", "c", "s", "c"]
+    # c is graph's, so reading it reads graph again
+    assert np.array_equal(outcome.graph.c, outcome.c) and read == ["graph", "c", "graph"]
 
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])

@@ -283,6 +283,17 @@ def test_sparsify_ac_weights_read_later_are_the_weights_of_the_draw(shape):
             assert out.graph == ref.graph
 
 
+@pytest.mark.parametrize("net", [small_ac(0), table1_dc()], ids=["ac", "dc"])
+def test_sparsify_ac_weights_are_the_read_only_weights_of_its_graph(net):
+    out = sparsify_ac(net, 0.5, 3)
+    for w in (out.c, out.s):  # read before the graph
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = -5.0
+    assert out.c.tobytes() == out.graph.c.tobytes() and out.s.tobytes() == out.graph.s.tobytes()
+    assert np.all(out.c >= 0) and np.all(out.s >= 0)
+
+
 @pytest.mark.parametrize(
     "net, eps",
     [

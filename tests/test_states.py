@@ -501,6 +501,18 @@ def test_stacked_solve_power_flow_names_the_failed_row():
     assert np.array_equal(solve_power_flow(line, p[[0, 3]])[1], solve_power_flow(line, p[3:4])[0])
 
 
+@pytest.mark.parametrize("make", [random_dc_network, random_ac_network])
+def test_a_failed_stacked_solve_keeps_the_rows_before_the_failed_one(make):
+    rng = np.random.default_rng(10)
+    net = make(rng, 5, wrange=(1.0, 3.0))
+    p = np.column_stack([np.zeros(6), rng.uniform(-0.3, 0.0, (6, 4))])
+    p[3, 1:] = -50.0  # far past the nose point
+    with pytest.raises(PowerFlowError) as exc:
+        solve_power_flow(net, p)
+    assert exc.value.row == 3 and exc.value.solved.shape == (3, 5)
+    assert np.array_equal(exc.value.solved, solve_power_flow(net, p[:3]))
+
+
 def test_generate_scenario_singular_jacobian_names_the_state():
     line = Network.dc(2, ((1, 2),), [1.0])
     scen = Scenario(2, p_range=(-0.5, -0.5))
@@ -518,6 +530,9 @@ def test_generate_scenario_no_convergence_names_the_first_failed_state(monkeypat
     want = _outcome(scenario_per_state, net, scen, 40, seed=2)
     assert want.startswith("state ") and not want.startswith("state 0:")
     assert want.endswith("no convergence after 2 Newton iterations")
+    calls = _counting_solves(monkeypatch)
     with pytest.raises(PowerFlowError) as exc:
         generate_scenario(net, scen, 40, seed=2)
     assert str(exc.value) == want
+    # the rows before the failed one keep the voltages of the failed call
+    assert calls == [40]
