@@ -82,13 +82,9 @@ def cmd_generate(args) -> int:
         net = builtin_network(args.builtin, first)
         scen = builtin_scenario(args.builtin, sigma=args.noise)
         states = generate_scenario(net, scen, args.m, seed=second)
-        provenance = {
-            "builtin": args.builtin,
-            "slack": scen.slack,
-            "zero": list(scen.zero),
-            "p_range": list(scen.p_range),
-            "q_range": list(scen.q_range),
-        }
+        # the scenario's sampling layout: n is the network's, and sigma is written as noise
+        layout = {k: v for k, v in asdict(scen).items() if k not in ("n", "sigma")}
+        provenance = {"builtin": args.builtin, **layout}
     else:
         net = io.load_network(args.network)
         states = add_noise(generate_voltage_driven(net, args.m, seed=first), args.noise, seed=second)

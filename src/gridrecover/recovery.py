@@ -11,6 +11,7 @@ further iteration the loop checks, in this order, whether it stops:
 - ``minimal``: deleting any one edge from the held fit would raise the rms
   past the tolerance, least squares on the remaining edges included, and
   every later candidate lies inside such a deletion (see :func:`_minimal`);
+  or the held network has no edge, so no draw can be made from it;
 - ``time``: ``max_wall_time`` seconds have passed since the run began;
 - ``iterations``: the trace has ``max_iterations`` rows;
 - ``stale``: ``max_stale_iterations`` rows have followed the held fit's.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -221,7 +222,14 @@ class TraceRow:
     """One loop iteration.  ``edges``/``rms``/``kappa`` describe the fitted
     network of the iteration: the held one for 'initial'/'accepted'/
     'no_edge_reduction' rows, the rejected candidate for 'rejected_rms' rows.
-    ``epsilon`` is the value used by the sparsification of that iteration."""
+    ``epsilon`` is the value used by the sparsification of that iteration.
+
+    The last 'initial' or 'accepted' row is the loop's record of its held
+    fit, and a 'no_edge_reduction' row repeats it.  Its ``edges`` is also the
+    draw bound: a candidate must have fewer edges to be refitted.  On an
+    'accepted' row that is the held network's positive edges; on the
+    'initial' row it is every edge of the complete graph, zero-weight ones
+    included, so the first draw is bounded by that count."""
 
     iteration: int
     edges: int
@@ -269,11 +277,14 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     """Recover a sparse network fitting the data within cfg.tol.
 
     Returns the last accepted network (zero-weight edges pruned) and the full
-    trace; a run that cannot go on raises :class:`RecoveryError`.  If the
-    initial complete-graph fit already exceeds the tolerance a warning is
-    logged and the loop proceeds, though a subset of the complete graph's
-    columns cannot fit better than all of them: a candidate lands below that
-    rms only by roundoff, or when the initial NNLS stopped short of its
+    trace; a run that cannot go on raises :class:`RecoveryError`.  A held
+    network with no positive-weight edge, such as the complete-graph fit of
+    data with no flow, stops the run as ``minimal`` before any draw, since
+    none can be made from it, and is returned with no edge.  If the initial
+    complete-graph fit already exceeds the tolerance a warning is logged and
+    the loop proceeds, though a subset of the complete graph's columns
+    cannot fit better than all of them: a candidate lands below that rms
+    only by roundoff, or when the initial NNLS stopped short of its
     optimum.
     """
     cfg = RecoveryConfig() if cfg is None else cfg
@@ -285,15 +296,15 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     trace = RecoveryTrace()
     full = assemble(complete_edges(n), states)
     try:
-        held = fit(full)
+        initial = fit(full)
     except NnlsError as exc:
         raise RecoveryError(f"initial estimation failed: {exc}", trace, None) from exc
     # the held network, zero-weight edges pruned: they add nothing to the
-    # Laplacian, so they change no draw; a draw must have fewer edges than
-    # the held fit, whose count includes them until the first accept
-    cur = positive_network_from_columns(held.system, held.nnls.w)
-    held_size, held_at = len(full.edges), 1  # held_at: the iteration of the held fit's row
-    trace.append(TraceRow(1, held_size, held.rms, held.kappa, cfg.eps0, EVENT_INITIAL))
+    # Laplacian, so they change no draw; held is its trace row, whose edge
+    # count bounds the draws and includes them until the first accept
+    cur = positive_network_from_columns(initial.system, initial.nnls.w)
+    held = TraceRow(1, len(full.edges), initial.rms, initial.kappa, cfg.eps0, EVENT_INITIAL)
+    trace.append(held)
     if held.rms > cfg.tol:
         log.warning(
             "complete-graph fit rms %.3e exceeds tol %.3e; continuing", held.rms, cfg.tol
@@ -304,10 +315,10 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     # the iteration under way is len(trace) + 1: every iteration appends one row
     while True:
         reason = (  # a limit of None is no limit
-            "minimal" if minimal
+            "minimal" if minimal or not cur.edges
             else "time" if time.monotonic() - t0 >= (cfg.max_wall_time or math.inf)
             else "iterations" if len(trace) >= (cfg.max_iterations or math.inf)
-            else "stale" if len(trace) - held_at >= (cfg.max_stale_iterations or math.inf)
+            else "stale" if len(trace) - held.iteration >= (cfg.max_stale_iterations or math.inf)
             else None
         )
         if reason:
@@ -320,7 +331,7 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
                 f"sparsification failed at iteration {len(trace) + 1}: {exc}", trace, cur
             ) from exc
         candidate_edges = outcome.edges
-        if len(candidate_edges) < held_size:
+        if len(candidate_edges) < held.edges:
             try:
                 refit = fit(restrict(full, candidate_edges))
             except NnlsError as exc:
@@ -328,17 +339,17 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
                     f"estimation failed at iteration {len(trace) + 1}: {exc}", trace, cur
                 ) from exc
             if refit.rms <= cfg.tol:
-                cur, held = positive_network_from_columns(refit.system, refit.nnls.w), refit
-                held_size, held_at = len(cur.edges), len(trace) + 1
-                minimal = _minimal(held, cfg.tol)
-                trace.append(TraceRow(len(trace) + 1, held_size, held.rms, held.kappa, eps, EVENT_ACCEPTED))
+                cur = positive_network_from_columns(refit.system, refit.nnls.w)
+                minimal = _minimal(refit, cfg.tol)
+                held = TraceRow(len(trace) + 1, len(cur.edges), refit.rms, refit.kappa, eps, EVENT_ACCEPTED)
+                trace.append(held)
                 continue
             trace.append(
                 TraceRow(len(trace) + 1, len(candidate_edges), refit.rms, refit.kappa, eps, EVENT_REJECTED_RMS)
             )
             eps = eps / cfg.psi
         else:
-            trace.append(TraceRow(len(trace) + 1, held_size, held.rms, held.kappa, eps, EVENT_NO_REDUCTION))
+            trace.append(replace(held, iteration=len(trace) + 1, epsilon=eps, event=EVENT_NO_REDUCTION))
             eps = eps * cfg.psi
 
     if log.isEnabledFor(logging.INFO):  # the re-check costs a pass over the data

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from gridrecover.network import Network
+from gridrecover.states import StateSet
 
 
 def random_connected_graph(rng, n, extra_edges=4, wrange=(0.5, 10.0)) -> Network:
@@ -37,3 +40,16 @@ def random_ac_network(rng, n, extra_edges=4, wrange=(0.5, 10.0)) -> Network:
     g = random_connected_graph(rng, n, extra_edges, wrange)
     s = rng.uniform(*wrange, len(g.edges))
     return Network.ac(n, g.edges, g.c, s)
+
+
+def flat_states() -> StateSet:
+    """Four DC states on three nodes, every voltage 1 and every injection 0:
+    the empty network fits them with rms 0."""
+    return StateSet.dc(np.ones((4, 3)), np.zeros((4, 3)))
+
+
+def draining_states() -> StateSet:
+    """Four DC states on three nodes, every node drawing power: no network
+    fits them, and the complete graph's NNLS weights are all zero."""
+    rng = np.random.default_rng(0)
+    return StateSet.dc(rng.uniform(0.9, 1.1, (4, 3)), -rng.uniform(0.1, 0.2, (4, 3)))

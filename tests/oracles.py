@@ -15,7 +15,10 @@ while the eager sampler takes the library's draws but computes every weight
 at the draw and keeps the edges of positive weight.
 The reference assembly shares the library's per-node equations but takes
 every QR with ``mode="r"``, as the library did before it read R out of
-numpy's factored copy.
+numpy's factored copy.  The fewest-edge search, by contrast, fits with the
+library's own ``fit(restrict(full, subset))``, the computation the recovery
+loop accepts a candidate by: what it checks is the loop's search, not the
+fit.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from gridrecover.network import (
     split_graphs,
 )
 from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, NnlsResult, _kkt_residual
-from gridrecover.recovery import Fit
+from gridrecover.recovery import Fit, fit
 from gridrecover.sparsify import (
     WEIGHT_ROWS,
     EdgeStatistics,
@@ -52,7 +55,9 @@ from gridrecover.vandermonde import (
     _incidence,
     _node_equations,
     _sorted_edges,
+    compressed,
     condition_number,
+    restrict,
 )
 
 
@@ -527,3 +532,32 @@ def sparsify_eager(net, eps: float, seed=0) -> SimpleNamespace:
     c, s = out[:, keep]
     edges = tuple(e for e, k in zip(net.edges, keep) if k)
     return SimpleNamespace(edges=edges, c=c, s=s, t=t, graph=Network(net.kind, net.n, edges, c, s))
+
+
+def fewest_edges(full: VandermondeSystem, tol: float) -> tuple[Edge, ...] | None:
+    """The fewest edges of ``full`` whose fit is within ``tol``, by exhaustive search.
+
+    Every subset of the complete system's edges is tried in order of size,
+    each fitted by ``fit(restrict(full, subset))`` and feasible when its rms
+    is at most ``tol``; the first feasible size wins.  Ties go to the first
+    subset in ``itertools.combinations`` order over ``full.edges``, which is
+    the lexicographically smallest sorted edge set.  The empty set is
+    feasible when the injections' own rms is within ``tol``; None is
+    returned when not even all the edges are.
+
+    A subset whose least-squares residual alone, the ``rho`` of its
+    compressed system, already puts its rms above ``tol`` is skipped without
+    a fit: ``fit`` takes that same compressed system and its residual is
+    ``hypot`` of the NNLS objective and that ``rho``, so the skip rejects
+    exactly the subsets the fit would, bit for bit, only sooner.
+    """
+    if np.hypot(np.linalg.norm(full.rhs), full.rho) / np.sqrt(full.rows) <= tol:
+        return ()
+    for size in range(1, len(full.edges) + 1):
+        for subset in combinations(full.edges, size):
+            system = restrict(full, subset)
+            if compressed(system).rho / np.sqrt(system.rows) > tol:
+                continue
+            if fit(system).rms <= tol:
+                return subset
+    return None

@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gridrecover.cli
 import gridrecover.recovery
 import gridrecover.sparsify as sparsify
 from gridrecover import io
@@ -22,7 +24,7 @@ from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import RecoveryConfig, RecoveryError, RecoveryTrace, TraceRow, recover
 from gridrecover.sparsify import effective_resistances
 from gridrecover.states import StateSet, generate_voltage_driven
-from helpers import random_ac_network, random_dc_network
+from helpers import draining_states, flat_states, random_ac_network, random_dc_network
 
 
 def test_network_json_round_trip(tmp_path):
@@ -274,6 +276,17 @@ def test_cli_generate_recover_round_trip(tmp_path, capsys):
     assert io.render_trace_table(trace) in capsys.readouterr().out
 
 
+def test_cli_generate_small_ac_provenance_is_pinned(tmp_path):
+    # the scenario's sampling layout, its zero-injection node and Q range included
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "small_ac", "--m", "5", "--seed", "2",
+                 "--noise", "1e-6", "--out-dir", str(out)]) == 0
+    expected = {"builtin": "small_ac", "slack": 1, "zero": [3],
+                "p_range": [-0.1, 0.0], "q_range": [-0.05, 0.05],
+                "m": 5, "seed": 2, "noise": 1e-6}
+    assert (out / "provenance.json").read_text() == json.dumps(expected, indent=2) + "\n"
+
+
 def test_cli_estimate_round_trip(tmp_path):
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "path3_dc", "--m", "50", "--seed", "3",
@@ -447,6 +460,17 @@ def test_cli_os_error_on_a_named_path_exits_2(tmp_path, capsys, monkeypatch, arg
     assert sorted(tmp_path.iterdir()) == before and (tmp_path / "a_file").is_file()
 
 
+def test_cli_main_reraises_an_os_error_that_names_no_path(monkeypatch):
+    # such as a failed fork: not a bad input, so not exit 2
+    def failed_fork(args):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(gridrecover.cli, "cmd_report", failed_fork)
+    with pytest.raises(OSError) as exc:
+        main(["report", "--trace", "trace.csv"])
+    assert (exc.value.errno, exc.value.filename) == (errno.EAGAIN, None)
+
+
 @pytest.mark.parametrize(
     ("loader", "args"),
     [(io.load_states_csv, ["recover", "--states", "{bad}", "--out-dir", "{out}"]),
@@ -547,6 +571,23 @@ def test_cli_recover_malformed_states_leave_no_directory(tmp_path, capsys, trial
     assert main(["recover", "--states", str(bad), "--trials", trials, "--out-dir", str(out)]) == 2
     assert "parse error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["1", "2"])
+@pytest.mark.parametrize(("make", "code"), [(flat_states, 0), (draining_states, 1)], ids=["flat", "draining"])
+def test_cli_recover_returns_an_empty_held_network(tmp_path, capsys, trials, make, code):
+    # the empty network fits the flat data with rms 0; on the draining data
+    # nothing fits, and the run exits 1 on its rms, not on a failed draw
+    states, out = tmp_path / "states.csv", tmp_path / "out"
+    io.save_states_csv(make(), states)
+    assert main(["recover", "--states", str(states), "--trials", trials, "--out-dir", str(out)]) == code
+    assert "error: " not in capsys.readouterr().err
+    if trials == "1":
+        assert io.load_network(out / "recovered.json").edges == ()
+        assert [r.event for r in io.load_trace_csv(out / "trace.csv")] == ["initial"]
+    else:
+        summary = json.loads((out / "trials.json").read_text())
+        assert summary["edge_counts"] == [0, 0] and summary["successes"] == 2 * (code == 0)
 
 
 def test_cli_recover_failed_initial_fit_exits_1(tmp_path, capsys, monkeypatch):

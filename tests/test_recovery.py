@@ -28,6 +28,7 @@ from gridrecover.recovery import (
 )
 from gridrecover.states import StateSet, add_noise, generate_scenario, rms
 from gridrecover.vandermonde import VandermondeSystem, assemble, restrict
+from helpers import draining_states, flat_states
 from oracles import sparsify_eager
 
 
@@ -537,6 +538,38 @@ def test_a_held_fit_without_a_positive_weight_is_not_minimal():
     held = fit(_triangle_system(np.eye(3), [-1.0, -1.0, -1.0]))
     assert not held.nnls.w.any()
     assert not _minimal(held, 10 * held.rms)
+
+
+@pytest.mark.parametrize("make", [flat_states, draining_states], ids=["flat", "draining"])
+def test_a_held_network_without_an_edge_stops_minimal(caplog, make):
+    # the complete graph's fit weights no edge, so the held network is empty:
+    # it has no proper subset and no draw can be made from it
+    cfg = RecoveryConfig()
+    with caplog.at_level(logging.INFO, logger="gridrecover.recovery"):
+        net, trace = recover(make(), cfg)
+    assert (net.n, net.edges) == (3, ())
+    assert [(r.iteration, r.edges, r.event) for r in trace] == [(1, 3, EVENT_INITIAL)]
+    stops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stopping")]
+    assert stops == ["stopping after iteration 1 (minimal)"]
+    warned = any("exceeds tol" in r.getMessage() for r in caplog.records)
+    if make is flat_states:
+        assert trace.rows[0].rms == 0.0 and not warned
+    else:  # no network fits: the run warns, and the empty one is still returned
+        assert trace.rows[0].rms > cfg.tol and warned
+
+
+@pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
+def test_no_edge_reduction_rows_repeat_the_held_row(name):
+    states, cfg = _long_run(name)
+    _, trace = recover(states, cfg)
+    repeated = 0
+    for row in trace:
+        if row.event in (EVENT_INITIAL, EVENT_ACCEPTED):
+            held = row
+        elif row.event == EVENT_NO_REDUCTION:
+            assert (row.edges, row.rms.hex(), row.kappa.hex()) == (held.edges, held.rms.hex(), held.kappa.hex())
+            repeated += 1
+    assert repeated > 0
 
 
 def test_a_held_fit_on_a_rank_deficient_triangle_is_not_minimal():
