@@ -10,8 +10,9 @@ further iteration the loop checks, in this order, whether it stops:
 
 - ``minimal``: deleting any one edge from the held fit would raise the rms
   past the tolerance, least squares on the remaining edges included, and
-  every later candidate lies inside such a deletion (see :func:`_minimal`);
-  or the held network has no edge, so no draw can be made from it;
+  every later candidate lies inside such a deletion; a held fit with no
+  positive weight has no proper subset at all (see :func:`_minimal`).  The
+  initial fit is held as an accepted one is, so this can end iteration 1;
 - ``time``: ``max_wall_time`` seconds have passed since the run began;
 - ``iterations``: the trace has ``max_iterations`` rows;
 - ``stale``: ``max_stale_iterations`` rows have followed the held fit's.
@@ -195,8 +196,9 @@ def _minimal(held: Fit, tol: float) -> bool:
     squared residual :func:`vandermonde._deletion_residuals` gives for
     every e at once.  H is minimal when each exceeds ``rows * tol^2``, with
     the room of ``MINIMAL_ROUNDOFF_UNITS``.  A held fit with no positive
-    weight, and a triangle that fails the solver's rank test
-    (``nnls._full_rank``), certify nothing.
+    weight is minimal: its network has no edge, so no proper subset and no
+    draw.  A triangle that fails the solver's rank test
+    (``nnls._full_rank``) certifies nothing.
 
     The triangle comes from :func:`vandermonde.compressed` on H's edges,
     those the held fit weights positively (:func:`vandermonde._kept_edges`).
@@ -206,7 +208,7 @@ def _minimal(held: Fit, tol: float) -> bool:
     system = held.system
     keep = _kept_edges(system, held.nnls.w)
     if not keep.any():
-        return False
+        return True
     kept = compressed(system, keep)
     if not _full_rank(kept.matrix):
         return False
@@ -229,7 +231,9 @@ class TraceRow:
     draw bound: a candidate must have fewer edges to be refitted.  On an
     'accepted' row that is the held network's positive edges; on the
     'initial' row it is every edge of the complete graph, zero-weight ones
-    included, so the first draw is bounded by that count."""
+    included, so the first draw is bounded by that count.  A run certified
+    minimal at that row returns the complete-graph fit's positive edges,
+    which can be fewer than the row shows."""
 
     iteration: int
     edges: int
@@ -276,16 +280,17 @@ class RecoveryError(RuntimeError):
 def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Network, RecoveryTrace]:
     """Recover a sparse network fitting the data within cfg.tol.
 
-    Returns the last accepted network (zero-weight edges pruned) and the full
-    trace; a run that cannot go on raises :class:`RecoveryError`.  A held
-    network with no positive-weight edge, such as the complete-graph fit of
-    data with no flow, stops the run as ``minimal`` before any draw, since
-    none can be made from it, and is returned with no edge.  If the initial
-    complete-graph fit already exceeds the tolerance a warning is logged and
-    the loop proceeds, though a subset of the complete graph's columns
-    cannot fit better than all of them: a candidate lands below that rms
-    only by roundoff, or when the initial NNLS stopped short of its
-    optimum.
+    Returns the last held network (the complete-graph fit or the last
+    accepted one, zero-weight edges pruned) and the full trace; a run that
+    cannot go on raises :class:`RecoveryError`.  The complete-graph fit is
+    certified as each accepted refit is (:func:`_minimal`), so a run whose
+    initial fit is already minimal stops at iteration 1 before any draw.
+    That includes a fit with no positive-weight edge, such as that of data
+    with no flow, which is returned with no edge, and a fit whose rms
+    exceeds the tolerance: a subset of the complete graph's columns cannot
+    fit better than all of them, so such a run is logged with a warning and
+    goes on only when the certificate's roundoff room or rank test leaves
+    the fit uncertified.
     """
     cfg = RecoveryConfig() if cfg is None else cfg
     n = states.n
@@ -307,15 +312,15 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     trace.append(held)
     if held.rms > cfg.tol:
         log.warning(
-            "complete-graph fit rms %.3e exceeds tol %.3e; continuing", held.rms, cfg.tol
+            "complete-graph fit rms %.3e exceeds tol %.3e; no subset of its edges fits better", held.rms, cfg.tol
         )
 
     eps = cfg.eps0
-    minimal = False  # no later candidate can be accepted (see _minimal)
+    minimal = _minimal(initial, cfg.tol)  # no later candidate can be accepted
     # the iteration under way is len(trace) + 1: every iteration appends one row
     while True:
         reason = (  # a limit of None is no limit
-            "minimal" if minimal or not cur.edges
+            "minimal" if minimal
             else "time" if time.monotonic() - t0 >= (cfg.max_wall_time or math.inf)
             else "iterations" if len(trace) >= (cfg.max_iterations or math.inf)
             else "stale" if len(trace) - held.iteration >= (cfg.max_stale_iterations or math.inf)

@@ -33,15 +33,18 @@ with AVX-512 (SkylakeX is its default kernel), it read::
     ===========  ==========  ==================  ==================  ==================
     kernel       trace rows  digest              edge sets           events
     ===========  ==========  ==================  ==================  ==================
-    SkylakeX     6179        8555a64a53e88a99…   9146d58f800e4e7b…   a1ff257b39c74f84…
-    Haswell      6207        2d146ab5a2e966c4…   9146d58f800e4e7b…   640aa488c8efa85e…
-    Sandybridge  6223        379644c4dac282b0…   9146d58f800e4e7b…   a90ab68042ae68fe…
-    Prescott     6223        195405f1c789e5ad…   9146d58f800e4e7b…   a90ab68042ae68fe…
+    SkylakeX     6156        8d081e31cc094fab…   9146d58f800e4e7b…   801c4cec3febf6be…
+    Haswell      6184        02df1a94ff2bdd2f…   9146d58f800e4e7b…   59e8cfe330b95db3…
+    Sandybridge  6199        327d6d88dd255492…   9146d58f800e4e7b…   2f460ca107689be8…
+    Prescott     6200        39fa60d06907787f…   9146d58f800e4e7b…   5bbc9a7eacee7b28…
     ===========  ==========  ==================  ==================  ==================
 
 Every kernel returns the same edges, but on some runs Haswell, Sandybridge
-and Prescott reach them by other paths, with more trace rows; Sandybridge
-and Prescott take the same paths as each other.
+and Prescott reach them by other paths, with more trace rows.  Which exact
+runs have a complete-graph fit certified minimal, and so stop at iteration
+1, also depends on the kernel: table1_dc seeds 1, 11 and 19 under
+SkylakeX, 1, 18 and 19 under Haswell, 1, 16 and 18 and small_ac seed 7
+under Sandybridge, and 1, 16 and 19 under Prescott.
 
 The script imports ``gridrecover`` from the ``src`` directory of its own
 checkout and pins one BLAS thread before numpy loads: float bits depend on

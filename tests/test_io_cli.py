@@ -608,10 +608,9 @@ def test_cli_recover_failed_initial_fit_exits_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "noise, tol",
     [
-        ("1e-4", "1e-9"),  # tol below the noise: the initial fit is already certified
-        ("0", "1e-15"),  # exact data, tol below its roundoff rms: the initial fit is not
+        ("0", "1e-15"),  # exact data, tol below its roundoff rms: the initial fit is not certified
     ],
-    ids=["noisy", "exact"],
+    ids=["exact"],
 )
 def test_cli_recover_sample_count_overflow_exits_1(tmp_path, capsys, noise, tol):
     # every refit misses the tolerance, so eps shrinks by psi per iteration
@@ -880,15 +879,30 @@ def test_cli_failing_trial_fails_the_command(tmp_path, capfd):
     # single run would, with no traceback from the pool
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "7",
-                 "--noise", "1e-4", "--out-dir", str(out)]) == 0
+                 "--out-dir", str(out)]) == 0
     capfd.readouterr()
-    code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-9",
+    code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-15",
                  "--max-stale", "60", "--trials", "2", "--workers", "2",
                  "--out-dir", str(out)])
     err = capfd.readouterr().err
     assert code == 1
     assert "error: sparsification failed at iteration" in err and "at n=6 needs" in err
     assert "Traceback" not in err and "BrokenProcessPool" not in err
+
+
+def test_cli_trials_certified_at_row_1_stop_there(tmp_path, capsys):
+    # tol is below the noise, so each trial's complete-graph fit is already
+    # certified: it stops at iteration 1 on the fit's 9 positive edges, which
+    # miss the tolerance, and the command fails on its rms, not on a draw
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "7",
+                 "--noise", "1e-4", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-9",
+                 "--trials", "2", "--workers", "2", "--out-dir", str(out)])
+    assert code == 1
+    trials = json.loads((out / "trials.json").read_text())["trials"]
+    assert [(t["iterations"], t["edges"], t["success"]) for t in trials] == [(1, 9, False)] * 2
 
 
 def test_cli_trials_reject_malformed_states_before_any_worker(tmp_path, capsys, monkeypatch):

@@ -27,7 +27,7 @@ from gridrecover.recovery import (
     recover,
 )
 from gridrecover.states import StateSet, add_noise, generate_scenario, rms
-from gridrecover.vandermonde import VandermondeSystem, assemble, restrict
+from gridrecover.vandermonde import VandermondeSystem, assemble, positive_network_from_columns, restrict
 from helpers import draining_states, flat_states
 from oracles import sparsify_eager
 
@@ -241,13 +241,23 @@ def test_recover_rechecks_rms_only_for_the_info_log(monkeypatch, table1_states, 
     assert any("re-checked" in rec.message for rec in caplog.records)
 
 
-def test_recover_below_noise_floor_stays_small(table1_states):
-    # every refit misses tol, so eps shrinks each iteration and the draw count
-    # 8 n ln n / eps^2 passes 1e13; sampling must not allocate per draw
-    noisy = add_noise(table1_states, 1e-4, seed=0)
+def _roundoff_states():
+    """The exact states of ``gridrecover generate --builtin table1_dc --m 40
+    --seed 7``: their complete-graph fit has rms 9.1e-14, and at tol 1e-15
+    the certificate's roundoff room leaves that fit uncertified."""
+    net_seed, data_seed = np.random.SeedSequence(7).spawn(2)
+    net = builtin_network("table1_dc", net_seed)
+    return generate_scenario(net, builtin_scenario("table1_dc"), 40, seed=data_seed)
+
+
+def test_recover_below_noise_floor_stays_small():
+    # tol is below the roundoff of the data's rms, so every refit misses it,
+    # eps shrinks each iteration and the draw count 8 n ln n / eps^2 passes
+    # 1e13; sampling must not allocate per draw
+    states = _roundoff_states()
     tracemalloc.start()
     try:
-        _, trace = recover(noisy, cfg=RecoveryConfig(tol=1e-9, seed=0))
+        _, trace = recover(states, cfg=RecoveryConfig(tol=1e-15, seed=0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -302,19 +312,22 @@ def _stub_trace(events):
 
 
 @pytest.mark.parametrize(
-    ("limits", "reason", "rows"),
+    ("limits", "reason", "rows", "noise"),
     [
-        (dict(max_iterations=1), "iterations", 1),
-        (dict(max_wall_time=1e-9), "time", 1),
-        (dict(max_wall_time=1e-9, max_iterations=1), "time", 1),  # time is checked first
-        (dict(tol=1e-14, max_stale_iterations=3), "stale", 4),  # every refit rejected
-        ({}, "minimal", 2),
+        (dict(max_iterations=1), "iterations", 1, 0.0),
+        (dict(max_wall_time=1e-9), "time", 1, 0.0),
+        (dict(max_wall_time=1e-9, max_iterations=1), "time", 1, 0.0),  # time is checked first
+        (dict(tol=1e-14, max_stale_iterations=3), "stale", 4, 0.0),  # every refit rejected
+        ({}, "minimal", 2, 0.0),
+        # tol below the noise: the complete-graph fit is already certified
+        (dict(tol=1e-9), "minimal", 1, 1e-4),
     ],
-    ids=["iterations", "time", "time-before-iterations", "stale", "minimal"],
+    ids=["iterations", "time", "time-before-iterations", "stale", "minimal", "minimal-at-row-1"],
 )
-def test_recover_stop_reasons(table1_states, caplog, limits, reason, rows):
+def test_recover_stop_reasons(table1_states, caplog, limits, reason, rows, noise):
+    states = add_noise(table1_states, noise, seed=0) if noise else table1_states
     with caplog.at_level(logging.INFO, logger="gridrecover.recovery"):
-        _, trace = recover(table1_states, RecoveryConfig(seed=0, **limits))
+        _, trace = recover(states, RecoveryConfig(seed=0, **limits))
     stops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stopping")]
     assert stops == [f"stopping after iteration {rows} ({reason})"]
     assert len(trace) == rows
@@ -493,8 +506,8 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
 @pytest.mark.parametrize("sigma", [0.0, 1e-6])
 @pytest.mark.parametrize("name", BUILTINS)
 def test_ending_on_a_minimal_network_changes_no_result(monkeypatch, name, sigma, seed):
-    # a run that ends once its held network is minimal returns the network
-    # the run without that stop returns after its stale iterations, and its
+    # a run that ends once its held network is minimal returns the edges the
+    # run without that stop returns after its stale iterations, and its
     # trace is the head of that run's trace
     states, cfg = _builtin_run(name, sigma, seed)
     net, trace = recover(states, cfg)
@@ -503,9 +516,20 @@ def test_ending_on_a_minimal_network_changes_no_result(monkeypatch, name, sigma,
     assert _rescanned_stale_count(stale_trace.rows) == cfg.max_stale_iterations
     assert trace.rows == stale_trace.rows[: len(trace)]
     assert net.edges == stale_net.edges
-    assert net.c.tobytes() == stale_net.c.tobytes() and net.s.tobytes() == stale_net.s.tobytes()
-    if sigma == 0.0:  # exact data: the first accepted network is minimal
-        assert [r.event for r in trace] == [EVENT_INITIAL, EVENT_ACCEPTED]
+    if len(trace) == 1:
+        # certified at the complete-graph fit (path3_dc's exact seeds and
+        # sigma 1e-6 seed 1), whose positive part the run returns; the stale
+        # run accepts the same edges refitted, equal up to their last bits
+        assert name == "path3_dc"
+        initial = fit(assemble(complete_edges(states.n), states))
+        positive = positive_network_from_columns(initial.system, initial.nnls.w)
+        assert net.c.tobytes() == positive.c.tobytes() and net.s.tobytes() == positive.s.tobytes()
+        np.testing.assert_allclose(net.c, stale_net.c, rtol=1e-12)
+        np.testing.assert_array_equal(net.s, stale_net.s)
+    else:
+        assert net.c.tobytes() == stale_net.c.tobytes() and net.s.tobytes() == stale_net.s.tobytes()
+    if sigma == 0.0:  # exact data: the initial fit or the first accepted network is minimal
+        assert [r.event for r in trace] in ([EVENT_INITIAL], [EVENT_INITIAL, EVENT_ACCEPTED])
 
 
 def test_a_held_network_with_a_removable_edge_is_not_minimal():
@@ -531,13 +555,13 @@ def _triangle_system(matrix, rhs):
     return VandermondeSystem(DC, 3, np.array(matrix, float), np.array(rhs, float), edges, 0.0, 3)
 
 
-def test_a_held_fit_without_a_positive_weight_is_not_minimal():
-    # every gradient is positive at w = 0, so the fit keeps no edge: there
-    # is no triangle of held columns to bound, and nothing is certified,
-    # however loose the tolerance
+def test_a_held_fit_without_a_positive_weight_is_minimal():
+    # every gradient is positive at w = 0, so the fit keeps no edge: its
+    # network has no proper subset, and it is certified however loose the
+    # tolerance
     held = fit(_triangle_system(np.eye(3), [-1.0, -1.0, -1.0]))
     assert not held.nnls.w.any()
-    assert not _minimal(held, 10 * held.rms)
+    assert _minimal(held, 10 * held.rms)
 
 
 @pytest.mark.parametrize("make", [flat_states, draining_states], ids=["flat", "draining"])
@@ -556,6 +580,23 @@ def test_a_held_network_without_an_edge_stops_minimal(caplog, make):
         assert trace.rows[0].rms == 0.0 and not warned
     else:  # no network fits: the run warns, and the empty one is still returned
         assert trace.rows[0].rms > cfg.tol and warned
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_tol_below_the_complete_graph_fit_stops_at_row_1(caplog, name):
+    # no subset of the complete graph's columns fits better than all of them,
+    # so on noisy data whose tol is half the complete-graph rms the initial
+    # fit is certified, and the run returns its positive part with no draw
+    states, cfg = _builtin_run(name, 1e-5, 0)
+    initial = fit(assemble(complete_edges(states.n), states))
+    with caplog.at_level(logging.INFO, logger="gridrecover.recovery"):
+        net, trace = recover(states, replace(cfg, tol=0.5 * initial.rms))
+    assert [(r.iteration, r.rms, r.event) for r in trace] == [(1, initial.rms, EVENT_INITIAL)]
+    stops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stopping")]
+    assert stops == ["stopping after iteration 1 (minimal)"]
+    positive = positive_network_from_columns(initial.system, initial.nnls.w)
+    assert net.edges == positive.edges
+    assert net.c.tobytes() == positive.c.tobytes() and net.s.tobytes() == positive.s.tobytes()
 
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
