@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 from dataclasses import asdict, fields, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .bounds import ac_bound, dc_bound, dc_bound_coarse
 from .builtins import BUILTINS, builtin_network, builtin_scenario
 from .network import _children
 from .nnls import NnlsError
-from .recovery import RecoveryConfig, RecoveryError, fit, recover
+from .recovery import RecoveryConfig, RecoveryError, fit, head, loop, recover
 from .sparsify import row_statistics, sparsify_ac
 from .states import (
     VOLTAGE_RANGE,
@@ -168,16 +167,11 @@ def cmd_recover(args) -> int:
     states = io.load_states_csv(args.states)
     out = _out_dir(args)  # only once the states are read: bad input leaves no directory
     if args.trials > 1:
-        # the workers fork with numpy.random loaded (network imports
-        # SeedSequence); numpy imports it lazily, so each would import it again
-        from concurrent.futures import ProcessPoolExecutor
-
+        # the complete-graph fit is the same for every seed: computed once,
+        # then each seed's loop runs from it in turn
+        start = head(states, cfg.tol)
         cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(args.trials)]
-        # the pool forks all its workers up front: no more than there are trials
-        workers = min(args.workers or os.cpu_count() or 1, args.trials)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(recover, repeat(states), cfgs))
-        trials = [_summary(states, c, *run) for c, run in zip(cfgs, runs)]
+        trials = [_summary(states, c, *loop(start, c)) for c in cfgs]
         successes = sum(t["success"] for t in trials)
         summary = {
             "trials": trials,
@@ -267,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                         " sooner once deleting any one edge from the held fit would raise"
                         " the rms past --tol")
     p.add_argument("--trials", type=_positive_int, default=1)
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="accepted and ignored: the trials run in turn in one process")
 
     p = command("report", cmd_report, "render a recovery trace as a table")
     p.add_argument("--trace", required=True)
@@ -285,7 +280,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if exc.filename is None:  # not about a named path, such as a failed fork: exit 1
+        if exc.filename is None:  # not about a named path, such as a disk filling up mid-write: exit 1
             raise
         print(f"file error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

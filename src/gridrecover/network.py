@@ -16,7 +16,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.random import SeedSequence  # loaded here, before a --trials pool forks
+from numpy.random import SeedSequence
 
 Edge = tuple[int, int]
 

@@ -17,11 +17,16 @@ further iteration the loop checks, in this order, whether it stops:
 - ``iterations``: the trace has ``max_iterations`` rows;
 - ``stale``: ``max_stale_iterations`` rows have followed the held fit's.
 
-It logs the reason at INFO, as ``stopping after iteration N (reason)``.
+It logs the reason at INFO, as ``stopping after iteration N (reason)``, and
+records it as the trace's ``stop``.
 
-All candidate systems are column restrictions of the complete-graph system,
-assembled once per run into its triangular factor, and every one is
-estimated by :func:`fit`.  A draw's decision needs only its edge set: the
+A run is two steps, and :func:`recover` is exactly them.  :func:`head`
+assembles the complete graph, fits it and certifies the fit; none of that
+depends on the seed, so one :class:`Head` serves the loops of any number of
+seeds.  :func:`loop` then runs one seed's iterations from it.  All candidate
+systems are column restrictions of the complete-graph system, assembled once
+per head into its triangular factor, and every one is estimated by
+:func:`fit`.  A draw's decision needs only its edge set: the
 loop reads the edges of each sparsification outcome and never its weights
 or sampled network, which are therefore never built.
 """
@@ -245,9 +250,13 @@ class TraceRow:
 
 @dataclass
 class RecoveryTrace:
-    """Full per-iteration log of one recovery run."""
+    """Full per-iteration log of one recovery run.  ``stop`` is the reason
+    the loop stopped, ``minimal``, ``time``, ``iterations`` or ``stale``
+    (see the module docstring); it is None on a trace read back from CSV
+    and on the partial trace of a :class:`RecoveryError`."""
 
     rows: list[TraceRow] = field(default_factory=list)
+    stop: str | None = None
 
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
@@ -273,50 +282,73 @@ class RecoveryError(RuntimeError):
         self.network = network
 
     def __reduce__(self):
-        # rebuilt from all three arguments, so the error crosses a process boundary
+        # rebuilt from all three arguments, so the error crosses a process
+        # boundary when a caller runs recover in a process pool of its own
         return type(self), (*self.args, self.trace, self.network)
 
 
-def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Network, RecoveryTrace]:
-    """Recover a sparse network fitting the data within cfg.tol.
+@dataclass(frozen=True, eq=False)
+class Head:
+    """The part of a run that no seed changes, computed by :func:`head`: the
+    data, the tolerance the fit is certified at, the complete graph's system
+    ``full``, its ``initial`` fit, whether that fit is certified ``minimal``
+    (:func:`_minimal`), and the ``seconds`` all of it took.
 
-    Returns the last held network (the complete-graph fit or the last
-    accepted one, zero-weight edges pruned) and the full trace; a run that
-    cannot go on raises :class:`RecoveryError`.  The complete-graph fit is
-    certified as each accepted refit is (:func:`_minimal`), so a run whose
-    initial fit is already minimal stops at iteration 1 before any draw.
-    That includes a fit with no positive-weight edge, such as that of data
-    with no flow, which is returned with no edge, and a fit whose rms
-    exceeds the tolerance: a subset of the complete graph's columns cannot
-    fit better than all of them, so such a run is logged with a warning and
-    goes on only when the certificate's roundoff room or rank test leaves
-    the fit uncertified.
+    :func:`loop` only reads a head: restriction and refits copy from its
+    systems' read-only arrays, each loop builds its own held network from
+    the initial weights, and the head's caches (``full._position``,
+    ``initial.network``) depend on nothing else, so the loops of several
+    seeds can share one head in turn."""
+
+    states: StateSet
+    tol: float
+    full: VandermondeSystem
+    initial: Fit
+    minimal: bool
+    seconds: float
+
+
+def head(states: StateSet, tol: float) -> Head:
+    """Assemble the complete graph, fit it and certify the fit at ``tol``.
+
+    Raises ValueError on fewer than two nodes, and :class:`RecoveryError`
+    with an empty trace and no network when the fit fails.  A fit whose rms
+    exceeds ``tol`` is logged with a warning, once per head: a subset of
+    the complete graph's columns cannot fit better than all of them.
     """
-    cfg = RecoveryConfig() if cfg is None else cfg
-    n = states.n
-    if n < 2:
+    if states.n < 2:
         raise ValueError("need at least two nodes")
-
     t0 = time.monotonic()
-    trace = RecoveryTrace()
-    full = assemble(complete_edges(n), states)
+    full = assemble(complete_edges(states.n), states)
     try:
         initial = fit(full)
     except NnlsError as exc:
-        raise RecoveryError(f"initial estimation failed: {exc}", trace, None) from exc
+        raise RecoveryError(f"initial estimation failed: {exc}", RecoveryTrace(), None) from exc
+    if initial.rms > tol:
+        log.warning(
+            "complete-graph fit rms %.3e exceeds tol %.3e; no subset of its edges fits better", initial.rms, tol
+        )
+    minimal = _minimal(initial, tol)  # no later candidate can be accepted
+    return Head(states, tol, full, initial, minimal, time.monotonic() - t0)
+
+
+def loop(start: Head, cfg: RecoveryConfig) -> tuple[Network, RecoveryTrace]:
+    """One seed's run from a head computed at ``cfg.tol``, as :func:`recover`
+    returns it.  The wall-time limit counts the head's seconds too, so a
+    run on a shared head stops when a run of its own would."""
+    if start.tol != cfg.tol:
+        raise ValueError(f"the head is certified at tol {start.tol!r}, not at {cfg.tol!r}")
+    t0 = time.monotonic() - start.seconds
+    full, initial, minimal = start.full, start.initial, start.minimal
+    trace = RecoveryTrace()
     # the held network, zero-weight edges pruned: they add nothing to the
     # Laplacian, so they change no draw; held is its trace row, whose edge
     # count bounds the draws and includes them until the first accept
     cur = positive_network_from_columns(initial.system, initial.nnls.w)
     held = TraceRow(1, len(full.edges), initial.rms, initial.kappa, cfg.eps0, EVENT_INITIAL)
     trace.append(held)
-    if held.rms > cfg.tol:
-        log.warning(
-            "complete-graph fit rms %.3e exceeds tol %.3e; no subset of its edges fits better", held.rms, cfg.tol
-        )
 
     eps = cfg.eps0
-    minimal = _minimal(initial, cfg.tol)  # no later candidate can be accepted
     # the iteration under way is len(trace) + 1: every iteration appends one row
     while True:
         reason = (  # a limit of None is no limit
@@ -328,6 +360,7 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
         )
         if reason:
             log.info("stopping after iteration %d (%s)", len(trace), reason)
+            trace.stop = reason
             break
         try:
             outcome = sparsify_ac(cur, eps, np.random.SeedSequence([cfg.seed, len(trace) + 1]))
@@ -362,6 +395,25 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
             "recovered %d edges, rms %.3e (re-checked %.3e)",
             len(cur.edges),
             held.rms,
-            states_rms(cur, states),
+            states_rms(cur, start.states),
         )
     return cur, trace
+
+
+def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Network, RecoveryTrace]:
+    """Recover a sparse network fitting the data within cfg.tol.
+
+    Returns the last held network (the complete-graph fit or the last
+    accepted one, zero-weight edges pruned) and the full trace; a run that
+    cannot go on raises :class:`RecoveryError`.  This is :func:`head` and
+    then :func:`loop`.  The complete-graph fit is certified as each accepted
+    refit is (:func:`_minimal`), so a run whose initial fit is already
+    minimal stops at iteration 1 before any draw.  That includes a fit with
+    no positive-weight edge, such as that of data with no flow, which is
+    returned with no edge, and a fit whose rms exceeds the tolerance: a
+    subset of the complete graph's columns cannot fit better than all of
+    them, so such a run is logged with a warning and goes on only when the
+    certificate's roundoff room or rank test leaves the fit uncertified.
+    """
+    cfg = RecoveryConfig() if cfg is None else cfg
+    return loop(head(states, cfg.tol), cfg)

@@ -1,13 +1,12 @@
-import concurrent.futures
 import errno
 import hashlib
 import json
+import logging
 import os
 import pickle
 import re
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -461,14 +460,14 @@ def test_cli_os_error_on_a_named_path_exits_2(tmp_path, capsys, monkeypatch, arg
 
 
 def test_cli_main_reraises_an_os_error_that_names_no_path(monkeypatch):
-    # such as a failed fork: not a bad input, so not exit 2
-    def failed_fork(args):
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    # such as a disk filling up mid-write: not a bad input, so not exit 2
+    def full_disk(args):
+        raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(gridrecover.cli, "cmd_report", failed_fork)
+    monkeypatch.setattr(gridrecover.cli, "cmd_report", full_disk)
     with pytest.raises(OSError) as exc:
         main(["report", "--trace", "trace.csv"])
-    assert (exc.value.errno, exc.value.filename) == (errno.EAGAIN, None)
+    assert (exc.value.errno, exc.value.filename) == (errno.ENOSPC, None)
 
 
 @pytest.mark.parametrize(
@@ -826,57 +825,87 @@ def test_cli_trials_fan_out(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [["--workers", "4"], []])
-def test_cli_trials_start_no_more_workers_than_trials(tmp_path, monkeypatch, workers):
-    # a process pool forks all its workers up front, so --trials 2 gets at
-    # most 2 of them, even on 8 CPUs; threads stand in for the processes
+def test_cli_trials_assemble_the_complete_graph_once(tmp_path, monkeypatch, workers):
+    # the complete-graph system and its fit are the same for every seed, so
+    # --trials 3 assembles once and refits only restrictions of that system
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "4",
                  "--out-dir", str(out)]) == 0
-    sizes = []
+    assemble, calls = gridrecover.recovery.assemble, []
 
-    def spy_pool(max_workers):
-        sizes.append(max_workers)
-        return ThreadPoolExecutor(max_workers)
+    def counting_assemble(edges, states):
+        calls.append(len(edges))
+        return assemble(edges, states)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    code = main(["recover", "--states", str(out / "states.csv"), "--trials", "2", *workers,
+    monkeypatch.setattr(gridrecover.recovery, "assemble", counting_assemble)
+    code = main(["recover", "--states", str(out / "states.csv"), "--trials", "3", *workers,
                  "--max-stale", "5", "--out-dir", str(out)])
     assert code in (0, 1)
-    assert len(json.loads((out / "trials.json").read_text())["trials"]) == 2
-    assert sizes == [2]
-
-
-def _trace_rows(payload):
-    """The trace of one seeded recovery; module-level so workers can import it."""
-    states_path, cfg = payload
-    return list(recover(io.load_states_csv(states_path), cfg)[1])
+    assert len(json.loads((out / "trials.json").read_text())["trials"]) == 3
+    assert calls == [15]  # the 15 edges of the complete graph on 6 nodes
 
 
 def test_cli_trials_identical_for_one_and_two_workers(tmp_path):
+    # --workers is accepted and ignored: with 1, with 2 and without it the
+    # command writes the same bytes, and each trial is the standalone run of
+    # its seed
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "small_ac", "--m", "60", "--seed", "4",
                  "--out-dir", str(out)]) == 0
-    codes, summaries, traces = set(), set(), []
-    payloads = [(out / "states.csv", RecoveryConfig(seed=9 + i, max_stale_iterations=10))
-                for i in range(3)]
-    for workers in (1, 2):
-        run = tmp_path / f"workers{workers}"
-        codes.add(main(["recover", "--states", str(out / "states.csv"), "--trials", "3",
-                        "--workers", str(workers), "--seed", "9", "--max-stale", "10",
-                        "--out-dir", str(run)]))
+    codes, summaries = set(), set()
+    for name, workers in (("one", ["--workers", "1"]), ("two", ["--workers", "2"]), ("none", [])):
+        run = tmp_path / name
+        codes.add(main(["recover", "--states", str(out / "states.csv"), "--trials", "3", *workers,
+                        "--seed", "9", "--max-stale", "10", "--out-dir", str(run)]))
         summaries.add((run / "trials.json").read_bytes())
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces.append(list(pool.map(_trace_rows, payloads)))
     assert len(codes) == 1 and len(summaries) == 1
-    assert traces[0] == traces[1]
-    assert all(len(rows) > 1 for rows in traces[0])
+    states = io.load_states_csv(out / "states.csv")
+    standalone = [recover(states, RecoveryConfig(seed=9 + i, max_stale_iterations=10)) for i in range(3)]
+    trials = json.loads(summaries.pop())["trials"]
+    assert [(t["seed"], t["edges"], t["iterations"]) for t in trials] == [
+        (9 + i, len(net.edges), len(trace)) for i, (net, trace) in enumerate(standalone)
+    ]
+    assert all(len(trace) > 1 for _, trace in standalone)
+
+
+def test_cli_trials_fail_once_when_the_initial_fit_fails(tmp_path, capsys, monkeypatch):
+    # the complete-graph fit is shared by every trial, so its failure is
+    # reported once, before any trial, after a single solve
+    solves = []
+
+    def failing_solve(A, b, from_all=False):
+        solves.append(A.shape)
+        raise NnlsError("stub: no convergence", NnlsResult(np.zeros(A.shape[1]), 1.0, 1.0, 1))
+
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--out-dir", str(out)]) == 0
+    monkeypatch.setattr(gridrecover.recovery, "nnls_solve", failing_solve)
+    capsys.readouterr()
+    code = main(["recover", "--states", str(out / "states.csv"), "--trials", "3",
+                 "--out-dir", str(out)])
+    assert code == 1 and len(solves) == 1
+    assert capsys.readouterr().err == "error: initial estimation failed: stub: no convergence\n"
+    assert not (out / "trials.json").exists()
+
+
+def test_cli_trials_warn_once_about_the_complete_graph_fit(tmp_path, caplog):
+    # tol below the noise: the complete-graph fit misses it, which the
+    # command logs once however many trials share that fit
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "7",
+                 "--noise", "1e-4", "--out-dir", str(out)]) == 0
+    with caplog.at_level(logging.WARNING, logger="gridrecover.recovery"):
+        code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-9",
+                     "--trials", "3", "--out-dir", str(out)])
+    assert code == 1
+    warnings = [r.getMessage() for r in caplog.records if r.name == "gridrecover.recovery"]
+    assert len(warnings) == 1 and "complete-graph fit rms" in warnings[0]
 
 
 def test_cli_failing_trial_fails_the_command(tmp_path, capfd):
     # the data of test_cli_recover_sample_count_overflow_exits_1: the trial
-    # raises RecoveryError in its worker, and the command reports it as a
-    # single run would, with no traceback from the pool
+    # raises RecoveryError, and the command reports it as a single run
+    # would, with no traceback
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "7",
                  "--out-dir", str(out)]) == 0
@@ -887,7 +916,7 @@ def test_cli_failing_trial_fails_the_command(tmp_path, capfd):
     err = capfd.readouterr().err
     assert code == 1
     assert "error: sparsification failed at iteration" in err and "at n=6 needs" in err
-    assert "Traceback" not in err and "BrokenProcessPool" not in err
+    assert "Traceback" not in err
 
 
 def test_cli_trials_certified_at_row_1_stop_there(tmp_path, capsys):
@@ -899,17 +928,17 @@ def test_cli_trials_certified_at_row_1_stop_there(tmp_path, capsys):
                  "--noise", "1e-4", "--out-dir", str(out)]) == 0
     capsys.readouterr()
     code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-9",
-                 "--trials", "2", "--workers", "2", "--out-dir", str(out)])
+                 "--trials", "2", "--out-dir", str(out)])
     assert code == 1
     trials = json.loads((out / "trials.json").read_text())["trials"]
     assert [(t["iterations"], t["edges"], t["success"]) for t in trials] == [(1, 9, False)] * 2
 
 
-def test_cli_trials_reject_malformed_states_before_any_worker(tmp_path, capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was built")
+def test_cli_trials_reject_malformed_states_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_head(*args, **kwargs):
+        raise AssertionError("the complete graph was fitted")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(gridrecover.cli, "head", no_head)
     path = tmp_path / "states.csv"
     path.write_text("e_1,P_1,e_2,P_2\n1.0,0.5,1.1,-0.5\n1.0,oops,1.1,-0.5\n")
     code = main(["recover", "--states", str(path), "--trials", "3", "--out-dir", str(tmp_path)])
@@ -917,17 +946,23 @@ def test_cli_trials_reject_malformed_states_before_any_worker(tmp_path, capsys, 
     assert "states.csv:3: non-numeric state entry" in capsys.readouterr().err
 
 
-def test_cli_loads_numpy_random_but_no_process_pool():
-    # numpy.random loads before a pool forks, so no worker imports it again;
-    # the pool, and multiprocessing with it, loads only for --trials above 1
+def test_cli_trials_run_without_a_process_pool(tmp_path):
+    # the trials run in turn in the command's own process: a --trials 2 run
+    # loads neither multiprocessing nor concurrent.futures
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "4",
+                 "--out-dir", str(out)]) == 0
     code = (
         "import sys, gridrecover.cli\n"
-        "print('numpy.random' in sys.modules, 'multiprocessing' in sys.modules)"
+        "code = gridrecover.cli.main(sys.argv[1:])\n"
+        "print(code, 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert run.stdout.split() == ["True", "False"]
+    run = subprocess.run([sys.executable, "-c", code, "recover", "--states", str(out / "states.csv"),
+                          "--trials", "2", "--workers", "2", "--out-dir", str(out)],
+                         capture_output=True, text=True, check=True, env=env)
+    assert run.stdout.splitlines()[-1].split() == ["0", "False", "False"]
+    assert len(json.loads((out / "trials.json").read_text())["trials"]) == 2
 
 
 def test_cli_trials_read_the_states_once(tmp_path, monkeypatch):
@@ -941,10 +976,8 @@ def test_cli_trials_read_the_states_once(tmp_path, monkeypatch):
         return load_states_csv(path)
 
     monkeypatch.setattr(io, "load_states_csv", counting_load)
-    # threads instead of processes, so that a load inside a worker is counted too
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     code = main(["recover", "--states", str(out / "states.csv"), "--trials", "3",
-                 "--workers", "2", "--max-stale", "5", "--out-dir", str(out)])
+                 "--max-stale", "5", "--out-dir", str(out)])
     assert code in (0, 1)
     assert len(json.loads((out / "trials.json").read_text())["trials"]) == 3
     assert loads == [str(out / "states.csv")]

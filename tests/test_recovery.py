@@ -24,6 +24,8 @@ from gridrecover.recovery import (
     RecoveryTrace,
     TraceRow,
     fit,
+    head,
+    loop,
     recover,
 )
 from gridrecover.states import StateSet, add_noise, generate_scenario, rms
@@ -331,6 +333,7 @@ def test_recover_stop_reasons(table1_states, caplog, limits, reason, rows, noise
     stops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stopping")]
     assert stops == [f"stopping after iteration {rows} ({reason})"]
     assert len(trace) == rows
+    assert trace.stop == reason
     if reason == "stale":
         assert [r.event for r in trace.rows[1:]] == [EVENT_REJECTED_RMS] * 3
 
@@ -408,6 +411,48 @@ def test_lazy_draw_weights_change_no_result(monkeypatch, name, sigma, seed):
     eager_net, eager_trace = recover(states, cfg)
     assert _hex_rows(trace) == _hex_rows(eager_trace)
     assert net == eager_net
+
+
+def _head_state(start):
+    """Everything a loop reads from a head, as bytes and values."""
+    full, initial = start.full, start.initial
+    arrays = (full.matrix, full.rhs, initial.system.matrix, initial.system.rhs, initial.nnls.w)
+    scalars = (full.rho, initial.rms, initial.kappa, initial.nnls.objective, start.minimal, start.tol)
+    return [a.tobytes() for a in arrays], scalars, full.edges, dict(full._position)
+
+
+@pytest.mark.parametrize(("name", "sigma"), [("small_ac", 1e-6), ("table1_dc", 0.0), ("table1_dc", 1e-6)])
+def test_loops_from_one_head_are_standalone_runs(name, sigma):
+    # the seeds' loops share one head in turn, in either order, and each is
+    # the standalone run of its seed bit for bit; no loop changes what the
+    # next reads from the head
+    states, cfg = _builtin_run(name, sigma, 3)
+    seeds = list(range(3, 8))
+    runs = {s: recover(states, replace(cfg, seed=s)) for s in seeds}
+    assert all(len(trace) > 1 for _, trace in runs.values())  # every run draws
+    start = head(states, cfg.tol)
+    before = _head_state(start)
+    for s in seeds + seeds[::-1]:
+        net, trace = loop(start, replace(cfg, seed=s))
+        assert _hex_rows(trace) == _hex_rows(runs[s][1]) and trace.stop == runs[s][1].stop
+        assert net == runs[s][0]
+        assert _head_state(start) == before
+
+
+def test_a_loop_counts_the_heads_seconds_against_max_wall_time(table1_states):
+    cfg = RecoveryConfig(seed=0, max_wall_time=60.0)
+    start = head(table1_states, cfg.tol)
+    assert not start.minimal and 0 < start.seconds < 60.0
+    _, trace = loop(replace(start, seconds=60.0), cfg)
+    assert (len(trace), trace.stop) == (1, "time")
+    _, trace = loop(start, cfg)
+    assert len(trace) > 1 and trace.stop == "minimal"
+
+
+def test_a_loop_needs_the_tol_its_head_was_certified_at(table1_states):
+    start = head(table1_states, 1e-5)
+    with pytest.raises(ValueError, match="certified at tol 1e-05, not at 2e-05"):
+        loop(start, RecoveryConfig(tol=2e-5))
 
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
