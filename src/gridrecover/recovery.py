@@ -290,19 +290,20 @@ class RecoveryError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class Head:
     """The part of a run that no seed changes, computed by :func:`head`: the
-    data, the tolerance the fit is certified at, the complete graph's system
-    ``full``, its ``initial`` fit, whether that fit is certified ``minimal``
-    (:func:`_minimal`), and the ``seconds`` all of it took.
+    data, the tolerance the fit is certified at, the complete graph's
+    ``initial`` fit, whether that fit is certified ``minimal``
+    (:func:`_minimal`), and the ``seconds`` all of it took.  The complete
+    graph's system is square or wide, so :func:`fit` keeps it as it is:
+    ``initial.system`` is the system every candidate is cut from.
 
     :func:`loop` only reads a head: restriction and refits copy from its
     systems' read-only arrays, each loop builds its own held network from
-    the initial weights, and the head's caches (``full._position``,
+    the initial weights, and the head's caches (``initial.system._position``,
     ``initial.network``) depend on nothing else, so the loops of several
     seeds can share one head in turn."""
 
     states: StateSet
     tol: float
-    full: VandermondeSystem
     initial: Fit
     minimal: bool
     seconds: float
@@ -319,9 +320,8 @@ def head(states: StateSet, tol: float) -> Head:
     if states.n < 2:
         raise ValueError("need at least two nodes")
     t0 = time.monotonic()
-    full = assemble(complete_edges(states.n), states)
     try:
-        initial = fit(full)
+        initial = fit(assemble(complete_edges(states.n), states))
     except NnlsError as exc:
         raise RecoveryError(f"initial estimation failed: {exc}", RecoveryTrace(), None) from exc
     if initial.rms > tol:
@@ -329,7 +329,7 @@ def head(states: StateSet, tol: float) -> Head:
             "complete-graph fit rms %.3e exceeds tol %.3e; no subset of its edges fits better", initial.rms, tol
         )
     minimal = _minimal(initial, tol)  # no later candidate can be accepted
-    return Head(states, tol, full, initial, minimal, time.monotonic() - t0)
+    return Head(states, tol, initial, minimal, time.monotonic() - t0)
 
 
 def loop(start: Head, cfg: RecoveryConfig) -> tuple[Network, RecoveryTrace]:
@@ -339,13 +339,13 @@ def loop(start: Head, cfg: RecoveryConfig) -> tuple[Network, RecoveryTrace]:
     if start.tol != cfg.tol:
         raise ValueError(f"the head is certified at tol {start.tol!r}, not at {cfg.tol!r}")
     t0 = time.monotonic() - start.seconds
-    full, initial, minimal = start.full, start.initial, start.minimal
+    initial, minimal = start.initial, start.minimal
     trace = RecoveryTrace()
     # the held network, zero-weight edges pruned: they add nothing to the
     # Laplacian, so they change no draw; held is its trace row, whose edge
     # count bounds the draws and includes them until the first accept
     cur = positive_network_from_columns(initial.system, initial.nnls.w)
-    held = TraceRow(1, len(full.edges), initial.rms, initial.kappa, cfg.eps0, EVENT_INITIAL)
+    held = TraceRow(1, len(initial.system.edges), initial.rms, initial.kappa, cfg.eps0, EVENT_INITIAL)
     trace.append(held)
 
     eps = cfg.eps0
@@ -371,7 +371,7 @@ def loop(start: Head, cfg: RecoveryConfig) -> tuple[Network, RecoveryTrace]:
         candidate_edges = outcome.edges
         if len(candidate_edges) < held.edges:
             try:
-                refit = fit(restrict(full, candidate_edges))
+                refit = fit(restrict(initial.system, candidate_edges))
             except NnlsError as exc:
                 raise RecoveryError(
                     f"estimation failed at iteration {len(trace) + 1}: {exc}", trace, cur

@@ -6,22 +6,33 @@ parameter; multiplying them by a parameter vector and subtracting the
 injections reproduces every residual.  DC systems are nm x |E| with entries
 e_j*(e_j - e_k); AC systems are 2nm x 2|E| with 2x2 blocks [[a, -b], [b, a]]
 built from a = e_j^2 + f_j^2 - e_j*e_k - f_j*f_k and b = e_j*f_k - e_k*f_j,
-where j is the node of the equation and k the far end of the edge.
+where j is the node of the equation and k the far end of the edge.  Each
+block is the real form of one complex entry a + i*b = V_j*conj(V_j - V_k)
+acting on the edge weight c + i*s, the pair of rows the real form of one
+complex equation with injection p + i*q: the AC equations are the real form
+of a complex system of nm x |E| (equivalent real forms of complex systems;
+Day & Heroux, SIAM J. Sci. Comput. 23(2), 2001).
 
 That tall matrix A and its injections b are never held whole.  An equation
 of node v touches only the columns of v's edges (at most n - 1 edges) and
 the rhs, so ``assemble`` builds v's equations a block of states at a time
 straight into those columns alone, and folds them into a small triangular
 factor of v's own, all n nodes in one batched QR per block (sequential
-TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012).  After the last block, one QR of the n
-node factors, scattered back into the column layout, gives the (k+1) x (k+1)
-upper-triangular factor R of ``[A | b]``; the equations of a node without
-an edge touch only the rhs and end up in its corner.  A
-:class:`VandermondeSystem` keeps ``matrix``, the k columns of R; ``rhs``,
-c = R[:k, k]; ``rho``, |R[k, k]|; and ``rows``, the number of equations.
-Since ``||A w - b||^2 = ||R[:k, :k] w - c||^2 + rho^2``, least squares on
-(matrix, rhs) solves the tall problem without the normal equations, and
-``matrix`` has the singular values of A.
+TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1),
+2012).  After the last block, one QR of the n node factors, scattered back
+into the column layout, gives the upper-triangular factor of ``[A | b]``;
+the equations of a node without an edge touch only the rhs and end up in
+its corner.  Both kinds take this one path, DC in real numbers and AC in
+complex ones, one equation per node and state and one column per edge, and
+the complex triangle is written in its real form once, after the merge.
+LAPACK's complex Householder QR leaves a real diagonal, so that real form
+is upper triangular too: it is the (k+1) x (k+1) factor R of the real
+``[A | b]``, k being A's number of columns.  A :class:`VandermondeSystem`
+keeps ``matrix``, the k columns of R; ``rhs``, c = R[:k, k]; ``rho``,
+|R[k, k]|; and ``rows``, the number of equations.  Since ``||A w - b||^2 =
+||R[:k, :k] w - c||^2 + rho^2``, least squares on (matrix, rhs) solves the
+tall problem without the normal equations, and ``matrix`` has the singular
+values of A.
 
 Column layout: the edges are sorted lexicographically; a DC system has one
 column per edge, an AC system two, the conductance c then the susceptance s,
@@ -51,7 +62,7 @@ from .nnls import _raw_triangle, _triangle
 from .states import StateSet
 
 RANK_RTOL = 1e-13
-# columns per edge, which are also equations per node and state: c, then s on AC
+# columns per edge, which are also real equations per node and state: c, then s on AC
 _WIDTH = {DC: 1, AC: 2}
 # states per block of equations folded into the node factors; bounds the rows held
 _BLOCK_STATES = 25
@@ -116,45 +127,42 @@ def _incidence(n: int, edges: tuple[Edge, ...]) -> tuple[np.ndarray, np.ndarray,
 def _node_equations(far: np.ndarray, pad: np.ndarray, states: StateSet, first: int) -> np.ndarray:
     """The equations of ``_BLOCK_STATES`` states from ``first``, node by node.
 
-    ``far`` and ``pad`` are the tables of :func:`_incidence`.  Row r*s + i of
-    ``out[v]`` is equation i of node v in state s of the block (r = 1 for
-    DC, 2 for AC).  Its slots are the columns of v's edges in order (c then
-    s of each edge for AC), zeros in the padding, and the injection last.
-    Over an edge to u, node v's entries are a = e_v^2 + f_v^2 - e_v*e_u -
-    f_v*f_u and b = e_v*f_u - e_u*f_v, laid out as [a] for DC and
-    [[a, -b], [b, a]] for AC.  Raises ValueError naming the 1-based state
-    and node when an entry overflows to a non-finite value.
+    ``far`` and ``pad`` are the tables of :func:`_incidence`.  Row s of
+    ``out[v]`` is the equation of node v in state s of the block.  Its slots
+    are v's edges in order, zeros in the padding, and the injection last.
+    Over an edge to u, node v's entry is a = e_v^2 - e_v*e_u on DC, real,
+    and a + i*b on AC, complex, with a = e_v^2 + f_v^2 - e_v*e_u - f_v*f_u
+    and b = e_v*f_u - e_u*f_v (V_v*conj(V_v - V_u)), and injection p + i*q.
+    Raises ValueError naming the 1-based state and node when an entry
+    overflows to a non-finite value.
     """
     block = slice(first, first + _BLOCK_STATES)
     E = states.e[block].T  # (n, S)
     ev, eu = E[:, None, :], E[far]  # (n, 1, S) and (n, d, S): v's voltage, the far ends'
     if states.kind == DC:
-        a = ev * ev - ev * eu
-        a[pad] = 0.0
-        blocks, injections = [[a]], [states.p]
+        parts, injections = [ev * ev - ev * eu], [states.p]
     else:
         F = states.f[block].T
         fv, fu = F[:, None, :], F[far]
-        a = ev * ev + fv * fv - ev * eu - fv * fu
-        b = ev * fu - eu * fv
-        a[pad] = b[pad] = 0.0
-        blocks, injections = [[a, -b], [b, a]], [states.p, states.q]
-    n, d, S = a.shape
-    r = len(blocks)
-    out = np.empty((n, S, r, r * d + 1))
-    for i, row in enumerate(blocks):
-        for c, x in enumerate(row):
-            out[:, :, i, c:-1:r] = x.transpose(0, 2, 1)
-        out[:, :, i, -1] = injections[i][block].T
+        parts, injections = [ev * ev + fv * fv - ev * eu - fv * fu, ev * fu - eu * fv], [states.p, states.q]
+    n, d, S = parts[0].shape
+    out = np.empty((n, S, d + 1), complex if states.kind == AC else float)
+    # the real part, then on AC the imaginary one; on a real array .real is the array
+    for view, x, injection in zip((out.real, out.imag), parts, injections):
+        x[pad] = 0.0
+        view[:, :, :-1] = x.transpose(0, 2, 1)
+        view[:, :, -1] = injection[block].T
     # min/max propagate nan and expose +-inf without a full-size temporary;
-    # the injections are finite, and out is contiguous, so no buffer either
-    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        state, node = np.argwhere(~np.isfinite(out).all(axis=(2, 3)).T)[0]
+    # the injections are finite, and out is contiguous, so its float view
+    # holds both parts of an AC entry and needs no buffer either
+    values = out.view(float)
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        state, node = np.argwhere(~np.isfinite(out).all(axis=2).T)[0]
         raise ValueError(
             f"state {first + state + 1}, node {node + 1}: design-matrix entry overflows"
             " to a non-finite value; rescale the data"
         )
-    return out.reshape(n, S * r, r * d + 1)
+    return out
 
 
 def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
@@ -169,30 +177,33 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     scattered into the column layout, and one QR of that stack gives the
     upper-triangular factor R of ``[A | b]``.  So ``matrix`` holds the first
     k columns of R, ``rhs`` its last column above the diagonal and ``rho``
-    the modulus of its corner.  Raises ValueError naming the 1-based state
-    and node when an entry overflows to a non-finite value.
+    the modulus of its corner.  On AC every step runs on complex entries,
+    one column per edge, and R and its rhs column are complex; ``matrix``
+    and ``rhs`` are their real form in the (c, s) layout, written here and
+    nowhere else: each entry x of R as the block
+    [[Re x, -Im x], [Im x, Re x]] and each entry of the rhs as the pair
+    (Re x, Im x).  Raises ValueError naming the 1-based state and node when
+    an entry overflows to a non-finite value.
 
-    Memory: the stack of the n node factors, n * min(r * m, r * d + 1)
-    rows of k + 1 numbers (900 x 436 for 200 states of n = 30), is the
-    only array of its size, and the peak is that stack and numpy's copy of
-    it inside the final QR.  Each QR, of a block fold or of the final
-    merge, is taken in ``mode="raw"``: the block, the old node factors and
-    the stack are dropped as soon as they are no longer needed, and R is
-    read from the upper triangle of numpy's factored copy afterwards, the
-    final one by ``nnls._raw_triangle``, so no triangular copy sits beside
-    the stack and its copy.
+    Memory: the stack of the n node factors, n * min(m, d + 1) rows of
+    |E| + 1 numbers, real on DC and complex on AC (900 x 436 for 200
+    states of DC n = 30), is the only array of its size, and the peak is
+    that stack and numpy's copy of it inside the final QR; the real form of
+    an AC triangle is written after both are dropped.  Each QR, of a block
+    fold or of the final merge, is taken in ``mode="raw"``: the block, the
+    old node factors and the stack are dropped as soon as they are no
+    longer needed, and R is read from the upper triangle of numpy's
+    factored copy afterwards, the final one by ``nnls._raw_triangle``, so
+    no triangular copy sits beside the stack and its copy.
     """
     edges = _sorted_edges(states.n, edges)
     n = states.n
-    r = _WIDTH[states.kind]
-    k = r * len(edges)
+    k = len(edges)
     edge, far, pad = _incidence(n, edges)
-    # node v's slot -> column: its edges' columns, then the rhs column k;
-    # (node, slot) lists the slots that are not padding
-    cols = np.full((n, r * pad.shape[1] + 1), k)
-    cols[:, :-1] = (r * edge[:, :, None] + np.arange(r)).reshape(n, -1)
-    node, slot = np.nonzero(np.append(np.repeat(~pad, r, axis=1), np.ones((n, 1), bool), axis=1))
-    col = cols[node, slot]
+    # node v's slot -> column: its edges, then the rhs column k; (node, slot)
+    # lists the slots that are not padding
+    node, slot = np.nonzero(np.append(~pad, np.ones((n, 1), bool), axis=1))
+    col = np.append(edge, np.full((n, 1), k), axis=1)[node, slot]
     factors = None
     for first in range(0, states.m, _BLOCK_STATES):
         block = _node_equations(far, pad, states, first)
@@ -202,15 +213,23 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
         del stack
         factors = np.triu(h.swapaxes(1, 2)[:, : min(h.shape[1:])])
         del h
-    stacked = np.zeros((n, factors.shape[1], k + 1))
+    stacked = np.zeros((n, factors.shape[1], k + 1), factors.dtype)
     stacked[node, :, col] = factors[node, :, slot]
     del factors
     h, _ = np.linalg.qr(stacked.reshape(-1, k + 1), mode="raw")
     del stacked
     R, rhs, rho = _raw_triangle(h)
     del h
+    rhs = rhs.copy()
+    if states.kind == AC:  # the real form
+        real = np.empty((2 * R.shape[0], 2 * k), order="F")
+        real[0::2, 0::2] = real[1::2, 1::2] = R.real
+        real[1::2, 0::2] = R.imag
+        real[0::2, 1::2] = -R.imag
+        R, rhs = real, rhs.view(float)
+    rows = _WIDTH[states.kind] * n * states.m
     # column-major, since restrict and the solver gather column subsets of it
-    return VandermondeSystem(states.kind, n, np.asfortranarray(R), rhs.copy(), edges, rho, r * n * states.m)
+    return VandermondeSystem(states.kind, n, np.asfortranarray(R), rhs, edges, rho, rows)
 
 
 def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSystem:

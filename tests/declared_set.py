@@ -33,10 +33,10 @@ with AVX-512 (SkylakeX is its default kernel), it read::
     ===========  ==========  ==================  ==================  ==================
     kernel       trace rows  digest              edge sets           events
     ===========  ==========  ==================  ==================  ==================
-    SkylakeX     6156        8d081e31cc094fab…   9146d58f800e4e7b…   801c4cec3febf6be…
-    Haswell      6184        02df1a94ff2bdd2f…   9146d58f800e4e7b…   59e8cfe330b95db3…
-    Sandybridge  6199        327d6d88dd255492…   9146d58f800e4e7b…   2f460ca107689be8…
-    Prescott     6200        39fa60d06907787f…   9146d58f800e4e7b…   5bbc9a7eacee7b28…
+    SkylakeX     6156        07a3d825536310fa…   9146d58f800e4e7b…   801c4cec3febf6be…
+    Haswell      6184        c6dbf8e012b15df9…   9146d58f800e4e7b…   59e8cfe330b95db3…
+    Sandybridge  6199        57a2776595eb3a0a…   9146d58f800e4e7b…   2f460ca107689be8…
+    Prescott     6200        4755801ed54af2dc…   9146d58f800e4e7b…   5bbc9a7eacee7b28…
     ===========  ==========  ==================  ==================  ==================
 
 Every kernel returns the same edges, but on some runs Haswell, Sandybridge

@@ -305,28 +305,33 @@ def assemble_reference(edges, states) -> VandermondeSystem:
     out of numpy's factored copy: the same blocks and folds, each QR taken
     with ``mode="r"``, whose triangular copy sat beside the stack and
     numpy's copy of it.  The same LAPACK calls on the same values, so the
-    system is the same bit for bit."""
+    system is the same bit for bit.  On AC the folds run on complex entries,
+    and each entry x of the complex triangle and rhs is then written as its
+    real form: the block [[x.real, -x.imag], [x.imag, x.real]] and the pair
+    (x.real, x.imag)."""
     edges = _sorted_edges(states.n, edges)
     n = states.n
     r = 1 if states.kind == DC else 2
-    k = r * len(edges)
+    k = len(edges)
     edge, far, pad = _incidence(n, edges)
-    cols = np.full((n, r * pad.shape[1] + 1), k)
-    cols[:, :-1] = (r * edge[:, :, None] + np.arange(r)).reshape(n, -1)
-    node, slot = np.nonzero(np.append(np.repeat(~pad, r, axis=1), np.ones((n, 1), bool), axis=1))
-    col = cols[node, slot]
+    node, slot = np.nonzero(np.append(~pad, np.ones((n, 1), bool), axis=1))
+    col = np.append(edge, np.full((n, 1), k), axis=1)[node, slot]
     factors = None
     for first in range(0, states.m, _BLOCK_STATES):
         stack = _node_equations(far, pad, states, first)
         if factors is not None:
             stack = np.concatenate((factors, stack), axis=1)
         factors = np.linalg.qr(stack, mode="r")
-    stacked = np.zeros((n, factors.shape[1], k + 1))
+    stacked = np.zeros((n, factors.shape[1], k + 1), factors.dtype)
     stacked[node, :, col] = factors[node, :, slot]
     R = np.linalg.qr(stacked.reshape(-1, k + 1), mode="r")
     rho = float(abs(R[k, k])) if R.shape[0] > k else 0.0
-    matrix = np.asfortranarray(R[:k, :k])
-    return VandermondeSystem(states.kind, n, matrix, R[:k, k].copy(), edges, rho, r * n * states.m)
+    matrix, rhs = R[:k, :k], R[:k, k]
+    if r == 2:
+        pairs = (np.stack((matrix.real, -matrix.imag), axis=2), np.stack((matrix.imag, matrix.real), axis=2))
+        matrix = np.stack(pairs, axis=1).reshape(2 * matrix.shape[0], 2 * k)
+        rhs = np.column_stack((rhs.real, rhs.imag)).ravel()
+    return VandermondeSystem(states.kind, n, np.asfortranarray(matrix), rhs.copy(), edges, rho, r * n * states.m)
 
 
 def tall_fit(edges, states) -> Fit:

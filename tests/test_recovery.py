@@ -415,10 +415,11 @@ def test_lazy_draw_weights_change_no_result(monkeypatch, name, sigma, seed):
 
 def _head_state(start):
     """Everything a loop reads from a head, as bytes and values."""
-    full, initial = start.full, start.initial
-    arrays = (full.matrix, full.rhs, initial.system.matrix, initial.system.rhs, initial.nnls.w)
-    scalars = (full.rho, initial.rms, initial.kappa, initial.nnls.objective, start.minimal, start.tol)
-    return [a.tobytes() for a in arrays], scalars, full.edges, dict(full._position)
+    initial = start.initial
+    system = initial.system
+    arrays = (system.matrix, system.rhs, initial.nnls.w)
+    scalars = (system.rho, initial.rms, initial.kappa, initial.nnls.objective, start.minimal, start.tol)
+    return [a.tobytes() for a in arrays], scalars, system.edges, dict(system._position)
 
 
 @pytest.mark.parametrize(("name", "sigma"), [("small_ac", 1e-6), ("table1_dc", 0.0), ("table1_dc", 1e-6)])

@@ -7,6 +7,7 @@ import pytest
 
 from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
 from gridrecover.network import Network, complete_edges
+from gridrecover.nnls import _triangle
 from gridrecover.states import (
     Scenario,
     StateSet,
@@ -100,13 +101,21 @@ def test_node_equations_are_the_oracle_rows_of_each_node(kind, edges):
     for first in range(0, m, _BLOCK_STATES):
         block = range(first, min(first + _BLOCK_STATES, m))
         stack = _node_equations(far, pad, states, first)
-        assert stack.shape == (n, r * len(block), r * d + 1)
+        assert stack.shape == (n, len(block), d + 1)
+        assert stack.dtype == (float if kind == "dc" else complex)
         for v in range(n):
-            rows = [r * (n * s + v) + i for s in block for i in range(r)]
-            cols = [r * t + c for t, e in enumerate(edges) if v + 1 in e for c in range(r)]
-            assert np.array_equal(stack[v, :, : len(cols)], tall.matrix[np.ix_(rows, cols)])
+            # the oracle's first row of v in each state and the first column
+            # of each of v's edges; on AC the second row is the imaginary part
+            rows = np.array([r * (n * s + v) for s in block])
+            cols = [r * t for t, e in enumerate(edges) if v + 1 in e]
+
+            def oracle(i):
+                return np.column_stack((tall.matrix[np.ix_(rows + i, cols)], tall.rhs[rows + i]))
+
+            expected = oracle(0) if kind == "dc" else oracle(0) + 1j * oracle(1)
+            assert np.array_equal(stack[v, :, : len(cols)], expected[:, :-1])
             assert not np.any(stack[v, :, len(cols) : -1])  # the padding
-            assert np.array_equal(stack[v, :, -1], tall.rhs[rows])
+            assert np.array_equal(stack[v, :, -1], expected[:, -1])
 
 
 def test_assemble_stacks_states_in_order():
@@ -232,6 +241,23 @@ def test_node_local_fold_keeps_norms_and_singular_values(kind, n, m, edges):
     system = assemble(edges, states)
     assert_factor_of_rows(system, tall_system(edges, states), rng)
     assert_same_bits(system, assemble_reference(edges, states))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-6])
+def test_ac_triangle_is_the_real_form_of_a_complex_triangle(sigma):
+    net = builtin_network("small_ac", 0)
+    states = generate_scenario(net, builtin_scenario("small_ac", sigma=sigma), 120, seed=2)
+    system = assemble(complete_edges(net.n), states)
+    M = system.matrix
+    assert M.shape[0] == M.shape[1]
+    assert not np.tril(M, -1).any()  # exactly upper triangular
+    # [[Re, -Im], [Im, Re]] per entry, and the complex diagonal is real
+    assert np.array_equal(M[0::2, 0::2], M[1::2, 1::2])
+    assert np.array_equal(M[1::2, 0::2], -M[0::2, 1::2])
+    assert not np.diagonal(M[0::2, 1::2]).any()
+    # so the complete-graph fit takes it as its own factor, with no second QR
+    R, rhs, corner = _triangle(M, system.rhs, np.ones(M.shape[1], dtype=bool))
+    assert R is M and rhs is system.rhs and corner == 0.0
 
 
 def assert_same_bits(system, reference):
@@ -420,6 +446,18 @@ def test_assemble_rejects_overflow_with_state_and_node(kind):
     states = StateSet.dc(e, z) if kind == "dc" else StateSet("ac", e, z, z, z)
     with pytest.raises(ValueError, match=r"state 2, node 3: design-matrix entry overflows"):
         assemble(K3, states)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_assemble_names_an_overflow_in_the_imaginary_part_alone():
+    # node 1's entry over its edge to node 3 has a finite real part,
+    # 1e240 - 1e120, and an imaginary part e_1*f_3 = 1e320 that overflows;
+    # node 3's own real part f_3^2 overflows too, but node 1 comes first
+    e, f = np.ones((3, 3)), np.zeros((3, 3))
+    e[1, 0], f[1, 2] = 1e120, 1e200
+    z = np.zeros((3, 3))
+    with pytest.raises(ValueError, match=r"state 2, node 1: design-matrix entry overflows"):
+        assemble(K3, StateSet("ac", e, f, z, z))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
