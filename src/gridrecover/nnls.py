@@ -198,11 +198,12 @@ class _PassiveQR:
 def _triangle(A: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """R, Q^T b and the corner |R[p, p]| of one Householder QR of
     ``[A_cols | b]``, p the number of columns in the mask ``cols``; the
-    corner is 0.0 when there are no more than p rows.
+    corner is 0.0 when there are no more than p rows.  On complex A and b,
+    R and Q^H b are complex, and LAPACK leaves R's diagonal real.
 
-    ``[A_cols | b]`` is written into one buffer, which is dropped once
-    numpy's factored copy of it exists, and R is read from the upper
-    triangle of that copy (:func:`_raw_triangle`).  A square
+    ``[A_cols | b]`` is written into one buffer of their dtype, which is
+    dropped once numpy's factored copy of it exists, and R is read from the
+    upper triangle of that copy (:func:`_raw_triangle`).  A square
     upper-triangular A with every column taken is its own factor: a
     Householder QR of ``[A | b]`` returns it bit for bit, so it is not
     run."""
@@ -210,7 +211,7 @@ def _triangle(A: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple[np.ndarra
     p = int(np.count_nonzero(cols))
     if p == k == m and not np.tril(A, -1).any():
         return A, b, 0.0
-    Ab = np.empty((m, p + 1))
+    Ab = np.empty((m, p + 1), np.result_type(A, b))
     Ab[:, :p] = A if p == k else A[:, cols]
     Ab[:, p] = b
     h, _ = np.linalg.qr(Ab, mode="raw")
@@ -229,12 +230,13 @@ def _raw_triangle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _full_rank(R: np.ndarray) -> bool:
-    """Whether the triangle R of p columns has p diagonal entries, each above
-    FALLBACK_RTOL times the largest column norm; einsum sums the squares
-    without a temporary of R's size."""
+    """Whether the triangle R of p columns has p diagonal entries, each
+    above FALLBACK_RTOL times the largest column norm, R real or complex;
+    einsum sums the squared moduli, on a real R without a temporary of its
+    size (conj and .real are R and the sums themselves there)."""
     if R.shape[0] < R.shape[1]:
         return False
-    scale = math.sqrt(np.einsum("ij,ij->j", R, R).max())
+    scale = math.sqrt(np.einsum("ij,ij->j", R.conj(), R).real.max())
     return bool(np.min(np.abs(np.diag(R))) > FALLBACK_RTOL * scale)
 
 

@@ -49,6 +49,7 @@ from .vandermonde import (
     VandermondeSystem,
     _deletion_residuals,
     _kept_edges,
+    _real_form,
     assemble,
     compressed,
     condition_number,
@@ -68,12 +69,15 @@ EVENTS = (EVENT_INITIAL, EVENT_ACCEPTED, EVENT_REJECTED_RMS, EVENT_NO_REDUCTION)
 
 # A held network is certified minimal only when each edge's deletion bound
 # clears the acceptance threshold tol * sqrt(rows) by this many units of
-# p * eps * kappa * ||b|| (p columns, kappa the triangle's condition number,
-# b the data's injections).  That unit is the scale of the roundoff in a
-# least-squares residual computed through a Householder QR of p columns
-# (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 20),
-# and the bound and a candidate's own rms are both such residuals; the
-# hundredfold room covers the constants those error bounds leave out.
+# p * eps * kappa * ||b|| (p real columns, kappa the Frobenius condition
+# number ||R||_F ||R^-1||_F of their triangle, b the data's injections).
+# That unit is the scale of the roundoff in a least-squares residual
+# computed through a Householder QR of p columns (Higham, *Accuracy and
+# Stability of Numerical Algorithms*, 2002, ch. 20), and the bound and a
+# candidate's own rms are both such residuals; the hundredfold room covers
+# the constants those error bounds leave out.  Both are taken on the real
+# form the solver fits: an AC triangle of p complex columns counts 2p real
+# ones, and twice its own Frobenius product, which is the real form's.
 MINIMAL_ROUNDOFF_UNITS = 100
 
 
@@ -139,17 +143,21 @@ class Fit:
     the singular values of the candidate's matrix, so ``kappa`` is that
     matrix's, and the solver starts from all its columns (``from_all``):
     when it has full rank and every least-squares weight is positive, its
-    back-substitution is the fit, in one least-squares solve.  Either way
-    ``nnls.objective`` is the square system's residual norm, which leaves
-    out ``rho``; ``rms`` is ``hypot(nnls.objective, rho) / sqrt(rows)``, the
-    rms of the data's residuals.
+    back-substitution is the fit, in one least-squares solve.  The solver
+    takes the system in its real (c, s) form (:func:`vandermonde._real_form`),
+    the system itself on DC, so ``nnls.w`` holds each edge's conductance, and
+    on AC its susceptance after it.  Either way ``nnls.objective`` is the
+    square system's residual norm, which leaves out ``rho``; ``rms`` is
+    ``hypot(nnls.objective, rho) / sqrt(rows)``, the rms of the data's
+    residuals.
 
-    That re-compression is the one factorization of a candidate: the solver
-    takes a square upper-triangular system as its own factor.  At the peak
-    of a fit the candidate's matrix, ``[matrix | rhs]`` and numpy's factored
-    copy of that are alive; the buffer is dropped before the triangle is cut
-    from the copy.  Each has only the candidate's columns, so a fit stays
-    below the assembly of the complete graph."""
+    That re-compression, complex on AC, is the one factorization of a
+    candidate: the real form of a triangle is upper triangular, and the
+    solver takes a square upper-triangular system as its own factor.  At
+    the peak of a fit the candidate's matrix, ``[matrix | rhs]`` and numpy's
+    factored copy of that are alive; the buffer is dropped before the
+    triangle is cut from the copy.  Each has only the candidate's columns,
+    so a fit stays below the assembly of the complete graph."""
 
     system: VandermondeSystem
     rms: float
@@ -168,14 +176,15 @@ def fit(system: VandermondeSystem) -> Fit:
     system (:func:`vandermonde.compressed`) and fitted from all its columns,
     which the solver's warm start takes when the triangle has full rank; a
     square system, such as the complete graph's or an assembled one, is
-    fitted from w = 0.  Raises
+    fitted from w = 0.  The solver gets the real (c, s) form of the system
+    (:func:`vandermonde._real_form`), the one step that needs it.  Raises
     ValueError when the residual norm overflows, and :class:`NnlsError` when
     the solver does not converge or ends above ``nnls.KKT_TOL``.
     """
     rows, cols = system.matrix.shape
     system = compressed(system) if rows > cols else system
     try:
-        result = nnls_solve(system.matrix, system.rhs, from_all=rows > cols)
+        result = nnls_solve(*_real_form(system), from_all=rows > cols)
     except NnlsError as exc:
         _residual(exc.result, system)  # an overflow is the clearer report
         raise
@@ -219,7 +228,8 @@ def _minimal(held: Fit, tol: float) -> bool:
         return False
     residuals, kappa = _deletion_residuals(kept)
     b = math.hypot(np.linalg.norm(system.rhs), system.rho)  # ||b|| of the data
-    roundoff = MINIMAL_ROUNDOFF_UNITS * kept.matrix.shape[1] * np.finfo(float).eps * kappa * b
+    r = 2 if np.iscomplexobj(kept.matrix) else 1  # real numbers per entry of the triangle
+    roundoff = MINIMAL_ROUNDOFF_UNITS * (r * kept.matrix.shape[1]) * np.finfo(float).eps * (r * kappa) * b
     threshold = tol * math.sqrt(system.rows) + roundoff
     return bool(np.min(residuals) > threshold * threshold)
 

@@ -1,17 +1,16 @@
 """Design-matrix assembly for power-flow parameter fitting.
 
 For a candidate edge set E and a data set of m states, the equations have
-one row per power-flow equation per state and one column per edge
-parameter; multiplying them by a parameter vector and subtracting the
-injections reproduces every residual.  DC systems are nm x |E| with entries
-e_j*(e_j - e_k); AC systems are 2nm x 2|E| with 2x2 blocks [[a, -b], [b, a]]
-built from a = e_j^2 + f_j^2 - e_j*e_k - f_j*f_k and b = e_j*f_k - e_k*f_j,
-where j is the node of the equation and k the far end of the edge.  Each
-block is the real form of one complex entry a + i*b = V_j*conj(V_j - V_k)
-acting on the edge weight c + i*s, the pair of rows the real form of one
-complex equation with injection p + i*q: the AC equations are the real form
-of a complex system of nm x |E| (equivalent real forms of complex systems;
-Day & Heroux, SIAM J. Sci. Comput. 23(2), 2001).
+one row per node per state and one column per edge; multiplying them by a
+parameter vector and subtracting the injections reproduces every residual.
+DC systems are real, nm x |E| with entries e_j*(e_j - e_k) and injections
+p.  AC systems are complex, nm x |E| with entries a + i*b =
+V_j*conj(V_j - V_k), a = e_j^2 + f_j^2 - e_j*e_k - f_j*f_k and b = e_j*f_k -
+e_k*f_j, acting on the edge weight c + i*s, and injections p + i*q; j is the
+node of the equation and k the far end of the edge.  Their real form, with
+2x2 blocks [[a, -b], [b, a]] acting on (c, s), is the 2nm x 2|E| system of
+the real and reactive power equations (equivalent real forms of complex
+systems; Day & Heroux, SIAM J. Sci. Comput. 23(2), 2001).
 
 That tall matrix A and its injections b are never held whole.  An equation
 of node v touches only the columns of v's edges (at most n - 1 edges) and
@@ -20,32 +19,32 @@ straight into those columns alone, and folds them into a small triangular
 factor of v's own, all n nodes in one batched QR per block (sequential
 TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1),
 2012).  After the last block, one QR of the n node factors, scattered back
-into the column layout, gives the upper-triangular factor of ``[A | b]``;
+into the column layout, gives the upper-triangular factor R of ``[A | b]``;
 the equations of a node without an edge touch only the rhs and end up in
 its corner.  Both kinds take this one path, DC in real numbers and AC in
-complex ones, one equation per node and state and one column per edge, and
-the complex triangle is written in its real form once, after the merge.
-LAPACK's complex Householder QR leaves a real diagonal, so that real form
-is upper triangular too: it is the (k+1) x (k+1) factor R of the real
-``[A | b]``, k being A's number of columns.  A :class:`VandermondeSystem`
-keeps ``matrix``, the k columns of R; ``rhs``, c = R[:k, k]; ``rho``,
-|R[k, k]|; and ``rows``, the number of equations.  Since ``||A w - b||^2 =
+complex ones, one equation per node and state and one column per edge.  A
+:class:`VandermondeSystem` keeps ``matrix``, the k columns of R, k being
+A's number of columns; ``rhs``, c = R[:k, k]; ``rho``, |R[k, k]|; and
+``rows``, the number of real equations.  Since ``||A w - b||^2 =
 ||R[:k, :k] w - c||^2 + rho^2``, least squares on (matrix, rhs) solves the
 tall problem without the normal equations, and ``matrix`` has the singular
 values of A.
 
-Column layout: the edges are sorted lexicographically; a DC system has one
-column per edge, an AC system two, the conductance c then the susceptance s,
-so column 2t is c and column 2t + 1 is s of edge t.  The layout is
-deterministic across runs, the equations of a subset are exactly a column
-restriction of a larger set's, and so are the columns of its factor.  DC is
-the one-column case of that layout: edge t owns columns r*t to r*t + r - 1,
-r being :attr:`VandermondeSystem.width`, 1 for DC and 2 for AC.  Only this
-module decodes it: :func:`restrict` cuts the columns of an edge subset from
-a system, :func:`compressed` folds those of the kept edges into a square
-system of their own, :func:`_kept_edges` reads which edges a solution
-weights positively, and :func:`_deletion_residuals` bounds, edge by edge,
-the residual left when the edge's columns are deleted.
+Column layout: the edges are sorted lexicographically and edge t owns
+column t, on AC as on DC.  The layout is deterministic across runs, the
+equations of a subset are exactly a column restriction of a larger set's,
+and so are the columns of its factor.  :func:`restrict` gathers the columns
+of an edge subset from a system, :func:`compressed` folds those of the kept
+edges into a square system of their own, and :func:`_deletion_residuals`
+bounds, edge by edge, the residual left when the edge's column is deleted.
+The solver alone needs real numbers, since c >= 0 and s >= 0 constrain the
+real and imaginary parts of an AC weight apart: :func:`_real_form` writes a
+system in the real (c, s) layout, two columns per AC edge, the conductance
+c then the susceptance s, each complex entry x as the block
+[[Re x, -Im x], [Im x, Re x]] and each rhs entry as the pair (Re x, Im x).
+LAPACK's complex Householder QR leaves a real diagonal, so the real form of
+a triangle is upper triangular too.  A solution in that layout is read back
+by :func:`network_from_columns` and :func:`_kept_edges`.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .nnls import _raw_triangle, _triangle
 from .states import StateSet
 
 RANK_RTOL = 1e-13
-# columns per edge, which are also real equations per node and state: c, then s on AC
+# real weights per edge, which are also real equations per node and state: c, then s on AC
 _WIDTH = {DC: 1, AC: 2}
 # states per block of equations folded into the node factors; bounds the rows held
 _BLOCK_STATES = 25
@@ -72,9 +71,9 @@ _BLOCK_STATES = 25
 class VandermondeSystem:
     """A least-squares system on a sorted edge set, in compressed form.
 
-    For every parameter vector w in the column layout,
+    For every parameter vector w, one entry per edge, c + i*s on AC,
     ``||A w - b||^2 = ||matrix @ w - rhs||^2 + rho^2``, where A and b are the
-    ``rows`` stacked equations and injections of the data.
+    stacked equations and injections of the data, ``rows`` real equations.
     """
 
     kind: str
@@ -94,11 +93,6 @@ class VandermondeSystem:
         """The index of each edge in ``edges``, built once however often
         :func:`restrict` cuts candidates from the system."""
         return {e: t for t, e in enumerate(self.edges)}
-
-    @property
-    def width(self) -> int:
-        """The columns of each edge: 1 on DC, 2 on AC."""
-        return _WIDTH[self.kind]
 
 
 def _sorted_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -178,21 +172,17 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     upper-triangular factor R of ``[A | b]``.  So ``matrix`` holds the first
     k columns of R, ``rhs`` its last column above the diagonal and ``rho``
     the modulus of its corner.  On AC every step runs on complex entries,
-    one column per edge, and R and its rhs column are complex; ``matrix``
-    and ``rhs`` are their real form in the (c, s) layout, written here and
-    nowhere else: each entry x of R as the block
-    [[Re x, -Im x], [Im x, Re x]] and each entry of the rhs as the pair
-    (Re x, Im x).  Raises ValueError naming the 1-based state and node when
-    an entry overflows to a non-finite value.
+    one column per edge, and ``matrix`` and ``rhs`` are complex too.
+    Raises ValueError naming the 1-based state and node when an entry
+    overflows to a non-finite value.
 
     Memory: the stack of the n node factors, n * min(m, d + 1) rows of
     |E| + 1 numbers, real on DC and complex on AC (900 x 436 for 200
     states of DC n = 30), is the only array of its size, and the peak is
-    that stack and numpy's copy of it inside the final QR; the real form of
-    an AC triangle is written after both are dropped.  Each QR, of a block
-    fold or of the final merge, is taken in ``mode="raw"``: the block, the
-    old node factors and the stack are dropped as soon as they are no
-    longer needed, and R is read from the upper triangle of numpy's
+    that stack and numpy's copy of it inside the final QR.  Each QR, of a
+    block fold or of the final merge, is taken in ``mode="raw"``: the
+    block, the old node factors and the stack are dropped as soon as they
+    are no longer needed, and R is read from the upper triangle of numpy's
     factored copy afterwards, the final one by ``nnls._raw_triangle``, so
     no triangular copy sits beside the stack and its copy.
     """
@@ -220,16 +210,9 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     del stacked
     R, rhs, rho = _raw_triangle(h)
     del h
-    rhs = rhs.copy()
-    if states.kind == AC:  # the real form
-        real = np.empty((2 * R.shape[0], 2 * k), order="F")
-        real[0::2, 0::2] = real[1::2, 1::2] = R.real
-        real[1::2, 0::2] = R.imag
-        real[0::2, 1::2] = -R.imag
-        R, rhs = real, rhs.view(float)
     rows = _WIDTH[states.kind] * n * states.m
     # column-major, since restrict and the solver gather column subsets of it
-    return VandermondeSystem(states.kind, n, np.asfortranarray(R), rhs, edges, rho, rows)
+    return VandermondeSystem(states.kind, n, np.asfortranarray(R), rhs.copy(), edges, rho, rows)
 
 
 def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSystem:
@@ -246,8 +229,7 @@ def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSys
     missing = [e for e in sub if e not in position]
     if missing:
         raise ValueError(f"edges {missing} not present in the system")
-    idx = [position[e] for e in sub]
-    cols = (system.width * np.array(idx)[:, None] + np.arange(system.width)).ravel()
+    cols = [position[e] for e in sub]
     return VandermondeSystem(
         system.kind, system.n, system.matrix[:, cols], system.rhs, sub, system.rho, system.rows
     )
@@ -257,39 +239,45 @@ def compressed(system: VandermondeSystem, keep: np.ndarray | None = None) -> Van
     """The square system of the kept edges, every edge when ``keep`` is None.
 
     ``keep`` masks the system's edges.  One Householder QR of their columns
-    with the rhs (``nnls._triangle``) gives a triangle with the singular
-    values of those columns, a new rhs and a corner, which joins ``rho`` by
-    ``hypot``; so the result keeps, for every parameter vector of the kept
-    edges, the residual of the data's equations.  A square triangle with
-    every edge kept is returned as its own factor, bit for bit.
+    with the rhs (``nnls._triangle``), complex on AC, gives a triangle with
+    the singular values of those columns, a new rhs and a corner, which
+    joins ``rho`` by ``hypot``; so the result keeps, for every parameter
+    vector of the kept edges, the residual of the data's equations.  A
+    square triangle with every edge kept is returned as its own factor, bit
+    for bit.
     """
     keep = np.ones(len(system.edges), dtype=bool) if keep is None else keep
-    R, rhs, corner = _triangle(system.matrix, system.rhs, np.repeat(keep, system.width))
+    R, rhs, corner = _triangle(system.matrix, system.rhs, keep)
     edges = tuple(compress(system.edges, keep))
     return VandermondeSystem(system.kind, system.n, R, rhs, edges, float(np.hypot(system.rho, corner)), system.rows)
 
 
 def _deletion_residuals(system: VandermondeSystem) -> tuple[np.ndarray, float]:
-    """Each edge's least-squares residual, squared, once its columns are
+    """Each edge's least-squares residual, squared, once its column is
     deleted, and ||R||_F ||R^-1||_F, for a full-rank square system.
 
-    With R the triangle and y its least-squares weights, deleting the r
-    columns E of an edge (r the system's ``width``) leaves the residual
-    ``rho^2 + y_E^T [(R^-1 R^-T)_EE]^-1 y_E``: the column-deletion identity,
-    one formula for both kinds, taken for every edge at once as a batch of
-    r x r solves (for r = 1 a solve gives y_e^2 / ||row e of R^-1||^2).
-    The Frobenius product is at least the 2-norm condition number of R.
+    With R the triangle and y its least-squares weights, deleting the column
+    of edge e leaves the residual ``rho^2 + |y_e|^2 / ||row e of R^-1||^2``:
+    the column-deletion identity, one formula for both kinds, taken for every
+    edge at once as a batch of 1 x 1 solves.  On AC it is least squares
+    without the edge's (c, s) pair of the real form, whose rows of R^-1 are
+    the real form of the complex ones.  The Frobenius product is at least the
+    2-norm condition number of R.
     """
     R = system.matrix
     Rinv = np.linalg.inv(R)
     y = np.linalg.solve(R, system.rhs)
-    rows_E, yE = Rinv.reshape(-1, system.width, R.shape[1]), y.reshape(-1, system.width, 1)
-    raised = (yE * np.linalg.solve(rows_E @ rows_E.transpose(0, 2, 1), yE)).sum(axis=(1, 2))
+    rows_E, yE = Rinv.reshape(-1, 1, R.shape[1]), y.reshape(-1, 1, 1)
+    # conj is the array itself on DC, and so is .real
+    raised = (yE.conj() * np.linalg.solve(rows_E @ rows_E.conj().transpose(0, 2, 1), yE)).real.sum(axis=(1, 2))
     return system.rho * system.rho + raised, float(np.linalg.norm(R) * np.linalg.norm(Rinv))
 
 
 def condition_number(system) -> float:
-    """sigma_max / sigma_min; +inf when rank-deficient, i.e. sigma_min < RANK_RTOL * sigma_max."""
+    """sigma_max / sigma_min; +inf when rank-deficient, i.e. sigma_min < RANK_RTOL * sigma_max.
+
+    An AC system's complex matrix has the singular values of its real form,
+    each counted twice there, so both give the same ratio."""
     A = system.matrix if isinstance(system, VandermondeSystem) else np.asarray(system)
     if A.shape[0] < A.shape[1]:  # fewer rows than columns: a null space
         return float("inf")
@@ -300,8 +288,28 @@ def condition_number(system) -> float:
     return smax / smin
 
 
+def _real_form(system: VandermondeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The system's matrix and rhs in the real (c, s) layout the solver takes.
+
+    DC is real already.  On AC each entry x of the matrix becomes the block
+    [[Re x, -Im x], [Im x, Re x]] and each entry of the rhs the pair
+    (Re x, Im x), so the real weights (c_t, s_t) of edge t act as c_t + i*s_t
+    does on the complex system, with the same residual norm.  The real form
+    of a triangle with a real diagonal is upper triangular."""
+    R, rhs = system.matrix, system.rhs
+    if system.kind == DC:
+        return R, rhs
+    # column-major, as assemble writes a triangle
+    real = np.empty((2 * R.shape[0], 2 * R.shape[1]), order="F")
+    real[0::2, 0::2] = real[1::2, 1::2] = R.real
+    real[1::2, 0::2] = R.imag
+    real[0::2, 1::2] = -R.imag
+    # the rhs of a compressed system is a strided column of its triangle
+    return real, np.ascontiguousarray(rhs).view(float)
+
+
 def parameter_vector(net: Network, edges: Iterable[Edge] | None = None) -> np.ndarray:
-    """Network weights laid out in the column order of :func:`assemble`.
+    """Network weights in the real (c, s) layout of :func:`_real_form`.
 
     Edges absent from the network contribute zeros.
     """
@@ -312,12 +320,12 @@ def parameter_vector(net: Network, edges: Iterable[Edge] | None = None) -> np.nd
 
 
 def _edge_weights(system: VandermondeSystem, w) -> tuple[np.ndarray, np.ndarray]:
-    """The conductances and susceptances a solution gives the system's edges."""
+    """The conductances and susceptances a solution in the real (c, s)
+    layout gives the system's edges."""
     w = np.asarray(w)
-    if w.shape != (system.matrix.shape[1],):
-        raise ValueError(
-            f"solution length must match the system's columns: {w.shape} for {system.matrix.shape[1]}"
-        )
+    columns = _WIDTH[system.kind] * len(system.edges)
+    if w.shape != (columns,):
+        raise ValueError(f"solution length must match the system's real columns: {w.shape} for {columns}")
     if system.kind == DC:
         return w, np.zeros(len(w))
     return w[0::2], w[1::2]

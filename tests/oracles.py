@@ -300,15 +300,27 @@ def tall_system(edges, states) -> VandermondeSystem:
     return VandermondeSystem(states.kind, states.n, np.array(columns).T, rhs, edges, 0.0, len(rhs))
 
 
+def tall_complex(edges, states) -> VandermondeSystem:
+    """:func:`tall_system` in the library's layout, one column per edge: the
+    same system on DC, and on AC the complex one whose real form it is.
+    Each equation's rows g and h become the row g + i*h, the conductance
+    column of each edge its column (the susceptance column is i times it)
+    and the rhs p + i*q; ``rows`` still counts real equations."""
+    tall = tall_system(edges, states)
+    if states.kind == DC:
+        return tall
+    M, b = tall.matrix, tall.rhs
+    matrix = np.array((M[0::2, 0::2] + 1j * M[1::2, 0::2]).T).T  # column-major, as tall_system's
+    return VandermondeSystem(states.kind, states.n, matrix, b[0::2] + 1j * b[1::2], tall.edges, 0.0, tall.rows)
+
+
 def assemble_reference(edges, states) -> VandermondeSystem:
     """:func:`gridrecover.vandermonde.assemble` as it was before it read R
     out of numpy's factored copy: the same blocks and folds, each QR taken
     with ``mode="r"``, whose triangular copy sat beside the stack and
     numpy's copy of it.  The same LAPACK calls on the same values, so the
     system is the same bit for bit.  On AC the folds run on complex entries,
-    and each entry x of the complex triangle and rhs is then written as its
-    real form: the block [[x.real, -x.imag], [x.imag, x.real]] and the pair
-    (x.real, x.imag)."""
+    and the triangle and rhs are complex."""
     edges = _sorted_edges(states.n, edges)
     n = states.n
     r = 1 if states.kind == DC else 2
@@ -327,10 +339,6 @@ def assemble_reference(edges, states) -> VandermondeSystem:
     R = np.linalg.qr(stacked.reshape(-1, k + 1), mode="r")
     rho = float(abs(R[k, k])) if R.shape[0] > k else 0.0
     matrix, rhs = R[:k, :k], R[:k, k]
-    if r == 2:
-        pairs = (np.stack((matrix.real, -matrix.imag), axis=2), np.stack((matrix.imag, matrix.real), axis=2))
-        matrix = np.stack(pairs, axis=1).reshape(2 * matrix.shape[0], 2 * k)
-        rhs = np.column_stack((rhs.real, rhs.imag)).ravel()
     return VandermondeSystem(states.kind, n, np.asfortranarray(matrix), rhs.copy(), edges, rho, r * n * states.m)
 
 

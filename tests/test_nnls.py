@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gridrecover.nnls
 from gridrecover.network import complete_edges
-from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, _triangle, solve
+from gridrecover.nnls import FALLBACK_RTOL, KKT_TOL, NnlsError, _full_rank, _triangle, solve
 from gridrecover.recovery import fit
 from gridrecover.states import generate_voltage_driven
 from gridrecover.vandermonde import assemble
@@ -314,6 +314,18 @@ def test_back_substitution_declines_a_rank_deficient_triangle(case, fraction):
         cold.kkt_residual,
         cold.iterations,
     )
+
+
+@pytest.mark.parametrize("scale, full", [(1.0, False), (1e-2, True)])
+def test_rank_test_of_a_complex_triangle_is_its_real_forms(scale, full):
+    # column 2's entries i and 1 square to a sum of 0 but have moduli
+    # squared summing to 2: at scale 1 the diagonal 1e-11 is below
+    # FALLBACK_RTOL times that column's norm, at scale 1e-2 above it
+    R = np.array([[1e-11, 1j * scale], [0.0, scale]])
+    real = np.zeros((4, 4))
+    real[0::2, 0::2] = real[1::2, 1::2] = R.real
+    real[1::2, 0::2], real[0::2, 1::2] = R.imag, -R.imag
+    assert _full_rank(R) == _full_rank(real) == full
 
 
 def test_parameter_estimation_round_trip():

@@ -41,7 +41,7 @@ from gridrecover.vandermonde import (
     restrict,
 )
 from helpers import random_ac_network, random_dc_network
-from oracles import exhaustive_nnls, newton_jacobian, nnls_lstsq, tall_fit, tall_system
+from oracles import exhaustive_nnls, newton_jacobian, nnls_lstsq, tall_complex, tall_fit
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -63,8 +63,8 @@ def cases(draw):
 @given(cases())
 def test_restriction_equals_reassembly(case):
     net, states, subset = case
-    restricted = restrict(tall_system(complete_edges(net.n), states), subset)
-    direct = tall_system(subset, states)
+    restricted = restrict(tall_complex(complete_edges(net.n), states), subset)
+    direct = tall_complex(subset, states)
     assert restricted.edges == direct.edges == tuple(sorted(subset))
     assert restricted.matrix.tobytes() == direct.matrix.tobytes()
     assert restricted.matrix.strides == direct.matrix.strides  # memory order too

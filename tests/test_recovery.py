@@ -14,6 +14,7 @@ from gridrecover.network import DC, Network, complete_edges
 from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import (
     _minimal,
+    MINIMAL_ROUNDOFF_UNITS,
     EVENT_ACCEPTED,
     EVENT_INITIAL,
     EVENT_NO_REDUCTION,
@@ -29,7 +30,14 @@ from gridrecover.recovery import (
     recover,
 )
 from gridrecover.states import StateSet, add_noise, generate_scenario, rms
-from gridrecover.vandermonde import VandermondeSystem, assemble, positive_network_from_columns, restrict
+from gridrecover.vandermonde import (
+    VandermondeSystem,
+    _deletion_residuals,
+    _real_form,
+    assemble,
+    positive_network_from_columns,
+    restrict,
+)
 from helpers import draining_states, flat_states
 from oracles import sparsify_eager
 
@@ -593,6 +601,27 @@ def test_a_held_network_with_a_removable_edge_is_not_minimal():
     # one-edge deletion fits, and the bound certifies the network
     assert not _minimal(held, min(fits))
     assert _minimal(held, 0.99 * min(fits))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-6])
+def test_the_certificates_room_on_ac_is_the_real_forms(sigma):
+    # the room is taken on the real form the solver fits: 2p real columns
+    # and that form's own Frobenius product, twice the complex triangle's;
+    # the certificate flips at the tolerance that room leaves, where the
+    # room of the complex view (4x narrower) would flip 1e-10 later
+    net = builtin_network("small_ac", 0)
+    states = generate_scenario(net, builtin_scenario("small_ac", sigma=sigma), 120, seed=2)
+    held = fit(restrict(assemble(complete_edges(net.n), states), net.edges))
+    assert np.all(held.nnls.w > 0)  # so the held system is the certified triangle
+    residuals, _ = _deletion_residuals(held.system)
+    M, rhs = _real_form(held.system)
+    kappa = np.linalg.norm(M) * np.linalg.norm(np.linalg.inv(M))
+    b = math.hypot(np.linalg.norm(rhs), held.system.rho)
+    room = MINIMAL_ROUNDOFF_UNITS * M.shape[1] * np.finfo(float).eps * kappa * b
+    flip = (math.sqrt(residuals.min()) - room) / math.sqrt(held.system.rows)
+    assert 0.75 * room > 1e-11 * flip * math.sqrt(held.system.rows)
+    assert _minimal(held, (1 - 1e-11) * flip)
+    assert not _minimal(held, (1 + 1e-11) * flip)
 
 
 def _triangle_system(matrix, rhs):

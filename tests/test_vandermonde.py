@@ -22,6 +22,7 @@ from gridrecover.vandermonde import (
     _incidence,
     _kept_edges,
     _node_equations,
+    _real_form,
     assemble,
     compressed,
     condition_number,
@@ -31,7 +32,7 @@ from gridrecover.vandermonde import (
     restrict,
 )
 from helpers import random_ac_network, random_dc_network
-from oracles import assemble_reference, tall_system
+from oracles import assemble_reference, tall_complex, tall_system
 
 K3 = ((1, 2), (1, 3), (2, 3))
 
@@ -161,9 +162,9 @@ def test_column_subset_coherence():
     for make in (random_dc_network, random_ac_network):
         net = make(rng, 6)
         states = generate_voltage_driven(net, 5, seed=5)
-        full = tall_system(complete_edges(6), states)
+        full = tall_complex(complete_edges(6), states)
         sub_edges = net.edges[: len(net.edges) // 2 + 1]
-        direct = tall_system(sub_edges, states)
+        direct = tall_complex(sub_edges, states)
         restricted = restrict(full, sub_edges)
         assert np.array_equal(direct.matrix, restricted.matrix)
         assert direct.edges == restricted.edges
@@ -192,12 +193,20 @@ def test_restrict_validates_what_is_not_the_systems_own_edge_order():
             restrict(full, edges)
 
 
+def uniform_weights(rng, system):
+    """Random weights, one per edge: c + i*s on AC."""
+    c, s = rng.uniform(0, 10, (2, len(system.edges)))
+    return c + 1j * s if system.kind == "ac" else c
+
+
 def assert_factor_of_rows(system, tall, rng):
     """The compressed system keeps every residual norm of the rows and their
-    singular values: ||A w - b|| = hypot(||R w - c||, rho)."""
-    assert system.rows == tall.rows == len(tall.rhs)
+    singular values: ||A w - b|| = hypot(||R w - c||, rho), with ``tall``
+    in the one-column-per-edge layout, complex on AC."""
+    assert system.matrix.dtype == tall.matrix.dtype
+    assert system.rows == tall.rows == tall.rhs.size * (2 if system.kind == "ac" else 1)
     for _ in range(5):
-        w = rng.uniform(0, 10, tall.matrix.shape[1])
+        w = uniform_weights(rng, tall)
         compressed = np.hypot(np.linalg.norm(system.matrix @ w - system.rhs), system.rho)
         assert compressed == pytest.approx(np.linalg.norm(tall.matrix @ w - tall.rhs), rel=1e-12)
     sv = np.linalg.svd(system.matrix, compute_uv=False)
@@ -211,7 +220,7 @@ def test_factor_keeps_residual_norms_and_singular_values():
         # 60 noisy states: three blocks folded in, and a nonzero rho
         states = add_noise(generate_voltage_driven(net, 60, seed=10), 1e-3, seed=11)
         system = assemble(complete_edges(5), states)
-        tall = tall_system(complete_edges(5), states)
+        tall = tall_complex(complete_edges(5), states)
         assert system.matrix.shape == (tall.matrix.shape[1],) * 2
         assert system.rho > 0
         assert_factor_of_rows(system, tall, rng)
@@ -239,25 +248,38 @@ def test_node_local_fold_keeps_norms_and_singular_values(kind, n, m, edges):
     states = add_noise(generate_voltage_driven(net, m, seed=m), 1e-3, seed=m + 1)
     edges = net.edges if edges is None else edges
     system = assemble(edges, states)
-    assert_factor_of_rows(system, tall_system(edges, states), rng)
+    assert_factor_of_rows(system, tall_complex(edges, states), rng)
     assert_same_bits(system, assemble_reference(edges, states))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-6])
-def test_ac_triangle_is_the_real_form_of_a_complex_triangle(sigma):
+def test_real_form_of_an_ac_triangle_is_its_own_factor(sigma):
     net = builtin_network("small_ac", 0)
     states = generate_scenario(net, builtin_scenario("small_ac", sigma=sigma), 120, seed=2)
-    system = assemble(complete_edges(net.n), states)
-    M = system.matrix
-    assert M.shape[0] == M.shape[1]
-    assert not np.tril(M, -1).any()  # exactly upper triangular
-    # [[Re, -Im], [Im, Re]] per entry, and the complex diagonal is real
-    assert np.array_equal(M[0::2, 0::2], M[1::2, 1::2])
-    assert np.array_equal(M[1::2, 0::2], -M[0::2, 1::2])
-    assert not np.diagonal(M[0::2, 1::2]).any()
-    # so the complete-graph fit takes it as its own factor, with no second QR
-    R, rhs, corner = _triangle(M, system.rhs, np.ones(M.shape[1], dtype=bool))
-    assert R is M and rhs is system.rhs and corner == 0.0
+    full = assemble(complete_edges(net.n), states)
+    candidate = restrict(full, net.edges)
+    assert candidate.matrix.shape[0] > candidate.matrix.shape[1]  # compressed by a complex QR
+    for system in (full, compressed(candidate)):
+        T = system.matrix
+        assert T.dtype == complex and T.shape == (len(system.edges),) * 2
+        assert not np.diagonal(T).imag.any()  # LAPACK's complex QR leaves it real
+        M, rhs = _real_form(system)
+        assert M.shape == (2 * len(system.edges),) * 2
+        assert not np.tril(M, -1).any()  # exactly upper triangular
+        # [[Re, -Im], [Im, Re]] per entry, and the pair (Re, Im) per rhs entry
+        assert np.array_equal(M[0::2, 0::2], T.real) and np.array_equal(M[1::2, 1::2], T.real)
+        assert np.array_equal(M[1::2, 0::2], T.imag) and np.array_equal(M[0::2, 1::2], -T.imag)
+        assert np.array_equal(rhs[0::2] + 1j * rhs[1::2], system.rhs)
+        # so the fit takes it as its own factor, with no second QR
+        R, c, corner = _triangle(M, rhs, np.ones(M.shape[1], dtype=bool))
+        assert R is M and c is rhs and corner == 0.0
+
+
+def test_real_form_of_a_dc_system_is_the_system():
+    _, states = path3_states(m=30)
+    system = assemble(K3, states)
+    M, rhs = _real_form(system)
+    assert M is system.matrix and rhs is system.rhs
 
 
 def assert_same_bits(system, reference):
@@ -330,6 +352,28 @@ def test_condition_number_sentinel_on_rank_deficiency():
     assert condition_number(np.random.default_rng(0).standard_normal((2, 4))) == float("inf")
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-6])
+def test_condition_number_of_an_ac_system_is_its_real_forms(sigma):
+    net = builtin_network("small_ac", 0)
+    states = generate_scenario(net, builtin_scenario("small_ac", sigma=sigma), 120, seed=2)
+    full = assemble(complete_edges(net.n), states)
+    candidate = compressed(restrict(full, net.edges))
+    assert np.isfinite(condition_number(candidate))
+    # exact data leave the complete graph's triangle rank-deficient: inf in both
+    for system in (full, candidate):
+        assert condition_number(system) == pytest.approx(condition_number(_real_form(system)[0]), rel=1e-12)
+
+
+def test_condition_number_sentinel_on_a_rank_deficient_ac_system():
+    # the AC path with a silent middle node: the kernel of the DC case
+    net = Network.ac(3, ((1, 2), (2, 3)), [2.0, 3.0], [1.0, 0.5])
+    scen = Scenario(3, zero=(2,), p_range=(-0.1, -0.01), q_range=(-0.05, 0.0))
+    system = assemble(K3, generate_scenario(net, scen, 30, seed=0))
+    assert system.matrix.dtype == complex and system.matrix.shape == (3, 3)
+    assert condition_number(system) == float("inf")
+    assert condition_number(_real_form(system)[0]) == float("inf")
+
+
 def test_condition_number_drops_on_true_topology(table1_network, table1_states):
     full = condition_number(assemble(complete_edges(6), table1_states))
     true = condition_number(assemble(table1_network.edges, table1_states))
@@ -375,10 +419,11 @@ def test_a_solution_of_the_wrong_length_is_rejected(kind, build):
     net = (random_dc_network if kind == "dc" else random_ac_network)(np.random.default_rng(9), 5)
     system = assemble(net.edges, generate_voltage_driven(net, 2, seed=0))
     w = parameter_vector(net)
-    assert len(w) == system.width * len(net.edges)
+    assert len(w) == (1 if kind == "dc" else 2) * len(net.edges) == _real_form(system)[0].shape[1]
     # one short, one long, and on AC one weight per edge where each edge has two
+    message = rf"solution length must match the system's real columns: .* for {len(w)}$"
     for wrong in [w[:-1], np.append(w, 1.0)] + ([w[: len(net.edges)]] if kind == "ac" else []):
-        with pytest.raises(ValueError, match="solution length must match the system's columns"):
+        with pytest.raises(ValueError, match=message):
             build(system, wrong)
 
 
@@ -392,11 +437,11 @@ def test_compressed_keeps_the_residual_of_the_kept_edges(kind):
     keep = np.arange(len(tall.edges)) % 2 == 0
     kept = compressed(tall, keep)
     assert kept.edges == tuple(compress(tall.edges, keep))
-    assert kept.matrix.shape == (kept.width * int(keep.sum()),) * 2
+    assert kept.matrix.shape == (int(keep.sum()),) * 2
     assert not np.tril(kept.matrix, -1).any()
     reference = restrict(tall, kept.edges)
     for _ in range(5):
-        w = rng.uniform(size=kept.matrix.shape[1])
+        w = uniform_weights(rng, kept)
         assert np.hypot(np.linalg.norm(kept.matrix @ w - kept.rhs), kept.rho) == pytest.approx(
             np.hypot(np.linalg.norm(reference.matrix @ w - reference.rhs), reference.rho), rel=1e-12
         )
@@ -414,15 +459,20 @@ def test_deletion_residuals_are_least_squares_without_each_edge(name, seed):
     net = builtin_network(name, seed)
     states = generate_scenario(net, builtin_scenario(name, sigma=1e-6), 60, seed=seed)
     kept = compressed(restrict(assemble(complete_edges(net.n), states), net.edges))
-    R, r = kept.matrix, kept.width
     residuals, kappa = _deletion_residuals(kept)
     assert residuals.shape == (len(net.edges),)
+    # least squares on the real form the solver fits, without the edge's
+    # column on DC and its (c, s) pair of columns on AC
+    R, rhs = _real_form(kept)
+    r = R.shape[1] // len(net.edges)
+    assert r == (1 if name == "heawood_dc" else 2)
     for t in range(len(net.edges)):
         others = np.delete(R, np.s_[r * t : r * t + r], axis=1)
-        y = np.linalg.lstsq(others, kept.rhs, rcond=None)[0]
-        brute = kept.rho**2 + np.linalg.norm(others @ y - kept.rhs) ** 2
+        y = np.linalg.lstsq(others, rhs, rcond=None)[0]
+        brute = kept.rho**2 + np.linalg.norm(others @ y - rhs) ** 2
         assert residuals[t] == pytest.approx(brute, rel=1e-9)
-    assert kappa == pytest.approx(np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)), rel=1e-12)
+    T = kept.matrix
+    assert kappa == pytest.approx(np.linalg.norm(T) * np.linalg.norm(np.linalg.inv(T)), rel=1e-12)
     assert kappa >= condition_number(kept)
 
 
@@ -432,7 +482,7 @@ def test_kept_edges_are_those_a_solution_weights_positively(kind):
     net = (random_dc_network if kind == "dc" else random_ac_network)(rng, 6)
     system = assemble(net.edges, generate_voltage_driven(net, 5, seed=2))
     for _ in range(5):
-        w = rng.choice([0.0, 0.5], size=system.matrix.shape[1])
+        w = rng.choice([0.0, 0.5], size=_real_form(system)[0].shape[1])
         kept = tuple(compress(system.edges, _kept_edges(system, w)))
         assert kept == positive_network_from_columns(system, w).edges
 
