@@ -202,22 +202,16 @@ class Network:
         return complex(self.c[i], -self.s[i])
 
     def normalized(self) -> "Network":
-        """Drop edges whose conductance and susceptance are both zero."""
-        return _positive_part(self.kind, self.n, self.edges, self.c, self.s)
+        """Drop edges whose conductance and susceptance are both zero: the
+        network of the edges :func:`_kept` masks."""
+        keep = _kept(self.c, self.s)
+        return Network._derived(self.kind, self.n, tuple(compress(self.edges, keep)), self.c[keep], self.s[keep])
 
 
 def _kept(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The mask of the edges a network keeps: a positive conductance or
     susceptance."""
     return (c > 0) | (s > 0)
-
-
-def _positive_part(kind: str, n: int, edges: tuple[Edge, ...], c: np.ndarray, s: np.ndarray) -> Network:
-    """The network of the edges :func:`_kept` masks, cut from the validated
-    ``edges`` of a ``kind`` network or system on n nodes; ``c`` and ``s``
-    hold their weights."""
-    keep = _kept(c, s)
-    return Network._derived(kind, n, tuple(compress(edges, keep)), c[keep], s[keep])
 
 
 def split_graphs(net: Network) -> tuple[Network, Network]:

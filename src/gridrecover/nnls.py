@@ -144,10 +144,15 @@ class _PassiveQR:
     make it deficient is refused, and its passive set is the block phase's.
 
     The factor is sized once, for the min(m, k) columns a full-rank passive
-    set can have.  Every solver call in a recovery run is on a triangle no
-    larger than the complete graph's factor, so its m x min(m, k) numbers
-    stay below the stack of node factors that ``vandermonde.assemble``
-    folds: the assembly, not the solver, sets a run's allocation peak.
+    set can have: ``q`` and R^-1 hold m x min(m, k) and min(m, k)^2
+    numbers.  Every solver call in a recovery run is on a triangle no
+    larger than the real form of the complete graph's factor, which on AC
+    has two columns per edge.  On DC the factor stays below the stack of
+    node factors that ``vandermonde.assemble`` folds, so the assembly sets
+    a run's allocation peak (6.4 MB at n = 30 with 200 states).  On AC the
+    complete graph's fit sets it: ``q`` and R^-1 of its 870 x 870 real form
+    (12.2 MB at n = 30) beside that form and the complex triangle, 21.4 MB
+    against the assembly's 12.7 MB.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):

@@ -41,20 +41,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import Network, _integral, _real, complete_edges
+from .network import Network, _integral, _kept, _real, complete_edges
 from .nnls import NnlsError, NnlsResult, _full_rank, solve as nnls_solve
 from .sparsify import sparsify_ac
 from .states import StateSet, rms as states_rms
 from .vandermonde import (
     VandermondeSystem,
     _deletion_residuals,
-    _kept_edges,
     _real_form,
     assemble,
     compressed,
     condition_number,
     network_from_columns,
-    positive_network_from_columns,
     restrict,
 )
 
@@ -76,8 +74,9 @@ EVENTS = (EVENT_INITIAL, EVENT_ACCEPTED, EVENT_REJECTED_RMS, EVENT_NO_REDUCTION)
 # Stability of Numerical Algorithms*, 2002, ch. 20), and the bound and a
 # candidate's own rms are both such residuals; the hundredfold room covers
 # the constants those error bounds leave out.  Both are taken on the real
-# form the solver fits: an AC triangle of p complex columns counts 2p real
-# ones, and twice its own Frobenius product, which is the real form's.
+# form the solver fits, as vandermonde._deletion_residuals gives them: an AC
+# triangle of p complex columns counts 2p real ones, and twice its own
+# Frobenius product, which is the real form's.
 MINIMAL_ROUNDOFF_UNITS = 100
 
 
@@ -135,7 +134,10 @@ class Fit:
     rms fitting error over all the equations of the data, the condition
     number of that system, and the solver's result.  ``network`` is the
     network the NNLS solution describes (zero-weight edges included), built
-    on first read.
+    on first read by :func:`vandermonde.network_from_columns`, the one
+    reader of the solver's (c, s) layout: the loop holds its
+    :meth:`~network.Network.normalized` part, and :func:`_minimal` reads
+    the edges it keeps.
 
     A system with more rows than columns, such as a candidate cut from the
     complete graph's factor, is compressed again first
@@ -153,11 +155,15 @@ class Fit:
 
     That re-compression, complex on AC, is the one factorization of a
     candidate: the real form of a triangle is upper triangular, and the
-    solver takes a square upper-triangular system as its own factor.  At
-    the peak of a fit the candidate's matrix, ``[matrix | rhs]`` and numpy's
-    factored copy of that are alive; the buffer is dropped before the
-    triangle is cut from the copy.  Each has only the candidate's columns,
-    so a fit stays below the assembly of the complete graph."""
+    solver takes a square upper-triangular system as its own factor.  A
+    fit's arrays have only its system's columns: the candidate's matrix,
+    ``[matrix | rhs]`` and numpy's factored copy of that (the buffer is
+    dropped before the triangle is cut from the copy), then the real form
+    and the solver's factor of it (``nnls._PassiveQR``).  The complete
+    graph's fit is the largest.  On DC it stays below the assembly, which
+    sets a run's allocation peak; on AC the real form and the solver's
+    factor of it set that peak instead (21.4 MB against the assembly's
+    12.7 MB at n = 30 with 200 states)."""
 
     system: VandermondeSystem
     rms: float
@@ -189,7 +195,7 @@ def fit(system: VandermondeSystem) -> Fit:
         _residual(exc.result, system)  # an overflow is the clearer report
         raise
     fit_rms = float(_residual(result, system) / np.sqrt(system.rows))
-    return Fit(system, fit_rms, condition_number(system), result)
+    return Fit(system, fit_rms, condition_number(system.matrix), result)
 
 
 def _residual(result: NnlsResult, system: VandermondeSystem) -> float:
@@ -215,21 +221,20 @@ def _minimal(held: Fit, tol: float) -> bool:
     (``nnls._full_rank``) certifies nothing.
 
     The triangle comes from :func:`vandermonde.compressed` on H's edges,
-    those the held fit weights positively (:func:`vandermonde._kept_edges`).
-    When every held weight is positive the held system is already that
-    triangle, so no QR is run.
+    those the held fit's network keeps (``network._kept``).  When every
+    held weight is positive the held system is already that triangle, so
+    no QR is run.
     """
-    system = held.system
-    keep = _kept_edges(system, held.nnls.w)
+    system, net = held.system, held.network
+    keep = _kept(net.c, net.s)
     if not keep.any():
         return True
     kept = compressed(system, keep)
     if not _full_rank(kept.matrix):
         return False
-    residuals, kappa = _deletion_residuals(kept)
+    residuals, cols, kappa = _deletion_residuals(kept)  # in the real form's units
     b = math.hypot(np.linalg.norm(system.rhs), system.rho)  # ||b|| of the data
-    r = 2 if np.iscomplexobj(kept.matrix) else 1  # real numbers per entry of the triangle
-    roundoff = MINIMAL_ROUNDOFF_UNITS * (r * kept.matrix.shape[1]) * np.finfo(float).eps * (r * kappa) * b
+    roundoff = MINIMAL_ROUNDOFF_UNITS * cols * np.finfo(float).eps * kappa * b
     threshold = tol * math.sqrt(system.rows) + roundoff
     return bool(np.min(residuals) > threshold * threshold)
 
@@ -263,7 +268,9 @@ class RecoveryTrace:
     """Full per-iteration log of one recovery run.  ``stop`` is the reason
     the loop stopped, ``minimal``, ``time``, ``iterations`` or ``stale``
     (see the module docstring); it is None on a trace read back from CSV
-    and on the partial trace of a :class:`RecoveryError`."""
+    and on the partial trace of a :class:`RecoveryError`.  The loop checks
+    ``minimal`` first, so a run is certified (:func:`_minimal`) exactly
+    when ``stop`` is ``minimal``, and needs no field of its own to say so."""
 
     rows: list[TraceRow] = field(default_factory=list)
     stop: str | None = None
@@ -307,10 +314,10 @@ class Head:
     ``initial.system`` is the system every candidate is cut from.
 
     :func:`loop` only reads a head: restriction and refits copy from its
-    systems' read-only arrays, each loop builds its own held network from
-    the initial weights, and the head's caches (``initial.system._position``,
-    ``initial.network``) depend on nothing else, so the loops of several
-    seeds can share one head in turn."""
+    systems' read-only arrays, each loop cuts its own held network from
+    ``initial.network``, and the head's caches (``initial.system._position``
+    and that network, built by the certificate) depend on nothing else, so
+    the loops of several seeds can share one head in turn."""
 
     states: StateSet
     tol: float
@@ -354,7 +361,7 @@ def loop(start: Head, cfg: RecoveryConfig) -> tuple[Network, RecoveryTrace]:
     # the held network, zero-weight edges pruned: they add nothing to the
     # Laplacian, so they change no draw; held is its trace row, whose edge
     # count bounds the draws and includes them until the first accept
-    cur = positive_network_from_columns(initial.system, initial.nnls.w)
+    cur = initial.network.normalized()
     held = TraceRow(1, len(initial.system.edges), initial.rms, initial.kappa, cfg.eps0, EVENT_INITIAL)
     trace.append(held)
 
@@ -387,7 +394,7 @@ def loop(start: Head, cfg: RecoveryConfig) -> tuple[Network, RecoveryTrace]:
                     f"estimation failed at iteration {len(trace) + 1}: {exc}", trace, cur
                 ) from exc
             if refit.rms <= cfg.tol:
-                cur = positive_network_from_columns(refit.system, refit.nnls.w)
+                cur = refit.network.normalized()
                 minimal = _minimal(refit, cfg.tol)
                 held = TraceRow(len(trace) + 1, len(cur.edges), refit.rms, refit.kappa, eps, EVENT_ACCEPTED)
                 trace.append(held)

@@ -44,7 +44,7 @@ c then the susceptance s, each complex entry x as the block
 [[Re x, -Im x], [Im x, Re x]] and each rhs entry as the pair (Re x, Im x).
 LAPACK's complex Householder QR leaves a real diagonal, so the real form of
 a triangle is upper triangular too.  A solution in that layout is read back
-by :func:`network_from_columns` and :func:`_kept_edges`.
+by :func:`network_from_columns` alone.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .network import AC, DC, Edge, Network, _canonical_edges, _kept, _positive_part
+from .network import AC, DC, Edge, Network, _canonical_edges
 from .nnls import _raw_triangle, _triangle
 from .states import StateSet
 
@@ -252,17 +252,20 @@ def compressed(system: VandermondeSystem, keep: np.ndarray | None = None) -> Van
     return VandermondeSystem(system.kind, system.n, R, rhs, edges, float(np.hypot(system.rho, corner)), system.rows)
 
 
-def _deletion_residuals(system: VandermondeSystem) -> tuple[np.ndarray, float]:
+def _deletion_residuals(system: VandermondeSystem) -> tuple[np.ndarray, int, float]:
     """Each edge's least-squares residual, squared, once its column is
-    deleted, and ||R||_F ||R^-1||_F, for a full-rank square system.
+    deleted, for a full-rank square system; then the number of columns and
+    the Frobenius product ||R||_F ||R^-1||_F of its real (c, s) form.
 
     With R the triangle and y its least-squares weights, deleting the column
     of edge e leaves the residual ``rho^2 + |y_e|^2 / ||row e of R^-1||^2``:
     the column-deletion identity, one formula for both kinds, taken for every
     edge at once as a batch of 1 x 1 solves.  On AC it is least squares
     without the edge's (c, s) pair of the real form, whose rows of R^-1 are
-    the real form of the complex ones.  The Frobenius product is at least the
-    2-norm condition number of R.
+    the real form of the complex ones.  That form has two columns per AC
+    edge, and each of its Frobenius norms is sqrt(2) times the complex
+    one's, so its product is twice R's.  The product is at least the 2-norm
+    condition number of R.
     """
     R = system.matrix
     Rinv = np.linalg.inv(R)
@@ -270,15 +273,16 @@ def _deletion_residuals(system: VandermondeSystem) -> tuple[np.ndarray, float]:
     rows_E, yE = Rinv.reshape(-1, 1, R.shape[1]), y.reshape(-1, 1, 1)
     # conj is the array itself on DC, and so is .real
     raised = (yE.conj() * np.linalg.solve(rows_E @ rows_E.conj().transpose(0, 2, 1), yE)).real.sum(axis=(1, 2))
-    return system.rho * system.rho + raised, float(np.linalg.norm(R) * np.linalg.norm(Rinv))
+    width = _WIDTH[system.kind]
+    return system.rho * system.rho + raised, width * R.shape[1], width * float(np.linalg.norm(R) * np.linalg.norm(Rinv))
 
 
-def condition_number(system) -> float:
-    """sigma_max / sigma_min; +inf when rank-deficient, i.e. sigma_min < RANK_RTOL * sigma_max.
+def condition_number(A: np.ndarray) -> float:
+    """sigma_max / sigma_min of a matrix; +inf when rank-deficient, i.e.
+    sigma_min < RANK_RTOL * sigma_max.
 
     An AC system's complex matrix has the singular values of its real form,
     each counted twice there, so both give the same ratio."""
-    A = system.matrix if isinstance(system, VandermondeSystem) else np.asarray(system)
     if A.shape[0] < A.shape[1]:  # fewer rows than columns: a null space
         return float("inf")
     sv = np.linalg.svd(A, compute_uv=False)
@@ -319,34 +323,16 @@ def parameter_vector(net: Network, edges: Iterable[Edge] | None = None) -> np.nd
     return table[:, : _WIDTH[net.kind]].ravel()
 
 
-def _edge_weights(system: VandermondeSystem, w) -> tuple[np.ndarray, np.ndarray]:
-    """The conductances and susceptances a solution in the real (c, s)
-    layout gives the system's edges."""
+def network_from_columns(system: VandermondeSystem, w: np.ndarray) -> Network:
+    """Inverse of :func:`parameter_vector`: the network a solution in the
+    real (c, s) layout describes, zero-weight edges included.
+
+    Its edges are the system's, validated when the system was built, so only
+    the weights ``w`` are checked, their number against the system's real
+    columns first."""
     w = np.asarray(w)
     columns = _WIDTH[system.kind] * len(system.edges)
     if w.shape != (columns,):
         raise ValueError(f"solution length must match the system's real columns: {w.shape} for {columns}")
-    if system.kind == DC:
-        return w, np.zeros(len(w))
-    return w[0::2], w[1::2]
-
-
-def network_from_columns(system: VandermondeSystem, w: np.ndarray) -> Network:
-    """Inverse of :func:`parameter_vector`: the network a solution describes.
-
-    Its edges are the system's, validated when the system was built, so only
-    the weights ``w`` are checked."""
-    return Network._derived(system.kind, system.n, system.edges, *_edge_weights(system, w))
-
-
-def positive_network_from_columns(system: VandermondeSystem, w: np.ndarray) -> Network:
-    """The network of the edges a solution weights positively: equal, weight
-    bytes included, to ``network_from_columns(system, w).normalized()``,
-    but built once."""
-    return _positive_part(system.kind, system.n, system.edges, *_edge_weights(system, w))
-
-
-def _kept_edges(system: VandermondeSystem, w) -> np.ndarray:
-    """The mask of the system's edges that a solution weights positively,
-    by the rule of ``network._kept``."""
-    return _kept(*_edge_weights(system, w))
+    c, s = (w, np.zeros(len(w))) if system.kind == DC else (w[0::2], w[1::2])
+    return Network._derived(system.kind, system.n, system.edges, c, s)

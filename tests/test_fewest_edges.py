@@ -62,10 +62,10 @@ def test_data_with_no_flow_need_no_edge():
 
 @st.composite
 def small_dc_runs(draw):
-    """A random DC network on 3 or 4 nodes, voltage-driven states of it,
+    """A random DC network on 3 to 5 nodes, voltage-driven states of it,
     exact or noisy, and a tolerance from roundoff up to the rms of the
     injections, log-uniform."""
-    n = draw(st.integers(3, 4))
+    n = draw(st.integers(3, 5))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     net = random_dc_network(rng, n, extra_edges=draw(st.integers(0, 3)))

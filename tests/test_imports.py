@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from code_lines import code_lines
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -186,13 +188,19 @@ def test_spawn_calls_are_found():
 
 
 def width_reads(source: str) -> list[int]:
-    """Lines of each read of an attribute named ``width``, such as
-    ``VandermondeSystem.width``, the columns of each edge."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr == "width"
-    )
+    """Lines of each spelling of the real (c, s) form's width, the real
+    numbers per edge: a call of a function named ``iscomplexobj``, which
+    tells an AC system's complex triangle from a DC one, and an import of
+    ``vandermonde._WIDTH``, the width itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")) == "iscomplexobj":
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "_WIDTH" for alias in node.names):
+            found.append(node.lineno)
+    return sorted(found)
 
 
 def test_only_vandermonde_decodes_the_column_layout():
@@ -211,14 +219,30 @@ def test_only_vandermonde_decodes_the_column_layout():
 
 def test_width_reads_are_found():
     source = (
-        '"""Columns as system.width gives them."""\n'
-        "r = held.system.width\n"
-        "# rows.reshape(-1, system.width)\n"
-        "width = getattr(system, 'width')\n"
-        "print(width, f(\n    system).width)\n"
-        "system.width = 2\n"
+        '"""Columns as np.iscomplexobj(R) gives them."""\n'
+        "r = 2 if np.iscomplexobj(kept.matrix) else 1\n"
+        "# from .vandermonde import _WIDTH\n"
+        "from .vandermonde import _WIDTH as width, assemble\n"
+        "print(iscomplexobj(\n    R), numpy.iscomplexobj)\n"
+        "import _WIDTH\n"
     )
-    assert width_reads(source) == [2, 5, 7]
+    assert width_reads(source) == [2, 4, 5]
+
+
+def test_code_lines_count_code_alone():
+    source = (
+        '"""A module docstring,\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = (1,  # a trailing comment\n"
+        "     2)\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        '    return """a string\n'
+        "\n"
+        'over three lines"""\n'
+    )
+    assert code_lines(source) == 6  # lines 6, 7, 8, 10, 11 and 12
 
 
 FILE_MODULES = {"json", "csv"}

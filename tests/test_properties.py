@@ -37,7 +37,6 @@ from gridrecover.vandermonde import (
     assemble,
     network_from_columns,
     parameter_vector,
-    positive_network_from_columns,
     restrict,
 )
 from helpers import random_ac_network, random_dc_network
@@ -268,7 +267,7 @@ def held_fits(draw):
 def test_no_proper_subset_of_a_minimal_network_fits(case):
     full, held, tol, seed = case
     rng = np.random.default_rng(seed + 1)
-    edges = positive_network_from_columns(held.system, held.nnls.w).edges
+    edges = held.network.normalized().edges
     subsets = [edges[:i] + edges[i + 1 :] for i in range(len(edges))]
     for _ in range(3):  # and smaller ones
         size = int(rng.integers(1, len(edges))) if len(edges) > 1 else 0

@@ -35,7 +35,6 @@ from gridrecover.vandermonde import (
     _deletion_residuals,
     _real_form,
     assemble,
-    positive_network_from_columns,
     restrict,
 )
 from helpers import draining_states, flat_states
@@ -546,14 +545,14 @@ def test_recover_samples_each_held_network_once(monkeypatch, name):
     assert rows == len(held) * (2 if name == "small_ac" else 1)
     assert len(inverses) == rows
     # every network of a run is cut from the validated system or from a
-    # validated network, so none is validated again: networks are built from
-    # solutions for the initial fit (the first held network) and for each
-    # accepted refit, already pruned, none for a draw or a rejected refit,
-    # and the result is the last held network itself, not a pruned copy
+    # validated network, so none is validated again: for the initial fit
+    # (the first held network) and for each accepted refit, the fit's
+    # network is read from its solution and then pruned by normalized; none
+    # is built for a draw or a rejected refit
     assert validated == []
-    assert builds and not any(b["sparsify"] or b["normalized"] for b in builds)
+    assert not any(b["sparsify"] for b in builds)
     assert len(refits) > accepted
-    assert len(builds) == 1 + accepted
+    assert [b["normalized"] for b in builds] == [False, True] * (1 + accepted)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -576,7 +575,7 @@ def test_ending_on_a_minimal_network_changes_no_result(monkeypatch, name, sigma,
         # run accepts the same edges refitted, equal up to their last bits
         assert name == "path3_dc"
         initial = fit(assemble(complete_edges(states.n), states))
-        positive = positive_network_from_columns(initial.system, initial.nnls.w)
+        positive = initial.network.normalized()
         assert net.c.tobytes() == positive.c.tobytes() and net.s.tobytes() == positive.s.tobytes()
         np.testing.assert_allclose(net.c, stale_net.c, rtol=1e-12)
         np.testing.assert_array_equal(net.s, stale_net.s)
@@ -613,9 +612,11 @@ def test_the_certificates_room_on_ac_is_the_real_forms(sigma):
     states = generate_scenario(net, builtin_scenario("small_ac", sigma=sigma), 120, seed=2)
     held = fit(restrict(assemble(complete_edges(net.n), states), net.edges))
     assert np.all(held.nnls.w > 0)  # so the held system is the certified triangle
-    residuals, _ = _deletion_residuals(held.system)
+    residuals, cols, frobenius = _deletion_residuals(held.system)
     M, rhs = _real_form(held.system)
     kappa = np.linalg.norm(M) * np.linalg.norm(np.linalg.inv(M))
+    # the certificate reads the real form's units from vandermonde
+    assert cols == M.shape[1] and frobenius == pytest.approx(kappa, rel=1e-12)
     b = math.hypot(np.linalg.norm(rhs), held.system.rho)
     room = MINIMAL_ROUNDOFF_UNITS * M.shape[1] * np.finfo(float).eps * kappa * b
     flip = (math.sqrt(residuals.min()) - room) / math.sqrt(held.system.rows)
@@ -669,7 +670,7 @@ def test_a_tol_below_the_complete_graph_fit_stops_at_row_1(caplog, name):
     assert [(r.iteration, r.rms, r.event) for r in trace] == [(1, initial.rms, EVENT_INITIAL)]
     stops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stopping")]
     assert stops == ["stopping after iteration 1 (minimal)"]
-    positive = positive_network_from_columns(initial.system, initial.nnls.w)
+    positive = initial.network.normalized()
     assert net.edges == positive.edges
     assert net.c.tobytes() == positive.c.tobytes() and net.s.tobytes() == positive.s.tobytes()
 

@@ -40,3 +40,14 @@ def test_traced_recover_yields_layer_metrics(spans, table1_states):
     # every refit goes through the spanned solver, so the KKT bound sees it
     assert metrics["nnls.refit_calls"] == metrics["vandermonde.restrict_calls"] > 0
     assert "1 traced recover calls" in bases["per-call means"]
+
+
+def test_each_held_fit_is_read_through_the_spanned_reader(spans, table1_states):
+    # the loop holds a fit's network as Fit.network builds it, through
+    # network_from_columns: once for the initial fit and once per accept
+    tracer = spans.Tracer()
+    with tracer.installed():
+        with tracer.span("recover"):
+            _, trace = recover(table1_states, RecoveryConfig(seed=3, max_stale_iterations=8))
+    below = [span.name for span in tracer.descendants(0)]
+    assert below.count("vandermonde.network_from_columns") == len(trace.filtered()) > 1

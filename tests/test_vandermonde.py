@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario
-from gridrecover.network import Network, complete_edges
+from gridrecover.network import Network, _kept, complete_edges
 from gridrecover.nnls import _triangle
 from gridrecover.states import (
     Scenario,
@@ -20,7 +20,6 @@ from gridrecover.vandermonde import (
     _BLOCK_STATES,
     _deletion_residuals,
     _incidence,
-    _kept_edges,
     _node_equations,
     _real_form,
     assemble,
@@ -28,7 +27,6 @@ from gridrecover.vandermonde import (
     condition_number,
     network_from_columns,
     parameter_vector,
-    positive_network_from_columns,
     restrict,
 )
 from helpers import random_ac_network, random_dc_network
@@ -346,7 +344,7 @@ def test_condition_number_orthonormal_columns():
 
 def test_condition_number_sentinel_on_rank_deficiency():
     _, states = path3_states(m=30)
-    assert condition_number(assemble(K3, states)) == float("inf")
+    assert condition_number(assemble(K3, states).matrix) == float("inf")
     assert condition_number(np.zeros((4, 2))) == float("inf")
     # more columns than rows: a null space, whatever the singular values
     assert condition_number(np.random.default_rng(0).standard_normal((2, 4))) == float("inf")
@@ -358,10 +356,10 @@ def test_condition_number_of_an_ac_system_is_its_real_forms(sigma):
     states = generate_scenario(net, builtin_scenario("small_ac", sigma=sigma), 120, seed=2)
     full = assemble(complete_edges(net.n), states)
     candidate = compressed(restrict(full, net.edges))
-    assert np.isfinite(condition_number(candidate))
+    assert np.isfinite(condition_number(candidate.matrix))
     # exact data leave the complete graph's triangle rank-deficient: inf in both
     for system in (full, candidate):
-        assert condition_number(system) == pytest.approx(condition_number(_real_form(system)[0]), rel=1e-12)
+        assert condition_number(system.matrix) == pytest.approx(condition_number(_real_form(system)[0]), rel=1e-12)
 
 
 def test_condition_number_sentinel_on_a_rank_deficient_ac_system():
@@ -370,13 +368,13 @@ def test_condition_number_sentinel_on_a_rank_deficient_ac_system():
     scen = Scenario(3, zero=(2,), p_range=(-0.1, -0.01), q_range=(-0.05, 0.0))
     system = assemble(K3, generate_scenario(net, scen, 30, seed=0))
     assert system.matrix.dtype == complex and system.matrix.shape == (3, 3)
-    assert condition_number(system) == float("inf")
+    assert condition_number(system.matrix) == float("inf")
     assert condition_number(_real_form(system)[0]) == float("inf")
 
 
 def test_condition_number_drops_on_true_topology(table1_network, table1_states):
-    full = condition_number(assemble(complete_edges(6), table1_states))
-    true = condition_number(assemble(table1_network.edges, table1_states))
+    full = condition_number(assemble(complete_edges(6), table1_states).matrix)
+    true = condition_number(assemble(table1_network.edges, table1_states).matrix)
     assert true <= full
 
 
@@ -414,8 +412,7 @@ def test_parameter_vector_round_trip():
 
 
 @pytest.mark.parametrize("kind", ["dc", "ac"])
-@pytest.mark.parametrize("build", [network_from_columns, positive_network_from_columns])
-def test_a_solution_of_the_wrong_length_is_rejected(kind, build):
+def test_a_solution_of_the_wrong_length_is_rejected(kind):
     net = (random_dc_network if kind == "dc" else random_ac_network)(np.random.default_rng(9), 5)
     system = assemble(net.edges, generate_voltage_driven(net, 2, seed=0))
     w = parameter_vector(net)
@@ -424,7 +421,7 @@ def test_a_solution_of_the_wrong_length_is_rejected(kind, build):
     message = rf"solution length must match the system's real columns: .* for {len(w)}$"
     for wrong in [w[:-1], np.append(w, 1.0)] + ([w[: len(net.edges)]] if kind == "ac" else []):
         with pytest.raises(ValueError, match=message):
-            build(system, wrong)
+            network_from_columns(system, wrong)
 
 
 @pytest.mark.parametrize("kind", ["dc", "ac"])
@@ -459,21 +456,23 @@ def test_deletion_residuals_are_least_squares_without_each_edge(name, seed):
     net = builtin_network(name, seed)
     states = generate_scenario(net, builtin_scenario(name, sigma=1e-6), 60, seed=seed)
     kept = compressed(restrict(assemble(complete_edges(net.n), states), net.edges))
-    residuals, kappa = _deletion_residuals(kept)
+    residuals, cols, kappa = _deletion_residuals(kept)
     assert residuals.shape == (len(net.edges),)
     # least squares on the real form the solver fits, without the edge's
     # column on DC and its (c, s) pair of columns on AC
     R, rhs = _real_form(kept)
     r = R.shape[1] // len(net.edges)
-    assert r == (1 if name == "heawood_dc" else 2)
+    assert r == (1 if name == "heawood_dc" else 2) and cols == R.shape[1]
     for t in range(len(net.edges)):
         others = np.delete(R, np.s_[r * t : r * t + r], axis=1)
         y = np.linalg.lstsq(others, rhs, rcond=None)[0]
         brute = kept.rho**2 + np.linalg.norm(others @ y - rhs) ** 2
         assert residuals[t] == pytest.approx(brute, rel=1e-9)
+    # the real form's Frobenius product: r times the triangle's, bit for bit
     T = kept.matrix
-    assert kappa == pytest.approx(np.linalg.norm(T) * np.linalg.norm(np.linalg.inv(T)), rel=1e-12)
-    assert kappa >= condition_number(kept)
+    assert kappa == r * float(np.linalg.norm(T) * np.linalg.norm(np.linalg.inv(T)))
+    assert kappa == pytest.approx(np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R)), rel=1e-12)
+    assert kappa >= condition_number(R)
 
 
 @pytest.mark.parametrize("kind", ["dc", "ac"])
@@ -483,8 +482,10 @@ def test_kept_edges_are_those_a_solution_weights_positively(kind):
     system = assemble(net.edges, generate_voltage_driven(net, 5, seed=2))
     for _ in range(5):
         w = rng.choice([0.0, 0.5], size=_real_form(system)[0].shape[1])
-        kept = tuple(compress(system.edges, _kept_edges(system, w)))
-        assert kept == positive_network_from_columns(system, w).edges
+        net = network_from_columns(system, w)
+        positive = (w.reshape(len(system.edges), -1) > 0).any(axis=1)  # any of the edge's columns
+        assert np.array_equal(_kept(net.c, net.s), positive)
+        assert net.normalized().edges == tuple(compress(system.edges, positive))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
