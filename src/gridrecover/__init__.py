@@ -10,7 +10,6 @@ from .network import (
     complete_edges,
     connectivity,
     is_connected,
-    is_spanning_tree,
     laplacian,
     series_equivalent,
     split_graphs,

@@ -59,19 +59,19 @@ def small_ac(seed=0) -> Network:
     return Network.ac(6, SMALL_AC_EDGES, c, s)
 
 
-# name -> (network from a seed, data-sampling scenario).  Node 1 always
-# feeds the network (slack); every other node draws a uniform load.  The load
+# name -> (network from a seed, data-sampling scenario).  Node 1, the slack,
+# feeds the network; every other node draws a uniform load.  The load
 # ranges are chosen to keep voltages within states.VOLTAGE_RANGE; they are
 # documented here rather than taken from any external protocol.
 BUILTINS = {
     # the 0.47-conductance bridge feeds three nodes; bigger loads than this
     # push its voltage drop past the 0.9 floor
-    "table1_dc": (lambda seed: table1_dc(), Scenario(6, p_range=(-0.015, 0.0))),
-    "heawood_dc": (heawood_dc, Scenario(14, p_range=(-0.1, 0.0))),
-    "path3_dc": (lambda seed: path3_dc(), Scenario(3, zero=(2,), p_range=(-0.1, -0.01))),
+    "table1_dc": (lambda seed: table1_dc(), Scenario(p_range=(-0.015, 0.0))),
+    "heawood_dc": (heawood_dc, Scenario(p_range=(-0.1, 0.0))),
+    "path3_dc": (lambda seed: path3_dc(), Scenario(zero=(2,), p_range=(-0.1, -0.01))),
     "small_ac": (
         small_ac,
-        Scenario(6, zero=(SMALL_AC_ZERO_NODE,), p_range=(-0.1, 0.0), q_range=(-0.05, 0.05)),
+        Scenario(zero=(SMALL_AC_ZERO_NODE,), p_range=(-0.1, 0.0), q_range=(-0.05, 0.05)),
     ),
 }
 

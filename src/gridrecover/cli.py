@@ -81,8 +81,8 @@ def cmd_generate(args) -> int:
         net = builtin_network(args.builtin, first)
         scen = builtin_scenario(args.builtin, sigma=args.noise)
         states = generate_scenario(net, scen, args.m, seed=second)
-        # the scenario's sampling layout: n is the network's, and sigma is written as noise
-        layout = {k: v for k, v in asdict(scen).items() if k not in ("n", "sigma")}
+        # the scenario's sampling layout; its sigma is written as noise
+        layout = {k: v for k, v in asdict(scen).items() if k != "sigma"}
         provenance = {"builtin": args.builtin, **layout}
     else:
         net = io.load_network(args.network)

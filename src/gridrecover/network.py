@@ -35,9 +35,10 @@ def _integral(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _finite_non_negative(value, what: str):
-    """``value``, checked to be finite and non-negative; raises ValueError
-    naming ``what``."""
+def _finite_non_negative(value, what: str) -> float:
+    """``value`` as a float (:func:`_real`), checked to be finite and
+    non-negative; raises ValueError naming ``what``."""
+    value = _real(value, what)
     # written as "not lo <= x < hi" so that nan is rejected too
     if not 0 <= value < math.inf:
         raise ValueError(f"{what} must be finite and non-negative, got {value}")
@@ -304,12 +305,6 @@ def component_count(g: Network) -> int:
 
 def is_connected(g: Network) -> bool:
     return component_count(g) == 1
-
-
-def is_spanning_tree(g: Network) -> bool:
-    """True iff the positive-weight edges form a spanning tree of all n nodes."""
-    pos = g.normalized()
-    return len(pos.edges) == g.n - 1 and is_connected(pos)
 
 
 def complete_edges(n: int) -> tuple[Edge, ...]:

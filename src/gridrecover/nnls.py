@@ -149,10 +149,9 @@ class _PassiveQR:
     larger than the real form of the complete graph's factor, which on AC
     has two columns per edge.  On DC the factor stays below the stack of
     node factors that ``vandermonde.assemble`` folds, so the assembly sets
-    a run's allocation peak (6.4 MB at n = 30 with 200 states).  On AC the
-    complete graph's fit sets it: ``q`` and R^-1 of its 870 x 870 real form
-    (12.2 MB at n = 30) beside that form and the complex triangle, 21.4 MB
-    against the assembly's 12.7 MB.
+    a run's allocation peak.  On AC the complete graph's fit sets it:
+    ``q`` and R^-1 of its real form beside that form and the complex
+    triangle.  The README states these peaks in bytes.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):

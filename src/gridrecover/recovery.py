@@ -162,8 +162,8 @@ class Fit:
     and the solver's factor of it (``nnls._PassiveQR``).  The complete
     graph's fit is the largest.  On DC it stays below the assembly, which
     sets a run's allocation peak; on AC the real form and the solver's
-    factor of it set that peak instead (21.4 MB against the assembly's
-    12.7 MB at n = 30 with 200 states)."""
+    factor of it set that peak instead.  The README states these peaks in
+    bytes."""
 
     system: VandermondeSystem
     rms: float

@@ -16,10 +16,9 @@ The statistics of a network depend on nothing but the network, which is
 immutable, so they are computed once per ``Network`` object and kept on it:
 the recovery loop samples one held network again and again until it accepts
 another.  A sample is its draw counts and the edges they keep.  The sampled
-``Network`` (``SparsifyOutcome.graph``) is built from the counts when first
-read, and its weights are the sample's (``SparsifyOutcome.c`` and ``.s``);
-the recovery loop reads only the edges, so a draw it does not accept builds
-no weights.
+``Network`` (``SparsifyOutcome.graph``), whose weights are the sample's, is
+built from the counts when first read; the recovery loop reads only the
+edges, so a draw it does not accept builds no weights.
 """
 
 from __future__ import annotations
@@ -62,11 +61,10 @@ class SparsifyOutcome:
     """Result of one sparsification run: the kept edges of a ``kind`` network
     on nodes 1..n, in input order, and the number of draws t per weight row.
 
-    An edge is kept when a row drew it at least once.  Its conductance and
-    susceptance, ``c`` and ``s``, are count * w / (t * p) of each row that
-    drew it and 0 for a row that did not.  They are the weights of the
-    sampled network, ``graph``, which is built from the draw counts when it
-    is first read, so ``c`` and ``s`` are read-only as every network's are."""
+    An edge is kept when a row drew it at least once.  In the sampled
+    network, ``graph``, which is built from the draw counts when it is first
+    read, its conductance and susceptance are count * w / (t * p) of each
+    row that drew it and 0 for a row that did not."""
 
     kind: str
     n: int
@@ -86,16 +84,6 @@ class SparsifyOutcome:
             drawn = counts > 0
             w[i, at[drawn]] = counts[drawn] * row.w[drawn] / (self.t * row.p[drawn])
         return Network._derived(self.kind, self.n, self.edges, *w[:, self._keep])
-
-    @property
-    def c(self) -> np.ndarray:
-        """Sampled conductances of the kept edges: ``graph.c``."""
-        return self.graph.c
-
-    @property
-    def s(self) -> np.ndarray:
-        """Sampled susceptances of the kept edges: ``graph.s``."""
-        return self.graph.s
 
 
 def _pseudo_inverse(L: np.ndarray) -> np.ndarray:
@@ -185,8 +173,7 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
     count * w / (t * p), so its expectation over seeds is w; an entry with
     no draws is 0.  The edges drawn by either row are kept, in input order.
     The draw is made here; the sampled network and its weights are derived
-    from its counts when the outcome's ``graph``, ``c`` or ``s`` is first
-    read.
+    from its counts when the outcome's ``graph`` is first read.
     """
     t = sample_count(net.n, eps)
     if net.kind == DC:

@@ -11,14 +11,15 @@ with L the admittance matrix; the DC case is the real restriction e*(L e) - P.
 
 Synthetic states come either from random voltages with their implied powers
 (``generate_voltage_driven``) or from random injections solved for their
-voltages by Newton power flow (``generate_scenario``).  ``solve_power_flow``
-runs Newton on a whole (m, n) stack of injections at once, one row per
-state, and each row gets the same bits as a solve of that state alone.  Its
-Jacobians are built on the non-slack block only, from the real and
-imaginary parts of v * conj(L) cut to the non-slack nodes, with the
-injections added on the diagonals; each entry is the same floating-point
-operation as in the complex formula diag(inj) + v * conj(L), so the
-voltages keep their bits.
+voltages by Newton power flow (``generate_scenario``).  Node 1 is the
+slack: its voltage is pinned at 1 and its injection balances the network.
+``solve_power_flow`` runs Newton on a whole (m, n) stack of injections at
+once, one row per state, and each row gets the same bits as a solve of
+that state alone.  Its Jacobians are built on the non-slack block, nodes
+2..n, only, from the real and imaginary parts of v * conj(L) cut to that
+block, with the injections added on the diagonals; each entry is the same
+floating-point operation as in the complex formula diag(inj) + v * conj(L),
+so the voltages keep their bits.
 
 Each scenario state draws its injections from its own stream: numpy's
 ``default_rng(child)`` for its child of the seed, numbered as ``ss.spawn``
@@ -30,11 +31,12 @@ for bit as numpy makes them one by one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import AC, DC, Network, _child, _child_index, _finite_non_negative, _integral, _seed_sequence, admittance_matrix, is_connected
+from .network import AC, DC, Network, _child, _child_index, _finite_non_negative, _integral, _real, _seed_sequence, admittance_matrix, is_connected
 
 
 class PowerFlowError(RuntimeError):
@@ -128,42 +130,38 @@ MAX_RETRIES = 50  # scenario draws per state before its voltages count as out of
 
 @dataclass(frozen=True)
 class Scenario:
-    """Sampling layout for synthetic data on n nodes.
+    """Sampling layout for synthetic data on any network.
 
-    Node ``slack`` (1-based) is the slack: voltage pinned at 1, power absorbs
-    the balance.  The nodes in ``zero`` inject nothing, exactly.  Every other
-    node draws P uniformly from ``p_range`` and, on AC networks, Q from
+    Node 1 is the slack: voltage pinned at 1, power absorbs the balance.
+    The nodes in ``zero``, each 2 or higher, inject nothing, exactly.  Every
+    other node draws P uniformly from ``p_range`` and, on AC networks, Q from
     ``q_range``.  ``sigma`` is the stddev of the Gaussian noise added to every
-    measured component afterwards.
+    measured component afterwards.  The nodes are ints and the other fields
+    floats once made; the network's node count is checked against ``zero``
+    when states are generated.
     """
 
-    n: int
-    slack: int = 1
     zero: tuple[int, ...] = ()
     p_range: tuple[float, float] = (-0.1, 0.0)
     q_range: tuple[float, float] = (0.0, 0.0)
     sigma: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integral(self.n, "n"))
-        object.__setattr__(self, "slack", _slack_node(self.slack, self.n))
         object.__setattr__(self, "zero", tuple(_integral(j, "zero-injection node") for j in self.zero))
         for j in self.zero:
-            if not 1 <= j <= self.n or j == self.slack:
-                raise ValueError(f"zero-injection node {j} must be a non-slack node in 1..{self.n}")
-        for lo, hi in (self.p_range, self.q_range):
+            if j < 2:
+                raise ValueError(f"zero-injection node {j} must be 2 or higher: node 1 is the slack")
+        for name in ("p_range", "q_range"):
+            pair = getattr(self, name)
+            try:
+                lo, hi = (_real(x, name) for x in pair)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a pair of numbers (lo, hi), got {pair!r}") from None
             # a draw is lo + (hi - lo) * u, so its width must be finite too
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi) or np.isinf(float(hi) - float(lo)):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi) or math.isinf(hi - lo):
                 raise ValueError(f"bad sampling range ({lo}, {hi}): need finite lo <= hi, hi - lo finite")
-        _finite_non_negative(self.sigma, "noise stddev")
-
-
-def _slack_node(slack, n: int) -> int:
-    """``slack`` as an int, checked to be a node in 1..n."""
-    node = _integral(slack, "slack node")
-    if not 1 <= node <= n:
-        raise ValueError(f"slack node {slack} is not in 1..{n}")
-    return node
+            object.__setattr__(self, name, (lo, hi))
+        object.__setattr__(self, "sigma", _finite_non_negative(self.sigma, "noise stddev"))
 
 
 def _state_count(m) -> int:
@@ -233,17 +231,12 @@ def generate_voltage_driven(net: Network, m: int, seed=0) -> StateSet:
     return StateSet(net.kind, v.real, v.imag, S.real, S.imag)
 
 
-def solve_power_flow(
-    net: Network,
-    p: np.ndarray,
-    q: np.ndarray | None = None,
-    slack: int = 1,
-) -> np.ndarray:
-    """Newton power flow: voltages matching the injections at non-slack nodes.
+def solve_power_flow(net: Network, p: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """Newton power flow: voltages matching the injections at nodes 2..n.
 
     ``p`` and ``q`` (zero when omitted) hold the injections of one state per
-    row, shape (m, n); the result is the (m, n) complex voltages.  The slack
-    node's voltage is pinned at 1; its injection is left free.
+    row, shape (m, n); the result is the (m, n) complex voltages.  Node 1,
+    the slack, has its voltage pinned at 1; its injection is left free.
 
     Every row starts flat (v = 1) and takes Newton steps on its own: the
     admittance matrix is built once and cut to the non-slack block once, the
@@ -262,9 +255,8 @@ def solve_power_flow(
     Q = np.zeros_like(P) if q is None else np.asarray(q, dtype=float)
     if P.ndim != 2 or P.shape[1] != n or Q.shape != P.shape:
         raise ValueError(f"injections must be (m, {n}) arrays of one shape")
-    slack = _slack_node(slack, n)
     L = admittance_matrix(net)
-    ns = np.array([j for j in range(n) if j != slack - 1])
+    ns = np.arange(1, n)  # the non-slack block
     conj_block = np.conj(L)[np.ix_(ns, ns)]
     k = len(ns)
     target = P + 1j * Q
@@ -515,16 +507,17 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     voltages are still pending in one batched solve_power_flow call; a state
     whose voltage magnitude left VOLTAGE_RANGE draws again, up to
     MAX_RETRIES times.  An error names the first state, in order, whose
-    draws failed.
+    draws failed.  A zero-injection node past the network's n raises
+    ValueError before any solve.
     """
-    if scen.n != net.n:
-        raise ValueError(f"scenario is for n={scen.n}, network has n={net.n}")
+    outside = [j for j in scen.zero if j > net.n]
+    if outside:
+        raise ValueError(f"zero-injection node {outside[0]} is not in 2..{net.n}")
     m = _state_count(m)
     if not is_connected(net):
         raise PowerFlowError("network must be connected to solve power flow")
 
-    slack = scen.slack
-    loads = np.array([j for j in range(net.n) if j + 1 != slack and j + 1 not in scen.zero], int)
+    loads = np.array([j for j in range(1, net.n) if j + 1 not in scen.zero], int)
     vmin, vmax = VOLTAGE_RANGE
     dc = net.kind == DC
     ss = _seed_sequence(seed)
@@ -545,7 +538,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
         if not dc:
             Q[np.ix_(pending, loads)] = draws[..., 1]
         try:
-            v = solve_power_flow(net, P[pending], Q[pending], slack=slack)
+            v = solve_power_flow(net, P[pending], Q[pending])
         except PowerFlowError as exc:
             # states after the failed one no longer matter; those before it
             # converged (rows are independent) and keep their voltages
@@ -569,11 +562,11 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     # keep their drawn values so zero-injection nodes stay exactly zero.
     # V[:, None, :] keeps one gemv per state: V @ L would round differently.
     S = _exact_powers(admittance_matrix(net), V[:, None, :])[:, 0]
-    P[:, slack - 1] = S.real[:, slack - 1]
+    P[:, 0] = S.real[:, 0]
     if dc:
         out = StateSet.dc(V.real, P)
     else:
-        Q[:, slack - 1] = S.imag[:, slack - 1]
+        Q[:, 0] = S.imag[:, 0]
         out = StateSet(AC, V.real, V.imag, P, Q)
     return add_noise(out, scen.sigma, noise)
 

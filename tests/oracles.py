@@ -366,12 +366,13 @@ def newton_jacobian(L, v, inj, ns, dc: bool) -> np.ndarray:
     )
 
 
-def newton_per_state(net, p, q=None, slack: int = 1) -> np.ndarray:
-    """Newton power flow on one state (1-D injections), with scalar damping:
-    the per-state loop that ``states.solve_power_flow`` runs on a stack."""
+def newton_per_state(net, p, q=None) -> np.ndarray:
+    """Newton power flow on one state (1-D injections), node 1 the slack, with
+    scalar damping: the per-state loop that ``states.solve_power_flow`` runs
+    on a stack."""
     n = net.n
     L = admittance_matrix(net)
-    ns = np.array([j for j in range(n) if j != slack - 1])
+    ns = np.arange(1, n)
     target = np.asarray(p, dtype=float) + 1j * (
         np.zeros(n) if q is None else np.asarray(q, dtype=float)
     )
@@ -416,8 +417,7 @@ def scenario_per_state(net, scen, m: int, seed=0) -> StateSet:
     :func:`newton_per_state` until its voltages stay in range."""
     if not is_connected(net):
         raise PowerFlowError("network must be connected to solve power flow")
-    slack = scen.slack
-    loads = [j for j in range(net.n) if j + 1 != slack and j + 1 not in scen.zero]
+    loads = [j for j in range(1, net.n) if j + 1 not in scen.zero]
     vmin, vmax = gstates.VOLTAGE_RANGE
     dc = net.kind == DC
     L = admittance_matrix(net)
@@ -436,7 +436,7 @@ def scenario_per_state(net, scen, m: int, seed=0) -> StateSet:
                 if not dc:
                     q[j] = rng.uniform(*scen.q_range)
             try:
-                v = newton_per_state(net, p, q, slack=slack)
+                v = newton_per_state(net, p, q)
             except PowerFlowError as exc:
                 raise PowerFlowError(f"state {k}: {exc}") from exc
             if np.all((np.abs(v) >= vmin) & (np.abs(v) <= vmax)):
@@ -446,8 +446,8 @@ def scenario_per_state(net, scen, m: int, seed=0) -> StateSet:
                 f"state {k}: voltages left [{vmin}, {vmax}] in {gstates.MAX_RETRIES} attempts"
             )
         s_model = v * np.conj(v @ L)
-        p[slack - 1] = s_model.real[slack - 1]
-        q[slack - 1] = s_model.imag[slack - 1]
+        p[0] = s_model.real[0]
+        q[0] = s_model.imag[0]
         E[k], P[k] = v.real, p
         if not dc:
             F[k], Q[k] = v.imag, q

@@ -90,7 +90,7 @@ def test_criterion_04_nnls_against_exhaustive_oracle():
 def test_criterion_05_silent_node_degeneracy():
     c12, c23 = 2.0, 3.0
     net = Network.dc(3, ((1, 2), (2, 3)), [c12, c23])
-    scen = Scenario(3, zero=(2,), p_range=(-0.1, -0.01))
+    scen = Scenario(zero=(2,), p_range=(-0.1, -0.01))
     states = generate_scenario(net, scen, 50, seed=17)
 
     path_fit = fit(assemble(net.edges, states))

@@ -256,7 +256,7 @@ def test_cli_generate_recover_round_trip(tmp_path, capsys):
     states = io.load_states_csv(out / "states.csv")
     assert states.m == 120
     provenance = json.loads((out / "provenance.json").read_text())
-    assert provenance == {"builtin": "table1_dc", "slack": 1, "zero": [],
+    assert provenance == {"builtin": "table1_dc", "zero": [],
                           "p_range": [-0.015, 0.0], "q_range": [0.0, 0.0],
                           "m": 120, "seed": 7, "noise": 0.0}
 
@@ -280,7 +280,7 @@ def test_cli_generate_small_ac_provenance_is_pinned(tmp_path):
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "small_ac", "--m", "5", "--seed", "2",
                  "--noise", "1e-6", "--out-dir", str(out)]) == 0
-    expected = {"builtin": "small_ac", "slack": 1, "zero": [3],
+    expected = {"builtin": "small_ac", "zero": [3],
                 "p_range": [-0.1, 0.0], "q_range": [-0.05, 0.05],
                 "m": 5, "seed": 2, "noise": 1e-6}
     assert (out / "provenance.json").read_text() == json.dumps(expected, indent=2) + "\n"

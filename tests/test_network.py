@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from gridrecover.network import (
     connectivity,
     component_count,
     is_connected,
-    is_spanning_tree,
     laplacian,
     series_equivalent,
     split_graphs,
 )
-from gridrecover.sparsify import sparsify_ac
+from gridrecover.bounds import dc_bound, dc_bound_coarse
+from gridrecover.sparsify import is_epsilon_approximation, sparsify_ac
+from gridrecover.states import Scenario, add_noise
 from gridrecover.vandermonde import VandermondeSystem, network_from_columns, parameter_vector
 from helpers import random_graph
 from oracles import laplacian_by_edge_loop
@@ -141,7 +144,6 @@ def test_connectivity_path_is_tree():
     g = Network.dc(3, ((1, 2), (2, 3)), [1.0, 1.0])
     assert component_count(g) == 1
     assert is_connected(g)
-    assert is_spanning_tree(g)
 
 
 def test_connectivity_two_disjoint_edges():
@@ -155,7 +157,6 @@ def test_connectivity_two_disjoint_edges():
 def test_connectivity_triangle_not_a_tree():
     g = Network.dc(3, ((1, 2), (1, 3), (2, 3)), np.ones(3))
     assert is_connected(g)
-    assert not is_spanning_tree(g)
 
 
 def test_connectivity_ignores_zero_weight_edges():
@@ -164,10 +165,8 @@ def test_connectivity_ignores_zero_weight_edges():
     # an AC edge with zero conductance but positive susceptance is present
     ac = Network.ac(3, ((1, 2), (2, 3)), [1.0, 0.0], [0.0, 2.0])
     assert component_count(ac) == 1
-    assert is_spanning_tree(ac)
     dead = Network.ac(3, ((1, 2), (2, 3)), [1.0, 0.0], [0.0, 0.0])
     assert component_count(dead) == 2
-    assert not is_spanning_tree(dead)
 
 
 def test_edges_canonicalized_and_validated():
@@ -253,6 +252,43 @@ def test_network_rejects_malformed_input(make, message):
         make()
 
 
+def _pair_message(name, pair):
+    return rf"{name} must be a pair of numbers \(lo, hi\), got {re.escape(repr(pair))}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda g, x: dc_bound(g, x, "x"), "eps must be a number, got 'x'", id="dc_bound"),
+        pytest.param(lambda g, x: dc_bound_coarse(g, x, [0.5], 0.9, 1.1), r"eps must be a number, got \[0.5\]",
+                     id="dc_bound_coarse"),
+        pytest.param(lambda g, x: is_epsilon_approximation(g, g, None), "eps must be a number, got None",
+                     id="is_epsilon_approximation"),
+        pytest.param(lambda g, x: add_noise(x, "x"), "noise stddev must be a number, got 'x'", id="add_noise"),
+        pytest.param(lambda g, x: Scenario(sigma="x"), "noise stddev must be a number, got 'x'", id="sigma"),
+        pytest.param(lambda g, x: Scenario(sigma=True), "noise stddev must be a number, got True", id="sigma_bool"),
+        pytest.param(lambda g, x: Scenario(p_range=0.1), _pair_message("p_range", 0.1), id="p_range_scalar"),
+        pytest.param(lambda g, x: Scenario(p_range=("a", "b")), _pair_message("p_range", ("a", "b")),
+                     id="p_range_strings"),
+        pytest.param(lambda g, x: Scenario(q_range=(0.0,)), _pair_message("q_range", (0.0,)), id="q_range_one_end"),
+        pytest.param(lambda g, x: Scenario(q_range=(0.0, None)), _pair_message("q_range", (0.0, None)),
+                     id="q_range_none"),
+    ],
+)
+def test_a_real_input_that_is_not_a_number_raises_value_error_naming_it(table1_network, table1_states, call, message):
+    # the value goes through _real before any comparison, so no TypeError escapes
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(table1_network, table1_states)
+
+
+def test_real_inputs_take_numpy_scalars(table1_network, table1_states):
+    assert dc_bound(table1_network, table1_states, np.float64(0.5)) == dc_bound(table1_network, table1_states, 0.5)
+    assert is_epsilon_approximation(table1_network, table1_network, np.float32(0.0))
+    scen = Scenario(p_range=(np.float32(-0.5), np.int64(0)), q_range=np.array([-1, 1]), sigma=np.float64(1e-6))
+    assert scen == Scenario(p_range=(-0.5, 0.0), q_range=(-1.0, 1.0), sigma=1e-6)
+    assert all(type(x) is float for x in (*scen.p_range, *scen.q_range, scen.sigma))
+
+
 def test_weight_lookup_is_symmetric():
     net = Network.ac(3, ((1, 2),), [1.5], [0.5])
     assert net.weight(1, 2) == net.weight(2, 1) == 1.5 - 0.5j
@@ -315,8 +351,8 @@ def test_derived_networks_equal_the_networks_built_from_their_parts(kind):
         _assert_built_alike(fitted, Network(net.kind, net.n, edges, net.c[order], net.s[order]))
         if np.any(net.c > 0) or np.any(net.s > 0):
             outcome = sparsify_ac(net, 0.5, checked)
-            built = Network(net.kind, net.n, outcome.edges, outcome.c, outcome.s)
-            _assert_built_alike(outcome.graph, built)
+            graph = outcome.graph
+            _assert_built_alike(graph, Network(net.kind, net.n, outcome.edges, graph.c, graph.s))
             checked += 1
     assert checked > 40
 

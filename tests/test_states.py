@@ -126,32 +126,29 @@ def test_voltage_driven_deterministic():
 
 def test_scenario_validation():
     for bad in (
-        dict(n=3, slack=0),
-        dict(n=3, slack=4),
-        dict(n=3, zero=(1,)),  # the slack cannot be silent
-        dict(n=3, zero=(4,)),
-        dict(n=3, p_range=(0.0, -0.1)),
-        dict(n=3, q_range=(0.0, np.inf)),
-        dict(n=3, p_range=(np.nan, 0.0)),
-        dict(n=3, sigma=-1.0),
-        dict(n=3, sigma=np.nan),
-        dict(n=3, sigma=np.inf),
+        dict(zero=(1,)),  # the slack cannot be silent
+        dict(p_range=(0.0, -0.1)),
+        dict(q_range=(0.0, np.inf)),
+        dict(p_range=(np.nan, 0.0)),
+        dict(sigma=-1.0),
+        dict(sigma=np.nan),
+        dict(sigma=np.inf),
     ):
         with pytest.raises(ValueError):
             Scenario(**bad)
-    assert Scenario(3, slack=3, zero=(1, 2)).zero == (1, 2)
+    assert Scenario(zero=(2, 3)).zero == (2, 3)
 
 
 @pytest.mark.parametrize("field", ["p_range", "q_range"])
 def test_scenario_rejects_a_range_whose_width_overflows(field):
     # both ends are finite, but a draw lo + (hi - lo) * u would be inf or nan
     with pytest.raises(ValueError, match=r"^bad sampling range \(-1e\+308, 1e\+308\): .*hi - lo finite$"):
-        Scenario(6, **{field: (-1e308, 1e308)})
-    assert getattr(Scenario(6, **{field: (-1e308, 0.0)}), field) == (-1e308, 0.0)
+        Scenario(**{field: (-1e308, 1e308)})
+    assert getattr(Scenario(**{field: (-1e308, 0.0)}), field) == (-1e308, 0.0)
 
 
 def test_generate_scenario_exact_and_zero_injection(table1_network):
-    scen = Scenario(6, zero=(2,), p_range=(-0.01, 0.0))
+    scen = Scenario(zero=(2,), p_range=(-0.01, 0.0))
     states = generate_scenario(table1_network, scen, 30, seed=1)
     assert rms(table1_network, states) <= 1e-10
     assert np.array_equal(states.p[:, 1], np.zeros(30))
@@ -164,7 +161,7 @@ def test_generate_scenario_slack_absorbs_generation(table1_states):
 
 
 def test_generate_scenario_deterministic(table1_network):
-    scen = Scenario(6, p_range=(-0.01, 0.0))
+    scen = Scenario(p_range=(-0.01, 0.0))
     a = generate_scenario(table1_network, scen, 20, seed=8)
     b = generate_scenario(table1_network, scen, 20, seed=8)
     assert a == b
@@ -197,8 +194,8 @@ def test_generate_scenario_refuses_child_indices_past_32_bits():
     too_far = r"^a SeedSequence's child index must be below 2\*\*32, got 4294967296$"
     ss = np.random.SeedSequence(9, n_children_spawned=2**32 - 2)
     with pytest.raises(ValueError, match=too_far):
-        generate_scenario(PATH3, Scenario(3), 3, seed=ss)
-    assert generate_scenario(PATH3, Scenario(3), 2, seed=ss).m == 2
+        generate_scenario(PATH3, Scenario(), 3, seed=ss)
+    assert generate_scenario(PATH3, Scenario(), 2, seed=ss).m == 2
     # the noise is child m, so 5 noisy states need index 2**32 as a 6th state would
     net = builtin_network("small_ac", 0)
     ss = np.random.SeedSequence(9, n_children_spawned=2**32 - 5)
@@ -210,20 +207,20 @@ def test_generate_scenario_refuses_child_indices_past_32_bits():
 def test_generate_scenario_refuses_a_seed_string():
     # numpy parses a string item ("017" as 17 in numpy 2.4) by rules not copied here
     with pytest.raises(ValueError, match="^seed items must be integers, got '017'$"):
-        generate_scenario(PATH3, Scenario(3), 2, seed=[1, "017"])
+        generate_scenario(PATH3, Scenario(), 2, seed=[1, "017"])
 
 
 def test_generate_scenario_ac_residuals_small():
     rng = np.random.default_rng(6)
     net = random_ac_network(rng, 5, wrange=(5.0, 50.0))
-    scen = Scenario(5, p_range=(-0.05, 0.0), q_range=(-0.02, 0.02))
+    scen = Scenario(p_range=(-0.05, 0.0), q_range=(-0.02, 0.02))
     states = generate_scenario(net, scen, 25, seed=2)
     assert rms(net, states) <= 1e-10
     assert np.any(states.f != 0)
 
 
 def test_generate_scenario_noise_shifts_rms(table1_network):
-    scen = Scenario(6, p_range=(-0.01, 0.0), sigma=1e-6)
+    scen = Scenario(p_range=(-0.01, 0.0), sigma=1e-6)
     noisy = generate_scenario(table1_network, scen, 50, seed=3)
     level = rms(table1_network, noisy)
     assert 1e-8 < level < 1e-3
@@ -232,7 +229,7 @@ def test_generate_scenario_noise_shifts_rms(table1_network):
 def test_generate_scenario_infeasible_load_names_state():
     # a 0.1 load cannot cross a 0.05-conductance edge: past the nose point
     weak = Network.dc(2, ((1, 2),), [0.05])
-    scen = Scenario(2, p_range=(-0.1, -0.1))
+    scen = Scenario(p_range=(-0.1, -0.1))
     with pytest.raises(PowerFlowError, match="state 0"):
         generate_scenario(weak, scen, 3, seed=0)
 
@@ -240,7 +237,7 @@ def test_generate_scenario_infeasible_load_names_state():
 def test_generate_scenario_range_violation_reports_retries():
     # feasible but far below the 0.9 floor on every draw
     droopy = Network.dc(2, ((1, 2),), [0.6])
-    scen = Scenario(2, p_range=(-0.09, -0.08))
+    scen = Scenario(p_range=(-0.09, -0.08))
     with pytest.raises(PowerFlowError, match="attempts"):
         generate_scenario(droopy, scen, 2, seed=0)
 
@@ -249,10 +246,10 @@ def test_solve_power_flow_matches_injections():
     rng = np.random.default_rng(7)
     net = random_dc_network(rng, 6, wrange=(5.0, 20.0))
     p = np.concatenate([[0.0], rng.uniform(-0.05, 0.0, 5)])
-    v = solve_power_flow(net, p[None, :], slack=1)[0]
+    v = solve_power_flow(net, p[None, :])[0]
     assert v[0] == 1.0
     with pytest.raises(ValueError, match=r"injections must be \(m, 6\) arrays"):
-        solve_power_flow(net, p, slack=1)  # one state is a stack of one row
+        solve_power_flow(net, p)  # one state is a stack of one row
     states = StateSet.dc(v.real[None, :], p[None, :])
     r = residuals(net, states)
     assert np.max(np.abs(r[1:])) <= 1e-12  # non-slack equations solved
@@ -299,7 +296,7 @@ def test_generators_reject_m_below_1():
     with pytest.raises(ValueError, match="need m >= 1, got m=0"):
         generate_voltage_driven(PATH3, 0)
     with pytest.raises(ValueError, match="need m >= 1, got m=0"):
-        generate_scenario(PATH3, Scenario(3), 0)
+        generate_scenario(PATH3, Scenario(), 0)
 
 
 @pytest.mark.parametrize(
@@ -311,7 +308,7 @@ def test_generators_reject_a_non_integral_m(m, message):
     with pytest.raises(ValueError, match=message):
         generate_voltage_driven(PATH3, m)
     with pytest.raises(ValueError, match=message):
-        generate_scenario(PATH3, Scenario(3), m)
+        generate_scenario(PATH3, Scenario(), m)
 
 
 def test_generators_take_an_integral_float_m_as_an_int():
@@ -323,12 +320,12 @@ def test_generators_take_an_integral_float_m_as_an_int():
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(n=3.5), "n must be an integer, got 3.5"),
-        (dict(n=np.inf), "n must be an integer, got inf"),
-        (dict(n=None), "n must be an integer, got None"),
-        (dict(n=3, zero=(2.5,)), "zero-injection node must be an integer, got 2.5"),
-        (dict(n=3, zero=(2, True)), "zero-injection node must be an integer, got True"),
-        (dict(n=3, zero=(4.0,)), "zero-injection node 4 must be a non-slack node in 1..3"),
+        (dict(zero=(1,)), "zero-injection node 1 must be 2 or higher: node 1 is the slack"),
+        (dict(zero=(2, 0)), "zero-injection node 0 must be 2 or higher: node 1 is the slack"),
+        (dict(zero=(np.int64(-2),)), "zero-injection node -2 must be 2 or higher: node 1 is the slack"),
+        (dict(zero=(2.5,)), "zero-injection node must be an integer, got 2.5"),
+        (dict(zero=(2, True)), "zero-injection node must be an integer, got True"),
+        (dict(zero=(1.0,)), "zero-injection node 1 must be 2 or higher: node 1 is the slack"),
     ],
 )
 def test_scenario_rejects_non_integral_nodes(kwargs, message):
@@ -337,46 +334,27 @@ def test_scenario_rejects_non_integral_nodes(kwargs, message):
 
 
 def test_scenario_takes_integral_float_nodes_as_ints():
-    scen = Scenario(3.0, zero=(3.0,))
-    assert (scen.n, scen.zero) == (3, (3,)) and type(scen.n) is type(scen.zero[0]) is int
+    scen = Scenario(zero=(3.0,))
+    assert scen.zero == (3,) and type(scen.zero[0]) is int
     # node 3 injects nothing, exactly as with zero=(3,)
-    states = generate_scenario(PATH3, Scenario(3, zero=(3.0,), p_range=(-0.1, -0.01)), 4, seed=2)
+    states = generate_scenario(PATH3, Scenario(zero=(3.0,), p_range=(-0.1, -0.01)), 4, seed=2)
     assert np.all(states.p[:, 2] == 0.0)
-    assert states == generate_scenario(PATH3, Scenario(3, zero=(3,), p_range=(-0.1, -0.01)), 4, seed=2)
+    assert states == generate_scenario(PATH3, Scenario(zero=(3,), p_range=(-0.1, -0.01)), 4, seed=2)
 
 
-def test_generate_scenario_rejects_a_scenario_for_other_n_and_a_disconnected_network():
-    with pytest.raises(ValueError, match="scenario is for n=4, network has n=3"):
-        generate_scenario(PATH3, Scenario(4), 2)
+def test_generate_scenario_rejects_a_disconnected_network():
     split = Network.dc(4, ((1, 2), (3, 4)), [1.0, 1.0])
     with pytest.raises(PowerFlowError, match="must be connected"):
-        generate_scenario(split, Scenario(4), 2)
+        generate_scenario(split, Scenario(), 2)
 
 
-@pytest.mark.parametrize(
-    "slack, message",
-    [
-        (0, r"slack node 0 is not in 1..3"),
-        (4, r"slack node 4 is not in 1..3"),
-        (1.5, "slack node must be an integer, got 1.5"),
-        (True, "slack node must be an integer, got True"),
-        (np.nan, "slack node must be an integer, got nan"),
-        (np.inf, "slack node must be an integer, got inf"),
-        (None, "slack node must be an integer, got None"),
-    ],
-)
-def test_slack_outside_the_nodes_is_rejected_before_any_solve(monkeypatch, slack, message):
-    with pytest.raises(ValueError, match=message):
-        Scenario(3, slack=slack)
+@pytest.mark.parametrize("zero", [(4,), (2, 4.0), (np.int64(7), 2)])
+def test_zero_injection_node_outside_the_network_is_rejected_before_any_solve(monkeypatch, zero):
+    scen = Scenario(zero=zero)
     monkeypatch.setattr(gstates, "admittance_matrix", None)  # no solve may start
-    with pytest.raises(ValueError, match=message):
-        solve_power_flow(PATH3, np.zeros((1, 3)), slack=slack)
-
-
-def test_integral_float_slack_is_taken_as_an_int():
-    assert type(Scenario(3, slack=2.0).slack) is int
-    v = solve_power_flow(PATH3, np.zeros((1, 3)), slack=np.int64(2))
-    assert np.array_equal(v, solve_power_flow(PATH3, np.zeros((1, 3)), slack=2))
+    first = next(j for j in scen.zero if j > 3)
+    with pytest.raises(ValueError, match=rf"^zero-injection node {first} is not in 2\.\.3$"):
+        generate_scenario(PATH3, scen, 2)
 
 
 def test_add_noise_zero_sigma_is_identity(table1_states):
@@ -441,7 +419,7 @@ def test_generate_scenario_equals_the_per_state_oracle_when_states_retry(monkeyp
         n = int(rng.integers(3, 8))
         net = _ring(rng, n, ac=i % 2 == 1)
         zero = (int(rng.integers(2, n + 1)),) if i % 3 == 0 else ()
-        scen = Scenario(n, zero=zero, p_range=(-0.25, 0.0), q_range=(-0.1, 0.1))
+        scen = Scenario(zero=zero, p_range=(-0.25, 0.0), q_range=(-0.1, 0.1))
         seed = int(rng.integers(1 << 30))
         calls.clear()
         got = _outcome(generate_scenario, net, scen, 30, seed=seed)
@@ -464,27 +442,12 @@ def test_stacked_solve_power_flow_equals_row_by_row_calls(make):
     net = make(rng, 6, wrange=(1.0, 6.0))
     p = np.column_stack([np.zeros(7), rng.uniform(-0.3, 0.0, (7, 5))])
     q = np.column_stack([np.zeros(7), rng.uniform(-0.1, 0.1, (7, 5))])
-    stacked = solve_power_flow(net, p, q, slack=1)
-    assert stacked.shape == (7, 6)
+    stacked = solve_power_flow(net, p, q)
+    assert stacked.shape == (7, 6) and np.all(stacked[:, 0] == 1)  # the slack's voltage
     for row in range(7):
-        alone = solve_power_flow(net, p[row:row + 1], q[row:row + 1], slack=1)[0]
+        alone = solve_power_flow(net, p[row:row + 1], q[row:row + 1])[0]
         assert np.array_equal(stacked[row], alone)
-        assert np.array_equal(alone, newton_per_state(net, p[row], q[row], slack=1))
-
-
-@pytest.mark.parametrize("slack", [1, 3, 6])
-@pytest.mark.parametrize("make", [random_dc_network, random_ac_network])
-def test_stacked_solve_power_flow_equals_the_oracle_at_any_slack(make, slack):
-    # the first, a middle and the last node; node 1 injects nothing
-    rng = np.random.default_rng(9)
-    net = make(rng, 6, wrange=(1.0, 6.0))
-    p = np.column_stack([np.zeros(7), rng.uniform(-0.3, 0.0, (7, 5))])
-    q = np.column_stack([np.zeros(7), rng.uniform(-0.1, 0.1, (7, 5))])
-    stacked = solve_power_flow(net, p, q, slack=slack)
-    assert np.all(stacked[:, slack - 1] == 1)
-    for row in range(7):
-        want = newton_per_state(net, p[row], q[row], slack=slack)
-        assert np.array_equal(stacked[row], want)
+        assert np.array_equal(alone, newton_per_state(net, p[row], q[row]))
 
 
 def test_stacked_solve_power_flow_names_the_failed_row():
@@ -515,7 +478,7 @@ def test_a_failed_stacked_solve_keeps_the_rows_before_the_failed_one(make):
 
 def test_generate_scenario_singular_jacobian_names_the_state():
     line = Network.dc(2, ((1, 2),), [1.0])
-    scen = Scenario(2, p_range=(-0.5, -0.5))
+    scen = Scenario(p_range=(-0.5, -0.5))
     message = "state 0: singular power-flow Jacobian"
     assert _outcome(scenario_per_state, line, scen, 3, seed=0) == message
     with pytest.raises(PowerFlowError, match=f"^{message}$"):
@@ -526,7 +489,7 @@ def test_generate_scenario_no_convergence_names_the_first_failed_state(monkeypat
     # with two Newton steps only the lightest loads reach the tolerance
     monkeypatch.setattr(gstates, "NEWTON_MAX_ITER", 2)
     net = builtin_network("table1_dc")
-    scen = Scenario(6, p_range=(-3e-4, 0.0))
+    scen = Scenario(p_range=(-3e-4, 0.0))
     want = _outcome(scenario_per_state, net, scen, 40, seed=2)
     assert want.startswith("state ") and not want.startswith("state 0:")
     assert want.endswith("no convergence after 2 Newton iterations")

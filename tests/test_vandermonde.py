@@ -38,7 +38,7 @@ K3 = ((1, 2), (1, 3), (2, 3))
 def path3_states(m=50, seed=0, c12=2.0, c23=3.0):
     """Exact states of the 3-node path with no injection at the middle node."""
     net = Network.dc(3, ((1, 2), (2, 3)), [c12, c23])
-    scen = Scenario(3, zero=(2,), p_range=(-0.1, -0.01))
+    scen = Scenario(zero=(2,), p_range=(-0.1, -0.01))
     return net, generate_scenario(net, scen, m, seed=seed)
 
 
@@ -365,7 +365,7 @@ def test_condition_number_of_an_ac_system_is_its_real_forms(sigma):
 def test_condition_number_sentinel_on_a_rank_deficient_ac_system():
     # the AC path with a silent middle node: the kernel of the DC case
     net = Network.ac(3, ((1, 2), (2, 3)), [2.0, 3.0], [1.0, 0.5])
-    scen = Scenario(3, zero=(2,), p_range=(-0.1, -0.01), q_range=(-0.05, 0.0))
+    scen = Scenario(zero=(2,), p_range=(-0.1, -0.01), q_range=(-0.05, 0.0))
     system = assemble(K3, generate_scenario(net, scen, 30, seed=0))
     assert system.matrix.dtype == complex and system.matrix.shape == (3, 3)
     assert condition_number(system.matrix) == float("inf")
