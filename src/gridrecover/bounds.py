@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AC, DC, Network, _finite_non_negative, laplacian, spectral_norm, split_graphs
+from .network import AC, DC, Network, _finite_non_negative, _real, laplacian, spectral_norm, split_graphs
 from .states import StateSet, _check_compatible, rms
 
 
@@ -94,6 +94,7 @@ def dc_bound_coarse(
     """
     _finite_non_negative(eps, "eps")
     _check_inputs("dc_bound_coarse", DC, net, states)
+    vmin, vmax = _real(vmin, "vmin"), _real(vmax, "vmax")
     if not (0 < vmin <= 1):
         raise ValueError("need 0 < vmin <= 1")
     # written as "not lo <= x < hi" so that nan is rejected too

@@ -165,9 +165,7 @@ class Network:
         s = _weight_array(s, len(edges), "susceptances")
         if kind == DC and np.any(s != 0):
             raise ValueError("DC networks must have zero susceptance everywhere")
-        self.__dict__.update(
-            kind=kind, n=n, edges=edges, c=c, s=s, _index={e: i for i, e in enumerate(edges)}
-        )
+        self.__dict__.update(kind=kind, n=n, edges=edges, c=c, s=s)
 
     @classmethod
     def dc(cls, n: int, edges, conductances) -> "Network":
@@ -187,20 +185,6 @@ class Network:
             and np.array_equal(self.c, other.c)
             and np.array_equal(self.s, other.s)
         )
-
-    def edge_index(self, j: int, k: int) -> int:
-        """Index of edge (j, k), looked up symmetrically."""
-        return self._index[_oriented(j, k)]
-
-    def has_edge(self, j: int, k: int) -> bool:
-        return _oriented(j, k) in self._index
-
-    def weight(self, j: int, k: int) -> complex:
-        """Complex admittance c - i*s of an edge; 0 for absent edges."""
-        i = self._index.get(_oriented(j, k))
-        if i is None:
-            return 0.0
-        return complex(self.c[i], -self.s[i])
 
     def normalized(self) -> "Network":
         """Drop edges whose conductance and susceptance are both zero: the
@@ -299,12 +283,8 @@ def connectivity(g: Network) -> np.ndarray:
     return labels
 
 
-def component_count(g: Network) -> int:
-    return int(connectivity(g).max()) + 1
-
-
 def is_connected(g: Network) -> bool:
-    return component_count(g) == 1
+    return not connectivity(g).any()
 
 
 def complete_edges(n: int) -> tuple[Edge, ...]:

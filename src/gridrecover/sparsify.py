@@ -30,7 +30,7 @@ from itertools import compress
 
 import numpy as np
 
-from .network import DC, Edge, Network, _children, _finite_non_negative, _laplacian, _oriented, laplacian, spectral_norm, split_graphs
+from .network import DC, Edge, Network, _children, _finite_non_negative, _integral, _laplacian, _real, laplacian, spectral_norm, split_graphs
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-12
@@ -50,10 +50,6 @@ class EdgeStatistics:
     r_eff: np.ndarray
     leverage: np.ndarray
     p: np.ndarray
-
-    def for_edge(self, j: int, k: int) -> tuple[float, float, float]:
-        i = self.edges.index(_oriented(j, k))
-        return float(self.r_eff[i]), float(self.leverage[i]), float(self.p[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +144,11 @@ def effective_resistances(g: Network) -> EdgeStatistics:
 def sample_count(n: int, eps: float) -> int:
     """Number of draws, 8*n*ln(n)/eps^2 rounded up and at least 1.
 
-    Raises ValueError when eps is not positive and finite, or when the count
-    reaches 2^63, which no int64 holds.
+    Raises ValueError when n is not an integer, when eps is not a number or
+    not positive and finite, or when the count reaches 2^63, which no int64
+    holds.
     """
+    n, eps = _integral(n, "n"), _real(eps, "eps")
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     # eps**2 underflows to 0 for eps below ~1e-162, far past the cap anyway

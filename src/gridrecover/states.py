@@ -256,9 +256,8 @@ def solve_power_flow(net: Network, p: np.ndarray, q: np.ndarray | None = None) -
     if P.ndim != 2 or P.shape[1] != n or Q.shape != P.shape:
         raise ValueError(f"injections must be (m, {n}) arrays of one shape")
     L = admittance_matrix(net)
-    ns = np.arange(1, n)  # the non-slack block
-    conj_block = np.conj(L)[np.ix_(ns, ns)]
-    k = len(ns)
+    conj_block = np.conj(L[1:, 1:])  # the non-slack block, contiguous
+    k = n - 1
     target = P + 1j * Q
     dc = net.kind == DC
 
@@ -266,7 +265,9 @@ def solve_power_flow(net: Network, p: np.ndarray, q: np.ndarray | None = None) -
         # one gemv per row: a gemm over the stack would round differently
         inj = np.conj((L @ v[..., None])[..., 0])
         d = v * inj - target[rows]
-        f = d.real[:, ns] if dc else np.concatenate([d.real[:, ns], d.imag[:, ns]], axis=1)
+        # DC: a column-major copy, over which the row maxima below reduce
+        # about three times faster than over the strided view of d
+        f = np.asfortranarray(d.real[:, 1:]) if dc else np.concatenate([d.real[:, 1:], d.imag[:, 1:]], axis=1)
         return f, inj, np.max(np.abs(f), axis=1, initial=0.0)
 
     V = np.ones(P.shape, dtype=complex)
@@ -280,10 +281,10 @@ def solve_power_flow(net: Network, p: np.ndarray, q: np.ndarray | None = None) -
         rows, v, f, inj, fnorm = (a[~done] for a in (rows, v, f, inj, fnorm))
         if not rows.size or it == NEWTON_MAX_ITER:
             break
-        step, solved = _solve_stack(_jacobian(v, inj, conj_block, ns, dc), -f)
+        step, solved = _solve_stack(_jacobian(v, inj, conj_block, dc), -f)
         failed.update(dict.fromkeys(rows[~solved].tolist(), "singular power-flow Jacobian"))
         dv = np.zeros(v.shape, dtype=complex)
-        dv[:, ns] = step if dc else step[:, :k] + 1j * step[:, k:]
+        dv[:, 1:] = step if dc else step[:, :k] + 1j * step[:, k:]
         alpha = np.ones((len(rows), 1))
         trying = np.flatnonzero(solved)
         for _ in range(30):
@@ -309,31 +310,29 @@ def solve_power_flow(net: Network, p: np.ndarray, q: np.ndarray | None = None) -
     return V
 
 
-def _jacobian(
-    v: np.ndarray, inj: np.ndarray, conj_block: np.ndarray, ns: np.ndarray, dc: bool
-) -> np.ndarray:
-    """Newton Jacobians of the non-slack mismatch, one per row of ``v``.
+def _jacobian(v: np.ndarray, inj: np.ndarray, conj_block: np.ndarray, dc: bool) -> np.ndarray:
+    """Newton Jacobians of the mismatch at nodes 2..n, one per row of ``v``.
 
-    ``inj`` is conj(L v) per row and ``conj_block`` is conj(L)[np.ix_(ns, ns)].
-    The derivative of v * conj(L v) by e is diag(inj) + v[:, None] * conj(L),
-    and by f it is 1j times diag(inj) - v[:, None] * conj(L).  With a and b
-    the real and imaginary parts of v[ns, None] * conj_block and D = diag(inj
-    at ns), the AC Jacobian is [[a + D.re, b - D.im], [b + D.im, -a + D.re]]
-    and the DC one is a + D.re, where v is real and a is v[ns].re times
-    conj_block.re.  The block is built directly, with no (n, n) temporary.
+    ``inj`` is conj(L v) per row and ``conj_block`` is conj(L)[1:, 1:], the
+    block without node 1, the slack.  The derivative of v * conj(L v) by e
+    is diag(inj) + v[:, None] * conj(L), and by f it is 1j times diag(inj)
+    - v[:, None] * conj(L).  With a and b the real and imaginary parts of
+    v[1:, None] * conj_block and D = diag(inj at 1:), the AC Jacobian is
+    [[a + D.re, b - D.im], [b + D.im, -a + D.re]] and the DC one is
+    a + D.re, where v is real and a is v[1:].re times conj_block.re.  The block is built directly, with no (n, n) temporary.
     Each entry is the IEEE operation of the complex formula on the same
     operands, up to order and exact negations and products by 0 and 1, so it
     has the same value; an off-diagonal entry skips the formula's added
     zero, which can only change the sign of a zero.
     """
-    d = np.arange(len(ns))
-    inj = inj[:, ns]
+    k = len(conj_block)
+    d = np.arange(k)
+    inj = inj[:, 1:]
     if dc:
-        jac = v[:, ns].real[:, :, None] * conj_block.real
+        jac = v[:, 1:].real[:, :, None] * conj_block.real
         jac[:, d, d] += inj.real
         return jac
-    k = len(ns)
-    v_l = v[:, ns, None] * conj_block
+    v_l = v[:, 1:, None] * conj_block
     jac = np.empty((len(v), 2 * k, 2 * k))
     jac[:, :k, :k] = v_l.real
     jac[:, :k, k:] = v_l.imag
@@ -534,9 +533,9 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     for _ in range(MAX_RETRIES):
         u = _random(streams, pending, loads.size * lo.size).reshape(pending.size, loads.size, lo.size)
         draws = lo + (hi - lo) * u
-        P[np.ix_(pending, loads)] = draws[..., 0]
+        P[pending[:, None], loads] = draws[..., 0]
         if not dc:
-            Q[np.ix_(pending, loads)] = draws[..., 1]
+            Q[pending[:, None], loads] = draws[..., 1]
         try:
             v = solve_power_flow(net, P[pending], Q[pending])
         except PowerFlowError as exc:

@@ -318,8 +318,8 @@ def parameter_vector(net: Network, edges: Iterable[Edge] | None = None) -> np.nd
     Edges absent from the network contribute zeros.
     """
     edges = _sorted_edges(net.n, net.edges if edges is None else edges)
-    weights = np.column_stack((net.c, net.s))
-    table = np.array([weights[net.edge_index(*e)] if net.has_edge(*e) else (0.0, 0.0) for e in edges])
+    weights = dict(zip(net.edges, np.column_stack((net.c, net.s))))
+    table = np.array([weights.get(e, (0.0, 0.0)) for e in edges])
     return table[:, : _WIDTH[net.kind]].ravel()
 
 

@@ -40,11 +40,11 @@ def test_criterion_02_bridge_and_triangle_leverages():
         {e: c for e, c in zip(net.edges, net.c)}
     )
     worst = 0.0
+    leverage = dict(zip(stats.edges, stats.leverage))
     for edge in net.edges:
-        _, lev, _ = stats.for_edge(*edge)
-        worst = max(worst, abs(lev - oracle[edge]))
+        worst = max(worst, abs(leverage[edge] - oracle[edge]))
     bridges_ok = all(
-        abs(stats.for_edge(*e)[1] - 1.0) <= 1e-9 for e in ((3, 4), (4, 5), (4, 6))
+        abs(leverage[e] - 1.0) <= 1e-9 for e in ((3, 4), (4, 5), (4, 6))
     )
     check(2, "bridge leverages 1.0 and triangle leverages vs series-parallel oracle",
           bridges_ok and worst <= 1e-9, f"max |diff| {worst:.2e}")
@@ -173,7 +173,7 @@ def test_criterion_08_six_node_recovery(table1_network, table1_states):
         if set(rec.edges) != set(net.edges):
             continue
         err = max(
-            abs(rec.c[rec.edge_index(*e)] - net.c[net.edge_index(*e)]) for e in net.edges
+            abs(rec.c[rec.edges.index(e)] - net.c[net.edges.index(e)]) for e in net.edges
         )
         if err <= 1e-3:
             exact_hits += 1
@@ -216,7 +216,7 @@ def test_criterion_10_ac_recovery_with_series_collapse():
         true_w = {e: complex(c, -s) for e, c, s in zip(net.edges, net.c, net.s)}
         surviving = [e for e in rec.edges if e in true_w]
         err = max(
-            (abs(complex(rec.c[rec.edge_index(*e)], -rec.s[rec.edge_index(*e)]) - true_w[e])
+            (abs(complex(rec.c[rec.edges.index(e)], -rec.s[rec.edges.index(e)]) - true_w[e])
              for e in surviving),
             default=0.0,
         )
@@ -226,7 +226,7 @@ def test_criterion_10_ac_recovery_with_series_collapse():
         collapsed_topology = (set(net.edges) - {(2, 3), (3, 4)}) | {(2, 4)}
         if set(rec.edges) == collapsed_topology:
             collapses_checked += 1
-            got = complex(rec.c[rec.edge_index(2, 4)], -rec.s[rec.edge_index(2, 4)])
+            got = complex(rec.c[rec.edges.index((2, 4))], -rec.s[rec.edges.index((2, 4))])
             want = series_equivalent(true_w[(2, 3)], true_w[(3, 4)])
             if abs(got - want) > 1e-3:
                 collapse_ok = False

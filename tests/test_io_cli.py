@@ -824,6 +824,25 @@ def test_cli_trials_fan_out(tmp_path):
     assert summary["trials"][0]["seed"] == 10
 
 
+def test_cli_trials_entries_hold_exactly_the_replayed_keys(tmp_path):
+    """Each ``trials.json`` entry holds seed, edges, rms, iterations and
+    success, and nothing else.
+
+    The benchmark's ac_trials workload (``perfbench/workloads._replay``)
+    reruns each trial in-process and compares its dict with the entry for
+    equality, so a new key, such as the reason a run stopped, makes every
+    ac_trials unit read incorrect.  Such a key lands together with a replay
+    that compares only the keys it replays, and this test changes with it.
+    """
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--seed", "4", "--out-dir", str(out)]) == 0
+    main(["recover", "--states", str(out / "states.csv"), "--trials", "2", "--out-dir", str(out)])
+    trials = json.loads((out / "trials.json").read_text())["trials"]
+    assert len(trials) == 2
+    for trial in trials:
+        assert set(trial) == {"seed", "edges", "rms", "iterations", "success"}
+
+
 @pytest.mark.parametrize("workers", [["--workers", "4"], []])
 def test_cli_trials_assemble_the_complete_graph_once(tmp_path, monkeypatch, workers):
     # the complete-graph system and its fit are the same for every seed, so

@@ -338,7 +338,7 @@ def test_parameter_estimation_round_trip():
     result = fit(assemble(net.edges, states))
     w, fit_rms = result.nnls.w, result.rms
     assert fit_rms <= 1e-10
-    expected = [net.c[net.edge_index(*e)] for e in sorted(net.edges)]
+    expected = [net.c[net.edges.index(e)] for e in sorted(net.edges)]
     assert np.allclose(w, expected, atol=1e-6)
 
 

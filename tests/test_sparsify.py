@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,8 +29,7 @@ def test_bridges_have_unit_leverage():
     g = split_graphs(table1_dc())[0]
     stats = effective_resistances(g)
     for bridge in ((3, 4), (4, 5), (4, 6)):
-        assert stats.for_edge(*bridge)[1] == pytest.approx(1.0, abs=1e-9)
-        assert stats.for_edge(*reversed(bridge)) == stats.for_edge(*bridge)  # looked up symmetrically
+        assert stats.leverage[stats.edges.index(bridge)] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_resistances_match_grounded_solve_oracle():
@@ -91,6 +91,13 @@ def test_sample_count_formula():
     for eps in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps must be positive"):
             sample_count(5, eps)
+
+
+@pytest.mark.parametrize("n", [True, 6.5, "6", None])
+def test_sample_count_rejects_a_node_count_that_is_not_an_integer(n):
+    # n goes through _integral before the formula, so True is not taken as 1
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        sample_count(n, 0.5)
 
 
 def test_sample_count_past_int64_names_eps_and_n():
