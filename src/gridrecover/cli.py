@@ -7,7 +7,8 @@ real values the library checks exit 1 when out of range, as its ValueError
 does: ``recover --eps``, ``--psi``, ``--tol`` and ``--max-time``,
 ``sparsify --eps``, and the coarse ``bound``'s ``--vmin`` and ``--vmax``;
 either of those two given to another ``bound`` variant exits 2.
-Set GRIDRECOVER_LOG=debug|info|warning to control verbosity.
+Set GRIDRECOVER_LOG=debug|info|warning to control verbosity; a value that
+is not a level means warning.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ log = logging.getLogger("gridrecover.cli")
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("GRIDRECOVER_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = getattr(logging, os.environ.get("GRIDRECOVER_LOG", "warning").upper(), None)
+    # logging has attributes that are not levels, such as BASIC_FORMAT: those mean warning too
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 def _positive_int(text: str) -> int:

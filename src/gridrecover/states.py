@@ -192,10 +192,7 @@ def residuals(net: Network, states: StateSet) -> np.ndarray:
         r = e * (e @ L.real) - states.p  # L symmetric, so rows e @ L = (L e)^T
         return r.ravel()
     r = _exact_powers(L, states.voltage()) - states.power()
-    out = np.empty((states.m, 2 * states.n))
-    out[:, 0::2] = r.real
-    out[:, 1::2] = r.imag
-    return out.ravel()
+    return r.view(float).ravel()  # a complex entry is stored as its real, then its imaginary part
 
 
 def rms(net: Network, states: StateSet) -> float:
@@ -285,10 +282,9 @@ def solve_power_flow(net: Network, p: np.ndarray, q: np.ndarray | None = None) -
         failed.update(dict.fromkeys(rows[~solved].tolist(), "singular power-flow Jacobian"))
         dv = np.zeros(v.shape, dtype=complex)
         dv[:, 1:] = step if dc else step[:, :k] + 1j * step[:, k:]
-        alpha = np.ones((len(rows), 1))
         trying = np.flatnonzero(solved)
-        for _ in range(30):
-            v_new = v[trying] + alpha[trying] * dv[trying]
+        for halvings in range(30):  # every row still trying has halved its step as often
+            v_new = v[trying] + 0.5**halvings * dv[trying]
             f_new, inj_new, norm_new = mismatch(v_new, rows[trying])
             better = norm_new < fnorm[trying]
             took = trying[better]
@@ -298,7 +294,6 @@ def solve_power_flow(net: Network, p: np.ndarray, q: np.ndarray | None = None) -
             trying = trying[~better]
             if not trying.size:
                 break
-            alpha[trying] *= 0.5
         failed.update(dict.fromkeys(rows[trying].tolist(), "damping failed to reduce the mismatch"))
         solved[trying] = False
         rows, v, f, inj, fnorm = (a[solved] for a in (rows, v, f, inj, fnorm))
@@ -376,35 +371,31 @@ _M1, _M0 = np.uint64(_PCG_MULT >> 32 & _MASK32), np.uint64(_PCG_MULT & _MASK32) 
 _U1, _U11, _U32, _U58, _U63, _U64, _LOW = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64, _MASK32))
 
 
-def _uint32_words(x) -> list[int]:
-    """Entropy as numpy's SeedSequence reads it: an int as its little-endian
-    32-bit words (0 as one word), and a sequence as its items' words in
-    order.  numpy parses a string item by rules of its own, which are not
-    copied here, so one is refused."""
+def _word_count(x) -> int:
+    """The number of 32-bit words numpy's SeedSequence reads from entropy
+    ``x``: an int's little-endian words (0 is one word), and a sequence's
+    items' words in order.  numpy parses a string item by rules of its
+    own, which are not copied here, so one is refused."""
     if isinstance(x, str):
         raise ValueError(f"seed items must be integers, got {x!r}")
-    if not isinstance(x, (int, np.integer)):
-        return [w for item in x for w in _uint32_words(item)]
-    x = int(x)  # SeedSequence has refused a negative one
-    words = [x & _MASK32]
-    while x := x >> 32:
-        words.append(x & _MASK32)
-    return words
+    if isinstance(x, (int, np.integer)):
+        return (int(x).bit_length() + 31) // 32 or 1  # SeedSequence has refused a negative one
+    return sum(_word_count(item) for item in x)
 
 
-def _hash(value, const: int, mult: int):
-    """One step of numpy's SeedSequence hash of ``value``, an int below
-    2**32 or a uint32 array, with the running constant ``const``: the
-    hashed value and the next constant.  Every int here is below 2**32, so
-    it keeps an array's uint32 dtype under either numpy promotion rule."""
+def _hash(value: np.ndarray, const: int, mult: int):
+    """One step of numpy's SeedSequence hash of ``value``, a uint32 array,
+    with the running constant ``const``, an int: the hashed value and the
+    next constant.  Every int here is below 2**32, so it keeps the array's
+    uint32 dtype under either numpy promotion rule."""
     value = value ^ const
     const = const * mult & _MASK32
     value = value * const & _MASK32
     return value ^ value >> 16, const
 
 
-def _mix(x, y):
-    """numpy's SeedSequence mix of two words, ints or uint32 arrays alike."""
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence mix of two uint32 arrays, word by word."""
     r = (_MIX_L * x - _MIX_R * y) & _MASK32
     return r ^ r >> 16
 
@@ -415,33 +406,21 @@ def _child_pools(ss: np.random.SeedSequence, count: int) -> np.ndarray:
 
     A child's entropy words are its parent's entropy (zero-padded to the
     pool size), the parent's spawn key and last its own index.  Only that
-    index differs between children, so the pool is mixed up to it once, and
-    every child's index is mixed in as an array.
+    index differs between children, and numpy has already mixed the words
+    before it into the parent's own pool, ``ss.pool``.  The mix takes one
+    hash per pool word for each word it reads, so the hash constant after
+    those w words is _INIT_A * _MULT_A**(pool_size * w) mod 2**32; from
+    there every child's index is mixed in as an array.
     """
     size = ss.pool_size
-    words = _uint32_words(ss.entropy)
-    words += [0] * (size - len(words)) + _uint32_words(ss.spawn_key)
-    const = _INIT_A
-    pool = []
-    for w in words[:size]:
-        h, const = _hash(w, const, _MULT_A)
-        pool.append(h)
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                h, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-    for w in words[size:]:
-        for dst in range(size):
-            h, const = _hash(w, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], h)
+    words = max(size, _word_count(ss.entropy)) + _word_count(ss.spawn_key)
+    const = _INIT_A * pow(_MULT_A, size * words, 2**32) & _MASK32
     # each index is below 2**32, so it is one word
     index = np.arange(ss.n_children_spawned, _child_index(ss, count - 1) + 1, dtype=np.uint32)
-    pools = np.empty((count, size), dtype=np.uint32)
+    hashes = np.empty((count, size), dtype=np.uint32)
     for dst in range(size):
-        h, const = _hash(index, const, _MULT_A)
-        pools[:, dst] = _mix(np.full(count, pool[dst], dtype=np.uint32), h)
-    return pools
+        hashes[:, dst], const = _hash(index, const, _MULT_A)
+    return _mix(ss.pool, hashes)
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):

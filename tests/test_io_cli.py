@@ -984,6 +984,17 @@ def test_cli_trials_run_without_a_process_pool(tmp_path):
     assert len(json.loads((out / "trials.json").read_text())["trials"]) == 2
 
 
+@pytest.mark.parametrize("value", ["basic_format", "_styles", "bogus"])
+def test_cli_log_value_that_is_not_a_level_means_warning(tmp_path, value):
+    # BASIC_FORMAT and _STYLES are attributes of logging but not levels; run in
+    # a child process, since under pytest's log handlers basicConfig does nothing
+    env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1]), "GRIDRECOVER_LOG": value}
+    missing = tmp_path / "trace.csv"
+    run = subprocess.run([sys.executable, "-m", "gridrecover.cli", "report", "--trace", str(missing)],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (2, f"file error: {missing}: No such file or directory\n")
+
+
 def test_cli_trials_read_the_states_once(tmp_path, monkeypatch):
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "4",

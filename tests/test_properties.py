@@ -295,12 +295,24 @@ def _spawned(entropy: int, count: int) -> np.random.SeedSequence:
     return ss
 
 
+def _keyed_wide(size: int):
+    """SeedSequences with a pool of ``size`` words, entropy of more words
+    than that, and a spawn key."""
+    return st.builds(
+        lambda e, key: np.random.SeedSequence(e, spawn_key=tuple(key), pool_size=size),
+        st.integers(2 ** (32 * size), 2 ** (32 * size + 96)),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
+    )
+
+
 def seeds(kind: str):
     """Seeds of one kind that _children takes: 0, a small int, an int of
     three or more words, a list of ints, fresh OS entropy (seed None, kept
     as its sequence so that both sides read the same entropy), and
     SeedSequences with a spawn key of one- and two-word ints, with children
-    spawned before, and with a pool of 8 words."""
+    spawned before, and with a pool of 8 words; then a spawn key beside
+    entropy wider than the pool of 4 or 8 words, entropy as a numpy uint32
+    or uint64 array, and an empty entropy list."""
     entropy = st.integers(0, 2**64)
     return {
         "zero": st.just(0),
@@ -315,10 +327,23 @@ def seeds(kind: str):
         ),
         "spawned": st.builds(_spawned, entropy, st.integers(1, 5)),
         "pool": st.builds(lambda e: np.random.SeedSequence(e, pool_size=8), entropy),
+        "wide_key": _keyed_wide(4),
+        "wide_key_pool": _keyed_wide(8),
+        "uint32": st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6).map(
+            lambda x: np.array(x, dtype=np.uint32)
+        ),
+        "uint64": st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6).map(
+            lambda x: np.array(x, dtype=np.uint64)
+        ),
+        "empty": st.just([]),
     }[kind]
 
 
-@pytest.mark.parametrize("kind", ["zero", "small", "big", "list", "none", "key", "spawned", "pool"])
+@pytest.mark.parametrize(
+    "kind",
+    ["zero", "small", "big", "list", "none", "key", "spawned", "pool",
+     "wide_key", "wide_key_pool", "uint32", "uint64", "empty"],
+)
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_scenario_streams_are_numpys_default_rng_streams(kind, data):
