@@ -124,13 +124,6 @@ def _kkt_residual(grad: np.ndarray, passive: np.ndarray) -> float:
     return max(0.0, float(np.where(passive, np.abs(grad), -grad).max(initial=0.0)))
 
 
-def _norm(r: np.ndarray) -> float:
-    """||r|| of a 1-D float vector, taken as ``np.linalg.norm`` takes it: the
-    square root of the dot product of its contiguous form with itself."""
-    r = r.ravel(order="K")  # a view of a contiguous r; the rhs may be a strided column
-    return math.sqrt(r.dot(r))
-
-
 class _PassiveQR:
     """QR factor of A's passive columns, in the order they entered.
 
@@ -319,7 +312,7 @@ def _block_phase(A, b, passive, z, feasible, iterations, max_iter) -> NnlsResult
     """Block principal pivoting from ``passive`` and its least-squares
     solution ``z``; ``feasible`` is the last feasible iterate, as the
     (w, residual, gradient, passive set) of :func:`_result`."""
-    best = _norm(feasible[1])
+    best = float(np.linalg.norm(feasible[1]))
     fewest, spare = len(z) + 1, FULL_EXCHANGES_WITHOUT_PROGRESS
     while True:
         resid = b - A @ z
@@ -329,7 +322,7 @@ def _block_phase(A, b, passive, z, feasible, iterations, max_iter) -> NnlsResult
         count = int(np.count_nonzero(infeasible))
         if count == 0:
             return _checked(z, resid, grad, passive, iterations)
-        objective = _norm(resid)
+        objective = float(np.linalg.norm(resid))
         if not negative.any() and objective < best:
             feasible, best = (z, resid, grad, passive.copy()), objective
         if count < fewest:
@@ -346,7 +339,7 @@ def _block_phase(A, b, passive, z, feasible, iterations, max_iter) -> NnlsResult
 
 
 def _result(w, resid, grad, passive, iterations) -> NnlsResult:
-    return NnlsResult(w, _norm(resid), _kkt_residual(grad, passive), iterations)
+    return NnlsResult(w, float(np.linalg.norm(resid)), _kkt_residual(grad, passive), iterations)
 
 
 def _checked(w, resid, grad, passive, iterations) -> NnlsResult:

@@ -80,6 +80,14 @@ EVENTS = (EVENT_INITIAL, EVENT_ACCEPTED, EVENT_REJECTED_RMS, EVENT_NO_REDUCTION)
 MINIMAL_ROUNDOFF_UNITS = 100
 
 
+def _tolerance(value) -> float:
+    """The rms tolerance as a float: a real number above 0, inf allowed;
+    anything else, nan included, raises ValueError naming ``tol``."""
+    if not (tol := _real(value, "tol")) > 0:
+        raise ValueError("tol must be positive")
+    return tol
+
+
 @dataclass
 class RecoveryConfig:
     """Knobs of the recovery loop.
@@ -109,8 +117,7 @@ class RecoveryConfig:
             raise ValueError("eps0 must be positive and finite")
         if not 1 < (psi := _real(self.psi, "psi")) < math.inf:
             raise ValueError("psi must exceed 1 and be finite")
-        if not (tol := _real(self.tol, "tol")) > 0:
-            raise ValueError("tol must be positive")
+        tol = _tolerance(self.tol)
         self.seed = _integral(self.seed, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -315,9 +322,9 @@ class Head:
 
     :func:`loop` only reads a head: restriction and refits copy from its
     systems' read-only arrays, each loop cuts its own held network from
-    ``initial.network``, and the head's caches (``initial.system._position``
-    and that network, built by the certificate) depend on nothing else, so
-    the loops of several seeds can share one head in turn."""
+    ``initial.network``, and the head's one cache, that network, built by
+    the certificate, depends on nothing else, so the loops of several seeds
+    can share one head in turn."""
 
     states: StateSet
     tol: float
@@ -329,11 +336,14 @@ class Head:
 def head(states: StateSet, tol: float) -> Head:
     """Assemble the complete graph, fit it and certify the fit at ``tol``.
 
-    Raises ValueError on fewer than two nodes, and :class:`RecoveryError`
-    with an empty trace and no network when the fit fails.  A fit whose rms
-    exceeds ``tol`` is logged with a warning, once per head: a subset of
-    the complete graph's columns cannot fit better than all of them.
+    ``tol`` is kept as a float.  Raises ValueError, before any assembly,
+    on a ``tol`` that :class:`RecoveryConfig` refuses and on fewer than two
+    nodes, and :class:`RecoveryError` with an empty trace and no network
+    when the fit fails.  A fit whose rms exceeds ``tol`` is logged with a
+    warning, once per head: a subset of the complete graph's columns cannot
+    fit better than all of them.
     """
+    tol = _tolerance(tol)
     if states.n < 2:
         raise ValueError("need at least two nodes")
     t0 = time.monotonic()

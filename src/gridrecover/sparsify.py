@@ -144,11 +144,13 @@ def effective_resistances(g: Network) -> EdgeStatistics:
 def sample_count(n: int, eps: float) -> int:
     """Number of draws, 8*n*ln(n)/eps^2 rounded up and at least 1.
 
-    Raises ValueError when n is not an integer, when eps is not a number or
-    not positive and finite, or when the count reaches 2^63, which no int64
-    holds.
+    Raises ValueError when n is not an integer of at least 1, when eps is
+    not a number or not positive and finite, or when the count reaches
+    2^63, which no int64 holds.
     """
     n, eps = _integral(n, "n"), _real(eps, "eps")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     # eps**2 underflows to 0 for eps below ~1e-162, far past the cap anyway

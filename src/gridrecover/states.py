@@ -539,14 +539,12 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     # the slack injection balances the network exactly; sampled/zero nodes
     # keep their drawn values so zero-injection nodes stay exactly zero.
     # V[:, None, :] keeps one gemv per state: V @ L would round differently.
+    # a DC Newton voltage's imaginary part stays +0.0, so V.imag is f on DC too
     S = _exact_powers(admittance_matrix(net), V[:, None, :])[:, 0]
     P[:, 0] = S.real[:, 0]
-    if dc:
-        out = StateSet.dc(V.real, P)
-    else:
+    if not dc:
         Q[:, 0] = S.imag[:, 0]
-        out = StateSet(AC, V.real, V.imag, P, Q)
-    return add_noise(out, scen.sigma, noise)
+    return add_noise(StateSet(net.kind, V.real, V.imag, P, Q), scen.sigma, noise)
 
 
 def add_noise(states: StateSet, sigma: float, seed=0) -> StateSet:

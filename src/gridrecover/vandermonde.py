@@ -50,7 +50,6 @@ by :func:`network_from_columns` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from typing import Iterable
 
@@ -87,12 +86,6 @@ class VandermondeSystem:
     def __post_init__(self):
         self.matrix.flags.writeable = False
         self.rhs.flags.writeable = False
-
-    @cached_property
-    def _position(self) -> dict[Edge, int]:
-        """The index of each edge in ``edges``, built once however often
-        :func:`restrict` cuts candidates from the system."""
-        return {e: t for t, e in enumerate(self.edges)}
 
 
 def _sorted_edges(n: int, edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -225,7 +218,7 @@ def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSys
     validated and sorted, and every edge must be one of the system's.
     """
     sub = _sorted_edges(system.n, edges)
-    position = system._position
+    position = {e: t for t, e in enumerate(system.edges)}
     missing = [e for e in sub if e not in position]
     if missing:
         raise ValueError(f"edges {missing} not present in the system")
@@ -260,7 +253,9 @@ def _deletion_residuals(system: VandermondeSystem) -> tuple[np.ndarray, int, flo
     With R the triangle and y its least-squares weights, deleting the column
     of edge e leaves the residual ``rho^2 + |y_e|^2 / ||row e of R^-1||^2``:
     the column-deletion identity, one formula for both kinds, taken for every
-    edge at once as a batch of 1 x 1 solves.  On AC it is least squares
+    edge at once as a ratio: each row's squared norm is one dot product, by
+    which y_e is divided before its product with conj(y_e), as a 1 x 1 solve
+    would round it.  On AC it is least squares
     without the edge's (c, s) pair of the real form, whose rows of R^-1 are
     the real form of the complex ones.  That form has two columns per AC
     edge, and each of its Frobenius norms is sqrt(2) times the complex
@@ -270,9 +265,9 @@ def _deletion_residuals(system: VandermondeSystem) -> tuple[np.ndarray, int, flo
     R = system.matrix
     Rinv = np.linalg.inv(R)
     y = np.linalg.solve(R, system.rhs)
-    rows_E, yE = Rinv.reshape(-1, 1, R.shape[1]), y.reshape(-1, 1, 1)
     # conj is the array itself on DC, and so is .real
-    raised = (yE.conj() * np.linalg.solve(rows_E @ rows_E.conj().transpose(0, 2, 1), yE)).real.sum(axis=(1, 2))
+    squares = (Rinv[:, None, :] @ Rinv.conj()[:, :, None]).real.ravel()
+    raised = (y.conj() * (y / squares)).real
     width = _WIDTH[system.kind]
     return system.rho * system.rho + raised, width * R.shape[1], width * float(np.linalg.norm(R) * np.linalg.norm(Rinv))
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -426,7 +427,7 @@ def _head_state(start):
     system = initial.system
     arrays = (system.matrix, system.rhs, initial.nnls.w)
     scalars = (system.rho, initial.rms, initial.kappa, initial.nnls.objective, start.minimal, start.tol)
-    return [a.tobytes() for a in arrays], scalars, system.edges, dict(system._position)
+    return [a.tobytes() for a in arrays], scalars, system.edges
 
 
 @pytest.mark.parametrize(("name", "sigma"), [("small_ac", 1e-6), ("table1_dc", 0.0), ("table1_dc", 1e-6)])
@@ -461,6 +462,35 @@ def test_a_loop_needs_the_tol_its_head_was_certified_at(table1_states):
     start = head(table1_states, 1e-5)
     with pytest.raises(ValueError, match="certified at tol 1e-05, not at 2e-05"):
         loop(start, RecoveryConfig(tol=2e-5))
+
+
+@pytest.mark.parametrize(
+    ("tol", "message"),
+    [
+        (-1, "tol must be positive"),
+        (0, "tol must be positive"),
+        (float("nan"), "tol must be positive"),
+        (True, "tol must be a number, got True"),
+        ("x", "tol must be a number, got 'x'"),
+        (None, "tol must be a number, got None"),
+    ],
+)
+def test_head_refuses_a_tol_before_assembling(monkeypatch, caplog, table1_states, tol, message):
+    # head checks tol as RecoveryConfig does, so a bad one neither assembles
+    # the complete graph nor logs the warning of a fit that misses it
+    assembled = []
+    monkeypatch.setattr(gridrecover.recovery, "assemble", lambda *args: assembled.append(args))
+    for check in (lambda: head(table1_states, tol), lambda: RecoveryConfig(tol=tol)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()
+    assert assembled == [] and caplog.records == []
+
+
+def test_head_keeps_its_tol_as_a_float(table1_states):
+    start = head(table1_states, np.float32(1e-5))
+    assert type(start.tol) is float and start.tol == float(np.float32(1e-5))
+    loop(start, RecoveryConfig(tol=np.float32(1e-5), max_iterations=2))  # the tols agree
+    assert head(table1_states, math.inf).tol == math.inf
 
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])

@@ -100,6 +100,13 @@ def test_sample_count_rejects_a_node_count_that_is_not_an_integer(n):
         sample_count(n, 0.5)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_count_rejects_a_node_count_below_1(n):
+    # ln(n) is undefined there: the count names n, not the math domain
+    with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+        sample_count(n, 0.5)
+
+
 def test_sample_count_past_int64_names_eps_and_n():
     # 8 * 6 * ln 6 / eps^2 = 86 / eps^2 crosses 2^63 (~9.2e18) near eps = 3.05e-9
     assert sample_count(6, 3.1e-9) < 2**63

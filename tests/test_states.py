@@ -160,6 +160,22 @@ def test_generate_scenario_slack_absorbs_generation(table1_states):
     assert np.all(table1_states.p[:, 1:] <= 0.0)
 
 
+@pytest.mark.parametrize(
+    ("name", "scen"),
+    [
+        ("heawood_dc", builtin_scenario("heawood_dc")),
+        ("heawood_dc", builtin_scenario("heawood_dc", sigma=1e-6)),
+        ("table1_dc", Scenario(p_range=(0.0, 0.01))),  # the slack absorbs power
+    ],
+)
+def test_generate_scenario_dc_f_and_q_are_positive_zeros(name, scen):
+    # a DC Newton voltage's imaginary part stays +0.0, and that is f
+    states = generate_scenario(builtin_network(name, 2), scen, 40, seed=5)
+    assert name != "table1_dc" or np.all(states.p[:, 0] < 0.0)
+    for a in (states.f, states.q):
+        assert np.all(a == 0.0) and not np.signbit(a).any()
+
+
 def test_generate_scenario_deterministic(table1_network):
     scen = Scenario(p_range=(-0.01, 0.0))
     a = generate_scenario(table1_network, scen, 20, seed=8)
