@@ -90,7 +90,8 @@ def dc_bound_coarse(
     """Range-only certificate, always at least as large as the fine one.
 
     bound_term = vmax^2 * (1 - vmin)/vmin * ||L||; requires declared bounds
-    0 < vmin <= |v| <= vmax with vmin <= 1 to hold on the data.
+    0 < vmin <= |v| <= vmax with vmin <= 1 to hold on the data, and a vmax
+    whose square a float holds (below about 1.34e154).
     """
     _finite_non_negative(eps, "eps")
     _check_inputs("dc_bound_coarse", DC, net, states)
@@ -100,6 +101,8 @@ def dc_bound_coarse(
     # written as "not lo <= x < hi" so that nan is rejected too
     if not vmin <= vmax < math.inf:
         raise ValueError(f"need a finite vmax >= vmin, got {vmax}")
+    if vmax > math.sqrt(np.finfo(float).max):  # the largest float whose square is finite
+        raise ValueError(f"vmax={vmax:g} squared overflows a float")
     v = np.abs(states.e)
     if np.any(v < vmin) or np.any(v > vmax):
         raise ValueError(f"voltages leave the declared range [{vmin}, {vmax}]")

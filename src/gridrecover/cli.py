@@ -27,7 +27,7 @@ from .bounds import ac_bound, dc_bound, dc_bound_coarse
 from .builtins import BUILTINS, builtin_network, builtin_scenario
 from .network import _children
 from .nnls import NnlsError
-from .recovery import RecoveryConfig, RecoveryError, fit, head, loop, recover
+from .recovery import RecoveryConfig, RecoveryError, _warned_head, fit, loop, recover
 from .sparsify import row_statistics, sparsify_ac
 from .states import (
     VOLTAGE_RANGE,
@@ -170,8 +170,8 @@ def cmd_recover(args) -> int:
     out = _out_dir(args)  # only once the states are read: bad input leaves no directory
     if args.trials > 1:
         # the complete-graph fit is the same for every seed: computed once,
-        # then each seed's loop runs from it in turn
-        start = head(states, cfg.tol)
+        # and warned about once, then each seed's loop runs from it in turn
+        start = _warned_head(states, cfg.tol)
         cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(args.trials)]
         trials = [_summary(states, c, *loop(start, c)) for c in cfgs]
         successes = sum(t["success"] for t in trials)

@@ -21,14 +21,16 @@ It logs the reason at INFO, as ``stopping after iteration N (reason)``, and
 records it as the trace's ``stop``.
 
 A run is two steps, and :func:`recover` is exactly them.  :func:`head`
-assembles the complete graph, fits it and certifies the fit; none of that
-depends on the seed, so one :class:`Head` serves the loops of any number of
-seeds.  :func:`loop` then runs one seed's iterations from it.  All candidate
-systems are column restrictions of the complete-graph system, assembled once
-per head into its triangular factor, and every one is estimated by
-:func:`fit`.  A draw's decision needs only its edge set: the
-loop reads the edges of each sparsification outcome and never its weights
-or sampled network, which are therefore never built.
+assembles the complete graph and fits it; neither depends on the seed or
+the tolerance, so one :class:`Head` serves the loops of any number of
+seeds at any tolerances.  :func:`loop` then runs one seed's iterations
+from it, certifying the complete graph's fit at its tolerance as it
+certifies each accepted one.  All candidate systems are column
+restrictions of the complete-graph system, assembled once per head into
+its triangular factor, and every one is estimated by :func:`fit`.  A
+draw's decision needs only its edge set: the loop reads the edges of each
+sparsification outcome and never its weights or sampled network, which
+are therefore never built.
 """
 
 from __future__ import annotations
@@ -80,14 +82,6 @@ EVENTS = (EVENT_INITIAL, EVENT_ACCEPTED, EVENT_REJECTED_RMS, EVENT_NO_REDUCTION)
 MINIMAL_ROUNDOFF_UNITS = 100
 
 
-def _tolerance(value) -> float:
-    """The rms tolerance as a float: a real number above 0, inf allowed;
-    anything else, nan included, raises ValueError naming ``tol``."""
-    if not (tol := _real(value, "tol")) > 0:
-        raise ValueError("tol must be positive")
-    return tol
-
-
 @dataclass
 class RecoveryConfig:
     """Knobs of the recovery loop.
@@ -117,7 +111,8 @@ class RecoveryConfig:
             raise ValueError("eps0 must be positive and finite")
         if not 1 < (psi := _real(self.psi, "psi")) < math.inf:
             raise ValueError("psi must exceed 1 and be finite")
-        tol = _tolerance(self.tol)
+        if not (tol := _real(self.tol, "tol")) > 0:
+            raise ValueError("tol must be positive")
         self.seed = _integral(self.seed, "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -313,37 +308,29 @@ class RecoveryError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Head:
-    """The part of a run that no seed changes, computed by :func:`head`: the
-    data, the tolerance the fit is certified at, the complete graph's
-    ``initial`` fit, whether that fit is certified ``minimal``
-    (:func:`_minimal`), and the ``seconds`` all of it took.  The complete
-    graph's system is square or wide, so :func:`fit` keeps it as it is:
-    ``initial.system`` is the system every candidate is cut from.
+    """The part of a run that neither the seed nor the tolerance changes,
+    computed by :func:`head`: the data, the complete graph's ``initial``
+    fit and the ``seconds`` both took.  The complete graph's system is
+    square or wide, so :func:`fit` keeps it as it is: ``initial.system`` is
+    the system every candidate is cut from.
 
     :func:`loop` only reads a head: restriction and refits copy from its
     systems' read-only arrays, each loop cuts its own held network from
-    ``initial.network``, and the head's one cache, that network, built by
-    the certificate, depends on nothing else, so the loops of several seeds
-    can share one head in turn."""
+    ``initial.network``, and the head's one cache, that network, built on
+    the first loop's read, depends on nothing else, so the loops of several
+    seeds and tolerances can share one head in turn."""
 
     states: StateSet
-    tol: float
     initial: Fit
-    minimal: bool
     seconds: float
 
 
-def head(states: StateSet, tol: float) -> Head:
-    """Assemble the complete graph, fit it and certify the fit at ``tol``.
+def head(states: StateSet) -> Head:
+    """Assemble the complete graph and fit it.
 
-    ``tol`` is kept as a float.  Raises ValueError, before any assembly,
-    on a ``tol`` that :class:`RecoveryConfig` refuses and on fewer than two
-    nodes, and :class:`RecoveryError` with an empty trace and no network
-    when the fit fails.  A fit whose rms exceeds ``tol`` is logged with a
-    warning, once per head: a subset of the complete graph's columns cannot
-    fit better than all of them.
+    Raises ValueError on fewer than two nodes, and :class:`RecoveryError`
+    with an empty trace and no network when the fit fails.
     """
-    tol = _tolerance(tol)
     if states.n < 2:
         raise ValueError("need at least two nodes")
     t0 = time.monotonic()
@@ -351,22 +338,29 @@ def head(states: StateSet, tol: float) -> Head:
         initial = fit(assemble(complete_edges(states.n), states))
     except NnlsError as exc:
         raise RecoveryError(f"initial estimation failed: {exc}", RecoveryTrace(), None) from exc
-    if initial.rms > tol:
-        log.warning(
-            "complete-graph fit rms %.3e exceeds tol %.3e; no subset of its edges fits better", initial.rms, tol
-        )
-    minimal = _minimal(initial, tol)  # no later candidate can be accepted
-    return Head(states, tol, initial, minimal, time.monotonic() - t0)
+    return Head(states, initial, time.monotonic() - t0)
+
+
+def _warned_head(states: StateSet, tol: float) -> Head:
+    """:func:`head`, with a warning when the complete-graph fit's rms exceeds
+    ``tol``: a subset of the complete graph's columns cannot fit better than
+    all of them.  :func:`recover` takes its head here, and so does
+    ``recover --trials``, so the warning is logged once per run or command."""
+    start = head(states)
+    if (rms := start.initial.rms) > tol:
+        log.warning("complete-graph fit rms %.3e exceeds tol %.3e; no subset of its edges fits better", rms, tol)
+    return start
 
 
 def loop(start: Head, cfg: RecoveryConfig) -> tuple[Network, RecoveryTrace]:
-    """One seed's run from a head computed at ``cfg.tol``, as :func:`recover`
-    returns it.  The wall-time limit counts the head's seconds too, so a
-    run on a shared head stops when a run of its own would."""
-    if start.tol != cfg.tol:
-        raise ValueError(f"the head is certified at tol {start.tol!r}, not at {cfg.tol!r}")
+    """One seed's run from a head, as :func:`recover` returns it.  The
+    complete graph's fit is certified at ``cfg.tol`` (:func:`_minimal`)
+    before the first stop check, as each accepted refit is.  The wall-time
+    limit counts the head's seconds too, so a run on a shared head stops
+    when a run of its own would."""
     t0 = time.monotonic() - start.seconds
-    initial, minimal = start.initial, start.minimal
+    initial = start.initial
+    minimal = _minimal(initial, cfg.tol)  # no later candidate can be accepted
     trace = RecoveryTrace()
     # the held network, zero-weight edges pruned: they add nothing to the
     # Laplacian, so they change no draw; held is its trace row, whose edge
@@ -433,14 +427,15 @@ def recover(states: StateSet, cfg: RecoveryConfig | None = None) -> tuple[Networ
     Returns the last held network (the complete-graph fit or the last
     accepted one, zero-weight edges pruned) and the full trace; a run that
     cannot go on raises :class:`RecoveryError`.  This is :func:`head` and
-    then :func:`loop`.  The complete-graph fit is certified as each accepted
-    refit is (:func:`_minimal`), so a run whose initial fit is already
-    minimal stops at iteration 1 before any draw.  That includes a fit with
-    no positive-weight edge, such as that of data with no flow, which is
-    returned with no edge, and a fit whose rms exceeds the tolerance: a
-    subset of the complete graph's columns cannot fit better than all of
-    them, so such a run is logged with a warning and goes on only when the
-    certificate's roundoff room or rank test leaves the fit uncertified.
+    then :func:`loop`, which certifies the complete-graph fit at ``cfg.tol``
+    as it certifies each accepted refit (:func:`_minimal`), so a run whose
+    initial fit is already minimal stops at iteration 1 before any draw.
+    That includes a fit with no positive-weight edge, such as that of data
+    with no flow, which is returned with no edge, and a fit whose rms
+    exceeds the tolerance: a subset of the complete graph's columns cannot
+    fit better than all of them, so such a run is logged with a warning,
+    once, and goes on only when the certificate's roundoff room or rank
+    test leaves the fit uncertified.
     """
     cfg = RecoveryConfig() if cfg is None else cfg
-    return loop(head(states, cfg.tol), cfg)
+    return loop(_warned_head(states, cfg.tol), cfg)

@@ -144,15 +144,18 @@ def effective_resistances(g: Network) -> EdgeStatistics:
 def sample_count(n: int, eps: float) -> int:
     """Number of draws, 8*n*ln(n)/eps^2 rounded up and at least 1.
 
-    Raises ValueError when n is not an integer of at least 1, when eps is
-    not a number or not positive and finite, or when the count reaches
-    2^63, which no int64 holds.
+    An eps whose square overflows a float, above about 1.34e154, takes the
+    formula's limit, 1 draw.  Raises ValueError when n is not an integer of
+    at least 1, when eps is not a number or not positive and finite, or
+    when the count reaches 2^63, which no int64 holds.
     """
     n, eps = _integral(n, "n"), _real(eps, "eps")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
+    if eps > math.sqrt(np.finfo(float).max):  # eps**2 overflows: the formula's limit
+        return 1
     # eps**2 underflows to 0 for eps below ~1e-162, far past the cap anyway
     draws = 8.0 * n * math.log(n) / eps**2 if eps**2 > 0 else math.inf
     if not draws < 2.0**63:

@@ -9,7 +9,12 @@ Run it in two checkouts and compare the last line::
 The set is every builtin x noise sigma in {0, 1e-6, 1e-5} x seeds 0-19, with
 120 states drawn as ``gridrecover generate --builtin NAME --seed SEED`` draws
 them.  Exact data is recovered at tol 1e-5, noisy data at 1.0 and 1.5 times
-the rms of the true network on the data: 400 runs.  Each run contributes
+the rms of the true network on the data: 400 runs.  Each data set's complete
+graph is fitted once (``recovery.head``), and each of its runs is a
+``recovery.loop`` from that one head, which ``recover`` equals bit for bit:
+the two runs of a noisy data set share a head across their two tols, and a
+head that fails is recorded as the error of each of its runs.  Each run
+contributes
 every trace row (floats as hex), the returned edges and the bytes of their
 conductances and susceptances, or the message of a ``RecoveryError`` and
 the rows of its partial trace.  The listing names, per run, its trace rows,
@@ -70,7 +75,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from numpy.random import SeedSequence  # noqa: E402
 
 from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario  # noqa: E402
-from gridrecover.recovery import RecoveryConfig, RecoveryError, recover  # noqa: E402
+from gridrecover.recovery import RecoveryConfig, RecoveryError, head, loop  # noqa: E402
 from gridrecover.states import generate_scenario, rms  # noqa: E402
 
 STATES = 120
@@ -82,8 +87,9 @@ NOISY_TOL_FACTORS = (1.0, 1.5)
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Prescott")
 
 
-def runs():
-    """(builtin, sigma, seed, tol factor or None, true network, states, config) of each run."""
+def data_sets():
+    """(builtin, sigma, seed, true network, states, [(tol factor or None, config), ...]) of
+    each data set, with the runs made on it."""
     for name in BUILTINS:
         for sigma in SIGMAS:
             for seed in SEEDS:
@@ -91,11 +97,28 @@ def runs():
                 net = builtin_network(name, net_seed)
                 states = generate_scenario(net, builtin_scenario(name, sigma=sigma), STATES, seed=data_seed)
                 if sigma == 0.0:
-                    yield name, sigma, seed, None, net, states, RecoveryConfig(seed=seed, tol=EXACT_TOL)
-                    continue
-                floor = rms(net, states)
-                for f in NOISY_TOL_FACTORS:
-                    yield name, sigma, seed, f, net, states, RecoveryConfig(seed=seed, tol=f * floor)
+                    configs = [(None, RecoveryConfig(seed=seed, tol=EXACT_TOL))]
+                else:
+                    floor = rms(net, states)
+                    configs = [(f, RecoveryConfig(seed=seed, tol=f * floor)) for f in NOISY_TOL_FACTORS]
+                yield name, sigma, seed, net, states, configs
+
+
+def runs():
+    """(builtin, sigma, seed, tol factor or None, true network, config, outcome) of each
+    run, its outcome being the (network, trace) of its loop, or the RecoveryError of its
+    loop or of its data set's shared head."""
+    for name, sigma, seed, net, states, configs in data_sets():
+        try:
+            start = head(states)
+        except RecoveryError as exc:
+            start = exc
+        for factor, cfg in configs:
+            try:
+                outcome = start if isinstance(start, RecoveryError) else loop(start, cfg)
+            except RecoveryError as exc:
+                outcome = exc
+            yield name, sigma, seed, factor, net, cfg, outcome
 
 
 def _rows(trace) -> str:
@@ -133,19 +156,18 @@ def main(argv=None) -> int:
         return kernels()
     total, edge_sets, events = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = rows = 0
-    for name, sigma, seed, factor, truth, states, cfg in runs():
+    for name, sigma, seed, factor, truth, cfg, outcome in runs():
         key = f"{name} {sigma!r} {seed} {factor!r}"
         run = f"{key} {cfg.tol.hex()}\n"
-        try:
-            net, trace = recover(states, cfg)
-        except RecoveryError as exc:
-            edge_sets.update(f"{key} error {type(exc).__name__}\n".encode())
-            events.update(f"{key} {_events(exc.trace)}\n".encode())
-            run += f"error {exc}\n{_rows(exc.trace)}"
-            rows += len(exc.trace)
-            summary = f"{len(exc.trace)} rows, error: {exc}"
+        if isinstance(outcome, RecoveryError):
+            edge_sets.update(f"{key} error {type(outcome).__name__}\n".encode())
+            events.update(f"{key} {_events(outcome.trace)}\n".encode())
+            run += f"error {outcome}\n{_rows(outcome.trace)}"
+            rows += len(outcome.trace)
+            summary = f"{len(outcome.trace)} rows, error: {outcome}"
             weights = b""
         else:
+            net, trace = outcome
             edge_sets.update(f"{key} {net.edges}\n".encode())
             events.update(f"{key} {_events(trace)}\n".encode())
             run += _rows(trace) + f"{net.edges}\n"

@@ -110,6 +110,8 @@ def test_coarse_bound_input_validation():
     narrow = StateSet.dc(np.full((2, 2), 1.3), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         dc_bound_coarse(net, narrow, 0.1, 0.9, 1.1)
+    with pytest.raises(ValueError, match="^vmax=1e\\+200 squared overflows a float$"):
+        dc_bound_coarse(net, states, 0.1, 0.9, 1e200)
 
 
 def test_dc_bound_kind_mismatch():

@@ -373,6 +373,13 @@ def test_cli_sparsify_rejects_infinite_eps(tmp_path, capsys):
     assert not (tmp_path / "sparsified.json").exists()
 
 
+def test_cli_sparsify_takes_one_draw_when_eps_squared_overflows(tmp_path, capsys):
+    io.save_network(Network.dc(3, ((1, 2), (2, 3)), [2.0, 3.0]), tmp_path / "net.json")
+    assert main(["sparsify", "--network", str(tmp_path / "net.json"), "--eps", "1e200",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "(t=1)" in capsys.readouterr().out
+
+
 def test_cli_bound_variants_ordered(tmp_path):
     out = tmp_path / "exp"
     assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "2",
@@ -752,6 +759,19 @@ def test_cli_bound_coarse_rejects_a_vmax_that_is_not_finite_or_below_vmin(tmp_pa
     assert not out.exists()
 
 
+def test_cli_bound_coarse_rejects_a_vmax_whose_square_overflows(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["generate", "--builtin", "table1_dc", "--m", "20", "--seed", "2",
+                 "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["bound", "--network", str(data / "network.json"),
+                 "--states", str(data / "states.csv"), "--eps", "0.5", "--variant", "coarse",
+                 "--vmax", "1e200", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: vmax=1e+200 squared overflows a float\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_cli_bound_rejects_bad_eps(tmp_path, capsys, value):
     # checked while parsing, before the (missing) files are read
@@ -957,7 +977,7 @@ def test_cli_trials_reject_malformed_states_before_any_trial(tmp_path, capsys, m
     def no_head(*args, **kwargs):
         raise AssertionError("the complete graph was fitted")
 
-    monkeypatch.setattr(gridrecover.cli, "head", no_head)
+    monkeypatch.setattr(gridrecover.recovery, "head", no_head)
     path = tmp_path / "states.csv"
     path.write_text("e_1,P_1,e_2,P_2\n1.0,0.5,1.1,-0.5\n1.0,oops,1.1,-0.5\n")
     code = main(["recover", "--states", str(path), "--trials", "3", "--out-dir", str(tmp_path)])

@@ -426,42 +426,36 @@ def _head_state(start):
     initial = start.initial
     system = initial.system
     arrays = (system.matrix, system.rhs, initial.nnls.w)
-    scalars = (system.rho, initial.rms, initial.kappa, initial.nnls.objective, start.minimal, start.tol)
+    scalars = (system.rho, initial.rms, initial.kappa, initial.nnls.objective)
     return [a.tobytes() for a in arrays], scalars, system.edges
 
 
 @pytest.mark.parametrize(("name", "sigma"), [("small_ac", 1e-6), ("table1_dc", 0.0), ("table1_dc", 1e-6)])
 def test_loops_from_one_head_are_standalone_runs(name, sigma):
-    # the seeds' loops share one head in turn, in either order, and each is
-    # the standalone run of its seed bit for bit; no loop changes what the
-    # next reads from the head
+    # the loops of several seeds and of two tolerances share one head in
+    # turn, in either order, and each is the standalone run of its seed and
+    # tol bit for bit; no loop changes what the next reads from the head
     states, cfg = _builtin_run(name, sigma, 3)
-    seeds = list(range(3, 8))
-    runs = {s: recover(states, replace(cfg, seed=s)) for s in seeds}
-    assert all(len(trace) > 1 for _, trace in runs.values())  # every run draws
-    start = head(states, cfg.tol)
+    cfgs = [replace(cfg, seed=s, tol=tol) for tol in (cfg.tol, 4 * cfg.tol) for s in range(3, 8)]
+    runs = [recover(states, c) for c in cfgs]
+    assert all(len(trace) > 1 for _, trace in runs)  # every run draws
+    start = head(states)
     before = _head_state(start)
-    for s in seeds + seeds[::-1]:
-        net, trace = loop(start, replace(cfg, seed=s))
-        assert _hex_rows(trace) == _hex_rows(runs[s][1]) and trace.stop == runs[s][1].stop
-        assert net == runs[s][0]
+    for c, (run_net, run_trace) in [*zip(cfgs, runs), *zip(cfgs[::-1], runs[::-1])]:
+        net, trace = loop(start, c)
+        assert _hex_rows(trace) == _hex_rows(run_trace) and trace.stop == run_trace.stop
+        assert net == run_net
         assert _head_state(start) == before
 
 
 def test_a_loop_counts_the_heads_seconds_against_max_wall_time(table1_states):
     cfg = RecoveryConfig(seed=0, max_wall_time=60.0)
-    start = head(table1_states, cfg.tol)
-    assert not start.minimal and 0 < start.seconds < 60.0
+    start = head(table1_states)
+    assert not _minimal(start.initial, cfg.tol) and 0 < start.seconds < 60.0
     _, trace = loop(replace(start, seconds=60.0), cfg)
     assert (len(trace), trace.stop) == (1, "time")
     _, trace = loop(start, cfg)
     assert len(trace) > 1 and trace.stop == "minimal"
-
-
-def test_a_loop_needs_the_tol_its_head_was_certified_at(table1_states):
-    start = head(table1_states, 1e-5)
-    with pytest.raises(ValueError, match="certified at tol 1e-05, not at 2e-05"):
-        loop(start, RecoveryConfig(tol=2e-5))
 
 
 @pytest.mark.parametrize(
@@ -476,21 +470,14 @@ def test_a_loop_needs_the_tol_its_head_was_certified_at(table1_states):
     ],
 )
 def test_head_refuses_a_tol_before_assembling(monkeypatch, caplog, table1_states, tol, message):
-    # head checks tol as RecoveryConfig does, so a bad one neither assembles
-    # the complete graph nor logs the warning of a fit that misses it
+    # the head takes no tol: a run's tol is checked by RecoveryConfig, so a
+    # bad one neither assembles the complete graph for the head nor logs the
+    # warning of a fit that misses it
     assembled = []
     monkeypatch.setattr(gridrecover.recovery, "assemble", lambda *args: assembled.append(args))
-    for check in (lambda: head(table1_states, tol), lambda: RecoveryConfig(tol=tol)):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            check()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        recover(table1_states, RecoveryConfig(tol=tol))
     assert assembled == [] and caplog.records == []
-
-
-def test_head_keeps_its_tol_as_a_float(table1_states):
-    start = head(table1_states, np.float32(1e-5))
-    assert type(start.tol) is float and start.tol == float(np.float32(1e-5))
-    loop(start, RecoveryConfig(tol=np.float32(1e-5), max_iterations=2))  # the tols agree
-    assert head(table1_states, math.inf).tol == math.inf
 
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])
@@ -697,6 +684,12 @@ def test_a_tol_below_the_complete_graph_fit_stops_at_row_1(caplog, name):
     positive = initial.network.normalized()
     assert net.edges == positive.edges
     assert net.c.tobytes() == positive.c.tobytes() and net.s.tobytes() == positive.s.tobytes()
+    # one head serves that tol and the run's own, whose loop draws: each loop
+    # certifies the head's fit at its own tol, whichever ran before it
+    start = head(states)
+    for tol in (cfg.tol, 0.5 * initial.rms, cfg.tol):
+        _, trace = loop(start, replace(cfg, tol=tol))
+        assert (len(trace) == 1) == (tol < cfg.tol)
 
 
 @pytest.mark.parametrize("name", ["heawood_dc", "small_ac"])

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +87,10 @@ def test_sample_count_formula():
     assert sample_count(6, 1.0) == math.ceil(8 * 6 * math.log(6))
     assert sample_count(6, 0.1) == math.ceil(8 * 6 * math.log(6) / 0.01)
     assert sample_count(1, 5.0) == 1
+    assert sample_count(6, math.sqrt(sys.float_info.max)) == 1  # the largest eps with a finite square
+    # an eps whose square overflows takes the formula's limit
+    assert sample_count(6, 1.5e154) == 1
+    assert sample_count(6, sys.float_info.max) == 1
     with pytest.raises(ValueError):
         sample_count(5, 0.0)
     for eps in (float("nan"), float("inf")):
