@@ -204,7 +204,7 @@ def render_trace_table(trace: RecoveryTrace, include_all: bool = False) -> str:
     """Text table of a run; by default only rows where the network changed."""
     shown = 6 if include_all else 5  # the event column only with every row
     table = [list(TRACE_COLUMNS[:shown])] + [
-        [str(r.iteration), str(r.edges), f"{r.rms:.3e}", f"{r.kappa:.3e}", f"{r.epsilon:.4f}", r.event][:shown]
+        [str(r.iteration), str(r.edges), f"{r.rms:.3e}", f"{r.kappa:.3e}", f"{r.epsilon:.3e}", r.event][:shown]
         for r in (trace if include_all else trace.filtered())
     ]
     # each column as wide as its widest cell, the header's included

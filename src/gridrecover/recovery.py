@@ -30,7 +30,9 @@ restrictions of the complete-graph system, assembled once per head into
 its triangular factor, and every one is estimated by :func:`fit`.  A
 draw's decision needs only its edge set: the loop reads the edges of each
 sparsification outcome and never its weights or sampled network, which
-are therefore never built.
+are therefore never built.  Likewise no decision reads a fit's condition
+number: each trace row holds the fit it reports, and the SVD behind its
+``kappa`` runs on first read, once per fit, so ``recover`` itself runs none.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -133,13 +135,16 @@ class RecoveryConfig:
 @dataclass(frozen=True, eq=False)
 class Fit:
     """A parameter estimate on a fixed edge set: the system it solved, its
-    rms fitting error over all the equations of the data, the condition
-    number of that system, and the solver's result.  ``network`` is the
-    network the NNLS solution describes (zero-weight edges included), built
-    on first read by :func:`vandermonde.network_from_columns`, the one
-    reader of the solver's (c, s) layout: the loop holds its
+    rms fitting error over all the equations of the data, and the solver's
+    result.  ``network`` is the network the NNLS solution describes
+    (zero-weight edges included), built on first read by
+    :func:`vandermonde.network_from_columns`, the one reader of the
+    solver's (c, s) layout: the loop holds its
     :meth:`~network.Network.normalized` part, and :func:`_minimal` reads
-    the edges it keeps.
+    the edges it keeps.  ``kappa``, the condition number of the system's
+    matrix, is computed on first read too, once per fit: it is a diagnostic
+    that the trace reports and no decision reads, and its SVD costs as much
+    as the complete graph's assembly.
 
     A system with more rows than columns, such as a candidate cut from the
     complete graph's factor, is compressed again first
@@ -169,12 +174,15 @@ class Fit:
 
     system: VandermondeSystem
     rms: float
-    kappa: float
     nnls: NnlsResult
 
     @cached_property
     def network(self) -> Network:
         return network_from_columns(self.system, self.nnls.w)
+
+    @cached_property
+    def kappa(self) -> float:
+        return condition_number(self.system.matrix)
 
 
 def fit(system: VandermondeSystem) -> Fit:
@@ -185,9 +193,10 @@ def fit(system: VandermondeSystem) -> Fit:
     which the solver's warm start takes when the triangle has full rank; a
     square system, such as the complete graph's or an assembled one, is
     fitted from w = 0.  The solver gets the real (c, s) form of the system
-    (:func:`vandermonde._real_form`), the one step that needs it.  Raises
-    ValueError when the residual norm overflows, and :class:`NnlsError` when
-    the solver does not converge or ends above ``nnls.KKT_TOL``.
+    (:func:`vandermonde._real_form`), the one step that needs it.  The
+    fit's ``kappa`` is left to its first read.  Raises ValueError when the
+    residual norm overflows, and :class:`NnlsError` when the solver does not
+    converge or ends above ``nnls.KKT_TOL``.
     """
     rows, cols = system.matrix.shape
     system = compressed(system) if rows > cols else system
@@ -197,7 +206,7 @@ def fit(system: VandermondeSystem) -> Fit:
         _residual(exc.result, system)  # an overflow is the clearer report
         raise
     fit_rms = float(_residual(result, system) / np.sqrt(system.rows))
-    return Fit(system, fit_rms, condition_number(system.matrix), result)
+    return Fit(system, fit_rms, result)
 
 
 def _residual(result: NnlsResult, system: VandermondeSystem) -> float:
@@ -241,12 +250,38 @@ def _minimal(held: Fit, tol: float) -> bool:
     return bool(np.min(residuals) > threshold * threshold)
 
 
+class _FitKappa:
+    """The ``kappa`` field of a :class:`TraceRow`: it stores a float or the
+    :class:`Fit` the row reports, and reads as the float or that fit's
+    ``kappa``.  Raising AttributeError on the class leaves the field
+    without a default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, row, owner=None):
+        if row is None:
+            raise AttributeError(self.name)
+        value = row.__dict__[self.name]
+        return value.kappa if isinstance(value, Fit) else value
+
+    def __set__(self, row, value):
+        row.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class TraceRow:
     """One loop iteration.  ``edges``/``rms``/``kappa`` describe the fitted
     network of the iteration: the held one for 'initial'/'accepted'/
     'no_edge_reduction' rows, the rejected candidate for 'rejected_rms' rows.
     ``epsilon`` is the value used by the sparsification of that iteration.
+
+    ``kappa`` is given as a float, as a row read from CSV gives it, or as
+    the :class:`Fit` the row reports, as the loop gives it: then it reads
+    as that fit's ``kappa``, computed on first read, once per fit, so rows
+    that repeat one fit share its one SVD.  Either way a row compares,
+    hashes and prints by its six values, and it pickles as them, so a
+    pickled trace carries no fit.
 
     The last 'initial' or 'accepted' row is the loop's record of its held
     fit, and a 'no_edge_reduction' row repeats it.  Its ``edges`` is also the
@@ -260,9 +295,12 @@ class TraceRow:
     iteration: int
     edges: int
     rms: float
-    kappa: float
+    kappa: float = _FitKappa()
     epsilon: float
     event: str
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
@@ -316,9 +354,10 @@ class Head:
 
     :func:`loop` only reads a head: restriction and refits copy from its
     systems' read-only arrays, each loop cuts its own held network from
-    ``initial.network``, and the head's one cache, that network, built on
-    the first loop's read, depends on nothing else, so the loops of several
-    seeds and tolerances can share one head in turn."""
+    ``initial.network``, and the head's caches, that network, built on the
+    first loop's read, and ``initial.kappa``, built on the first read of a
+    loop's first row, depend on nothing else, so the loops of several seeds
+    and tolerances can share one head in turn."""
 
     states: StateSet
     initial: Fit
@@ -359,14 +398,14 @@ def loop(start: Head, cfg: RecoveryConfig) -> tuple[Network, RecoveryTrace]:
     limit counts the head's seconds too, so a run on a shared head stops
     when a run of its own would."""
     t0 = time.monotonic() - start.seconds
-    initial = start.initial
+    initial = held_fit = start.initial
     minimal = _minimal(initial, cfg.tol)  # no later candidate can be accepted
     trace = RecoveryTrace()
     # the held network, zero-weight edges pruned: they add nothing to the
     # Laplacian, so they change no draw; held is its trace row, whose edge
     # count bounds the draws and includes them until the first accept
     cur = initial.network.normalized()
-    held = TraceRow(1, len(initial.system.edges), initial.rms, initial.kappa, cfg.eps0, EVENT_INITIAL)
+    held = TraceRow(1, len(initial.system.edges), initial.rms, initial, cfg.eps0, EVENT_INITIAL)
     trace.append(held)
 
     eps = cfg.eps0
@@ -398,17 +437,17 @@ def loop(start: Head, cfg: RecoveryConfig) -> tuple[Network, RecoveryTrace]:
                     f"estimation failed at iteration {len(trace) + 1}: {exc}", trace, cur
                 ) from exc
             if refit.rms <= cfg.tol:
-                cur = refit.network.normalized()
+                held_fit, cur = refit, refit.network.normalized()
                 minimal = _minimal(refit, cfg.tol)
-                held = TraceRow(len(trace) + 1, len(cur.edges), refit.rms, refit.kappa, eps, EVENT_ACCEPTED)
+                held = TraceRow(len(trace) + 1, len(cur.edges), refit.rms, refit, eps, EVENT_ACCEPTED)
                 trace.append(held)
                 continue
             trace.append(
-                TraceRow(len(trace) + 1, len(candidate_edges), refit.rms, refit.kappa, eps, EVENT_REJECTED_RMS)
+                TraceRow(len(trace) + 1, len(candidate_edges), refit.rms, refit, eps, EVENT_REJECTED_RMS)
             )
             eps = eps / cfg.psi
-        else:
-            trace.append(replace(held, iteration=len(trace) + 1, epsilon=eps, event=EVENT_NO_REDUCTION))
+        else:  # the held row again, built from its fit: reading its kappa would run the SVD
+            trace.append(TraceRow(len(trace) + 1, held.edges, held.rms, held_fit, eps, EVENT_NO_REDUCTION))
             eps = eps * cfg.psi
 
     if log.isEnabledFor(logging.INFO):  # the re-check costs a pass over the data

@@ -56,7 +56,6 @@ from gridrecover.vandermonde import (
     _node_equations,
     _sorted_edges,
     compressed,
-    condition_number,
     restrict,
 )
 
@@ -343,12 +342,12 @@ def assemble_reference(edges, states) -> VandermondeSystem:
 
 
 def tall_fit(edges, states) -> Fit:
-    """NNLS on the tall matrix of the edges, its rms over all equations, and
-    the condition number from the SVD of the tall matrix."""
+    """NNLS on the tall matrix of the edges and its rms over all equations;
+    the fit's kappa is the condition number from the SVD of the tall matrix."""
     system = tall_system(edges, states)
     result = nnls_lstsq(system.matrix, system.rhs)
     rms = float(result.objective / np.sqrt(system.matrix.shape[0]))
-    return Fit(system, rms, condition_number(system.matrix), result)
+    return Fit(system, rms, result)
 
 
 def newton_jacobian(L, v, inj, ns, dc: bool) -> np.ndarray:

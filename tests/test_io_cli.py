@@ -17,12 +17,13 @@ import gridrecover.cli
 import gridrecover.recovery
 import gridrecover.sparsify as sparsify
 from gridrecover import io
+from gridrecover.builtins import builtin_network, builtin_scenario
 from gridrecover.cli import build_parser, main
 from gridrecover.network import Network, split_graphs
 from gridrecover.nnls import NnlsError, NnlsResult
-from gridrecover.recovery import RecoveryConfig, RecoveryError, RecoveryTrace, TraceRow, recover
+from gridrecover.recovery import EVENTS, RecoveryConfig, RecoveryError, RecoveryTrace, TraceRow, recover
 from gridrecover.sparsify import effective_resistances
-from gridrecover.states import StateSet, generate_voltage_driven
+from gridrecover.states import StateSet, generate_scenario, generate_voltage_driven, rms
 from helpers import draining_states, flat_states, random_ac_network, random_dc_network
 
 
@@ -193,6 +194,22 @@ def test_trace_round_trip_and_column_order(tmp_path):
         io.load_trace_csv(path)
 
 
+def _small_ac_run():
+    """A noisy small_ac recovery at six times its noise floor: 16 rows,
+    every event among them."""
+    net = builtin_network("small_ac", 1)
+    states = generate_scenario(net, builtin_scenario("small_ac", sigma=1e-6), 60, seed=1)
+    return recover(states, RecoveryConfig(seed=1, tol=6 * rms(net, states), max_stale_iterations=10))
+
+
+def test_a_recovered_trace_round_trips_through_csv(tmp_path):
+    # the loop's rows hold their fits and the file's rows floats: the same values
+    _, trace = _small_ac_run()
+    assert {r.event for r in trace} == set(EVENTS)
+    io.save_trace_csv(trace, tmp_path / "trace.csv")
+    assert io.load_trace_csv(tmp_path / "trace.csv").rows == trace.rows
+
+
 def test_trace_csv_skips_blank_lines(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("iteration,edges,rms,kappa,epsilon,event\n\n1,15,1e-06,10.0,0.1,initial\n\n")
@@ -222,8 +239,6 @@ def test_trace_csv_rejects_malformed_files(tmp_path, text, message):
 
 
 def test_unknown_builtin_names_the_choices():
-    from gridrecover.builtins import builtin_network
-
     with pytest.raises(ValueError, match=r"unknown builtin 'heawood'; choose from \('table1_dc'"):
         builtin_network("heawood")
 
@@ -239,6 +254,25 @@ def test_render_trace_table_filters_unchanged_rows():
     assert "no_edge_reduction" not in table
     full = io.render_trace_table(trace, include_all=True)
     assert len(full.splitlines()) == 4
+
+
+@pytest.mark.parametrize(("epsilon", "shown"), [(1e-5, "1.000e-05"), (0.1, "1.000e-01"), (1e200, "1.000e+200")])
+def test_render_trace_table_shows_epsilon_as_rms_and_kappa(epsilon, shown):
+    # in the format of rms and kappa: a small epsilon keeps its digits and a large one stays narrow
+    trace = RecoveryTrace([TraceRow(1, 15, 1e-6, 1e4, epsilon, "initial")])
+    header, row = io.render_trace_table(trace).splitlines()
+    assert row.split() == ["1", "15", "1.000e-06", "1.000e+04", shown]
+    assert len(row) == len(header) < 60
+
+
+def test_cli_recover_with_a_huge_eps_prints_a_narrow_table(tmp_path, capsys):
+    out = tmp_path / "exp"
+    assert main(["generate", "--builtin", "path3_dc", "--m", "20", "--seed", "3", "--out-dir", str(out)]) == 0
+    main(["recover", "--states", str(out / "states.csv"), "--eps", "1e200", "--max-iterations", "3",
+          "--out-dir", str(out)])
+    table = capsys.readouterr().out.splitlines()[1:-1]  # between the generate line and the final line
+    assert table[0].split() == ["iteration", "edges", "rms", "kappa", "epsilon"]
+    assert table[1].split()[-1] == "1.000e+200" and max(map(len, table)) < 60
 
 
 # --- CLI -------------------------------------------------------------------
@@ -1026,11 +1060,14 @@ def test_cli_trials_read_the_states_once(tmp_path, monkeypatch):
         return load_states_csv(path)
 
     monkeypatch.setattr(io, "load_states_csv", counting_load)
+    # nor do the trials run a condition-number SVD: trials.json reads no row's kappa
+    svds = []
+    monkeypatch.setattr(gridrecover.recovery, "condition_number", svds.append)
     code = main(["recover", "--states", str(out / "states.csv"), "--trials", "3",
                  "--max-stale", "5", "--out-dir", str(out)])
     assert code in (0, 1)
     assert len(json.loads((out / "trials.json").read_text())["trials"]) == 3
-    assert loads == [str(out / "states.csv")]
+    assert loads == [str(out / "states.csv")] and svds == []
 
 
 def test_recovery_error_survives_pickling():
@@ -1044,6 +1081,16 @@ def test_recovery_error_survives_pickling():
     assert exc.trace.rows == trace.rows
     assert exc.network.edges == net.edges and np.array_equal(exc.network.c, net.c)
     assert pickle.loads(pickle.dumps(RecoveryError("initial estimation failed", trace, None))).network is None
+
+
+def test_a_pickled_recovery_error_carries_its_rows_values_and_no_fit():
+    # a row of the loop holds the fit it reports, and pickles as its six
+    # values, kappa computed: a pickled error carries no system
+    net, trace = _small_ac_run()
+    back = pickle.loads(pickle.dumps(RecoveryError("estimation failed", trace, net))).trace
+    assert back.rows == trace.rows
+    assert [r.kappa.hex() for r in back] == [r.kappa.hex() for r in trace]
+    assert len(pickle.dumps(trace.rows)) <= 64 * len(trace)
 
 
 def _path3_with_state_entry(tmp_path, column, value, state=5, m=20):

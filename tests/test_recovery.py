@@ -2,7 +2,7 @@ import logging
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -421,6 +421,48 @@ def test_lazy_draw_weights_change_no_result(monkeypatch, name, sigma, seed):
     assert net == eager_net
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("sigma", [0.0, 1e-6])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_kappa_is_computed_on_first_read_once_per_fit(monkeypatch, name, sigma, seed):
+    # recover runs no condition-number SVD; reading the rows' kappa runs one
+    # per fit, the complete graph's and each refit's, whose rows a
+    # no_edge_reduction row repeats, and gives the bits of a fit that
+    # computes its kappa at once
+    states, cfg = _builtin_run(name, sigma, seed)
+    matrices = []
+    condition_number = gridrecover.recovery.condition_number
+
+    def counting(A):
+        matrices.append(A)
+        return condition_number(A)
+
+    monkeypatch.setattr(gridrecover.recovery, "condition_number", counting)
+    _, trace = recover(states, cfg)
+    assert matrices == []
+    rows = _hex_rows(trace)
+    fits = sum(r.event != EVENT_NO_REDUCTION for r in trace)
+    assert len(matrices) == len({id(A) for A in matrices}) == fits
+    assert _hex_rows(trace) == rows and len(matrices) == fits  # read again, from the fits' caches
+
+    def eager_fit(system):
+        estimate = fit(system)
+        assert estimate.kappa >= 1  # computed with the fit
+        return estimate
+
+    monkeypatch.setattr(gridrecover.recovery, "fit", eager_fit)
+    _, eager_trace = recover(states, cfg)
+    assert _hex_rows(eager_trace) == rows
+
+
+def test_a_row_holding_its_fit_is_its_six_values(table1_states):
+    initial = head(table1_states).initial
+    row = TraceRow(1, 15, initial.rms, initial, 0.1, EVENT_INITIAL)
+    plain = TraceRow(1, 15, initial.rms, initial.kappa, 0.1, EVENT_INITIAL)
+    assert row == plain and hash(row) == hash(plain) and repr(row) == repr(plain)
+    assert [f.name for f in fields(TraceRow)] == ["iteration", "edges", "rms", "kappa", "epsilon", "event"]
+
+
 def _head_state(start):
     """Everything a loop reads from a head, as bytes and values."""
     initial = start.initial
@@ -712,7 +754,7 @@ def test_a_held_fit_on_a_rank_deficient_triangle_is_not_minimal():
     # held triangle fails the solver's rank test, so it certifies nothing
     system = _triangle_system([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [2.0, 0.0, 1.0])
     w = np.ones(3)
-    held = Fit(system, 0.0, np.inf, NnlsResult(w, 0.0, 0.0, 1))
+    held = Fit(system, 0.0, NnlsResult(w, 0.0, 0.0, 1))
     assert np.array_equal(system.matrix @ w, system.rhs)
     assert not _minimal(held, 1e-3)
 
