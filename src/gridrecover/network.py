@@ -45,36 +45,21 @@ def _finite_non_negative(value, what: str) -> float:
     return value
 
 
-def _seed_sequence(seed) -> SeedSequence:
-    """``seed`` as a SeedSequence: a given one as it is, else one made from
-    ``seed`` as entropy.  Its children are made by :func:`_child`, which
-    does not advance it."""
-    return seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
-
-
-def _child_index(ss: SeedSequence, i: int) -> int:
-    """The spawn-key index of the i-th child of ``ss``: its
-    ``n_children_spawned + i``.  numpy counts children in a uint32, whose
-    ``spawn`` wraps past it and never returns, so an index of 2**32 or more
-    is refused."""
-    index = ss.n_children_spawned + i
-    if index >= 2**32:
-        raise ValueError(f"a SeedSequence's child index must be below 2**32, got {index}")
-    return index
-
-
-def _child(ss: SeedSequence, i: int) -> SeedSequence:
-    """The child that ``ss.spawn`` would make i-th, made as numpy makes it,
-    without advancing ``ss``."""
-    key = (*ss.spawn_key, _child_index(ss, i))
-    return SeedSequence(ss.entropy, spawn_key=key, pool_size=ss.pool_size)
-
-
 def _children(seed, count: int) -> list[SeedSequence]:
-    """The first ``count`` children of :func:`_seed_sequence` of ``seed``:
-    the same seed object gives the same children on every call."""
-    ss = _seed_sequence(seed)
-    return [_child(ss, i) for i in range(count)]
+    """The first ``count`` children that ``ss.spawn`` would make of ``seed``
+    as a SeedSequence (a given one as it is, else one made from ``seed`` as
+    entropy), made as numpy makes them without advancing ``ss``: the same
+    seed object gives the same children on every call.  numpy counts
+    children in a uint32, whose ``spawn`` wraps past it and never returns,
+    so a child index of 2**32 or more is refused."""
+    ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    last = ss.n_children_spawned + count - 1
+    if last >= 2**32:
+        raise ValueError(f"a SeedSequence's child index must be below 2**32, got {last}")
+    return [
+        SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, index), pool_size=ss.pool_size)
+        for index in range(ss.n_children_spawned, last + 1)
+    ]
 
 
 def _oriented(j: int, k: int) -> Edge:

@@ -21,12 +21,9 @@ block, with the injections added on the diagonals; each entry is the same
 floating-point operation as in the complex formula diag(inj) + v * conj(L),
 so the voltages keep their bits.
 
-Each scenario state draws its injections from its own stream: numpy's
-``default_rng(child)`` for its child of the seed, numbered as ``ss.spawn``
-would number it.  The streams of all states are computed at once, as
-arrays over the states: the children's SeedSequence pools, the PCG64
-seeding, and each draw as a 128-bit LCG step with the XSL-RR output, bit
-for bit as numpy makes them one by one.
+A scenario draws from one generator, ``default_rng(seed)``: each retry
+round draws the injections of the states still pending, in index order,
+and the noise comes last, from the same generator.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import AC, DC, Network, _child, _child_index, _finite_non_negative, _integral, _real, _seed_sequence, admittance_matrix, is_connected
+from .network import AC, DC, Network, _finite_non_negative, _integral, _real, admittance_matrix, is_connected
 
 
 class PowerFlowError(RuntimeError):
@@ -361,135 +358,20 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, solved
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into a pool
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generating state words from a pool
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
-_M1, _M0 = np.uint64(_PCG_MULT >> 32 & _MASK32), np.uint64(_PCG_MULT & _MASK32)  # _MULT_LO's limbs
-# shifts and masks as uint64 scalars: a Python int beside a uint64 operand
-# could change the result's dtype under numpy's legacy promotion
-_U1, _U11, _U32, _U58, _U63, _U64, _LOW = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64, _MASK32))
-
-
-def _word_count(x) -> int:
-    """The number of 32-bit words numpy's SeedSequence reads from entropy
-    ``x``: an int's little-endian words (0 is one word), and a sequence's
-    items' words in order.  numpy parses a string item by rules of its
-    own, which are not copied here, so one is refused."""
-    if isinstance(x, str):
-        raise ValueError(f"seed items must be integers, got {x!r}")
-    if isinstance(x, (int, np.integer)):
-        return (int(x).bit_length() + 31) // 32 or 1  # SeedSequence has refused a negative one
-    return sum(_word_count(item) for item in x)
-
-
-def _hash(value: np.ndarray, const: int, mult: int):
-    """One step of numpy's SeedSequence hash of ``value``, a uint32 array,
-    with the running constant ``const``, an int: the hashed value and the
-    next constant.  Every int here is below 2**32, so it keeps the array's
-    uint32 dtype under either numpy promotion rule."""
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """numpy's SeedSequence mix of two uint32 arrays, word by word."""
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _child_pools(ss: np.random.SeedSequence, count: int) -> np.ndarray:
-    """(count, pool_size) uint32: the entropy pools of the ``count``
-    children that ``ss.spawn(count)`` would make, without making them.
-
-    A child's entropy words are its parent's entropy (zero-padded to the
-    pool size), the parent's spawn key and last its own index.  Only that
-    index differs between children, and numpy has already mixed the words
-    before it into the parent's own pool, ``ss.pool``.  The mix takes one
-    hash per pool word for each word it reads, so the hash constant after
-    those w words is _INIT_A * _MULT_A**(pool_size * w) mod 2**32; from
-    there every child's index is mixed in as an array.
-    """
-    size = ss.pool_size
-    words = max(size, _word_count(ss.entropy)) + _word_count(ss.spawn_key)
-    const = _INIT_A * pow(_MULT_A, size * words, 2**32) & _MASK32
-    # each index is below 2**32, so it is one word
-    index = np.arange(ss.n_children_spawned, _child_index(ss, count - 1) + 1, dtype=np.uint32)
-    hashes = np.empty((count, size), dtype=np.uint32)
-    for dst in range(size):
-        hashes[:, dst], const = _hash(index, const, _MULT_A)
-    return _mix(ss.pool, hashes)
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 step, state * multiplier + inc mod 2**128, on the (hi, lo)
-    uint64 halves of a stack of states.  uint64 products wrap mod 2**64;
-    the high half of lo times the multiplier's low half is summed from
-    32-bit limb products, which uint64 holds exactly."""
-    a0, a1 = lo & _LOW, lo >> _U32
-    p00, p01, p10 = a0 * _M0, a0 * _M1, a1 * _M0
-    mid = (p00 >> _U32) + (p01 & _LOW) + (p10 & _LOW)
-    mulhi = a1 * _M1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-    lo_out = lo * _MULT_LO + inc_lo
-    hi_out = mulhi + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (lo_out < inc_lo)
-    return hi_out, lo_out
-
-
-def _pcg64_streams(pools: np.ndarray) -> np.ndarray:
-    """(4, count) uint64: the state (high, low half) and increment (high,
-    low) of ``default_rng(child)``'s PCG64 for each child's pool.
-
-    The pool yields four uint64 words (numpy's ``generate_state(4,
-    np.uint64)``): the initial state and the sequence; PCG64 seeds as
-    O'Neill's ``srandom`` does, inc = 2 * sequence + 1 and a step, the
-    initial state added, a step.
-    """
-    const = _INIT_B
-    words = []
-    for i in range(8):
-        w, const = _hash(pools[:, i % pools.shape[1]], const, _MULT_B)
-        words.append(w.astype(np.uint64))
-    s_hi, s_lo, q_hi, q_lo = (words[2 * j] | words[2 * j + 1] << _U32 for j in range(4))
-    inc_hi, inc_lo = q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1
-    lo = inc_lo + s_lo
-    hi, lo = _lcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
-    return np.stack([hi, lo, inc_hi, inc_lo])
-
-
-def _random(streams: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    """(len(rows), k): the next k doubles of the PCG64 streams ``rows`` of
-    ``streams`` (:func:`_pcg64_streams`), as ``Generator.random`` draws
-    them, and those streams advanced past them.  A draw is one step and
-    the XSL-RR output x, as the double (x >> 11) * 2**-53."""
-    hi, lo, inc_hi, inc_lo = streams[:, rows]
-    out = np.empty((k, len(hi)), dtype=np.uint64)
-    for j in range(k):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> _U58
-        out[j] = x >> rot | x << (_U64 - rot & _U63)
-    streams[:2, rows] = hi, lo
-    return (out.T >> _U11) * 2.0**-53
-
-
 def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     """Sample injections per the scenario and solve power flow for all states.
 
     Residuals of the output are at the Newton tolerance (<= 1e-10 rms) before
-    noise.  State k draws from numpy's ``default_rng(child)`` stream of the
-    k-th child of the seed (children as ``ss.spawn`` would number them),
-    computed for all states at once, so the output is deterministic and
-    shardable; the noise is drawn from child m.  A SeedSequence given as
-    ``seed`` is not advanced.  Each round solves the states whose
-    voltages are still pending in one batched solve_power_flow call; a state
-    whose voltage magnitude left VOLTAGE_RANGE draws again, up to
-    MAX_RETRIES times.  An error names the first state, in order, whose
-    draws failed.  A zero-injection node past the network's n raises
-    ValueError before any solve.
+    noise.  Everything is drawn from one generator, ``default_rng(seed)``
+    (a SeedSequence given as ``seed`` is not advanced).  Each round draws
+    the injections of the states whose voltages are still pending, as one
+    (states, loads, P then Q) array of uniforms in index order, and solves
+    them in one batched solve_power_flow call; a state whose voltage
+    magnitude left VOLTAGE_RANGE draws again, up to MAX_RETRIES times.  The
+    noise is drawn after the last round, so a seed's noise-free states do
+    not depend on ``scen.sigma``.  An error names the first state, in
+    order, whose draws failed.  A zero-injection node past the network's n
+    raises ValueError before any solve.
     """
     outside = [j for j in scen.zero if j > net.n]
     if outside:
@@ -501,9 +383,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     loads = np.array([j for j in range(1, net.n) if j + 1 not in scen.zero], int)
     vmin, vmax = VOLTAGE_RANGE
     dc = net.kind == DC
-    ss = _seed_sequence(seed)
-    streams = _pcg64_streams(_child_pools(ss, m))
-    noise = _child(ss, m) if scen.sigma > 0 else None  # refused here, before any solve
+    rng = np.random.default_rng(seed)
     # AC draws (P, Q) per load, in that order; numpy's uniform is lo + (hi - lo) * u
     lo, hi = np.array([scen.p_range] if dc else [scen.p_range, scen.q_range], dtype=float).T
     P = np.zeros((m, net.n))
@@ -513,8 +393,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     error = None  # the failure of the first state, in order, seen so far
 
     for _ in range(MAX_RETRIES):
-        u = _random(streams, pending, loads.size * lo.size).reshape(pending.size, loads.size, lo.size)
-        draws = lo + (hi - lo) * u
+        draws = lo + (hi - lo) * rng.random((pending.size, loads.size, lo.size))
         P[pending[:, None], loads] = draws[..., 0]
         if not dc:
             Q[pending[:, None], loads] = draws[..., 1]
@@ -547,7 +426,7 @@ def generate_scenario(net: Network, scen: Scenario, m: int, seed=0) -> StateSet:
     P[:, 0] = S.real[:, 0]
     if not dc:
         Q[:, 0] = S.imag[:, 0]
-    return add_noise(StateSet(net.kind, V.real, V.imag, P, Q), scen.sigma, noise)
+    return add_noise(StateSet(net.kind, V.real, V.imag, P, Q), scen.sigma, rng)
 
 
 def add_noise(states: StateSet, sigma: float, seed=0) -> StateSet:

@@ -4,6 +4,7 @@ Run it in two checkouts and compare the last line::
 
     python3 tests/declared_set.py            # the digests
     python3 tests/declared_set.py --listing  # one line per run, then the digests
+    python3 tests/declared_set.py --table    # one line per cell, then the digests
     python3 tests/declared_set.py --kernels  # the digests under each BLAS kernel
 
 The set is every builtin x noise sigma in {0, 1e-6, 1e-5} x seeds 0-19, with
@@ -20,6 +21,10 @@ conductances and susceptances, or the message of a ``RecoveryError`` and
 the rows of its partial trace.  The listing names, per run, its trace rows,
 last event, returned edge count, whether those are the true edges, and the
 run's own digest, so that a change of results can be read run by run.
+The table has one line per cell, a builtin, sigma and tol factor: its runs
+and errors, how many runs return the true edges (strictly, and with
+small_ac's silent node collapsed in series, as perfbench counts it), the
+mean returned edge count and the runs stopped as ``stale``.
 
 The last line ends with two more digests, which hold no float bits (the
 tol is computed from the data, so its bits change with the BLAS kernel).
@@ -38,18 +43,19 @@ with AVX-512 (SkylakeX is its default kernel), it read::
     ===========  ==========  ==================  ==================  ==================
     kernel       trace rows  digest              edge sets           events
     ===========  ==========  ==================  ==================  ==================
-    SkylakeX     6156        26a34deafc16d2a6…   9146d58f800e4e7b…   801c4cec3febf6be…
-    Haswell      6184        81f032ddba23fd71…   9146d58f800e4e7b…   59e8cfe330b95db3…
-    Sandybridge  6199        84870fd64f81e097…   9146d58f800e4e7b…   2f460ca107689be8…
-    Prescott     6200        3a7b2d39029d47a6…   9146d58f800e4e7b…   5bbc9a7eacee7b28…
+    SkylakeX     6149        304bcd35b4383cf3…   fba69620b45c92ef…   57df8a4a101f4cf6…
+    Haswell      6165        ff9cb1466d70941f…   fba69620b45c92ef…   61490731591c243d…
+    Sandybridge  6159        54990ed2f2d8b7da…   fba69620b45c92ef…   76149ebfbba58345…
+    Prescott     6158        d8a6cf3c24a7b2a9…   fba69620b45c92ef…   18cbc703f9c3e805…
     ===========  ==========  ==================  ==================  ==================
 
 Every kernel returns the same edges, but on some runs Haswell, Sandybridge
 and Prescott reach them by other paths, with more trace rows.  Which exact
 runs have a complete-graph fit certified minimal, and so stop at iteration
-1, also depends on the kernel: table1_dc seeds 1, 11 and 19 under
-SkylakeX, 1, 18 and 19 under Haswell, 1, 16 and 18 and small_ac seed 7
-under Sandybridge, and 1, 16 and 19 under Prescott.
+1, also depends on the kernel: besides the 20 path3_dc runs, table1_dc
+seeds 2 and 4 under SkylakeX, 2, 4 and 12 and small_ac seed 11 under
+Haswell, 2 and 12 under Sandybridge, and 2 and small_ac seed 11 under
+Prescott.
 
 The script imports ``gridrecover`` from the ``src`` directory of its own
 checkout and pins one BLAS thread before numpy loads: float bits depend on
@@ -74,7 +80,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from numpy.random import SeedSequence  # noqa: E402
 
-from gridrecover.builtins import BUILTINS, builtin_network, builtin_scenario  # noqa: E402
+from gridrecover.builtins import BUILTINS, SMALL_AC_ZERO_NODE, builtin_network, builtin_scenario  # noqa: E402
 from gridrecover.recovery import RecoveryConfig, RecoveryError, head, loop  # noqa: E402
 from gridrecover.states import generate_scenario, rms  # noqa: E402
 
@@ -131,6 +137,27 @@ def _events(trace) -> str:
     return " ".join(f"{r.event}:{r.edges}" for r in trace)
 
 
+def _topologies(name, truth) -> list[set]:
+    """The edge sets that count as exact for a builtin's true network: its
+    own, and for small_ac also the one with its silent degree-2 node
+    collapsed in series, which the data cannot tell from it."""
+    edges = set(truth.edges)
+    if name != "small_ac":
+        return [edges]
+    ends = {e for e in edges if SMALL_AC_ZERO_NODE in e}
+    a, b = sorted(j if j != SMALL_AC_ZERO_NODE else k for j, k in ends)
+    return [edges, (edges - ends) | {(a, b)}]
+
+
+def _cell_line(key, cell) -> str:
+    returned = cell["runs"] - cell["errors"]
+    mean = f"{cell['edges'] / returned:.2f}" if returned else "-"
+    return (
+        f"{key}: {cell['runs']} runs, {cell['errors']} errors, exact {cell['exact']},"
+        f" exact with collapse {cell['collapse']}, mean edges {mean}, stale {cell['stale']}"
+    )
+
+
 def kernels() -> int:
     """Run the set once per BLAS kernel, each in a child process of its own,
     and print each child's last line; a child that fails, for example on a
@@ -150,14 +177,21 @@ def kernels() -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--listing", action="store_true", help="print one line per run before the digest")
+    parser.add_argument("--table", action="store_true", help="print one line per cell before the digest")
     parser.add_argument("--kernels", action="store_true", help="run the set under each BLAS kernel of KERNELS")
     args = parser.parse_args(argv)
     if args.kernels:
         return kernels()
     total, edge_sets, events = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = rows = 0
+    cells = {}
     for name, sigma, seed, factor, truth, cfg, outcome in runs():
         key = f"{name} {sigma!r} {seed} {factor!r}"
+        cell = cells.setdefault(
+            f"{name} sigma={sigma:g} tol={'exact' if factor is None else factor}",
+            dict.fromkeys(("runs", "errors", "exact", "collapse", "edges", "stale"), 0),
+        )
+        cell["runs"] += 1
         run = f"{key} {cfg.tol.hex()}\n"
         if isinstance(outcome, RecoveryError):
             edge_sets.update(f"{key} error {type(outcome).__name__}\n".encode())
@@ -166,6 +200,7 @@ def main(argv=None) -> int:
             rows += len(outcome.trace)
             summary = f"{len(outcome.trace)} rows, error: {outcome}"
             weights = b""
+            cell["errors"] += 1
         else:
             net, trace = outcome
             edge_sets.update(f"{key} {net.edges}\n".encode())
@@ -177,12 +212,20 @@ def main(argv=None) -> int:
                 f" exact {set(net.edges) == set(truth.edges)}"
             )
             weights = net.c.tobytes() + net.s.tobytes()
+            topologies = _topologies(name, truth)
+            cell["exact"] += set(net.edges) == topologies[0]
+            cell["collapse"] += set(net.edges) in topologies
+            cell["edges"] += len(net.edges)
+            cell["stale"] += trace.stop == "stale"
         digest = hashlib.sha256(run.encode() + weights).hexdigest()
         total.update(digest.encode())
         count += 1
         if args.listing:
             tol = "exact" if factor is None else factor
             print(f"{name} sigma={sigma:g} seed={seed} tol={tol}: {summary} {digest[:16]}")
+    if args.table:
+        for key, cell in cells.items():
+            print(_cell_line(key, cell))
     print(
         f"{count} runs, {rows} trace rows, digest {total.hexdigest()}, edge sets {edge_sets.hexdigest()},"
         f" events {events.hexdigest()}"

@@ -8,7 +8,8 @@ step afresh by least squares instead of factoring the passive columns, null spac
 come from a full SVD, the tall system is built from the defining sums, one
 unit weight per column, and the tall fit solves those stacked equations
 themselves instead of their triangular factor, Newton power flow solves one state at a time, each
-with its own admittance matrix, Jacobian and linear solve, and AC
+with its own admittance matrix, Jacobian and linear solve, scenario data
+draws one uniform at a time, and AC
 sparsification splits a network into its conductance and susceptance graphs,
 sparsifies each as its own network and merges the kept edges by name,
 while the eager sampler takes the library's draws but computes every weight
@@ -18,7 +19,9 @@ every QR with ``mode="r"``, as the library did before it read R out of
 numpy's factored copy.  The fewest-edge search, by contrast, fits with the
 library's own ``fit(restrict(full, subset))``, the computation the recovery
 loop accepts a candidate by: what it checks is the loop's search, not the
-fit.
+fit.  ``legacy_scenario`` is no oracle of today's code: it makes the
+scenario data of the earlier layout, one generator per state, which the
+tests of specific recovery paths keep as their cases.
 """
 
 from __future__ import annotations
@@ -411,9 +414,67 @@ def newton_per_state(net, p, q=None) -> np.ndarray:
 
 
 def scenario_per_state(net, scen, m: int, seed=0) -> StateSet:
-    """``states.generate_scenario`` assembled one state at a time: each state
-    draws its loads one by one from its own child RNG and is solved by
-    :func:`newton_per_state` until its voltages stay in range."""
+    """``states.generate_scenario`` assembled one state at a time from one
+    generator, ``default_rng(seed)``: each round draws the loads of every
+    pending state, in index order, one ``uniform`` at a time, then solves
+    each of them by :func:`newton_per_state`; a state whose voltages left
+    the range stays pending, and a state that fails ends the round for the
+    states after it.  The noise is drawn from the same generator last."""
+    if not is_connected(net):
+        raise PowerFlowError("network must be connected to solve power flow")
+    loads = [j for j in range(1, net.n) if j + 1 not in scen.zero]
+    vmin, vmax = gstates.VOLTAGE_RANGE
+    dc = net.kind == DC
+    L = admittance_matrix(net)
+    rng = np.random.default_rng(seed)
+    P = np.zeros((m, net.n))
+    Q = np.zeros((m, net.n))
+    V = np.empty((m, net.n), dtype=complex)
+    pending = list(range(m))
+    error = None
+    for _ in range(gstates.MAX_RETRIES):
+        for k in pending:
+            for j in loads:
+                P[k, j] = rng.uniform(*scen.p_range)
+                if not dc:
+                    Q[k, j] = rng.uniform(*scen.q_range)
+        out_of_range = []
+        for k in pending:
+            try:
+                v = newton_per_state(net, P[k], Q[k])
+            except PowerFlowError as exc:
+                error = PowerFlowError(f"state {k}: {exc}")
+                break
+            if np.all((np.abs(v) >= vmin) & (np.abs(v) <= vmax)):
+                V[k] = v
+            else:
+                out_of_range.append(k)
+        pending = out_of_range
+        if not pending:
+            break
+    else:
+        error = PowerFlowError(
+            f"state {pending[0]}: voltages left [{vmin}, {vmax}] in {gstates.MAX_RETRIES} attempts"
+        )
+    if error is not None:
+        raise error
+    for k in range(m):
+        s_model = V[k] * np.conj(V[k] @ L)
+        P[k, 0] = s_model.real[0]
+        if not dc:
+            Q[k, 0] = s_model.imag[0]
+    F = np.zeros_like(P) if dc else V.imag
+    return add_noise(StateSet(net.kind, V.real, F, P, Q), scen.sigma, rng)
+
+
+def legacy_scenario(net, scen, m: int, seed=0) -> StateSet:
+    """The scenario data ``states.generate_scenario`` made before it drew
+    from one generator: state k draws its loads one by one from its own
+    ``default_rng`` of the k-th child of the seed (children as ``spawn``
+    numbers them) and is solved by :func:`newton_per_state` until its
+    voltages stay in range; the noise is drawn from child m.  Tests whose
+    data reached a specific path take their states from here, so that each
+    keeps its case."""
     if not is_connected(net):
         raise PowerFlowError("network must be connected to solve power flow")
     loads = [j for j in range(1, net.n) if j + 1 not in scen.zero]

@@ -167,8 +167,8 @@ def spawn_calls(source: str) -> list[int]:
 
 
 def test_no_spawn_calls():
-    # a seed's children are made by network._child, which advances nothing,
-    # so _seed_sequence can hand a given SeedSequence on without a copy
+    # a seed's children are made by network._children, which advances
+    # nothing, so it can take a given SeedSequence on without a copy
     paths = sorted((ROOT / "src" / "gridrecover").glob("*.py"))
     assert len(paths) > 5
     found = [f"{path.name}:{line}" for path in paths for line in spawn_calls(path.read_text())]

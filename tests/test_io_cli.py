@@ -19,12 +19,13 @@ import gridrecover.sparsify as sparsify
 from gridrecover import io
 from gridrecover.builtins import builtin_network, builtin_scenario
 from gridrecover.cli import build_parser, main
-from gridrecover.network import Network, split_graphs
+from gridrecover.network import Network, _children, split_graphs
 from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import EVENTS, RecoveryConfig, RecoveryError, RecoveryTrace, TraceRow, recover
 from gridrecover.sparsify import effective_resistances
 from gridrecover.states import StateSet, generate_scenario, generate_voltage_driven, rms
 from helpers import draining_states, flat_states, random_ac_network, random_dc_network
+from oracles import legacy_scenario
 
 
 def test_network_json_round_trip(tmp_path):
@@ -847,12 +848,12 @@ def test_cli_bound_coarse_defaults_to_the_voltage_range(tmp_path):
 
 
 # sha256 of states.csv from `generate --builtin NAME --m 50 --seed 5 --noise 1e-6`,
-# written by the per-state Newton loop that the batched solve replaced
+# its scenario data drawn from one generator
 STATES_SHA256 = {
-    "table1_dc": "afa5373e2f1f67eb3b5ef2c946a331f37387df3899efac3e0a47f8e5d2b8acce",
-    "heawood_dc": "524fe5ba2641e88ae20a3c1537a30ed338fd42f052f0b77215472e1713d1d724",
-    "path3_dc": "30310b6f5efe0d07209f091e0685dafdb891fdfb7144cc468c8cc325f857b2ba",
-    "small_ac": "9b2dcd64b905fa1daa20ef49bfd0d90071e3a3d7a567acff2f46cc88b3b0e0fd",
+    "table1_dc": "36949068e089acd7f6be87e2cb97a0f4d20765ece2224df8c40f673c313e9c3c",
+    "heawood_dc": "4e99b430c4544ca6b7aefd8697ce836f5721e8370a6566d8c34ec86a49907911",
+    "path3_dc": "962e56fa57ab28e74d8bba78c73f844d3c8fc913329ee918468d8f38cff1a428",
+    "small_ac": "4b7c474c04d5f4a0f932eabdcce55313572e80e6e963c12e7b63ccfb469eb6a3",
 }
 
 
@@ -863,6 +864,34 @@ def test_cli_generate_states_are_pinned(tmp_path, name):
                  "--noise", "1e-6", "--out-dir", str(out)]) == 0
     digest = hashlib.sha256((out / "states.csv").read_bytes()).hexdigest()
     assert digest == STATES_SHA256[name]
+
+
+def _legacy_states_csv(path, name, m, seed, noise):
+    """Write the states.csv that `generate --builtin NAME --m M --seed SEED
+    --noise NOISE` wrote with oracles.legacy_scenario's data: the network
+    from the seed's first child, the states from its second."""
+    first, second = _children(seed, 2)
+    net = builtin_network(name, first)
+    io.save_states_csv(legacy_scenario(net, builtin_scenario(name, sigma=noise), m, seed=second), path)
+
+
+# sha256 of the states.csv that `generate --builtin NAME --m M --seed SEED
+# --noise NOISE` wrote before it drew from one generator
+LEGACY_STATES_SHA256 = {
+    ("table1_dc", 50, 5, 1e-6): "afa5373e2f1f67eb3b5ef2c946a331f37387df3899efac3e0a47f8e5d2b8acce",
+    ("heawood_dc", 50, 5, 1e-6): "524fe5ba2641e88ae20a3c1537a30ed338fd42f052f0b77215472e1713d1d724",
+    ("path3_dc", 50, 5, 1e-6): "30310b6f5efe0d07209f091e0685dafdb891fdfb7144cc468c8cc325f857b2ba",
+    ("small_ac", 50, 5, 1e-6): "9b2dcd64b905fa1daa20ef49bfd0d90071e3a3d7a567acff2f46cc88b3b0e0fd",
+    ("table1_dc", 40, 7, 1e-4): "5531b48b420bba2f05df050134a18d7c013142f3ca916fe36868fedd1964b809",
+    ("path3_dc", 120, 7, 1e-6): "0cb3d7956ea5d419c8ac679c1198e8d2c14be1d52d8ebbcf5834fd055f8ef078",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEGACY_STATES_SHA256))
+def test_legacy_scenario_writes_the_earlier_states(tmp_path, case):
+    path = tmp_path / "states.csv"
+    _legacy_states_csv(path, *case)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LEGACY_STATES_SHA256[case]
 
 
 def test_cli_trials_fan_out(tmp_path):
@@ -992,14 +1021,15 @@ def test_cli_failing_trial_fails_the_command(tmp_path, capfd):
     assert "Traceback" not in err
 
 
-def test_cli_trials_certified_at_row_1_stop_there(tmp_path, capsys):
+def test_cli_trials_certified_at_row_1_stop_there(tmp_path):
     # tol is below the noise, so each trial's complete-graph fit is already
     # certified: it stops at iteration 1 on the fit's 9 positive edges, which
     # miss the tolerance, and the command fails on its rms, not on a draw
+    # (on the legacy_scenario data of `generate --builtin table1_dc --m 40
+    # --seed 7 --noise 1e-4`)
     out = tmp_path / "exp"
-    assert main(["generate", "--builtin", "table1_dc", "--m", "40", "--seed", "7",
-                 "--noise", "1e-4", "--out-dir", str(out)]) == 0
-    capsys.readouterr()
+    out.mkdir()
+    _legacy_states_csv(out / "states.csv", "table1_dc", 40, 7, 1e-4)
     code = main(["recover", "--states", str(out / "states.csv"), "--tol", "1e-9",
                  "--trials", "2", "--out-dir", str(out)])
     assert code == 1

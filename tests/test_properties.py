@@ -11,9 +11,9 @@ solving every step afresh by least squares, from w = 0 and from all
 columns; the Newton Jacobian built on
 the non-slack block must equal the complex formula's block, at any slack;
 no proper subset of a network the recovery loop certifies minimal may
-fit within its tolerance; and the scenario streams, computed for all
-children of a seed at once, must be numpy's ``default_rng(child)`` streams
-bit for bit.
+fit within its tolerance; and the children made of a seed for the
+sparsifier's rows and the command line's seeds must be numpy's spawned
+children, without advancing a given SeedSequence.
 """
 
 import copy
@@ -22,17 +22,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridrecover.network import DC, _children, _seed_sequence, admittance_matrix, complete_edges
+from gridrecover.network import DC, _children, admittance_matrix, complete_edges
 from gridrecover.nnls import solve as nnls_solve
 from gridrecover.recovery import _minimal, fit
-from gridrecover.states import (
-    _child_pools,
-    _jacobian,
-    _pcg64_streams,
-    _random,
-    add_noise,
-    generate_voltage_driven,
-)
+from gridrecover.states import _jacobian, add_noise, generate_voltage_driven
 from gridrecover.vandermonde import (
     assemble,
     network_from_columns,
@@ -348,28 +341,14 @@ def seeds(kind: str):
 @given(data=st.data())
 def test_scenario_streams_are_numpys_default_rng_streams(kind, data):
     seed = data.draw(seeds(kind))
-    count, k = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 9))
-    ss = _seed_sequence(seed)
+    count = data.draw(st.integers(1, 12))
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     before = ss.n_children_spawned
-    children = _children(seed, count)
-    pools = _child_pools(ss, count)
+    children = _children(ss, count)
     assert ss.n_children_spawned == before  # a given SeedSequence is not advanced
-    assert pools.dtype == np.uint32
-    assert np.array_equal(pools, [child.pool for child in children])
     # _children makes the children numpy's spawn makes, without spawning
     spawned = copy.copy(ss).spawn(count)
-    assert np.array_equal(pools, [child.pool for child in spawned])
+    assert np.array_equal([c.pool for c in children], [c.pool for c in spawned])
     assert [c.spawn_key for c in children] == [c.spawn_key for c in spawned]
-    streams = _pcg64_streams(pools)
-    rngs = [np.random.default_rng(child) for child in children]
-    for j, rng in enumerate(rngs):
-        state = rng.bit_generator.state["state"]
-        assert int(streams[0, j]) << 64 | int(streams[1, j]) == state["state"]
-        assert int(streams[2, j]) << 64 | int(streams[3, j]) == state["inc"]
-    got = _random(streams, np.arange(count), k)
-    assert got.tobytes() == np.array([rng.random(k) for rng in rngs]).tobytes()
-    # a retry round continues only some streams, each where it stopped
-    rows = np.array(sorted(data.draw(st.sets(st.integers(0, count - 1)))), dtype=int)
-    more = data.draw(st.integers(0, 9))
-    want = np.array([rngs[j].random(more) for j in rows]).reshape(len(rows), more)
-    assert _random(streams, rows, more).tobytes() == want.tobytes()
+    # a seed that is not a SeedSequence gives the children of one made from it
+    assert [c.pool.tobytes() for c in _children(seed, count)] == [c.pool.tobytes() for c in children]

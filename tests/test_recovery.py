@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import re
@@ -39,7 +40,7 @@ from gridrecover.vandermonde import (
     restrict,
 )
 from helpers import draining_states, flat_states
-from oracles import sparsify_eager
+from oracles import legacy_scenario, sparsify_eager
 
 
 def test_config_validation():
@@ -364,9 +365,11 @@ def _rescanned_stale_count(rows):
 
 def _builtin_run(name, sigma, seed):
     """60 states of a builtin and a config whose tol is 1.5 times the noise
-    floor (1e-5 on exact data), so that noisy runs accept several times."""
+    floor (1e-5 on exact data), so that noisy runs accept several times.
+    The states are :func:`oracles.legacy_scenario`'s, the data these runs'
+    paths were found on."""
     net = builtin_network(name, seed)
-    states = generate_scenario(net, builtin_scenario(name, sigma=sigma), 60, seed=seed)
+    states = legacy_scenario(net, builtin_scenario(name, sigma=sigma), 60, seed=seed)
     tol = 1.5 * rms(net, states) if sigma else 1e-5
     return states, RecoveryConfig(seed=seed, tol=tol, max_stale_iterations=10)
 
@@ -378,6 +381,51 @@ def _long_run(name):
     iterations; small_ac ends on a minimal network after 16."""
     states, cfg = _builtin_run(name, 1e-6, 1)
     return states, replace(cfg, tol=4 * cfg.tol)
+
+
+def _legacy_heawood_noisy(instance):
+    """The 300 legacy_scenario states of perfbench's heawood_noisy instance
+    ``instance`` and its true network."""
+    net_seed, data_seed = np.random.SeedSequence(instance).spawn(2)
+    truth = builtin_network("heawood_dc", net_seed)
+    return truth, legacy_scenario(truth, builtin_scenario("heawood_dc", sigma=1e-6), 300, seed=data_seed)
+
+
+# sha256 over the e, f, p and q bytes, in order, of the data sets of each
+# group as generate_scenario made them before it drew from one generator
+LEGACY_SHA256 = {
+    # _builtin_run's data: every builtin, sigma 0, 1e-6 and 1e-5, seeds 0-3
+    "builtin runs": "9b18773d8a50ffa2125d6dd16297489ebc1857c0dd46ec47c867495c9b2c1977",
+    # the declared set's small_ac sigma 1e-6 seeds 1, 2 and 10
+    "declared small_ac": "f97d84a9df41923b0a2f6693fff117181fa741da18938148da35d72b94658e02",
+    # perfbench heawood_noisy instances 13012, 204018 and 911007
+    "heawood_noisy": "604e65b534beb55fc73201884330c7b25fba05bd7ba88d8bd3ef85af9b3fcfb8",
+}
+
+
+def _legacy_group(group):
+    if group == "builtin runs":
+        for name in BUILTINS:
+            for sigma in (0.0, 1e-6, 1e-5):
+                for seed in range(4):
+                    yield _builtin_run(name, sigma, seed)[0]
+    elif group == "declared small_ac":
+        for seed in (1, 2, 10):
+            net_seed, data_seed = np.random.SeedSequence(seed).spawn(2)
+            net = builtin_network("small_ac", net_seed)
+            yield legacy_scenario(net, builtin_scenario("small_ac", sigma=1e-6), 120, seed=data_seed)
+    else:
+        for instance in (13012, 204018, 911007):
+            yield _legacy_heawood_noisy(instance)[1]
+
+
+@pytest.mark.parametrize("group", sorted(LEGACY_SHA256))
+def test_named_cases_keep_their_legacy_data(group):
+    digest = hashlib.sha256()
+    for states in _legacy_group(group):
+        for a in ("e", "f", "p", "q"):
+            digest.update(getattr(states, a).tobytes())
+    assert digest.hexdigest() == LEGACY_SHA256[group]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -789,11 +837,9 @@ def test_warm_start_keeps_the_column_the_cold_fit_drops(monkeypatch):
     # heawood_noisy instance 13012: at iteration 2 the active-set solver's
     # absolute KKT test stops one column short on the accepted candidate, so
     # its fit keeps 28 edges; every least-squares weight of the candidate is
-    # positive, and the warm start's back-substitution keeps all 29
-    net_seed, data_seed = np.random.SeedSequence(13012).spawn(2)
-    truth = builtin_network("heawood_dc", net_seed)
-    scenario = builtin_scenario("heawood_dc", sigma=1e-6)
-    states = generate_scenario(truth, scenario, 300, seed=data_seed)
+    # positive, and the warm start's back-substitution keeps all 29 (on the
+    # instance's legacy data)
+    truth, states = _legacy_heawood_noisy(13012)
     cfg = RecoveryConfig(tol=1.5 * rms(truth, states), seed=13012, max_iterations=2)
     fits = []
     fit = gridrecover.recovery.fit
