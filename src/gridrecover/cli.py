@@ -25,7 +25,6 @@ import numpy as np
 from . import io
 from .bounds import ac_bound, dc_bound, dc_bound_coarse
 from .builtins import BUILTINS, builtin_network, builtin_scenario
-from .network import _children
 from .nnls import NnlsError
 from .recovery import RecoveryConfig, RecoveryError, _warned_head, fit, loop, recover
 from .sparsify import row_statistics, sparsify_ac
@@ -78,7 +77,8 @@ def _out_dir(args) -> Path:
 
 def cmd_generate(args) -> int:
     # a builtin's network and states, or voltage-driven states and their noise
-    first, second = _children(args.seed, 2)
+    # the two children that SeedSequence(seed).spawn(2) makes
+    first, second = (np.random.SeedSequence(args.seed, spawn_key=(i,)) for i in range(2))
     if args.builtin:
         net = builtin_network(args.builtin, first)
         scen = builtin_scenario(args.builtin, sigma=args.noise)

@@ -16,7 +16,6 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.random import SeedSequence
 
 Edge = tuple[int, int]
 
@@ -43,23 +42,6 @@ def _finite_non_negative(value, what: str) -> float:
     if not 0 <= value < math.inf:
         raise ValueError(f"{what} must be finite and non-negative, got {value}")
     return value
-
-
-def _children(seed, count: int) -> list[SeedSequence]:
-    """The first ``count`` children that ``ss.spawn`` would make of ``seed``
-    as a SeedSequence (a given one as it is, else one made from ``seed`` as
-    entropy), made as numpy makes them without advancing ``ss``: the same
-    seed object gives the same children on every call.  numpy counts
-    children in a uint32, whose ``spawn`` wraps past it and never returns,
-    so a child index of 2**32 or more is refused."""
-    ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
-    last = ss.n_children_spawned + count - 1
-    if last >= 2**32:
-        raise ValueError(f"a SeedSequence's child index must be below 2**32, got {last}")
-    return [
-        SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, index), pool_size=ss.pool_size)
-        for index in range(ss.n_children_spawned, last + 1)
-    ]
 
 
 def _oriented(j: int, k: int) -> Edge:

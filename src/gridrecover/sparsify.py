@@ -30,7 +30,7 @@ from itertools import compress
 
 import numpy as np
 
-from .network import DC, Edge, Network, _children, _finite_non_negative, _integral, _laplacian, _real, laplacian, spectral_norm, split_graphs
+from .network import DC, Edge, Network, _finite_non_negative, _integral, _laplacian, _real, laplacian, spectral_norm, split_graphs
 
 PSD_TOL = 1e-9
 KERNEL_RTOL = 1e-12
@@ -170,30 +170,29 @@ def sparsify_ac(net: Network, eps: float, seed=0) -> SparsifyOutcome:
     """Sample a reweighted subnetwork of the positive-weight edges.
 
     Each weight row with a positive entry (conductances, and on AC networks
-    susceptances) takes t draws of its own: from ``seed`` on DC, from the two
-    children of its SeedSequence on AC, conductances first; a SeedSequence
-    given as ``seed`` is not advanced.  A drawn entry becomes
-    count * w / (t * p), so its expectation over seeds is w; an entry with
-    no draws is 0.  The edges drawn by either row are kept, in input order.
-    The draw is made here; the sampled network and its weights are derived
-    from its counts when the outcome's ``graph`` is first read.
+    susceptances) takes t draws of its own, in that order, from one
+    ``default_rng(seed)``.  An int, a list of ints or a SeedSequence as
+    ``seed`` gives the same draws on every call, and a SeedSequence is not
+    advanced; a Generator is drawn from and advanced, as numpy's own
+    functions do.  A drawn entry becomes count * w / (t * p), so its
+    expectation over seeds is w; an entry with no draws is 0.  The edges
+    drawn by either row are kept, in input order.  The draw is made here;
+    the sampled network and its weights are derived from its counts when
+    the outcome's ``graph`` is first read.
     """
     t = sample_count(net.n, eps)
-    if net.kind == DC:
-        seeds = (seed, None)  # the susceptance row is all zero and draws nothing
-    else:
-        seeds = _children(seed, 2)
+    rng = np.random.default_rng(seed)
     keep = np.zeros(len(net.edges), dtype=bool)
     draws = []
     stats = _statistics(net)
-    for i, (label, row_seed) in enumerate(zip(WEIGHT_ROWS, seeds)):
+    for i, label in enumerate(WEIGHT_ROWS):
         if label not in stats:
             continue
         at, row = stats[label]
         # the draw counts of t draws with replacement, in O(edges) memory and
         # time; they sum to t >= 1, and a drawn entry's weight is at least
         # w / t, positive unless w is within a factor t of the smallest double
-        counts = np.random.default_rng(row_seed).multinomial(t, row.p)
+        counts = rng.multinomial(t, row.p)
         keep[at[counts > 0]] = True
         draws.append((i, at, row, counts))
     if not draws:

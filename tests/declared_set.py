@@ -43,10 +43,10 @@ with AVX-512 (SkylakeX is its default kernel), it read::
     ===========  ==========  ==================  ==================  ==================
     kernel       trace rows  digest              edge sets           events
     ===========  ==========  ==================  ==================  ==================
-    SkylakeX     6149        304bcd35b4383cf3…   fba69620b45c92ef…   57df8a4a101f4cf6…
-    Haswell      6165        ff9cb1466d70941f…   fba69620b45c92ef…   61490731591c243d…
-    Sandybridge  6159        54990ed2f2d8b7da…   fba69620b45c92ef…   76149ebfbba58345…
-    Prescott     6158        d8a6cf3c24a7b2a9…   fba69620b45c92ef…   18cbc703f9c3e805…
+    SkylakeX     6337        79054ef0edeb78b5…   74feb161b9ee602e…   7e164582442ad8ee…
+    Haswell      6353        0a49c0aad1951c93…   74feb161b9ee602e…   1b68b5f26741076e…
+    Sandybridge  6347        526bb3deddd4bfc8…   74feb161b9ee602e…   5a5b904b48c963f0…
+    Prescott     6346        1dadcc61e647861b…   74feb161b9ee602e…   bcc4d944c6c6d7c9…
     ===========  ==========  ==================  ==================  ==================
 
 Every kernel returns the same edges, but on some runs Haswell, Sandybridge

@@ -36,7 +36,6 @@ from gridrecover.network import (
     DC,
     Edge,
     Network,
-    _children,
     admittance_matrix,
     is_connected,
     laplacian,
@@ -470,18 +469,19 @@ def scenario_per_state(net, scen, m: int, seed=0) -> StateSet:
 def legacy_scenario(net, scen, m: int, seed=0) -> StateSet:
     """The scenario data ``states.generate_scenario`` made before it drew
     from one generator: state k draws its loads one by one from its own
-    ``default_rng`` of the k-th child of the seed (children as ``spawn``
-    numbers them) and is solved by :func:`newton_per_state` until its
-    voltages stay in range; the noise is drawn from child m.  Tests whose
-    data reached a specific path take their states from here, so that each
-    keeps its case."""
+    ``default_rng`` of the k-th child that ``spawn`` makes of the seed (a
+    SeedSequence given as ``seed`` spawns them, and is advanced) and is
+    solved by :func:`newton_per_state` until its voltages stay in range; the
+    noise is drawn from child m.  Tests whose data reached a specific path
+    take their states from here, so that each keeps its case."""
     if not is_connected(net):
         raise PowerFlowError("network must be connected to solve power flow")
     loads = [j for j in range(1, net.n) if j + 1 not in scen.zero]
     vmin, vmax = gstates.VOLTAGE_RANGE
     dc = net.kind == DC
     L = admittance_matrix(net)
-    children = _children(seed, m + 1)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = ss.spawn(m + 1)
     E = np.empty((m, net.n))
     F = np.zeros((m, net.n))
     P = np.empty((m, net.n))
@@ -549,21 +549,20 @@ def sparsify_two_graphs(net, eps: float, seed=0) -> SimpleNamespace:
     """Sparsification through the conductance and susceptance graphs.
 
     A DC network is sparsified as one graph with ``seed``.  An AC network is
-    split into its two graphs, each sparsified with one child of ``seed``,
-    conductances first, spawned as the library spawns them (a SeedSequence
-    given as ``seed`` is not advanced); the output holds the sorted union of
-    the two kept edge sets, a weight missing from one side zero-filled.
+    split into its two graphs, sparsified in turn from one
+    ``default_rng(seed)``, conductances first; the output holds the sorted
+    union of the two kept edge sets, a weight missing from one side
+    zero-filled.
     """
     if net.kind == DC:
         return _sparsify_graph(net, eps, seed)
 
-    cg, sg = split_graphs(net)
-    c_seed, s_seed = _children(seed, 2)
+    rng = np.random.default_rng(seed)
     sides: list[dict[Edge, float]] = []
     t = sample_count(net.n, eps)
-    for graph, side_seed in ((cg, c_seed), (sg, s_seed)):
+    for graph in split_graphs(net):
         if np.any(graph.c > 0):
-            out = _sparsify_graph(graph, eps, side_seed)
+            out = _sparsify_graph(graph, eps, rng)
             sides.append(dict(zip(out.graph.edges, out.graph.c)))
         else:
             sides.append({})
@@ -585,18 +584,15 @@ def sparsify_eager(net, eps: float, seed=0) -> SimpleNamespace:
     the kept ``edges``, ``c``, ``s``, ``t`` and the sampled ``graph``.
     """
     t = sample_count(net.n, eps)
-    if net.kind == DC:
-        seeds = (seed, None)
-    else:
-        seeds = _children(seed, 2)
+    rng = np.random.default_rng(seed)
     stats = row_statistics(net)
     out = np.zeros((2, len(net.edges)))
-    for label, w, row_seed, new_w in zip(WEIGHT_ROWS, (net.c, net.s), seeds, out):
+    for label, w, new_w in zip(WEIGHT_ROWS, (net.c, net.s), out):
         if label not in stats:
             continue
         row = stats[label]
         at = np.flatnonzero(w > 0)
-        counts = np.random.default_rng(row_seed).multinomial(t, row.p)
+        counts = rng.multinomial(t, row.p)
         drawn = counts > 0
         new_w[at[drawn]] = counts[drawn] * row.w[drawn] / (t * row.p[drawn])
     keep = np.any(out > 0, axis=0)

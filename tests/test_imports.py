@@ -167,8 +167,9 @@ def spawn_calls(source: str) -> list[int]:
 
 
 def test_no_spawn_calls():
-    # a seed's children are made by network._children, which advances
-    # nothing, so it can take a given SeedSequence on without a copy
+    # spawn advances the SeedSequence it is called on, so a given one would
+    # draw differently on its next call; the command line builds its two
+    # children by spawn key instead, and every other draw takes default_rng
     paths = sorted((ROOT / "src" / "gridrecover").glob("*.py"))
     assert len(paths) > 5
     found = [f"{path.name}:{line}" for path in paths for line in spawn_calls(path.read_text())]

@@ -19,11 +19,11 @@ import gridrecover.sparsify as sparsify
 from gridrecover import io
 from gridrecover.builtins import builtin_network, builtin_scenario
 from gridrecover.cli import build_parser, main
-from gridrecover.network import Network, _children, split_graphs
+from gridrecover.network import Network, split_graphs
 from gridrecover.nnls import NnlsError, NnlsResult
 from gridrecover.recovery import EVENTS, RecoveryConfig, RecoveryError, RecoveryTrace, TraceRow, recover
 from gridrecover.sparsify import effective_resistances
-from gridrecover.states import StateSet, generate_scenario, generate_voltage_driven, rms
+from gridrecover.states import StateSet, add_noise, generate_scenario, generate_voltage_driven, rms
 from helpers import draining_states, flat_states, random_ac_network, random_dc_network
 from oracles import legacy_scenario
 
@@ -678,6 +678,26 @@ def test_cli_generate_deterministic_bytes(tmp_path):
     assert (out_a / "states.csv").read_bytes() == (out_b / "states.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 1])
+def test_cli_generate_draws_from_the_seeds_spawned_children(tmp_path, seed):
+    # a builtin's network and states, and a given network's voltages and
+    # noise, come from the two children SeedSequence(seed).spawn(2) makes
+    first, second = np.random.SeedSequence(seed).spawn(2)
+    builtin, given = tmp_path / "builtin", tmp_path / "given"
+    assert main(["generate", "--builtin", "small_ac", "--m", "6", "--seed", str(seed),
+                 "--noise", "1e-6", "--out-dir", str(builtin)]) == 0
+    net = builtin_network("small_ac", first)
+    assert io.load_network(builtin / "network.json") == net
+    expected = generate_scenario(net, builtin_scenario("small_ac", sigma=1e-6), 6, seed=second)
+    io.save_states_csv(expected, tmp_path / "builtin.csv")
+    assert (builtin / "states.csv").read_bytes() == (tmp_path / "builtin.csv").read_bytes()
+    assert main(["generate", "--network", str(builtin / "network.json"), "--m", "6",
+                 "--seed", str(seed), "--noise", "1e-3", "--out-dir", str(given)]) == 0
+    expected = add_noise(generate_voltage_driven(net, 6, seed=first), 1e-3, seed=second)
+    io.save_states_csv(expected, tmp_path / "given.csv")
+    assert (given / "states.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+
+
 def test_cli_generate_noise_sets_rms_scale(tmp_path):
     from gridrecover.states import rms
 
@@ -870,7 +890,7 @@ def _legacy_states_csv(path, name, m, seed, noise):
     """Write the states.csv that `generate --builtin NAME --m M --seed SEED
     --noise NOISE` wrote with oracles.legacy_scenario's data: the network
     from the seed's first child, the states from its second."""
-    first, second = _children(seed, 2)
+    first, second = np.random.SeedSequence(seed).spawn(2)
     net = builtin_network(name, first)
     io.save_states_csv(legacy_scenario(net, builtin_scenario(name, sigma=noise), m, seed=second), path)
 

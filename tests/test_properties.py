@@ -10,19 +10,15 @@ other; its factored solves must take the same active-set steps as
 solving every step afresh by least squares, from w = 0 and from all
 columns; the Newton Jacobian built on
 the non-slack block must equal the complex formula's block, at any slack;
-no proper subset of a network the recovery loop certifies minimal may
-fit within its tolerance; and the children made of a seed for the
-sparsifier's rows and the command line's seeds must be numpy's spawned
-children, without advancing a given SeedSequence.
+and no proper subset of a network the recovery loop certifies minimal may
+fit within its tolerance.
 """
-
-import copy
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridrecover.network import DC, _children, admittance_matrix, complete_edges
+from gridrecover.network import DC, admittance_matrix, complete_edges
 from gridrecover.nnls import solve as nnls_solve
 from gridrecover.recovery import _minimal, fit
 from gridrecover.states import _jacobian, add_noise, generate_voltage_driven
@@ -280,75 +276,3 @@ def test_no_proper_subset_of_a_minimal_network_fits(case):
             for cut in deletions
         )
         assert not _minimal(held, (1 + 1e-6) * floor)
-
-
-def _spawned(entropy: int, count: int) -> np.random.SeedSequence:
-    ss = np.random.SeedSequence(entropy)
-    ss.spawn(count)
-    return ss
-
-
-def _keyed_wide(size: int):
-    """SeedSequences with a pool of ``size`` words, entropy of more words
-    than that, and a spawn key."""
-    return st.builds(
-        lambda e, key: np.random.SeedSequence(e, spawn_key=tuple(key), pool_size=size),
-        st.integers(2 ** (32 * size), 2 ** (32 * size + 96)),
-        st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
-    )
-
-
-def seeds(kind: str):
-    """Seeds of one kind that _children takes: 0, a small int, an int of
-    three or more words, a list of ints, fresh OS entropy (seed None, kept
-    as its sequence so that both sides read the same entropy), and
-    SeedSequences with a spawn key of one- and two-word ints, with children
-    spawned before, and with a pool of 8 words; then a spawn key beside
-    entropy wider than the pool of 4 or 8 words, entropy as a numpy uint32
-    or uint64 array, and an empty entropy list."""
-    entropy = st.integers(0, 2**64)
-    return {
-        "zero": st.just(0),
-        "small": st.integers(1, 2**32 - 1),
-        "big": st.integers(2**64, 2**130),
-        "list": st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
-        "none": st.builds(np.random.SeedSequence, st.none()),
-        "key": st.builds(
-            lambda e, key: np.random.SeedSequence(e, spawn_key=tuple(key)),
-            entropy,
-            st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
-        ),
-        "spawned": st.builds(_spawned, entropy, st.integers(1, 5)),
-        "pool": st.builds(lambda e: np.random.SeedSequence(e, pool_size=8), entropy),
-        "wide_key": _keyed_wide(4),
-        "wide_key_pool": _keyed_wide(8),
-        "uint32": st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6).map(
-            lambda x: np.array(x, dtype=np.uint32)
-        ),
-        "uint64": st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6).map(
-            lambda x: np.array(x, dtype=np.uint64)
-        ),
-        "empty": st.just([]),
-    }[kind]
-
-
-@pytest.mark.parametrize(
-    "kind",
-    ["zero", "small", "big", "list", "none", "key", "spawned", "pool",
-     "wide_key", "wide_key_pool", "uint32", "uint64", "empty"],
-)
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_scenario_streams_are_numpys_default_rng_streams(kind, data):
-    seed = data.draw(seeds(kind))
-    count = data.draw(st.integers(1, 12))
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    before = ss.n_children_spawned
-    children = _children(ss, count)
-    assert ss.n_children_spawned == before  # a given SeedSequence is not advanced
-    # _children makes the children numpy's spawn makes, without spawning
-    spawned = copy.copy(ss).spawn(count)
-    assert np.array_equal([c.pool for c in children], [c.pool for c in spawned])
-    assert [c.spawn_key for c in children] == [c.spawn_key for c in spawned]
-    # a seed that is not a SeedSequence gives the children of one made from it
-    assert [c.pool.tobytes() for c in _children(seed, count)] == [c.pool.tobytes() for c in children]

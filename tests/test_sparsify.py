@@ -247,13 +247,25 @@ def test_sparsify_ac_leaves_a_seed_sequence_as_it_was(net):
     assert g.c.tobytes() == h.c.tobytes() and g.s.tobytes() == h.s.tobytes()
 
 
-def test_sparsify_ac_refuses_child_indices_past_32_bits():
-    # numpy counts children in a uint32, and its spawn(2) never returned here
+def test_sparsify_ac_draws_past_32_bits_of_children():
+    # numpy counts children in a uint32, and no draw takes a child, so a
+    # sequence at the end of that count draws, and is left as it was
     ss = np.random.SeedSequence(9, n_children_spawned=2**32 - 1)
-    with pytest.raises(ValueError, match=r"^a SeedSequence's child index must be below 2\*\*32, got 4294967296$"):
-        sparsify_ac(small_ac(0), 0.5, ss)
-    # a DC network draws from the seed itself, not from a child
-    assert sparsify_ac(table1_dc(), 0.5, ss).t >= 1
+    pool = ss.pool.tobytes()
+    for net in (small_ac(0), table1_dc()):
+        assert sparsify_ac(net, 0.5, ss).t >= 1
+    assert ss.n_children_spawned == 2**32 - 1 and ss.pool.tobytes() == pool
+
+
+@pytest.mark.parametrize("net", [small_ac(0), table1_dc()], ids=["ac", "dc"])
+def test_sparsify_ac_takes_a_generator_as_its_default_rng(net):
+    # a Generator is drawn from as default_rng(seed) would draw, and advanced
+    rng = np.random.default_rng(5)
+    got, want = sparsify_ac(net, 0.5, rng), sparsify_ac(net, 0.5, 5)
+    assert got.edges == want.edges and got.t == want.t
+    g, h = got.graph, want.graph
+    assert g.c.tobytes() == h.c.tobytes() and g.s.tobytes() == h.s.tobytes()
+    assert rng.bit_generator.state != np.random.default_rng(5).bit_generator.state
 
 
 @pytest.mark.parametrize("as_sequence", [False, True])
