@@ -55,9 +55,9 @@ iterate it has to beat.  That QR and that rank test are written once, as
 :func:`_triangle` and :func:`_full_rank`; ``vandermonde.compressed``
 takes the square system of a column subset from the same :func:`_triangle`,
 and ``recovery._minimal`` tests its held triangle's rank with
-:func:`_full_rank`.  R, Q^T b and the corner are read from a raw QR of
-``[A | b]`` in one place, :func:`_raw_triangle`, which also reads
-``vandermonde.assemble``'s final merge.  A square upper-triangular A, such
+:func:`_full_rank`.  R, Q^T b and the corner are cut from a factor of
+``[A | b]`` in one place, :func:`_triangle_parts`, which also cuts
+``vandermonde.assemble``'s.  A square upper-triangular A, such
 as a candidate triangle of ``recovery.fit``, is that QR's R already (it
 would come back bit for bit), so it is not factored again.  A system
 whose least-squares solution is strictly positive then stops after that
@@ -140,11 +140,11 @@ class _PassiveQR:
     set can have: ``q`` and R^-1 hold m x min(m, k) and min(m, k)^2
     numbers.  Every solver call in a recovery run is on a triangle no
     larger than the real form of the complete graph's factor, which on AC
-    has two columns per edge.  On DC the factor stays below the stack of
-    node factors that ``vandermonde.assemble`` folds, so the assembly sets
-    a run's allocation peak.  On AC the complete graph's fit sets it:
-    ``q`` and R^-1 of its real form beside that form and the complex
-    triangle.  The README states these peaks in bytes.
+    has two columns per edge.  The complete graph's fit sets a run's
+    allocation peak on AC and on DC from n = 20 up: ``q`` and R^-1 beside
+    the triangle, and on AC beside its real form too.  On smaller DC
+    networks (n = 14) the merge of ``vandermonde.assemble`` sets it.  The
+    README states these peaks in bytes.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -198,31 +198,37 @@ def _triangle(A: np.ndarray, b: np.ndarray, cols: np.ndarray) -> tuple[np.ndarra
     corner is 0.0 when there are no more than p rows.  On complex A and b,
     R and Q^H b are complex, and LAPACK leaves R's diagonal real.
 
-    ``[A_cols | b]`` is written into one buffer of their dtype, which is
-    dropped once numpy's factored copy of it exists, and R is read from the
-    upper triangle of that copy (:func:`_raw_triangle`).  A square
-    upper-triangular A with every column taken is its own factor: a
-    Householder QR of ``[A | b]`` returns it bit for bit, so it is not
-    run."""
+    ``[A_cols | b]`` is written into one column-major buffer of their
+    dtype, which numpy's QR copies without a transpose and which is dropped
+    once that copy is factored; R is read as a copy of the upper triangle
+    of its first p + 1 rows.  A square upper-triangular A with every column
+    taken is its own factor: a Householder QR of ``[A | b]`` returns it bit
+    for bit, so it is not run."""
     m, k = A.shape
     p = int(np.count_nonzero(cols))
     if p == k == m and not np.tril(A, -1).any():
         return A, b, 0.0
-    Ab = np.empty((m, p + 1), np.result_type(A, b))
+    Ab = np.empty((m, p + 1), np.result_type(A, b), order="F")
     Ab[:, :p] = A if p == k else A[:, cols]
     Ab[:, p] = b
     h, _ = np.linalg.qr(Ab, mode="raw")
     del Ab
-    return _raw_triangle(h)
+    return _triangle_parts(_clear_below(h.T[: p + 1].copy()))
 
 
-def _raw_triangle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """R, Q^T b and the corner |R[p, p]| from ``h``, numpy's ``mode="raw"``
-    QR of a p + 1 column ``[A | b]``, read as a copy of the upper triangle
-    of its first p + 1 rows; fewer rows than that leave R trapezoidal and
-    the corner 0.0."""
-    p = h.shape[0] - 1
-    T = np.triu(h.T[: p + 1])
+def _clear_below(x: np.ndarray) -> np.ndarray:
+    """x with its entries below the diagonal set to zero in place, the
+    values ``np.triu`` gives; unlike ``np.triu`` this fills no buffer from
+    a column-major view, such as numpy's factored copy of a QR input."""
+    x[np.tri(*x.shape, -1, dtype=bool)] = 0
+    return x
+
+
+def _triangle_parts(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """R, Q^T b and the corner |R[p, p]| of the upper-triangular factor T of
+    a p + 1 column ``[A | b]``, as views of T; fewer rows than p + 1 leave R
+    trapezoidal and the corner 0.0."""
+    p = T.shape[1] - 1
     return T[:p, :p], T[:p, p], float(abs(T[p, p])) if T.shape[0] > p else 0.0
 
 

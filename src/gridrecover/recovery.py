@@ -167,10 +167,10 @@ class Fit:
     ``[matrix | rhs]`` and numpy's factored copy of that (the buffer is
     dropped before the triangle is cut from the copy), then the real form
     and the solver's factor of it (``nnls._PassiveQR``).  The complete
-    graph's fit is the largest.  On DC it stays below the assembly, which
-    sets a run's allocation peak; on AC the real form and the solver's
-    factor of it set that peak instead.  The README states these peaks in
-    bytes."""
+    graph's fit is the largest: its solver's factor, beside the triangle
+    and on AC the real form, sets a run's allocation peak on AC and on DC
+    from n = 20 up, and the assembly sets it on smaller DC networks.  The
+    README states these peaks in bytes."""
 
     system: VandermondeSystem
     rms: float

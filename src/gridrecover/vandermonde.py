@@ -18,11 +18,13 @@ the rhs, so ``assemble`` builds v's equations a block of states at a time
 straight into those columns alone, and folds them into a small triangular
 factor of v's own, all n nodes in one batched QR per block (sequential
 TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1),
-2012).  After the last block, one QR of the n node factors, scattered back
-into the column layout, gives the upper-triangular factor R of ``[A | b]``;
-the equations of a node without an edge touch only the rhs and end up in
-its corner.  Both kinds take this one path, DC in real numbers and AC in
-complex ones, one equation per node and state and one column per edge.  A
+2012).  After the last block the rows of the n node factors, scattered
+into the column layout, form a staircase once ordered by the column each
+starts at, and two QRs split at one column give the upper-triangular
+factor R of ``[A | b]`` (:func:`_staircase_merge`); the equations of a
+node without an edge touch only the rhs and end up in its corner.  Both
+kinds take this one path, DC in real numbers and AC in complex ones, one
+equation per node and state and one column per edge.  A
 :class:`VandermondeSystem` keeps ``matrix``, the k columns of R, k being
 A's number of columns; ``rhs``, c = R[:k, k]; ``rho``, |R[k, k]|; and
 ``rows``, the number of real equations.  Since ``||A w - b||^2 =
@@ -56,7 +58,7 @@ from typing import Iterable
 import numpy as np
 
 from .network import AC, DC, Edge, Network, _canonical_edges
-from .nnls import _raw_triangle, _triangle
+from .nnls import _clear_below, _triangle, _triangle_parts
 from .states import StateSet
 
 RANK_RTOL = 1e-13
@@ -64,6 +66,11 @@ RANK_RTOL = 1e-13
 _WIDTH = {DC: 1, AC: 2}
 # states per block of equations folded into the node factors; bounds the rows held
 _BLOCK_STATES = 25
+# flops charged for a second QR in the merge, its call, scatter and triangle
+# copy: one QR of the sorted stack beat two at DC n = 14 (two took 1.21 Mflop
+# fewer; 322 against 269 us) and lost at n = 15 (1.84 Mflop fewer; 420 against
+# 517 us), complete graphs of 200 states, one OpenBLAS thread, 2-CPU x86 VM
+_SECOND_QR_FLOPS = 1_500_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,33 +167,41 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
     ``_BLOCK_STATES`` states at a time straight into each node's own slots
     (:func:`_node_equations`), narrower nodes padded by zero slots, and
     folded into a small triangular factor per node: one batched QR per
-    block over all n nodes.  After the last block the n node factors are
-    scattered into the column layout, and one QR of that stack gives the
-    upper-triangular factor R of ``[A | b]``.  So ``matrix`` holds the first
-    k columns of R, ``rhs`` its last column above the diagonal and ``rho``
-    the modulus of its corner.  On AC every step runs on complex entries,
-    one column per edge, and ``matrix`` and ``rhs`` are complex too.
+    block over all n nodes.  After the last block the rows of the n node
+    factors are merged into the upper-triangular factor R of ``[A | b]``
+    by :func:`_staircase_merge`.  So ``matrix`` holds the first k columns of
+    R, ``rhs`` its last column above the diagonal and ``rho`` the modulus of
+    its corner; with no more equations than k, R has one row per equation,
+    ``matrix`` is that many rows by k, and ``rho`` is 0.  On AC every step
+    runs on complex entries, one column per edge, and ``matrix`` and
+    ``rhs`` are complex too.
     Raises ValueError naming the 1-based state and node when an entry
     overflows to a non-finite value.
 
-    Memory: the stack of the n node factors, n * min(m, d + 1) rows of
-    |E| + 1 numbers, real on DC and complex on AC (900 x 436 for 200
-    states of DC n = 30), is the only array of its size, and the peak is
-    that stack and numpy's copy of it inside the final QR.  Each QR, of a
-    block fold or of the final merge, is taken in ``mode="raw"``: the
-    block, the old node factors and the stack are dropped as soon as they
-    are no longer needed, and R is read from the upper triangle of numpy's
-    factored copy afterwards, the final one by ``nnls._raw_triangle``, so
-    no triangular copy sits beside the stack and its copy.
+    Memory: the node factors hold n * min(m, d + 1) rows of |E| + 1 numbers,
+    real on DC and complex on AC (900 x 436 for 200 states of DC n = 30),
+    and they are never scattered into one stack of that size: each of the
+    merge's two QRs gets a buffer of its own rows alone (360 x 436, then
+    720 x 256 at DC n = 30).  The peak is the second QR's buffer and
+    numpy's copy of it, beside R's first j rows: 1.2 times the 900 x 436
+    stack at DC n = 30.  Each QR is taken in
+    ``mode="raw"`` on a column-major buffer, which numpy copies without a
+    transpose, and its input is dropped as soon as that copy is factored;
+    R is read from the upper triangle of the factored copy.
     """
     edges = _sorted_edges(states.n, edges)
-    n = states.n
-    k = len(edges)
-    edge, far, pad = _incidence(n, edges)
-    # node v's slot -> column: its edges, then the rhs column k; (node, slot)
-    # lists the slots that are not padding
-    node, slot = np.nonzero(np.append(~pad, np.ones((n, 1), bool), axis=1))
-    col = np.append(edge, np.full((n, 1), k), axis=1)[node, slot]
+    edge, far, pad = _incidence(states.n, edges)
+    # the merge holds the only reference to the node factors, and drops them
+    R, rhs, rho = _triangle_parts(_staircase_merge(_node_factors(far, pad, states), edge, pad, len(edges)))
+    rows = _WIDTH[states.kind] * states.n * states.m
+    # column-major, since restrict and the solver gather column subsets of it
+    return VandermondeSystem(states.kind, states.n, np.asfortranarray(R), rhs.copy(), edges, rho, rows)
+
+
+def _node_factors(far: np.ndarray, pad: np.ndarray, states: StateSet) -> np.ndarray:
+    """The (n, min(m, d + 1), d + 1) upper-triangular factors of every
+    node's equations, in its slots, folded ``_BLOCK_STATES`` states at a
+    time; ``far`` and ``pad`` are the tables of :func:`_incidence`."""
     factors = None
     for first in range(0, states.m, _BLOCK_STATES):
         block = _node_equations(far, pad, states, first)
@@ -196,16 +211,87 @@ def assemble(edges: Iterable[Edge], states: StateSet) -> VandermondeSystem:
         del stack
         factors = np.triu(h.swapaxes(1, 2)[:, : min(h.shape[1:])])
         del h
-    stacked = np.zeros((n, factors.shape[1], k + 1), factors.dtype)
-    stacked[node, :, col] = factors[node, :, slot]
-    del factors
-    h, _ = np.linalg.qr(stacked.reshape(-1, k + 1), mode="raw")
-    del stacked
-    R, rhs, rho = _raw_triangle(h)
+    return factors
+
+
+def _qr_flops(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Three times the flops of a Householder QR of an m x n matrix,
+    2mn^2 - 2n^3/3 with m >= n and the sides swapped otherwise, as exact
+    integers, so that equal costs tie exactly."""
+    m, n = np.maximum(m, n), np.minimum(m, n)
+    return 6 * m * n * n - 2 * n**3
+
+
+def _split(starts: np.ndarray, width: int) -> tuple[int, int]:
+    """The column j at which :func:`_staircase_merge` splits a stack
+    ``width`` columns wide, and the number of its rows that start before j.
+
+    ``starts`` holds each row's first column, in ascending order.  The rows
+    that start before j are factored first, over all columns; then that
+    triangle's rows from j on, with the other rows, over the columns from j
+    on.  Of the j whose first triangle has j rows or more, so that its
+    first j rows are R's, j is the first that takes the fewest flops in the
+    two QRs, a second QR charged ``_SECOND_QR_FLOPS`` more; j = 0 is one QR
+    of the whole stack.
+    """
+    j = np.arange(width)
+    first = np.searchsorted(starts, j)
+    second = np.minimum(first, width) - j + len(starts) - first
+    cost = _qr_flops(first, width) + _qr_flops(second, width - j) + 3 * _SECOND_QR_FLOPS * (j > 0)
+    cost[first < j] = cost[0]  # never below one QR of the whole stack
+    j = int(np.argmin(cost))
+    return j, int(first[j])
+
+
+def _staircase_merge(factors: np.ndarray, edge: np.ndarray, pad: np.ndarray, k: int) -> np.ndarray:
+    """The upper-triangular factor of the node factors' rows in the column
+    layout, min(rows, k + 1) x (k + 1), the rhs column last.
+
+    ``factors`` is (n, r, d + 1): row i of node v's triangle has its slot
+    i on the diagonal, and ``edge`` and ``pad`` are the tables of
+    :func:`_incidence`.  So the row starts at the column of v's slot i, or
+    at the rhs column k when that slot is padding or the rhs itself, and
+    is zero before it.  Ordered by that column the rows form a staircase,
+    which is factored in two Householder QRs split at the column j of
+    :func:`_split` (George & Heath, Linear Algebra Appl. 34, 1980): the
+    rows that start before j leave zeros in the first j columns of all the
+    others, so the first j rows of their triangle are R's.  Each block of
+    rows is scattered in one assignment into a column-major buffer of its
+    own.  The caller hands over its only reference to ``factors``, which
+    are dropped once their entries are gathered.
+    """
+    n, r, width = factors.shape
+    # node v's slot -> column: its edges, padding at the rhs column k, then the rhs
+    column = np.append(np.where(pad, k, edge), np.full((n, 1), k), axis=1)
+    order = np.argsort(column[:, :r], axis=None, kind="stable")  # rows v * r + i by first column
+    j, first = _split(column[:, :r].ravel()[order], k + 1)
+    # each row's entries from its diagonal slot on, padding left out, row by row in that order
+    v, i = np.divmod(order, r)
+    kept = np.append(~pad, np.ones((n, 1), bool), axis=1)[v] & (np.arange(width) >= i[:, None])
+    row, slot = np.nonzero(kept)
+    col, value = column[v[row], slot], factors[v[row], i[row], slot]
+    del order, v, i, kept, slot, factors
+    cut = np.searchsorted(row, first)  # the entries of the rows that start before j
+    block = np.zeros((first, k + 1), value.dtype, order="F")
+    block[row[:cut], col[:cut]] = value[:cut]
+    h, _ = np.linalg.qr(block, mode="raw")
+    del block
+    top = min(first, k + 1) - j  # rows of the first triangle from j on
+    block = np.zeros((top + n * r - first, k + 1 - j), value.dtype, order="F")
+    block[:top] = h.T[j : j + top, j:]
+    _clear_below(block[:top])
+    block[row[cut:] - first + top, col[cut:] - j] = value[cut:]
+    del row, col, value
+    done = _clear_below(h.T[:j].copy())  # R's first j rows
     del h
-    rows = _WIDTH[states.kind] * n * states.m
-    # column-major, since restrict and the solver gather column subsets of it
-    return VandermondeSystem(states.kind, n, np.asfortranarray(R), rhs.copy(), edges, rho, rows)
+    h, _ = np.linalg.qr(block, mode="raw")
+    del block
+    T = np.zeros((min(n * r, k + 1), k + 1), h.dtype)
+    T[:j] = done
+    del done
+    T[j:, j:] = h.T[: T.shape[0] - j]
+    _clear_below(T[j:, j:])
+    return T
 
 
 def restrict(system: VandermondeSystem, edges: Iterable[Edge]) -> VandermondeSystem:

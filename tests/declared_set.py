@@ -43,14 +43,14 @@ with AVX-512 (SkylakeX is its default kernel), it read::
     ===========  ==========  ==================  ==================  ==================
     kernel       trace rows  digest              edge sets           events
     ===========  ==========  ==================  ==================  ==================
-    SkylakeX     6337        79054ef0edeb78b5…   74feb161b9ee602e…   7e164582442ad8ee…
-    Haswell      6353        0a49c0aad1951c93…   74feb161b9ee602e…   1b68b5f26741076e…
-    Sandybridge  6347        526bb3deddd4bfc8…   74feb161b9ee602e…   5a5b904b48c963f0…
-    Prescott     6346        1dadcc61e647861b…   74feb161b9ee602e…   bcc4d944c6c6d7c9…
+    SkylakeX     6353        92f499e4b3f9a5f0…   74feb161b9ee602e…   d5c41182eae4be95…
+    Haswell      6345        4ad0ba6b6eb53024…   74feb161b9ee602e…   3b8c1db67482496b…
+    Sandybridge  6354        ca4e50f85fa01594…   74feb161b9ee602e…   2f67e804c92edcae…
+    Prescott     6354        0476e5d8535f1716…   74feb161b9ee602e…   cb4375f27814f893…
     ===========  ==========  ==================  ==================  ==================
 
-Every kernel returns the same edges, but on some runs Haswell, Sandybridge
-and Prescott reach them by other paths, with more trace rows.  Which exact
+Every kernel returns the same edges, but on some runs the kernels reach
+them by other paths, with other numbers of trace rows.  Which exact
 runs have a complete-graph fit certified minimal, and so stop at iteration
 1, also depends on the kernel: besides the 20 path3_dc runs, table1_dc
 seeds 2 and 4 under SkylakeX, 2, 4 and 12 and small_ac seed 11 under

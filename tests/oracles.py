@@ -14,9 +14,12 @@ sparsification splits a network into its conductance and susceptance graphs,
 sparsifies each as its own network and merges the kept edges by name,
 while the eager sampler takes the library's draws but computes every weight
 at the draw and keeps the edges of positive weight.
-The reference assembly shares the library's per-node equations but takes
-every QR with ``mode="r"``, as the library did before it read R out of
-numpy's factored copy.  The fewest-edge search, by contrast, fits with the
+The reference assembly shares the library's per-node equations, but it
+scatters every node factor into one stack, sorts the stack's rows by their
+first column, finds the split by trying every column, and takes every QR
+with ``mode="r"``; a second assembly takes one QR of that stack, the merge
+before rows were sorted, which the staircase merge must equal to roundoff.
+The fewest-edge search, by contrast, fits with the
 library's own ``fit(restrict(full, subset))``, the computation the recovery
 loop accepts a candidate by: what it checks is the loop's search, not the
 fit.  ``legacy_scenario`` is no oracle of today's code: it makes the
@@ -26,6 +29,7 @@ tests of specific recovery paths keep as their cases.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -53,6 +57,7 @@ from gridrecover.sparsify import (
 from gridrecover.states import PowerFlowError, StateSet, add_noise
 from gridrecover.vandermonde import (
     _BLOCK_STATES,
+    _SECOND_QR_FLOPS,
     VandermondeSystem,
     _incidence,
     _node_equations,
@@ -315,32 +320,96 @@ def tall_complex(edges, states) -> VandermondeSystem:
     return VandermondeSystem(states.kind, states.n, matrix, b[0::2] + 1j * b[1::2], tall.edges, 0.0, tall.rows)
 
 
-def assemble_reference(edges, states) -> VandermondeSystem:
-    """:func:`gridrecover.vandermonde.assemble` as it was before it read R
-    out of numpy's factored copy: the same blocks and folds, each QR taken
-    with ``mode="r"``, whose triangular copy sat beside the stack and
-    numpy's copy of it.  The same LAPACK calls on the same values, so the
-    system is the same bit for bit.  On AC the folds run on complex entries,
-    and the triangle and rhs are complex."""
+def _node_factor_stack(edges, states):
+    """The sorted edges, the node factors of ``vandermonde.assemble``'s
+    folds (its blocks, each QR with ``mode="r"``) scattered into the column
+    layout as an (n, rows, k + 1) stack, and the column each row starts at:
+    the column of the node's slot of that row, its edges in order, or the
+    rhs column k when the slot is padding or the rhs itself."""
     edges = _sorted_edges(states.n, edges)
-    n = states.n
-    r = 1 if states.kind == DC else 2
-    k = len(edges)
-    edge, far, pad = _incidence(n, edges)
-    node, slot = np.nonzero(np.append(~pad, np.ones((n, 1), bool), axis=1))
-    col = np.append(edge, np.full((n, 1), k), axis=1)[node, slot]
+    n, k = states.n, len(edges)
+    _, far, pad = _incidence(n, edges)
     factors = None
     for first in range(0, states.m, _BLOCK_STATES):
         stack = _node_equations(far, pad, states, first)
         if factors is not None:
             stack = np.concatenate((factors, stack), axis=1)
         factors = np.linalg.qr(stack, mode="r")
-    stacked = np.zeros((n, factors.shape[1], k + 1), factors.dtype)
-    stacked[node, :, col] = factors[node, :, slot]
-    R = np.linalg.qr(stacked.reshape(-1, k + 1), mode="r")
-    rho = float(abs(R[k, k])) if R.shape[0] > k else 0.0
-    matrix, rhs = R[:k, :k], R[:k, k]
-    return VandermondeSystem(states.kind, n, np.asfortranarray(matrix), rhs.copy(), edges, rho, r * n * states.m)
+    rows = factors.shape[1]
+    stacked = np.zeros((n, rows, k + 1), factors.dtype)
+    starts = np.full((n, rows), k)
+    for v in range(n):
+        cols = [t for t, e in enumerate(edges) if v + 1 in e]
+        stacked[v][:, cols] = factors[v, :, : len(cols)]
+        stacked[v, :, k] = factors[v, :, -1]
+        starts[v, : min(rows, len(cols))] = cols[:rows]
+    return edges, stacked, starts
+
+
+def qr_flops(m: int, n: int) -> int:
+    """Three times the flops of a Householder QR of an m x n matrix:
+    2mn^2 - 2n^3/3 with m >= n, the sides swapped otherwise."""
+    m, n = max(m, n), min(m, n)
+    return 6 * m * n * n - 2 * n**3
+
+
+def staircase_split(starts, width: int) -> tuple[int, int]:
+    """The split of the staircase merge, by its definition: over every
+    column j of a stack ``width`` columns wide whose rows starting before j
+    number j or more, the first j of fewest flops in a QR of those rows
+    over all columns and a QR of that triangle's rows from j on with the
+    other rows over the columns from j on, the second QR of a split (j > 0)
+    charged ``_SECOND_QR_FLOPS`` more; then the number of rows first.
+    ``starts`` holds the first column of each row, in ascending order."""
+    best = None
+    for j in range(width):
+        first = bisect_left(starts, j)
+        if first >= j:
+            cost = qr_flops(first, width) + qr_flops(min(first, width) - j + len(starts) - first, width - j)
+            cost += 3 * _SECOND_QR_FLOPS if j else 0
+            if best is None or cost < best[0]:
+                best = (cost, j, first)
+    return best[1], best[2]
+
+
+def _system(states, edges, T) -> VandermondeSystem:
+    """The system of the edges from T, an upper-triangular factor of [A | b]."""
+    k = len(edges)
+    rho = float(abs(T[k, k])) if T.shape[0] > k else 0.0
+    width = 1 if states.kind == DC else 2
+    return VandermondeSystem(
+        states.kind, states.n, np.asfortranarray(T[:k, :k]), T[:k, k].copy(), edges, rho, width * states.n * states.m
+    )
+
+
+def assemble_reference(edges, states) -> VandermondeSystem:
+    """:func:`gridrecover.vandermonde.assemble` restated on the whole stack
+    of node factors: its rows sorted by their first column (a stable sort),
+    split at :func:`staircase_split`, a QR of the rows that start before j
+    and a QR of that triangle's rows from j on with the other rows, over
+    the columns from j on, each with ``mode="r"``.  The same LAPACK calls
+    on the same values, so the system is the same bit for bit.  On AC every
+    QR runs on complex entries, and the triangle and rhs are complex."""
+    edges, stacked, starts = _node_factor_stack(edges, states)
+    k = len(edges)
+    order = np.argsort(starts, axis=None, kind="stable")
+    A = stacked.reshape(-1, k + 1)[order]
+    j, first = staircase_split(list(starts.ravel()[order]), k + 1)
+    R1 = np.linalg.qr(A[:first], mode="r")
+    R2 = np.linalg.qr(np.vstack((R1[j:, j:], A[first:, j:])), mode="r")
+    T = np.zeros((min(len(A), k + 1), k + 1), A.dtype)
+    T[:j] = R1[:j]
+    T[j:, j:] = R2
+    return _system(states, edges, T)
+
+
+def assemble_one_qr(edges, states) -> VandermondeSystem:
+    """The system from one QR of the whole stack of node factors, node by
+    node, with ``mode="r"``: the merge ``vandermonde.assemble`` took before
+    it ordered the rows by their first column.  Its triangle differs from
+    the staircase merge's in rounding and in the signs of its rows."""
+    edges, stacked, _ = _node_factor_stack(edges, states)
+    return _system(states, edges, np.linalg.qr(stacked.reshape(-1, len(edges) + 1), mode="r"))
 
 
 def tall_fit(edges, states) -> Fit:

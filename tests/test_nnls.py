@@ -432,9 +432,8 @@ def _peak(call, *args):
 def test_cold_complete_graph_fit_peaks_below_its_assembly():
     # the dc30 benchmark shape: a 435 x 435 complete-graph factor whose cold
     # fit ends with the 44 true edges passive.  The solver's factor is sized
-    # for every column, and the fit with its condition number still peaks
-    # below the assembly's stack of node factors, so the assembly sets the
-    # peak of a recovery run
+    # for every column, and what the fit allocates still peaks below the
+    # assembly; a recovery run's peak is that factor beside the triangle
     net = random_dc_network(np.random.default_rng(30), 30, extra_edges=15, wrange=(0.5, 100.0))
     states = generate_voltage_driven(net, 200, seed=31)
     fit(assemble(complete_edges(3), generate_voltage_driven(net, 2, seed=0)))  # first-call set-up, untraced
